@@ -14,7 +14,6 @@ from .errors import (
     SimulationInvariantError,
 )
 from .flow import (
-    Flow,
     GFlow,
     Violation,
     correction_dependencies,
@@ -60,7 +59,6 @@ __all__ = [
     "DeterminismError",
     "DeterminismReport",
     "FinalizedLogicals",
-    "Flow",
     "FlowConsistencyError",
     "FlowEntanglementBound",
     "GFlow",

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .flow import Flow, GFlow, WireReport, flow_wires
+from .flow import GFlow, WireReport, flow_wires
 from .gf2 import gf2_rank
 from .graph import OpenGraph
 
@@ -162,7 +162,7 @@ def _max_prefix_crossing(crossings, order) -> int:
 
 def flow_entanglement_bound(
     graph: OpenGraph,
-    gflow: GFlow | Flow,
+    gflow: GFlow,
     wires: WireReport | None = None,
 ) -> FlowEntanglementBound:
     """Upper bound on structural entanglement from the flow wires.

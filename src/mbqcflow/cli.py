@@ -53,6 +53,15 @@ def _load_gflow(path: str) -> GFlow:
         return GFlow.from_json(handle.read())
 
 
+def _load_valid_gflow(path: str, graph: OpenGraph) -> GFlow:
+    """Load a gFlow to analyse; a gFlow invalid on ``graph`` is a usage error."""
+    gflow = _load_gflow(path)
+    violations = verify_gflow(graph, gflow)
+    if violations:
+        raise ValueError(f"gflow is invalid: {violations[:3]}")
+    return gflow
+
+
 def _load_pattern(path: str) -> MeasurementPattern:
     with open(path, encoding="utf-8") as handle:
         return MeasurementPattern.from_json(handle.read())
@@ -85,10 +94,7 @@ def _cmd_graph_gen(args) -> int:
     if args.with_gflow:
         gflow = fixtures_mod.fixture_gflow(spec.name, args.gflow_variant)
         if gflow is None:
-            flow = find_causal_flow(graph)
-            gflow = flow.to_gflow() if flow is not None else None
-        elif hasattr(gflow, "to_gflow"):
-            gflow = gflow.to_gflow()
+            gflow = find_causal_flow(graph)
         _emit(
             {
                 "graph": graph.to_json_dict(),
@@ -125,8 +131,7 @@ def _cmd_graph_dot(args) -> int:
 def _cmd_flow_find(args) -> int:
     graph = _load_graph(args.graph)
     if args.causal:
-        flow = find_causal_flow(graph)
-        gflow = flow.to_gflow() if flow is not None else None
+        gflow = find_causal_flow(graph)
         reason = "no causal flow"
     else:
         gflow = find_gflow(graph)
@@ -156,7 +161,7 @@ def _cmd_flow_verify(args) -> int:
 
 def _cmd_flow_report(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     report = correction_dependencies(graph, gflow)
     payload = report.to_json_dict()
     try:
@@ -173,7 +178,7 @@ def _cmd_flow_report(args) -> int:
 
 def _cmd_cone(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     cone = forward_cone(graph, gflow, args.vertex)
     if args.dot:
         lines = graph.to_dot(gflow).splitlines()
@@ -191,7 +196,7 @@ def _cmd_cone(args) -> int:
 
 def _cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
     result = simulate_pattern(graph, gflow, pattern)
     payload = result.to_json_dict()
@@ -216,7 +221,7 @@ def _parse_branch(graph: OpenGraph, gflow: GFlow, text: str) -> dict[int, int]:
 
 def _cmd_oracle_run(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
     bits = _parse_branch(graph, gflow, args.branch)
     record = oracle_mod.run_branch(
@@ -237,7 +242,7 @@ def _cmd_oracle_run(args) -> int:
 
 def _cmd_oracle_determinism(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
     report = oracle_mod.check_determinism(
         graph,
@@ -252,7 +257,7 @@ def _cmd_oracle_determinism(args) -> int:
 
 def _cmd_oracle_unitary(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
     matrix = oracle_mod.oracle_unitary(graph, gflow, pattern)
     _emit({"unitary": _unitary_pairs(matrix)})
@@ -278,7 +283,7 @@ def _cmd_bounds(args) -> int:
     except BudgetExceededError:
         payload["chi_wd_exact"] = None
     if args.gflow:
-        gflow = _load_gflow(args.gflow)
+        gflow = _load_valid_gflow(args.gflow, graph)
         report = bounds_mod.flow_entanglement_bound(graph, gflow)
         payload.update(report.to_json_dict())
     else:

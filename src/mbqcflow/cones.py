@@ -11,22 +11,15 @@ from __future__ import annotations
 
 from collections import deque
 
-from .flow import Flow, GFlow
+from .flow import GFlow
 from .graph import OpenGraph, odd_neighborhood
 
 
-def _as_gflow(gflow: GFlow | Flow) -> GFlow:
-    return gflow.to_gflow() if isinstance(gflow, Flow) else gflow
-
-
-def influence_successors(
-    graph: OpenGraph, gflow: GFlow | Flow, vertex: int
-) -> frozenset[int]:
+def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Vertices receiving an X or Z correction from ``vertex``'s measurement.
 
     Equals ``g(vertex) | (Odd(g(vertex)) - {vertex})``; empty for outputs.
     """
-    gflow = _as_gflow(gflow)
     if vertex not in gflow.corrections:
         if not 0 <= vertex < graph.n:
             raise ValueError(f"vertex {vertex} out of range")
@@ -35,9 +28,8 @@ def influence_successors(
     return frozenset(corr | (odd_neighborhood(graph, corr) - {vertex}))
 
 
-def forward_cone(graph: OpenGraph, gflow: GFlow | Flow, vertex: int) -> frozenset[int]:
+def forward_cone(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Transitive closure of :func:`influence_successors` from ``vertex``."""
-    gflow = _as_gflow(gflow)
     cone = {vertex}
     queue = deque([vertex])
     while queue:
@@ -49,7 +41,7 @@ def forward_cone(graph: OpenGraph, gflow: GFlow | Flow, vertex: int) -> frozense
     return frozenset(cone)
 
 
-def max_forward_cone(graph: OpenGraph, gflow: GFlow | Flow) -> tuple[int, int]:
+def max_forward_cone(graph: OpenGraph, gflow: GFlow) -> tuple[int, int]:
     """Input with the largest forward cone; ties favour the lowest index.
 
     Returns ``(vertex, cone_size)``; the size drives the simulation cost
@@ -65,7 +57,7 @@ def max_forward_cone(graph: OpenGraph, gflow: GFlow | Flow) -> tuple[int, int]:
     return best_vertex, best_size
 
 
-def influence_region(graph: OpenGraph, gflow: GFlow | Flow, vertex: int) -> frozenset[int]:
+def influence_region(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Closure of influence successors seeded with the vertex's neighbours.
 
     The initial logical operators of an input carry Z factors on all of
@@ -74,7 +66,6 @@ def influence_region(graph: OpenGraph, gflow: GFlow | Flow, vertex: int) -> froz
     when they lie outside the forward cone.  This closure is the provable
     envelope of that support.
     """
-    gflow = _as_gflow(gflow)
     region = {vertex} | set(graph.neighbors(vertex))
     queue = deque(region)
     while queue:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .flow import Flow, GFlow, find_causal_flow
+from .flow import GFlow, find_causal_flow
 from .graph import OpenGraph
 
 
@@ -30,7 +30,7 @@ def path_graph(n: int) -> OpenGraph:
     )
 
 
-def path_flow(n: int) -> Flow:
+def path_flow(n: int) -> GFlow:
     """The forced chain flow i -> i+1 with one vertex per round."""
     flow = find_causal_flow(path_graph(n))
     assert flow is not None
@@ -60,16 +60,16 @@ def cluster_graph(rows: int, cols: int) -> OpenGraph:
     )
 
 
-def cluster_row_flow(rows: int, cols: int) -> Flow:
+def cluster_row_flow(rows: int, cols: int) -> GFlow:
     """Rightward flow along each row, one column per round."""
-    successor = {}
+    corrections = {}
     layers = []
     for c in range(cols - 1):
         layers.append({r * cols + c for r in range(rows)})
         for r in range(rows):
-            successor[r * cols + c] = r * cols + c + 1
+            corrections[r * cols + c] = {r * cols + c + 1}
     layers.append({r * cols + (cols - 1) for r in range(rows)})
-    return Flow(successor=successor, layers=layers)
+    return GFlow(corrections=corrections, layers=layers)
 
 
 def bottleneck_graph() -> OpenGraph:
@@ -114,10 +114,10 @@ def fig4_graph() -> OpenGraph:
     )
 
 
-def fig4_flow() -> Flow:
+def fig4_flow() -> GFlow:
     """Singleton corrections i -> i+4; forces one round per input."""
-    return Flow(
-        successor={0: 4, 1: 5, 2: 6, 3: 7},
+    return GFlow(
+        corrections={0: {4}, 1: {5}, 2: {6}, 3: {7}},
         layers=[{0}, {1}, {2}, {3}, {4, 5, 6, 7}],
     )
 
@@ -177,7 +177,7 @@ CATALOG: dict[str, FixtureSpec] = {
 }
 
 
-def fixture_gflow(name: str, variant: str = "default") -> GFlow | Flow | None:
+def fixture_gflow(name: str, variant: str = "default") -> GFlow | None:
     """Canonical gFlow shipped with a fixture, if any."""
     if name == "fig3b":
         return fig3b_gflow()

@@ -1,12 +1,14 @@
-"""Finding and verifying Flow and gFlow on open graphs.
+"""Finding and verifying gFlow on open graphs.
 
 A gFlow assigns every measured vertex a correcting set of non-input
 vertices together with a layered time order, such that corrections never
-touch the past.  ``find_gflow`` returns the maximally delayed gFlow via
-backward layer peeling (each pass solves one GF(2) system per remaining
-vertex); ``find_causal_flow`` is the same peeling restricted to singleton
-correcting sets.  Both are complete: a None result means no flow of that
-kind exists.
+touch the past.  A causal flow is the special case of singleton
+correcting sets in the XY plane; it has no type of its own, and
+``GFlow.is_flow`` tells the two apart.  ``find_gflow`` returns the
+maximally delayed gFlow via backward layer peeling (each pass solves one
+GF(2) system per remaining vertex); ``find_causal_flow`` is the same
+peeling restricted to singleton correcting sets.  Both are complete: a
+None result means no flow of that kind exists.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import networkx as nx
 
 from .errors import FlowConsistencyError
 from .gf2 import gf2_solve_min
-from .graph import OpenGraph, odd_neighborhood
+from .graph import OpenGraph, json_ints, json_list, odd_neighborhood
 from .pattern import Plane
 
 
@@ -89,41 +91,31 @@ class GFlow:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
+    def to_gflow(self) -> GFlow:
+        """Return ``self``.
+
+        Causal flows once had a type of their own that callers converted
+        with this method; the identity keeps such callers working.
+        """
+        return self
+
     @classmethod
     def from_json_dict(cls, data: dict) -> GFlow:
         try:
-            corrections = {int(v): set(s) for v, s in data["g"].items()}
-            layers = [set(layer) for layer in data["layers"]]
+            corrections = {
+                int(v): json_ints(s, "correcting set") for v, s in data["g"].items()
+            }
+            layers = [
+                json_ints(layer, "layer") for layer in json_list(data["layers"], "layers")
+            ]
             planes = {int(v): Plane(p) for v, p in data.get("planes", {}).items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed gflow JSON: {exc}") from exc
         return cls(corrections=corrections, layers=layers, planes=planes)
 
     @classmethod
     def from_json(cls, text: str) -> GFlow:
         return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class Flow:
-    """Causal flow: one correcting vertex per measured vertex."""
-
-    successor: dict[int, int]
-    layers: tuple[frozenset[int], ...]
-
-    def __init__(self, successor: dict[int, int], layers: Iterable[Iterable[int]]):
-        object.__setattr__(self, "successor", dict(successor))
-        object.__setattr__(self, "layers", tuple(frozenset(l) for l in layers))
-
-    def to_gflow(self) -> GFlow:
-        return GFlow(
-            corrections={v: {w} for v, w in self.successor.items()},
-            layers=self.layers,
-        )
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
 
 
 def _check_analysis_preconditions(graph: OpenGraph) -> None:
@@ -181,41 +173,31 @@ def _peel(graph: OpenGraph, singleton: bool):
     return passes
 
 
-def _layers_from_passes(passes, outputs: frozenset[int]) -> list[frozenset[int]]:
-    layers = [frozenset(p) for p in reversed(passes)]
-    layers.append(frozenset(outputs))
-    return layers
-
-
-def find_gflow(graph: OpenGraph) -> GFlow | None:
-    """Maximally delayed XY-plane gFlow, or None when no gFlow exists."""
+def _find(graph: OpenGraph, singleton: bool) -> GFlow | None:
     _check_analysis_preconditions(graph)
-    passes = _peel(graph, singleton=False)
+    passes = _peel(graph, singleton)
     if passes is None:
         return None
     corrections: dict[int, frozenset[int]] = {}
     for p in passes:
         corrections.update(p)
-    return GFlow(
-        corrections=corrections,
-        layers=_layers_from_passes(passes, graph.output_set),
-    )
+    layers = [frozenset(p) for p in reversed(passes)]
+    layers.append(graph.output_set)
+    return GFlow(corrections=corrections, layers=layers)
 
 
-def find_causal_flow(graph: OpenGraph) -> Flow | None:
-    """Maximally delayed causal flow, or None when no causal flow exists."""
-    _check_analysis_preconditions(graph)
-    passes = _peel(graph, singleton=True)
-    if passes is None:
-        return None
-    successor: dict[int, int] = {}
-    for p in passes:
-        for v, s in p.items():
-            (successor[v],) = s
-    return Flow(
-        successor=successor,
-        layers=_layers_from_passes(passes, graph.output_set),
-    )
+def find_gflow(graph: OpenGraph) -> GFlow | None:
+    """Maximally delayed XY-plane gFlow, or None when no gFlow exists."""
+    return _find(graph, singleton=False)
+
+
+def find_causal_flow(graph: OpenGraph) -> GFlow | None:
+    """Maximally delayed causal flow, or None when no causal flow exists.
+
+    The result is a gFlow with singleton correcting sets, so ``is_flow``
+    holds.
+    """
+    return _find(graph, singleton=True)
 
 
 def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
@@ -348,19 +330,18 @@ class WireReport:
         }
 
 
-def flow_wires(graph: OpenGraph, gflow: GFlow | Flow) -> WireReport:
+def flow_wires(graph: OpenGraph, gflow: GFlow) -> WireReport:
     """One vertex-disjoint input-to-output path per input.
 
-    For a causal flow the wires follow the successor images from each
-    input (for equally many inputs and outputs these cover every vertex).
+    For a causal flow the wires follow the singleton correcting sets from
+    each input (for equally many inputs and outputs these cover every
+    vertex).
     For a general gFlow the paths come from unit-vertex-capacity max-flow;
     fewer than ``len(inputs)`` disjoint paths means an upstream invariant
     was violated and raises :class:`FlowConsistencyError`.  Non-output
     vertices on no wire are reported for the entanglement-bound surplus
     term.
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     if gflow.is_flow:
         wires = _wires_from_flow(graph, gflow)
     else:

@@ -7,8 +7,6 @@ linear systems solved during gflow finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def gf2_rank(rows: list[int]) -> int:
     """Rank of a bit-packed matrix via Gaussian elimination."""
@@ -86,29 +84,3 @@ def _minimize_mask(x: int, basis: list[int]) -> int:
         x = min(x, x ^ vec)
     return x
 
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Immutable bit-packed matrix over GF(2)."""
-
-    rows: int
-    cols: int
-    data: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if len(self.data) != self.rows:
-            raise ValueError("row count does not match data length")
-        for row in self.data:
-            if row >> self.cols:
-                raise ValueError("row has bits outside the column range")
-
-    @classmethod
-    def from_rows(cls, data: list[int], cols: int) -> Gf2Matrix:
-        return cls(rows=len(data), cols=cols, data=tuple(data))
-
-    def rank(self) -> int:
-        return gf2_rank(list(self.data))
-
-    def solve_min(self, rhs: list[int]) -> int | None:
-        """Minimal-mask solution of ``self @ x = rhs`` or None."""
-        return gf2_solve_min(list(self.data), rhs)

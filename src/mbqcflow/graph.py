@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetExceededError
-from .gf2 import Gf2Matrix
+from .gf2 import gf2_rank
 
 #: Cap on the number of bipartitions enumerated by the entanglement check.
 DEFAULT_CUT_BUDGET = 2**20
@@ -119,10 +119,10 @@ class OpenGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> OpenGraph:
         try:
-            n = data["n"]
-            edges = [tuple(e) for e in data["edges"]]
-            inputs = data.get("inputs", [])
-            outputs = data.get("outputs", [])
+            n = json_int(data["n"], "n")
+            edges = [json_ints(e, "edge") for e in json_list(data["edges"], "edges")]
+            inputs = json_ints(data.get("inputs", []), "inputs")
+            outputs = json_ints(data.get("outputs", []), "outputs")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed open graph JSON: {exc}") from exc
         for e in edges:
@@ -161,6 +161,29 @@ class OpenGraph:
                     )
         lines.append("}")
         return "\n".join(lines)
+
+
+def json_int(value: object, name: str) -> int:
+    """``value`` itself if it is a JSON integer, else ValueError.
+
+    Nothing is coerced: floats, strings and booleans (which Python counts
+    as ints) are all rejected.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value: object, name: str) -> list:
+    """``value`` itself if it is a JSON array, else ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def json_ints(value: object, name: str) -> list[int]:
+    """A JSON array of integers, checked with :func:`json_int`."""
+    return [json_int(v, f"{name} member") for v in json_list(value, name)]
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -215,7 +238,7 @@ def cut_rank(graph: OpenGraph, side: Iterable[int]) -> int:
     vs = _check_vertices(graph, side, "cut side")
     other_mask = _set_to_mask(v for v in range(graph.n) if v not in vs)
     rows = [graph.adjacency_masks[v] & other_mask for v in sorted(vs)]
-    return Gf2Matrix.from_rows(rows, graph.n).rank()
+    return gf2_rank(rows)
 
 
 def has_entanglement_capacity(

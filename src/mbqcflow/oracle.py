@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, DeterminismError
-from .flow import Flow, GFlow
+from .flow import GFlow
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
 
@@ -158,7 +158,7 @@ class BranchRecord:
 
 def run_branch(
     graph: OpenGraph,
-    gflow: GFlow | Flow,
+    gflow: GFlow,
     pattern: MeasurementPattern,
     branch_bits: Mapping[int, int],
     input_state: np.ndarray | None = None,
@@ -172,8 +172,6 @@ def run_branch(
     Zero-probability branches are reported with probability 0 and no
     state rather than as an error.
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     state = build_open_graph_state(graph, input_state, dense_limit)
     measured_order = [v for layer in gflow.layers[:-1] for v in sorted(layer)]
     missing = set(measured_order) - set(branch_bits)
@@ -275,7 +273,7 @@ class DeterminismReport:
 
 def check_determinism(
     graph: OpenGraph,
-    gflow: GFlow | Flow,
+    gflow: GFlow,
     pattern: MeasurementPattern,
     seed: int = 0,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
@@ -288,8 +286,6 @@ def check_determinism(
     of 1.  The worst single-measurement deviation from probability 1/2 is
     reported alongside.
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     measured = sorted(v for layer in gflow.layers[:-1] for v in layer)
     if 2 ** len(measured) > branch_budget:
         raise BudgetExceededError(
@@ -331,7 +327,7 @@ def check_determinism(
 
 def oracle_unitary(
     graph: OpenGraph,
-    gflow: GFlow | Flow,
+    gflow: GFlow,
     pattern: MeasurementPattern,
     unitarity_tolerance: float = 1e-9,
 ) -> np.ndarray:
@@ -342,8 +338,6 @@ def oracle_unitary(
     phases; the result is normalized, checked for unitarity, and brought
     to a canonical global phase (first significant entry real positive).
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     k = len(graph.inputs)
     if k != len(graph.outputs):
         raise ValueError("unitary extraction needs equally many inputs and outputs")

@@ -20,8 +20,7 @@ import numpy as np
 
 from .cones import forward_cone
 from .errors import DeterminismError, SimulationInvariantError
-from .flow import Flow, GFlow, verify_gflow
-from .gf2 import gf2_rank
+from .flow import GFlow, verify_gflow
 from .graph import OpenGraph
 from .oracle import normalize_phase
 from .pattern import MeasurementPattern, Plane
@@ -57,7 +56,6 @@ class SimulationState:
     gflow: GFlow
     pattern: MeasurementPattern
     stabilizers: dict[int, LogicalOperator]
-    completions: list[LogicalOperator]
     logicals: dict[tuple[str, int], LogicalOperator]
     round_cursor: int = 0
     high_water: dict[tuple[str, int], int] = field(default_factory=dict)
@@ -102,57 +100,8 @@ def _split_by_x_commutation(
     return LogicalOperator(op.n, commuting), LogicalOperator(op.n, anticommuting)
 
 
-def _completion_generators(
-    graph: OpenGraph, gflow: GFlow, pattern: MeasurementPattern
-) -> list[LogicalOperator]:
-    """Generators completing the correcting products to a full stabilizer basis.
-
-    Each correcting product corresponds over GF(2) to the indicator of its
-    correcting set inside the non-input vertices; the completion greedily
-    adds single rotated stabilizers for independent directions and then
-    walks the rounds multiplying by correcting products until every
-    completion commutes termwise with every measured X.
-    """
-    non_inputs = [v for v in range(graph.n) if v not in graph.input_set]
-    col_of = {v: c for c, v in enumerate(non_inputs)}
-    indicators = []
-    for i in sorted(gflow.corrections):
-        mask = 0
-        for j in gflow.corrections[i]:
-            mask |= 1 << col_of[j]
-        indicators.append(mask)
-    if gf2_rank(indicators) != len(indicators):
-        raise SimulationInvariantError(
-            "correcting products are linearly dependent; gflow is degenerate"
-        )
-    completions: list[LogicalOperator] = []
-    basis = list(indicators)
-    for j in non_inputs:
-        candidate = basis + [1 << col_of[j]]
-        if gf2_rank(candidate) > gf2_rank(basis):
-            basis = candidate
-            completions.append(
-                rotated_stabilizer(graph, j, _stabilizer_angle(pattern, j))
-            )
-    fixed = []
-    for gen in completions:
-        for layer in gflow.layers[:-1]:
-            for nu in sorted(layer):
-                commuting, anticommuting = _split_by_x_commutation(gen, nu)
-                if anticommuting.num_terms:
-                    s_nu = _correcting_operator(graph, gflow, pattern, nu)
-                    gen = commuting + s_nu * anticommuting
-        for nu in (v for layer in gflow.layers[:-1] for v in layer):
-            if not gen.commutes_with_x(nu):
-                raise SimulationInvariantError(
-                    f"completion generator still anticommutes with X on {nu}"
-                )
-        fixed.append(gen)
-    return fixed
-
-
 def initialize_simulation(
-    graph: OpenGraph, gflow: GFlow | Flow, pattern: MeasurementPattern
+    graph: OpenGraph, gflow: GFlow, pattern: MeasurementPattern
 ) -> SimulationState:
     """Rotated stabilizers and initial logical operators for the pattern.
 
@@ -160,8 +109,6 @@ def initialize_simulation(
     logical; unmeasured inputs keep it unrotated.  The input's Z logical
     commutes with the rotation and stays a bare Z.
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     if len(graph.inputs) > len(graph.outputs):
         raise ValueError("simulation requires |inputs| <= |outputs|")
     violations = verify_gflow(graph, gflow)
@@ -207,7 +154,6 @@ def initialize_simulation(
         gflow=gflow,
         pattern=pattern,
         stabilizers=stabilizers,
-        completions=_completion_generators(graph, gflow, pattern),
         logicals=logicals,
     )
     state.record_high_water()
@@ -374,7 +320,7 @@ class SimulationResult:
 
 
 def simulate_pattern(
-    graph: OpenGraph, gflow: GFlow | Flow, pattern: MeasurementPattern
+    graph: OpenGraph, gflow: GFlow, pattern: MeasurementPattern
 ) -> SimulationResult:
     """Initialize, propagate all rounds, finalize, and account the cost.
 
@@ -382,8 +328,6 @@ def simulate_pattern(
     ``2**|forward cone|``; the unitary is extracted when the input and
     output registers have equal size.
     """
-    if isinstance(gflow, Flow):
-        gflow = gflow.to_gflow()
     state = initialize_simulation(graph, gflow, pattern)
     propagate_all(state)
     finalized = finalize_outputs(state)

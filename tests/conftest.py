@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mbqcflow import OpenGraph, find_causal_flow, find_gflow
+from mbqcflow import (
+    LogicalOperator,
+    OpenGraph,
+    SimulationState,
+    find_causal_flow,
+    find_gflow,
+    rotated_stabilizer,
+)
+from mbqcflow.gf2 import gf2_rank
 
 
 def random_open_graph(
@@ -67,6 +75,42 @@ def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     phase = a[idx] / b[idx]
     phase /= abs(phase)
     return float(np.max(np.abs(a - phase * b)))
+
+
+def completion_generators(state: SimulationState) -> list[LogicalOperator]:
+    """Generators completing the correcting products to a full stabilizer basis.
+
+    Each correcting product corresponds over GF(2) to the indicator of its
+    correcting set inside the non-input vertices; the completion greedily
+    adds single rotated stabilizers for independent directions and then
+    walks the rounds multiplying by correcting products, so that every
+    completion commutes termwise with every measured X.
+    """
+    graph, gflow = state.graph, state.gflow
+    non_inputs = [v for v in range(graph.n) if v not in graph.input_set]
+    col_of = {v: c for c, v in enumerate(non_inputs)}
+    basis = [
+        sum(1 << col_of[j] for j in gflow.corrections[i]) for i in sorted(gflow.corrections)
+    ]
+    completions = []
+    for j in non_inputs:
+        candidate = basis + [1 << col_of[j]]
+        if gf2_rank(candidate) > gf2_rank(basis):
+            basis = candidate
+            angle = state.pattern.angles.get(j, 0.0)
+            completions.append(rotated_stabilizer(graph, j, angle))
+    fixed = []
+    for gen in completions:
+        for nu in (v for layer in state.rounds for v in sorted(layer)):
+            terms = dict(gen.terms())
+            anti = {w: c for w, c in terms.items() if (w[1] >> nu) & 1}
+            if anti:
+                commuting = LogicalOperator(
+                    graph.n, {w: c for w, c in terms.items() if w not in anti}
+                )
+                gen = commuting + state.stabilizers[nu] * LogicalOperator(graph.n, anti)
+        fixed.append(gen)
+    return fixed
 
 
 @pytest.fixture

@@ -6,11 +6,14 @@ import pytest
 from mbqcflow.cli import run_command
 from mbqcflow.fixtures import CATALOG, bottleneck_graph, path_flow, path_graph
 
+SHOW_BAD_GRAPH = ["graph", "show", "--graph", "bad.json"]
+VERIFY_BAD_GFLOW = ["flow", "verify", "--graph", "g.json", "--gflow", "bad.json"]
+
 
 @pytest.fixture
 def path5_files(tmp_path):
     graph = path_graph(5)
-    gflow = path_flow(5).to_gflow()
+    gflow = path_flow(5)
     pattern = {
         "angles": {str(v): 0.4 + 0.3 * v for v in range(4)},
         "planes": {str(v): "XY" for v in range(4)},
@@ -57,10 +60,78 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert run_command(["frobnicate"]) == 2
 
-    def test_malformed_json_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run_command(["graph", "show", "--graph", str(bad)]) == 2
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (SHOW_BAD_GRAPH, "{not json"),
+            (SHOW_BAD_GRAPH, '{"n": "3", "edges": []}'),
+            (SHOW_BAD_GRAPH, '{"n": 3.0, "edges": []}'),
+            (SHOW_BAD_GRAPH, '{"n": true, "edges": []}'),
+            (SHOW_BAD_GRAPH, '{"n": 2, "edges": [[0, 1.0]]}'),
+            (SHOW_BAD_GRAPH, '{"n": 2, "edges": [], "inputs": "0"}'),
+            (VERIFY_BAD_GFLOW, '{"g": {"0": ["1"]}, "layers": [[0], [1]]}'),
+        ],
+        ids=[
+            "not-json",
+            "n-string",
+            "n-float",
+            "n-bool",
+            "edge-float",
+            "inputs-string",
+            "gflow-member-string",
+        ],
+    )
+    def test_malformed_json_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(path_graph(2).to_json())
+        (tmp_path / "bad.json").write_text(text)
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            (["flow", "verify"], 1),
+            (["flow", "report"], 2),
+            (["cone", "--vertex", "0"], 2),
+            (["bounds"], 2),
+            (["simulate", "--pattern", "p.json"], 2),
+            (["oracle", "run", "--pattern", "p.json", "--branch", "000"], 2),
+            (["oracle", "determinism", "--pattern", "p.json"], 2),
+            (["oracle", "unitary", "--pattern", "p.json"], 2),
+        ],
+        ids=[
+            "flow-verify",
+            "flow-report",
+            "cone",
+            "bounds",
+            "simulate",
+            "oracle-run",
+            "oracle-determinism",
+            "oracle-unitary",
+        ],
+    )
+    def test_invalid_gflow_is_rejected_before_analysis(
+        self, tmp_path, monkeypatch, capsys, command, code
+    ):
+        # Vertex 0 is corrected by 1, which is measured before it (rule g1).
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(path_graph(4).to_json())
+        (tmp_path / "f.json").write_text(
+            json.dumps({"g": {"0": [1], "1": [2], "2": [3]}, "layers": [[1], [0], [2], [3]]})
+        )
+        (tmp_path / "p.json").write_text(json.dumps({"angles": {"0": 0.1, "1": 0.2, "2": 0.3}}))
+        result = run_command(command + ["--graph", "g.json", "--gflow", "f.json"])
+        captured = capsys.readouterr()
+        assert result == code
+        if code == 1:
+            rules = {v["rule"] for v in json.loads(captured.out)["violations"]}
+            assert "g1" in rules
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("error: gflow is invalid")
 
     def test_budget_exit_code(self, capsys, path5_files):
         g, f, p = path5_files

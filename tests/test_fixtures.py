@@ -41,25 +41,25 @@ class TestCatalog:
 
     def test_declared_gflows_verify(self):
         cases = [
-            (path_graph(5), path_flow(5).to_gflow()),
-            (cluster_graph(2, 3), cluster_row_flow(2, 3).to_gflow()),
-            (cluster_graph(3, 4), cluster_row_flow(3, 4).to_gflow()),
+            (path_graph(5), path_flow(5)),
+            (cluster_graph(2, 3), cluster_row_flow(2, 3)),
+            (cluster_graph(3, 4), cluster_row_flow(3, 4)),
             (fig3b_graph(), fig3b_gflow()),
-            (fig4_graph(), fig4_flow().to_gflow()),
+            (fig4_graph(), fig4_flow()),
             (fig4_graph(), fig4_depth_one_gflow()),
         ]
         for graph, gflow in cases:
             assert verify_gflow(graph, gflow) == []
 
     def test_gflow_json_round_trip_is_identical(self):
-        for gflow in (fig3b_gflow(), fig4_depth_one_gflow(), fig4_flow().to_gflow()):
+        for gflow in (fig3b_gflow(), fig4_depth_one_gflow(), fig4_flow()):
             text = gflow.to_json()
             again = GFlow.from_json(text)
             assert again == gflow
             assert again.to_json() == text
 
     def test_fixture_gflow_variants(self):
-        assert fixture_gflow("fig4").to_gflow().depth == 4
+        assert fixture_gflow("fig4").depth == 4
         assert fixture_gflow("fig4", "wide").depth == 1
         assert fixture_gflow("fig3b").depth == 3
         assert fixture_gflow("path") is None

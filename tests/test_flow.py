@@ -86,7 +86,7 @@ class TestFindCausalFlow:
         for n in (2, 3, 5):
             flow = find_causal_flow(path_graph(n))
             assert flow is not None
-            assert flow.successor == {i: i + 1 for i in range(n - 1)}
+            assert flow.corrections == {i: frozenset({i + 1}) for i in range(n - 1)}
             assert [sorted(l) for l in flow.layers] == [[i] for i in range(n)]
 
     def test_bottleneck_has_no_flow(self):
@@ -96,7 +96,7 @@ class TestFindCausalFlow:
         g = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(0, 1, 2), outputs=(0, 1, 2))
         flow = find_causal_flow(g)
         assert flow is not None
-        assert flow.successor == {}
+        assert flow.corrections == {}
         assert flow.layers == (frozenset({0, 1, 2}),)
         assert flow.depth == 0
 
@@ -105,7 +105,7 @@ class TestFindCausalFlow:
             found = find_causal_flow(cluster_graph(rows, cols))
             expected = cluster_row_flow(rows, cols)
             assert found is not None
-            assert found.successor == expected.successor
+            assert found.corrections == expected.corrections
             assert found.layers == expected.layers
 
     def test_io_size_precondition(self):
@@ -118,7 +118,8 @@ class TestFindCausalFlow:
             g = random_open_graph(rng, n_max=8, equal_io=True)
             flow = find_causal_flow(g)
             if flow is not None:
-                assert verify_gflow(g, flow.to_gflow()) == []
+                assert flow.is_flow
+                assert verify_gflow(g, flow) == []
 
 
 class TestFindGflow:
@@ -222,7 +223,7 @@ class TestFindGflow:
 class TestVerifyGflow:
     def test_path_flow_ok(self):
         g = path_graph(3)
-        assert verify_gflow(g, path_flow(3).to_gflow()) == []
+        assert verify_gflow(g, path_flow(3)) == []
 
     def test_g3_violation(self):
         g = path_graph(3)
@@ -297,12 +298,12 @@ class TestVerifyGflow:
 
 class TestRoundsAndDependencies:
     def test_path_depth(self):
-        rounds, depth = measurement_rounds(path_flow(5).to_gflow())
+        rounds, depth = measurement_rounds(path_flow(5))
         assert depth == 4
         assert [sorted(r) for r in rounds] == [[0], [1], [2], [3]]
 
     def test_fig4_depths(self):
-        assert measurement_rounds(fig4_flow().to_gflow())[1] == 4
+        assert measurement_rounds(fig4_flow())[1] == 4
         assert measurement_rounds(fig4_depth_one_gflow())[1] == 1
 
     def test_fig4_wide_parities(self):
@@ -312,7 +313,7 @@ class TestRoundsAndDependencies:
 
     def test_path_parities(self):
         n = 6
-        report = correction_dependencies(path_graph(n), path_flow(n).to_gflow())
+        report = correction_dependencies(path_graph(n), path_flow(n))
         for j in range(1, n):
             assert report.x_parity[j] == (j - 1,)
         for j in range(2, n):
@@ -403,7 +404,7 @@ class TestSerialization:
         assert GFlow.from_json(gf.to_json()) == gf
 
     def test_flow_json_via_gflow(self):
-        gf = path_flow(4).to_gflow()
+        gf = path_flow(4)
         again = GFlow.from_json(gf.to_json())
         assert again.corrections == gf.corrections
         assert again.layers == gf.layers

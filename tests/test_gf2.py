@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbqcflow.gf2 import Gf2Matrix, gf2_rank, gf2_solve_min
+from mbqcflow.gf2 import gf2_rank, gf2_solve_min
 
 
 def numpy_rank_mod2(rows, cols):
@@ -84,10 +83,3 @@ def test_solve_detects_inconsistency():
     # x0 = 0 and x0 = 1 simultaneously.
     assert gf2_solve_min([0b1, 0b1], [0, 1]) is None
 
-
-def test_matrix_wrapper_validation():
-    with pytest.raises(ValueError):
-        Gf2Matrix.from_rows([0b100], cols=2)
-    m = Gf2Matrix.from_rows([0b01, 0b10], cols=2)
-    assert m.rank() == 2
-    assert m.solve_min([1, 1]) == 0b11

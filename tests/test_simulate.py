@@ -28,7 +28,11 @@ from mbqcflow.fixtures import (
 from mbqcflow.oracle import build_open_graph_state
 from mbqcflow.pauli import word_matrix
 
-from conftest import max_deviation_up_to_phase, sample_graphs_with_flow
+from conftest import (
+    completion_generators,
+    max_deviation_up_to_phase,
+    sample_graphs_with_flow,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -102,23 +106,25 @@ class TestInitialize:
         state = initialize_simulation(g, gf, MeasurementPattern(angles={}))
         assert dict(state.logicals[("X", 0)].terms()) == {(0b01, 0b10): 1.0}
         # Every vertex is an input, so there is nothing to complete.
-        assert state.completions == []
+        assert completion_generators(state) == []
 
     def test_surplus_output_adds_completion_generator(self):
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0,), outputs=(0, 1))
         gf = GFlow(corrections={}, layers=[{0, 1}])
         state = initialize_simulation(g, gf, MeasurementPattern(angles={}))
-        assert len(state.completions) == 1
-        assert dict(state.completions[0].terms()) == {(0b10, 0b01): 1.0}
+        completions = completion_generators(state)
+        assert len(completions) == 1
+        assert dict(completions[0].terms()) == {(0b10, 0b01): 1.0}
 
     def test_completion_generators_commute_with_measured_x(self, rng):
         for graph, flow in sample_graphs_with_flow(10, seed=31, n_max=7):
             pattern = random_pattern(graph, rng)
             state = initialize_simulation(graph, flow, pattern)
-            assert len(state.stabilizers) + len(state.completions) == graph.n - len(
+            completions = completion_generators(state)
+            assert len(state.stabilizers) + len(completions) == graph.n - len(
                 graph.inputs
             )
-            for gen in state.completions:
+            for gen in completions:
                 for v in graph.measured:
                     assert gen.commutes_with_x(v)
 
@@ -221,7 +227,7 @@ class TestPropagation:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         rotated = rotation_diagonal(g, pattern) * build_open_graph_state(g, psi)
-        multipliers = list(state.stabilizers.values()) + state.completions
+        multipliers = list(state.stabilizers.values()) + completion_generators(state)
         for op in state.logicals.values():
             base = op.expectation(rotated)
             for s in multipliers:
