@@ -5,10 +5,12 @@ vertices together with a layered time order, such that corrections never
 touch the past.  A causal flow is the special case of singleton
 correcting sets in the XY plane; it has no type of its own, and
 ``GFlow.is_flow`` tells the two apart.  ``find_gflow`` returns the
-maximally delayed gFlow via backward layer peeling (each pass solves one
-GF(2) system per remaining vertex); ``find_causal_flow`` is the same
-peeling restricted to singleton correcting sets.  Both are complete: a
-None result means no flow of that kind exists.
+maximally delayed gFlow via backward layer peeling: each pass eliminates
+the correctors' neighbourhoods once and reads every remaining vertex's
+minimal correcting set off that one basis, the O(n^3) route of Mhalla
+and Perdrix.  ``find_causal_flow`` is the same peeling restricted to
+singleton correcting sets.  Both are complete: a None result means no
+flow of that kind exists.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Iterable, NamedTuple
 import networkx as nx
 
 from .errors import FlowConsistencyError
-from .gf2 import gf2_solve_min
-from .graph import OpenGraph, json_ints, json_list, odd_neighborhood
+from .gf2 import gf2_basis, gf2_express
+from .graph import OpenGraph, json_ints, json_list, json_object, odd_neighborhood
 from .pattern import Plane
 
 
@@ -103,13 +105,17 @@ class GFlow:
     def from_json_dict(cls, data: dict) -> GFlow:
         try:
             corrections = {
-                int(v): json_ints(s, "correcting set") for v, s in data["g"].items()
+                int(v): json_ints(s, "correcting set")
+                for v, s in json_object(data["g"], "g").items()
             }
             layers = [
                 json_ints(layer, "layer") for layer in json_list(data["layers"], "layers")
             ]
-            planes = {int(v): Plane(p) for v, p in data.get("planes", {}).items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            planes = {
+                int(v): Plane(p)
+                for v, p in json_object(data.get("planes", {}), "planes").items()
+            }
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed gflow JSON: {exc}") from exc
         return cls(corrections=corrections, layers=layers, planes=planes)
 
@@ -129,43 +135,36 @@ def _peel(graph: OpenGraph, singleton: bool):
     Each pass collects every unprocessed vertex u admitting a correcting
     set K of already-processed non-inputs with Odd(K) meeting the
     unprocessed region in exactly {u}.  Passes are built from the output
-    side, so the first pass holds the vertices measured last.
+    side, so the first pass holds the vertices measured last.  A pass
+    restricts each corrector's neighbourhood to the unprocessed region
+    (its column) and eliminates those columns once; each vertex's minimal
+    correcting set is then read off the shared basis.
     """
-    outputs = graph.output_set
-    processed = set(outputs)
-    unprocessed = sorted(v for v in range(graph.n) if v not in processed)
-    correctors = sorted(v for v in processed if v not in graph.input_set)
+    adjacency = graph.adjacency_masks
+    unprocessed = [v for v in range(graph.n) if v not in graph.output_set]
+    correctors = sorted(v for v in graph.outputs if v not in graph.input_set)
     passes: list[dict[int, frozenset[int]]] = []
 
     while unprocessed:
+        region = sum(1 << v for v in unprocessed)
+        columns = [adjacency[w] & region for w in correctors]
         found: dict[int, frozenset[int]] = {}
         if singleton:
-            for w in correctors:
-                cand = [
-                    v for v in unprocessed if (graph.adjacency_masks[w] >> v) & 1
-                ]
-                if len(cand) == 1 and cand[0] not in found:
-                    found[cand[0]] = frozenset((w,))
+            for w, col in zip(correctors, columns):
+                u = col.bit_length() - 1
+                if col and col == 1 << u and u not in found:
+                    found[u] = frozenset((w,))
         else:
-            rows = [
-                sum(
-                    1 << col
-                    for col, w in enumerate(correctors)
-                    if (graph.adjacency_masks[w] >> v) & 1
-                )
-                for v in unprocessed
-            ]
+            basis = gf2_basis(columns)
             for u in unprocessed:
-                rhs = [1 if v == u else 0 for v in unprocessed]
-                sol = gf2_solve_min(rows, rhs)
-                if sol is not None:
+                mask = gf2_express(basis, 1 << u)
+                if mask is not None:
                     found[u] = frozenset(
-                        correctors[col] for col in range(len(correctors)) if (sol >> col) & 1
+                        w for c, w in enumerate(correctors) if (mask >> c) & 1
                     )
         if not found:
             return None
         passes.append(found)
-        processed.update(found)
         unprocessed = [v for v in unprocessed if v not in found]
         correctors = sorted(
             set(correctors) | {v for v in found if v not in graph.input_set}

@@ -1,11 +1,16 @@
-"""GF(2) linear algebra on bit-packed rows.
+"""GF(2) linear algebra on bit-packed vectors.
 
-Rows are Python ints used as bitsets: bit ``c`` of a row is the entry in
-column ``c``.  This is the carrier for adjacency submatrices and for the
-linear systems solved during gflow finding.
+Vectors are Python ints used as bitsets.  ``gf2_rank`` reads them as the
+rows of a matrix.  ``gf2_basis`` reads them as columns: it eliminates
+them once into an echelon basis, and ``gf2_express`` then answers each
+right-hand side against that basis in O(rank).  gFlow peeling builds one
+such basis per pass and asks it for every unprocessed vertex.
 """
 
 from __future__ import annotations
+
+#: Echelon basis: top bit -> (vector, mask of the columns XORed into it).
+Gf2Basis = dict[int, tuple[int, int]]
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -20,67 +25,57 @@ def gf2_rank(rows: list[int]) -> int:
     return len(basis)
 
 
+def gf2_basis(columns: list[int]) -> Gf2Basis:
+    """Echelon basis of ``span(columns)`` that records how it was built.
+
+    Columns are inserted in order.  A column that reduces to zero is
+    spanned by earlier ones and adds no entry, so the masks name only the
+    columns that are independent of the ones before them.
+    """
+    basis: Gf2Basis = {}
+    for c, vec in enumerate(columns):
+        mask = 1 << c
+        while vec:
+            top = vec.bit_length() - 1
+            entry = basis.get(top)
+            if entry is None:
+                basis[top] = (vec, mask)
+                break
+            vec ^= entry[0]
+            mask ^= entry[1]
+    return basis
+
+
+def gf2_express(basis: Gf2Basis, target: int) -> int | None:
+    """Smallest column mask whose columns XOR to ``target``, or None.
+
+    The mask that reduction returns is the smallest solution: a solution
+    using a column spanned by earlier columns can swap it for them, which
+    clears its bit and changes only lower bits.  So the smallest solution
+    uses only the basis columns, and in those it is unique.
+    """
+    mask = 0
+    while target:
+        entry = basis.get(target.bit_length() - 1)
+        if entry is None:
+            return None
+        target ^= entry[0]
+        mask ^= entry[1]
+    return mask
+
+
 def gf2_solve_min(rows: list[int], rhs: list[int]) -> int | None:
     """Solve ``A x = b`` over GF(2); return the minimal solution mask.
 
     ``rows[i]`` is the i-th equation's coefficient mask and ``rhs[i]`` its
     right-hand bit.  Among all solutions the one with the smallest integer
-    value is returned (ties in the affine solution space are broken by
-    greedily clearing high bits), or None if the system is inconsistent.
+    value is returned, or None if the system is inconsistent.
     """
     if len(rows) != len(rhs):
         raise ValueError("coefficient and right-hand sides differ in length")
     n_cols = max((r.bit_length() for r in rows), default=0)
-    # Eliminate on augmented rows; the rhs bit is carried just above the columns.
-    aug = [r | (b << n_cols) for r, b in zip(rows, rhs)]
-    pivots: dict[int, int] = {}  # column -> reduced row owning that pivot
-    for row in aug:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if not row:
-            continue
-        col = _lowest_bit(row)
-        if col == n_cols:
-            return None  # reduced to 0 = 1
-        # Back-reduce so every pivot row touches only its own pivot column.
-        for pcol in pivots:
-            if (pivots[pcol] >> col) & 1:
-                pivots[pcol] ^= row
-        pivots[col] = row
-    # Particular solution: free variables zero, pivot variables from rhs bits.
-    solution = 0
-    for col, prow in pivots.items():
-        if (prow >> n_cols) & 1:
-            solution |= 1 << col
-    # Nullspace basis: one vector per free column.
-    pivot_cols = set(pivots)
-    null_basis = []
-    for col in range(n_cols):
-        if col in pivot_cols:
-            continue
-        vec = 1 << col
-        for pcol, prow in pivots.items():
-            if (prow >> col) & 1:
-                vec |= 1 << pcol
-        null_basis.append(vec)
-    return _minimize_mask(solution, null_basis)
-
-
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _minimize_mask(x: int, basis: list[int]) -> int:
-    """Smallest integer in the coset ``x + span(basis)``."""
-    reduced: list[int] = []
-    for vec in basis:
-        for r in reduced:
-            vec = min(vec, vec ^ r)
-        if vec:
-            reduced.append(vec)
-            reduced.sort(reverse=True)
-    for vec in reduced:
-        x = min(x, x ^ vec)
-    return x
-
+    columns = [
+        sum(1 << i for i, r in enumerate(rows) if (r >> c) & 1) for c in range(n_cols)
+    ]
+    target = sum(1 << i for i, b in enumerate(rhs) if b)
+    return gf2_express(gf2_basis(columns), target)

@@ -186,6 +186,20 @@ def json_ints(value: object, name: str) -> list[int]:
     return [json_int(v, f"{name} member") for v in json_list(value, name)]
 
 
+def json_number(value: object, name: str) -> float:
+    """``value`` as a float if it is a JSON int or float, else ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_object(value: object, name: str) -> dict:
+    """``value`` itself if it is a JSON object, else ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = set()
     while mask:

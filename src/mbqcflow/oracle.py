@@ -41,15 +41,6 @@ _PLANE_AXES = {Plane.XY: ("X", "Y"), Plane.XZ: ("X", "Z"), Plane.YZ: ("Y", "Z")}
 _PLANE_FLIP = {Plane.XY: "Z", Plane.XZ: "Y", Plane.YZ: "X"}
 
 
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    vals = values.copy()
-    while vals.any():
-        out += vals & 1
-        vals >>= 1
-    return out
-
-
 def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal (+1, -1) eigenbasis of the plane's angle-theta observable."""
     a, b = _PLANE_AXES[plane]
@@ -101,7 +92,7 @@ def apply_word_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
     """Apply ``X^x Z^z`` (phase-free) to a dense state."""
     dim = state.shape[0]
     idx = np.arange(dim)
-    signs = 1.0 - 2.0 * (_popcount_array(idx & z_mask) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
     return (signs * state)[idx ^ x_mask]
 
 

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .graph import json_number, json_object
+
 
 class Plane(str, Enum):
     """Equatorial measurement plane of a single qubit."""
@@ -56,11 +58,15 @@ class MeasurementPattern:
     @classmethod
     def from_json_dict(cls, data: dict) -> MeasurementPattern:
         try:
-            angles = {int(v): float(a) for v, a in data["angles"].items()}
-            planes = {
-                int(v): Plane(p) for v, p in data.get("planes", {}).items()
+            angles = {
+                int(v): json_number(a, f"angle of vertex {v}")
+                for v, a in json_object(data["angles"], "angles").items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+            planes = {
+                int(v): Plane(p)
+                for v, p in json_object(data.get("planes", {}), "planes").items()
+            }
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pattern JSON: {exc}") from exc
         return cls(angles=angles, planes=planes)
 

@@ -109,19 +109,10 @@ def word_matrix(n: int, x: int, z: int) -> np.ndarray:
     dim = 1 << n
     cols = np.arange(dim)
     rows = cols ^ x
-    signs = 1.0 - 2.0 * (_popcount_array(cols & z) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[rows, cols] = signs
     return mat
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    vals = values.copy()
-    while vals.any():
-        out += vals & 1
-        vals >>= 1
-    return out
 
 
 class LogicalOperator:
@@ -230,7 +221,7 @@ class LogicalOperator:
         idx = np.arange(1 << self.n)
         total = 0.0 + 0.0j
         for (x, z), coeff in self._terms.items():
-            signs = 1.0 - 2.0 * (_popcount_array(idx & z) & 1)
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
             total += coeff * np.vdot(state, (signs * state)[idx ^ x])
         return total
 

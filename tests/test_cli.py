@@ -91,6 +91,28 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"angles": {"0": true, "1": 0.5, "2": 0.5, "3": 0.5}}',
+            '{"angles": {"0": "0.5", "1": 0.5, "2": 0.5, "3": 0.5}}',
+            '{"angles": [0.1, 0.2, 0.3, 0.4]}',
+            '{"angles": {"0": 0.1, "1": 0.2, "2": 0.3, "3": 0.4}, "planes": []}',
+            '{"angles": {"0": 1%s, "1": 0.2, "2": 0.3, "3": 0.4}}' % ("0" * 400),
+        ],
+        ids=["angle-bool", "angle-string", "angles-list", "planes-list", "angle-huge-int"],
+    )
+    def test_malformed_pattern_is_usage_error(self, tmp_path, capsys, path5_files, text):
+        g, f, _ = path5_files
+        bad = tmp_path / "bad_pattern.json"
+        bad.write_text(text)
+        code = run_command(["simulate", "--graph", g, "--gflow", f, "--pattern", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "command,code",
         [
             (["flow", "verify"], 1),

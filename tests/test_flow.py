@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from mbqcflow import (
@@ -218,6 +221,78 @@ class TestFindGflow:
                     best = depth
             assert best is not None
             assert found_depth <= best
+
+
+def reference_peeling(graph: OpenGraph, singleton: bool) -> str | None:
+    """gFlow JSON from brute-force backward peeling, without any GF(2) solver.
+
+    Each pass gives every unprocessed vertex u the smallest-integer subset
+    K of the current correctors (bit c standing for the c-th smallest) with
+    Odd(K) meeting the unprocessed region in exactly {u}; with
+    ``singleton`` only one-element subsets count.
+    """
+    neighbours = {v: set() for v in range(graph.n)}
+    for a, b in graph.edges:
+        neighbours[a].add(int(b))
+        neighbours[b].add(int(a))
+    inputs, outputs = {int(v) for v in graph.inputs}, {int(v) for v in graph.outputs}
+    unprocessed = set(range(graph.n)) - outputs
+    correctors = sorted(outputs - inputs)
+    corrections: dict[int, list[int]] = {}
+    passes = []
+    while unprocessed:
+        found = {}
+        count = len(correctors)
+        subsets = (1 << c for c in range(count)) if singleton else range(1 << count)
+        for mask in subsets:
+            k = [w for c, w in enumerate(correctors) if (mask >> c) & 1]
+            odd = set()
+            for w in k:
+                odd ^= neighbours[w]
+            hit = odd & unprocessed
+            if len(hit) == 1:
+                found.setdefault(hit.pop(), k)
+        if not found:
+            return None
+        passes.append(sorted(found))
+        corrections.update(found)
+        unprocessed -= set(found)
+        correctors = sorted(set(correctors) | (set(found) - inputs))
+    gflow = {
+        "g": {str(v): k for v, k in corrections.items()},
+        "layers": passes[::-1] + [sorted(outputs)],
+        "planes": {str(v): "XY" for v in corrections},
+    }
+    return json.dumps(gflow, sort_keys=True)
+
+
+class TestPeelingMatchesBruteForce:
+    """Exact gFlow and causal-flow JSON against an independent peeling."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(2024)
+        graphs = [random_open_graph(rng, n_min=1, n_max=9) for _ in range(200)]
+        # Plain ints, so that the found gFlows serialise.
+        return [
+            OpenGraph(g.n, g.edges, [int(v) for v in g.inputs], [int(v) for v in g.outputs])
+            for g in graphs
+        ]
+
+    def test_corpus_covers_the_cases(self, corpus):
+        assert sum(len(g.outputs) > len(g.inputs) for g in corpus) >= 50
+        assert sum(reference_peeling(g, False) is None for g in corpus) >= 50
+        assert sum(
+            reference_peeling(g, False) is not None and reference_peeling(g, True) is None
+            for g in corpus
+        ) >= 5
+
+    @pytest.mark.parametrize("singleton", [False, True], ids=["gflow", "causal"])
+    def test_json_is_identical(self, corpus, singleton):
+        find = find_causal_flow if singleton else find_gflow
+        for g in corpus:
+            found = find(g)
+            assert (found.to_json() if found else None) == reference_peeling(g, singleton), g
 
 
 class TestVerifyGflow:

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbqcflow.gf2 import gf2_rank, gf2_solve_min
+from mbqcflow.gf2 import gf2_basis, gf2_express, gf2_rank, gf2_solve_min
 
 
 def numpy_rank_mod2(rows, cols):
@@ -83,3 +83,43 @@ def test_solve_detects_inconsistency():
     # x0 = 0 and x0 = 1 simultaneously.
     assert gf2_solve_min([0b1, 0b1], [0, 1]) is None
 
+
+@st.composite
+def column_lists(draw):
+    """Up to 8 six-bit columns, mixing fresh, zero, repeated and dependent ones."""
+    columns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "sum"]))
+        if kind == "zero":
+            columns.append(0)
+        elif kind == "fresh" or not columns:
+            columns.append(draw(st.integers(min_value=0, max_value=(1 << 6) - 1)))
+        elif kind == "repeat":
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(draw(st.sampled_from(columns)) ^ draw(st.sampled_from(columns)))
+    return columns
+
+
+@given(column_lists())
+def test_express_returns_minimal_mask_or_none(columns):
+    smallest: dict[int, int] = {}
+    for mask in range(1 << len(columns)):
+        total = 0
+        for c, col in enumerate(columns):
+            if (mask >> c) & 1:
+                total ^= col
+        smallest.setdefault(total, mask)
+    basis = gf2_basis(columns)
+    for target in range(1 << 6):
+        assert gf2_express(basis, target) == smallest.get(target)
+
+
+def test_express_skips_zero_repeated_and_dependent_columns():
+    # Columns 0 (zero), 2 (repeat of 1) and 4 (sum of 1 and 3) add no entry.
+    basis = gf2_basis([0b00, 0b11, 0b11, 0b01, 0b10])
+    assert len(basis) == 2
+    # 0b10 is column 4 alone (mask 16) or columns 1 and 3 (mask 10).
+    assert gf2_express(basis, 0b10) == 0b01010
+    assert gf2_express(basis, 0b100) is None
+    assert gf2_express(basis, 0) == 0
