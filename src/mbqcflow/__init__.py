@@ -20,7 +20,6 @@ from .flow import (
     find_causal_flow,
     find_gflow,
     flow_wires,
-    measurement_rounds,
     verify_gflow,
 )
 from .graph import (
@@ -88,7 +87,6 @@ __all__ = [
     "influence_successors",
     "initialize_simulation",
     "max_forward_cone",
-    "measurement_rounds",
     "odd_neighborhood",
     "oracle_unitary",
     "propagate_all",

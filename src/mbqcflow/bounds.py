@@ -16,23 +16,11 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .flow import GFlow, WireReport, flow_wires
-from .gf2 import gf2_rank
-from .graph import OpenGraph
+from .graph import OpenGraph, mask_cut_rank
 
 DEFAULT_ORDERING_BUDGET = 8
 DEFAULT_TREE_BUDGET = 6
 WIRE_ORDER_EXHAUSTIVE_LIMIT = 8
-
-
-def _subset_cut_rank(graph: OpenGraph, subset_mask: int) -> int:
-    full = (1 << graph.n) - 1
-    other = full & ~subset_mask
-    rows = [
-        graph.adjacency_masks[v] & other
-        for v in range(graph.n)
-        if (subset_mask >> v) & 1
-    ]
-    return gf2_rank(rows)
 
 
 def structural_entanglement_exact(
@@ -52,7 +40,7 @@ def structural_entanglement_exact(
     full = (1 << graph.n) - 1
     best = [0] * (full + 1)
     for mask in range(1, full + 1):
-        rank = _subset_cut_rank(graph, mask)
+        rank = mask_cut_rank(graph, mask)
         prev = min(
             best[mask & ~(1 << v)] for v in range(graph.n) if (mask >> v) & 1
         )
@@ -80,7 +68,7 @@ def entanglement_width_exact(
     cost = [0] * (full + 1)
     ranks = [0] * (full + 1)
     for mask in range(1, full + 1):
-        ranks[mask] = _subset_cut_rank(graph, mask)
+        ranks[mask] = mask_cut_rank(graph, mask)
         if mask & (mask - 1) == 0:
             cost[mask] = ranks[mask]
             continue

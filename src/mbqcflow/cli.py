@@ -27,7 +27,7 @@ from .flow import (
 from .cones import forward_cone
 from .graph import OpenGraph
 from .pattern import MeasurementPattern
-from .simulate import simulate_pattern
+from .simulate import complex_pairs, simulate_pattern
 
 SCHEMA_VERSION = 1
 
@@ -65,12 +65,6 @@ def _load_valid_gflow(path: str, graph: OpenGraph) -> GFlow:
 def _load_pattern(path: str) -> MeasurementPattern:
     with open(path, encoding="utf-8") as handle:
         return MeasurementPattern.from_json(handle.read())
-
-
-def _unitary_pairs(matrix) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in matrix
-    ]
 
 
 # -- graph ----------------------------------------------------------------
@@ -210,7 +204,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_branch(graph: OpenGraph, gflow: GFlow, text: str) -> dict[int, int]:
-    measured = sorted(v for layer in gflow.layers[:-1] for v in layer)
+    measured = sorted(gflow.measurement_order)
     if len(text) != len(measured) or set(text) - {"0", "1"}:
         raise ValueError(
             f"branch must be a {len(measured)}-character bitstring over "
@@ -234,7 +228,7 @@ def _cmd_oracle_run(args) -> int:
             "probability": record.probability,
             "output_state": None
             if record.output_state is None
-            else [[float(a.real), float(a.imag)] for a in record.output_state],
+            else complex_pairs(record.output_state),
         }
     )
     return EXIT_OK
@@ -260,7 +254,7 @@ def _cmd_oracle_unitary(args) -> int:
     gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
     matrix = oracle_mod.oracle_unitary(graph, gflow, pattern)
-    _emit({"unitary": _unitary_pairs(matrix)})
+    _emit({"unitary": complex_pairs(matrix)})
     return EXIT_OK
 
 

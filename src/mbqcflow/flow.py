@@ -25,7 +25,7 @@ import networkx as nx
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
 from .graph import OpenGraph, json_ints, json_list, json_object, odd_neighborhood
-from .pattern import Plane
+from .pattern import MeasurementPattern, Plane
 
 
 class Violation(NamedTuple):
@@ -71,6 +71,11 @@ class GFlow:
                     raise ValueError(f"vertex {v} appears in two layers")
                 index[v] = k
         return index
+
+    @cached_property
+    def measurement_order(self) -> tuple[int, ...]:
+        """Measured vertices round by round in time order, ascending within a round."""
+        return tuple(v for layer in self.layers[:-1] for v in sorted(layer))
 
     @property
     def depth(self) -> int:
@@ -263,10 +268,21 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     return violations
 
 
-def measurement_rounds(gflow: GFlow) -> tuple[tuple[frozenset[int], ...], int]:
-    """Measured rounds in time order plus the depth (output layer excluded)."""
-    rounds = gflow.layers[:-1]
-    return rounds, len(rounds)
+def check_pattern(gflow: GFlow, pattern: MeasurementPattern) -> None:
+    """Raise ValueError unless ``pattern`` fits the measured vertices of ``gflow``.
+
+    Every vertex of ``gflow.measurement_order`` needs an angle, and its
+    pattern plane must be the gflow's plane.
+    """
+    missing = set(gflow.measurement_order) - set(pattern.angles)
+    if missing:
+        raise ValueError(f"pattern missing angles for vertices {sorted(missing)}")
+    for v in gflow.measurement_order:
+        if v in gflow.planes and pattern.plane(v) is not gflow.planes[v]:
+            raise ValueError(
+                f"pattern plane {pattern.plane(v).value} for vertex {v} "
+                f"conflicts with the gflow plane {gflow.planes[v].value}"
+            )
 
 
 @dataclass(frozen=True)

@@ -249,9 +249,17 @@ def cut_rank(graph: OpenGraph, side: Iterable[int]) -> int:
     the bipartition, so it never exceeds ``cut_edges`` nor the size of the
     smaller side.
     """
-    vs = _check_vertices(graph, side, "cut side")
-    other_mask = _set_to_mask(v for v in range(graph.n) if v not in vs)
-    rows = [graph.adjacency_masks[v] & other_mask for v in sorted(vs)]
+    return mask_cut_rank(graph, _set_to_mask(_check_vertices(graph, side, "cut side")))
+
+
+def mask_cut_rank(graph: OpenGraph, side_mask: int) -> int:
+    """:func:`cut_rank` with the side given as a bitmask of in-range vertices."""
+    other_mask = ((1 << graph.n) - 1) & ~side_mask
+    rows = [
+        graph.adjacency_masks[v] & other_mask
+        for v in range(graph.n)
+        if (side_mask >> v) & 1
+    ]
     return gf2_rank(rows)
 
 

@@ -1,9 +1,12 @@
 """Dense statevector ground truth for open-graph measurement patterns.
 
 Everything here works on explicit complex amplitude vectors: open graph
-states are built by applying CZ along every edge, measurements project
-branch by branch with the gflow corrections applied on the -1 outcomes,
-and the implemented unitary is reassembled column by column.  Correction
+states are built by applying CZ along every edge, and a branch measures
+the qubits in gflow order.  Measuring a qubit contracts it against the
+conjugated closed-form basis vector of its outcome, so the register
+halves at every step and what is left at the end is the output register;
+the gflow correction of a -1 outcome acts on the qubits still held.  The
+implemented unitary is reassembled column by column.  Correction
 operators are applied as raw X/Z bitmasks (global phase dropped), keeping
 this module independent of the symbolic Pauli machinery it validates.
 """
@@ -16,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, DeterminismError
-from .flow import GFlow
+from .flow import GFlow, check_pattern
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
 
@@ -28,27 +31,30 @@ DEFAULT_BRANCH_BUDGET = 2**12
 
 _ZERO_PROBABILITY = 1e-12
 
-_PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-#: Observable axes spanning each measurement plane (angle 0 is the first).
-_PLANE_AXES = {Plane.XY: ("X", "Y"), Plane.XZ: ("X", "Z"), Plane.YZ: ("Y", "Z")}
-
 #: Pauli flipping the two projectors of a plane into each other.
 _PLANE_FLIP = {Plane.XY: "Z", Plane.XZ: "Y", Plane.YZ: "X"}
 
 
 def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (+1, -1) eigenbasis of the plane's angle-theta observable."""
-    a, b = _PLANE_AXES[plane]
-    observable = np.cos(angle) * _PAULI[a] + np.sin(angle) * _PAULI[b]
-    eigvals, eigvecs = np.linalg.eigh(observable)
-    plus = eigvecs[:, int(np.argmax(eigvals))]
-    minus = eigvecs[:, int(np.argmin(eigvals))]
-    return plus, minus
+    """Orthonormal (+1, -1) eigenbasis of the plane's angle-theta observable.
+
+    The observable is ``cos(theta) A + sin(theta) B`` with (A, B) = (X, Y),
+    (X, Z) and (Y, Z) for XY, XZ and YZ.  XY has plus = (1, e^{i theta})/sqrt2
+    and minus = (1, -e^{i theta})/sqrt2.  XZ and YZ have the Bloch vector
+    at polar angle pi/2 - theta, so with half-angle amplitudes
+    c = cos(pi/4 - theta/2), s = sin(pi/4 - theta/2) and the azimuth phase
+    p = 1 (XZ) or i (YZ): plus = (c, p s) and minus = (s, -p c).
+    """
+    if plane is Plane.XY:
+        phase = np.exp(1j * angle)
+        return (
+            np.array([1.0, phase]) / np.sqrt(2),
+            np.array([1.0, -phase]) / np.sqrt(2),
+        )
+    half = np.pi / 4 - angle / 2
+    c, s = np.cos(half), np.sin(half)
+    p = 1.0 if plane is Plane.XZ else 1j
+    return np.array([c, p * s], dtype=complex), np.array([s, -p * c], dtype=complex)
 
 
 def build_open_graph_state(
@@ -96,26 +102,6 @@ def apply_word_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
     return (signs * state)[idx ^ x_mask]
 
 
-def _project(
-    state: np.ndarray, qubit: int, basis_state: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Project one qubit onto a single-qubit state; returns (state, probability)."""
-    dim = state.shape[0]
-    idx = np.arange(dim)
-    bit = (idx >> qubit) & 1
-    overlap = np.where(bit == 0, basis_state[0], basis_state[1]).conj() * state
-    # Partial inner product lives on the qubit=0 slice; rebuild the product state.
-    partial = np.zeros(dim, dtype=complex)
-    np.add.at(partial, idx & ~(1 << qubit), overlap)
-    prob = float(np.linalg.norm(partial) ** 2)
-    if prob < _ZERO_PROBABILITY:
-        return np.zeros_like(state), 0.0
-    out = np.where(bit == 0, basis_state[0], basis_state[1]) * partial[
-        idx & ~(1 << qubit)
-    ]
-    return out / np.sqrt(prob), prob
-
-
 def correction_masks(graph: OpenGraph, gflow: GFlow, vertex: int) -> tuple[int, int]:
     """X/Z bitmasks of the correction for ``vertex`` (global phase dropped).
 
@@ -157,36 +143,33 @@ def run_branch(
 ) -> BranchRecord:
     """Run one branch of the pattern with corrections on the -1 outcomes.
 
-    Measured qubits are processed round by round in the gflow order
-    (ascending index within a round); after each -1 outcome the gflow
-    correction, restricted to the still-unmeasured qubits, is applied.
-    Zero-probability branches are reported with probability 0 and no
-    state rather than as an error.
+    Measured qubits are processed in ``gflow.measurement_order``.  Each is
+    contracted away against its outcome's basis vector, and after a -1
+    outcome the gflow correction, restricted to the still-unmeasured
+    qubits, is applied.  The surviving outputs are returned in output
+    order.  Zero-probability branches are reported with probability 0 and
+    no state rather than as an error.
     """
     state = build_open_graph_state(graph, input_state, dense_limit)
-    measured_order = [v for layer in gflow.layers[:-1] for v in sorted(layer)]
-    missing = set(measured_order) - set(branch_bits)
+    order = gflow.measurement_order
+    missing = set(order) - set(branch_bits)
     if missing:
         raise ValueError(f"branch bits missing for vertices {sorted(missing)}")
-    unmeasured = set(measured_order) - set(pattern.angles)
-    if unmeasured:
-        raise ValueError(f"pattern missing angles for vertices {sorted(unmeasured)}")
-    for v in measured_order:
-        if v in gflow.planes and pattern.plane(v) is not gflow.planes[v]:
-            raise ValueError(
-                f"pattern plane {pattern.plane(v).value} for vertex {v} "
-                f"conflicts with the gflow plane {gflow.planes[v].value}"
-            )
-    active_mask = (1 << graph.n) - 1
+    check_pattern(gflow, pattern)
+    held = list(range(graph.n))  # held[k] is the vertex at bit k of ``state``
     step_probs: list[float] = []
     outcomes: dict[int, int] = {}
-    for v in measured_order:
+    for v in order:
         outcome = int(branch_bits[v]) & 1
-        plus, minus = measurement_basis(pattern.plane(v), pattern.angle(v))
-        state, prob = _project(state, v, plus if outcome == 0 else minus)
+        vector = measurement_basis(pattern.plane(v), pattern.angle(v))[outcome]
+        pos = held.index(v)
+        state = (vector.conj() @ state.reshape(-1, 2, 1 << pos)).reshape(-1)
+        del held[pos]
+        prob = float(np.linalg.norm(state) ** 2)
+        if prob < _ZERO_PROBABILITY:
+            prob = 0.0
         outcomes[v] = outcome
         step_probs.append(prob)
-        active_mask &= ~(1 << v)
         if prob == 0.0:
             return BranchRecord(
                 outcomes=outcomes,
@@ -194,10 +177,13 @@ def run_branch(
                 probability=0.0,
                 output_state=None,
             )
+        state /= np.sqrt(prob)
         if outcome == 1:
             x_mask, z_mask = correction_masks(graph, gflow, v)
-            state = apply_word_masks(state, x_mask & active_mask, z_mask & active_mask)
-    output_state = _extract_output_state(graph, state, measured_order, pattern, outcomes)
+            state = apply_word_masks(state, _on_held(x_mask, held), _on_held(z_mask, held))
+    # Axis k of the tensor holds bit len(held)-1-k; put output k at bit k.
+    perm = [len(held) - 1 - held.index(q) for q in reversed(graph.outputs)]
+    output_state = np.transpose(state.reshape([2] * len(held)), perm).reshape(-1)
     total = float(np.prod(step_probs)) if step_probs else 1.0
     return BranchRecord(
         outcomes=outcomes,
@@ -207,27 +193,9 @@ def run_branch(
     )
 
 
-def _extract_output_state(
-    graph: OpenGraph,
-    state: np.ndarray,
-    measured_order: list[int],
-    pattern: MeasurementPattern,
-    outcomes: Mapping[int, int],
-) -> np.ndarray:
-    """Contract the measured qubits away, leaving the outputs in output order."""
-    tensor = state.reshape([2] * graph.n) if graph.n else state.reshape(())
-    axis_labels = list(range(graph.n - 1, -1, -1))  # axis k holds qubit n-1-k
-    for v in measured_order:
-        # After projection the measured qubit sits exactly in its outcome
-        # basis state, so contracting against it removes the qubit exactly.
-        plus, minus = measurement_basis(pattern.plane(v), pattern.angle(v))
-        held = plus if outcomes[v] == 0 else minus
-        axis = axis_labels.index(v)
-        tensor = np.tensordot(tensor, held.conj(), axes=([axis], [0]))
-        axis_labels.pop(axis)
-    # Reorder the remaining axes so output k maps to bit k of the result.
-    perm = [axis_labels.index(q) for q in reversed(graph.outputs)]
-    return np.transpose(tensor, perm).reshape(-1)
+def _on_held(mask: int, held: list[int]) -> int:
+    """``mask`` restricted to the held vertices, re-indexed to their bits."""
+    return sum(1 << k for k, q in enumerate(held) if (mask >> q) & 1)
 
 
 def normalize_phase(vec: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
@@ -277,7 +245,7 @@ def check_determinism(
     of 1.  The worst single-measurement deviation from probability 1/2 is
     reported alongside.
     """
-    measured = sorted(v for layer in gflow.layers[:-1] for v in layer)
+    measured = sorted(gflow.measurement_order)
     if 2 ** len(measured) > branch_budget:
         raise BudgetExceededError(
             f"2^{len(measured)} branches exceed the budget of {branch_budget}"
@@ -332,8 +300,7 @@ def oracle_unitary(
     k = len(graph.inputs)
     if k != len(graph.outputs):
         raise ValueError("unitary extraction needs equally many inputs and outputs")
-    measured = [v for layer in gflow.layers[:-1] for v in sorted(layer)]
-    bits = {v: 0 for v in measured}
+    bits = dict.fromkeys(gflow.measurement_order, 0)
     dim = 1 << k
     columns = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cones import forward_cone
 from .errors import DeterminismError, SimulationInvariantError
-from .flow import GFlow, verify_gflow
+from .flow import GFlow, check_pattern, verify_gflow
 from .graph import OpenGraph
 from .oracle import normalize_phase
 from .pattern import MeasurementPattern, Plane
@@ -39,6 +39,11 @@ def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOp
         raise ValueError(f"vertex {vertex} out of range")
     if vertex in graph.input_set:
         raise ValueError(f"input vertex {vertex} carries no stabilizer")
+    return _rotated_x_word(graph, vertex, angle)
+
+
+def _rotated_x_word(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:
+    """``X_vertex (x) Z_neighbours`` conjugated by the rotation of ``vertex``."""
     x_bit = 1 << vertex
     nb_mask = graph.adjacency_masks[vertex]
     terms = {
@@ -117,15 +122,7 @@ def initialize_simulation(
     for v, plane in gflow.planes.items():
         if plane is not Plane.XY:
             raise ValueError("symbolic simulation supports XY-plane patterns only")
-    missing = set(graph.measured) - set(pattern.angles)
-    if missing:
-        raise ValueError(f"pattern missing angles for vertices {sorted(missing)}")
-    for v in graph.measured:
-        if pattern.plane(v) is not gflow.planes[v]:
-            raise ValueError(
-                f"pattern plane {pattern.plane(v).value} for vertex {v} "
-                f"conflicts with the gflow plane {gflow.planes[v].value}"
-            )
+    check_pattern(gflow, pattern)
 
     stabilizers = {
         i: _correcting_operator(graph, gflow, pattern, i)
@@ -134,18 +131,10 @@ def initialize_simulation(
     logicals: dict[tuple[str, int], LogicalOperator] = {}
     for i in graph.inputs:
         x_bit = 1 << i
-        nb_mask = graph.adjacency_masks[i]
         if i in graph.output_set:
-            x_op = LogicalOperator(graph.n, {(x_bit, nb_mask): 1.0})
+            x_op = LogicalOperator(graph.n, {(x_bit, graph.adjacency_masks[i]): 1.0})
         else:
-            angle = pattern.angle(i)
-            x_op = LogicalOperator(
-                graph.n,
-                {
-                    (x_bit, nb_mask): complex(np.cos(angle)),
-                    (x_bit, nb_mask | x_bit): -1j * complex(np.sin(angle)),
-                },
-            ).prune()
+            x_op = _rotated_x_word(graph, i, pattern.angle(i))
         logicals[("X", i)] = x_op
         logicals[("Z", i)] = LogicalOperator(graph.n, {(0, x_bit): 1.0})
 
@@ -179,7 +168,7 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
         for label, op in state.logicals.items():
             commuting, anticommuting = _split_by_x_commutation(op, mu)
             if anticommuting.num_terms:
-                state.logicals[label] = (commuting + s_mu * anticommuting).prune()
+                state.logicals[label] = commuting + s_mu * anticommuting
         state.record_high_water()
     state.round_cursor += 1
     return state
@@ -290,6 +279,12 @@ def extract_unitary(
     return normalize_phase(unitary)
 
 
+def complex_pairs(values: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex array, for JSON output."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Full pipeline output with cost accounting."""
@@ -309,13 +304,7 @@ class SimulationResult:
             "cone_sizes": {str(v): s for v, s in sorted(self.cone_sizes.items())},
             "cone_bound_ok": {str(v): ok for v, ok in sorted(self.bound_ok.items())},
         }
-        if self.unitary is not None:
-            payload["unitary"] = [
-                [[float(entry.real), float(entry.imag)] for entry in row]
-                for row in self.unitary
-            ]
-        else:
-            payload["unitary"] = None
+        payload["unitary"] = None if self.unitary is None else complex_pairs(self.unitary)
         return payload
 
 

@@ -13,7 +13,6 @@ from mbqcflow import (
     find_gflow,
     flow_wires,
     has_entanglement_capacity,
-    measurement_rounds,
     odd_neighborhood,
     verify_gflow,
 )
@@ -373,13 +372,13 @@ class TestVerifyGflow:
 
 class TestRoundsAndDependencies:
     def test_path_depth(self):
-        rounds, depth = measurement_rounds(path_flow(5))
-        assert depth == 4
-        assert [sorted(r) for r in rounds] == [[0], [1], [2], [3]]
+        gflow = path_flow(5)
+        assert gflow.depth == 4
+        assert [sorted(r) for r in gflow.layers[:-1]] == [[0], [1], [2], [3]]
 
     def test_fig4_depths(self):
-        assert measurement_rounds(fig4_flow())[1] == 4
-        assert measurement_rounds(fig4_depth_one_gflow())[1] == 1
+        assert fig4_flow().depth == 4
+        assert fig4_depth_one_gflow().depth == 1
 
     def test_fig4_wide_parities(self):
         report = correction_dependencies(fig4_graph(), fig4_depth_one_gflow())

@@ -12,13 +12,26 @@ from mbqcflow import (
     oracle_unitary,
     run_branch,
     schmidt_rank_log2,
+    verify_gflow,
 )
 from mbqcflow.oracle import apply_word_masks, measurement_basis, normalize_phase
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
-from conftest import max_deviation_up_to_phase
+from conftest import max_deviation_up_to_phase, sample_graphs_with_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def observable(plane, angle):
+    """cos(angle) A + sin(angle) B for the plane's axes (A, B)."""
+    a, b = plane.value
+    return np.cos(angle) * PAULI[a] + np.sin(angle) * PAULI[b]
 
 
 def full_branch_bits(gflow, value=0):
@@ -102,6 +115,147 @@ class TestMeasurementBasis:
         assert max_deviation_up_to_phase(expected_plus, plus) < 1e-12
         expected_minus = np.array([1, -np.exp(1j * theta)]) / np.sqrt(2)
         assert max_deviation_up_to_phase(expected_minus, minus) < 1e-12
+
+
+class TestMeasurementBasisEigenvalues:
+    @pytest.mark.parametrize("plane", list(Plane))
+    def test_plus_is_plus_one_and_minus_is_minus_one(self, plane):
+        angles = np.concatenate(
+            [np.linspace(-2 * np.pi, 2 * np.pi, 73), np.arange(8) * np.pi / 4, [1e-9]]
+        )
+        for angle in angles:
+            plus, minus = measurement_basis(plane, angle)
+            o = observable(plane, angle)
+            assert np.max(np.abs(o @ plus - plus)) < 1e-12, angle
+            assert np.max(np.abs(o @ minus + minus)) < 1e-12, angle
+            assert abs(np.linalg.norm(plus) - 1) < 1e-12
+            assert abs(np.linalg.norm(minus) - 1) < 1e-12
+
+
+def on_qubits(n, factors):
+    """Kronecker product with ``factors[q]`` on qubit q (bit q) and I elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n - 1, -1, -1):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def reference_branch(graph, gflow, pattern, bits, psi):
+    """One branch by explicit projectors and Pauli products on the full register.
+
+    Returns the step probabilities (a step below 1e-12 records 0.0 and
+    ends the branch) and the output state in output order, or None.
+    """
+    n = graph.n
+    psi = psi / np.linalg.norm(psi)
+    state = np.zeros(1 << n, dtype=complex)
+    for idx in range(1 << n):
+        key = sum(((idx >> v) & 1) << k for k, v in enumerate(graph.inputs))
+        state[idx] = psi[key] * 2.0 ** (-(n - len(graph.inputs)) / 2)
+    one = np.diag([0.0, 1.0])
+    for u, v in graph.edges:
+        state = (np.eye(1 << n) - 2 * on_qubits(n, {u: one, v: one})) @ state
+    order = [v for layer in gflow.layers[:-1] for v in sorted(layer)]
+    steps = []
+    for t, v in enumerate(order):
+        sign = -1 if bits[v] else 1
+        projector = (np.eye(2) + sign * observable(pattern.plane(v), pattern.angle(v))) / 2
+        state = on_qubits(n, {v: projector}) @ state
+        prob = float(np.vdot(state, state).real)
+        if prob < 1e-12:
+            return steps + [0.0], None
+        steps.append(prob)
+        state = state / np.sqrt(prob)
+        if bits[v]:
+            later = order[t + 1 :] + list(graph.outputs)
+            corr = gflow.corrections[v]
+            factors = {}
+            for q in later:
+                x = PAULI["X"] if q in corr else np.eye(2)
+                odd = len(graph.neighbors(q) & corr) % 2
+                factors[q] = x @ (PAULI["Z"] if odd else np.eye(2))
+            state = on_qubits(n, factors) @ state
+    # Measured qubits now sit in product states: the amplitude tensor is
+    # rank one between them and the outputs, so any nonzero row is the
+    # output state up to phase.
+    tensor = state.reshape([2] * n)
+    axes = [n - 1 - q for q in order] + [n - 1 - q for q in reversed(graph.outputs)]
+    matrix = np.transpose(tensor, axes).reshape(1 << len(order), -1)
+    row = matrix[int(np.argmax(np.linalg.norm(matrix, axis=1)))]
+    return steps, row / np.linalg.norm(row)
+
+
+def _reference_cases():
+    cases = []
+    for i, (graph, gflow) in enumerate(sample_graphs_with_gflow(10, seed=11, n_max=6)):
+        rng = np.random.default_rng(100 + i)
+        angles = {v: float(rng.uniform(0, 2 * np.pi)) for v in graph.measured}
+        cases.append(pytest.param(graph, gflow, MeasurementPattern(angles), id=f"random{i}"))
+    edge = OpenGraph(n=2, edges=[(0, 1)], inputs=(), outputs=(1,))
+    cases.append(pytest.param(
+        edge, GFlow({0: {0, 1}}, [{0}, {1}], {0: Plane.XZ}),
+        MeasurementPattern({0: 1.1}, {0: Plane.XZ}), id="xz",
+    ))
+    cases.append(pytest.param(
+        edge, GFlow({0: {0}}, [{0}, {1}], {0: Plane.YZ}),
+        MeasurementPattern({0: 1.9}, {0: Plane.YZ}), id="yz",
+    ))
+    triangle = OpenGraph(n=3, edges=[(0, 1), (0, 2), (1, 2)], inputs=(0,), outputs=(2,))
+    cases.append(pytest.param(
+        triangle, GFlow({0: {1}, 1: {1, 2}}, [{0}, {1}, {2}], {1: Plane.XZ}),
+        MeasurementPattern({0: 0.7, 1: 2.3}, {1: Plane.XZ}), id="triangle-xz",
+    ))
+    path = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(), outputs=(2,))
+    cases.append(pytest.param(
+        path, GFlow({0: {0}, 1: {2}}, [{0}, {1}, {2}], {0: Plane.YZ}),
+        MeasurementPattern({0: 0.4, 1: 5.0}, {0: Plane.YZ}), id="path-yz",
+    ))
+    # An edgeless measured vertex holds |+>, so one outcome of each of
+    # these never occurs: plus at XY angle pi, minus at XZ angle 0.
+    isolated = OpenGraph(n=2, edges=[], inputs=(0,), outputs=(0,))
+    cases.append(pytest.param(
+        isolated, GFlow({1: {1}}, [{1}, {0}]), MeasurementPattern({1: np.pi}), id="zero-xy",
+    ))
+    cases.append(pytest.param(
+        isolated, GFlow({1: {1}}, [{1}, {0}], {1: Plane.XZ}),
+        MeasurementPattern({1: 0.0}, {1: Plane.XZ}), id="zero-xz",
+    ))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestRunBranchAgainstReference:
+    @pytest.mark.parametrize("graph,gflow,pattern", REFERENCE_CASES)
+    def test_every_branch_matches(self, graph, gflow, pattern):
+        rng = np.random.default_rng(graph.n)
+        k = len(graph.inputs)
+        psi = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        order = [v for layer in gflow.layers[:-1] for v in sorted(layer)]
+        for mask in range(1 << len(order)):
+            bits = {v: (mask >> pos) & 1 for pos, v in enumerate(order)}
+            record = run_branch(graph, gflow, pattern, bits, psi)
+            steps, expected = reference_branch(graph, gflow, pattern, bits, psi)
+            assert len(record.step_probabilities) == len(steps)
+            assert np.max(np.abs(np.subtract(record.step_probabilities, steps))) < 1e-12
+            if expected is None:
+                assert record.output_state is None and record.probability == 0.0
+            else:
+                assert max_deviation_up_to_phase(expected, record.output_state) < 1e-12
+
+    def test_cases_cover_planes_and_zero_branches(self):
+        planes = {p for c in REFERENCE_CASES for p in c.values[1].planes.values()}
+        assert planes == set(Plane)
+        assert max(c.values[0].n for c in REFERENCE_CASES) <= 6
+        for c in REFERENCE_CASES:
+            graph, gflow, pattern = c.values
+            if c.id.startswith("zero"):
+                psi = np.ones(1 << len(graph.inputs))
+                branches = [reference_branch(graph, gflow, pattern, {1: b}, psi) for b in (0, 1)]
+                assert [state is None for _, state in branches].count(True) == 1
+            else:
+                assert verify_gflow(graph, gflow) == []
 
 
 class TestRunBranch:
