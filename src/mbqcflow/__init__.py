@@ -39,7 +39,7 @@ from .oracle import (
     schmidt_rank_log2,
 )
 from .pattern import MeasurementPattern, Plane
-from .pauli import LogicalOperator, PauliProduct
+from .pauli import LogicalOperator
 from .simulate import (
     FinalizedLogicals,
     SimulationState,
@@ -64,7 +64,6 @@ __all__ = [
     "LogicalOperator",
     "MeasurementPattern",
     "OpenGraph",
-    "PauliProduct",
     "Plane",
     "SimulationInvariantError",
     "SimulationState",

@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
 # -- oracle ---------------------------------------------------------------
 
 
-def _parse_branch(graph: OpenGraph, gflow: GFlow, text: str) -> dict[int, int]:
+def _parse_branch(gflow: GFlow, text: str) -> dict[int, int]:
     measured = sorted(gflow.measurement_order)
     if len(text) != len(measured) or set(text) - {"0", "1"}:
         raise ValueError(
@@ -217,7 +217,7 @@ def _cmd_oracle_run(args) -> int:
     graph = _load_graph(args.graph)
     gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
-    bits = _parse_branch(graph, gflow, args.branch)
+    bits = _parse_branch(gflow, args.branch)
     record = oracle_mod.run_branch(
         graph, gflow, pattern, bits, dense_limit=args.budget_dense
     )

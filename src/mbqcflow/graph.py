@@ -100,9 +100,6 @@ class OpenGraph:
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(_mask_to_set(self.adjacency_masks[v]))
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(range(self.n))
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -210,9 +207,10 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 
 def _set_to_mask(vertices: Iterable[int]) -> int:
+    # int() keeps the mask a Python int (unbounded) for numpy vertex labels.
     mask = 0
     for v in vertices:
-        mask |= 1 << v
+        mask |= 1 << int(v)
     return mask
 
 
@@ -299,12 +297,14 @@ def has_entanglement_capacity(
         (inp, graph.n + idx) for idx, inp in enumerate(graph.inputs)
     ]
     ext = OpenGraph(n=ext_n, edges=ext_edges)
-    base_a = set(graph.inputs) | set(range(graph.n, ext_n))
+    base_a = _set_to_mask(graph.inputs) | (((1 << k) - 1) << graph.n)
 
     for mask in range(2 ** len(free)):
         # Bit set moves the free vertex to the output side.
-        a_side = set(base_a)
-        a_side.update(v for bit, v in enumerate(free) if not (mask >> bit) & 1)
-        if cut_rank(ext, a_side) < k:
-            return False, frozenset(a_side & graph.vertex_set())
+        a_side = base_a
+        for bit, v in enumerate(free):
+            if not (mask >> bit) & 1:
+                a_side |= 1 << v
+        if mask_cut_rank(ext, a_side) < k:
+            return False, _mask_to_set(a_side & ((1 << graph.n) - 1))
     return True, None

@@ -31,6 +31,9 @@ DEFAULT_BRANCH_BUDGET = 2**12
 
 _ZERO_PROBABILITY = 1e-12
 
+#: Largest fidelity loss and unitarity deviation the checks accept.
+_TOLERANCE = 1e-9
+
 #: Pauli flipping the two projectors of a plane into each other.
 _PLANE_FLIP = {Plane.XY: "Z", Plane.XZ: "Y", Plane.YZ: "X"}
 
@@ -143,15 +146,21 @@ def run_branch(
 ) -> BranchRecord:
     """Run one branch of the pattern with corrections on the -1 outcomes.
 
-    Measured qubits are processed in ``gflow.measurement_order``.  Each is
+    Measured qubits are processed in ``gflow.measurement_order``, which
+    must hold every non-output vertex exactly once.  Each is
     contracted away against its outcome's basis vector, and after a -1
     outcome the gflow correction, restricted to the still-unmeasured
     qubits, is applied.  The surviving outputs are returned in output
     order.  Zero-probability branches are reported with probability 0 and
     no state rather than as an error.
     """
-    state = build_open_graph_state(graph, input_state, dense_limit)
     order = gflow.measurement_order
+    if sorted(order) != list(graph.measured):
+        raise ValueError(
+            f"gflow layers measure {sorted(order)} but the non-output "
+            f"vertices are {list(graph.measured)}"
+        )
+    state = build_open_graph_state(graph, input_state, dense_limit)
     missing = set(order) - set(branch_bits)
     if missing:
         raise ValueError(f"branch bits missing for vertices {sorted(missing)}")
@@ -236,13 +245,12 @@ def check_determinism(
     pattern: MeasurementPattern,
     seed: int = 0,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
-    fidelity_tolerance: float = 1e-9,
 ) -> DeterminismReport:
     """Compare every branch's output against branch 0 on a random input.
 
     True when each nonzero-probability branch reproduces the branch-0
-    output up to global phase with fidelity within ``fidelity_tolerance``
-    of 1.  The worst single-measurement deviation from probability 1/2 is
+    output up to global phase with fidelity within ``_TOLERANCE`` of 1.
+    The worst single-measurement deviation from probability 1/2 is
     reported alongside.
     """
     measured = sorted(gflow.measurement_order)
@@ -273,7 +281,7 @@ def check_determinism(
             continue
         fidelity = float(abs(np.vdot(reference, record.output_state)) ** 2)
         worst_fidelity = min(worst_fidelity, fidelity)
-        if fidelity < 1.0 - fidelity_tolerance:
+        if fidelity < 1.0 - _TOLERANCE:
             ok = False
     return DeterminismReport(
         ok=ok,
@@ -288,7 +296,6 @@ def oracle_unitary(
     graph: OpenGraph,
     gflow: GFlow,
     pattern: MeasurementPattern,
-    unitarity_tolerance: float = 1e-9,
 ) -> np.ndarray:
     """Unitary implemented by the pattern, assembled from branch-0 runs.
 
@@ -315,7 +322,7 @@ def oracle_unitary(
         raise DeterminismError("assembled map is singular")
     unitary = columns / scale
     deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > unitarity_tolerance:
+    if deviation > _TOLERANCE:
         raise DeterminismError(
             f"assembled map deviates from unitarity by {deviation:.2e}"
         )

@@ -43,9 +43,6 @@ class MeasurementPattern:
     def plane(self, v: int) -> Plane:
         return self.planes[v]
 
-    def measured_vertices(self) -> frozenset[int]:
-        return frozenset(self.angles)
-
     def to_json_dict(self) -> dict:
         return {
             "angles": {str(v): a for v, a in sorted(self.angles.items())},

@@ -92,19 +92,6 @@ def _correcting_operator(
     return result
 
 
-def _split_by_x_commutation(
-    op: LogicalOperator, qubit: int
-) -> tuple[LogicalOperator, LogicalOperator]:
-    commuting: dict[tuple[int, int], complex] = {}
-    anticommuting: dict[tuple[int, int], complex] = {}
-    for (x, z), c in op.terms():
-        if (z >> qubit) & 1:
-            anticommuting[(x, z)] = c
-        else:
-            commuting[(x, z)] = c
-    return LogicalOperator(op.n, commuting), LogicalOperator(op.n, anticommuting)
-
-
 def initialize_simulation(
     graph: OpenGraph, gflow: GFlow, pattern: MeasurementPattern
 ) -> SimulationState:
@@ -155,7 +142,8 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
     For each vertex of the round (ascending) every Pauli term that
     anticommutes with the measured X is multiplied by that vertex's
     correcting stabilizer product; terms merge and vanishing coefficients
-    are pruned.  Rounds must be applied in ascending order.
+    are pruned (:meth:`LogicalOperator.corrected`).  Rounds must be applied
+    in ascending order.
     """
     if round_index != state.round_cursor:
         raise ValueError(
@@ -166,9 +154,7 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
     for mu in sorted(state.rounds[round_index]):
         s_mu = state.stabilizers[mu]
         for label, op in state.logicals.items():
-            commuting, anticommuting = _split_by_x_commutation(op, mu)
-            if anticommuting.num_terms:
-                state.logicals[label] = commuting + s_mu * anticommuting
+            state.logicals[label] = op.corrected(mu, s_mu)
         state.record_high_water()
     state.round_cursor += 1
     return state
@@ -237,17 +223,15 @@ def finalize_outputs(state: SimulationState) -> FinalizedLogicals:
     )
 
 
-def extract_unitary(
-    finalized: FinalizedLogicals, tolerance: float = UNITARITY_TOLERANCE
-) -> np.ndarray:
+def extract_unitary(finalized: FinalizedLogicals) -> np.ndarray:
     """Factor the unitary out of the finalized logical operators.
 
     The logicals are images ``U P U^dag`` of the input Paulis, so the
     product of ``(1 + Lz_i)/2`` is the image of |0..0><0..0|; its
     principal eigenvector seeds the columns, which the X images then
     generate.  A transfer map that is not rank-one/unitary within
-    ``tolerance`` means the pattern does not implement a unitary and
-    raises :class:`DeterminismError`.
+    ``UNITARITY_TOLERANCE`` means the pattern does not implement a
+    unitary and raises :class:`DeterminismError`.
     """
     k = len(finalized.input_vertices)
     if k != finalized.qubit_count:
@@ -259,7 +243,7 @@ def extract_unitary(
     for mat in lz:
         projector = projector @ (np.eye(dim) + mat) / 2.0
     eigvals, eigvecs = np.linalg.eigh((projector + projector.conj().T) / 2.0)
-    if abs(eigvals[-1] - 1.0) > tolerance or np.max(np.abs(eigvals[:-1])) > tolerance:
+    if max(abs(eigvals[-1] - 1.0), *np.abs(eigvals[:-1])) > UNITARITY_TOLERANCE:
         raise DeterminismError(
             "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
         )
@@ -272,7 +256,7 @@ def extract_unitary(
                 image = lx[i] @ image
         unitary[:, a] = image
     deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > tolerance:
+    if deviation > UNITARITY_TOLERANCE:
         raise DeterminismError(
             f"extracted map deviates from unitarity by {deviation:.2e}"
         )
@@ -290,7 +274,6 @@ class SimulationResult:
     """Full pipeline output with cost accounting."""
 
     unitary: np.ndarray | None
-    finalized: FinalizedLogicals
     high_water: dict[tuple[str, int], int]
     cone_sizes: dict[int, int]
     bound_ok: dict[int, bool]
@@ -335,7 +318,6 @@ def simulate_pattern(
         )
     return SimulationResult(
         unitary=unitary,
-        finalized=finalized,
         high_water=dict(state.high_water),
         cone_sizes=cone_sizes,
         bound_ok=bound_ok,

@@ -102,13 +102,7 @@ def completion_generators(state: SimulationState) -> list[LogicalOperator]:
     fixed = []
     for gen in completions:
         for nu in (v for layer in state.rounds for v in sorted(layer)):
-            terms = dict(gen.terms())
-            anti = {w: c for w, c in terms.items() if (w[1] >> nu) & 1}
-            if anti:
-                commuting = LogicalOperator(
-                    graph.n, {w: c for w, c in terms.items() if w not in anti}
-                )
-                gen = commuting + state.stabilizers[nu] * LogicalOperator(graph.n, anti)
+            gen = gen.corrected(nu, state.stabilizers[nu])
         fixed.append(gen)
     return fixed
 

@@ -296,6 +296,24 @@ class TestRunBranch:
         with pytest.raises(ValueError, match="branch bits"):
             run_branch(g, fl, pat, {0: 0})
 
+    @pytest.mark.parametrize("entry", ["run_branch", "check_determinism", "oracle_unitary"])
+    def test_layers_missing_a_measured_vertex_are_named(self, entry):
+        # Vertex 1 is measured but sits in no layer of the gflow.
+        inputs = (0,) if entry == "oracle_unitary" else ()
+        g = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=inputs, outputs=(2,))
+        gf = GFlow({0: {1}}, [{0}, {2}])
+        pat = MeasurementPattern(angles={0: 0.3, 1: 0.7})
+        calls = {
+            "run_branch": lambda: run_branch(g, gf, pat, {0: 0}),
+            "check_determinism": lambda: check_determinism(g, gf, pat),
+            "oracle_unitary": lambda: oracle_unitary(g, gf, pat),
+        }
+        with pytest.raises(
+            ValueError,
+            match=r"gflow layers measure \[0\] but the non-output vertices are \[0, 1\]",
+        ):
+            calls[entry]()
+
     def test_branch_probabilities_sum_to_one(self, rng):
         g, fl = cluster_graph(2, 2), cluster_row_flow(2, 2)
         pat = MeasurementPattern(

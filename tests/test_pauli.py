@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.pauli import LogicalOperator, PauliProduct, word_matrix
+from mbqcflow.pauli import LogicalOperator, word_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -20,12 +20,23 @@ def kron_all(letters):
     return out
 
 
+def single(n, qubit, letter):
+    """One-qubit X, Y or Z on ``qubit`` as a one-term operator (Y = i X Z)."""
+    bit = 1 << qubit
+    key, coeff = {"X": ((bit, 0), 1.0), "Z": ((0, bit), 1.0), "Y": ((bit, bit), 1j)}[letter]
+    return LogicalOperator(n, {key: coeff})
+
+
 def word(n, letters):
-    prod = PauliProduct.identity(n)
+    prod = LogicalOperator(n, {(0, 0): 1.0})
     for q, letter in enumerate(letters):
         if letter != "I":
-            prod = prod * PauliProduct.single(n, q, letter)
+            prod = prod * single(n, q, letter)
     return prod
+
+
+def terms(op):
+    return dict(op.terms())
 
 
 words_1q = st.sampled_from(["I", "X", "Y", "Z"])
@@ -36,10 +47,11 @@ class TestWordAlgebra:
         for letter, mat in MATS.items():
             if letter == "I":
                 continue
-            assert np.allclose(PauliProduct.single(1, 0, letter).to_matrix(), mat)
+            assert np.allclose(single(1, 0, letter).to_matrix(), mat)
 
     def test_z_times_x_is_plus_i_y(self):
-        prod = PauliProduct.single(1, 0, "Z") * PauliProduct.single(1, 0, "X")
+        prod = single(1, 0, "Z") * single(1, 0, "X")
+        assert terms(prod) == {(1, 1): -1.0}  # i Y = i (i X Z) = -X Z
         assert np.allclose(prod.to_matrix(), 1j * Y)
 
     @given(words_1q, words_1q)
@@ -62,41 +74,33 @@ class TestWordAlgebra:
         ma, mb = pa.to_matrix(), pb.to_matrix()
         assert np.allclose((pa * pb).to_matrix(), ma @ mb)
         commutator_zero = np.allclose(ma @ mb, mb @ ma)
-        assert pa.commutes_with(pb) == commutator_zero
+        assert (terms(pa * pb) == terms(pb * pa)) == commutator_zero
 
     @given(words_1q, words_1q, words_1q)
     def test_associativity(self, a, b, c):
         pa, pb, pc = (word(1, l) for l in (a, b, c))
-        assert (pa * pb) * pc == pa * (pb * pc)
+        assert terms((pa * pb) * pc) == terms(pa * (pb * pc))
 
     def test_square_is_identity_word(self):
         for letter in "XYZ":
-            p = PauliProduct.single(2, 1, letter)
-            sq = p * p
-            assert (sq.x_bits, sq.z_bits, sq.phase_power) == (0, 0, 0)
-
-    def test_adjoint_matches_matrix(self):
-        for letters in ("XY", "YZ", "YY", "XZ"):
-            p = word(2, letters)
-            assert np.allclose(p.adjoint().to_matrix(), p.to_matrix().conj().T)
-
-    def test_string_rendering(self):
-        prod = PauliProduct.single(2, 0, "Z") * PauliProduct.single(2, 0, "X")
-        assert str(prod) == "+iYI"
+            p = single(2, 1, letter)
+            assert terms(p * p) == {(0, 0): 1.0}
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PauliProduct.single(1, 0, "X") * PauliProduct.single(2, 0, "X")
+            single(1, 0, "X") * single(2, 0, "X")
+        with pytest.raises(ValueError):
+            single(1, 0, "X") + single(2, 0, "X")
 
 
 class TestLogicalOperator:
     def test_from_word_and_dense(self):
-        op = LogicalOperator.from_word(word(2, "XZ"), 0.5)
+        op = LogicalOperator(2, {(0b01, 0b10): 0.5})  # 0.5 * X0 Z1
         assert np.allclose(op.to_matrix(), 0.5 * kron_all("XZ"))
 
     def test_addition_merges_and_prunes(self):
-        a = LogicalOperator.from_word(word(1, "X"), 1.0)
-        b = LogicalOperator.from_word(word(1, "X"), -1.0)
+        a = LogicalOperator(1, {(1, 0): 1.0})
+        b = LogicalOperator(1, {(1, 0): -1.0})
         assert (a + b).num_terms == 0
 
     def test_product_matches_dense(self, rng):
@@ -107,18 +111,11 @@ class TestLogicalOperator:
             a, b = LogicalOperator(n, terms1), LogicalOperator(n, terms2)
             assert np.allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
 
-    def test_left_multiply_word(self):
-        op = LogicalOperator(2, {(0b01, 0b10): 2.0})  # 2 * X0 Z1
-        w = word(2, "ZI")
-        assert np.allclose(
-            op.left_multiply_word(w).to_matrix(),
-            w.to_matrix() @ op.to_matrix(),
-        )
-
-    def test_adjoint_matches_dense(self, rng):
-        terms = {(1, 1): 1 + 2j, (2, 3): -0.5j, (0, 0): 0.25}
-        op = LogicalOperator(2, terms)
-        assert np.allclose(op.adjoint().to_matrix(), op.to_matrix().conj().T)
+    def test_corrected_leaves_commuting_operator_alone(self):
+        op = LogicalOperator(2, {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0})
+        correction = LogicalOperator(2, {(0b01, 0b10): 1.0})
+        assert op.corrected(0, correction) is op
+        assert op.corrected(1, correction) is not op
 
     def test_expectation_matches_dense(self, rng):
         n = 3

@@ -3,6 +3,7 @@ import pytest
 
 from mbqcflow import (
     GFlow,
+    LogicalOperator,
     MeasurementPattern,
     OpenGraph,
     check_determinism,
@@ -32,6 +33,7 @@ from conftest import (
     completion_generators,
     max_deviation_up_to_phase,
     sample_graphs_with_flow,
+    sample_graphs_with_gflow,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -45,6 +47,22 @@ def rotation_diagonal(graph, pattern):
     for v, theta in pattern.angles.items():
         phases = phases + theta / 2.0 * (1.0 - 2.0 * ((idx >> v) & 1))
     return np.exp(1j * phases)
+
+
+def reference_round(state, round_index):
+    """One round by hand: split each logical, then ``commuting + s * anticommuting``."""
+    logicals = dict(state.logicals)
+    for mu in sorted(state.rounds[round_index]):
+        s_mu = state.stabilizers[mu]
+        for label, op in logicals.items():
+            terms = dict(op.terms())
+            anti = {w: c for w, c in terms.items() if (w[1] >> mu) & 1}
+            if anti:
+                commuting = {w: c for w, c in terms.items() if w not in anti}
+                logicals[label] = LogicalOperator(op.n, commuting) + s_mu * LogicalOperator(
+                    op.n, anti
+                )
+    return logicals
 
 
 def random_pattern(graph, rng):
@@ -153,6 +171,29 @@ class TestPropagation:
         assert lx.num_terms == 2
         assert abs(lx.coefficient(0b01, 0b10) - np.cos(theta)) < 1e-12
         assert abs(lx.coefficient(0b11, 0b10) - 1j * np.sin(theta)) < 1e-12
+
+    def test_round_matches_split_multiply_add_reference(self, rng):
+        touched = untouched = 0
+        widest = 0
+        for graph, gflow in sample_graphs_with_gflow(60, seed=47, n_max=7):
+            widest = max(widest, *(len(c) for c in gflow.corrections.values()))
+            state = initialize_simulation(graph, gflow, random_pattern(graph, rng))
+            for r in range(len(state.rounds)):
+                before = dict(state.logicals)
+                expected = reference_round(state, r)
+                propagate_round(state, r)
+                for label, op in state.logicals.items():
+                    if expected[label] is before[label]:
+                        assert op is before[label]
+                        untouched += 1
+                        continue
+                    touched += 1
+                    want = dict(expected[label].terms())
+                    got = dict(op.terms())
+                    assert got.keys() == want.keys()
+                    for key, coeff in want.items():
+                        assert abs(got[key] - coeff) <= 1e-15
+        assert touched and untouched and widest > 1
 
     def test_rounds_must_be_ordered(self):
         g, fl = path_graph(3), path_flow(3)
