@@ -33,7 +33,7 @@ def structural_entanglement_exact(
     """
     if graph.n > max_vertices:
         raise BudgetExceededError(
-            f"{graph.n} vertices exceed the ordering budget of {max_vertices}"
+            f"{graph.n} vertices exceed --budget-estruc {max_vertices}"
         )
     if graph.n == 0:
         return 0
@@ -60,7 +60,7 @@ def entanglement_width_exact(
     """
     if graph.n > max_vertices:
         raise BudgetExceededError(
-            f"{graph.n} vertices exceed the tree budget of {max_vertices}"
+            f"{graph.n} vertices exceed --budget-width {max_vertices}"
         )
     if graph.n <= 1:
         return 0

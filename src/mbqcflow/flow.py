@@ -16,6 +16,7 @@ flow of that kind exists.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -42,7 +43,8 @@ class GFlow:
 
     ``layers`` lists the measurement rounds in time order followed by one
     final layer holding the (unmeasured) outputs.  ``planes`` assigns a
-    measurement plane to every measured vertex.
+    measurement plane to every measured vertex.  Vertex labels are coerced
+    with :func:`operator.index`, as in :class:`OpenGraph`.
     """
 
     corrections: dict[int, frozenset[int]]
@@ -55,11 +57,16 @@ class GFlow:
         layers: Iterable[Iterable[int]],
         planes: dict[int, Plane] | None = None,
     ) -> None:
-        corr = {v: frozenset(s) for v, s in corrections.items()}
+        corr = {
+            operator.index(v): frozenset(map(operator.index, s)) for v, s in corrections.items()
+        }
+        given = {operator.index(v): p for v, p in (planes or {}).items()}
         object.__setattr__(self, "corrections", corr)
-        object.__setattr__(self, "layers", tuple(frozenset(l) for l in layers))
         object.__setattr__(
-            self, "planes", {v: Plane(planes[v]) if planes and v in planes else Plane.XY for v in corr}
+            self, "layers", tuple(frozenset(map(operator.index, l)) for l in layers)
+        )
+        object.__setattr__(
+            self, "planes", {v: Plane(given[v]) if v in given else Plane.XY for v in corr}
         )
 
     @cached_property

@@ -10,6 +10,7 @@ compute.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -28,7 +29,9 @@ class OpenGraph:
     Parameters
     ----------
     n : int
-        Number of vertices, labelled ``0..n-1``.
+        Number of vertices, labelled ``0..n-1``.  Every label, and ``n``,
+        is coerced with :func:`operator.index`, so numpy integers become
+        Python ints and bitmasks over them do not wrap.
     edges : iterable of (int, int)
         Unordered vertex pairs; no self-loops or duplicates.
     inputs : iterable of int
@@ -49,11 +52,11 @@ class OpenGraph:
         inputs: Iterable[int] = (),
         outputs: Iterable[int] = (),
     ) -> None:
-        canonical = sorted(tuple(sorted(e)) for e in edges)
-        object.__setattr__(self, "n", n)
+        canonical = sorted(tuple(sorted(map(operator.index, e))) for e in edges)
+        object.__setattr__(self, "n", operator.index(n))
         object.__setattr__(self, "edges", tuple(canonical))
-        object.__setattr__(self, "inputs", tuple(inputs))
-        object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "inputs", tuple(map(operator.index, inputs)))
+        object.__setattr__(self, "outputs", tuple(map(operator.index, outputs)))
         self._validate()
 
     def _validate(self) -> None:
@@ -207,10 +210,9 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 
 def _set_to_mask(vertices: Iterable[int]) -> int:
-    # int() keeps the mask a Python int (unbounded) for numpy vertex labels.
     mask = 0
     for v in vertices:
-        mask |= 1 << int(v)
+        mask |= 1 << v
     return mask
 
 
@@ -247,6 +249,7 @@ def cut_rank(graph: OpenGraph, side: Iterable[int]) -> int:
     the bipartition, so it never exceeds ``cut_edges`` nor the size of the
     smaller side.
     """
+    side = map(operator.index, side)  # a numpy label would wrap the mask
     return mask_cut_rank(graph, _set_to_mask(_check_vertices(graph, side, "cut side")))
 
 

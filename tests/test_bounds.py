@@ -64,7 +64,7 @@ class TestStructuralEntanglement:
             ) == structural_entanglement_exact(relabeled)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^9 vertices exceed --budget-estruc 8$"):
             structural_entanglement_exact(OpenGraph(n=9, edges=[]), max_vertices=8)
 
     def test_cluster_2xm(self):
@@ -89,7 +89,7 @@ class TestEntanglementWidth:
             assert entanglement_width_exact(g) <= structural_entanglement_exact(g)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^7 vertices exceed --budget-width 6$"):
             entanglement_width_exact(OpenGraph(n=7, edges=[]), max_vertices=6)
 
 

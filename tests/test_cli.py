@@ -168,6 +168,24 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: 2^4 branches exceed --budget-branches 2\n"
+        )
+
+    def test_dense_budget_names_its_flag(self, capsys, path5_files):
+        g, f, p = path5_files
+        code = run_command(
+            [
+                "oracle", "run",
+                "--graph", g,
+                "--gflow", f,
+                "--pattern", p,
+                "--branch", "0000",
+                "--budget-dense", "4",
+            ]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "budget exceeded: 5 qubits exceed --budget-dense 4\n"
 
 
 class TestCommands:

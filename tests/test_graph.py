@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from mbqcflow import (
     BudgetExceededError,
+    GFlow,
     OpenGraph,
     build_open_graph_state,
     cut_edges,
     cut_rank,
     has_entanglement_capacity,
+    find_gflow,
     odd_neighborhood,
     schmidt_rank_log2,
 )
@@ -61,6 +63,63 @@ class TestConstruction:
         assert "0 [shape=box]" in dot
         assert "2 [style=solid]" in dot
         assert "0 -> 1 [dir=none]" in dot
+
+
+class TestNumpyLabels:
+    """numpy integer labels are coerced at construction, so wide masks do not wrap."""
+
+    def test_wide_numpy_edge_keeps_its_mask(self):
+        g = OpenGraph(n=70, edges=[(np.int64(0), np.int64(65))])
+        assert g.adjacency_masks[0] == 1 << 65
+        assert odd_neighborhood(g, [0]) == {65}
+        assert cut_rank(g, [np.int64(65)]) == 1
+
+    def test_random_wide_graphs_match_python_labels(self, rng):
+        for _ in range(5):
+            base = random_open_graph(rng, n_min=65, n_max=100)
+            perm = rng.permutation(base.n)
+            relabel = lambda vs, f: [f(perm[v]) for v in vs]
+            numpy_graph = OpenGraph(
+                n=np.int64(base.n),
+                edges=[relabel(e, np.int64) for e in base.edges],
+                inputs=relabel(base.inputs, np.int64),
+                outputs=relabel(base.outputs, np.int64),
+            )
+            python_graph = OpenGraph(
+                n=base.n,
+                edges=[relabel(e, int) for e in base.edges],
+                inputs=relabel(base.inputs, int),
+                outputs=relabel(base.outputs, int),
+            )
+            labels = [numpy_graph.n, *numpy_graph.inputs, *numpy_graph.outputs]
+            labels += [v for e in numpy_graph.edges for v in e]
+            assert all(type(v) is int for v in labels)
+            assert numpy_graph.adjacency_masks == python_graph.adjacency_masks
+            for v in perm[:10]:
+                assert odd_neighborhood(numpy_graph, [v]) == python_graph.neighbors(int(v))
+
+    def test_wide_numpy_path_finds_the_same_gflow(self, rng):
+        perm = rng.permutation(70)
+        edges = [(perm[i], perm[i + 1]) for i in range(69)]
+        numpy_graph = OpenGraph(n=70, edges=edges, inputs=[perm[0]], outputs=[perm[69]])
+        python_graph = OpenGraph(
+            n=70,
+            edges=[(int(u), int(v)) for u, v in edges],
+            inputs=[int(perm[0])],
+            outputs=[int(perm[69])],
+        )
+        assert find_gflow(numpy_graph).to_json() == find_gflow(python_graph).to_json()
+
+    def test_gflow_labels_are_coerced(self):
+        gf = GFlow(
+            {np.int64(0): [np.int64(65)]},
+            [[np.int64(0)], [np.int64(65)]],
+            {np.int64(0): "XZ"},
+        )
+        assert [type(v) for v in gf.corrections] == [int]
+        assert all(type(v) is int for s in gf.corrections.values() for v in s)
+        assert all(type(v) is int for layer in gf.layers for v in layer)
+        assert gf.planes == {0: "XZ"}
 
 
 class TestOddNeighborhood:

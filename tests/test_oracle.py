@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from mbqcflow import (
     BudgetExceededError,
+    DeterminismError,
+    DeterminismReport,
     GFlow,
     MeasurementPattern,
     OpenGraph,
@@ -14,6 +18,7 @@ from mbqcflow import (
     schmidt_rank_log2,
     verify_gflow,
 )
+from mbqcflow import oracle as oracle_mod
 from mbqcflow.oracle import apply_word_masks, measurement_basis, normalize_phase
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
@@ -88,7 +93,7 @@ class TestGraphStateConstruction:
 
     def test_budget(self):
         g = OpenGraph(n=4, edges=[])
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^4 qubits exceed --budget-dense 3$"):
             build_open_graph_state(g, dense_limit=3)
 
 
@@ -225,6 +230,64 @@ def _reference_cases():
 
 REFERENCE_CASES = _reference_cases()
 
+#: The catalogue plus a gflow whose corrections cannot undo the -1 branch.
+DIFFERENTIAL_CASES = REFERENCE_CASES + [
+    pytest.param(
+        path_graph(3),
+        GFlow(corrections={0: {2}, 1: {2}}, layers=[{0}, {1}, {2}]),
+        MeasurementPattern(angles={0: 0.9, 1: 1.7}),
+        id="corrupted",
+    ),
+    # Outputs on two qubits, so the worst fidelity depends on which
+    # surviving branch is the reference.
+    pytest.param(
+        cluster_graph(2, 3),
+        GFlow({0: {2, 4}, 1: {1, 4}, 3: {2, 4}, 4: {2, 4}}, [{0, 3}, {1, 4}, {2, 5}]),
+        MeasurementPattern(angles={0: 6.0, 1: 4.8, 3: 3.7, 4: 5.9}),
+        id="corrupted-cluster",
+    ),
+]
+
+
+def determinism_from_branches(graph, gflow, pattern, seed):
+    """The determinism report rebuilt from run_branch over all 2^m branches."""
+    measured = sorted(gflow.measurement_order)
+    rng = np.random.default_rng(seed)
+    k = len(graph.inputs)
+    psi = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    psi /= np.linalg.norm(psi)
+    reference = None
+    worst, max_dev, total, ok = 1.0, 0.0, 0.0, True
+    for mask in range(1 << len(measured)):
+        bits = {v: (mask >> pos) & 1 for pos, v in enumerate(measured)}
+        record = run_branch(graph, gflow, pattern, bits, psi)
+        total += record.probability
+        if record.output_state is None:
+            continue
+        max_dev = max([max_dev, *(abs(p - 0.5) for p in record.step_probabilities)])
+        if reference is None:
+            reference = record.output_state
+            continue
+        fidelity = float(abs(np.vdot(reference, record.output_state)) ** 2)
+        worst = min(worst, fidelity)
+        ok = ok and fidelity >= 1 - 1e-9
+    return DeterminismReport(ok, worst, max_dev, total, 1 << len(measured))
+
+
+def unitary_from_columns(graph, gflow, pattern):
+    """The all-+1 branch run by run_branch on each basis input, one column each."""
+    k = len(graph.inputs)
+    if k != len(graph.outputs):
+        raise ValueError("unitary extraction needs equally many inputs and outputs")
+    bits = dict.fromkeys(gflow.measurement_order, 0)
+    columns = np.zeros((1 << k, 1 << k), dtype=complex)
+    for b in range(1 << k):
+        record = run_branch(graph, gflow, pattern, bits, np.eye(1 << k)[b])
+        if record.output_state is None:
+            raise DeterminismError(f"branch 0 has zero probability on input {b}")
+        columns[:, b] = record.output_state * np.sqrt(record.probability)
+    return normalize_phase(columns / np.linalg.norm(columns[:, 0]))
+
 
 class TestRunBranchAgainstReference:
     @pytest.mark.parametrize("graph,gflow,pattern", REFERENCE_CASES)
@@ -243,6 +306,36 @@ class TestRunBranchAgainstReference:
                 assert record.output_state is None and record.probability == 0.0
             else:
                 assert max_deviation_up_to_phase(expected, record.output_state) < 1e-12
+
+    @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES)
+    def test_walk_matches_branch_runs(self, graph, gflow, pattern):
+        for seed in (0, 5):
+            report = check_determinism(graph, gflow, pattern, seed=seed)
+            expected = determinism_from_branches(graph, gflow, pattern, seed)
+            assert (report.ok, report.branch_count) == (expected.ok, expected.branch_count)
+            for field in ("worst_fidelity", "max_probability_deviation", "total_probability"):
+                assert abs(getattr(report, field) - getattr(expected, field)) < 1e-12
+
+    @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES)
+    def test_batched_unitary_matches_column_runs(self, graph, gflow, pattern, monkeypatch):
+        try:
+            expected = unitary_from_columns(graph, gflow, pattern)
+        except (ValueError, DeterminismError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                oracle_unitary(graph, gflow, pattern)
+            return
+        assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - expected)) < 1e-12
+        # Batches of one input and of two give the same columns.
+        for columns in (1, 2):
+            monkeypatch.setattr(oracle_mod, "_BATCH_AMPLITUDES", columns << graph.n)
+            assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - expected)) < 1e-12
+
+    def test_differential_cases_include_failures(self):
+        cases = {c.id: c.values for c in DIFFERENTIAL_CASES}
+        assert not determinism_from_branches(*cases["corrupted"], seed=5).ok
+        assert not determinism_from_branches(*cases["corrupted-cluster"], seed=0).ok
+        with pytest.raises(DeterminismError, match="zero probability"):
+            unitary_from_columns(*cases["zero-xy"])
 
     def test_cases_cover_planes_and_zero_branches(self):
         planes = {p for c in REFERENCE_CASES for p in c.values[1].planes.values()}
@@ -313,6 +406,20 @@ class TestRunBranch:
             match=r"gflow layers measure \[0\] but the non-output vertices are \[0, 1\]",
         ):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["run_branch", "check_determinism", "oracle_unitary"])
+    def test_every_path_checks_dense_limit_and_pattern(self, entry):
+        calls = {
+            "run_branch": lambda g, f, p: run_branch(g, f, p, dict.fromkeys(f.measurement_order, 0)),
+            "check_determinism": check_determinism,
+            "oracle_unitary": oracle_unitary,
+        }
+        g, fl = path_graph(15), path_flow(15)
+        with pytest.raises(BudgetExceededError, match="15 qubits exceed --budget-dense 14"):
+            calls[entry](g, fl, MeasurementPattern(angles=dict.fromkeys(range(14), 0.3)))
+        g, fl = path_graph(2), path_flow(2)
+        with pytest.raises(ValueError, match="conflicts"):
+            calls[entry](g, fl, MeasurementPattern(angles={0: 0.3}, planes={0: Plane.XZ}))
 
     def test_branch_probabilities_sum_to_one(self, rng):
         g, fl = cluster_graph(2, 2), cluster_row_flow(2, 2)
@@ -387,7 +494,7 @@ class TestCheckDeterminism:
     def test_budget(self):
         g, fl = path_graph(5), path_flow(5)
         pat = MeasurementPattern(angles={v: 0.1 for v in range(4)})
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^2\^4 branches exceed --budget-branches 8$"):
             check_determinism(g, fl, pat, branch_budget=8)
 
 
@@ -422,6 +529,15 @@ class TestOracleUnitary:
         gf = GFlow(corrections={0: {1}}, layers=[{0}, {1, 2}])
         with pytest.raises(ValueError):
             oracle_unitary(g, gf, MeasurementPattern(angles={0: 0.0}))
+
+    def test_dense_limit_comes_before_the_column_matrix(self):
+        # The 2^20 x 2^20 column matrix would need 16 TiB.
+        g = OpenGraph(
+            n=40, edges=[(i, i + 20) for i in range(20)], inputs=range(20), outputs=range(20, 40)
+        )
+        gf = GFlow({i: {i + 20} for i in range(20)}, [set(range(20)), set(range(20, 40))])
+        with pytest.raises(BudgetExceededError, match="^40 qubits exceed --budget-dense 14$"):
+            oracle_unitary(g, gf, MeasurementPattern(dict.fromkeys(range(20), 0.1)))
 
     def test_non_deterministic_pattern_raises(self):
         from mbqcflow import DeterminismError
