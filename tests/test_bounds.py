@@ -18,7 +18,7 @@ from mbqcflow.fixtures import (
     path_graph,
 )
 
-from conftest import random_open_graph, sample_graphs_with_flow
+from conftest import random_open_graph, sample_graphs_with_flow, sample_graphs_with_gflow
 
 
 def structural_entanglement_by_permutations(graph: OpenGraph) -> int:
@@ -147,3 +147,14 @@ class TestFlowBound:
         for graph, flow in sample_graphs_with_flow(40, seed=41, n_max=8):
             report = flow_entanglement_bound(graph, flow)
             assert structural_entanglement_exact(graph) <= report.bound
+
+    def test_bound_holds_on_random_gflow_graphs(self):
+        # Non-causal gFlows take their wires from max-flow augmentation.
+        checked = 0
+        for graph, gflow in sample_graphs_with_gflow(600, seed=11, n_max=10):
+            if gflow.is_flow or graph.n > 8:
+                continue
+            checked += 1
+            report = flow_entanglement_bound(graph, gflow)
+            assert structural_entanglement_exact(graph) <= report.bound
+        assert checked == 198

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbqcflow
 from mbqcflow.cli import run_command
 from mbqcflow.fixtures import CATALOG, bottleneck_graph, path_flow, path_graph
 
@@ -373,3 +378,14 @@ class TestOutputsAlwaysParse:
                 assert code in (0, 1, 3), argv
                 payload = json.loads(out)
                 assert payload["schema_version"] == 1
+
+
+def test_cli_import_does_not_load_networkx():
+    # Start-up time of every CLI call: networkx alone took about 0.2 s to import.
+    src = str(Path(mbqcflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mbqcflow.cli, sys; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from mbqcflow import (
     correction_dependencies,
     find_causal_flow,
     find_gflow,
+    flow_entanglement_bound,
     flow_wires,
     has_entanglement_capacity,
     odd_neighborhood,
@@ -463,6 +465,94 @@ class TestFlowWires:
         flow = find_causal_flow(g)
         report = flow_wires(g, flow)
         assert report.wires == ((0,),)
+
+
+def disjoint_path_count(graph: OpenGraph) -> int:
+    """Most vertex-disjoint input-to-output paths, by exhaustive search.
+
+    Inputs are taken in order; each either starts no path or starts a
+    simple path that avoids every vertex already used and stops at the
+    first output it reaches (a longer one only uses more vertices).
+    """
+    inputs = graph.inputs
+
+    @functools.cache
+    def best(i: int, used: int) -> int:
+        if i == len(inputs):
+            return 0
+        result = best(i + 1, used)
+        start = inputs[i]
+        if used >> start & 1:
+            return result
+        stack = [(start, used | 1 << start)]
+        while stack:
+            v, taken = stack.pop()
+            if v in graph.output_set:
+                result = max(result, 1 + best(i + 1, taken))
+                continue
+            for w in graph.neighbors(v):
+                if not taken >> w & 1:
+                    stack.append((w, taken | 1 << w))
+        return result
+
+    return best(0, 0)
+
+
+def random_terminal_graph(rng: np.random.Generator, n_max: int) -> OpenGraph:
+    """Random graph whose inputs and outputs are independent draws (they may overlap)."""
+    n = int(rng.integers(1, n_max + 1))
+    p = float(rng.uniform(0.2, 0.7))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    k_in = int(rng.integers(0, n // 2 + 2))
+    k_out = int(rng.integers(1, n // 2 + 2))
+    inputs = [int(v) for v in rng.permutation(n)[: min(k_in, n)]]
+    outputs = [int(v) for v in rng.permutation(n)[: min(k_out, n)]]
+    return OpenGraph(n=n, edges=edges, inputs=inputs, outputs=outputs)
+
+
+#: ``flow_wires`` reads only ``is_flow`` of its gFlow.  An empty correcting
+#: set makes this stand-in take the max-flow route on any graph.
+NOT_A_CAUSAL_FLOW = GFlow(corrections={0: ()}, layers=[{0}])
+
+
+class TestMaxFlowWires:
+    def test_matches_exhaustive_path_count(self):
+        assert not NOT_A_CAUSAL_FLOW.is_flow
+        rng = np.random.default_rng(2024)
+        feasible = infeasible = 0
+        for _ in range(400):
+            graph = random_terminal_graph(rng, n_max=8)
+            expected = disjoint_path_count(graph)
+            m = len(graph.inputs)
+            if expected < m:
+                infeasible += 1
+                message = f"^only {expected} vertex-disjoint paths exist for {m} inputs$"
+                with pytest.raises(FlowConsistencyError, match=message):
+                    flow_wires(graph, NOT_A_CAUSAL_FLOW)
+                continue
+            feasible += m > 0
+            report = flow_wires(graph, NOT_A_CAUSAL_FLOW)
+            assert tuple(w[0] for w in report.wires) == graph.inputs
+            seen: set[int] = set()
+            for wire in report.wires:
+                assert wire[-1] in graph.output_set
+                for u, v in zip(wire, wire[1:]):
+                    assert v in graph.neighbors(u)
+                assert len(set(wire)) == len(wire)
+                assert not seen & set(wire)
+                seen.update(wire)
+            assert report.uncovered_non_outputs == frozenset(
+                v for v in range(graph.n) if v not in seen and v not in graph.output_set
+            )
+        assert feasible >= 100 and infeasible >= 100
+
+    def test_fig3b_wires_and_bound_pinned(self):
+        # Descending neighbour order: input 0 takes its neighbour 5 first.
+        g = fig3b_graph()
+        for gflow in (fig3b_gflow(), find_gflow(g)):
+            report = flow_wires(g, gflow)
+            assert report.wires == ((0, 5), (1, 4), (2, 3))
+            assert flow_entanglement_bound(g, gflow, report).bound == 5
 
 
 class TestGflowImpliesCapacity:
