@@ -21,6 +21,12 @@ from .gf2 import gf2_rank
 #: Cap on the number of bipartitions enumerated by the entanglement check.
 DEFAULT_CUT_BUDGET = 2**20
 
+#: Largest ``n`` that graph JSON may declare, from a 1 GiB target.  The
+#: costliest command on an edgeless graph is ``flow report`` with every
+#: vertex an input and an output: 900-990 bytes per vertex of peak RSS at
+#: n = 10^5 and 2^20 (Python 3.11), so 2^20 vertices take about 0.95 GB.
+VERTEX_CAP = 2**20
+
 
 @dataclass(frozen=True)
 class OpenGraph:
@@ -120,6 +126,8 @@ class OpenGraph:
     def from_json_dict(cls, data: dict) -> OpenGraph:
         try:
             n = json_int(data["n"], "n")
+            if n > VERTEX_CAP:
+                raise BudgetExceededError(f"{n} vertices exceed the vertex cap of {VERTEX_CAP}")
             edges = [json_ints(e, "edge") for e in json_list(data["edges"], "edges")]
             inputs = json_ints(data.get("inputs", []), "inputs")
             outputs = json_ints(data.get("outputs", []), "outputs")

@@ -1,5 +1,8 @@
 import itertools
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mbqcflow import (
@@ -8,9 +11,13 @@ from mbqcflow import (
     cut_rank,
     entanglement_width_exact,
     find_causal_flow,
+    find_gflow,
     flow_entanglement_bound,
+    flow_wires,
     structural_entanglement_exact,
 )
+from mbqcflow import bounds
+from mbqcflow.graph import mask_cut_rank
 from mbqcflow.fixtures import (
     cluster_graph,
     cluster_row_flow,
@@ -31,6 +38,192 @@ def structural_entanglement_by_permutations(graph: OpenGraph) -> int:
         if best is None or worst < best:
             best = worst
     return best or 0
+
+
+def reference_structural(graph: OpenGraph) -> int:
+    """Subset DP over the masks one at a time, each cut rank from scratch."""
+    if graph.n == 0:
+        return 0
+    full = (1 << graph.n) - 1
+    best = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        rank = mask_cut_rank(graph, mask)
+        prev = min(
+            best[mask & ~(1 << v)] for v in range(graph.n) if (mask >> v) & 1
+        )
+        best[mask] = max(rank, prev)
+    return best[full]
+
+
+def reference_width(graph: OpenGraph) -> int:
+    """Split DP over the masks one at a time, walking every submask."""
+    if graph.n <= 1:
+        return 0
+    full = (1 << graph.n) - 1
+    cost = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        rank = mask_cut_rank(graph, mask)
+        if mask & (mask - 1) == 0:
+            cost[mask] = rank
+            continue
+        low = mask & -mask
+        best_split = None
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:  # fix the lowest vertex to one side (split symmetry)
+                value = max(cost[sub], cost[mask & ~sub])
+                if best_split is None or value < best_split:
+                    best_split = value
+            sub = (sub - 1) & mask
+        cost[mask] = max(rank, best_split)
+    best = None
+    sub = (full - 1) & full
+    while sub:
+        if sub & 1:  # vertex 0 on one fixed side of the root edge
+            value = max(cost[sub], cost[full & ~sub])
+            if best is None or value < best:
+                best = value
+        sub = (sub - 1) & full
+    return best
+
+
+def prefix_crossing(crossings, order) -> int:
+    """Worst count of crossing edges over the cuts of ``order``."""
+    worst = 0
+    for cut in range(1, len(order)):
+        ahead, behind = order[:cut], order[cut:]
+        worst = max(worst, sum(crossings[a][b] for a in ahead for b in behind))
+    return worst
+
+
+def reference_wire_order(crossings) -> tuple[tuple[int, ...], int]:
+    """The first order of least worst cut, in itertools.permutations order."""
+    k = len(crossings)
+    if k <= 1:
+        return tuple(range(k)), 0
+    best_order, best_value = None, None
+    for order in itertools.permutations(range(k)):
+        value = prefix_crossing(crossings, order)
+        if best_value is None or value < best_value:
+            best_order, best_value = order, value
+    return best_order, best_value
+
+
+def crossing_matrix(k: int, pairs: np.ndarray) -> list[list[int]]:
+    crossings = [[0] * k for _ in range(k)]
+    for a, b in pairs:
+        crossings[a][b] += 1
+        crossings[b][a] += 1
+    return crossings
+
+
+def random_pairs(rng, k: int) -> np.ndarray:
+    """Crossing edges between random wire pairs, some pairs repeated."""
+    count = int(rng.integers(0, 2 * k + 1))
+    pairs = [sorted(rng.choice(k, size=2, replace=False)) for _ in range(count)] if k >= 2 else []
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def flow_scan_gflows(seed: int):
+    """The gFlows of the benchmark's flow-scan pool for ``seed``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for inst in workloads.build_pool("flow-scan", seed):
+        gflow = find_gflow(inst.graph)
+        if gflow is not None:
+            yield inst.graph, gflow
+
+
+def seeded_graphs(count: int, seed: int, n_max: int):
+    """``count`` random graphs with n = 0 .. n_max in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = i % (n_max + 1)
+        p = float(rng.uniform(0.2, 0.8))
+        yield OpenGraph(
+            n=n, edges=[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+
+
+class TestKernelsAgainstReferences:
+    def test_cut_rank_table_is_mask_cut_rank(self):
+        for graph in seeded_graphs(60, seed=3, n_max=10):
+            table = bounds._cut_rank_table(graph)
+            assert table.tolist() == [
+                mask_cut_rank(graph, mask) for mask in range(1 << graph.n)
+            ]
+
+    def test_exact_measures_match_references(self):
+        for graph in seeded_graphs(320, seed=5, n_max=9):
+            assert structural_entanglement_exact(graph) == reference_structural(graph)
+            assert entanglement_width_exact(graph) == reference_width(graph)
+
+    def test_measures_are_python_ints(self):
+        graph = path_graph(5)
+        assert type(structural_entanglement_exact(graph)) is int
+        assert type(entanglement_width_exact(graph)) is int
+
+    def test_wire_order_matches_permutations(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            k = trial % 7 if trial < 290 else 7
+            pairs = random_pairs(rng, k)
+            got = bounds._best_wire_order(k, pairs)
+            assert got == reference_wire_order(crossing_matrix(k, pairs))
+            assert isinstance(got[1], int)
+
+    def test_wire_order_on_flow_scan_pools(self):
+        checked = 0
+        for seed in (1, 2, 3):
+            for graph, gflow in flow_scan_gflows(seed):
+                wires = flow_wires(graph, gflow).wires
+                pairs = bounds._crossing_pairs(graph, wires)
+                expected = reference_wire_order(crossing_matrix(len(wires), pairs))
+                assert bounds._best_wire_order(len(wires), pairs) == expected
+                checked += 1
+        assert checked == 47
+
+    def test_identity_order_above_the_limit(self):
+        rng = np.random.default_rng(9)
+        k = bounds.WIRE_ORDER_EXHAUSTIVE_LIMIT + 1
+        worst_last = np.array([(a, k - 1) for a in range(k - 1)])
+        worst_first = np.array([(0, b) for b in range(1, k)])
+        for pairs in [worst_last, worst_first] + [random_pairs(rng, k) for _ in range(5)]:
+            identity = tuple(range(k))
+            assert bounds._best_wire_order(k, pairs) == (
+                identity,
+                prefix_crossing(crossing_matrix(k, pairs), identity),
+            )
+
+
+def gflow_graph(rng, n: int):
+    """A random open graph on n vertices that has a gFlow."""
+    while True:
+        graph = random_open_graph(rng, n_min=n, n_max=n, equal_io=True)
+        gflow = find_gflow(graph)
+        if gflow is not None:
+            return graph, gflow
+
+
+class TestPaperChain:
+    """width <= e_struc <= flow bound, the paper's chain of bounds."""
+
+    def test_chain_on_gflow_graphs_up_to_the_budgets(self):
+        rng = np.random.default_rng(13)
+        for n in list(range(2, bounds.DEFAULT_TREE_BUDGET + 1)) * 2:
+            graph, gflow = gflow_graph(rng, n)
+            width = entanglement_width_exact(graph)
+            e_struc = structural_entanglement_exact(graph)
+            assert width <= e_struc <= flow_entanglement_bound(graph, gflow).bound
+
+    def test_flow_bound_at_the_ordering_budget(self):
+        rng = np.random.default_rng(17)
+        graph, gflow = gflow_graph(rng, bounds.DEFAULT_ORDERING_BUDGET)
+        bound = flow_entanglement_bound(graph, gflow).bound
+        assert structural_entanglement_exact(graph) <= bound
 
 
 class TestStructuralEntanglement:

@@ -193,6 +193,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == "budget exceeded: 5 qubits exceed --budget-dense 4\n"
 
 
+    def test_vertex_cap_exit_code(self, capsys, tmp_path):
+        from mbqcflow.graph import VERTEX_CAP
+
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": VERTEX_CAP + 1, "edges": []}))
+        assert run_command(["graph", "show", "--graph", str(g)]) == 3
+        assert capsys.readouterr().err == (
+            f"budget exceeded: {VERTEX_CAP + 1} vertices exceed the vertex cap of {VERTEX_CAP}\n"
+        )
+
+
 class TestCommands:
     def test_graph_gen_and_show_round_trip(self, capsys, tmp_path):
         code, payload = run_json(capsys, ["graph", "gen", "path", "--n", "4"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from mbqcflow import (
     schmidt_rank_log2,
 )
 from mbqcflow.fixtures import bottleneck_graph, path_graph
+from mbqcflow.graph import VERTEX_CAP
 
 from conftest import random_open_graph
 
@@ -56,6 +59,22 @@ class TestConstruction:
             OpenGraph.from_json('{"n": 3}')
         with pytest.raises(ValueError):
             OpenGraph.from_json('{"n":2,"edges":[[0,0]],"inputs":[],"outputs":[]}')
+
+    def test_json_vertex_cap(self):
+        at_cap = OpenGraph.from_json_dict({"n": VERTEX_CAP, "edges": []})
+        assert at_cap.n == VERTEX_CAP
+        over = {"n": VERTEX_CAP + 1, "edges": [], "inputs": [], "outputs": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BudgetExceededError,
+                match=rf"^{VERTEX_CAP + 1} vertices exceed the vertex cap of {VERTEX_CAP}$",
+            ):
+                OpenGraph.from_json_dict(over)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_dot_conventions(self):
         dot = path3().to_dot()
