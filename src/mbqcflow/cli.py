@@ -15,6 +15,7 @@ from typing import Sequence
 from . import bounds as bounds_mod
 from . import fixtures as fixtures_mod
 from . import oracle as oracle_mod
+from . import simulate as simulate_mod
 from .errors import BudgetExceededError, DeterminismError, FlowConsistencyError
 from .flow import (
     GFlow,
@@ -192,7 +193,9 @@ def _cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
     gflow = _load_valid_gflow(args.gflow, graph)
     pattern = _load_pattern(args.pattern)
-    result = simulate_pattern(graph, gflow, pattern)
+    result = simulate_pattern(
+        graph, gflow, pattern, term_budget=args.budget_terms, dense_limit=args.budget_dense
+    )
     payload = result.to_json_dict()
     if not args.report_terms:
         payload.pop("term_counts", None)
@@ -361,6 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--gflow", required=True)
     sim.add_argument("--pattern", required=True)
     sim.add_argument("--report-terms", action="store_true")
+    sim.add_argument(
+        "--budget-terms", type=int, default=simulate_mod.DEFAULT_TERM_BUDGET
+    )
+    sim.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
     sim.set_defaults(func=_cmd_simulate)
 
     oracle_p = top.add_parser("oracle", help="dense statevector ground truth")

@@ -1,0 +1,95 @@
+"""Term-by-term reference for the Pauli-sum algebra, on Python dicts.
+
+A sum is a ``{(x, z): coefficient}`` dict of Python-int bitmasks, as the
+library held it before its sums became arrays.  Nothing here calls
+``mbqcflow.pauli``: the differential tests compare the array code against
+these loops, key order included.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable
+
+import numpy as np
+
+#: The library's pruning threshold, restated so the reference stands alone.
+PRUNE_TOLERANCE = 1e-12
+
+Terms = dict[tuple[int, int], complex]
+
+
+def word_product(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
+    """``X^x1 Z^z1 * X^x2 Z^z2`` as ``(x, z, sign)``; the sign moves Z1 past X2."""
+    sign = -1 if (z1 & x2).bit_count() & 1 else 1
+    return x1 ^ x2, z1 ^ z2, sign
+
+
+def product_terms(left: Terms, right: Terms) -> Terms:
+    """Merged, unpruned terms of ``left * right``, left outer."""
+    out: Terms = {}
+    for (x1, z1), c1 in left.items():
+        for (x2, z2), c2 in right.items():
+            x, z, sign = word_product(x1, z1, x2, z2)
+            out[(x, z)] = out.get((x, z), 0.0) + sign * c1 * c2
+    return out
+
+
+def prune(terms: Terms) -> Terms:
+    return {key: c for key, c in terms.items() if abs(c) > PRUNE_TOLERANCE}
+
+
+def corrected_terms(terms: Terms, qubit: int, correction: Terms) -> Terms | None:
+    """``commuting + prune(correction * anticommuting)``, pruned; None if nothing anticommutes."""
+    bit = 1 << qubit
+    flipped = {key: c for key, c in terms.items() if key[1] & bit}
+    if not flipped:
+        return None
+    merged = {key: c for key, c in terms.items() if not key[1] & bit}
+    for key, c in prune(product_terms(correction, flipped)).items():
+        merged[key] = merged.get(key, 0.0) + c
+    return prune(merged)
+
+
+def rotated_x_word(adjacency: int, vertex: int, angle: float) -> Terms:
+    """``cos(a) X_v Z_N(v) - i sin(a) X_v Z_v Z_N(v)``, pruned."""
+    bit = 1 << vertex
+    return prune(
+        {
+            (bit, adjacency): complex(np.cos(angle)),
+            (bit, adjacency | bit): -1j * complex(np.sin(angle)),
+        }
+    )
+
+
+def reference_start(graph, gflow, pattern) -> tuple[dict, dict]:
+    """Correcting products (pruned after every factor) and initial logicals."""
+    masks = graph.adjacency_masks
+    stabilizers = {}
+    for i, corr in sorted(gflow.corrections.items()):
+        product = None
+        for j in sorted(corr):
+            factor = rotated_x_word(masks[j], j, pattern.angles.get(j, 0.0))
+            product = factor if product is None else prune(product_terms(product, factor))
+        stabilizers[i] = product
+    logicals = {}
+    for i in graph.inputs:
+        logicals[("X", i)] = rotated_x_word(masks[i], i, pattern.angles.get(i, 0.0))
+        logicals[("Z", i)] = {(0, 1 << i): 1.0}
+    return stabilizers, logicals
+
+
+def reference_round(
+    logicals: dict[Hashable, Terms],
+    stabilizers: dict[int, Terms],
+    vertices,
+    high_water: dict[Hashable, int],
+) -> dict[Hashable, Terms]:
+    """One round, vertex by vertex in ascending order; updates ``high_water``."""
+    logicals = dict(logicals)
+    for mu in sorted(vertices):
+        for label, terms in logicals.items():
+            out = corrected_terms(terms, mu, stabilizers[mu])
+            if out is not None:
+                logicals[label] = out
+            high_water[label] = max(high_water.get(label, 0), len(logicals[label]))
+    return logicals

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,14 @@ import pytest
 
 import mbqcflow
 from mbqcflow.cli import run_command
-from mbqcflow.fixtures import CATALOG, bottleneck_graph, path_flow, path_graph
+from mbqcflow.fixtures import (
+    CATALOG,
+    bottleneck_graph,
+    cluster_graph,
+    cluster_row_flow,
+    path_flow,
+    path_graph,
+)
 
 SHOW_BAD_GRAPH = ["graph", "show", "--graph", "bad.json"]
 VERIFY_BAD_GFLOW = ["flow", "verify", "--graph", "g.json", "--gflow", "bad.json"]
@@ -192,6 +200,45 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == "budget exceeded: 5 qubits exceed --budget-dense 4\n"
 
+
+    def test_simulate_term_budget_exit_code(self, capsys, tmp_path):
+        # Cluster 3x14 with random angles ran out of memory with no budget.
+        graph, gflow = cluster_graph(3, 14), cluster_row_flow(3, 14)
+        rng = np.random.default_rng(5)
+        pattern = {"angles": {str(v): float(rng.uniform(0, 6.28)) for v in graph.measured}}
+        files = {"g.json": graph.to_json(), "f.json": gflow.to_json(), "p.json": json.dumps(pattern)}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["simulate", "--graph", str(tmp_path / "g.json"), "--gflow", str(tmp_path / "f.json"),
+                "--pattern", str(tmp_path / "p.json"), "--budget-terms", "10000"]
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"budget exceeded: (\d+) terms exceed --budget-terms 10000\n", captured.err
+        )
+        assert int(captured.err.split()[2]) > 10000
+
+    def test_simulate_dense_limit_exit_code(self, tmp_path):
+        # Twelve isolated vertices, each an input and an output: a 12-qubit
+        # unitary holds as many amplitudes as a 24-qubit state.
+        graph = mbqcflow.OpenGraph(n=12, edges=[], inputs=range(12), outputs=range(12))
+        (tmp_path / "g.json").write_text(graph.to_json())
+        (tmp_path / "f.json").write_text(mbqcflow.find_gflow(graph).to_json())
+        (tmp_path / "p.json").write_text(json.dumps({"angles": {}}))
+        src = str(Path(mbqcflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbqcflow.cli", "simulate", "--graph", "g.json",
+             "--gflow", "f.json", "--pattern", "p.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "budget exceeded: 24 qubits exceed --budget-dense 14 "
+            "(a 12-qubit unitary holds 4^12 amplitudes)\n"
+        )
 
     def test_vertex_cap_exit_code(self, capsys, tmp_path):
         from mbqcflow.graph import VERTEX_CAP

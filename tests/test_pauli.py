@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mbqcflow.pauli import LogicalOperator, word_matrix
 
+from pauli_reference import corrected_terms, product_terms, prune
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -136,3 +138,51 @@ class TestLogicalOperator:
 
     def test_word_matrix_identity(self):
         assert np.allclose(word_matrix(2, 0, 0), np.eye(4))
+
+
+def random_terms(rng, bits, count):
+    """``count`` random words over the qubits ``bits``, random coefficients."""
+    def mask():
+        return sum(1 << b for b in bits if rng.random() < 0.5)
+
+    return {(mask(), mask()): complex(rng.normal(), rng.normal()) for _ in range(count)}
+
+
+class TestAgainstDictReference:
+    # Qubits on both sides of the 64-bit word boundaries of a 140-qubit register.
+    BITS = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 139)
+
+    def assert_same(self, op, terms):
+        got = list(op.terms())
+        assert [key for key, _ in got] == list(terms)
+        assert all(abs(c - terms[key]) <= 1e-15 for key, c in got)
+
+    def test_products_and_sums(self, rng):
+        for _ in range(40):
+            a = random_terms(rng, self.BITS, int(rng.integers(1, 9)))
+            b = random_terms(rng, self.BITS, int(rng.integers(1, 9)))
+            left, right = LogicalOperator(140, a), LogicalOperator(140, b)
+            self.assert_same(left * right, prune(product_terms(a, b)))
+            summed = dict(a)
+            for key, c in b.items():
+                summed[key] = summed.get(key, 0.0) + c
+            self.assert_same(left + right, prune(summed))
+
+    def test_corrected(self, rng):
+        for _ in range(60):
+            qubit = int(rng.choice(self.BITS))
+            terms = random_terms(rng, self.BITS, int(rng.integers(1, 40)))
+            correction = random_terms(rng, self.BITS, int(rng.integers(1, 5)))
+            op = LogicalOperator(140, terms)
+            want = corrected_terms(terms, qubit, correction)
+            got = op.corrected(qubit, LogicalOperator(140, correction))
+            if want is None:
+                assert got is op
+            else:
+                self.assert_same(got, want)
+
+    def test_products_cancel_to_nothing(self):
+        # X0 (1 + Z0) times (1 - Z0): the cross terms cancel exactly.
+        a = LogicalOperator(70, {(1, 0): 1.0, (1, 1): 1.0})
+        b = LogicalOperator(70, {(0, 0): 1.0, (0, 1): -1.0})
+        assert (a * b).num_terms == 0

@@ -3,7 +3,6 @@ import pytest
 
 from mbqcflow import (
     GFlow,
-    LogicalOperator,
     MeasurementPattern,
     OpenGraph,
     check_determinism,
@@ -35,6 +34,7 @@ from conftest import (
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
 )
+from pauli_reference import reference_round, reference_start
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -49,26 +49,72 @@ def rotation_diagonal(graph, pattern):
     return np.exp(1j * phases)
 
 
-def reference_round(state, round_index):
-    """One round by hand: split each logical, then ``commuting + s * anticommuting``."""
-    logicals = dict(state.logicals)
-    for mu in sorted(state.rounds[round_index]):
-        s_mu = state.stabilizers[mu]
-        for label, op in logicals.items():
-            terms = dict(op.terms())
-            anti = {w: c for w, c in terms.items() if (w[1] >> mu) & 1}
-            if anti:
-                commuting = {w: c for w, c in terms.items() if w not in anti}
-                logicals[label] = LogicalOperator(op.n, commuting) + s_mu * LogicalOperator(
-                    op.n, anti
-                )
-    return logicals
-
-
-def random_pattern(graph, rng):
+def random_pattern(graph, rng, clifford=False):
+    if clifford:
+        return MeasurementPattern(
+            angles={v: float(rng.integers(4)) * np.pi / 2 for v in graph.measured}
+        )
     return MeasurementPattern(
         angles={v: float(rng.uniform(0, 2 * np.pi)) for v in graph.measured}
     )
+
+
+def relabel(graph, gflow, mapping, n):
+    """``graph`` and ``gflow`` on ``n`` qubits, vertex v renamed ``mapping[v]``.
+
+    The vertices no one is mapped to are isolated extra outputs.
+    """
+    extra = sorted(set(range(n)) - set(mapping.values()))
+    big = OpenGraph(
+        n=n,
+        edges=[(mapping[u], mapping[v]) for u, v in graph.edges],
+        inputs=[mapping[v] for v in graph.inputs],
+        outputs=[mapping[v] for v in graph.outputs] + extra,
+    )
+    layers = [[mapping[v] for v in layer] for layer in gflow.layers]
+    layers[-1] += extra
+    big_flow = GFlow(
+        corrections={mapping[v]: [mapping[u] for u in s] for v, s in gflow.corrections.items()},
+        layers=layers,
+        planes={mapping[v]: p for v, p in gflow.planes.items()},
+    )
+    return big, big_flow
+
+
+def assert_rounds_match_reference(graph, gflow, pattern):
+    """Every round equals the dict reference: keys in order, coefficients, marks.
+
+    Returns how many logicals the rounds changed and how many they left alone.
+    """
+    def assert_same(op, terms):
+        got = list(op.terms())
+        assert [key for key, _ in got] == list(terms)
+        for (_, coeff), expected in zip(got, terms.values()):
+            assert abs(coeff - expected) <= 1e-15
+
+    touched = untouched = 0
+    state = initialize_simulation(graph, gflow, pattern)
+    stabilizers, logicals = reference_start(graph, gflow, pattern)
+    for mu, terms in stabilizers.items():
+        assert_same(state.stabilizers[mu], terms)
+    for label, terms in logicals.items():
+        assert_same(state.logicals[label], terms)
+    high_water = {label: len(terms) for label, terms in logicals.items()}
+    for r in range(len(state.rounds)):
+        before = dict(state.logicals)
+        logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
+        propagate_round(state, r)
+        for label, op in state.logicals.items():
+            want = logicals_after[label]
+            if want is logicals[label]:
+                assert op is before[label]
+                untouched += 1
+            else:
+                touched += 1
+            assert_same(op, want)
+        assert state.high_water == high_water
+        logicals = logicals_after
+    return touched, untouched
 
 
 class TestRotatedStabilizer:
@@ -173,27 +219,38 @@ class TestPropagation:
         assert abs(lx.coefficient(0b11, 0b10) - 1j * np.sin(theta)) < 1e-12
 
     def test_round_matches_split_multiply_add_reference(self, rng):
-        touched = untouched = 0
-        widest = 0
-        for graph, gflow in sample_graphs_with_gflow(60, seed=47, n_max=7):
+        # Random and Clifford angles, so both the merging step and the
+        # in-place one-word step run; widest > 1 gives correcting products.
+        widest = touched = untouched = 0
+        for index, (graph, gflow) in enumerate(sample_graphs_with_gflow(60, seed=47, n_max=7)):
             widest = max(widest, *(len(c) for c in gflow.corrections.values()))
-            state = initialize_simulation(graph, gflow, random_pattern(graph, rng))
-            for r in range(len(state.rounds)):
-                before = dict(state.logicals)
-                expected = reference_round(state, r)
-                propagate_round(state, r)
-                for label, op in state.logicals.items():
-                    if expected[label] is before[label]:
-                        assert op is before[label]
-                        untouched += 1
-                        continue
-                    touched += 1
-                    want = dict(expected[label].terms())
-                    got = dict(op.terms())
-                    assert got.keys() == want.keys()
-                    for key, coeff in want.items():
-                        assert abs(got[key] - coeff) <= 1e-15
+            clifford = index % 3 == 0
+            counts = assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng, clifford))
+            touched, untouched = touched + counts[0], untouched + counts[1]
         assert touched and untouched and widest > 1
+
+    def test_round_matches_reference_across_word_boundaries(self, rng):
+        # Seeded gFlow graphs relabelled into 140 qubits, measured vertices
+        # on bits 62-65 and 126-129, so masks span three 64-bit words.
+        slots = [63, 64, 127, 128, 62, 65, 126, 129]
+        spare = [v for v in range(140) if v not in slots]
+        for graph, gflow in sample_graphs_with_gflow(12, seed=48, n_max=8):
+            order = list(graph.measured) + list(graph.outputs)
+            targets = slots[: len(graph.measured)] + list(
+                rng.choice(spare, size=len(graph.outputs), replace=False)
+            )
+            big, big_flow = relabel(graph, gflow, dict(zip(order, map(int, targets))), 140)
+            assert_rounds_match_reference(big, big_flow, random_pattern(big, rng))
+
+    def test_round_matches_reference_when_hashes_collide(self, rng, monkeypatch):
+        # A constant row hash makes every merge fall back to sorting the rows.
+        monkeypatch.setattr(
+            "mbqcflow.pauli._row_hash", lambda rows: np.zeros(len(rows), dtype=np.uint64)
+        )
+        graphs = sample_graphs_with_gflow(15, seed=49, n_max=7)
+        graphs.append((cluster_graph(2, 5), cluster_row_flow(2, 5)))
+        for graph, gflow in graphs:
+            assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng))
 
     def test_rounds_must_be_ordered(self):
         g, fl = path_graph(3), path_flow(3)
@@ -341,6 +398,16 @@ class TestFinalizeAndExtract:
         with pytest.raises(DeterminismError, match="rank-one"):
             extract_unitary(broken)
 
+    def test_extract_refuses_a_unitary_beyond_the_dense_limit(self):
+        from mbqcflow import BudgetExceededError, extract_unitary
+
+        g, fl = path_graph(2), path_flow(2)
+        pattern = MeasurementPattern(angles={0: 0.3})
+        finalized = finalize_outputs(propagate_all(initialize_simulation(g, fl, pattern)))
+        assert extract_unitary(finalized, dense_limit=2).shape == (2, 2)
+        with pytest.raises(BudgetExceededError, match="2 qubits exceed --budget-dense 1"):
+            extract_unitary(finalized, dense_limit=1)
+
     def test_extract_matches_hand_unitary(self):
         g, fl = path_graph(2), path_flow(2)
         theta = 1.3
@@ -453,6 +520,15 @@ class TestCostAccounting:
                 region = influence_region(graph, flow, vertex)
                 support = {v for v in range(graph.n) if (mask >> v) & 1}
                 assert support <= region
+
+    def test_term_budget_stops_growth(self, rng):
+        from mbqcflow import BudgetExceededError
+
+        g, fl = cluster_graph(2, 6), cluster_row_flow(2, 6)
+        pattern = random_pattern(g, rng)
+        assert max(simulate_pattern(g, fl, pattern).high_water.values()) > 20
+        with pytest.raises(BudgetExceededError, match=r"^\d+ terms exceed --budget-terms 20$"):
+            simulate_pattern(g, fl, pattern, term_budget=20)
 
     def test_cone_bound_can_fail_outside_fixture_families(self):
         # Known sharp edge: an input whose neighbours lie outside its
