@@ -191,7 +191,8 @@ def _cmd_cone(args) -> int:
 
 def _cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
-    gflow = _load_valid_gflow(args.gflow, graph)
+    # initialize_simulation verifies the gFlow.
+    gflow = _load_gflow(args.gflow)
     pattern = _load_pattern(args.pattern)
     result = simulate_pattern(
         graph, gflow, pattern, term_budget=args.budget_terms, dense_limit=args.budget_dense
@@ -266,6 +267,7 @@ def _cmd_oracle_unitary(args) -> int:
 
 def _cmd_bounds(args) -> int:
     graph = _load_graph(args.graph)
+    gflow = _load_valid_gflow(args.gflow, graph) if args.gflow else None
     payload: dict = {}
     try:
         payload["e_struc_exact"] = bounds_mod.structural_entanglement_exact(
@@ -279,8 +281,7 @@ def _cmd_bounds(args) -> int:
         )
     except BudgetExceededError:
         payload["chi_wd_exact"] = None
-    if args.gflow:
-        gflow = _load_valid_gflow(args.gflow, graph)
+    if gflow is not None:
         report = bounds_mod.flow_entanglement_bound(graph, gflow)
         payload.update(report.to_json_dict())
     else:

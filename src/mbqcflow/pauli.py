@@ -31,7 +31,7 @@ one sort of as many hashes.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, MutableMapping
+from collections.abc import Hashable, Mapping
 from typing import Iterator
 
 import numpy as np
@@ -143,18 +143,16 @@ def _product_rows(
     return rows.reshape(-1, 2 * words), coeffs.reshape(-1)
 
 
-class PauliTable(MutableMapping):
+class PauliTable:
     """Labelled sums on one register, stacked into one table keyed by (label, word).
 
     Row t holds the word ``rows[t]`` of the sum labelled
     ``labels[owner[t]]``, with coefficient ``coeffs[t]``; ``counts[s]``
     is the number of rows of sum s, and ``single`` says that no sum has
     two rows, so that no two rows can merge.  The rows of each sum keep
-    their order through every correction.  As a mapping the table gives
-    each label's sum as a :class:`LogicalOperator`, built when first read
-    after the sum last changed; a sum the corrections leave alone keeps
-    its object.  The table owns the arrays it is given: a correction may
-    change them in place.
+    their order through every correction, and :meth:`operators` reads
+    the sums back.  The table owns the arrays it is given: a correction
+    may change them in place.
     """
 
     def __init__(
@@ -168,72 +166,35 @@ class PauliTable(MutableMapping):
         self.n = n
         self.words = _word_count(n)
         self.labels = list(labels)
-        self._index = {label: s for s, label in enumerate(self.labels)}
-        self._ops: dict[Hashable, LogicalOperator] = {}
         self._set_rows(rows, coeffs, owner)
 
     @classmethod
     def stack(cls, n: int, sums: Mapping[Hashable, LogicalOperator]) -> PauliTable:
-        """One table of ``sums``; each reads back as its own object until it changes."""
+        """One table of copies of ``sums``, labels and rows in their order."""
         ops = list(sums.values())
         words = _word_count(n)
-        table = cls(
+        return cls(
             n,
             list(sums),
             np.concatenate([op._rows for op in ops] + [np.zeros((0, 2 * words), np.uint64)]),
             np.concatenate([op._coeffs for op in ops] + [np.zeros(0, complex)]),
             np.repeat(np.arange(len(ops)), [op.num_terms for op in ops]),
         )
-        table._ops = dict(sums)
-        return table
 
     def _set_rows(self, rows: np.ndarray, coeffs: np.ndarray, owner: np.ndarray) -> None:
         self.rows, self.coeffs, self.owner = rows, coeffs, owner
         self.counts = np.bincount(owner, minlength=len(self.labels))
         self.single = bool(self.counts.max(initial=0) <= 1)
 
-    def __getitem__(self, label: Hashable) -> LogicalOperator:
-        op = self._ops.get(label)
-        if op is None:
-            index = self._index[label]
-            self._build_missing()
-            op = self._ops[self.labels[index]]
-        return op
-
-    def _build_missing(self) -> None:
-        """Operators for every label whose sum changed since it was last read."""
+    def operators(self) -> dict[Hashable, LogicalOperator]:
+        """Every label's sum as a new operator, its rows in table order."""
         order = np.argsort(self.owner, kind="stable")
         rows, coeffs = self.rows[order], self.coeffs[order]
         ends = np.cumsum(self.counts).tolist()
-        for label, start, end in zip(self.labels, [0] + ends[:-1], ends):
-            if label not in self._ops:
-                self._ops[label] = LogicalOperator.from_rows(
-                    self.n, rows[start:end], coeffs[start:end]
-                )
-
-    def __setitem__(self, label: Hashable, op: LogicalOperator) -> None:
-        if op.n != self.n:
-            raise ValueError("qubit counts differ")
-        if label not in self._index:
-            self._index[label] = len(self.labels)
-            self.labels.append(label)
-        index = self._index[label]
-        stay = self.owner != index
-        self._set_rows(
-            np.concatenate((self.rows[stay], op._rows)),
-            np.concatenate((self.coeffs[stay], op._coeffs)),
-            np.concatenate((self.owner[stay], np.full(op.num_terms, index))),
-        )
-        self._ops[label] = op
-
-    def __delitem__(self, label: Hashable) -> None:
-        raise TypeError("a label cannot be removed from a PauliTable")
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
+        return {
+            label: LogicalOperator.from_rows(self.n, rows[start:end], coeffs[start:end])
+            for label, start, end in zip(self.labels, [0] + ends[:-1], ends)
+        }
 
     def z_support(self) -> int:
         """Mask of the qubits on which some row has Z."""
@@ -265,7 +226,7 @@ class PauliTable(MutableMapping):
         return PauliTable(count, self.labels, rows, coeffs, owner)
 
     def to_matrices(self) -> np.ndarray:
-        """Dense ``(len(self), 2**n, 2**n)`` matrices of the sums, in one scatter.
+        """Dense ``(len(labels), 2**n, 2**n)`` matrices of the sums, in one scatter.
 
         Each entry sums its terms in row order.  The register must fit in
         one word.
@@ -296,9 +257,6 @@ class PauliTable(MutableMapping):
         hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
         if not len(hit):
             return False
-        if self._ops:
-            for s in set(self.owner[hit].tolist()):
-                self._ops.pop(self.labels[s], None)
         terms = correction.num_terms
         if terms == 1 and self.single:
             # No sum has two rows and one word maps rows one to one, so
@@ -409,7 +367,7 @@ class LogicalOperator:
         returned as it is, and nothing is built for it.
         """
         table = PauliTable.stack(self.n, {0: self})
-        return table[0] if table.correct(qubit, correction) else self
+        return table.operators()[0] if table.correct(qubit, correction) else self
 
     def prune(self) -> LogicalOperator:
         keep = np.abs(self._coeffs) > PRUNE_TOLERANCE

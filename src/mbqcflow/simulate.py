@@ -189,8 +189,7 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
     vertex's correcting stabilizer product, and the rows merge and prune
     as in :meth:`LogicalOperator.corrected`: one
     :meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals.
-    Logicals no row of which was hit keep their object.  Rounds must be
-    applied in ascending order.
+    Rounds must be applied in ascending order.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
     table past ``state.term_budget`` rows.
@@ -254,7 +253,7 @@ def finalize_outputs(state: SimulationState) -> FinalizedLogicals:
             raise SimulationInvariantError(
                 "residual anticommutation with a measured X survived propagation"
             )
-        projected = state.logicals.project(list(graph.outputs))
+        projected = state.logicals.project(list(graph.outputs)).operators()
         x_ops = tuple(projected[("X", i)] for i in inputs)
         z_ops = tuple(projected[("Z", i)] for i in inputs)
     return FinalizedLogicals(

@@ -168,6 +168,52 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error: gflow is invalid")
 
+    def test_simulate_verifies_the_gflow_once(self, monkeypatch, capsys, path5_files):
+        import mbqcflow.cli as cli_mod
+        import mbqcflow.simulate as simulate_mod
+
+        calls = []
+        verify = simulate_mod.verify_gflow
+
+        def counted(graph, gflow):
+            calls.append(gflow)
+            return verify(graph, gflow)
+
+        monkeypatch.setattr(cli_mod, "verify_gflow", counted)
+        monkeypatch.setattr(simulate_mod, "verify_gflow", counted)
+        g, f, p = path5_files
+        assert run_command(["simulate", "--graph", g, "--gflow", f, "--pattern", p]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '{"g": {"0": [1], "1": [2], "2": [3]}, "layers": [[1], [0], [2], [3]]}',
+                "error: gflow is invalid",
+            ),
+            ('{"g": {"0": ["1"]}, "layers": [[0], [1]]}', "error: "),
+        ],
+        ids=["invalid", "malformed"],
+    )
+    def test_bounds_rejects_the_gflow_before_the_exact_bounds(
+        self, tmp_path, monkeypatch, capsys, text, message
+    ):
+        from mbqcflow import bounds as bounds_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact bound computed before the gFlow was checked")
+
+        monkeypatch.setattr(bounds_mod, "structural_entanglement_exact", refuse)
+        monkeypatch.setattr(bounds_mod, "entanglement_width_exact", refuse)
+        (tmp_path / "g.json").write_text(path_graph(4).to_json())
+        (tmp_path / "f.json").write_text(text)
+        argv = ["bounds", "--graph", str(tmp_path / "g.json"), "--gflow", str(tmp_path / "f.json")]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     def test_budget_exit_code(self, capsys, path5_files):
         g, f, p = path5_files
         code = run_command(

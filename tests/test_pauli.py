@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.pauli import LogicalOperator, word_matrix
+from mbqcflow.pauli import LogicalOperator, PauliTable, word_matrix
 
 from pauli_reference import corrected_terms, product_terms, prune
 
@@ -186,3 +186,26 @@ class TestAgainstDictReference:
         a = LogicalOperator(70, {(1, 0): 1.0, (1, 1): 1.0})
         b = LogicalOperator(70, {(0, 0): 1.0, (0, 1): -1.0})
         assert (a * b).num_terms == 0
+
+
+class TestPauliTable:
+    # Two-word rows at n = 70; bits on both sides of the word boundary.
+    @pytest.mark.parametrize(
+        "n,bits",
+        [(3, (0, 1, 2)), (70, (0, 1, 62, 63, 64, 65, 69))],
+        ids=["one-word", "two-words"],
+    )
+    def test_operators_give_back_the_stacked_sums(self, rng, n, bits):
+        sums = {
+            ("Z", 2): random_terms(rng, bits, 5),
+            "empty": {},
+            ("X", 0): random_terms(rng, bits, 1),
+            7: random_terms(rng, bits, 9),
+        }
+        table = PauliTable.stack(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
+        ops = table.operators()
+        assert list(ops) == list(sums)
+        assert ops["empty"].num_terms == 0
+        for label, terms in sums.items():
+            assert ops[label].n == n
+            assert list(ops[label].terms()) == list(terms.items())

@@ -97,17 +97,16 @@ def assert_rounds_match_reference(graph, gflow, pattern):
     stabilizers, logicals = reference_start(graph, gflow, pattern)
     for mu, terms in stabilizers.items():
         assert_same(state.stabilizers[mu], terms)
+    initial = state.logicals.operators()
     for label, terms in logicals.items():
-        assert_same(state.logicals[label], terms)
+        assert_same(initial[label], terms)
     high_water = {label: len(terms) for label, terms in logicals.items()}
     for r in range(len(state.rounds)):
-        before = dict(state.logicals)
         logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
         propagate_round(state, r)
-        for label, op in state.logicals.items():
+        for label, op in state.logicals.operators().items():
             want = logicals_after[label]
             if want is logicals[label]:
-                assert op is before[label]
                 untouched += 1
             else:
                 touched += 1
@@ -153,9 +152,10 @@ class TestInitialize:
         g, fl = path_graph(2), path_flow(2)
         theta = 0.9
         state = initialize_simulation(g, fl, MeasurementPattern(angles={0: theta}))
-        lz = state.logicals[("Z", 0)]
+        ops = state.logicals.operators()
+        lz = ops[("Z", 0)]
         assert dict(lz.terms()) == {(0, 0b01): 1.0}
-        lx = state.logicals[("X", 0)]
+        lx = ops[("X", 0)]
         assert lx.num_terms == 2
         assert abs(lx.coefficient(0b01, 0b10) - np.cos(theta)) < 1e-12
         assert abs(lx.coefficient(0b01, 0b11) - (-1j * np.sin(theta))) < 1e-12
@@ -168,7 +168,7 @@ class TestInitialize:
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0, 1), outputs=(0, 1))
         gf = GFlow(corrections={}, layers=[{0, 1}])
         state = initialize_simulation(g, gf, MeasurementPattern(angles={}))
-        assert dict(state.logicals[("X", 0)].terms()) == {(0b01, 0b10): 1.0}
+        assert dict(state.logicals.operators()[("X", 0)].terms()) == {(0b01, 0b10): 1.0}
         # Every vertex is an input, so there is nothing to complete.
         assert completion_generators(state) == []
 
@@ -211,9 +211,10 @@ class TestPropagation:
         state = initialize_simulation(g, fl, MeasurementPattern(angles={0: theta}))
         propagate_round(state, 0)
         # L_Z = Z0 anticommutes with X0 and picks up S_0 = Z0 X1 -> X1.
-        assert dict(state.logicals[("Z", 0)].terms()) == {(0b10, 0): 1.0}
+        ops = state.logicals.operators()
+        assert dict(ops[("Z", 0)].terms()) == {(0b10, 0): 1.0}
         # L_X: the cos term X0 Z1 commutes; the sin term X0 Y0-ish gains X1.
-        lx = state.logicals[("X", 0)]
+        lx = ops[("X", 0)]
         assert lx.num_terms == 2
         assert abs(lx.coefficient(0b01, 0b10) - np.cos(theta)) < 1e-12
         assert abs(lx.coefficient(0b11, 0b10) - 1j * np.sin(theta)) < 1e-12
@@ -268,7 +269,7 @@ class TestPropagation:
             for r in range(len(state.rounds)):
                 propagate_round(state, r)
                 done |= set(state.rounds[r])
-                for op in state.logicals.values():
+                for op in state.logicals.operators().values():
                     for v in done:
                         assert op.commutes_with_x(v)
 
@@ -295,7 +296,7 @@ class TestPropagation:
                 state = initialize_simulation(graph, flow, pattern)
                 initial = {
                     label: op.expectation(rotated)
-                    for label, op in state.logicals.items()
+                    for label, op in state.logicals.operators().items()
                 }
                 vec = rotated
                 for r in range(len(state.rounds)):
@@ -311,7 +312,7 @@ class TestPropagation:
                         )
                         vec = plus[bit] * partial[idx & ~(1 << v)]
                         vec = vec / np.linalg.norm(vec)
-                    for label, op in state.logicals.items():
+                    for label, op in state.logicals.operators().items():
                         assert abs(op.expectation(vec) - initial[label]) < 1e-9
                 runs += 1
         assert runs >= 50
@@ -326,7 +327,7 @@ class TestPropagation:
         psi /= np.linalg.norm(psi)
         rotated = rotation_diagonal(g, pattern) * build_open_graph_state(g, psi)
         multipliers = list(state.stabilizers.values()) + completion_generators(state)
-        for op in state.logicals.values():
+        for op in state.logicals.operators().values():
             base = op.expectation(rotated)
             for s in multipliers:
                 assert abs((s * op).expectation(rotated) - base) < 1e-9
@@ -340,7 +341,7 @@ class TestPropagation:
             pattern = random_pattern(graph, rng)
             state = initialize_simulation(graph, flow, pattern)
             propagate_all(state)
-            for op in state.logicals.values():
+            for op in state.logicals.operators().values():
                 assert deviation(op) < 1e-12
             finalized = finalize_outputs(state)
             for op in finalized.x_logicals + finalized.z_logicals:
@@ -372,14 +373,16 @@ class TestFinalizeAndExtract:
 
     def test_residual_z_support_raises(self):
         from mbqcflow import SimulationInvariantError
-        from mbqcflow.pauli import LogicalOperator
+        from mbqcflow.pauli import LogicalOperator, PauliTable
 
         g, fl = path_graph(3), path_flow(3)
         state = propagate_all(
             initialize_simulation(g, fl, MeasurementPattern(angles={0: 0.1, 1: 0.2}))
         )
         # Corrupt a logical with a Z on a measured vertex.
-        state.logicals[("Z", 0)] = LogicalOperator(3, {(0, 0b001): 1.0})
+        ops = state.logicals.operators()
+        ops[("Z", 0)] = LogicalOperator(3, {(0, 0b001): 1.0})
+        state.logicals = PauliTable.stack(3, ops)
         with pytest.raises(SimulationInvariantError, match="residual"):
             finalize_outputs(state)
 
@@ -510,11 +513,12 @@ class TestCostAccounting:
             pattern = random_pattern(graph, rng)
             state = initialize_simulation(graph, flow, pattern)
             touched = {
-                label: op.support_mask for label, op in state.logicals.items()
+                label: op.support_mask
+                for label, op in state.logicals.operators().items()
             }
             for r in range(len(state.rounds)):
                 propagate_round(state, r)
-                for label, op in state.logicals.items():
+                for label, op in state.logicals.operators().items():
                     touched[label] |= op.support_mask
             for (kind, vertex), mask in touched.items():
                 region = influence_region(graph, flow, vertex)
