@@ -163,19 +163,12 @@ def _ordering_table(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class WireDecomposition:
-    """Flow wires in the cut order chosen for the entanglement bound."""
+class FlowEntanglementBound:
+    """The ``1 + 2*crossings + surplus`` bound, its wires, cut order and uncovered vertices."""
 
     wires: tuple[tuple[int, ...], ...]
     wire_order: tuple[int, ...]
     uncovered: frozenset[int]
-
-
-@dataclass(frozen=True)
-class FlowEntanglementBound:
-    """The ``1 + 2*crossings + surplus`` bound and its ingredients."""
-
-    decomposition: WireDecomposition
     wire_crossing_max: int
     surplus: int
     bound: int
@@ -185,9 +178,9 @@ class FlowEntanglementBound:
             "c_f": self.wire_crossing_max,
             "delta": self.surplus,
             "flow_bound": self.bound,
-            "wires": [list(w) for w in self.decomposition.wires],
-            "wire_order": list(self.decomposition.wire_order),
-            "uncovered": sorted(self.decomposition.uncovered),
+            "wires": [list(w) for w in self.wires],
+            "wire_order": list(self.wire_order),
+            "uncovered": sorted(self.uncovered),
         }
 
 
@@ -270,11 +263,9 @@ def flow_entanglement_bound(
         wires.uncovered_non_outputs
     )
     return FlowEntanglementBound(
-        decomposition=WireDecomposition(
-            wires=wires.wires,
-            wire_order=best_order,
-            uncovered=wires.uncovered_non_outputs,
-        ),
+        wires=wires.wires,
+        wire_order=best_order,
+        uncovered=wires.uncovered_non_outputs,
         wire_crossing_max=best_value,
         surplus=surplus,
         bound=1 + 2 * best_value + surplus,

@@ -1,18 +1,27 @@
 """Forward cones: where a vertex's measurement outcome propagates.
 
-The measurement of a vertex i triggers corrections on its correcting set
-and Z corrections on that set's odd neighbourhood; those vertices are i's
-influence successors.  The forward cone of a vertex is the closure of
-this relation and bounds both the correction cascade and the term growth
-of the symbolic simulation.
+The measurement of a vertex i triggers X corrections on its correcting
+set and Z corrections on that set's odd neighbourhood
+(``flow.correction_masks``); the vertices other than i that these touch
+are i's influence successors.  The forward cone of a vertex is the
+closure of this relation and bounds both the correction cascade and the
+term growth of the symbolic simulation.
+
+A gFlow corrects only vertices measured later, so ``cone_masks`` gets
+every cone from one pass in reverse measurement order: cone(v) is v plus
+the cones of v's successors.  A successor whose cone is still unknown is
+not measured later, which no valid gFlow allows, so the pass raises.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from .flow import GFlow, correction_masks
+from .graph import OpenGraph, _mask_to_set
 
-from .flow import GFlow
-from .graph import OpenGraph, odd_neighborhood
+
+def _successor_mask(graph: OpenGraph, gflow: GFlow, vertex: int) -> int:
+    x_mask, z_mask = correction_masks(graph, gflow, vertex)
+    return x_mask | (z_mask & ~(1 << vertex))
 
 
 def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
@@ -20,25 +29,41 @@ def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozens
 
     Equals ``g(vertex) | (Odd(g(vertex)) - {vertex})``; empty for outputs.
     """
+    if not 0 <= vertex < graph.n:
+        raise ValueError(f"vertex {vertex} out of range")
     if vertex not in gflow.corrections:
-        if not 0 <= vertex < graph.n:
-            raise ValueError(f"vertex {vertex} out of range")
         return frozenset()
-    corr = gflow.corrections[vertex]
-    return frozenset(corr | (odd_neighborhood(graph, corr) - {vertex}))
+    return _mask_to_set(_successor_mask(graph, gflow, vertex))
+
+
+def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
+    """Forward-cone bitmask of every vertex, from one pass in reverse measurement order.
+
+    Raises ValueError when a correction reaches a vertex that is not
+    measured later, or when a corrected vertex is in no measurement layer.
+    """
+    cones = [0 if v in gflow.corrections else 1 << v for v in range(graph.n)]  # 0: not yet known
+    for v in reversed(gflow.measurement_order):
+        if 0 <= v < graph.n and not cones[v]:
+            cone = 1 << v
+            pending = _successor_mask(graph, gflow, v) & ~cone
+            while pending:
+                w = (pending & -pending).bit_length() - 1
+                if not cones[w]:
+                    raise ValueError(f"correction of {v} reaches {w}, which is not measured later")
+                cone |= cones[w]
+                pending &= ~cone
+            cones[v] = cone
+    if 0 in cones:
+        raise ValueError(f"corrected vertex {cones.index(0)} is in no measurement layer")
+    return cones
 
 
 def forward_cone(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Transitive closure of :func:`influence_successors` from ``vertex``."""
-    cone = {vertex}
-    queue = deque([vertex])
-    while queue:
-        v = queue.popleft()
-        for w in influence_successors(graph, gflow, v):
-            if w not in cone:
-                cone.add(w)
-                queue.append(w)
-    return frozenset(cone)
+    if not 0 <= vertex < graph.n:
+        raise ValueError(f"vertex {vertex} out of range")
+    return _mask_to_set(cone_masks(graph, gflow)[vertex])
 
 
 def max_forward_cone(graph: OpenGraph, gflow: GFlow) -> tuple[int, int]:
@@ -49,12 +74,9 @@ def max_forward_cone(graph: OpenGraph, gflow: GFlow) -> tuple[int, int]:
     """
     if not graph.inputs:
         raise ValueError("graph has no inputs")
-    best_vertex, best_size = -1, -1
-    for v in sorted(graph.inputs):
-        size = len(forward_cone(graph, gflow, v))
-        if size > best_size:
-            best_vertex, best_size = v, size
-    return best_vertex, best_size
+    cones = cone_masks(graph, gflow)
+    best = max(sorted(graph.inputs), key=lambda v: cones[v].bit_count())
+    return best, cones[best].bit_count()
 
 
 def influence_region(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
@@ -64,14 +86,11 @@ def influence_region(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[i
     its graph neighbours, so the support actually touched during symbolic
     simulation can spill into regions reachable from those neighbours even
     when they lie outside the forward cone.  This closure is the provable
-    envelope of that support.
+    envelope of that support: the union of the seeds' forward cones.
     """
-    region = {vertex} | set(graph.neighbors(vertex))
-    queue = deque(region)
-    while queue:
-        v = queue.popleft()
-        for w in influence_successors(graph, gflow, v):
-            if w not in region:
-                region.add(w)
-                queue.append(w)
-    return frozenset(region)
+    neighbors = graph.neighbors(vertex)  # ValueError for a vertex outside 0..n-1
+    cones = cone_masks(graph, gflow)
+    region = cones[vertex]
+    for w in neighbors:
+        region |= cones[w]
+    return _mask_to_set(region)

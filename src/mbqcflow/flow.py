@@ -11,6 +11,10 @@ minimal correcting set off that one basis, the O(n^3) route of Mhalla
 and Perdrix.  ``find_causal_flow`` is the same peeling restricted to
 singleton correcting sets.  Both are complete: a None result means no
 flow of that kind exists.
+
+Every gFlow condition and signal dependency reads two sets per measured
+vertex i: g(i), which receives X, and Odd(g(i)), which receives Z (Browne
+et al., NJP 9, 250, 2007); ``correction_masks`` gives both as bitmasks.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
-from .graph import OpenGraph, json_ints, json_list, json_object, odd_neighborhood
+from .graph import OpenGraph, _mask_to_set, _set_to_mask, json_ints, json_list, json_object
 from .pattern import MeasurementPattern, Plane
 
 
@@ -209,6 +214,25 @@ def find_causal_flow(graph: OpenGraph) -> GFlow | None:
     return _find(graph, singleton=True)
 
 
+def correction_masks(graph: OpenGraph, gflow: GFlow, vertex: int) -> tuple[int, int]:
+    """Bitmasks of g(vertex) and Odd(g(vertex)); ValueError if g(vertex) leaves 0..n-1."""
+    x_mask = z_mask = 0
+    for j in gflow.corrections[vertex]:
+        if not 0 <= j < graph.n:
+            raise ValueError(f"correcting set of {vertex} contains out-of-range vertex {j}")
+        x_mask |= 1 << j
+        z_mask ^= graph.adjacency_masks[j]
+    return x_mask, z_mask
+
+
+#: Whether each plane needs i in g(i) and in Odd(g(i)), and the rule it breaks otherwise.
+_PLANE_RULES = {
+    Plane.XY: ((0, 1), "g3", "XY needs i outside g(i) and inside Odd(g(i))"),
+    Plane.XZ: ((1, 1), "g4", "XZ needs i inside g(i) and inside Odd(g(i))"),
+    Plane.YZ: ((1, 0), "g5", "YZ needs i inside g(i) and outside Odd(g(i))"),
+}
+
+
 def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     """Check every gFlow condition; an empty list means the gFlow is valid.
 
@@ -236,40 +260,23 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
             if not 0 <= j < graph.n:
                 raise ValueError(f"correcting set of {i} is out of range")
 
+    # not_later[k]: the vertices of layers 0..k.
+    not_later = list(accumulate(map(_set_to_mask, gflow.layers), operator.or_))
     violations: list[Violation] = []
     for i in sorted(gflow.corrections):
-        corr = gflow.corrections[i]
-        odd = odd_neighborhood(graph, corr)
-        for j in sorted(corr):
-            if j != i and not layer_of[i] < layer_of[j]:
-                violations.append(
-                    Violation(i, "g1", f"corrector {j} not after {i}")
-                )
-        for j in sorted(odd):
-            # Strict form: everything the correction touches must come
-            # strictly later.  Merely banning strictly-earlier vertices
-            # would admit same-round corrections that overwrite each
-            # other and break determinism.
-            if j != i and not layer_of[i] < layer_of[j]:
-                violations.append(
-                    Violation(i, "g2", f"correction touches non-later vertex {j}")
-                )
-        plane = gflow.planes[i]
-        if plane is Plane.XY:
-            if i in corr or i not in odd:
-                violations.append(
-                    Violation(i, "g3", "XY needs i outside g(i) and inside Odd(g(i))")
-                )
-        elif plane is Plane.XZ:
-            if i not in corr or i not in odd:
-                violations.append(
-                    Violation(i, "g4", "XZ needs i inside g(i) and inside Odd(g(i))")
-                )
-        else:
-            if i not in corr or i in odd:
-                violations.append(
-                    Violation(i, "g5", "YZ needs i inside g(i) and outside Odd(g(i))")
-                )
+        x_mask, z_mask = correction_masks(graph, gflow, i)
+        early = not_later[layer_of[i]] & ~(1 << i)
+        for j in sorted(_mask_to_set(x_mask & early)):
+            violations.append(Violation(i, "g1", f"corrector {j} not after {i}"))
+        # Strict form: everything the correction touches must come
+        # strictly later.  Merely banning strictly-earlier vertices
+        # would admit same-round corrections that overwrite each
+        # other and break determinism.
+        for j in sorted(_mask_to_set(z_mask & early)):
+            violations.append(Violation(i, "g2", f"correction touches non-later vertex {j}"))
+        needs, rule, detail = _PLANE_RULES[gflow.planes[i]]
+        if ((x_mask >> i) & 1, (z_mask >> i) & 1) != needs:
+            violations.append(Violation(i, rule, detail))
     return violations
 
 
@@ -319,12 +326,11 @@ def correction_dependencies(graph: OpenGraph, gflow: GFlow) -> CorrectionReport:
     x_parity: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     z_parity: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     for i in sorted(gflow.corrections):
-        corr = gflow.corrections[i]
-        for j in corr:
+        x_mask, z_mask = correction_masks(graph, gflow, i)
+        for j in _mask_to_set(x_mask):
             x_parity[j].append(i)
-        for j in odd_neighborhood(graph, corr):
-            if j != i:
-                z_parity[j].append(i)
+        for j in _mask_to_set(z_mask & ~(1 << i)):
+            z_parity[j].append(i)
     total = sum(len(s) for s in x_parity.values()) + sum(
         len(s) for s in z_parity.values()
     )

@@ -107,7 +107,9 @@ class OpenGraph:
         return tuple(v for v in range(self.n) if v not in self.output_set)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_mask_to_set(self.adjacency_masks[v]))
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return _mask_to_set(self.adjacency_masks[v])
 
     # -- serialization ---------------------------------------------------
 

@@ -10,9 +10,10 @@ Each state is built once: ``run_branch`` runs one branch,
 ``check_determinism`` walks the branch tree depth first so that branches
 share the contractions of their common prefix, and ``oracle_unitary``
 runs every basis input down the all-+1 branch as one batch.  All three
-take the same measurement step.  Correction operators are applied as raw
-X/Z bitmasks (global phase dropped), keeping this module independent of
-the symbolic Pauli machinery it validates.
+take the same measurement step.  A correction, X on g(v) and Z on
+Odd(g(v)) (``flow.correction_masks``), acts on the held qubits as raw
+bitmasks (global phase dropped), keeping this module independent of the
+symbolic Pauli machinery it validates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, DeterminismError
-from .flow import GFlow, check_pattern
+from .flow import GFlow, check_pattern, correction_masks
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
 
@@ -45,9 +46,6 @@ _BATCH_AMPLITUDES = 2**20
 
 #: Largest fidelity loss and unitarity deviation the checks accept.
 _TOLERANCE = 1e-9
-
-#: Pauli flipping the two projectors of a plane into each other.
-_PLANE_FLIP = {Plane.XY: "Z", Plane.XZ: "Y", Plane.YZ: "X"}
 
 
 def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,27 +121,6 @@ def apply_word_masks(state: np.ndarray, x_mask: int, z_mask: int) -> np.ndarray:
     idx = np.arange(dim)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
     return (signs * state)[..., idx ^ x_mask]
-
-
-def correction_masks(graph: OpenGraph, gflow: GFlow, vertex: int) -> tuple[int, int]:
-    """X/Z bitmasks of the correction for ``vertex`` (global phase dropped).
-
-    The stabilizer product over the correcting set contributes X on the
-    set and Z on its odd neighbourhood; the plane's flip Pauli on the
-    measured vertex cancels the on-site factor for a valid gflow.
-    """
-    corr = gflow.corrections[vertex]
-    x_mask = 0
-    z_mask = 0
-    for j in corr:
-        x_mask ^= 1 << j
-        z_mask ^= graph.adjacency_masks[j]
-    flip = _PLANE_FLIP[gflow.planes[vertex]]
-    if flip in ("X", "Y"):
-        x_mask ^= 1 << vertex
-    if flip in ("Z", "Y"):
-        z_mask ^= 1 << vertex
-    return x_mask, z_mask
 
 
 class _Step(NamedTuple):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import forward_cone
+from .cones import cone_masks
 from .errors import BudgetExceededError, DeterminismError, SimulationInvariantError
 from .flow import GFlow, check_pattern, verify_gflow
 from .graph import OpenGraph
@@ -365,9 +365,8 @@ def simulate_pattern(
     unitary = None
     if len(graph.inputs) == len(graph.outputs):
         unitary = extract_unitary(finalized, dense_limit)
-    cone_sizes = {
-        i: len(forward_cone(graph, gflow, i)) for i in graph.inputs
-    }
+    cones = cone_masks(graph, gflow)
+    cone_sizes = {i: cones[i].bit_count() for i in graph.inputs}
     bound_ok = {}
     for i in graph.inputs:
         limit = 2 ** cone_sizes[i]

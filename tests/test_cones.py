@@ -1,11 +1,22 @@
+from collections import deque
+
 import pytest
 
 from mbqcflow import (
+    GFlow,
+    MeasurementPattern,
+    OpenGraph,
+    Plane,
     forward_cone,
     influence_region,
     influence_successors,
     max_forward_cone,
+    odd_neighborhood,
+    simulate_pattern,
 )
+from mbqcflow import cones as cones_module
+from mbqcflow import simulate as simulate_module
+from mbqcflow.cones import cone_masks
 from mbqcflow.fixtures import (
     cluster_graph,
     cluster_row_flow,
@@ -110,3 +121,105 @@ class TestInfluenceRegion:
                 region = influence_region(graph, gflow, v)
                 assert forward_cone(graph, gflow, v) <= region
                 assert graph.neighbors(v) <= region
+
+
+def reference_successors(graph, gflow, v):
+    if v not in gflow.corrections:
+        return set()
+    corr = gflow.corrections[v]
+    return corr | (odd_neighborhood(graph, corr) - {v})
+
+
+def reference_cone(graph, gflow, seeds):
+    """Breadth-first closure of the influence successors from ``seeds``."""
+    cone = set(seeds)
+    queue = deque(cone)
+    while queue:
+        for w in reference_successors(graph, gflow, queue.popleft()):
+            if w not in cone:
+                cone.add(w)
+                queue.append(w)
+    return cone
+
+
+def _plane_cases():
+    edge = OpenGraph(n=2, edges=[(0, 1)], inputs=(), outputs=(1,))
+    triangle = OpenGraph(n=3, edges=[(0, 1), (0, 2), (1, 2)], inputs=(0,), outputs=(2,))
+    path = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(), outputs=(2,))
+    return [
+        (edge, GFlow({0: {0, 1}}, [{0}, {1}], {0: Plane.XZ})),
+        (edge, GFlow({0: {0}}, [{0}, {1}], {0: Plane.YZ})),
+        (triangle, GFlow({0: {1}, 1: {1, 2}}, [{0}, {1}, {2}], {1: Plane.XZ})),
+        (path, GFlow({0: {0}, 1: {2}}, [{0}, {1}, {2}], {0: Plane.YZ})),
+    ]
+
+
+class TestConePass:
+    CORPUS = sample_graphs_with_gflow(80, seed=24, n_max=10) + _plane_cases()
+
+    def test_cones_match_breadth_first_reference(self):
+        for graph, gflow in self.CORPUS:
+            masks = cone_masks(graph, gflow)
+            for v in range(graph.n):
+                assert influence_successors(graph, gflow, v) == reference_successors(
+                    graph, gflow, v
+                )
+                cone = reference_cone(graph, gflow, {v})
+                assert forward_cone(graph, gflow, v) == cone
+                assert masks[v] == sum(1 << w for w in cone)
+                region = reference_cone(graph, gflow, {v} | graph.neighbors(v))
+                assert influence_region(graph, gflow, v) == region
+
+    def test_max_forward_cone_matches_reference(self):
+        for graph, gflow in self.CORPUS:
+            if graph.inputs:
+                sizes = {v: len(reference_cone(graph, gflow, {v})) for v in graph.inputs}
+                best = max(sorted(sizes), key=sizes.get)
+                assert max_forward_cone(graph, gflow) == (best, sizes[best])
+
+    def test_backward_correction_raises(self):
+        # 0 corrects 1 but is measured after it; a breadth-first closure
+        # would return {0, 1, 2} here.
+        g = path_graph(3)
+        gf = GFlow(corrections={0: {1}, 1: {2}}, layers=[{1}, {0}, {2}])
+        with pytest.raises(ValueError, match="not measured later"):
+            cone_masks(g, gf)
+
+    def test_corrected_vertex_outside_the_layers_raises(self):
+        g = path_graph(3)
+        gf = GFlow(corrections={0: {1}, 1: {2}}, layers=[{1}, {2}])
+        with pytest.raises(ValueError, match="no measurement layer"):
+            cone_masks(g, gf)
+
+    @pytest.mark.parametrize("stray", [-3, 3])
+    def test_out_of_range_corrected_vertex_is_never_reached(self, stray):
+        # No correction reaches the stray key, so, as in the closure, it
+        # is ignored; a list index would wrap -3 onto vertex 0.
+        g = path_graph(3)
+        gf = GFlow(corrections={0: {1}, 1: {2}, stray: {2}}, layers=[{0}, {1}, {stray}, {2}])
+        assert [forward_cone(g, gf, v) for v in range(3)] == [{0, 1, 2}, {1, 2}, {2}]
+
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    @pytest.mark.parametrize(
+        "function", [influence_successors, forward_cone, influence_region]
+    )
+    def test_vertex_out_of_range_rejected(self, function, vertex):
+        with pytest.raises(ValueError, match="out of range"):
+            function(path_graph(4), path_flow(4), vertex)
+
+    def test_one_pass_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(graph, gflow):
+            calls.append(graph.n)
+            return cone_masks(graph, gflow)
+
+        g, fl = cluster_graph(3, 4), cluster_row_flow(3, 4)
+        monkeypatch.setattr(cones_module, "cone_masks", counting)
+        monkeypatch.setattr(simulate_module, "cone_masks", counting)
+        max_forward_cone(g, fl)
+        assert calls == [12]
+        calls.clear()
+        pattern = MeasurementPattern({0: 0.1, 1: 0.2, 2: 0.3})
+        simulate_pattern(path_graph(4), path_flow(4), pattern)
+        assert calls == [4]

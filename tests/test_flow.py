@@ -18,6 +18,7 @@ from mbqcflow import (
     odd_neighborhood,
     verify_gflow,
 )
+from mbqcflow.flow import correction_masks
 from mbqcflow.fixtures import (
     bottleneck_graph,
     cluster_graph,
@@ -401,6 +402,100 @@ class TestRoundsAndDependencies:
         report = correction_dependencies(g, gf)
         assert report.total_cost == 0
         assert report.depth == 0
+
+
+def reference_verify(graph: OpenGraph, gflow: GFlow) -> list[tuple]:
+    """Per-vertex rule violations read off Python sets (checks structure first)."""
+    verify_gflow(graph, gflow)
+    layer_of = gflow.layer_of
+    found = []
+    for i in sorted(gflow.corrections):
+        corr = gflow.corrections[i]
+        odd = odd_neighborhood(graph, corr)
+        for j in sorted(corr):
+            if j != i and not layer_of[i] < layer_of[j]:
+                found.append((i, "g1", f"corrector {j} not after {i}"))
+        for j in sorted(odd):
+            if j != i and not layer_of[i] < layer_of[j]:
+                found.append((i, "g2", f"correction touches non-later vertex {j}"))
+        plane = gflow.planes[i]
+        if plane is Plane.XY and (i in corr or i not in odd):
+            found.append((i, "g3", "XY needs i outside g(i) and inside Odd(g(i))"))
+        elif plane is Plane.XZ and (i not in corr or i not in odd):
+            found.append((i, "g4", "XZ needs i inside g(i) and inside Odd(g(i))"))
+        elif plane is Plane.YZ and (i not in corr or i in odd):
+            found.append((i, "g5", "YZ needs i inside g(i) and outside Odd(g(i))"))
+    return found
+
+
+def reference_dependencies(graph: OpenGraph, gflow: GFlow) -> dict:
+    """X/Z parity sets read off Python sets, as ``CorrectionReport.to_json_dict``."""
+    x_parity = {v: [] for v in range(graph.n)}
+    z_parity = {v: [] for v in range(graph.n)}
+    for i in sorted(gflow.corrections):
+        corr = gflow.corrections[i]
+        for j in corr:
+            x_parity[j].append(i)
+        for j in odd_neighborhood(graph, corr) - {i}:
+            z_parity[j].append(i)
+    return {
+        "x_parity": {str(v): s for v, s in x_parity.items()},
+        "z_parity": {str(v): s for v, s in z_parity.items()},
+        "total_cost": sum(map(len, x_parity.values())) + sum(map(len, z_parity.values())),
+        "depth": len(gflow.layers) - 1,
+    }
+
+
+def random_broken_gflows(count: int, seed: int) -> list[tuple[OpenGraph, GFlow]]:
+    """Valid gFlows with random correcting sets, layers and planes swapped in."""
+    rng = np.random.default_rng(seed)
+    planes = list(Plane)
+    cases = []
+    for graph, gflow in sample_graphs_with_gflow(count, seed=seed, n_max=9):
+        non_inputs = [v for v in range(graph.n) if v not in graph.input_set]
+        corrections = {
+            v: {int(w) for w in non_inputs if rng.random() < 0.3}
+            if rng.random() < 0.5
+            else set(gflow.corrections[v]) ^ {int(rng.choice(non_inputs))}
+            for v in graph.measured
+        }
+        order = [int(v) for v in rng.permutation(graph.measured)]
+        cuts = sorted({int(c) for c in rng.integers(1, len(order) + 1, size=len(order) // 2)})
+        layers = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]) if a < b]
+        assigned = {v: planes[int(rng.integers(3))] for v in graph.measured}
+        cases.append((graph, GFlow(corrections, layers + [graph.outputs], assigned)))
+    return cases
+
+
+class TestMasksMatchSetReference:
+    BROKEN = random_broken_gflows(150, seed=41)
+
+    def test_correction_masks_path(self):
+        # g(1) = {2}; Odd({2}) = {1, 3}.
+        assert correction_masks(path_graph(4), path_flow(4), 1) == (0b0100, 0b1010)
+
+    def test_correction_masks_reject_out_of_range_corrector(self):
+        g = path_graph(3)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="out-of-range"):
+                correction_masks(g, GFlow({0: {bad}, 1: {2}}, [{0}, {1}, {2}]), 0)
+
+    def test_broken_corpus_covers_every_rule_and_plane(self):
+        rules = {v.rule for graph, gflow in self.BROKEN for v in verify_gflow(graph, gflow)}
+        assert rules == {"g1", "g2", "g3", "g4", "g5"}
+        planes = {p for _, gflow in self.BROKEN for p in gflow.planes.values()}
+        assert planes == set(Plane)
+
+    def test_verify_matches_reference(self):
+        for graph, gflow in self.BROKEN + sample_graphs_with_gflow(60, seed=42):
+            assert [tuple(v) for v in verify_gflow(graph, gflow)] == reference_verify(
+                graph, gflow
+            )
+
+    def test_dependencies_match_reference(self):
+        for graph, gflow in self.BROKEN + sample_graphs_with_gflow(60, seed=42):
+            report = correction_dependencies(graph, gflow).to_json_dict()
+            assert json.dumps(report) == json.dumps(reference_dependencies(graph, gflow))
 
 
 class TestFlowWires:

@@ -83,6 +83,12 @@ class TestConstruction:
         assert "2 [style=solid]" in dot
         assert "0 -> 1 [dir=none]" in dot
 
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_neighbors_rejects_out_of_range_vertex(self, vertex):
+        # A plain list index would wrap -1 round to the last vertex.
+        with pytest.raises(ValueError, match="out of range"):
+            path3().neighbors(vertex)
+
 
 class TestNumpyLabels:
     """numpy integer labels are coerced at construction, so wide masks do not wrap."""
