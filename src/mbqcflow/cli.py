@@ -44,28 +44,24 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _load_graph(path: str) -> OpenGraph:
+def _load(path: str, kind):
+    """Read the JSON file at ``path`` as a ``kind`` (graph, gFlow or pattern)."""
     with open(path, encoding="utf-8") as handle:
-        return OpenGraph.from_json(handle.read())
-
-
-def _load_gflow(path: str) -> GFlow:
-    with open(path, encoding="utf-8") as handle:
-        return GFlow.from_json(handle.read())
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    return kind.from_json_dict(data)
 
 
 def _load_valid_gflow(path: str, graph: OpenGraph) -> GFlow:
     """Load a gFlow to analyse; a gFlow invalid on ``graph`` is a usage error."""
-    gflow = _load_gflow(path)
+    gflow = _load(path, GFlow)
     violations = verify_gflow(graph, gflow)
     if violations:
         raise ValueError(f"gflow is invalid: {violations[:3]}")
     return gflow
-
-
-def _load_pattern(path: str) -> MeasurementPattern:
-    with open(path, encoding="utf-8") as handle:
-        return MeasurementPattern.from_json(handle.read())
 
 
 # -- graph ----------------------------------------------------------------
@@ -102,7 +98,7 @@ def _cmd_graph_gen(args) -> int:
 
 
 def _cmd_graph_show(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     _emit(
         {
             "graph": graph.to_json_dict(),
@@ -114,8 +110,8 @@ def _cmd_graph_show(args) -> int:
 
 
 def _cmd_graph_dot(args) -> int:
-    graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow) if args.gflow else None
+    graph = _load(args.graph, OpenGraph)
+    gflow = _load(args.gflow, GFlow) if args.gflow else None
     sys.stdout.write(graph.to_dot(gflow) + "\n")
     return EXIT_OK
 
@@ -124,7 +120,7 @@ def _cmd_graph_dot(args) -> int:
 
 
 def _cmd_flow_find(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     if args.causal:
         gflow = find_causal_flow(graph)
         reason = "no causal flow"
@@ -139,8 +135,8 @@ def _cmd_flow_find(args) -> int:
 
 
 def _cmd_flow_verify(args) -> int:
-    graph = _load_graph(args.graph)
-    gflow = _load_gflow(args.gflow)
+    graph = _load(args.graph, OpenGraph)
+    gflow = _load(args.gflow, GFlow)
     violations = verify_gflow(graph, gflow)
     _emit(
         {
@@ -155,7 +151,7 @@ def _cmd_flow_verify(args) -> int:
 
 
 def _cmd_flow_report(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph)
     report = correction_dependencies(graph, gflow)
     payload = report.to_json_dict()
@@ -172,7 +168,7 @@ def _cmd_flow_report(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph)
     cone = forward_cone(graph, gflow, args.vertex)
     if args.dot:
@@ -190,10 +186,10 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     # initialize_simulation verifies the gFlow.
-    gflow = _load_gflow(args.gflow)
-    pattern = _load_pattern(args.pattern)
+    gflow = _load(args.gflow, GFlow)
+    pattern = _load(args.pattern, MeasurementPattern)
     result = simulate_pattern(
         graph, gflow, pattern, term_budget=args.budget_terms, dense_limit=args.budget_dense
     )
@@ -218,9 +214,9 @@ def _parse_branch(gflow: GFlow, text: str) -> dict[int, int]:
 
 
 def _cmd_oracle_run(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load_pattern(args.pattern)
+    pattern = _load(args.pattern, MeasurementPattern)
     bits = _parse_branch(gflow, args.branch)
     record = oracle_mod.run_branch(
         graph, gflow, pattern, bits, dense_limit=args.budget_dense
@@ -239,9 +235,9 @@ def _cmd_oracle_run(args) -> int:
 
 
 def _cmd_oracle_determinism(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load_pattern(args.pattern)
+    pattern = _load(args.pattern, MeasurementPattern)
     report = oracle_mod.check_determinism(
         graph,
         gflow,
@@ -254,9 +250,9 @@ def _cmd_oracle_determinism(args) -> int:
 
 
 def _cmd_oracle_unitary(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load_pattern(args.pattern)
+    pattern = _load(args.pattern, MeasurementPattern)
     matrix = oracle_mod.oracle_unitary(graph, gflow, pattern)
     _emit({"unitary": complex_pairs(matrix)})
     return EXIT_OK
@@ -266,7 +262,7 @@ def _cmd_oracle_unitary(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, OpenGraph)
     gflow = _load_valid_gflow(args.gflow, graph) if args.gflow else None
     payload: dict = {}
     try:

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .flow import GFlow, find_causal_flow
-from .graph import OpenGraph
+from .graph import OpenGraph, check_vertex_count
 
 
 def path_graph(n: int) -> OpenGraph:
     """Chain 0-1-...-(n-1) with the first vertex as input, last as output."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    check_vertex_count(n)
     return OpenGraph(
         n=n,
         edges=[(i, i + 1) for i in range(n - 1)],
@@ -41,6 +42,7 @@ def cluster_graph(rows: int, cols: int) -> OpenGraph:
     """rows x cols grid; first column inputs, last column outputs."""
     if rows < 1 or cols < 1:
         raise ValueError("cluster needs positive dimensions")
+    check_vertex_count(rows * cols)
 
     def vid(r: int, c: int) -> int:
         return r * cols + c

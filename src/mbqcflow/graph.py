@@ -127,9 +127,7 @@ class OpenGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> OpenGraph:
         try:
-            n = json_int(data["n"], "n")
-            if n > VERTEX_CAP:
-                raise BudgetExceededError(f"{n} vertices exceed the vertex cap of {VERTEX_CAP}")
+            n = check_vertex_count(json_int(data["n"], "n"))
             edges = [json_ints(e, "edge") for e in json_list(data["edges"], "edges")]
             inputs = json_ints(data.get("inputs", []), "inputs")
             outputs = json_ints(data.get("outputs", []), "outputs")
@@ -171,6 +169,13 @@ class OpenGraph:
                     )
         lines.append("}")
         return "\n".join(lines)
+
+
+def check_vertex_count(n: int) -> int:
+    """``n`` itself, or BudgetExceededError when it exceeds ``VERTEX_CAP``."""
+    if n > VERTEX_CAP:
+        raise BudgetExceededError(f"{n} vertices exceed the vertex cap of {VERTEX_CAP}")
+    return n
 
 
 def json_int(value: object, name: str) -> int:

@@ -6,14 +6,15 @@ the qubits in gflow order.  Measuring a qubit contracts it against the
 conjugated closed-form basis vector of its outcome, so the register
 halves at every step and what is left at the end is the output register;
 the gflow correction of a -1 outcome acts on the qubits still held.
-Each state is built once: ``run_branch`` runs one branch,
-``check_determinism`` walks the branch tree depth first so that branches
-share the contractions of their common prefix, and ``oracle_unitary``
-runs every basis input down the all-+1 branch as one batch.  All three
-take the same measurement step.  A correction, X on g(v) and Z on
-Odd(g(v)) (``flow.correction_masks``), acts on the held qubits as raw
-bitmasks (global phase dropped), keeping this module independent of the
-symbolic Pauli machinery it validates.
+Each state is built once, and every path measures a batch of registers:
+``run_branch`` runs one branch as a batch of one, ``check_determinism``
+extends every surviving outcome prefix by both outcomes at each step, so
+that branches share the contractions of their common prefix, and
+``oracle_unitary`` runs every basis input down the all-+1 branch as one
+batch.  All three take the same measurement step.  A correction, X on
+g(v) and Z on Odd(g(v)) (``flow.correction_masks``), acts on the held
+qubits as raw bitmasks (global phase dropped), keeping this module
+independent of the symbolic Pauli machinery it validates.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from .pattern import MeasurementPattern, Plane
 #: Largest register a dense state is allowed to hold.
 DEFAULT_DENSE_LIMIT = 14
 
-#: Cap on the number of branches enumerated by the determinism check, set
-#: from a 1 s target for the largest walk.  On a 2-CPU Xeon VM (Python
-#: 3.11, numpy 2.4, median of 5) the walk took 0.16 s over 2^12 branches
-#: (cluster 2x7), 0.39 s over 2^13 (path 14) and 0.59 s over 2^14 (14 YZ
-#: vertices, no outputs).  At most 14 vertices are measured within the
-#: dense limit, so at the defaults the dense limit binds first.
+#: Cap on the number of branches enumerated by the determinism check.  On
+#: a 2-CPU Xeon VM (Python 3.11, numpy 2.4, median of 5) the check took
+#: 0.03 s over 2^12 branches (cluster 2x7), 0.04 s over 2^13 (path 14) and
+#: 0.04 s over 2^14 (14 YZ vertices, no outputs), well inside a 1 s target.
+#: At most 14 vertices are measured within the dense limit, so at the
+#: defaults the dense limit binds first.
 DEFAULT_BRANCH_BUDGET = 2**14
 
 _ZERO_PROBABILITY = 1e-12
@@ -95,12 +96,7 @@ def build_open_graph_state(
         input_state = np.asarray(input_state, dtype=complex)
         if input_state.ndim not in (1, 2) or input_state.shape[-1] != 1 << k:
             raise ValueError("input state dimension does not match the input count")
-        # A single input takes the plain vector norm; the row-wise norm
-        # can differ from it in the last bit.
-        if input_state.ndim == 1:
-            norm = np.linalg.norm(input_state)
-        else:
-            norm = np.linalg.norm(input_state, axis=-1, keepdims=True)
+        norm = np.linalg.norm(input_state, axis=-1, keepdims=True)
         if np.any(norm < _ZERO_PROBABILITY):
             raise ValueError("input state has zero norm")
         input_state = input_state / norm
@@ -143,11 +139,12 @@ def _prepare(
     input_state: np.ndarray | None,
     dense_limit: int,
 ) -> tuple[np.ndarray, list[_Step], np.ndarray]:
-    """The checks every path runs, the built state and the measurement plan.
+    """The checks every path runs, the built batch and the measurement plan.
 
     Checks that the gflow layers measure exactly the non-output vertices,
     that the state fits the dense limit and that the pattern fits the
-    gflow.  Returns the state, one step per vertex of
+    gflow.  Returns the built state as a batch of one row per input (one
+    row for a 1-D or absent ``input_state``), one step per vertex of
     ``gflow.measurement_order``, and the index array that reorders the
     register the last step leaves so that output k sits at bit k.
     """
@@ -157,7 +154,7 @@ def _prepare(
             f"gflow layers measure {sorted(order)} but the non-output "
             f"vertices are {list(graph.measured)}"
         )
-    state = build_open_graph_state(graph, input_state, dense_limit)
+    state = build_open_graph_state(graph, input_state, dense_limit).reshape(-1, 1 << graph.n)
     check_pattern(gflow, pattern)
     held = list(range(graph.n))  # held[k] is the vertex at bit k
     steps = []
@@ -177,31 +174,22 @@ def _prepare(
     return state, steps, source
 
 
-def _measure(
-    state: np.ndarray, step: _Step, outcome: int
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Measure ``step.vertex`` of ``state`` with the given outcome.
+def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``step.vertex`` of every row of ``state`` with the given outcome.
 
     Contracts the vertex against its outcome's basis vector, which drops
-    its bit, normalises what is left and, after a -1 outcome, applies the
-    gflow correction.  ``state`` is one register or a batch of them along
-    a leading axis.  Returns the new state and the step probability (one
-    per batch entry).  A probability below ``_ZERO_PROBABILITY`` reads 0,
-    and its state is left unnormalised; a single register then stops
-    before the correction.
+    its bit, normalises each row and, after a -1 outcome, applies the
+    gflow correction.  Returns the new batch and the step probability of
+    each row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its
+    row is left unnormalised; a -1 outcome that every row reaches with
+    probability 0 needs no correcting set.
     """
-    lead = state.shape[:-1]
-    state = (step.bras[outcome] @ state.reshape(*lead, -1, 2, 1 << step.pos)).reshape(*lead, -1)
-    if lead:
-        prob = np.linalg.norm(state, axis=-1) ** 2
-        prob[prob < _ZERO_PROBABILITY] = 0.0
-        state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
-    else:
-        prob = float(np.linalg.norm(state) ** 2)
-        if prob < _ZERO_PROBABILITY:
-            return state, 0.0
-        state /= np.sqrt(prob)
-    if outcome == 1:
+    rows = len(state)
+    state = (step.bras[outcome] @ state.reshape(rows, -1, 2, 1 << step.pos)).reshape(rows, -1)
+    prob = np.linalg.norm(state, axis=-1) ** 2
+    prob[prob < _ZERO_PROBABILITY] = 0.0
+    state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
+    if outcome == 1 and prob.any():
         if step.correction is None:
             raise ValueError(f"gflow has no correcting set for vertex {step.vertex}")
         state = apply_word_masks(state, *step.correction)
@@ -240,7 +228,7 @@ def run_branch(
     qubits, is applied.  The surviving outputs are returned in output
     order.  Zero-probability branches are reported with probability 0 and
     no state rather than as an error.  This is the single-branch
-    reference that the determinism walk and the unitary batch are tested
+    reference that the determinism batch and the unitary batch are tested
     against.
     """
     state, steps, source = _prepare(graph, gflow, pattern, input_state, dense_limit)
@@ -253,8 +241,8 @@ def run_branch(
         outcome = int(branch_bits[step.vertex]) & 1
         state, prob = _measure(state, step, outcome)
         outcomes[step.vertex] = outcome
-        step_probs.append(float(prob))
-        if prob == 0.0:
+        step_probs.append(float(prob[0]))
+        if prob[0] == 0.0:
             return BranchRecord(
                 outcomes=outcomes,
                 step_probabilities=tuple(step_probs),
@@ -266,7 +254,7 @@ def run_branch(
         outcomes=outcomes,
         step_probabilities=tuple(step_probs),
         probability=total,
-        output_state=state[source],
+        output_state=state[0, source],
     )
 
 
@@ -319,12 +307,13 @@ def check_determinism(
 
     In branch ``mask`` the measured vertex at position ``pos`` in
     ascending order has outcome bit ``pos`` of ``mask``, and branches are
-    compared in mask order.  They are walked depth first in
-    ``gflow.measurement_order`` from one built state: a node holds the
-    normalised, corrected state of its prefix, and a zero-probability
-    step prunes its subtree.  That costs one build and 2^(m+1) - 2
-    contractions for m measured vertices, and gives each branch the
-    values :func:`run_branch` gives it.
+    compared in mask order.  From one built state, each step of
+    ``gflow.measurement_order`` measures every surviving outcome prefix
+    with both outcomes and drops the prefixes of probability 0.  The
+    register halves as the rows at most double, so the batch never holds
+    more than 2^n amplitudes: one build and 2m batched contractions for m
+    measured vertices, giving each branch the values :func:`run_branch`
+    gives it.
     """
     measured = sorted(gflow.measurement_order)
     if 2 ** len(measured) > branch_budget:
@@ -337,48 +326,27 @@ def check_determinism(
     input_state /= np.linalg.norm(input_state)
     state, steps, source = _prepare(graph, gflow, pattern, input_state, DEFAULT_DENSE_LIMIT)
     bit = {v: 1 << pos for pos, v in enumerate(measured)}
-    # (mask, probability, worst step deviation, output) per surviving branch
-    leaves: list[tuple[int, float, float, np.ndarray]] = []
-
-    def walk(node: np.ndarray, t: int, mask: int, probability: float, deviation: float) -> None:
-        if t == len(steps):
-            leaves.append((mask, probability, deviation, node[source]))
-            return
-        step = steps[t]
-        for outcome in (0, 1):
-            child, prob = _measure(node, step, outcome)
-            if prob > 0.0:
-                p = float(prob)
-                walk(
-                    child,
-                    t + 1,
-                    mask | outcome * bit[step.vertex],
-                    probability * p,
-                    max(deviation, abs(p - 0.5)),
-                )
-
-    walk(state, 0, 0, 1.0, 0.0)
-    leaves.sort(key=lambda leaf: leaf[0])
-    reference: np.ndarray | None = None
-    worst_fidelity = 1.0
-    max_dev = 0.0
-    total = 0.0
-    ok = True
-    for _, probability, deviation, output in leaves:
-        total += probability
-        max_dev = max(max_dev, deviation)
-        if reference is None:
-            reference = output
-            continue
-        fidelity = float(abs(np.vdot(reference, output)) ** 2)
-        worst_fidelity = min(worst_fidelity, fidelity)
-        if fidelity < 1.0 - _TOLERANCE:
-            ok = False
+    # Per surviving prefix: outcome mask, probability, worst step deviation.
+    masks = np.zeros(1, dtype=np.int64)
+    probability = np.ones(1)
+    deviation = np.zeros(1)
+    for step in steps:
+        plus, plus_prob = _measure(state, step, 0)
+        minus, minus_prob = _measure(state, step, 1)
+        prob = np.concatenate([plus_prob, minus_prob])
+        live = prob > 0.0
+        state = np.concatenate([plus, minus])[live]
+        masks = np.concatenate([masks, masks | bit[step.vertex]])[live]
+        probability = (np.tile(probability, 2) * prob)[live]
+        deviation = np.maximum(np.tile(deviation, 2), np.abs(prob - 0.5))[live]
+    order = np.argsort(masks)
+    outputs = state[order][:, source]
+    fidelity = np.abs(outputs[1:] @ outputs[0].conj()) ** 2
     return DeterminismReport(
-        ok=ok,
-        worst_fidelity=worst_fidelity,
-        max_probability_deviation=max_dev,
-        total_probability=total,
+        ok=not np.any(fidelity < 1.0 - _TOLERANCE),
+        worst_fidelity=float(fidelity.min(initial=1.0)),
+        max_probability_deviation=float(deviation.max(initial=0.0)),
+        total_probability=sum(probability[order].tolist()),
         branch_count=2 ** len(measured),
     )
 

@@ -103,6 +103,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("role", [0, 1, 2], ids=["graph", "gflow", "pattern"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, path5_files, role):
+        # json.loads raises RecursionError long before this depth.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        files = list(path5_files)
+        files[role] = str(deep)
+        g, f, p = files
+        code = run_command(["oracle", "determinism", "--graph", g, "--gflow", f, "--pattern", p])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -294,6 +308,24 @@ class TestExitCodes:
         assert run_command(["graph", "show", "--graph", str(g)]) == 3
         assert capsys.readouterr().err == (
             f"budget exceeded: {VERTEX_CAP + 1} vertices exceed the vertex cap of {VERTEX_CAP}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,n",
+        [
+            (["path", "--n", "1048577"], 1048577),
+            (["cluster", "--rows", "1025", "--cols", "1025"], 1050625),
+        ],
+        ids=["path", "cluster"],
+    )
+    def test_graph_gen_checks_the_vertex_cap(self, capsys, argv, n):
+        from mbqcflow.graph import VERTEX_CAP
+
+        assert run_command(["graph", "gen", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"budget exceeded: {n} vertices exceed the vertex cap of {VERTEX_CAP}\n"
         )
 
 

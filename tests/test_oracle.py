@@ -484,6 +484,42 @@ class TestCheckDeterminism:
         report = check_determinism(g, corrupted, pat, seed=5)
         assert not report.ok
 
+    @pytest.mark.parametrize(
+        "graph,gflow",
+        [(path_graph(5), path_flow(5)), (cluster_graph(2, 4), cluster_row_flow(2, 4))],
+        ids=["path-5", "cluster-2x4"],
+    )
+    def test_one_batched_contraction_per_step_and_outcome(self, graph, gflow, monkeypatch):
+        # Each step measures every surviving prefix with both outcomes, one
+        # call per outcome, and the batch never outgrows the built state.
+        sizes = []
+        measure = oracle_mod._measure
+
+        def counting(state, step, outcome):
+            sizes.append(state.size)
+            return measure(state, step, outcome)
+
+        monkeypatch.setattr(oracle_mod, "_measure", counting)
+        pat = MeasurementPattern(angles={v: 0.4 + v for v in graph.measured})
+        assert check_determinism(graph, gflow, pat, seed=1).ok
+        assert len(sizes) == 2 * len(graph.measured)
+        assert max(sizes) <= 1 << graph.n
+
+    def test_missing_correcting_set_matters_only_on_a_live_minus_branch(self):
+        # Vertex 1 holds |+> and has no correcting set.  At angle 0 its -1
+        # outcome has probability 0, so nothing needs correcting; at pi
+        # the -1 outcome is certain.
+        g = OpenGraph(n=2, edges=[], inputs=(0,), outputs=(0,))
+        gf = GFlow(corrections={}, layers=[{1}, {0}])
+        plus = MeasurementPattern(angles={1: 0.0})
+        assert check_determinism(g, gf, plus).ok
+        assert run_branch(g, gf, plus, {1: 1}).probability == 0.0
+        minus = MeasurementPattern(angles={1: np.pi})
+        with pytest.raises(ValueError, match="no correcting set for vertex 1$"):
+            check_determinism(g, gf, minus)
+        with pytest.raises(ValueError, match="no correcting set for vertex 1$"):
+            run_branch(g, gf, minus, {1: 1})
+
     def test_nothing_measured_is_vacuously_deterministic(self):
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0, 1), outputs=(0, 1))
         gf = GFlow(corrections={}, layers=[{0, 1}])
