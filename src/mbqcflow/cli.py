@@ -26,7 +26,7 @@ from .flow import (
     verify_gflow,
 )
 from .cones import forward_cone
-from .graph import OpenGraph
+from .graph import OpenGraph, parse_json
 from .pattern import MeasurementPattern
 from .simulate import complex_pairs, simulate_pattern
 
@@ -49,9 +49,9 @@ def _load(path: str, kind):
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
-        data = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+        data = parse_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return kind.from_json_dict(data)
 
 
@@ -83,9 +83,12 @@ def _cmd_graph_gen(args) -> int:
         raise ValueError(f"fixture {spec.name} does not take {sorted(unknown)}")
     graph = spec.build(**params)
     if args.with_gflow:
-        gflow = fixtures_mod.fixture_gflow(spec.name, args.gflow_variant)
-        if gflow is None:
-            gflow = find_causal_flow(graph)
+        if args.gflow_variant == "wide":
+            gflow = find_gflow(graph)
+        else:
+            gflow = fixtures_mod.fixture_gflow(spec.name)
+            if gflow is None:
+                gflow = find_causal_flow(graph)
         _emit(
             {
                 "graph": graph.to_json_dict(),

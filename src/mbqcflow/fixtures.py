@@ -179,10 +179,10 @@ CATALOG: dict[str, FixtureSpec] = {
 }
 
 
-def fixture_gflow(name: str, variant: str = "default") -> GFlow | None:
+def fixture_gflow(name: str) -> GFlow | None:
     """Canonical gFlow shipped with a fixture, if any."""
     if name == "fig3b":
         return fig3b_gflow()
     if name == "fig4":
-        return fig4_depth_one_gflow() if variant == "wide" else fig4_flow()
+        return fig4_flow()
     return None

@@ -28,7 +28,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
-from .graph import OpenGraph, _mask_to_set, _set_to_mask, json_ints, json_list, json_object
+from .graph import OpenGraph, _mask_to_set, _set_to_mask
+from .graph import json_ints, json_list, json_object, parse_json
 from .pattern import MeasurementPattern, Plane
 
 
@@ -136,7 +137,7 @@ class GFlow:
 
     @classmethod
     def from_json(cls, text: str) -> GFlow:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text))
 
 
 def _check_analysis_preconditions(graph: OpenGraph) -> None:

@@ -140,7 +140,7 @@ class OpenGraph:
 
     @classmethod
     def from_json(cls, text: str) -> OpenGraph:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text))
 
     def to_dot(self, gflow=None) -> str:
         """Graphviz rendering: boxed inputs, hollow outputs.
@@ -176,6 +176,14 @@ def check_vertex_count(n: int) -> int:
     if n > VERTEX_CAP:
         raise BudgetExceededError(f"{n} vertices exceed the vertex cap of {VERTEX_CAP}")
     return n
+
+
+def parse_json(text: str) -> object:
+    """``json.loads(text)``, with a ValueError for input nested too deeply for it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def json_int(value: object, name: str) -> int:

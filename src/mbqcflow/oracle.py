@@ -45,8 +45,9 @@ _ZERO_PROBABILITY = 1e-12
 #: Most amplitudes one batch of ``oracle_unitary`` holds (16 MiB).
 _BATCH_AMPLITUDES = 2**20
 
-#: Largest fidelity loss and unitarity deviation the checks accept.
-_TOLERANCE = 1e-9
+#: Largest fidelity loss and unitarity deviation the checks accept, and the
+#: share of the largest entry below which :func:`normalize_phase` skips one.
+TOLERANCE = 1e-9
 
 
 def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarray]:
@@ -258,14 +259,14 @@ def run_branch(
     )
 
 
-def normalize_phase(vec: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
+def normalize_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant entry is real positive."""
     flat = vec.reshape(-1)
     scale = np.max(np.abs(flat))
     if scale == 0:
         return vec
     for entry in flat:
-        if abs(entry) > tolerance * scale:
+        if abs(entry) > TOLERANCE * scale:
             return vec * (abs(entry) / entry)
     return vec
 
@@ -301,7 +302,7 @@ def check_determinism(
 
     True when each nonzero-probability branch reproduces the output of
     the first such branch (branch 0 unless it has probability 0) up to
-    global phase with fidelity within ``_TOLERANCE`` of 1.  The worst
+    global phase with fidelity within ``TOLERANCE`` of 1.  The worst
     single-measurement deviation from probability 1/2 over those
     branches is reported alongside.
 
@@ -343,7 +344,7 @@ def check_determinism(
     outputs = state[order][:, source]
     fidelity = np.abs(outputs[1:] @ outputs[0].conj()) ** 2
     return DeterminismReport(
-        ok=not np.any(fidelity < 1.0 - _TOLERANCE),
+        ok=not np.any(fidelity < 1.0 - TOLERANCE),
         worst_fidelity=float(fidelity.min(initial=1.0)),
         max_probability_deviation=float(deviation.max(initial=0.0)),
         total_probability=sum(probability[order].tolist()),
@@ -390,7 +391,7 @@ def oracle_unitary(
         raise DeterminismError("assembled map is singular")
     unitary = columns / scale
     deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > _TOLERANCE:
+    if deviation > TOLERANCE:
         raise DeterminismError(
             f"assembled map deviates from unitarity by {deviation:.2e}"
         )

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import json_number, json_object
+from .graph import json_number, json_object, parse_json
 
 
 class Plane(str, Enum):
@@ -69,4 +69,4 @@ class MeasurementPattern:
 
     @classmethod
     def from_json(cls, text: str) -> MeasurementPattern:
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text))

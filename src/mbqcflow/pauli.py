@@ -11,7 +11,11 @@ of word q // 64, and one ``(T,)`` complex128 array of coefficients.  This
 is the bit-packed layout of Aaronson and Gottesman, "Improved simulation
 of stabilizer circuits" (PRA 70, 052328, 2004) and of Stim (Gidney,
 Quantum 5, 497, 2021).  A :class:`PauliTable` stacks labelled sums into
-one such table, with the label's index as one more key per row.
+one such table, with the label's index as one more key per row.  A
+:class:`LogicalOperator` is one sum: it multiplies, adds and prunes, and
+every other operation goes through a table, which holds the one
+correction step (:meth:`PauliTable.correct`) and the one dense kernel
+(:meth:`PauliTable.to_matrices`).
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
@@ -67,17 +71,6 @@ def pack_rows(n: int, xs: list[int], zs: list[int]) -> np.ndarray:
 def _unpack_words(row: np.ndarray) -> int:
     """The Python int whose 64-bit words, lowest first, are ``row``."""
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
-
-
-def word_matrix(n: int, x: int, z: int) -> np.ndarray:
-    """Dense matrix of the phase-free word ``X^x Z^z``."""
-    dim = 1 << n
-    cols = np.arange(dim)
-    rows = cols ^ x
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = signs
-    return mat
 
 
 def _row_hash(rows: np.ndarray) -> np.ndarray:
@@ -336,11 +329,6 @@ class LogicalOperator:
     def num_terms(self) -> int:
         return len(self._coeffs)
 
-    def coefficient(self, x: int, z: int) -> complex:
-        key = pack_rows(self.n, [x], [z])
-        match = np.flatnonzero((self._rows == key).all(axis=1))
-        return complex(self._coeffs[match[0]]) if len(match) else 0.0
-
     def __add__(self, other: LogicalOperator) -> LogicalOperator:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
@@ -359,44 +347,12 @@ class LogicalOperator:
             rows, coeffs = _merge_rows(rows, coeffs)
         return LogicalOperator.from_rows(self.n, rows, coeffs).prune()
 
-    def corrected(self, qubit: int, correction: LogicalOperator) -> LogicalOperator:
-        """The terms with Z on ``qubit`` multiplied by ``correction``, in one pass.
-
-        This equals ``commuting + correction * anticommuting`` term for
-        term (:meth:`PauliTable.correct`).  An operator with no such term is
-        returned as it is, and nothing is built for it.
-        """
-        table = PauliTable.stack(self.n, {0: self})
-        return table.operators()[0] if table.correct(qubit, correction) else self
-
     def prune(self) -> LogicalOperator:
         keep = np.abs(self._coeffs) > PRUNE_TOLERANCE
         self._rows = self._rows[keep]
         self._coeffs = self._coeffs[keep]
         return self
 
-    @property
-    def support_mask(self) -> int:
-        words = _word_count(self.n)
-        either = np.bitwise_or.reduce(self._rows, axis=0, initial=np.uint64(0))
-        return _unpack_words(either[:words] | either[words:])
-
-    def commutes_with_x(self, qubit: int) -> bool:
-        """True when every term commutes with X on ``qubit``."""
-        column = self._rows[:, _word_count(self.n) + (qubit >> 6)]
-        return not np.any(column & np.uint64(1 << (qubit & 63)))
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, every entry summed over the terms in row order."""
         return PauliTable.stack(self.n, {0: self}).to_matrices()[0]
-
-    def expectation(self, state: np.ndarray) -> complex:
-        """``<state| self |state>`` without building the dense matrix."""
-        if state.shape != (1 << self.n,):
-            raise ValueError("state dimension does not match qubit count")
-        idx = np.arange(1 << self.n)
-        total = 0.0 + 0.0j
-        for (x, z), coeff in self.terms():
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-            total += coeff * np.vdot(state, (signs * state)[idx ^ x])
-        return total

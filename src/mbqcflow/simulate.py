@@ -29,11 +29,9 @@ from .cones import cone_masks
 from .errors import BudgetExceededError, DeterminismError, SimulationInvariantError
 from .flow import GFlow, check_pattern, verify_gflow
 from .graph import OpenGraph
-from .oracle import DEFAULT_DENSE_LIMIT, normalize_phase
+from .oracle import DEFAULT_DENSE_LIMIT, TOLERANCE, normalize_phase
 from .pattern import MeasurementPattern, Plane
 from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
-
-UNITARITY_TOLERANCE = 1e-9
 
 #: Most rows the table of logicals may reach (``--budget-terms``), from a
 #: 1 GiB target.  On a 2-CPU Xeon VM (Python 3.11, numpy 2.4), runs stopped
@@ -186,9 +184,8 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
 
     For each vertex of the round (ascending) every row of the logicals'
     table that anticommutes with the measured X is multiplied by that
-    vertex's correcting stabilizer product, and the rows merge and prune
-    as in :meth:`LogicalOperator.corrected`: one
-    :meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals.
+    vertex's correcting stabilizer product, and the rows merge and prune:
+    one :meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals.
     Rounds must be applied in ascending order.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
@@ -274,7 +271,7 @@ def extract_unitary(
     principal eigenvector seeds the columns, which the X images then
     generate: the columns with bit i set are ``Lx_i`` times those below
     ``2**i``.  A transfer map that is not rank-one/unitary within
-    ``UNITARITY_TOLERANCE`` means the pattern does not implement a
+    ``TOLERANCE`` means the pattern does not implement a
     unitary and raises :class:`DeterminismError`.
 
     A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
@@ -297,7 +294,7 @@ def extract_unitary(
     for mat in lz:
         projector = projector @ (np.eye(dim) + mat) / 2.0
     eigvals, eigvecs = np.linalg.eigh((projector + projector.conj().T) / 2.0)
-    if max(abs(eigvals[-1] - 1.0), *np.abs(eigvals[:-1])) > UNITARITY_TOLERANCE:
+    if max(abs(eigvals[-1] - 1.0), *np.abs(eigvals[:-1])) > TOLERANCE:
         raise DeterminismError(
             "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
         )
@@ -309,7 +306,7 @@ def extract_unitary(
         # loop does; one matrix product would round differently.
         unitary[:, half : 2 * half] = np.matmul(lx[i], unitary[:, :half].T[:, :, None])[..., 0].T
     deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > UNITARITY_TOLERANCE:
+    if deviation > TOLERANCE:
         raise DeterminismError(
             f"extracted map deviates from unitarity by {deviation:.2e}"
         )

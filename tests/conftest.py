@@ -14,6 +14,7 @@ from mbqcflow import (
     rotated_stabilizer,
 )
 from mbqcflow.gf2 import gf2_rank
+from mbqcflow.pauli import PauliTable
 
 
 def random_open_graph(
@@ -99,12 +100,10 @@ def completion_generators(state: SimulationState) -> list[LogicalOperator]:
             basis = candidate
             angle = state.pattern.angles.get(j, 0.0)
             completions.append(rotated_stabilizer(graph, j, angle))
-    fixed = []
-    for gen in completions:
-        for nu in (v for layer in state.rounds for v in sorted(layer)):
-            gen = gen.corrected(nu, state.stabilizers[nu])
-        fixed.append(gen)
-    return fixed
+    table = PauliTable.stack(graph.n, dict(enumerate(completions)))
+    for nu in (v for layer in state.rounds for v in sorted(layer)):
+        table.correct(nu, state.stabilizers[nu])
+    return list(table.operators().values())
 
 
 @pytest.fixture

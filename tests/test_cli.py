@@ -347,6 +347,17 @@ class TestCommands:
         assert code == 0
         assert payload["gflow"]["g"]["0"] == [4, 5, 6, 7]
 
+    def test_wide_gflow_variant_is_the_found_gflow_on_any_fixture(self, capsys):
+        argv = ["graph", "gen", "fig3b", "--with-gflow", "--gflow-variant"]
+        _, default = run_json(capsys, argv + ["default"])
+        code, wide = run_json(capsys, argv + ["wide"])
+        assert code == 0
+        graph = mbqcflow.OpenGraph.from_json_dict(wide["graph"])
+        gflow = mbqcflow.GFlow.from_json_dict(wide["gflow"])
+        assert mbqcflow.verify_gflow(graph, gflow) == []
+        assert gflow.depth == 1
+        assert wide["gflow"] != default["gflow"]
+
     def test_graph_dot(self, capsys, path5_files):
         g, f, _ = path5_files
         code = run_command(["graph", "dot", "--graph", g, "--gflow", f])

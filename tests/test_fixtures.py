@@ -60,7 +60,7 @@ class TestCatalog:
 
     def test_fixture_gflow_variants(self):
         assert fixture_gflow("fig4").depth == 4
-        assert fixture_gflow("fig4", "wide").depth == 1
+        assert find_gflow(fig4_graph()) == fig4_depth_one_gflow()
         assert fixture_gflow("fig3b").depth == 3
         assert fixture_gflow("path") is None
 

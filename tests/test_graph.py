@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mbqcflow import (
     BudgetExceededError,
     GFlow,
+    MeasurementPattern,
     OpenGraph,
     build_open_graph_state,
     cut_edges,
@@ -59,6 +60,12 @@ class TestConstruction:
             OpenGraph.from_json('{"n": 3}')
         with pytest.raises(ValueError):
             OpenGraph.from_json('{"n":2,"edges":[[0,0]],"inputs":[],"outputs":[]}')
+
+    @pytest.mark.parametrize("kind", [OpenGraph, GFlow, MeasurementPattern])
+    def test_from_json_rejects_deep_nesting(self, kind):
+        # json.loads raises RecursionError long before this depth.
+        with pytest.raises(ValueError, match="JSON nested too deeply"):
+            kind.from_json("[" * 200_000 + "]" * 200_000)
 
     def test_json_vertex_cap(self):
         at_cap = OpenGraph.from_json_dict({"n": VERTEX_CAP, "edges": []})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.pauli import LogicalOperator, PauliTable, word_matrix
+from mbqcflow.pauli import LogicalOperator, PauliTable
 
 from pauli_reference import corrected_terms, product_terms, prune
 
@@ -114,30 +114,19 @@ class TestLogicalOperator:
             assert np.allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
 
     def test_corrected_leaves_commuting_operator_alone(self):
-        op = LogicalOperator(2, {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0})
-        correction = LogicalOperator(2, {(0b01, 0b10): 1.0})
-        assert op.corrected(0, correction) is op
-        assert op.corrected(1, correction) is not op
-
-    def test_expectation_matches_dense(self, rng):
-        n = 3
-        state = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state /= np.linalg.norm(state)
-        terms = {
-            (int(rng.integers(8)), int(rng.integers(8))): complex(rng.normal(), rng.normal())
-            for _ in range(4)
-        }
-        op = LogicalOperator(n, terms)
-        dense = np.vdot(state, op.to_matrix() @ state)
-        assert abs(op.expectation(state) - dense) < 1e-12
-
-    def test_commutes_with_x(self):
-        op = LogicalOperator(2, {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0})
-        assert op.commutes_with_x(0)
-        assert not op.commutes_with_x(1)
+        # Nothing has Z on qubit 0, so the correction neither builds nor moves a row.
+        sums = {"a": {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0}, "b": {(0b11, 0b10): 2j}}
+        table = PauliTable.stack(2, {label: LogicalOperator(2, t) for label, t in sums.items()})
+        rows, coeffs, owner = table.rows, table.coeffs, table.owner
+        before = rows.copy(), coeffs.copy(), owner.copy()
+        assert not table.correct(0, LogicalOperator(2, {(0b01, 0b10): 1.0}))
+        assert table.rows is rows and table.coeffs is coeffs and table.owner is owner
+        for got, want in zip((rows, coeffs, owner), before):
+            assert np.array_equal(got, want)
+        assert table.correct(1, LogicalOperator(2, {(0b01, 0b10): 1.0}))
 
     def test_word_matrix_identity(self):
-        assert np.allclose(word_matrix(2, 0, 0), np.eye(4))
+        assert np.allclose(LogicalOperator(2, {(0, 0): 1}).to_matrix(), np.eye(4))
 
 
 def random_terms(rng, bits, count):
@@ -173,13 +162,11 @@ class TestAgainstDictReference:
             qubit = int(rng.choice(self.BITS))
             terms = random_terms(rng, self.BITS, int(rng.integers(1, 40)))
             correction = random_terms(rng, self.BITS, int(rng.integers(1, 5)))
-            op = LogicalOperator(140, terms)
+            table = PauliTable.stack(140, {0: LogicalOperator(140, terms)})
             want = corrected_terms(terms, qubit, correction)
-            got = op.corrected(qubit, LogicalOperator(140, correction))
-            if want is None:
-                assert got is op
-            else:
-                self.assert_same(got, want)
+            hit = table.correct(qubit, LogicalOperator(140, correction))
+            assert hit == (want is not None)
+            self.assert_same(table.operators()[0], terms if want is None else want)
 
     def test_products_cancel_to_nothing(self):
         # X0 (1 + Z0) times (1 - Z0): the cross terms cancel exactly.
