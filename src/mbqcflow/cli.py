@@ -1,5 +1,16 @@
 """Command-line surface: JSON in, JSON (or DOT) out.
 
+Each subcommand is declared once, in :func:`build_parser`, by a
+:func:`_command` call that names the files it reads.  One runner,
+:func:`_run`, does everything around the handlers: it loads those files
+in a fixed order (graph, gFlow, pattern) through :func:`_load`, checks
+the gFlow against the graph, calls the handler and prints what it
+returns.  A handler is a function from the parsed arguments and the
+loaded inputs to a JSON payload (optionally with an exit code) or to
+DOT text.  Three commands skip the gFlow check because they check or
+show the gFlow themselves: ``flow verify``, ``graph dot`` and
+``simulate``, whose library call verifies it once.
+
 Exit codes: 0 success, 1 domain negative (e.g. no gFlow exists), 2
 usage or parse error, 3 budget exceeded.  Every JSON report carries a
 ``schema_version`` field.
@@ -37,11 +48,8 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-def _emit(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+#: The files a command can read, in the order the runner loads them.
+_FILE_KINDS = {"graph": OpenGraph, "gflow": GFlow, "pattern": MeasurementPattern}
 
 
 def _load(path: str, kind):
@@ -55,33 +63,43 @@ def _load(path: str, kind):
     return kind.from_json_dict(data)
 
 
-def _load_valid_gflow(path: str, graph: OpenGraph) -> GFlow:
-    """Load a gFlow to analyse; a gFlow invalid on ``graph`` is a usage error."""
-    gflow = _load(path, GFlow)
-    violations = verify_gflow(graph, gflow)
-    if violations:
-        raise ValueError(f"gflow is invalid: {violations[:3]}")
-    return gflow
+def _run(args) -> int:
+    """Load the command's files, check its gFlow, run its handler and print."""
+    inputs = []
+    for name in args.files:
+        path = getattr(args, name)
+        if name == "gflow" and args.gflow_optional and not path:
+            inputs.append(None)
+            continue
+        inputs.append(_load(path, _FILE_KINDS[name]))
+        if name == "gflow" and args.check_gflow:
+            violations = verify_gflow(inputs[0], inputs[-1])
+            if violations:
+                raise ValueError(f"gflow is invalid: {violations[:3]}")
+    result = args.handler(args, *inputs)
+    result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+    if isinstance(result, str):
+        sys.stdout.write(result + "\n")
+    else:
+        payload = {"schema_version": SCHEMA_VERSION, **result}
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+    return code
 
 
 # -- graph ----------------------------------------------------------------
 
 
-def _cmd_graph_gen(args) -> int:
+def _graph_gen(args):
     spec = fixtures_mod.CATALOG.get(args.fixture)
     if spec is None:
         raise ValueError(f"unknown fixture {args.fixture!r}")
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.rows is not None:
-        params["rows"] = args.rows
-    if args.cols is not None:
-        params["cols"] = args.cols
+    params = {k: getattr(args, k) for k in ("n", "rows", "cols") if getattr(args, k) is not None}
     unknown = set(params) - set(spec.parameters)
     if unknown:
         raise ValueError(f"fixture {spec.name} does not take {sorted(unknown)}")
     graph = spec.build(**params)
+    payload = {"graph": graph.to_json_dict()}
     if args.with_gflow:
         if args.gflow_variant == "wide":
             gflow = find_gflow(graph)
@@ -89,184 +107,115 @@ def _cmd_graph_gen(args) -> int:
             gflow = fixtures_mod.fixture_gflow(spec.name)
             if gflow is None:
                 gflow = find_causal_flow(graph)
-        _emit(
-            {
-                "graph": graph.to_json_dict(),
-                "gflow": gflow.to_json_dict() if gflow is not None else None,
-            }
-        )
-    else:
-        _emit({"graph": graph.to_json_dict()})
-    return EXIT_OK
+        payload["gflow"] = gflow.to_json_dict() if gflow is not None else None
+    return payload
 
 
-def _cmd_graph_show(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    _emit(
-        {
-            "graph": graph.to_json_dict(),
-            "vertex_count": graph.n,
-            "edge_count": len(graph.edges),
-        }
-    )
-    return EXIT_OK
+def _graph_show(args, graph):
+    return {"graph": graph.to_json_dict(), "vertex_count": graph.n, "edge_count": len(graph.edges)}
 
 
-def _cmd_graph_dot(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load(args.gflow, GFlow) if args.gflow else None
-    sys.stdout.write(graph.to_dot(gflow) + "\n")
-    return EXIT_OK
+def _graph_dot(args, graph, gflow):
+    return graph.to_dot(gflow)
 
 
 # -- flow -----------------------------------------------------------------
 
 
-def _cmd_flow_find(args) -> int:
-    graph = _load(args.graph, OpenGraph)
+def _flow_find(args, graph):
     if args.causal:
-        gflow = find_causal_flow(graph)
-        reason = "no causal flow"
+        gflow, reason = find_causal_flow(graph), "no causal flow"
     else:
-        gflow = find_gflow(graph)
-        reason = "no gflow"
+        gflow, reason = find_gflow(graph), "no gflow"
     if gflow is None:
-        _emit({"gflow": None, "reason": reason})
-        return EXIT_DOMAIN
-    _emit({"gflow": gflow.to_json_dict()})
-    return EXIT_OK
+        return {"gflow": None, "reason": reason}, EXIT_DOMAIN
+    return {"gflow": gflow.to_json_dict()}
 
 
-def _cmd_flow_verify(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load(args.gflow, GFlow)
+def _flow_verify(args, graph, gflow):
     violations = verify_gflow(graph, gflow)
-    _emit(
-        {
-            "valid": not violations,
-            "violations": [
-                {"vertex": v.vertex, "rule": v.rule, "detail": v.detail}
-                for v in violations
-            ],
-        }
-    )
-    return EXIT_OK if not violations else EXIT_DOMAIN
+    payload = {
+        "valid": not violations,
+        "violations": [
+            {"vertex": v.vertex, "rule": v.rule, "detail": v.detail} for v in violations
+        ],
+    }
+    return payload, EXIT_DOMAIN if violations else EXIT_OK
 
 
-def _cmd_flow_report(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph)
-    report = correction_dependencies(graph, gflow)
-    payload = report.to_json_dict()
+def _flow_report(args, graph, gflow):
+    payload = correction_dependencies(graph, gflow).to_json_dict()
     try:
         payload["wires"] = flow_wires(graph, gflow).to_json_dict()
     except FlowConsistencyError as exc:
         payload["wires"] = None
         payload["wires_error"] = str(exc)
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
 # -- cones ----------------------------------------------------------------
 
 
-def _cmd_cone(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph)
+def _cone(args, graph, gflow):
     cone = forward_cone(graph, gflow, args.vertex)
-    if args.dot:
-        lines = graph.to_dot(gflow).splitlines()
-        highlights = [
-            f"  {v} [fillcolor=red, style=filled];" for v in sorted(cone)
-        ]
-        sys.stdout.write("\n".join(lines[:-1] + highlights + [lines[-1]]) + "\n")
-        return EXIT_OK
-    _emit({"vertex": args.vertex, "cone": sorted(cone), "size": len(cone)})
-    return EXIT_OK
+    if not args.dot:
+        return {"vertex": args.vertex, "cone": sorted(cone), "size": len(cone)}
+    *body, close = graph.to_dot(gflow).splitlines()
+    highlights = [f"  {v} [fillcolor=red, style=filled];" for v in sorted(cone)]
+    return "\n".join(body + highlights + [close])
 
 
 # -- simulate -------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    # initialize_simulation verifies the gFlow.
-    gflow = _load(args.gflow, GFlow)
-    pattern = _load(args.pattern, MeasurementPattern)
+def _simulate(args, graph, gflow, pattern):
     result = simulate_pattern(
         graph, gflow, pattern, term_budget=args.budget_terms, dense_limit=args.budget_dense
     )
     payload = result.to_json_dict()
     if not args.report_terms:
         payload.pop("term_counts", None)
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
 # -- oracle ---------------------------------------------------------------
 
 
-def _parse_branch(gflow: GFlow, text: str) -> dict[int, int]:
+def _oracle_run(args, graph, gflow, pattern):
     measured = sorted(gflow.measurement_order)
-    if len(text) != len(measured) or set(text) - {"0", "1"}:
+    if len(args.branch) != len(measured) or set(args.branch) - {"0", "1"}:
         raise ValueError(
             f"branch must be a {len(measured)}-character bitstring over "
             f"the sorted measured vertices {measured}"
         )
-    return {v: int(bit) for v, bit in zip(measured, text)}
+    bits = {v: int(bit) for v, bit in zip(measured, args.branch)}
+    record = oracle_mod.run_branch(graph, gflow, pattern, bits, dense_limit=args.budget_dense)
+    state = record.output_state
+    return {
+        "outcomes": {str(v): b for v, b in sorted(record.outcomes.items())},
+        "step_probabilities": list(record.step_probabilities),
+        "probability": record.probability,
+        "output_state": None if state is None else complex_pairs(state),
+    }
 
 
-def _cmd_oracle_run(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load(args.pattern, MeasurementPattern)
-    bits = _parse_branch(gflow, args.branch)
-    record = oracle_mod.run_branch(
-        graph, gflow, pattern, bits, dense_limit=args.budget_dense
-    )
-    _emit(
-        {
-            "outcomes": {str(v): b for v, b in sorted(record.outcomes.items())},
-            "step_probabilities": list(record.step_probabilities),
-            "probability": record.probability,
-            "output_state": None
-            if record.output_state is None
-            else complex_pairs(record.output_state),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_oracle_determinism(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load(args.pattern, MeasurementPattern)
+def _oracle_determinism(args, graph, gflow, pattern):
     report = oracle_mod.check_determinism(
-        graph,
-        gflow,
-        pattern,
-        seed=args.seed,
-        branch_budget=args.budget_branches,
+        graph, gflow, pattern, seed=args.seed, branch_budget=args.budget_branches,
+        dense_limit=args.budget_dense,
     )
-    _emit(report.to_json_dict())
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    return report.to_json_dict(), EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def _cmd_oracle_unitary(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph)
-    pattern = _load(args.pattern, MeasurementPattern)
-    matrix = oracle_mod.oracle_unitary(graph, gflow, pattern)
-    _emit({"unitary": complex_pairs(matrix)})
-    return EXIT_OK
+def _oracle_unitary(args, graph, gflow, pattern):
+    matrix = oracle_mod.oracle_unitary(graph, gflow, pattern, dense_limit=args.budget_dense)
+    return {"unitary": complex_pairs(matrix)}
 
 
 # -- bounds ---------------------------------------------------------------
 
 
-def _cmd_bounds(args) -> int:
-    graph = _load(args.graph, OpenGraph)
-    gflow = _load_valid_gflow(args.gflow, graph) if args.gflow else None
+def _bounds(args, graph, gflow):
     payload: dict = {}
     try:
         payload["e_struc_exact"] = bounds_mod.structural_entanglement_exact(
@@ -281,34 +230,43 @@ def _cmd_bounds(args) -> int:
     except BudgetExceededError:
         payload["chi_wd_exact"] = None
     if gflow is not None:
-        report = bounds_mod.flow_entanglement_bound(graph, gflow)
-        payload.update(report.to_json_dict())
+        payload.update(bounds_mod.flow_entanglement_bound(graph, gflow).to_json_dict())
     else:
         payload.update({"c_f": None, "delta": None, "flow_bound": None})
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
 # -- fixtures -------------------------------------------------------------
 
 
-def _cmd_fixtures_list(_args) -> int:
-    _emit(
-        {
-            "fixtures": [
-                {
-                    "name": spec.name,
-                    "description": spec.description,
-                    "parameters": list(spec.parameters),
-                }
-                for spec in fixtures_mod.CATALOG.values()
-            ]
-        }
-    )
-    return EXIT_OK
+def _fixtures_list(args):
+    fixtures = [
+        {"name": spec.name, "description": spec.description, "parameters": list(spec.parameters)}
+        for spec in fixtures_mod.CATALOG.values()
+    ]
+    return {"fixtures": fixtures}
 
 
 # -- parser ---------------------------------------------------------------
+
+
+def _command(
+    commands, name, help_text, handler, files=(), gflow_optional=False, check_gflow=True
+):
+    """Declare a subcommand, its handler and the files it reads.
+
+    ``files`` names the ``--graph``, ``--gflow`` and ``--pattern`` options
+    in loading order.  Each is required, except that ``gflow_optional``
+    makes an absent or empty ``--gflow`` mean no gFlow.  ``check_gflow``
+    has the runner reject a gFlow that is invalid on the graph.
+    """
+    parser = commands.add_parser(name, help=help_text)
+    for file in files:
+        parser.add_argument(f"--{file}", required=not (file == "gflow" and gflow_optional))
+    parser.set_defaults(
+        handler=handler, files=files, gflow_optional=gflow_optional, check_gflow=check_gflow
+    )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,97 +276,71 @@ def build_parser() -> argparse.ArgumentParser:
         "for open graph states",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    flow_files = ("graph", "gflow")
+    pattern_files = ("graph", "gflow", "pattern")
 
     graph_p = top.add_parser("graph", help="generate, inspect or render graphs")
     graph_sub = graph_p.add_subparsers(dest="subcommand", required=True)
-    gen = graph_sub.add_parser("gen", help="emit a named fixture graph")
+    gen = _command(graph_sub, "gen", "emit a named fixture graph", _graph_gen)
     gen.add_argument("fixture")
     gen.add_argument("--n", type=int)
     gen.add_argument("--rows", type=int)
     gen.add_argument("--cols", type=int)
     gen.add_argument("--with-gflow", action="store_true")
     gen.add_argument("--gflow-variant", default="default", choices=["default", "wide"])
-    gen.set_defaults(func=_cmd_graph_gen)
-    show = graph_sub.add_parser("show", help="echo a graph in canonical form")
-    show.add_argument("--graph", required=True)
-    show.set_defaults(func=_cmd_graph_show)
-    dot = graph_sub.add_parser("dot", help="render a graph as DOT")
-    dot.add_argument("--graph", required=True)
-    dot.add_argument("--gflow")
-    dot.set_defaults(func=_cmd_graph_dot)
+    _command(graph_sub, "show", "echo a graph in canonical form", _graph_show, ("graph",))
+    _command(
+        graph_sub, "dot", "render a graph as DOT", _graph_dot, flow_files,
+        gflow_optional=True, check_gflow=False,
+    )
 
     flow_p = top.add_parser("flow", help="find, verify or report flows")
     flow_sub = flow_p.add_subparsers(dest="subcommand", required=True)
-    find = flow_sub.add_parser("find", help="find a maximally delayed (g)flow")
-    find.add_argument("--graph", required=True)
+    find = _command(flow_sub, "find", "find a maximally delayed (g)flow", _flow_find, ("graph",))
     find.add_argument("--causal", action="store_true", help="restrict to causal flow")
-    find.set_defaults(func=_cmd_flow_find)
-    verify = flow_sub.add_parser("verify", help="check the gflow conditions")
-    verify.add_argument("--graph", required=True)
-    verify.add_argument("--gflow", required=True)
-    verify.set_defaults(func=_cmd_flow_verify)
-    report = flow_sub.add_parser("report", help="correction dependencies and wires")
-    report.add_argument("--graph", required=True)
-    report.add_argument("--gflow", required=True)
-    report.set_defaults(func=_cmd_flow_report)
+    _command(
+        flow_sub, "verify", "check the gflow conditions", _flow_verify, flow_files,
+        check_gflow=False,
+    )
+    _command(flow_sub, "report", "correction dependencies and wires", _flow_report, flow_files)
 
-    cone = top.add_parser("cone", help="forward cone of a vertex")
-    cone.add_argument("--graph", required=True)
-    cone.add_argument("--gflow", required=True)
+    cone = _command(top, "cone", "forward cone of a vertex", _cone, flow_files)
     cone.add_argument("--vertex", type=int, required=True)
     cone.add_argument("--dot", action="store_true")
-    cone.set_defaults(func=_cmd_cone)
 
-    sim = top.add_parser("simulate", help="symbolic logical-operator simulation")
-    sim.add_argument("--graph", required=True)
-    sim.add_argument("--gflow", required=True)
-    sim.add_argument("--pattern", required=True)
-    sim.add_argument("--report-terms", action="store_true")
-    sim.add_argument(
-        "--budget-terms", type=int, default=simulate_mod.DEFAULT_TERM_BUDGET
+    sim = _command(
+        top, "simulate", "symbolic logical-operator simulation", _simulate, pattern_files,
+        check_gflow=False,
     )
+    sim.add_argument("--report-terms", action="store_true")
+    sim.add_argument("--budget-terms", type=int, default=simulate_mod.DEFAULT_TERM_BUDGET)
     sim.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
-    sim.set_defaults(func=_cmd_simulate)
 
     oracle_p = top.add_parser("oracle", help="dense statevector ground truth")
     oracle_sub = oracle_p.add_subparsers(dest="subcommand", required=True)
-    run = oracle_sub.add_parser("run", help="run one branch")
-    run.add_argument("--graph", required=True)
-    run.add_argument("--gflow", required=True)
-    run.add_argument("--pattern", required=True)
+    run = _command(oracle_sub, "run", "run one branch", _oracle_run, pattern_files)
     run.add_argument("--branch", required=True, help="bitstring over sorted measured vertices")
-    run.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
-    run.set_defaults(func=_cmd_oracle_run)
-    det = oracle_sub.add_parser("determinism", help="compare all branches")
-    det.add_argument("--graph", required=True)
-    det.add_argument("--gflow", required=True)
-    det.add_argument("--pattern", required=True)
+    det = _command(
+        oracle_sub, "determinism", "compare all branches", _oracle_determinism, pattern_files
+    )
     det.add_argument("--seed", type=int, default=0)
-    det.add_argument(
-        "--budget-branches", type=int, default=oracle_mod.DEFAULT_BRANCH_BUDGET
+    det.add_argument("--budget-branches", type=int, default=oracle_mod.DEFAULT_BRANCH_BUDGET)
+    uni = _command(
+        oracle_sub, "unitary", "assemble the implemented unitary", _oracle_unitary, pattern_files
     )
-    det.set_defaults(func=_cmd_oracle_determinism)
-    uni = oracle_sub.add_parser("unitary", help="assemble the implemented unitary")
-    uni.add_argument("--graph", required=True)
-    uni.add_argument("--gflow", required=True)
-    uni.add_argument("--pattern", required=True)
-    uni.set_defaults(func=_cmd_oracle_unitary)
+    for cmd in (run, det, uni):
+        cmd.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
 
-    bounds_p = top.add_parser("bounds", help="entanglement measures and flow bound")
-    bounds_p.add_argument("--graph", required=True)
-    bounds_p.add_argument("--gflow")
-    bounds_p.add_argument(
-        "--budget-estruc", type=int, default=bounds_mod.DEFAULT_ORDERING_BUDGET
+    bounds_p = _command(
+        top, "bounds", "entanglement measures and flow bound", _bounds, flow_files,
+        gflow_optional=True,
     )
-    bounds_p.add_argument(
-        "--budget-width", type=int, default=bounds_mod.DEFAULT_TREE_BUDGET
-    )
-    bounds_p.set_defaults(func=_cmd_bounds)
+    bounds_p.add_argument("--budget-estruc", type=int, default=bounds_mod.DEFAULT_ORDERING_BUDGET)
+    bounds_p.add_argument("--budget-width", type=int, default=bounds_mod.DEFAULT_TREE_BUDGET)
 
     fixtures_p = top.add_parser("fixtures", help="the named example library")
     fixtures_sub = fixtures_p.add_subparsers(dest="subcommand", required=True)
-    flist = fixtures_sub.add_parser("list", help="names and parameters")
-    flist.set_defaults(func=_cmd_fixtures_list)
+    _command(fixtures_sub, "list", "names and parameters", _fixtures_list)
 
     return parser
 
@@ -420,7 +352,7 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return _run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

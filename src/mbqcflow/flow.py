@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
 from .graph import OpenGraph, _mask_to_set, _set_to_mask
-from .graph import json_ints, json_list, json_object, parse_json
+from .graph import json_ints, json_list, json_object, json_vertex, parse_json
 from .pattern import MeasurementPattern, Plane
 
 
@@ -121,14 +121,14 @@ class GFlow:
     def from_json_dict(cls, data: dict) -> GFlow:
         try:
             corrections = {
-                int(v): json_ints(s, "correcting set")
+                json_vertex(v, "g"): json_ints(s, "correcting set")
                 for v, s in json_object(data["g"], "g").items()
             }
             layers = [
                 json_ints(layer, "layer") for layer in json_list(data["layers"], "layers")
             ]
             planes = {
-                int(v): Plane(p)
+                json_vertex(v, "planes"): Plane(p)
                 for v, p in json_object(data.get("planes", {}), "planes").items()
             }
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,9 +1,9 @@
 """GF(2) linear algebra on bit-packed vectors.
 
-Vectors are Python ints used as bitsets.  ``gf2_rank`` reads them as the
-rows of a matrix.  ``gf2_basis`` reads them as columns: it eliminates
-them once into an echelon basis, and ``gf2_express`` then answers each
-right-hand side against that basis in O(rank).  gFlow peeling builds one
+Vectors are Python ints used as bitsets.  ``gf2_basis`` is the one
+elimination kernel: it eliminates them once into an echelon basis,
+``gf2_rank`` counts that basis, and ``gf2_express`` answers each
+right-hand side against it in O(rank).  gFlow peeling builds one
 such basis per pass and asks it for every unprocessed vertex.
 """
 
@@ -14,15 +14,8 @@ Gf2Basis = dict[int, tuple[int, int]]
 
 
 def gf2_rank(rows: list[int]) -> int:
-    """Rank of a bit-packed matrix via Gaussian elimination."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
+    """Rank of a bit-packed matrix: the size of the echelon basis of its rows."""
+    return len(gf2_basis(rows))
 
 
 def gf2_basis(columns: list[int]) -> Gf2Basis:

@@ -197,6 +197,18 @@ def json_int(value: object, name: str) -> int:
     return value
 
 
+def json_vertex(key: object, name: str) -> int:
+    """The vertex a JSON object key names, else ValueError.
+
+    Only the canonical decimal form counts (``str(int(key)) == key``):
+    ``int()`` alone also reads ``"00"``, ``" 0"``, ``"+0"``, ``"1_0"`` and
+    non-ASCII digits, which would let two keys name one vertex.
+    """
+    if not (isinstance(key, str) and key.isascii() and str(int(key)) == key):
+        raise ValueError(f"{name} key {key!r} is not a vertex number in canonical form")
+    return int(key)
+
+
 def json_list(value: object, name: str) -> list:
     """``value`` itself if it is a JSON array, else ValueError."""
     if not isinstance(value, list):

@@ -297,6 +297,7 @@ def check_determinism(
     pattern: MeasurementPattern,
     seed: int = 0,
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DeterminismReport:
     """Compare every branch's output against branch 0 on a random input.
 
@@ -325,7 +326,7 @@ def check_determinism(
     k = len(graph.inputs)
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
     input_state /= np.linalg.norm(input_state)
-    state, steps, source = _prepare(graph, gflow, pattern, input_state, DEFAULT_DENSE_LIMIT)
+    state, steps, source = _prepare(graph, gflow, pattern, input_state, dense_limit)
     bit = {v: 1 << pos for pos, v in enumerate(measured)}
     # Per surviving prefix: outcome mask, probability, worst step deviation.
     masks = np.zeros(1, dtype=np.int64)
@@ -356,6 +357,7 @@ def oracle_unitary(
     graph: OpenGraph,
     gflow: GFlow,
     pattern: MeasurementPattern,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> np.ndarray:
     """Unitary implemented by the pattern, assembled from branch-0 runs.
 
@@ -376,7 +378,7 @@ def oracle_unitary(
         inputs = np.arange(start, min(start + batch, dim))
         basis = np.zeros((inputs.size, dim), dtype=complex)
         basis[np.arange(inputs.size), inputs] = 1.0
-        state, steps, source = _prepare(graph, gflow, pattern, basis, DEFAULT_DENSE_LIMIT)
+        state, steps, source = _prepare(graph, gflow, pattern, basis, dense_limit)
         weight = np.ones(inputs.size)
         for step in steps:
             state, prob = _measure(state, step, 0)

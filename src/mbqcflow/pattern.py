@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import json_number, json_object, parse_json
+from .graph import json_number, json_object, json_vertex, parse_json
 
 
 class Plane(str, Enum):
@@ -56,11 +56,11 @@ class MeasurementPattern:
     def from_json_dict(cls, data: dict) -> MeasurementPattern:
         try:
             angles = {
-                int(v): json_number(a, f"angle of vertex {v}")
+                json_vertex(v, "angles"): json_number(a, f"angle of vertex {v}")
                 for v, a in json_object(data["angles"], "angles").items()
             }
             planes = {
-                int(v): Plane(p)
+                json_vertex(v, "planes"): Plane(p)
                 for v, p in json_object(data.get("planes", {}), "planes").items()
             }
         except (KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import mbqcflow
-from mbqcflow.cli import run_command
+from mbqcflow.cli import build_parser, run_command
 from mbqcflow.fixtures import (
     CATALOG,
     bottleneck_graph,
@@ -182,6 +183,28 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error: gflow is invalid")
 
+    @pytest.mark.parametrize("key", ["00", " 0", "+0", "1_0", "\u0661\u0660"])
+    @pytest.mark.parametrize(
+        "kind,field",
+        [("gflow", "g"), ("gflow", "planes"), ("pattern", "angles"), ("pattern", "planes")],
+    )
+    def test_non_canonical_vertex_key_is_usage_error(
+        self, tmp_path, capsys, path5_files, kind, field, key
+    ):
+        # int() reads every one of these keys, so two keys could name one vertex.
+        g, f, p = path5_files
+        path = Path(f if kind == "gflow" else p)
+        doc = json.loads(path.read_text())
+        doc[field][key] = doc[field]["0"]
+        path.write_text(json.dumps(doc))
+        assert run_command(["simulate", "--graph", g, "--gflow", f, "--pattern", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: malformed {kind} JSON: {field} key {key!r} "
+            "is not a vertex number in canonical form\n"
+        )
+
     def test_simulate_verifies_the_gflow_once(self, monkeypatch, capsys, path5_files):
         import mbqcflow.cli as cli_mod
         import mbqcflow.simulate as simulate_mod
@@ -260,6 +283,24 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == "budget exceeded: 5 qubits exceed --budget-dense 4\n"
 
+
+    @pytest.mark.parametrize("command", ["determinism", "unitary"])
+    def test_oracle_dense_budget_is_a_flag(self, tmp_path, capsys, command):
+        graph, gflow = path_graph(15), path_flow(15)
+        files = {
+            "g.json": graph.to_json(),
+            "f.json": gflow.to_json(),
+            "p.json": json.dumps({"angles": {str(v): 0.1 * v for v in graph.measured}}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["oracle", command, "--graph", str(tmp_path / "g.json"),
+                "--gflow", str(tmp_path / "f.json"), "--pattern", str(tmp_path / "p.json")]
+        assert run_command(argv) == 3
+        assert capsys.readouterr().err == "budget exceeded: 15 qubits exceed --budget-dense 14\n"
+        code, payload = run_json(capsys, argv + ["--budget-dense", "15"])
+        assert code == 0
+        assert payload["schema_version"] == 1
 
     def test_simulate_term_budget_exit_code(self, capsys, tmp_path):
         # Cluster 3x14 with random angles ran out of memory with no budget.
@@ -366,6 +407,28 @@ class TestCommands:
         assert out.startswith("digraph")
         assert "style=dashed, color=red" in out
 
+    def test_empty_gflow_path_means_no_gflow(self, capsys, path5_files):
+        g, _, _ = path5_files
+        code, payload = run_json(capsys, ["bounds", "--graph", g, "--gflow", ""])
+        assert code == 0
+        assert (payload["c_f"], payload["delta"], payload["flow_bound"]) == (None, None, None)
+        assert run_command(["graph", "dot", "--graph", g]) == 0
+        plain = capsys.readouterr().out
+        assert run_command(["graph", "dot", "--graph", g, "--gflow", ""]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_graph_dot_renders_an_invalid_gflow(self, capsys, tmp_path):
+        # Vertex 0 is corrected by 1, which is measured before it (rule g1).
+        text = '{"g": {"0": [1], "1": [2], "2": [3]}, "layers": [[1], [0], [2], [3]]}'
+        (tmp_path / "g.json").write_text(path_graph(4).to_json())
+        (tmp_path / "f.json").write_text(text)
+        argv = ["graph", "dot", "--graph", str(tmp_path / "g.json"),
+                "--gflow", str(tmp_path / "f.json")]
+        assert run_command(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == path_graph(4).to_dot(mbqcflow.GFlow.from_json(text)) + "\n"
+
     def test_flow_verify_and_report(self, capsys, path5_files):
         g, f, _ = path5_files
         code, payload = run_json(
@@ -463,6 +526,22 @@ class TestCommands:
         code, payload = run_json(capsys, ["fixtures", "list"])
         assert code == 0
         assert {f["name"] for f in payload["fixtures"]} == set(CATALOG)
+
+
+def subcommand_words(parser, words=()):
+    """The words naming each leaf subcommand under ``parser``."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield words
+        return
+    for name, sub in groups[0].choices.items():
+        yield from subcommand_words(sub, words + (name,))
+
+
+@pytest.mark.parametrize("words", list(subcommand_words(build_parser())), ids=" ".join)
+def test_every_subcommand_has_help(capsys, words):
+    assert run_command([*words, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: mbqcflow {' '.join(words)} [-h]")
 
 
 class TestOutputsAlwaysParse:

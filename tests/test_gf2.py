@@ -36,6 +36,28 @@ def test_rank_simple_cases():
     assert gf2_rank([0b001, 0b010, 0b100]) == 3
 
 
+def rank_by_sorted_basis(rows):
+    """The elimination loop ``gf2_rank`` ran before it counted ``gf2_basis``."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def test_rank_matches_the_sorted_basis_loop_on_seeded_matrices():
+    rng = np.random.default_rng(14)
+    for density in (0.05, 0.2, 0.5):
+        for _ in range(300):
+            bits = rng.random((12, 20)) < density
+            rows = [int(sum(1 << c for c in np.flatnonzero(row))) for row in bits]
+            rows.append(rows[0] ^ rows[1])  # one row that is always dependent
+            assert gf2_rank(rows) == rank_by_sorted_basis(rows)
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=12)
 )

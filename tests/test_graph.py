@@ -67,6 +67,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="JSON nested too deeply"):
             kind.from_json("[" * 200_000 + "]" * 200_000)
 
+    def test_from_json_reads_only_canonical_vertex_keys(self):
+        # int() reads "00" as 0, so one of the two correcting sets was dropped.
+        with pytest.raises(ValueError, match="g key '00'"):
+            GFlow.from_json('{"g": {"0": [1], "00": [2]}, "layers": [[0], [1, 2]]}')
+        with pytest.raises(ValueError, match="angles key '1_0'"):
+            MeasurementPattern.from_json('{"angles": {"1_0": 0.5, "\\u0661\\u0660": 0.25}}')
+        # A canonical negative key parses; verify_gflow rejects its vertex.
+        assert GFlow.from_json('{"g": {"-1": [0]}, "layers": [[-1], [0]]}').corrections == {
+            -1: frozenset({0})
+        }
+
     def test_json_vertex_cap(self):
         at_cap = OpenGraph.from_json_dict({"n": VERTEX_CAP, "edges": []})
         assert at_cap.n == VERTEX_CAP
