@@ -1,101 +1,74 @@
-"""Flow analysis, symbolic simulation and entanglement bounds for open graph states."""
+"""Flow analysis, symbolic simulation and entanglement bounds for open graph states.
 
-from .bounds import (
-    FlowEntanglementBound,
-    entanglement_width_exact,
-    flow_entanglement_bound,
-    structural_entanglement_exact,
-)
-from .cones import forward_cone, influence_region, influence_successors, max_forward_cone
-from .errors import (
-    BudgetExceededError,
-    DeterminismError,
-    FlowConsistencyError,
-    SimulationInvariantError,
-)
-from .flow import (
-    GFlow,
-    Violation,
-    correction_dependencies,
-    find_causal_flow,
-    find_gflow,
-    flow_wires,
-    verify_gflow,
-)
-from .graph import (
-    OpenGraph,
-    cut_edges,
-    cut_rank,
-    has_entanglement_capacity,
-    odd_neighborhood,
-)
-from .oracle import (
-    BranchRecord,
-    DeterminismReport,
-    build_open_graph_state,
-    check_determinism,
-    oracle_unitary,
-    run_branch,
-    schmidt_rank_log2,
-)
-from .pattern import MeasurementPattern, Plane
-from .pauli import LogicalOperator
-from .simulate import (
-    FinalizedLogicals,
-    SimulationState,
-    extract_unitary,
-    finalize_outputs,
-    initialize_simulation,
-    propagate_all,
-    propagate_round,
-    rotated_stabilizer,
-    simulate_pattern,
-)
+The package root is lazy (PEP 562): ``import mbqcflow`` loads no module,
+so a CLI process imports only the layers its command runs.  Reading a
+module of :data:`_API` (``mbqcflow.oracle``) imports that module.  The
+first read of a public name (``mbqcflow.find_gflow``) imports the whole
+API at once, so every layer is in ``sys.modules`` from then on.
+"""
 
-__all__ = [
-    "BranchRecord",
-    "BudgetExceededError",
-    "DeterminismError",
-    "DeterminismReport",
-    "FinalizedLogicals",
-    "FlowConsistencyError",
-    "FlowEntanglementBound",
-    "GFlow",
-    "LogicalOperator",
-    "MeasurementPattern",
-    "OpenGraph",
-    "Plane",
-    "SimulationInvariantError",
-    "SimulationState",
-    "Violation",
-    "build_open_graph_state",
-    "check_determinism",
-    "correction_dependencies",
-    "cut_edges",
-    "cut_rank",
-    "entanglement_width_exact",
-    "extract_unitary",
-    "finalize_outputs",
-    "find_causal_flow",
-    "find_gflow",
-    "flow_entanglement_bound",
-    "flow_wires",
-    "forward_cone",
-    "has_entanglement_capacity",
-    "influence_region",
-    "influence_successors",
-    "initialize_simulation",
-    "max_forward_cone",
-    "odd_neighborhood",
-    "oracle_unitary",
-    "propagate_all",
-    "propagate_round",
-    "rotated_stabilizer",
-    "run_branch",
-    "schmidt_rank_log2",
-    "simulate_pattern",
-    "structural_entanglement_exact",
-    "verify_gflow",
-]
+import importlib
+
+#: The public API: each name under the module that defines it.
+_API = {
+    "bounds": (
+        "FlowEntanglementBound",
+        "entanglement_width_exact",
+        "flow_entanglement_bound",
+        "structural_entanglement_exact",
+    ),
+    "cones": ("forward_cone", "influence_region", "influence_successors", "max_forward_cone"),
+    "errors": (
+        "BudgetExceededError",
+        "DeterminismError",
+        "FlowConsistencyError",
+        "SimulationInvariantError",
+    ),
+    "flow": (
+        "GFlow",
+        "Violation",
+        "correction_dependencies",
+        "find_causal_flow",
+        "find_gflow",
+        "flow_wires",
+        "verify_gflow",
+    ),
+    "graph": ("OpenGraph", "cut_edges", "cut_rank", "has_entanglement_capacity", "odd_neighborhood"),
+    "oracle": (
+        "BranchRecord",
+        "DeterminismReport",
+        "build_open_graph_state",
+        "check_determinism",
+        "oracle_unitary",
+        "run_branch",
+        "schmidt_rank_log2",
+    ),
+    "pattern": ("MeasurementPattern", "Plane"),
+    "pauli": ("LogicalOperator",),
+    "simulate": (
+        "FinalizedLogicals",
+        "SimulationState",
+        "extract_unitary",
+        "finalize_outputs",
+        "initialize_simulation",
+        "propagate_all",
+        "propagate_round",
+        "rotated_stabilizer",
+        "simulate_pattern",
+    ),
+}
+
+__all__ = sorted(name for names in _API.values() for name in names)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _API:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module_name, names in _API.items():
+        module = importlib.import_module(f".{module_name}", __name__)
+        globals().update((attr, getattr(module, attr)) for attr in names)
+    return globals()[name]

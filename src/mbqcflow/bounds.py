@@ -33,19 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_ORDERING_BUDGET, DEFAULT_TREE_BUDGET, BudgetExceededError
 from .flow import GFlow, WireReport, flow_wires
 from .graph import OpenGraph
 
-#: Default vertex limits of the two exact measures, the largest sizes
-#: that stay within a 1 s target.  On a 2-CPU Xeon VM (Python 3.11, numpy
-#: 2.4, median of 5 random graphs at edge density 1/2, under a 2 GiB
-#: RLIMIT_AS) structural_entanglement_exact took 0.15 / 0.37 / 0.85 /
-#: 1.67 s at n = 18 / 19 / 20 / 21, and entanglement_width_exact took
-#: 0.12 / 0.31 / 1.19 s at n = 15 / 16 / 17.  Peak RSS at the defaults:
-#: 154 MB (n = 20) and 67 MB (n = 16).
-DEFAULT_ORDERING_BUDGET = 20
-DEFAULT_TREE_BUDGET = 16
 #: Largest wire count whose order the ordering DP optimizes; more wires
 #: keep the identity order.  flow_entanglement_bound has no flag, so the
 #: target is 0.1 s: the DP took 0.04 / 0.07 / 0.18 s at 16 / 17 / 18 wires

@@ -3,17 +3,24 @@
 Each subcommand is declared once, in :func:`build_parser`, by a
 :func:`_command` call that names the files it reads.  One runner,
 :func:`_run`, does everything around the handlers: it loads those files
-in a fixed order (graph, gFlow, pattern) through :func:`_load`, checks
-the gFlow against the graph, calls the handler and prints what it
-returns.  A handler is a function from the parsed arguments and the
+in a fixed order (graph, gFlow, pattern) through :func:`_load`, then
+checks the gFlow against the graph, so a file that does not parse is
+reported before an invalid gFlow.  It calls the handler and prints what
+it returns.  A handler is a function from the parsed arguments and the
 loaded inputs to a JSON payload (optionally with an exit code) or to
 DOT text.  Three commands skip the gFlow check because they check or
 show the gFlow themselves: ``flow verify``, ``graph dot`` and
 ``simulate``, whose library call verifies it once.
 
+Only the ``simulate``, ``oracle`` and ``bounds`` handlers load numpy,
+by importing their layer when they run: every call is a fresh process,
+and importing numpy takes longer than a combinatorial command's work.
+So the parser reads its budget defaults from the numpy-free
+:mod:`.errors`.
+
 Exit codes: 0 success, 1 domain negative (e.g. no gFlow exists), 2
-usage or parse error, 3 budget exceeded.  Every JSON report carries a
-``schema_version`` field.
+usage or parse error, 3 budget exceeded or out of memory.  Every JSON
+report carries a ``schema_version`` field.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ import json
 import sys
 from typing import Sequence
 
-from . import bounds as bounds_mod
 from . import fixtures as fixtures_mod
-from . import oracle as oracle_mod
-from . import simulate as simulate_mod
+from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT, DEFAULT_ORDERING_BUDGET
+from .errors import DEFAULT_TERM_BUDGET, DEFAULT_TREE_BUDGET
 from .errors import BudgetExceededError, DeterminismError, FlowConsistencyError
 from .flow import (
     GFlow,
@@ -39,7 +45,6 @@ from .flow import (
 from .cones import forward_cone
 from .graph import OpenGraph, parse_json
 from .pattern import MeasurementPattern
-from .simulate import complex_pairs, simulate_pattern
 
 SCHEMA_VERSION = 1
 
@@ -68,14 +73,12 @@ def _run(args) -> int:
     inputs = []
     for name in args.files:
         path = getattr(args, name)
-        if name == "gflow" and args.gflow_optional and not path:
-            inputs.append(None)
-            continue
-        inputs.append(_load(path, _FILE_KINDS[name]))
-        if name == "gflow" and args.check_gflow:
-            violations = verify_gflow(inputs[0], inputs[-1])
-            if violations:
-                raise ValueError(f"gflow is invalid: {violations[:3]}")
+        absent = name == "gflow" and args.gflow_optional and not path
+        inputs.append(None if absent else _load(path, _FILE_KINDS[name]))
+    if args.check_gflow and inputs[1] is not None:
+        violations = verify_gflow(inputs[0], inputs[1])
+        if violations:
+            raise ValueError(f"gflow is invalid: {violations[:3]}")
     result = args.handler(args, *inputs)
     result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     if isinstance(result, str):
@@ -169,6 +172,8 @@ def _cone(args, graph, gflow):
 
 
 def _simulate(args, graph, gflow, pattern):
+    from .simulate import simulate_pattern
+
     result = simulate_pattern(
         graph, gflow, pattern, term_budget=args.budget_terms, dense_limit=args.budget_dense
     )
@@ -182,6 +187,8 @@ def _simulate(args, graph, gflow, pattern):
 
 
 def _oracle_run(args, graph, gflow, pattern):
+    from .oracle import complex_pairs, run_branch
+
     measured = sorted(gflow.measurement_order)
     if len(args.branch) != len(measured) or set(args.branch) - {"0", "1"}:
         raise ValueError(
@@ -189,7 +196,7 @@ def _oracle_run(args, graph, gflow, pattern):
             f"the sorted measured vertices {measured}"
         )
     bits = {v: int(bit) for v, bit in zip(measured, args.branch)}
-    record = oracle_mod.run_branch(graph, gflow, pattern, bits, dense_limit=args.budget_dense)
+    record = run_branch(graph, gflow, pattern, bits, dense_limit=args.budget_dense)
     state = record.output_state
     return {
         "outcomes": {str(v): b for v, b in sorted(record.outcomes.items())},
@@ -200,7 +207,9 @@ def _oracle_run(args, graph, gflow, pattern):
 
 
 def _oracle_determinism(args, graph, gflow, pattern):
-    report = oracle_mod.check_determinism(
+    from .oracle import check_determinism
+
+    report = check_determinism(
         graph, gflow, pattern, seed=args.seed, branch_budget=args.budget_branches,
         dense_limit=args.budget_dense,
     )
@@ -208,7 +217,9 @@ def _oracle_determinism(args, graph, gflow, pattern):
 
 
 def _oracle_unitary(args, graph, gflow, pattern):
-    matrix = oracle_mod.oracle_unitary(graph, gflow, pattern, dense_limit=args.budget_dense)
+    from .oracle import complex_pairs, oracle_unitary
+
+    matrix = oracle_unitary(graph, gflow, pattern, dense_limit=args.budget_dense)
     return {"unitary": complex_pairs(matrix)}
 
 
@@ -216,6 +227,8 @@ def _oracle_unitary(args, graph, gflow, pattern):
 
 
 def _bounds(args, graph, gflow):
+    from . import bounds as bounds_mod
+
     payload: dict = {}
     try:
         payload["e_struc_exact"] = bounds_mod.structural_entanglement_exact(
@@ -264,7 +277,8 @@ def _command(
     for file in files:
         parser.add_argument(f"--{file}", required=not (file == "gflow" and gflow_optional))
     parser.set_defaults(
-        handler=handler, files=files, gflow_optional=gflow_optional, check_gflow=check_gflow
+        handler=handler, files=files, gflow_optional=gflow_optional,
+        check_gflow=check_gflow and "gflow" in files,
     )
     return parser
 
@@ -313,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         check_gflow=False,
     )
     sim.add_argument("--report-terms", action="store_true")
-    sim.add_argument("--budget-terms", type=int, default=simulate_mod.DEFAULT_TERM_BUDGET)
-    sim.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
+    sim.add_argument("--budget-terms", type=int, default=DEFAULT_TERM_BUDGET)
+    sim.add_argument("--budget-dense", type=int, default=DEFAULT_DENSE_LIMIT)
 
     oracle_p = top.add_parser("oracle", help="dense statevector ground truth")
     oracle_sub = oracle_p.add_subparsers(dest="subcommand", required=True)
@@ -324,19 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
         oracle_sub, "determinism", "compare all branches", _oracle_determinism, pattern_files
     )
     det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--budget-branches", type=int, default=oracle_mod.DEFAULT_BRANCH_BUDGET)
+    det.add_argument("--budget-branches", type=int, default=DEFAULT_BRANCH_BUDGET)
     uni = _command(
         oracle_sub, "unitary", "assemble the implemented unitary", _oracle_unitary, pattern_files
     )
     for cmd in (run, det, uni):
-        cmd.add_argument("--budget-dense", type=int, default=oracle_mod.DEFAULT_DENSE_LIMIT)
+        cmd.add_argument("--budget-dense", type=int, default=DEFAULT_DENSE_LIMIT)
 
     bounds_p = _command(
         top, "bounds", "entanglement measures and flow bound", _bounds, flow_files,
         gflow_optional=True,
     )
-    bounds_p.add_argument("--budget-estruc", type=int, default=bounds_mod.DEFAULT_ORDERING_BUDGET)
-    bounds_p.add_argument("--budget-width", type=int, default=bounds_mod.DEFAULT_TREE_BUDGET)
+    bounds_p.add_argument("--budget-estruc", type=int, default=DEFAULT_ORDERING_BUDGET)
+    bounds_p.add_argument("--budget-width", type=int, default=DEFAULT_TREE_BUDGET)
 
     fixtures_p = top.add_parser("fixtures", help="the named example library")
     fixtures_sub = fixtures_p.add_subparsers(dest="subcommand", required=True)
@@ -355,6 +369,12 @@ def run_command(argv: Sequence[str]) -> int:
         return _run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # A budget raised past what memory holds ends here, not in a traceback.
+        budgets = [f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items() if "budget" in k]
+        hint = f" within {' and '.join(budgets)}" if budgets else ""
+        print(f"budget exceeded: memory ran out{hint}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

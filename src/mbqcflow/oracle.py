@@ -24,21 +24,11 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT
 from .errors import BudgetExceededError, DeterminismError
 from .flow import GFlow, check_pattern, correction_masks
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
-
-#: Largest register a dense state is allowed to hold.
-DEFAULT_DENSE_LIMIT = 14
-
-#: Cap on the number of branches enumerated by the determinism check.  On
-#: a 2-CPU Xeon VM (Python 3.11, numpy 2.4, median of 5) the check took
-#: 0.03 s over 2^12 branches (cluster 2x7), 0.04 s over 2^13 (path 14) and
-#: 0.04 s over 2^14 (14 YZ vertices, no outputs), well inside a 1 s target.
-#: At most 14 vertices are measured within the dense limit, so at the
-#: defaults the dense limit binds first.
-DEFAULT_BRANCH_BUDGET = 2**14
 
 _ZERO_PROBABILITY = 1e-12
 
@@ -269,6 +259,12 @@ def normalize_phase(vec: np.ndarray) -> np.ndarray:
         if abs(entry) > TOLERANCE * scale:
             return vec * (abs(entry) / entry)
     return vec
+
+
+def complex_pairs(values: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex array, for JSON output."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)

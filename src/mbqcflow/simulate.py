@@ -26,20 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import cone_masks
-from .errors import BudgetExceededError, DeterminismError, SimulationInvariantError
+from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, BudgetExceededError
+from .errors import DeterminismError, SimulationInvariantError
 from .flow import GFlow, check_pattern, verify_gflow
 from .graph import OpenGraph
-from .oracle import DEFAULT_DENSE_LIMIT, TOLERANCE, normalize_phase
+from .oracle import TOLERANCE, complex_pairs, normalize_phase
 from .pattern import MeasurementPattern, Plane
 from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
-
-#: Most rows the table of logicals may reach (``--budget-terms``), from a
-#: 1 GiB target.  On a 2-CPU Xeon VM (Python 3.11, numpy 2.4), runs stopped
-#: by this budget peaked at 660 MB RSS with one-word rows (cluster 3x14,
-#: about 150 bytes per row) and at 950-1040 MB with two-word rows (cluster
-#: 3x22 and 5x14, about 240 bytes per row).  The sim-terms and sim-clifford
-#: benchmark pools of seeds 1-5 reach at most 13,687 rows.
-DEFAULT_TERM_BUDGET = 2**22
 
 
 def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:
@@ -311,12 +304,6 @@ def extract_unitary(
             f"extracted map deviates from unitarity by {deviation:.2e}"
         )
     return normalize_phase(unitary)
-
-
-def complex_pairs(values: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of a complex array, for JSON output."""
-    values = np.asarray(values, dtype=complex)
-    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)

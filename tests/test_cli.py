@@ -183,6 +183,32 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err.startswith("error: gflow is invalid")
 
+    def test_a_file_that_does_not_parse_is_reported_before_an_invalid_gflow(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The gFlow breaks rule g1 and the pattern is not JSON: every
+        # command that reads both reports the pattern, as simulate does.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(path_graph(4).to_json())
+        (tmp_path / "f.json").write_text(
+            json.dumps({"g": {"0": [1], "1": [2], "2": [3]}, "layers": [[1], [0], [2], [3]]})
+        )
+        (tmp_path / "p.json").write_text("{not json")
+        errors = set()
+        for command in (
+            ["simulate"],
+            ["oracle", "run", "--branch", "000"],
+            ["oracle", "determinism"],
+            ["oracle", "unitary"],
+        ):
+            argv = command + ["--graph", "g.json", "--gflow", "f.json", "--pattern", "p.json"]
+            assert run_command(argv) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.add(captured.err)
+        (err,) = errors
+        assert err.startswith("error: p.json: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("key", ["00", " 0", "+0", "1_0", "\u0661\u0660"])
     @pytest.mark.parametrize(
         "kind,field",
@@ -340,6 +366,32 @@ class TestExitCodes:
             "budget exceeded: 24 qubits exceed --budget-dense 14 "
             "(a 12-qubit unitary holds 4^12 amplitudes)\n"
         )
+
+    def test_out_of_memory_exit_code(self, tmp_path):
+        # --budget-dense 28 lets the oracle try a 2^28-amplitude state; the
+        # child's own address-space limit makes that allocation fail.  One
+        # BLAS thread keeps numpy's own reservations small on many-core hosts.
+        resource = pytest.importorskip("resource")
+        (tmp_path / "g.json").write_text(path_graph(28).to_json())
+        (tmp_path / "f.json").write_text(path_flow(28).to_json())
+        (tmp_path / "p.json").write_text(json.dumps({"angles": {str(v): 0.0 for v in range(27)}}))
+        limit = 1 << 30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(mbqcflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbqcflow.cli", "oracle", "unitary", "--graph", "g.json",
+             "--gflow", "f.json", "--pattern", "p.json", "--budget-dense", "28"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "budget exceeded: memory ran out within --budget-dense 28\n"
 
     def test_vertex_cap_exit_code(self, capsys, tmp_path):
         from mbqcflow.graph import VERTEX_CAP
@@ -615,3 +667,40 @@ def test_cli_import_does_not_load_networkx():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_commands_without_numpy_do_not_load_it(path5_files):
+    # Importing numpy costs more than a combinatorial command itself, and
+    # every CLI call is a fresh process.  bounds shows the check can fail.
+    g, f, _ = path5_files
+    graph, both = ["--graph", g], ["--graph", g, "--gflow", f]
+    commands = [
+        ["graph", "gen", "path", "--n", "3", "--with-gflow"],
+        ["graph", "show", *graph],
+        ["graph", "dot", *both],
+        ["flow", "find", *graph],
+        ["flow", "verify", *both],
+        ["flow", "report", *both],
+        ["cone", *both, "--vertex", "0"],
+        ["fixtures", "list"],
+        ["bounds", *both],
+    ]
+    script = """
+import runpy, sys
+loaded = []
+for argv in COMMANDS:
+    sys.argv = ["mbqcflow", *argv]
+    try:
+        runpy.run_module("mbqcflow.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+    src = str(Path(mbqcflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script.replace("COMMANDS", repr(commands))],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stderr == f"{[False] * 8 + [True]}\n"
