@@ -376,7 +376,7 @@ def run_command(argv: Sequence[str]) -> int:
         hint = f" within {' and '.join(budgets)}" if budgets else ""
         print(f"budget exceeded: memory ran out{hint}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DeterminismError, FlowConsistencyError) as exc:

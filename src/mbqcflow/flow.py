@@ -242,8 +242,7 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     sets reaching inputs) raise ValueError; per-vertex rule violations are
     returned as a list.
     """
-    measured = set(graph.measured)
-    if set(gflow.corrections) != measured:
+    if set(gflow.corrections) != set(graph.measured):
         raise ValueError(
             "correction map must be defined exactly on the non-output vertices"
         )
@@ -252,8 +251,6 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
         raise ValueError("layers must partition the vertex set")
     if gflow.layers and gflow.layers[-1] != graph.output_set:
         raise ValueError("final layer must hold exactly the outputs")
-    if set(gflow.planes) != measured:
-        raise ValueError("planes must be defined exactly on the measured vertices")
     for i, corr in gflow.corrections.items():
         if corr & graph.input_set:
             raise ValueError(f"correcting set of {i} contains input vertices")
@@ -339,7 +336,7 @@ def correction_dependencies(graph: OpenGraph, gflow: GFlow) -> CorrectionReport:
         x_parity={v: tuple(s) for v, s in x_parity.items()},
         z_parity={v: tuple(s) for v, s in z_parity.items()},
         total_cost=total,
-        depth=len(gflow.layers) - 1,
+        depth=gflow.depth,
     )
 
 

@@ -304,12 +304,12 @@ def has_entanglement_capacity(
 ) -> tuple[bool, frozenset[int] | None]:
     """Check that every input/output-separating cut can carry the input space.
 
-    Each input is first extended with a pendant vertex standing in for the
-    reference half of a maximally entangled pair; the check then requires
-    cut rank at least ``len(inputs)`` for every bipartition (A, B) with the
-    pendants and inputs in A and the outputs in B.  Returns ``(ok,
-    witness)`` where ``witness`` is a violating A-side (original vertices
-    only) when the check fails.
+    Requires cut rank at least ``len(inputs)`` for every bipartition (A,
+    B) with the inputs in A and the outputs in B.  Returns ``(ok,
+    witness)`` where ``witness`` is a violating A side when the check
+    fails.  A reference qubit entangled with each input (a pendant
+    vertex) would add nothing: it sits on the A side with its input in
+    every such cut, so its edge never crosses and the rank is unchanged.
 
     Interior vertices are enumerated exhaustively; if there are more than
     ``log2(cut_budget)`` of them a :class:`BudgetExceededError` is raised.
@@ -328,21 +328,13 @@ def has_entanglement_capacity(
         raise BudgetExceededError(
             f"{len(free)} interior vertices exceed the cut budget of {cut_budget}"
         )
-
-    # Pendant-extended graph: pendant n+i attached to the i-th input.
-    ext_n = graph.n + k
-    ext_edges = list(graph.edges) + [
-        (inp, graph.n + idx) for idx, inp in enumerate(graph.inputs)
-    ]
-    ext = OpenGraph(n=ext_n, edges=ext_edges)
-    base_a = _set_to_mask(graph.inputs) | (((1 << k) - 1) << graph.n)
-
+    base_a = _set_to_mask(graph.inputs)
     for mask in range(2 ** len(free)):
         # Bit set moves the free vertex to the output side.
         a_side = base_a
         for bit, v in enumerate(free):
             if not (mask >> bit) & 1:
                 a_side |= 1 << v
-        if mask_cut_rank(ext, a_side) < k:
-            return False, _mask_to_set(a_side & ((1 << graph.n) - 1))
+        if mask_cut_rank(graph, a_side) < k:
+            return False, _mask_to_set(a_side)
     return True, None

@@ -133,11 +133,12 @@ def _prepare(
     """The checks every path runs, the built batch and the measurement plan.
 
     Checks that the gflow layers measure exactly the non-output vertices,
-    that the state fits the dense limit and that the pattern fits the
-    gflow.  Returns the built state as a batch of one row per input (one
-    row for a 1-D or absent ``input_state``), one step per vertex of
-    ``gflow.measurement_order``, and the index array that reorders the
-    register the last step leaves so that output k sits at bit k.
+    that the pattern fits the gflow and, before building anything
+    exponential, that the state fits the dense limit.  Returns the built
+    state as a batch of one row per input (one row for a 1-D or absent
+    ``input_state``), one step per vertex of ``gflow.measurement_order``,
+    and the index array that reorders the register the last step leaves
+    so that output k sits at bit k.
     """
     order = gflow.measurement_order
     if sorted(order) != list(graph.measured):
@@ -145,8 +146,8 @@ def _prepare(
             f"gflow layers measure {sorted(order)} but the non-output "
             f"vertices are {list(graph.measured)}"
         )
-    state = build_open_graph_state(graph, input_state, dense_limit).reshape(-1, 1 << graph.n)
     check_pattern(gflow, pattern)
+    state = build_open_graph_state(graph, input_state, dense_limit).reshape(-1, 1 << graph.n)
     held = list(range(graph.n))  # held[k] is the vertex at bit k
     steps = []
     for v in order:
@@ -240,11 +241,10 @@ def run_branch(
                 probability=0.0,
                 output_state=None,
             )
-    total = float(np.prod(step_probs)) if step_probs else 1.0
     return BranchRecord(
         outcomes=outcomes,
         step_probabilities=tuple(step_probs),
-        probability=total,
+        probability=float(np.prod(step_probs)),
         output_state=state[0, source],
     )
 
@@ -259,6 +259,14 @@ def normalize_phase(vec: np.ndarray) -> np.ndarray:
         if abs(entry) > TOLERANCE * scale:
             return vec * (abs(entry) / entry)
     return vec
+
+
+def canonical_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
+    """``matrix`` in canonical phase, or DeterminismError if the ``name`` map is not unitary."""
+    deviation = np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))))
+    if deviation > TOLERANCE:
+        raise DeterminismError(f"{name} map deviates from unitarity by {deviation:.2e}")
+    return normalize_phase(matrix)
 
 
 def complex_pairs(values: np.ndarray) -> list:
@@ -387,13 +395,7 @@ def oracle_unitary(
     scale = np.linalg.norm(columns[:, 0])
     if scale < _ZERO_PROBABILITY:
         raise DeterminismError("assembled map is singular")
-    unitary = columns / scale
-    deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > TOLERANCE:
-        raise DeterminismError(
-            f"assembled map deviates from unitarity by {deviation:.2e}"
-        )
-    return normalize_phase(unitary)
+    return canonical_unitary(columns / scale, "assembled")
 
 
 def schmidt_rank_log2(state: np.ndarray, n: int, side: Iterable[int]) -> int:

@@ -251,6 +251,9 @@ class PauliTable:
         if not len(hit):
             return False
         terms = correction.num_terms
+        size = len(rows) + (terms - 1) * len(hit)
+        if budget is not None and size > budget:
+            raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
         if terms == 1 and self.single:
             # No sum has two rows and one word maps rows one to one, so
             # nothing merges: each hit row is replaced where it stands.
@@ -266,9 +269,6 @@ class PauliTable:
                 stay[hit[dead]] = False
                 self._set_rows(rows[stay], coeffs[stay], self.owner[stay])
             return True
-        size = len(rows) + (terms - 1) * len(hit)
-        if budget is not None and size > budget:
-            raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
         new_rows, new_coeffs = _product_rows(
             correction._rows, correction._coeffs, rows[hit], coeffs[hit]
         )

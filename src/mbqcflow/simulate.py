@@ -21,7 +21,9 @@ step, to be compared against ``2**|forward cone|``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, BudgetExceededErro
 from .errors import DeterminismError, SimulationInvariantError
 from .flow import GFlow, check_pattern, verify_gflow
 from .graph import OpenGraph
-from .oracle import TOLERANCE, complex_pairs, normalize_phase
+from .oracle import TOLERANCE, canonical_unitary, complex_pairs
 from .pattern import MeasurementPattern, Plane
 from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
 
@@ -104,19 +106,6 @@ def _stabilizer_angle(pattern: MeasurementPattern, vertex: int) -> float:
     return pattern.angles.get(vertex, 0.0)
 
 
-def _correcting_operator(
-    gflow: GFlow, rotated: dict[int, LogicalOperator], vertex: int
-) -> LogicalOperator:
-    """Product of rotated stabilizers over the correcting set of ``vertex``."""
-    result: LogicalOperator | None = None
-    for j in sorted(gflow.corrections[vertex]):
-        factor = rotated[j]
-        result = factor if result is None else result * factor
-    if result is None:
-        raise SimulationInvariantError(f"empty correcting set for vertex {vertex}")
-    return result
-
-
 def initialize_simulation(
     graph: OpenGraph,
     gflow: GFlow,
@@ -128,7 +117,8 @@ def initialize_simulation(
     Inputs that are measured contribute a rotated ``X (x) Z_neighbours``
     logical; unmeasured inputs keep it unrotated.  The input's Z logical
     commutes with the rotation and stays a bare Z.  Each rotated
-    stabilizer is built once, however many correcting sets hold it.
+    stabilizer is built once, however many correcting sets hold it.  No
+    correcting set is empty: the XY rule of a valid gFlow needs i in Odd(g(i)).
     """
     if len(graph.inputs) > len(graph.outputs):
         raise ValueError("simulation requires |inputs| <= |outputs|")
@@ -150,7 +140,8 @@ def initialize_simulation(
     )
     rotated = dict(zip(corrector_vertices, words))
     stabilizers = {
-        i: _correcting_operator(gflow, rotated, i) for i in sorted(gflow.corrections)
+        i: reduce(operator.mul, [rotated[j] for j in sorted(gflow.corrections[i])])
+        for i in sorted(gflow.corrections)
     }
     z_rows = pack_rows(graph.n, [0] * len(inputs), [1 << i for i in inputs])
     logicals: dict[tuple[str, int], LogicalOperator] = {}
@@ -208,16 +199,15 @@ def propagate_all(state: SimulationState) -> SimulationState:
 
 @dataclass(frozen=True)
 class FinalizedLogicals:
-    """Logical operators reduced to the output register (output order)."""
+    """Logical operators reduced to the output register (output order).
+
+    ``logicals`` holds the sums ``("X", i)`` and ``("Z", i)`` for each
+    input i in turn; with no inputs it holds none.
+    """
 
     input_vertices: tuple[int, ...]
     output_vertices: tuple[int, ...]
-    x_logicals: tuple[LogicalOperator, ...]
-    z_logicals: tuple[LogicalOperator, ...]
-
-    @property
-    def qubit_count(self) -> int:
-        return len(self.output_vertices)
+    logicals: PauliTable
 
 
 def finalize_outputs(state: SimulationState) -> FinalizedLogicals:
@@ -234,23 +224,19 @@ def finalize_outputs(state: SimulationState) -> FinalizedLogicals:
     if state.round_cursor != len(state.rounds):
         raise ValueError("all rounds must be propagated before finalizing")
     graph = state.graph
-    inputs = tuple(graph.inputs)
-    x_ops: tuple[LogicalOperator, ...] = ()
-    z_ops: tuple[LogicalOperator, ...] = ()
-    if inputs:
+    if graph.inputs:
         measured = sum(1 << v for v in graph.measured)
         if state.logicals.z_support() & measured:
             raise SimulationInvariantError(
                 "residual anticommutation with a measured X survived propagation"
             )
-        projected = state.logicals.project(list(graph.outputs)).operators()
-        x_ops = tuple(projected[("X", i)] for i in inputs)
-        z_ops = tuple(projected[("Z", i)] for i in inputs)
+        projected = state.logicals.project(list(graph.outputs))
+    else:
+        projected = PauliTable.stack(len(graph.outputs), {})
     return FinalizedLogicals(
-        input_vertices=inputs,
+        input_vertices=tuple(graph.inputs),
         output_vertices=tuple(graph.outputs),
-        x_logicals=x_ops,
-        z_logicals=z_ops,
+        logicals=projected,
     )
 
 
@@ -263,16 +249,17 @@ def extract_unitary(
     product of ``(1 + Lz_i)/2`` is the image of |0..0><0..0|; its
     principal eigenvector seeds the columns, which the X images then
     generate: the columns with bit i set are ``Lx_i`` times those below
-    ``2**i``.  A transfer map that is not rank-one/unitary within
-    ``TOLERANCE`` means the pattern does not implement a
-    unitary and raises :class:`DeterminismError`.
+    ``2**i``.  The X and Z images are the even and the odd sums of
+    ``finalized.logicals``, made dense in one scatter.  A transfer map
+    that is not rank-one/unitary within ``TOLERANCE`` means the pattern
+    does not implement a unitary and raises :class:`DeterminismError`.
 
     A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
     so k with 2k above ``dense_limit`` raises
     :class:`BudgetExceededError` before anything dense is built.
     """
     k = len(finalized.input_vertices)
-    if k != finalized.qubit_count:
+    if k != len(finalized.output_vertices):
         raise ValueError("unitary extraction needs equally many inputs and outputs")
     if 2 * k > dense_limit:
         raise BudgetExceededError(
@@ -280,9 +267,8 @@ def extract_unitary(
             f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
         )
     dim = 1 << k
-    logicals = finalized.x_logicals + finalized.z_logicals
-    mats = PauliTable.stack(k, dict(enumerate(logicals))).to_matrices()
-    lx, lz = mats[:k], mats[k:]
+    mats = finalized.logicals.to_matrices()
+    lx, lz = mats[0::2], mats[1::2]
     projector = np.eye(dim, dtype=complex)
     for mat in lz:
         projector = projector @ (np.eye(dim) + mat) / 2.0
@@ -298,12 +284,7 @@ def extract_unitary(
         # A stack of matrix-vector products rounds as a column-by-column
         # loop does; one matrix product would round differently.
         unitary[:, half : 2 * half] = np.matmul(lx[i], unitary[:, :half].T[:, :, None])[..., 0].T
-    deviation = np.max(np.abs(unitary.conj().T @ unitary - np.eye(dim)))
-    if deviation > TOLERANCE:
-        raise DeterminismError(
-            f"extracted map deviates from unitarity by {deviation:.2e}"
-        )
-    return normalize_phase(unitary)
+    return canonical_unitary(unitary, "extracted")
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,23 @@ class TestExitCodes:
         )
         assert int(captured.err.split()[2]) > 10000
 
+    @pytest.mark.parametrize("budget, code", [(5, 3), (6, 0)])
+    def test_simulate_term_budget_holds_for_one_term_logicals(
+        self, capsys, tmp_path, budget, code
+    ):
+        # Right angles keep the 6 logicals of cluster 3x4 at one term each.
+        graph, gflow = cluster_graph(3, 4), cluster_row_flow(3, 4)
+        pattern = {"angles": {str(v): np.pi / 2 for v in graph.measured}}
+        files = {"g.json": graph.to_json(), "f.json": gflow.to_json(), "p.json": json.dumps(pattern)}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["simulate", "--graph", str(tmp_path / "g.json"), "--gflow", str(tmp_path / "f.json"),
+                "--pattern", str(tmp_path / "p.json"), "--budget-terms", str(budget)]
+        assert run_command(argv) == code
+        assert capsys.readouterr().err == (
+            "budget exceeded: 6 terms exceed --budget-terms 5\n" if code else ""
+        )
+
     def test_simulate_dense_limit_exit_code(self, tmp_path):
         # Twelve isolated vertices, each an input and an output: a 12-qubit
         # unitary holds as many amplitudes as a 24-qubit state.

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,28 @@ class TestVerifyGflow:
         g = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(0, 1), outputs=(1, 2))
         with pytest.raises(ValueError, match="input"):
             verify_gflow(g, GFlow(corrections={0: {1}}, layers=[{0}, {1, 2}]))
+
+
+    @pytest.mark.parametrize(
+        "corrections, layers, message",
+        [
+            ({0: {1}}, [{0}, {1}, {2}], "correction map must be defined exactly on the non-output vertices"),
+            ({0: {1}, 1: {2}}, [{0}, {2}], "layers must partition the vertex set"),
+            ({0: {1}, 1: {2}}, [{0}, {1}, {1, 2}], "vertex 1 appears in two layers"),
+            ({0: {1}, 1: {2}}, [{0}, {2}, {1}], "final layer must hold exactly the outputs"),
+            ({0: {1}, 1: {0, 2}}, [{0}, {1}, {2}], "correcting set of 1 contains input vertices"),
+            ({0: {1}, 1: {5}}, [{0}, {1}, {2}], "correcting set of 1 is out of range"),
+        ],
+    )
+    def test_structural_errors_raise(self, corrections, layers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_gflow(path_graph(3), GFlow(corrections, layers))
+
+    def test_planes_are_defined_exactly_on_the_corrected_vertices(self):
+        # Extra keys are dropped and missing ones become XY, so verify_gflow
+        # needs no check of the planes' domain.
+        gf = GFlow({0: {1}, 1: {2}}, [{0}, {1}, {2}], planes={0: Plane.YZ, 2: Plane.XZ})
+        assert gf.planes == {0: Plane.YZ, 1: Plane.XY}
 
 
 class TestRoundsAndDependencies:

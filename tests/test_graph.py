@@ -223,7 +223,37 @@ class TestCuts:
                 assert cut_rank(g, side) == schmidt_rank_log2(state, g.n, side)
 
 
+def pendant_capacity(graph: OpenGraph):
+    """The capacity check as first written: a pendant reference qubit on each input.
+
+    Every pendant sits on the A side with its input, so no pendant edge
+    crosses a cut; this reference pins that dropping them changes nothing.
+    """
+    k = len(graph.inputs)
+    if graph.input_set & graph.output_set:
+        return True, None
+    free = [v for v in range(graph.n) if v not in graph.input_set | graph.output_set]
+    pendants = range(graph.n, graph.n + k)
+    ext = OpenGraph(graph.n + k, list(graph.edges) + list(zip(graph.inputs, pendants)))
+    for mask in range(2 ** len(free)):
+        a_side = {*graph.inputs, *pendants}
+        a_side |= {v for bit, v in enumerate(free) if not (mask >> bit) & 1}
+        if cut_rank(ext, a_side) < k:
+            return False, frozenset(v for v in a_side if v < graph.n)
+    return True, None
+
+
 class TestEntanglementCapacity:
+    def test_matches_the_pendant_construction(self):
+        rng = np.random.default_rng(29)
+        outcomes = set()
+        for _ in range(300):
+            g = random_open_graph(rng, n_min=2, n_max=9)
+            result = has_entanglement_capacity(g)
+            assert result == pendant_capacity(g), g
+            outcomes.add(result[0])
+        assert outcomes == {True, False}
+
     def test_bottleneck_fails_with_witness(self):
         ok, witness = has_entanglement_capacity(bottleneck_graph())
         assert not ok

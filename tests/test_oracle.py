@@ -421,6 +421,21 @@ class TestRunBranch:
         with pytest.raises(ValueError, match="conflicts"):
             calls[entry](g, fl, MeasurementPattern(angles={0: 0.3}, planes={0: Plane.XZ}))
 
+    @pytest.mark.parametrize("entry", ["run_branch", "check_determinism", "oracle_unitary"])
+    def test_pattern_is_checked_before_the_state_is_built(self, entry, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the state was built before the pattern was checked")
+
+        monkeypatch.setattr(oracle_mod, "build_open_graph_state", refuse)
+        calls = {
+            "run_branch": lambda g, f, p: run_branch(g, f, p, dict.fromkeys(f.measurement_order, 0)),
+            "check_determinism": lambda g, f, p: check_determinism(g, f, p, branch_budget=2**27),
+            "oracle_unitary": oracle_unitary,
+        }
+        g, fl = path_graph(28), path_flow(28)
+        with pytest.raises(ValueError, match=r"^pattern missing angles for vertices \[0, 1, .* 26\]$"):
+            calls[entry](g, fl, MeasurementPattern(angles={}))
+
     def test_branch_probabilities_sum_to_one(self, rng):
         g, fl = cluster_graph(2, 2), cluster_row_flow(2, 2)
         pat = MeasurementPattern(
@@ -584,6 +599,19 @@ class TestOracleUnitary:
         gf = GFlow(corrections={0: {1}}, layers=[{0}, {1}])
         with pytest.raises(DeterminismError):
             oracle_unitary(g, gf, MeasurementPattern(angles={0: 0.4}))
+
+
+    def test_invalid_gflow_assembles_a_map_that_is_not_unitary(self):
+        # Found by a seeded search over small graphs measured in one round:
+        # on the triangle the all-+1 columns are not orthonormal.
+        g = OpenGraph(n=3, edges=[(0, 1), (0, 2), (1, 2)], inputs=(0,), outputs=(2,))
+        gf = GFlow(corrections={0: {2}, 1: {2}}, layers=[{0, 1}, {2}])
+        assert verify_gflow(g, gf)
+        pattern = MeasurementPattern(angles={0: np.pi, 1: 3 * np.pi / 4})
+        with pytest.raises(
+            DeterminismError, match=r"^assembled map deviates from unitarity by 7\.07e-01$"
+        ):
+            oracle_unitary(g, gf, pattern)
 
 
 class TestSchmidtRank:

@@ -359,7 +359,7 @@ class TestPropagation:
             for op in state.logicals.operators().values():
                 assert deviation(op) < 1e-12
             finalized = finalize_outputs(state)
-            for op in finalized.x_logicals + finalized.z_logicals:
+            for op in finalized.logicals.operators().values():
                 assert deviation(op) < 1e-12
 
 
@@ -370,10 +370,10 @@ class TestFinalizeAndExtract:
         state = propagate_all(
             initialize_simulation(g, fl, MeasurementPattern(angles={0: theta}))
         )
-        finalized = finalize_outputs(state)
-        lz = finalized.z_logicals[0]
+        logicals = finalize_outputs(state).logicals.operators()
+        lz = logicals[("Z", 0)]
         assert dict(lz.terms()) == {(0b1, 0): 1.0}  # X on the output
-        lx = dict(finalized.x_logicals[0].terms())
+        lx = dict(logicals[("X", 0)].terms())
         # cos Z + sin Y on the output (Y = i X Z gives the -i on X Z).
         assert abs(lx.get((0, 1), 0) - np.cos(theta)) < 1e-12
         assert abs(lx.get((1, 1), 0) - 1j * np.sin(theta)) < 1e-12
@@ -404,16 +404,36 @@ class TestFinalizeAndExtract:
     def test_non_conjugation_logicals_raise_determinism_error(self):
         from mbqcflow import DeterminismError, FinalizedLogicals
         from mbqcflow import extract_unitary
-        from mbqcflow.pauli import LogicalOperator
+        from mbqcflow.pauli import LogicalOperator, PauliTable
 
         # Lz mapped to a non-involution: (1 + Lz)/2 is no projector.
         broken = FinalizedLogicals(
             input_vertices=(0,),
             output_vertices=(1,),
-            x_logicals=(LogicalOperator(1, {(1, 0): 1.0}),),
-            z_logicals=(LogicalOperator(1, {(0, 1): 0.5}),),
+            logicals=PauliTable.stack(1, {
+                ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
+                ("Z", 0): LogicalOperator(1, {(0, 1): 0.5}),
+            }),
         )
         with pytest.raises(DeterminismError, match="rank-one"):
+            extract_unitary(broken)
+
+    def test_non_unitary_transfer_raises_determinism_error(self):
+        from mbqcflow import DeterminismError, FinalizedLogicals, extract_unitary
+        from mbqcflow.pauli import PauliTable
+
+        # Lz = Z fixes the first column |0>; Lx = X/2 halves the second.
+        broken = FinalizedLogicals(
+            input_vertices=(0,),
+            output_vertices=(1,),
+            logicals=PauliTable.stack(1, {
+                ("X", 0): LogicalOperator(1, {(1, 0): 0.5}),
+                ("Z", 0): LogicalOperator(1, {(0, 1): 1.0}),
+            }),
+        )
+        with pytest.raises(
+            DeterminismError, match=r"^extracted map deviates from unitarity by 7\.50e-01$"
+        ):
             extract_unitary(broken)
 
     def test_extract_refuses_a_unitary_beyond_the_dense_limit(self):
@@ -548,6 +568,17 @@ class TestCostAccounting:
         assert max(simulate_pattern(g, fl, pattern).high_water.values()) > 20
         with pytest.raises(BudgetExceededError, match=r"^\d+ terms exceed --budget-terms 20$"):
             simulate_pattern(g, fl, pattern, term_budget=20)
+
+    def test_term_budget_holds_when_every_logical_has_one_term(self):
+        from mbqcflow import BudgetExceededError
+
+        # Right angles keep one term per logical, so every correction takes
+        # the one-word path; the table holds 6 rows throughout.
+        g, fl = cluster_graph(3, 4), cluster_row_flow(3, 4)
+        pattern = MeasurementPattern(angles=dict.fromkeys(g.measured, np.pi / 2))
+        with pytest.raises(BudgetExceededError, match="^6 terms exceed --budget-terms 5$"):
+            simulate_pattern(g, fl, pattern, term_budget=5)
+        assert set(simulate_pattern(g, fl, pattern, term_budget=6).high_water.values()) == {1}
 
     def test_cone_bound_can_fail_outside_fixture_families(self):
         # Known sharp edge: an input whose neighbours lie outside its
