@@ -46,7 +46,6 @@ _API = {
     "pattern": ("MeasurementPattern", "Plane"),
     "pauli": ("LogicalOperator",),
     "simulate": (
-        "FinalizedLogicals",
         "SimulationState",
         "extract_unitary",
         "finalize_outputs",

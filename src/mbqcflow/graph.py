@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -179,11 +180,20 @@ def check_vertex_count(n: int) -> int:
 
 
 def parse_json(text: str) -> object:
-    """``json.loads(text)``, with a ValueError for input nested too deeply for it."""
+    """``json.loads(text)``, with a ValueError for a repeated key or for deep nesting."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of ``pairs``; ``json.loads`` alone keeps the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"repeated key {repeated!r} in a JSON object")
+    return obj
 
 
 def json_int(value: object, name: str) -> int:
@@ -219,6 +229,15 @@ def json_list(value: object, name: str) -> list:
 def json_ints(value: object, name: str) -> list[int]:
     """A JSON array of integers, checked with :func:`json_int`."""
     return [json_int(v, f"{name} member") for v in json_list(value, name)]
+
+
+def json_distinct_ints(value: object, name: str) -> list[int]:
+    """A JSON array of integers in which no member repeats."""
+    members = json_ints(value, name)
+    if len(set(members)) < len(members):
+        repeated = next(v for v, count in Counter(members).items() if count > 1)
+        raise ValueError(f"{name} repeats member {repeated}")
+    return members
 
 
 def json_number(value: object, name: str) -> float:

@@ -195,10 +195,11 @@ class PauliTable:
         return _unpack_words(either)
 
     def project(self, qubits: list[int]) -> PauliTable:
-        """The sums on the register of ``qubits`` (at least one), ``qubits[p]`` becoming qubit p.
+        """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
 
-        Bits on other qubits are dropped.  Words that become equal merge in
-        row order and the sums are pruned.
+        Only an empty table may take an empty register.  Bits on other
+        qubits are dropped; words made equal merge in row order, and the
+        sums are pruned.
         """
         count = len(qubits)
         # Qubit p takes bit p % 64 of word p // 64 of each new mask.

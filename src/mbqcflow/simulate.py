@@ -93,17 +93,11 @@ class SimulationState:
     def rounds(self) -> tuple[frozenset[int], ...]:
         return self.gflow.layers[:-1]
 
-    def record_high_water(self, marks: np.ndarray | None = None) -> None:
-        """Raise each label's mark to ``marks`` (default: its current term count)."""
-        marks = self.logicals.counts if marks is None else marks
+    def record_high_water(self, marks: np.ndarray) -> None:
+        """Raise each label's mark to ``marks``."""
         for label, mark in zip(self.logicals.labels, marks.tolist()):
             if mark > self.high_water.get(label, 0):
                 self.high_water[label] = mark
-
-
-def _stabilizer_angle(pattern: MeasurementPattern, vertex: int) -> float:
-    # Unmeasured (output) vertices are never rotated.
-    return pattern.angles.get(vertex, 0.0)
 
 
 def initialize_simulation(
@@ -125,19 +119,15 @@ def initialize_simulation(
     violations = verify_gflow(graph, gflow)
     if violations:
         raise ValueError(f"gflow is invalid: {violations[:3]}")
-    for v, plane in gflow.planes.items():
-        if plane is not Plane.XY:
-            raise ValueError("symbolic simulation supports XY-plane patterns only")
+    if any(plane is not Plane.XY for plane in gflow.planes.values()):
+        raise ValueError("symbolic simulation supports XY-plane patterns only")
     check_pattern(gflow, pattern)
 
     corrector_vertices = sorted(set().union(*gflow.corrections.values()))
     inputs = list(graph.inputs)
-    # Unmeasured inputs keep their X logical unrotated (angle 0).
-    words = _rotated_x_words(
-        graph,
-        corrector_vertices + inputs,
-        [_stabilizer_angle(pattern, v) for v in corrector_vertices + inputs],
-    )
+    # Unmeasured vertices, outputs and inputs alike, are never rotated (angle 0).
+    vertices = corrector_vertices + inputs
+    words = _rotated_x_words(graph, vertices, [pattern.angles.get(v, 0.0) for v in vertices])
     rotated = dict(zip(corrector_vertices, words))
     stabilizers = {
         i: reduce(operator.mul, [rotated[j] for j in sorted(gflow.corrections[i])])
@@ -159,31 +149,27 @@ def initialize_simulation(
         logicals=PauliTable.stack(graph.n, logicals),
         term_budget=term_budget,
     )
-    state.record_high_water()
+    state.record_high_water(state.logicals.counts)
     return state
 
 
-def propagate_round(state: SimulationState, round_index: int) -> SimulationState:
-    """Push every logical through one measurement round.
+def propagate_round(state: SimulationState) -> SimulationState:
+    """Push every logical through the next measurement round, ``state.round_cursor``.
 
     For each vertex of the round (ascending) every row of the logicals'
     table that anticommutes with the measured X is multiplied by that
     vertex's correcting stabilizer product, and the rows merge and prune:
     one :meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals.
-    Rounds must be applied in ascending order.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
-    table past ``state.term_budget`` rows.
+    table past ``state.term_budget`` rows, and ``ValueError`` when every
+    round is already propagated.
     """
-    if round_index != state.round_cursor:
-        raise ValueError(
-            f"round {round_index} applied out of order (expected {state.round_cursor})"
-        )
-    if round_index >= len(state.rounds):
-        raise ValueError(f"round {round_index} out of range")
+    if state.round_cursor >= len(state.rounds):
+        raise ValueError(f"all {len(state.rounds)} rounds are already propagated")
     table = state.logicals
     marks = table.counts.copy()
-    for mu in sorted(state.rounds[round_index]):
+    for mu in sorted(state.rounds[state.round_cursor]):
         if table.correct(mu, state.stabilizers[mu], state.term_budget):
             np.maximum(marks, table.counts, out=marks)
     state.record_high_water(marks)
@@ -193,73 +179,51 @@ def propagate_round(state: SimulationState, round_index: int) -> SimulationState
 
 def propagate_all(state: SimulationState) -> SimulationState:
     while state.round_cursor < len(state.rounds):
-        propagate_round(state, state.round_cursor)
+        propagate_round(state)
     return state
 
 
-@dataclass(frozen=True)
-class FinalizedLogicals:
-    """Logical operators reduced to the output register (output order).
-
-    ``logicals`` holds the sums ``("X", i)`` and ``("Z", i)`` for each
-    input i in turn; with no inputs it holds none.
-    """
-
-    input_vertices: tuple[int, ...]
-    output_vertices: tuple[int, ...]
-    logicals: PauliTable
-
-
-def finalize_outputs(state: SimulationState) -> FinalizedLogicals:
-    """Strip measured X factors and reindex the logicals onto the outputs.
+def finalize_outputs(state: SimulationState) -> PauliTable:
+    """The logicals stripped of measured X factors, as a table on the output register.
 
     After full propagation every term is free of Z on measured vertices;
     multiplying residual X factors away (they are stabilizers of the
     post-measurement state) leaves operators supported on the outputs
-    only.  All logicals are projected as one table
-    (:meth:`~mbqcflow.pauli.PauliTable.project`).  Residual Z support on a
-    measured vertex violates the gflow guarantee and raises
-    :class:`SimulationInvariantError`.
+    only.  The returned table (:meth:`~mbqcflow.pauli.PauliTable.project`)
+    has output ``graph.outputs[p]`` as qubit p and holds the sums
+    ``("X", i)`` and ``("Z", i)`` for each input i in turn; with no inputs
+    it is empty.  Residual Z support on a measured vertex violates the
+    gflow guarantee and raises :class:`SimulationInvariantError`.
     """
     if state.round_cursor != len(state.rounds):
         raise ValueError("all rounds must be propagated before finalizing")
-    graph = state.graph
-    if graph.inputs:
-        measured = sum(1 << v for v in graph.measured)
-        if state.logicals.z_support() & measured:
-            raise SimulationInvariantError(
-                "residual anticommutation with a measured X survived propagation"
-            )
-        projected = state.logicals.project(list(graph.outputs))
-    else:
-        projected = PauliTable.stack(len(graph.outputs), {})
-    return FinalizedLogicals(
-        input_vertices=tuple(graph.inputs),
-        output_vertices=tuple(graph.outputs),
-        logicals=projected,
-    )
+    measured = sum(1 << v for v in state.graph.measured)
+    if state.logicals.z_support() & measured:
+        raise SimulationInvariantError(
+            "residual anticommutation with a measured X survived propagation"
+        )
+    return state.logicals.project(list(state.graph.outputs))
 
 
-def extract_unitary(
-    finalized: FinalizedLogicals, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> np.ndarray:
-    """Factor the unitary out of the finalized logical operators.
+def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    """Factor the unitary out of the finalized logicals (see :func:`finalize_outputs`).
 
+    The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs.
     The logicals are images ``U P U^dag`` of the input Paulis, so the
     product of ``(1 + Lz_i)/2`` is the image of |0..0><0..0|; its
     principal eigenvector seeds the columns, which the X images then
     generate: the columns with bit i set are ``Lx_i`` times those below
     ``2**i``.  The X and Z images are the even and the odd sums of
-    ``finalized.logicals``, made dense in one scatter.  A transfer map
-    that is not rank-one/unitary within ``TOLERANCE`` means the pattern
-    does not implement a unitary and raises :class:`DeterminismError`.
+    ``logicals``, made dense in one scatter.  A transfer map that is not
+    rank-one/unitary within ``TOLERANCE`` means the pattern does not
+    implement a unitary and raises :class:`DeterminismError`.
 
     A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
     so k with 2k above ``dense_limit`` raises
     :class:`BudgetExceededError` before anything dense is built.
     """
-    k = len(finalized.input_vertices)
-    if k != len(finalized.output_vertices):
+    k = len(logicals.labels) // 2
+    if k != logicals.n:
         raise ValueError("unitary extraction needs equally many inputs and outputs")
     if 2 * k > dense_limit:
         raise BudgetExceededError(
@@ -267,13 +231,13 @@ def extract_unitary(
             f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
         )
     dim = 1 << k
-    mats = finalized.logicals.to_matrices()
+    mats = logicals.to_matrices()
     lx, lz = mats[0::2], mats[1::2]
     projector = np.eye(dim, dtype=complex)
     for mat in lz:
         projector = projector @ (np.eye(dim) + mat) / 2.0
     eigvals, eigvecs = np.linalg.eigh((projector + projector.conj().T) / 2.0)
-    if max(abs(eigvals[-1] - 1.0), *np.abs(eigvals[:-1])) > TOLERANCE:
+    if max(abs(eigvals[-1] - 1.0), np.abs(eigvals[:-1]).max(initial=0.0)) > TOLERANCE:
         raise DeterminismError(
             "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
         )
@@ -297,16 +261,15 @@ class SimulationResult:
     bound_ok: dict[int, bool]
 
     def to_json_dict(self) -> dict:
-        payload: dict = {
+        return {
             "term_counts": {
                 f"{kind}{vertex}": count
                 for (kind, vertex), count in sorted(self.high_water.items())
             },
             "cone_sizes": {str(v): s for v, s in sorted(self.cone_sizes.items())},
             "cone_bound_ok": {str(v): ok for v, ok in sorted(self.bound_ok.items())},
+            "unitary": None if self.unitary is None else complex_pairs(self.unitary),
         }
-        payload["unitary"] = None if self.unitary is None else complex_pairs(self.unitary)
-        return payload
 
 
 def simulate_pattern(
@@ -326,19 +289,16 @@ def simulate_pattern(
     """
     state = initialize_simulation(graph, gflow, pattern, term_budget)
     propagate_all(state)
-    finalized = finalize_outputs(state)
+    logicals = finalize_outputs(state)
     unitary = None
     if len(graph.inputs) == len(graph.outputs):
-        unitary = extract_unitary(finalized, dense_limit)
+        unitary = extract_unitary(logicals, dense_limit)
     cones = cone_masks(graph, gflow)
     cone_sizes = {i: cones[i].bit_count() for i in graph.inputs}
-    bound_ok = {}
-    for i in graph.inputs:
-        limit = 2 ** cone_sizes[i]
-        bound_ok[i] = (
-            state.high_water[("X", i)] <= limit
-            and state.high_water[("Z", i)] <= limit
-        )
+    bound_ok = {
+        i: max(state.high_water[("X", i)], state.high_water[("Z", i)]) <= 2 ** cone_sizes[i]
+        for i in graph.inputs
+    }
     return SimulationResult(
         unitary=unitary,
         high_water=dict(state.high_water),

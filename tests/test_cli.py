@@ -231,6 +231,55 @@ class TestExitCodes:
             "is not a vertex number in canonical form\n"
         )
 
+    @pytest.mark.parametrize(
+        "kind,text,message",
+        [
+            ("graph", '{"n": 5, "n": 4, "edges": []}', "g.json: repeated key 'n' in a JSON object"),
+            (
+                "gflow",
+                '{"g": {"0": [1], "1": [2], "1": [0], "2": [3], "3": [4]}, '
+                '"layers": [[0], [1], [2], [3], [4]]}',
+                "f.json: repeated key '1' in a JSON object",
+            ),
+            (
+                "pattern",
+                '{"angles": {"0": 0.1, "0": 0.7, "1": 0.2, "2": 0.3, "3": 0.4}}',
+                "p.json: repeated key '0' in a JSON object",
+            ),
+            (
+                "gflow",
+                '{"g": {"0": [1, 1], "1": [2], "2": [3], "3": [4]}, '
+                '"layers": [[0], [1], [2], [3], [4]]}',
+                "malformed gflow JSON: correcting set repeats member 1",
+            ),
+            (
+                "gflow",
+                '{"g": {"0": [1], "1": [2], "2": [3], "3": [4]}, '
+                '"layers": [[0, 0], [1], [2], [3], [4]]}',
+                "malformed gflow JSON: layer repeats member 0",
+            ),
+        ],
+        ids=["graph-key", "gflow-key", "pattern-key", "correcting-set-member", "layer-member"],
+    )
+    def test_repeated_key_or_member_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, path5_files, kind, text, message
+    ):
+        # json.loads keeps the last of two equal keys, and a repeated member
+        # would read as a set; either would analyse another file than given.
+        monkeypatch.chdir(tmp_path)
+        for name, source in zip(("g", "f", "p"), path5_files):
+            Path(f"{name}.json").write_text(Path(source).read_text())
+        Path({"graph": "g.json", "gflow": "f.json", "pattern": "p.json"}[kind]).write_text(text)
+        argv = ["--graph", "g.json", "--gflow", "f.json"]
+        if kind == "pattern":
+            argv = ["oracle", "unitary", *argv, "--pattern", "p.json"]
+        else:
+            argv = ["flow", "verify", *argv]
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_simulate_verifies_the_gflow_once(self, monkeypatch, capsys, path5_files):
         import mbqcflow.cli as cli_mod
         import mbqcflow.simulate as simulate_mod
@@ -541,6 +590,21 @@ class TestCommands:
         idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
         phase = a[idx] / b[idx]
         assert np.max(np.abs(a - phase * b)) < 1e-9
+
+    def test_simulate_on_the_empty_graph(self, capsys, tmp_path):
+        # The gFlow comes from flow find, as a user would make it.
+        g, f, p = (tmp_path / name for name in ("g.json", "f.json", "p.json"))
+        g.write_text('{"n": 0, "edges": []}')
+        p.write_text('{"angles": {}}')
+        code, found = run_json(capsys, ["flow", "find", "--graph", str(g)])
+        assert code == 0
+        f.write_text(json.dumps(found["gflow"]))
+        files = ["--graph", str(g), "--gflow", str(f), "--pattern", str(p)]
+        code, sim = run_json(capsys, ["simulate", *files])
+        assert code == 0
+        assert sim["unitary"] == [[[1.0, 0.0]]]
+        code, orc = run_json(capsys, ["oracle", "unitary", *files])
+        assert (code, orc["unitary"]) == (0, sim["unitary"])
 
     def test_oracle_run_branch(self, capsys, path5_files):
         g, f, p = path5_files

@@ -1,0 +1,174 @@
+"""CLI corpus: every command on the fixture catalogue keeps its exit code and messages.
+
+Each row of ``tests/cli_corpus.json`` is one argv run through
+``mbqcflow.cli.run_command`` in process, from a directory that holds the
+input files below.  A row records the exit code and the first stderr
+line, and, for commands whose stdout holds no float (everything but
+``simulate`` and ``oracle``), the sha256 of stdout.  The inputs are the
+fixture catalogue (path 2-6, cluster 2x3 and 3x3, bottleneck, fig3b,
+fig4) with the gFlow ``flow find`` returns, and one seeded random-angle
+and one pi/2-angle pattern each; the rows that must fail read malformed
+JSON, an invalid gFlow, an out-of-range ``--vertex`` or a too-small
+``--budget-*`` value.
+
+The numeric outputs are checked elsewhere (``tests/test_corpus.py`` and
+the oracle comparisons), so a change that keeps every exit code, message
+and float-free output leaves this table as it is.  Regenerate it with
+``PYTHONPATH=src python tests/test_cli_corpus.py`` after an intended
+change, and say in the change which rows moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+from pathlib import Path
+
+from mbqcflow.cli import run_command
+from mbqcflow.fixtures import CATALOG
+from mbqcflow.flow import find_gflow
+
+TABLE = Path(__file__).with_name("cli_corpus.json")
+
+#: (label, fixture, graph gen options) of every input graph.
+GRAPHS = [
+    *((f"path{n}", "path", ["--n", str(n)]) for n in range(2, 7)),
+    ("cluster2x3", "cluster", ["--rows", "2", "--cols", "3"]),
+    ("cluster3x3", "cluster", ["--rows", "3", "--cols", "3"]),
+    ("bottleneck", "bottleneck", []),
+    ("fig3b", "fig3b", []),
+    ("fig4", "fig4", []),
+]
+
+#: Commands whose stdout carries floats; their rows record no stdout digest.
+FLOAT_COMMANDS = ("simulate", "oracle")
+
+
+def write_inputs(directory: Path) -> list[list[str]]:
+    """Write every input file into ``directory`` and return the corpus argvs."""
+    rng = random.Random(2013)
+    files: dict[str, object] = {"bad.json": "{", "missing-n.json": {"edges": []}}
+    argvs: list[list[str]] = [["fixtures", "list"]]
+    for label, fixture, options in GRAPHS:
+        graph = CATALOG[fixture].build(**{k[2:]: int(v) for k, v in zip(options[::2], options[1::2])})
+        g = f"{label}.json"
+        files[g] = graph.to_json_dict()
+        gen = ["graph", "gen", fixture, *options]
+        argvs += [gen, gen + ["--with-gflow"], gen + ["--with-gflow", "--gflow-variant", "wide"]]
+        argvs += [
+            ["graph", "show", "--graph", g],
+            ["graph", "dot", "--graph", g],
+            ["flow", "find", "--graph", g],
+            ["flow", "find", "--causal", "--graph", g],
+            ["bounds", "--graph", g],
+        ]
+        gflow = find_gflow(graph)
+        if gflow is None:
+            continue
+        f, r, c = f"{label}-gflow.json", f"{label}-random.json", f"{label}-clifford.json"
+        files[f] = gflow.to_json_dict()
+        measured = sorted(gflow.measurement_order)
+        files[r] = {"angles": {str(v): rng.uniform(0.0, 2 * math.pi) for v in measured}}
+        files[c] = {"angles": {str(v): rng.randrange(4) * math.pi / 2 for v in measured}}
+        flow = ["--graph", g, "--gflow", f]
+        argvs += [
+            ["graph", "dot", *flow],
+            ["flow", "verify", *flow],
+            ["flow", "report", *flow],
+            ["bounds", *flow],
+            ["cone", *flow, "--vertex", "0", "--dot"],
+            *(["cone", *flow, "--vertex", str(v)] for v in range(graph.n)),
+        ]
+        for p in (r, c):
+            pattern = [*flow, "--pattern", p]
+            argvs += [
+                ["simulate", *pattern],
+                ["simulate", *pattern, "--report-terms"],
+                ["oracle", "determinism", *pattern],
+                ["oracle", "unitary", *pattern],
+                ["oracle", "run", *pattern, "--branch", "0" * len(measured)],
+                ["oracle", "run", *pattern, "--branch", "1" * len(measured)],
+            ]
+
+    # Rows that must fail.  path4 measures 0, 1, 2 in turn; its invalid
+    # gFlow corrects vertex 0 with vertex 2, which is not a neighbour.
+    files["path4-invalid.json"] = {"g": {"0": [2], "1": [2], "2": [3]}, "layers": [[0], [1], [2], [3]]}
+    path4 = ["--graph", "path4.json", "--gflow", "path4-gflow.json"]
+    invalid = ["--graph", "path4.json", "--gflow", "path4-invalid.json"]
+    big = ["--graph", "cluster3x3.json", "--gflow", "cluster3x3-gflow.json", "--pattern", "cluster3x3-random.json"]
+    argvs += [
+        ["graph", "show", "--graph", "bad.json"],
+        ["graph", "show", "--graph", "missing-n.json"],
+        ["graph", "show", "--graph", "no-such-file.json"],
+        ["graph", "gen", "no-such-fixture"],
+        ["graph", "gen", "path", "--rows", "2"],
+        ["flow", "verify", "--graph", "path4.json", "--gflow", "bad.json"],
+        ["simulate", *path4, "--pattern", "bad.json"],
+        ["flow", "verify", *invalid],
+        ["flow", "report", *invalid],
+        ["cone", *invalid, "--vertex", "0"],
+        ["bounds", *invalid],
+        ["simulate", *invalid, "--pattern", "path4-random.json"],
+        ["oracle", "unitary", *invalid, "--pattern", "path4-random.json"],
+        ["cone", *path4, "--vertex", "4"],
+        ["cone", *path4, "--vertex", "-1"],
+        ["oracle", "run", *path4, "--pattern", "path4-random.json", "--branch", "01"],
+        ["simulate", *big, "--budget-terms", "1"],
+        ["simulate", *big, "--budget-dense", "1"],
+        ["oracle", "run", *big, "--branch", "000000", "--budget-dense", "1"],
+        ["oracle", "determinism", *big, "--budget-dense", "1"],
+        ["oracle", "determinism", *big, "--budget-branches", "1"],
+        ["oracle", "unitary", *big, "--budget-dense", "1"],
+        ["bounds", "--graph", "cluster3x3.json", "--budget-estruc", "1"],
+        ["bounds", "--graph", "cluster3x3.json", "--budget-width", "1"],
+        ["simulate", "--graph", "path4.json"],
+    ]
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (directory / name).write_text(text, encoding="utf-8")
+    return argvs
+
+
+def run_row(argv: list[str]) -> dict:
+    """Exit code, first stderr line and (when float-free) the stdout digest of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    lines = err.getvalue().splitlines()
+    row = {"argv": argv, "exit": code, "stderr": lines[0] if lines else None}
+    if argv[0] not in FLOAT_COMMANDS:
+        row["stdout_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return row
+
+
+def corpus_rows(directory: Path) -> list[dict]:
+    return [run_row(argv) for argv in write_inputs(directory)]
+
+
+def test_cli_corpus_keeps_its_table(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(TABLE.read_text(encoding="utf-8"))
+    rows = corpus_rows(tmp_path)
+    assert [row["argv"] for row in rows] == [row["argv"] for row in expected]
+    for row, want in zip(rows, expected):
+        assert row == want, " ".join(row["argv"])
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        here = os.getcwd()
+        os.chdir(scratch)
+        try:
+            table = corpus_rows(Path(scratch))
+        finally:
+            os.chdir(here)
+    rows = ",\n".join(json.dumps(row) for row in table)
+    TABLE.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    print(f"{len(table)} rows written to {TABLE}")

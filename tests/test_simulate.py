@@ -120,7 +120,7 @@ def assert_rounds_match_reference(graph, gflow, pattern):
     high_water = {label: len(terms) for label, terms in logicals.items()}
     for r in range(len(state.rounds)):
         logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
-        propagate_round(state, r)
+        propagate_round(state)
         for label, op in state.logicals.operators().items():
             want = logicals_after[label]
             if want is logicals[label]:
@@ -225,7 +225,7 @@ class TestPropagation:
         g, fl = path_graph(2), path_flow(2)
         theta = 0.6
         state = initialize_simulation(g, fl, MeasurementPattern(angles={0: theta}))
-        propagate_round(state, 0)
+        propagate_round(state)
         # L_Z = Z0 anticommutes with X0 and picks up S_0 = Z0 X1 -> X1.
         ops = state.logicals.operators()
         assert dict(ops[("Z", 0)].terms()) == {(0b10, 0): 1.0}
@@ -274,8 +274,9 @@ class TestPropagation:
         state = initialize_simulation(
             g, fl, MeasurementPattern(angles={0: 0.1, 1: 0.2})
         )
-        with pytest.raises(ValueError, match="out of order"):
-            propagate_round(state, 1)
+        propagate_all(state)
+        with pytest.raises(ValueError, match="already propagated"):
+            propagate_round(state)
 
     def test_commutation_postcondition(self, rng):
         for graph, flow in sample_graphs_with_flow(8, seed=32, n_max=7):
@@ -283,7 +284,7 @@ class TestPropagation:
             state = initialize_simulation(graph, flow, pattern)
             done = 0
             for r in range(len(state.rounds)):
-                propagate_round(state, r)
+                propagate_round(state)
                 done |= sum(1 << v for v in state.rounds[r])
                 for op in state.logicals.operators().values():
                     assert z_free(op, done)
@@ -315,7 +316,7 @@ class TestPropagation:
                 }
                 vec = rotated
                 for r in range(len(state.rounds)):
-                    propagate_round(state, r)
+                    propagate_round(state)
                     for v in sorted(state.rounds[r]):
                         # Project onto the +1 X outcome (the |+> state).
                         dim = vec.shape[0]
@@ -358,8 +359,7 @@ class TestPropagation:
             propagate_all(state)
             for op in state.logicals.operators().values():
                 assert deviation(op) < 1e-12
-            finalized = finalize_outputs(state)
-            for op in finalized.logicals.operators().values():
+            for op in finalize_outputs(state).operators().values():
                 assert deviation(op) < 1e-12
 
 
@@ -370,7 +370,7 @@ class TestFinalizeAndExtract:
         state = propagate_all(
             initialize_simulation(g, fl, MeasurementPattern(angles={0: theta}))
         )
-        logicals = finalize_outputs(state).logicals.operators()
+        logicals = finalize_outputs(state).operators()
         lz = logicals[("Z", 0)]
         assert dict(lz.terms()) == {(0b1, 0): 1.0}  # X on the output
         lx = dict(logicals[("X", 0)].terms())
@@ -402,35 +402,26 @@ class TestFinalizeAndExtract:
             finalize_outputs(state)
 
     def test_non_conjugation_logicals_raise_determinism_error(self):
-        from mbqcflow import DeterminismError, FinalizedLogicals
-        from mbqcflow import extract_unitary
+        from mbqcflow import DeterminismError, extract_unitary
         from mbqcflow.pauli import LogicalOperator, PauliTable
 
         # Lz mapped to a non-involution: (1 + Lz)/2 is no projector.
-        broken = FinalizedLogicals(
-            input_vertices=(0,),
-            output_vertices=(1,),
-            logicals=PauliTable.stack(1, {
-                ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
-                ("Z", 0): LogicalOperator(1, {(0, 1): 0.5}),
-            }),
-        )
+        broken = PauliTable.stack(1, {
+            ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
+            ("Z", 0): LogicalOperator(1, {(0, 1): 0.5}),
+        })
         with pytest.raises(DeterminismError, match="rank-one"):
             extract_unitary(broken)
 
     def test_non_unitary_transfer_raises_determinism_error(self):
-        from mbqcflow import DeterminismError, FinalizedLogicals, extract_unitary
+        from mbqcflow import DeterminismError, extract_unitary
         from mbqcflow.pauli import PauliTable
 
         # Lz = Z fixes the first column |0>; Lx = X/2 halves the second.
-        broken = FinalizedLogicals(
-            input_vertices=(0,),
-            output_vertices=(1,),
-            logicals=PauliTable.stack(1, {
-                ("X", 0): LogicalOperator(1, {(1, 0): 0.5}),
-                ("Z", 0): LogicalOperator(1, {(0, 1): 1.0}),
-            }),
-        )
+        broken = PauliTable.stack(1, {
+            ("X", 0): LogicalOperator(1, {(1, 0): 0.5}),
+            ("Z", 0): LogicalOperator(1, {(0, 1): 1.0}),
+        })
         with pytest.raises(
             DeterminismError, match=r"^extracted map deviates from unitarity by 7\.50e-01$"
         ):
@@ -504,6 +495,17 @@ class TestAgainstOracle:
         ) < 1e-12
         assert max_deviation_up_to_phase(oracle_unitary(g, gf, pattern), swap) < 1e-12
 
+    def test_empty_graph_gives_the_one_by_one_unitary(self):
+        # No inputs, outputs or rounds: the logicals' table is empty and k = 0.
+        from mbqcflow import find_gflow
+
+        g = OpenGraph(n=0, edges=[])
+        gf = find_gflow(g)
+        pattern = MeasurementPattern(angles={})
+        unitary = simulate_pattern(g, gf, pattern).unitary
+        assert unitary.shape == (1, 1)
+        assert np.array_equal(unitary, oracle_unitary(g, gf, pattern))
+
     def test_unitary_is_gflow_independent(self, rng):
         # Two different valid gflows realize the same pattern, so the
         # extracted unitary must agree (and match the oracle).
@@ -552,7 +554,7 @@ class TestCostAccounting:
                 for label, op in state.logicals.operators().items()
             }
             for r in range(len(state.rounds)):
-                propagate_round(state, r)
+                propagate_round(state)
                 for label, op in state.logicals.operators().items():
                     touched[label] |= support_mask(op)
             for (kind, vertex), mask in touched.items():
