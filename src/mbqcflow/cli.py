@@ -230,18 +230,14 @@ def _bounds(args, graph, gflow):
     from . import bounds as bounds_mod
 
     payload: dict = {}
-    try:
-        payload["e_struc_exact"] = bounds_mod.structural_entanglement_exact(
-            graph, max_vertices=args.budget_estruc
-        )
-    except BudgetExceededError:
-        payload["e_struc_exact"] = None
-    try:
-        payload["chi_wd_exact"] = bounds_mod.entanglement_width_exact(
-            graph, max_vertices=args.budget_width
-        )
-    except BudgetExceededError:
-        payload["chi_wd_exact"] = None
+    for key, exact, budget in (
+        ("e_struc_exact", bounds_mod.structural_entanglement_exact, args.budget_estruc),
+        ("chi_wd_exact", bounds_mod.entanglement_width_exact, args.budget_width),
+    ):
+        try:
+            payload[key] = exact(graph, max_vertices=budget)
+        except BudgetExceededError:
+            payload[key] = None
     if gflow is not None:
         payload.update(bounds_mod.flow_entanglement_bound(graph, gflow).to_json_dict())
     else:

@@ -19,7 +19,6 @@ et al., NJP 9, 250, 2007); ``correction_masks`` gives both as bitmasks.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,8 +27,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
-from .graph import OpenGraph, _mask_to_set, _set_to_mask
-from .graph import json_distinct_ints, json_list, json_object, json_vertex, parse_json
+from .graph import JsonText, OpenGraph, _mask_to_set, _set_to_mask
+from .graph import json_distinct_ints, json_list, json_object, json_vertex
 from .pattern import MeasurementPattern, Plane
 
 
@@ -42,7 +41,7 @@ class Violation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GFlow:
+class GFlow(JsonText):
     """Correction-set map with a layered measurement order.
 
     ``layers`` lists the measurement rounds in time order followed by one
@@ -106,9 +105,6 @@ class GFlow:
             "planes": {str(v): p.value for v, p in sorted(self.planes.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_gflow(self) -> GFlow:
         """Return ``self``.
 
@@ -135,12 +131,8 @@ class GFlow:
             raise ValueError(f"malformed gflow JSON: {exc}") from exc
         return cls(corrections=corrections, layers=layers, planes=planes)
 
-    @classmethod
-    def from_json(cls, text: str) -> GFlow:
-        return cls.from_json_dict(parse_json(text))
 
-
-def _check_analysis_preconditions(graph: OpenGraph) -> None:
+def check_analysis_preconditions(graph: OpenGraph) -> None:
     if len(graph.inputs) > len(graph.outputs):
         raise ValueError("flow analysis requires |inputs| <= |outputs|")
 
@@ -189,7 +181,7 @@ def _peel(graph: OpenGraph, singleton: bool):
 
 
 def _find(graph: OpenGraph, singleton: bool) -> GFlow | None:
-    _check_analysis_preconditions(graph)
+    check_analysis_preconditions(graph)
     passes = _peel(graph, singleton)
     if passes is None:
         return None
@@ -254,9 +246,6 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     for i, corr in gflow.corrections.items():
         if corr & graph.input_set:
             raise ValueError(f"correcting set of {i} contains input vertices")
-        for j in corr:
-            if not 0 <= j < graph.n:
-                raise ValueError(f"correcting set of {i} is out of range")
 
     # not_later[k]: the vertices of layers 0..k.
     not_later = list(accumulate(map(_set_to_mask, gflow.layers), operator.or_))
@@ -281,16 +270,20 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
 def check_pattern(gflow: GFlow, pattern: MeasurementPattern) -> None:
     """Raise ValueError unless ``pattern`` fits the measured vertices of ``gflow``.
 
-    Every vertex of ``gflow.measurement_order`` needs an angle, and its
-    pattern plane must be the gflow's plane.
+    The pattern's angles name exactly the vertices of
+    ``gflow.measurement_order``, and each pattern plane must be the
+    gflow's plane.
     """
     missing = set(gflow.measurement_order) - set(pattern.angles)
     if missing:
         raise ValueError(f"pattern missing angles for vertices {sorted(missing)}")
+    extra = set(pattern.angles) - set(gflow.measurement_order)
+    if extra:
+        raise ValueError(f"pattern gives angles to unmeasured vertices {sorted(extra)}")
     for v in gflow.measurement_order:
-        if v in gflow.planes and pattern.plane(v) is not gflow.planes[v]:
+        if v in gflow.planes and pattern.planes[v] is not gflow.planes[v]:
             raise ValueError(
-                f"pattern plane {pattern.plane(v).value} for vertex {v} "
+                f"pattern plane {pattern.planes[v].value} for vertex {v} "
                 f"conflicts with the gflow plane {gflow.planes[v].value}"
             )
 

@@ -29,8 +29,19 @@ DEFAULT_CUT_BUDGET = 2**20
 VERTEX_CAP = 2**20
 
 
+class JsonText:
+    """``to_json`` and ``from_json`` over a class's ``to_json_dict`` and ``from_json_dict``."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(parse_json(text))
+
+
 @dataclass(frozen=True)
-class OpenGraph:
+class OpenGraph(JsonText):
     """Simple undirected graph with ordered input and output vertex sets.
 
     Parameters
@@ -122,9 +133,6 @@ class OpenGraph:
             "outputs": list(self.outputs),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> OpenGraph:
         try:
@@ -138,10 +146,6 @@ class OpenGraph:
             if len(e) != 2:
                 raise ValueError(f"edge {e} is not a pair")
         return cls(n=n, edges=edges, inputs=inputs, outputs=outputs)
-
-    @classmethod
-    def from_json(cls, text: str) -> OpenGraph:
-        return cls.from_json_dict(parse_json(text))
 
     def to_dot(self, gflow=None) -> str:
         """Graphviz rendering: boxed inputs, hollow outputs.

@@ -157,7 +157,7 @@ def _prepare(
         if v in gflow.corrections:
             x_mask, z_mask = correction_masks(graph, gflow, v)
             correction = (_on_held(x_mask, held), _on_held(z_mask, held))
-        bras = tuple(b.conj() for b in measurement_basis(pattern.plane(v), pattern.angle(v)))
+        bras = tuple(b.conj() for b in measurement_basis(pattern.planes[v], pattern.angles[v]))
         steps.append(_Step(v, pos, bras, correction))
     out = np.arange(1 << len(held))
     source = np.zeros_like(out)
@@ -235,17 +235,12 @@ def run_branch(
         outcomes[step.vertex] = outcome
         step_probs.append(float(prob[0]))
         if prob[0] == 0.0:
-            return BranchRecord(
-                outcomes=outcomes,
-                step_probabilities=tuple(step_probs),
-                probability=0.0,
-                output_state=None,
-            )
+            break
     return BranchRecord(
         outcomes=outcomes,
         step_probabilities=tuple(step_probs),
         probability=float(np.prod(step_probs)),
-        output_state=state[0, source],
+        output_state=state[0, source] if all(step_probs) else None,
     )
 
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graph import json_number, json_object, json_vertex, parse_json
+from .graph import JsonText, json_number, json_object, json_vertex
 
 
 class Plane(str, Enum):
@@ -19,7 +18,7 @@ class Plane(str, Enum):
 
 
 @dataclass(frozen=True)
-class MeasurementPattern:
+class MeasurementPattern(JsonText):
     """Measurement angle (radians) and plane for every measured vertex."""
 
     angles: dict[int, float]
@@ -37,20 +36,11 @@ class MeasurementPattern:
         object.__setattr__(self, "angles", dict(self.angles))
         object.__setattr__(self, "planes", planes)
 
-    def angle(self, v: int) -> float:
-        return self.angles[v]
-
-    def plane(self, v: int) -> Plane:
-        return self.planes[v]
-
     def to_json_dict(self) -> dict:
         return {
             "angles": {str(v): a for v, a in sorted(self.angles.items())},
             "planes": {str(v): p.value for v, p in sorted(self.planes.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> MeasurementPattern:
@@ -66,7 +56,3 @@ class MeasurementPattern:
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pattern JSON: {exc}") from exc
         return cls(angles=angles, planes=planes)
-
-    @classmethod
-    def from_json(cls, text: str) -> MeasurementPattern:
-        return cls.from_json_dict(parse_json(text))

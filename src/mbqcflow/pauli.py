@@ -202,6 +202,8 @@ class PauliTable:
         sums are pruned.
         """
         count = len(qubits)
+        if not count and len(self.rows):
+            raise ValueError("only an empty table may take an empty register")
         # Qubit p takes bit p % 64 of word p // 64 of each new mask.
         columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
         shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)

@@ -30,7 +30,7 @@ import numpy as np
 from .cones import cone_masks
 from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, BudgetExceededError
 from .errors import DeterminismError, SimulationInvariantError
-from .flow import GFlow, check_pattern, verify_gflow
+from .flow import GFlow, check_analysis_preconditions, check_pattern, verify_gflow
 from .graph import OpenGraph
 from .oracle import TOLERANCE, canonical_unitary, complex_pairs
 from .pattern import MeasurementPattern, Plane
@@ -114,8 +114,7 @@ def initialize_simulation(
     stabilizer is built once, however many correcting sets hold it.  No
     correcting set is empty: the XY rule of a valid gFlow needs i in Odd(g(i)).
     """
-    if len(graph.inputs) > len(graph.outputs):
-        raise ValueError("simulation requires |inputs| <= |outputs|")
+    check_analysis_preconditions(graph)
     violations = verify_gflow(graph, gflow)
     if violations:
         raise ValueError(f"gflow is invalid: {violations[:3]}")

@@ -104,6 +104,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["oracle", "unitary"], ["oracle", "determinism"], ["oracle", "run", "--branch", "00"]],
+        ids=["simulate", "oracle-unitary", "oracle-determinism", "oracle-run"],
+    )
+    def test_angle_on_an_unmeasured_vertex_is_usage_error(self, tmp_path, capsys, command):
+        g, f, p = (tmp_path / name for name in ("g.json", "f.json", "p.json"))
+        g.write_text(path_graph(3).to_json())
+        f.write_text(path_flow(3).to_json())
+        p.write_text('{"angles": {"0": 0.3, "1": 0.5, "2": 0.7}}')
+        code = run_command([*command, "--graph", str(g), "--gflow", str(f), "--pattern", str(p)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: pattern gives angles to unmeasured vertices [2]\n"
+
     @pytest.mark.parametrize("role", [0, 1, 2], ids=["graph", "gflow", "pattern"])
     def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, path5_files, role):
         # json.loads raises RecursionError long before this depth.

@@ -382,7 +382,7 @@ class TestVerifyGflow:
             ({0: {1}, 1: {2}}, [{0}, {1}, {1, 2}], "vertex 1 appears in two layers"),
             ({0: {1}, 1: {2}}, [{0}, {2}, {1}], "final layer must hold exactly the outputs"),
             ({0: {1}, 1: {0, 2}}, [{0}, {1}, {2}], "correcting set of 1 contains input vertices"),
-            ({0: {1}, 1: {5}}, [{0}, {1}, {2}], "correcting set of 1 is out of range"),
+            ({0: {1}, 1: {5}}, [{0}, {1}, {2}], "correcting set of 1 contains out-of-range vertex 5"),
         ],
     )
     def test_structural_errors_raise(self, corrections, layers, message):

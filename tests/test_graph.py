@@ -10,6 +10,7 @@ from mbqcflow import (
     GFlow,
     MeasurementPattern,
     OpenGraph,
+    Plane,
     build_open_graph_state,
     cut_edges,
     cut_rank,
@@ -54,6 +55,10 @@ class TestConstruction:
             '{"n":3,"edges":[[0,1],[1,2]],"inputs":[0],"outputs":[2]}'
         )
         assert parsed == g
+
+    def test_pattern_json_round_trip(self):
+        pattern = MeasurementPattern(angles={0: 0.25, 3: -1.5}, planes={3: Plane.YZ})
+        assert MeasurementPattern.from_json(pattern.to_json()) == pattern
 
     def test_from_json_rejects_malformed(self):
         with pytest.raises(ValueError):

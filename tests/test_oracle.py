@@ -164,7 +164,7 @@ def reference_branch(graph, gflow, pattern, bits, psi):
     steps = []
     for t, v in enumerate(order):
         sign = -1 if bits[v] else 1
-        projector = (np.eye(2) + sign * observable(pattern.plane(v), pattern.angle(v))) / 2
+        projector = (np.eye(2) + sign * observable(pattern.planes[v], pattern.angles[v])) / 2
         state = on_qubits(n, {v: projector}) @ state
         prob = float(np.vdot(state, state).real)
         if prob < 1e-12:
@@ -373,15 +373,18 @@ class TestRunBranch:
 
     def test_zero_probability_branch_reported(self):
         # An edgeless non-input vertex holds |+>; the XY basis at angle pi
-        # has |-> as its plus state, so the plus outcome never occurs.
-        # (The gflow is never consulted on this branch; only the
-        # projection semantics is under test.)
-        g = OpenGraph(n=2, edges=[], inputs=(0,), outputs=(0,))
-        gf = GFlow(corrections={1: {1}}, layers=[{1}, {0}])
-        pat = MeasurementPattern(angles={1: np.pi})
-        record = run_branch(g, gf, pat, {1: 0})
+        # has |-> as its plus state, so the plus outcome never occurs, and
+        # the branch ends there: vertex 2 is never measured.  (The gflow
+        # is never consulted on this branch; only the projection
+        # semantics is under test.)
+        g = OpenGraph(n=3, edges=[], inputs=(0,), outputs=(0,))
+        gf = GFlow(corrections={1: {1}, 2: {2}}, layers=[{1}, {2}, {0}])
+        pat = MeasurementPattern(angles={1: np.pi, 2: 0.3})
+        record = run_branch(g, gf, pat, {1: 0, 2: 0})
         assert record.probability == 0.0
         assert record.output_state is None
+        assert record.step_probabilities == (0.0,)
+        assert record.outcomes == {1: 0}
 
     def test_missing_bits_rejected(self):
         g, fl = path_graph(3), path_flow(3)

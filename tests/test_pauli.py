@@ -196,3 +196,10 @@ class TestPauliTable:
         for label, terms in sums.items():
             assert ops[label].n == n
             assert list(ops[label].terms()) == list(terms.items())
+
+    def test_only_an_empty_table_takes_an_empty_register(self, rng):
+        empty = PauliTable.stack(3, {("X", 0): LogicalOperator(3, {})}).project([])
+        assert empty.n == 0 and len(empty.rows) == 0 and empty.counts.tolist() == [0]
+        table = PauliTable.stack(3, {("X", 0): LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
+        with pytest.raises(ValueError, match="^only an empty table may take an empty register$"):
+            table.project([])

@@ -15,6 +15,7 @@ from mbqcflow import (
     propagate_all,
     propagate_round,
     rotated_stabilizer,
+    run_branch,
     simulate_pattern,
 )
 from mbqcflow.fixtures import (
@@ -218,6 +219,34 @@ class TestInitialize:
         g, fl = path_graph(3), path_flow(3)
         with pytest.raises(ValueError, match="missing angles"):
             initialize_simulation(g, fl, MeasurementPattern(angles={0: 0.1}))
+
+    def test_more_inputs_than_outputs_rejected_as_flow_analysis_does(self):
+        g = OpenGraph(n=3, edges=[(0, 2), (1, 2)], inputs=(0, 1), outputs=(2,))
+        gf = GFlow(corrections={0: {2}, 1: {2}}, layers=[{0, 1}, {2}])
+        message = r"^flow analysis requires \|inputs\| <= \|outputs\|$"
+        with pytest.raises(ValueError, match=message):
+            simulate_pattern(g, gf, MeasurementPattern(angles={0: 0.1, 1: 0.2}))
+        with pytest.raises(ValueError, match=message):
+            find_causal_flow(g)
+
+    @pytest.mark.parametrize(
+        "entry", ["simulate_pattern", "run_branch", "check_determinism", "oracle_unitary"]
+    )
+    def test_angle_on_an_unmeasured_vertex_rejected(self, entry):
+        # The simulation rotates every corrector, outputs among them, by
+        # its angle, and the oracle reads angles only on measured vertices:
+        # an angle on output 2 would make their unitaries differ.
+        calls = {
+            "simulate_pattern": simulate_pattern,
+            "run_branch": lambda g, f, p: run_branch(g, f, p, {0: 0, 1: 0}),
+            "check_determinism": check_determinism,
+            "oracle_unitary": oracle_unitary,
+        }
+        pattern = MeasurementPattern(angles={0: 0.3, 1: 0.5, 2: 0.7})
+        with pytest.raises(
+            ValueError, match=r"^pattern gives angles to unmeasured vertices \[2\]$"
+        ):
+            calls[entry](path_graph(3), path_flow(3), pattern)
 
 
 class TestPropagation:
