@@ -107,9 +107,7 @@ def _graph_gen(args):
         if args.gflow_variant == "wide":
             gflow = find_gflow(graph)
         else:
-            gflow = fixtures_mod.fixture_gflow(spec.name)
-            if gflow is None:
-                gflow = find_causal_flow(graph)
+            gflow = spec.gflow() if spec.gflow else find_causal_flow(graph)
         payload["gflow"] = gflow.to_json_dict() if gflow is not None else None
     return payload
 

@@ -134,12 +134,13 @@ def fig4_depth_one_gflow() -> GFlow:
 
 @dataclass(frozen=True)
 class FixtureSpec:
-    """Catalog entry: how to build a named example graph."""
+    """Catalog entry: how to build a named example graph, and its hand-made gFlow if any."""
 
     name: str
     description: str
     parameters: tuple[str, ...]
     build: Callable[..., OpenGraph]
+    gflow: Callable[[], GFlow] | None = None
 
 
 CATALOG: dict[str, FixtureSpec] = {
@@ -168,6 +169,7 @@ CATALOG: dict[str, FixtureSpec] = {
             description="six vertices with gFlow but no causal flow",
             parameters=(),
             build=lambda: fig3b_graph(),
+            gflow=fig3b_gflow,
         ),
         FixtureSpec(
             name="fig4",
@@ -177,12 +179,3 @@ CATALOG: dict[str, FixtureSpec] = {
         ),
     )
 }
-
-
-def fixture_gflow(name: str) -> GFlow | None:
-    """Canonical gFlow shipped with a fixture, if any."""
-    if name == "fig3b":
-        return fig3b_gflow()
-    if name == "fig4":
-        return fig4_flow()
-    return None

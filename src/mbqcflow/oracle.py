@@ -323,8 +323,8 @@ def check_determinism(
         )
     rng = np.random.default_rng(seed)
     k = len(graph.inputs)
+    # Left unnormalised: build_open_graph_state normalises every input.
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    input_state /= np.linalg.norm(input_state)
     state, steps, source = _prepare(graph, gflow, pattern, input_state, dense_limit)
     bit = {v: 1 << pos for pos, v in enumerate(measured)}
     # Per surviving prefix: outcome mask, probability, worst step deviation.

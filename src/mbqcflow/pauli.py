@@ -141,11 +141,11 @@ class PauliTable:
 
     Row t holds the word ``rows[t]`` of the sum labelled
     ``labels[owner[t]]``, with coefficient ``coeffs[t]``; ``counts[s]``
-    is the number of rows of sum s, and ``single`` says that no sum has
-    two rows, so that no two rows can merge.  The rows of each sum keep
-    their order through every correction, and :meth:`operators` reads
-    the sums back.  The table owns the arrays it is given: a correction
-    may change them in place.
+    is the number of rows of sum s, ``peaks[s]`` the most it has had,
+    and ``single`` says that no sum has two rows, so that no two rows
+    can merge.  The rows of each sum keep their order through every
+    correction, and :meth:`operators` reads the sums back.  The table
+    owns the arrays it is given: a correction may change them in place.
     """
 
     def __init__(
@@ -159,6 +159,7 @@ class PauliTable:
         self.n = n
         self.words = _word_count(n)
         self.labels = list(labels)
+        self.peaks = np.zeros(len(self.labels), dtype=np.intp)
         self._set_rows(rows, coeffs, owner)
 
     @classmethod
@@ -177,6 +178,7 @@ class PauliTable:
     def _set_rows(self, rows: np.ndarray, coeffs: np.ndarray, owner: np.ndarray) -> None:
         self.rows, self.coeffs, self.owner = rows, coeffs, owner
         self.counts = np.bincount(owner, minlength=len(self.labels))
+        np.maximum(self.peaks, self.counts, out=self.peaks)
         self.single = bool(self.counts.max(initial=0) <= 1)
 
     def operators(self) -> dict[Hashable, LogicalOperator]:

@@ -15,14 +15,15 @@ test when no row is hit, otherwise a product, a merge and a prune on
 arrays (see :mod:`mbqcflow.pauli` for the cost).  The rows of that table
 are capped by a term budget, and the dense unitary by the dense limit.
 
-Cost accounting: the number of terms per logical is recorded at every
-step, to be compared against ``2**|forward cone|``.
+Cost accounting: the table records the most terms each logical has
+had (:attr:`~mbqcflow.pauli.PauliTable.peaks`), to be compared against
+``2**|forward cone|``.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -86,18 +87,16 @@ class SimulationState:
     stabilizers: dict[int, LogicalOperator]
     logicals: PauliTable
     round_cursor: int = 0
-    high_water: dict[tuple[str, int], int] = field(default_factory=dict)
     term_budget: int | None = DEFAULT_TERM_BUDGET
 
     @property
     def rounds(self) -> tuple[frozenset[int], ...]:
         return self.gflow.layers[:-1]
 
-    def record_high_water(self, marks: np.ndarray) -> None:
-        """Raise each label's mark to ``marks``."""
-        for label, mark in zip(self.logicals.labels, marks.tolist()):
-            if mark > self.high_water.get(label, 0):
-                self.high_water[label] = mark
+    @property
+    def high_water(self) -> dict[tuple[str, int], int]:
+        """The most terms each logical has had, in table order."""
+        return dict(zip(self.logicals.labels, self.logicals.peaks.tolist()))
 
 
 def initialize_simulation(
@@ -140,7 +139,7 @@ def initialize_simulation(
             graph.n, z_rows[index : index + 1], np.ones(1, dtype=complex)
         )
 
-    state = SimulationState(
+    return SimulationState(
         graph=graph,
         gflow=gflow,
         pattern=pattern,
@@ -148,8 +147,6 @@ def initialize_simulation(
         logicals=PauliTable.stack(graph.n, logicals),
         term_budget=term_budget,
     )
-    state.record_high_water(state.logicals.counts)
-    return state
 
 
 def propagate_round(state: SimulationState) -> SimulationState:
@@ -166,12 +163,8 @@ def propagate_round(state: SimulationState) -> SimulationState:
     """
     if state.round_cursor >= len(state.rounds):
         raise ValueError(f"all {len(state.rounds)} rounds are already propagated")
-    table = state.logicals
-    marks = table.counts.copy()
     for mu in sorted(state.rounds[state.round_cursor]):
-        if table.correct(mu, state.stabilizers[mu], state.term_budget):
-            np.maximum(marks, table.counts, out=marks)
-    state.record_high_water(marks)
+        state.logicals.correct(mu, state.stabilizers[mu], state.term_budget)
     state.round_cursor += 1
     return state
 
@@ -294,13 +287,14 @@ def simulate_pattern(
         unitary = extract_unitary(logicals, dense_limit)
     cones = cone_masks(graph, gflow)
     cone_sizes = {i: cones[i].bit_count() for i in graph.inputs}
+    high_water = state.high_water
     bound_ok = {
-        i: max(state.high_water[("X", i)], state.high_water[("Z", i)]) <= 2 ** cone_sizes[i]
+        i: max(high_water[("X", i)], high_water[("Z", i)]) <= 2 ** cone_sizes[i]
         for i in graph.inputs
     }
     return SimulationResult(
         unitary=unitary,
-        high_water=dict(state.high_water),
+        high_water=high_water,
         cone_sizes=cone_sizes,
         bound_ok=bound_ok,
     )

@@ -119,6 +119,56 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: pattern gives angles to unmeasured vertices [2]\n"
 
+    @pytest.mark.parametrize(
+        "graph,gflow,pattern,message",
+        [
+            (
+                '{"n": 2, "edges": [[0, 1]], "inputs": [], "outputs": [1]}',
+                '{"g": {"0": [0, 1]}, "layers": [[0], [1]], "planes": {"0": "XZ"}}',
+                '{"angles": {"0": 0.3}, "planes": {"0": "XZ"}}',
+                "symbolic simulation supports XY-plane patterns only",
+            ),
+            (None, None, '{"angles": {"0": NaN}}', "angle for vertex 0 is not finite"),
+            (
+                None,
+                None,
+                '{"angles": {}, "planes": {"0": "XY"}}',
+                "planes defined for vertices without angles",
+            ),
+            ('{"n": -1, "edges": []}', None, None, "vertex count must be non-negative"),
+            (
+                '{"n": 2, "edges": [], "inputs": [0, 0], "outputs": [1]}',
+                None,
+                None,
+                "duplicate vertex in inputs",
+            ),
+            ('{"n": 3, "edges": [[0, 1, 2]]}', None, None, "edge [0, 1, 2] is not a pair"),
+        ],
+        ids=[
+            "xz-plane",
+            "nan-angle",
+            "planes-without-angles",
+            "negative-n",
+            "duplicate-input",
+            "triple-edge",
+        ],
+    )
+    def test_input_check_is_usage_error(self, tmp_path, capsys, graph, gflow, pattern, message):
+        # A file left unset is that of path 2, its flow, or one angle on vertex 0.
+        texts = {
+            "graph": graph or path_graph(2).to_json(),
+            "gflow": gflow or path_flow(2).to_json(),
+            "pattern": pattern or '{"angles": {"0": 0.3}}',
+        }
+        argv = ["simulate"]
+        for kind, text in texts.items():
+            (tmp_path / f"{kind}.json").write_text(text)
+            argv += [f"--{kind}", str(tmp_path / f"{kind}.json")]
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines()[0] == f"error: {message}"
+
     @pytest.mark.parametrize("role", [0, 1, 2], ids=["graph", "gflow", "pattern"])
     def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, path5_files, role):
         # json.loads raises RecursionError long before this depth.

@@ -17,7 +17,6 @@ from mbqcflow.fixtures import (
     fig4_depth_one_gflow,
     fig4_flow,
     fig4_graph,
-    fixture_gflow,
     path_flow,
     path_graph,
 )
@@ -59,10 +58,12 @@ class TestCatalog:
             assert again.to_json() == text
 
     def test_fixture_gflow_variants(self):
-        assert fixture_gflow("fig4").depth == 4
+        # fig4 ships no gFlow: the causal flow graph gen falls back to is fig4_flow.
+        assert find_causal_flow(fig4_graph()) == fig4_flow()
         assert find_gflow(fig4_graph()) == fig4_depth_one_gflow()
-        assert fixture_gflow("fig3b").depth == 3
-        assert fixture_gflow("path") is None
+        assert [name for name, spec in CATALOG.items() if spec.gflow] == ["fig3b"]
+        assert CATALOG["fig3b"].gflow() == fig3b_gflow()
+        assert CATALOG["fig3b"].gflow().depth == 3
 
 
 class TestReconstructions:

@@ -96,6 +96,19 @@ class TestGraphStateConstruction:
         with pytest.raises(BudgetExceededError, match=r"^4 qubits exceed --budget-dense 3$"):
             build_open_graph_state(g, dense_limit=3)
 
+    @pytest.mark.parametrize(
+        "psi,message",
+        [
+            (np.zeros(2), "input state has zero norm"),
+            (np.ones(4), "input state dimension does not match the input count"),
+        ],
+        ids=["zero", "wrong-length"],
+    )
+    def test_bad_input_state_rejected(self, psi, message):
+        g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0,), outputs=(1,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_open_graph_state(g, psi)
+
 
 class TestMeasurementBasis:
     @pytest.mark.parametrize("plane", list(Plane))

@@ -125,6 +125,14 @@ class TestLogicalOperator:
             assert np.array_equal(got, want)
         assert table.correct(1, LogicalOperator(2, {(0b01, 0b10): 1.0}))
 
+    def test_one_word_correction_prunes_and_the_peak_stays(self):
+        # 1e-7 times 1e-7 falls under the prune tolerance, so the row goes.
+        table = PauliTable.stack(1, {0: LogicalOperator(1, {(0, 1): 1e-7})})
+        assert table.correct(0, LogicalOperator(1, {(1, 0): 1e-7}))
+        assert len(table.rows) == 0
+        assert table.counts.tolist() == [0]
+        assert table.peaks.tolist() == [1]
+
     def test_word_matrix_identity(self):
         assert np.allclose(LogicalOperator(2, {(0, 0): 1}).to_matrix(), np.eye(4))
 
