@@ -146,11 +146,7 @@ def _flow_verify(args, graph, gflow):
 
 def _flow_report(args, graph, gflow):
     payload = correction_dependencies(graph, gflow).to_json_dict()
-    try:
-        payload["wires"] = flow_wires(graph, gflow).to_json_dict()
-    except FlowConsistencyError as exc:
-        payload["wires"] = None
-        payload["wires_error"] = str(exc)
+    payload["wires"] = flow_wires(graph, gflow).to_json_dict()
     return payload
 
 

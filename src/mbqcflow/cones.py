@@ -40,11 +40,11 @@ def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
     """Forward-cone bitmask of every vertex, from one pass in reverse measurement order.
 
     Raises ValueError when a correction reaches a vertex that is not
-    measured later, or when a corrected vertex is in no measurement layer.
+    measured later.
     """
     cones = [0 if v in gflow.corrections else 1 << v for v in range(graph.n)]  # 0: not yet known
     for v in reversed(gflow.measurement_order):
-        if 0 <= v < graph.n and not cones[v]:
+        if 0 <= v < graph.n:
             cone = 1 << v
             pending = _successor_mask(graph, gflow, v) & ~cone
             while pending:
@@ -54,8 +54,6 @@ def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
                 cone |= cones[w]
                 pending &= ~cone
             cones[v] = cone
-    if 0 in cones:
-        raise ValueError(f"corrected vertex {cones.index(0)} is in no measurement layer")
     return cones
 
 

@@ -45,9 +45,13 @@ class GFlow(JsonText):
     """Correction-set map with a layered measurement order.
 
     ``layers`` lists the measurement rounds in time order followed by one
-    final layer holding the (unmeasured) outputs.  ``planes`` assigns a
-    measurement plane to every measured vertex.  Vertex labels are coerced
-    with :func:`operator.index`, as in :class:`OpenGraph`.
+    final layer holding the (unmeasured) outputs.  ``corrections`` and
+    ``planes`` give each measured vertex, a vertex of the rounds, its
+    correcting set and measurement plane.  The constructor raises
+    ValueError when a vertex is in two layers or the correcting sets are
+    not for exactly the measured vertices; the rules that need the graph
+    are :func:`verify_gflow`'s.  Vertex labels are coerced with
+    :func:`operator.index`, as in :class:`OpenGraph`.
     """
 
     corrections: dict[int, frozenset[int]]
@@ -64,23 +68,24 @@ class GFlow(JsonText):
             operator.index(v): frozenset(map(operator.index, s)) for v, s in corrections.items()
         }
         given = {operator.index(v): p for v, p in (planes or {}).items()}
+        layers = tuple(frozenset(map(operator.index, l)) for l in layers)
         object.__setattr__(self, "corrections", corr)
-        object.__setattr__(
-            self, "layers", tuple(frozenset(map(operator.index, l)) for l in layers)
-        )
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(
             self, "planes", {v: Plane(given[v]) if v in given else Plane.XY for v in corr}
         )
+        if len(set().union(*layers)) != sum(map(len, layers)):
+            twice = min(v for k, a in enumerate(layers) for b in layers[:k] for v in a & b)
+            raise ValueError(f"vertex {twice} appears in two layers")
+        differ = corr.keys() ^ set().union(*layers[:-1])
+        if differ:
+            raise ValueError(
+                f"correcting sets and measurement rounds differ on vertices {sorted(differ)}"
+            )
 
     @cached_property
     def layer_of(self) -> dict[int, int]:
-        index = {}
-        for k, layer in enumerate(self.layers):
-            for v in layer:
-                if v in index:
-                    raise ValueError(f"vertex {v} appears in two layers")
-                index[v] = k
-        return index
+        return {v: k for k, layer in enumerate(self.layers) for v in layer}
 
     @cached_property
     def measurement_order(self) -> tuple[int, ...]:
@@ -229,15 +234,11 @@ _PLANE_RULES = {
 def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     """Check every gFlow condition; an empty list means the gFlow is valid.
 
-    Structural malformations (correction map not defined exactly on the
-    measured vertices, layers not partitioning the vertex set, correcting
-    sets reaching inputs) raise ValueError; per-vertex rule violations are
-    returned as a list.
+    Structural malformations (layers that do not partition the vertex set
+    or end in a layer other than the outputs, correcting sets reaching
+    inputs or leaving the vertex range) raise ValueError; per-vertex rule
+    violations are returned as a list.
     """
-    if set(gflow.corrections) != set(graph.measured):
-        raise ValueError(
-            "correction map must be defined exactly on the non-output vertices"
-        )
     layer_of = gflow.layer_of
     if set(layer_of) != set(range(graph.n)):
         raise ValueError("layers must partition the vertex set")
@@ -281,7 +282,7 @@ def check_pattern(gflow: GFlow, pattern: MeasurementPattern) -> None:
     if extra:
         raise ValueError(f"pattern gives angles to unmeasured vertices {sorted(extra)}")
     for v in gflow.measurement_order:
-        if v in gflow.planes and pattern.planes[v] is not gflow.planes[v]:
+        if pattern.planes[v] is not gflow.planes[v]:
             raise ValueError(
                 f"pattern plane {pattern.planes[v].value} for vertex {v} "
                 f"conflicts with the gflow plane {gflow.planes[v].value}"
@@ -408,8 +409,6 @@ def _wires_from_max_flow(graph: OpenGraph) -> list[list[int]]:
     and Karp, JACM 19, 1972).  An input that finds no path never finds
     one later, so the number of augmented inputs is the maximum flow.
     """
-    if not graph.inputs:
-        return []
     sink = 2 * graph.n
     head: list[int] = []
     residual: list[int] = []

@@ -322,9 +322,7 @@ def mask_cut_rank(graph: OpenGraph, side_mask: int) -> int:
     return gf2_rank(rows)
 
 
-def has_entanglement_capacity(
-    graph: OpenGraph, cut_budget: int = DEFAULT_CUT_BUDGET
-) -> tuple[bool, frozenset[int] | None]:
+def has_entanglement_capacity(graph: OpenGraph) -> tuple[bool, frozenset[int] | None]:
     """Check that every input/output-separating cut can carry the input space.
 
     Requires cut rank at least ``len(inputs)`` for every bipartition (A,
@@ -335,7 +333,8 @@ def has_entanglement_capacity(
     every such cut, so its edge never crosses and the rank is unchanged.
 
     Interior vertices are enumerated exhaustively; if there are more than
-    ``log2(cut_budget)`` of them a :class:`BudgetExceededError` is raised.
+    ``log2(DEFAULT_CUT_BUDGET)`` of them a :class:`BudgetExceededError` is
+    raised.
     If an input is also an output no separating bipartition exists and the
     check is vacuously true.
     """
@@ -347,9 +346,9 @@ def has_entanglement_capacity(
         for v in range(graph.n)
         if v not in graph.input_set and v not in graph.output_set
     ]
-    if len(free) > 0 and 2 ** len(free) > cut_budget:
+    if 2 ** len(free) > DEFAULT_CUT_BUDGET:
         raise BudgetExceededError(
-            f"{len(free)} interior vertices exceed the cut budget of {cut_budget}"
+            f"{len(free)} interior vertices exceed the cut budget of {DEFAULT_CUT_BUDGET}"
         )
     base_a = _set_to_mask(graph.inputs)
     for mask in range(2 ** len(free)):

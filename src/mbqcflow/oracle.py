@@ -118,9 +118,8 @@ class _Step(NamedTuple):
     pos: int
     #: Conjugated basis vectors of the +1 and the -1 outcome.
     bras: tuple[np.ndarray, np.ndarray]
-    #: X/Z masks of the -1 correction on the bits left after the step;
-    #: None when the gflow gives the vertex no correcting set.
-    correction: tuple[int, int] | None
+    #: X/Z masks of the -1 correction on the bits left after the step.
+    correction: tuple[int, int]
 
 
 def _prepare(
@@ -153,10 +152,8 @@ def _prepare(
     for v in order:
         pos = held.index(v)
         del held[pos]
-        correction = None
-        if v in gflow.corrections:
-            x_mask, z_mask = correction_masks(graph, gflow, v)
-            correction = (_on_held(x_mask, held), _on_held(z_mask, held))
+        x_mask, z_mask = correction_masks(graph, gflow, v)
+        correction = (_on_held(x_mask, held), _on_held(z_mask, held))
         bras = tuple(b.conj() for b in measurement_basis(pattern.planes[v], pattern.angles[v]))
         steps.append(_Step(v, pos, bras, correction))
     out = np.arange(1 << len(held))
@@ -173,8 +170,7 @@ def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, 
     its bit, normalises each row and, after a -1 outcome, applies the
     gflow correction.  Returns the new batch and the step probability of
     each row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its
-    row is left unnormalised; a -1 outcome that every row reaches with
-    probability 0 needs no correcting set.
+    row is left unnormalised.
     """
     rows = len(state)
     state = (step.bras[outcome] @ state.reshape(rows, -1, 2, 1 << step.pos)).reshape(rows, -1)
@@ -182,8 +178,6 @@ def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, 
     prob[prob < _ZERO_PROBABILITY] = 0.0
     state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
     if outcome == 1 and prob.any():
-        if step.correction is None:
-            raise ValueError(f"gflow has no correcting set for vertex {step.vertex}")
         state = apply_word_masks(state, *step.correction)
     return state, prob
 
@@ -248,8 +242,6 @@ def normalize_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant entry is real positive."""
     flat = vec.reshape(-1)
     scale = np.max(np.abs(flat))
-    if scale == 0:
-        return vec
     for entry in flat:
         if abs(entry) > TOLERANCE * scale:
             return vec * (abs(entry) / entry)

@@ -40,7 +40,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 
 #: Coefficients no larger than this are dropped when pruning sums.
 PRUNE_TOLERANCE = 1e-12
@@ -240,7 +240,7 @@ class PauliTable:
         return mats.reshape(-1, dim, dim)
 
     def correct(
-        self, qubit: int, correction: LogicalOperator, budget: int | None = None
+        self, qubit: int, correction: LogicalOperator, budget: int = DEFAULT_TERM_BUDGET
     ) -> bool:
         """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
 
@@ -257,7 +257,7 @@ class PauliTable:
             return False
         terms = correction.num_terms
         size = len(rows) + (terms - 1) * len(hit)
-        if budget is not None and size > budget:
+        if size > budget:
             raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
         if terms == 1 and self.single:
             # No sum has two rows and one word maps rows one to one, so

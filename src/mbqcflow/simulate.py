@@ -87,7 +87,7 @@ class SimulationState:
     stabilizers: dict[int, LogicalOperator]
     logicals: PauliTable
     round_cursor: int = 0
-    term_budget: int | None = DEFAULT_TERM_BUDGET
+    term_budget: int = DEFAULT_TERM_BUDGET
 
     @property
     def rounds(self) -> tuple[frozenset[int], ...]:
@@ -103,7 +103,7 @@ def initialize_simulation(
     graph: OpenGraph,
     gflow: GFlow,
     pattern: MeasurementPattern,
-    term_budget: int | None = DEFAULT_TERM_BUDGET,
+    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> SimulationState:
     """Rotated stabilizers and initial logical operators for the pattern.
 
@@ -268,7 +268,7 @@ def simulate_pattern(
     graph: OpenGraph,
     gflow: GFlow,
     pattern: MeasurementPattern,
-    term_budget: int | None = DEFAULT_TERM_BUDGET,
+    term_budget: int = DEFAULT_TERM_BUDGET,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> SimulationResult:
     """Initialize, propagate all rounds, finalize, and account the cost.

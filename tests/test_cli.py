@@ -143,6 +143,13 @@ class TestExitCodes:
                 "duplicate vertex in inputs",
             ),
             ('{"n": 3, "edges": [[0, 1, 2]]}', None, None, "edge [0, 1, 2] is not a pair"),
+            (None, '{"g": {"0": [1]}, "layers": [[0], [0, 1]]}', None, "vertex 0 appears in two layers"),
+            (
+                None,
+                '{"g": {"0": [1], "1": [0]}, "layers": [[0], [1]]}',
+                None,
+                "correcting sets and measurement rounds differ on vertices [1]",
+            ),
         ],
         ids=[
             "xz-plane",
@@ -151,6 +158,8 @@ class TestExitCodes:
             "negative-n",
             "duplicate-input",
             "triple-edge",
+            "vertex-in-two-layers",
+            "correcting-set-off-the-rounds",
         ],
     )
     def test_input_check_is_usage_error(self, tmp_path, capsys, graph, gflow, pattern, message):
@@ -551,6 +560,18 @@ class TestExitCodes:
         assert captured.err == (
             f"budget exceeded: {n} vertices exceed the vertex cap of {VERTEX_CAP}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["path", "--n", "0"], "path needs at least one vertex"),
+            (["cluster", "--rows", "0", "--cols", "3"], "cluster needs positive dimensions"),
+        ],
+        ids=["path", "cluster"],
+    )
+    def test_graph_gen_checks_the_size_is_positive(self, capsys, argv, message):
+        assert run_command(["graph", "gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestCommands:

@@ -364,9 +364,11 @@ class TestVerifyGflow:
         assert verify_gflow(g, gf) == []
 
     def test_malformed_domain_raises(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError, match="non-output"):
-            verify_gflow(g, GFlow(corrections={0: {1}}, layers=[{0}, {1}, {2}]))
+        # The constructor rejects correcting sets for other vertices than
+        # those of the measurement rounds, so verify_gflow never sees them.
+        message = "correcting sets and measurement rounds differ on vertices [1, 2]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GFlow(corrections={0: {1}, 2: {1}}, layers=[{0}, {1}, {2}])
 
     def test_correcting_set_reaching_inputs_raises(self):
         g = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(0, 1), outputs=(1, 2))
@@ -377,15 +379,17 @@ class TestVerifyGflow:
     @pytest.mark.parametrize(
         "corrections, layers, message",
         [
-            ({0: {1}}, [{0}, {1}, {2}], "correction map must be defined exactly on the non-output vertices"),
-            ({0: {1}, 1: {2}}, [{0}, {2}], "layers must partition the vertex set"),
+            ({0: {1}}, [{0}, {1}, {2}], "correcting sets and measurement rounds differ on vertices [1]"),
+            ({0: {1}}, [{0}, {2}], "layers must partition the vertex set"),
             ({0: {1}, 1: {2}}, [{0}, {1}, {1, 2}], "vertex 1 appears in two layers"),
-            ({0: {1}, 1: {2}}, [{0}, {2}, {1}], "final layer must hold exactly the outputs"),
+            ({0: {1}, 2: {1}}, [{0}, {2}, {1}], "final layer must hold exactly the outputs"),
             ({0: {1}, 1: {0, 2}}, [{0}, {1}, {2}], "correcting set of 1 contains input vertices"),
             ({0: {1}, 1: {5}}, [{0}, {1}, {2}], "correcting set of 1 contains out-of-range vertex 5"),
         ],
     )
     def test_structural_errors_raise(self, corrections, layers, message):
+        # The first and third rows break the shape GFlow's constructor
+        # enforces; the others need the graph, and verify_gflow raises.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_gflow(path_graph(3), GFlow(corrections, layers))
 
@@ -630,7 +634,7 @@ def random_terminal_graph(rng: np.random.Generator, n_max: int) -> OpenGraph:
 
 #: ``flow_wires`` reads only ``is_flow`` of its gFlow.  An empty correcting
 #: set makes this stand-in take the max-flow route on any graph.
-NOT_A_CAUSAL_FLOW = GFlow(corrections={0: ()}, layers=[{0}])
+NOT_A_CAUSAL_FLOW = GFlow(corrections={0: ()}, layers=[{0}, ()])
 
 
 class TestMaxFlowWires:

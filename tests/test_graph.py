@@ -277,6 +277,8 @@ class TestEntanglementCapacity:
         assert has_entanglement_capacity(g) == (True, None)
 
     def test_budget(self):
-        g = OpenGraph(n=8, edges=[(0, 1)], inputs=(0,), outputs=(1,))
-        with pytest.raises(BudgetExceededError):
-            has_entanglement_capacity(g, cut_budget=4)
+        # 21 interior vertices give 2^21 cuts, past the 2^20 budget, so
+        # the check raises before it enumerates any.
+        g = OpenGraph(n=23, edges=[(0, 1)], inputs=(0,), outputs=(1,))
+        with pytest.raises(BudgetExceededError, match="^21 interior vertices exceed"):
+            has_entanglement_capacity(g)

@@ -536,20 +536,11 @@ class TestCheckDeterminism:
         assert len(sizes) == 2 * len(graph.measured)
         assert max(sizes) <= 1 << graph.n
 
-    def test_missing_correcting_set_matters_only_on_a_live_minus_branch(self):
-        # Vertex 1 holds |+> and has no correcting set.  At angle 0 its -1
-        # outcome has probability 0, so nothing needs correcting; at pi
-        # the -1 outcome is certain.
-        g = OpenGraph(n=2, edges=[], inputs=(0,), outputs=(0,))
-        gf = GFlow(corrections={}, layers=[{1}, {0}])
-        plus = MeasurementPattern(angles={1: 0.0})
-        assert check_determinism(g, gf, plus).ok
-        assert run_branch(g, gf, plus, {1: 1}).probability == 0.0
-        minus = MeasurementPattern(angles={1: np.pi})
-        with pytest.raises(ValueError, match="no correcting set for vertex 1$"):
-            check_determinism(g, gf, minus)
-        with pytest.raises(ValueError, match="no correcting set for vertex 1$"):
-            run_branch(g, gf, minus, {1: 1})
+    def test_measured_vertex_without_a_correcting_set_is_rejected(self):
+        # Every step of the oracle has a correction, because a gFlow that
+        # lacks one for a measured vertex cannot be built.
+        with pytest.raises(ValueError, match=r"rounds differ on vertices \[1\]$"):
+            GFlow(corrections={}, layers=[{1}, {0}])
 
     def test_nothing_measured_is_vacuously_deterministic(self):
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0, 1), outputs=(0, 1))
@@ -644,3 +635,5 @@ class TestSchmidtRank:
         vec = np.array([0.0, -1j, 1.0])
         fixed = normalize_phase(vec)
         assert fixed[1].real > 0 and abs(fixed[1].imag) < 1e-12
+        zero = np.zeros(3, dtype=complex)
+        assert np.array_equal(normalize_phase(zero), zero)
