@@ -5,12 +5,16 @@ vertices together with a layered time order, such that corrections never
 touch the past.  A causal flow is the special case of singleton
 correcting sets in the XY plane; it has no type of its own, and
 ``GFlow.is_flow`` tells the two apart.  ``find_gflow`` returns the
-maximally delayed gFlow via backward layer peeling: each pass eliminates
-the correctors' neighbourhoods once and reads every remaining vertex's
-minimal correcting set off that one basis, the O(n^3) route of Mhalla
-and Perdrix.  ``find_causal_flow`` is the same peeling restricted to
-singleton correcting sets.  Both are complete: a None result means no
-flow of that kind exists.
+maximally delayed gFlow by the backward layer peeling of Mhalla and
+Perdrix ("Finding optimal flows efficiently", ICALP 2008).  Each pass
+works on the live frontier only: it eliminates, once, the columns of the
+correctors whose neighbourhoods still meet the unprocessed region, and
+asks that basis for minimal correcting sets at its pivots alone.  A pass
+with c live correctors and a basis of rank r costs O(c r) XORs of n-bit
+masks, so with at most n passes the worst case is O(n^3) such XORs; on
+a cluster grid c is about one column's height.  ``find_causal_flow`` is
+the same peeling restricted to singleton correcting sets.  Both are
+complete: a None result means no flow of that kind exists.
 
 Every gFlow condition and signal dependency reads two sets per measured
 vertex i: g(i), which receives X, and Odd(g(i)), which receives Z (Browne
@@ -120,6 +124,7 @@ class GFlow(JsonText):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> GFlow:
+        data = json_object(data, "gflow")
         try:
             corrections = {
                 json_vertex(v, "g"): json_distinct_ints(s, "correcting set")
@@ -150,38 +155,38 @@ def _peel(graph: OpenGraph, singleton: bool):
     unprocessed region in exactly {u}.  Passes are built from the output
     side, so the first pass holds the vertices measured last.  A pass
     restricts each corrector's neighbourhood to the unprocessed region
-    (its column) and eliminates those columns once; each vertex's minimal
-    correcting set is then read off the shared basis.
+    (its column) and eliminates only the nonzero columns, once.  The
+    region only shrinks, so a corrector whose column is zero is dropped
+    for good; a zero column adds no basis entry, so dropping it only
+    relabels the columns that the masks name.  Only a pivot of the basis
+    can be expressed alone, so only the pivots are asked, in ascending
+    order, for their minimal correcting sets.
     """
     adjacency = graph.adjacency_masks
-    unprocessed = [v for v in range(graph.n) if v not in graph.output_set]
+    region = _set_to_mask(graph.measured)
     correctors = sorted(v for v in graph.outputs if v not in graph.input_set)
     passes: list[dict[int, frozenset[int]]] = []
 
-    while unprocessed:
-        region = sum(1 << v for v in unprocessed)
-        columns = [adjacency[w] & region for w in correctors]
+    while region:
+        live = [(w, col) for w in correctors if (col := adjacency[w] & region)]
+        correctors = [w for w, _ in live]
         found: dict[int, frozenset[int]] = {}
         if singleton:
-            for w, col in zip(correctors, columns):
+            for w, col in live:
                 u = col.bit_length() - 1
-                if col and col == 1 << u and u not in found:
+                if col == 1 << u and u not in found:
                     found[u] = frozenset((w,))
         else:
-            basis = gf2_basis(columns)
-            for u in unprocessed:
+            basis = gf2_basis([col for _, col in live])
+            for u in sorted(basis):
                 mask = gf2_express(basis, 1 << u)
                 if mask is not None:
-                    found[u] = frozenset(
-                        w for c, w in enumerate(correctors) if (mask >> c) & 1
-                    )
+                    found[u] = frozenset(correctors[c] for c in _mask_to_set(mask))
         if not found:
             return None
         passes.append(found)
-        unprocessed = [v for v in unprocessed if v not in found]
-        correctors = sorted(
-            set(correctors) | {v for v in found if v not in graph.input_set}
-        )
+        region &= ~_set_to_mask(found)
+        correctors = sorted(correctors + [v for v in found if v not in graph.input_set])
     return passes
 
 

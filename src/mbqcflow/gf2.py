@@ -4,7 +4,8 @@ Vectors are Python ints used as bitsets.  ``gf2_basis`` is the one
 elimination kernel: it eliminates them once into an echelon basis,
 ``gf2_rank`` counts that basis, and ``gf2_express`` answers each
 right-hand side against it in O(rank).  gFlow peeling builds one
-such basis per pass and asks it for every unprocessed vertex.
+such basis per pass from its live correctors' columns and asks it only
+at its pivots, the one kind of vertex it can express alone.
 """
 
 from __future__ import annotations

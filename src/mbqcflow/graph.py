@@ -135,6 +135,7 @@ class OpenGraph(JsonText):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> OpenGraph:
+        data = json_object(data, "graph")
         try:
             n = check_vertex_count(json_int(data["n"], "n"))
             edges = [json_ints(e, "edge") for e in json_list(data["edges"], "edges")]

@@ -44,6 +44,7 @@ class MeasurementPattern(JsonText):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> MeasurementPattern:
+        data = json_object(data, "pattern")
         try:
             angles = {
                 json_vertex(v, "angles"): json_number(a, f"angle of vertex {v}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,16 @@ def sample_graphs_with_gflow(count: int, seed: int, n_max: int = 10, max_tries: 
             if len(found) == count:
                 return found
     raise AssertionError(f"only found {len(found)} gflow-bearing graphs")
+
+
+def flow_scan_graphs(seed: int) -> list[OpenGraph]:
+    """The graphs of the benchmark's flow-scan pool for ``seed``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [inst.graph for inst in workloads.build_pool("flow-scan", seed)]
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

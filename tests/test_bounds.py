@@ -1,6 +1,4 @@
 import itertools
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +23,12 @@ from mbqcflow.fixtures import (
     path_graph,
 )
 
-from conftest import random_open_graph, sample_graphs_with_flow, sample_graphs_with_gflow
+from conftest import (
+    flow_scan_graphs,
+    random_open_graph,
+    sample_graphs_with_flow,
+    sample_graphs_with_gflow,
+)
 
 
 def structural_entanglement_by_permutations(graph: OpenGraph) -> int:
@@ -126,15 +129,10 @@ def random_pairs(rng, k: int) -> np.ndarray:
 
 def flow_scan_gflows(seed: int):
     """The gFlows of the benchmark's flow-scan pool for ``seed``."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    for inst in workloads.build_pool("flow-scan", seed):
-        gflow = find_gflow(inst.graph)
+    for graph in flow_scan_graphs(seed):
+        gflow = find_gflow(graph)
         if gflow is not None:
-            yield inst.graph, gflow
+            yield graph, gflow
 
 
 def seeded_graphs(count: int, seed: int, n_max: int):

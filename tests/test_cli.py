@@ -150,6 +150,9 @@ class TestExitCodes:
                 None,
                 "correcting sets and measurement rounds differ on vertices [1]",
             ),
+            ("[1, 2]", None, None, "graph must be an object, got [1, 2]"),
+            (None, "null", None, "gflow must be an object, got None"),
+            (None, None, "[1, 2]", "pattern must be an object, got [1, 2]"),
         ],
         ids=[
             "xz-plane",
@@ -160,6 +163,9 @@ class TestExitCodes:
             "triple-edge",
             "vertex-in-two-layers",
             "correcting-set-off-the-rounds",
+            "graph-not-an-object",
+            "gflow-not-an-object",
+            "pattern-not-an-object",
         ],
     )
     def test_input_check_is_usage_error(self, tmp_path, capsys, graph, gflow, pattern, message):

@@ -20,6 +20,7 @@ from mbqcflow import (
     verify_gflow,
 )
 from mbqcflow.flow import correction_masks
+from mbqcflow.gf2 import gf2_basis, gf2_express
 from mbqcflow.fixtures import (
     bottleneck_graph,
     cluster_graph,
@@ -33,7 +34,7 @@ from mbqcflow.fixtures import (
     path_graph,
 )
 
-from conftest import random_open_graph, sample_graphs_with_gflow
+from conftest import flow_scan_graphs, random_open_graph, sample_graphs_with_gflow
 
 
 def exhaustive_gflow_exists(graph: OpenGraph) -> bool:
@@ -296,6 +297,84 @@ class TestPeelingMatchesBruteForce:
         for g in corpus:
             found = find(g)
             assert (found.to_json() if found else None) == reference_peeling(g, singleton), g
+
+
+def reference_full_basis_peeling(graph: OpenGraph, singleton: bool):
+    """Backward layer peeling that redoes each pass in full; passes or None.
+
+    Each pass rebuilds the region from the unprocessed vertices, eliminates
+    a column for every corrector, zero or not, and asks the basis for
+    every unprocessed vertex.  ``_peel`` must give the same passes, with
+    the same keys in the same order.
+    """
+    adjacency = graph.adjacency_masks
+    unprocessed = [v for v in range(graph.n) if v not in graph.output_set]
+    correctors = sorted(v for v in graph.outputs if v not in graph.input_set)
+    passes: list[dict[int, frozenset[int]]] = []
+
+    while unprocessed:
+        region = sum(1 << v for v in unprocessed)
+        columns = [adjacency[w] & region for w in correctors]
+        found: dict[int, frozenset[int]] = {}
+        if singleton:
+            for w, col in zip(correctors, columns):
+                u = col.bit_length() - 1
+                if col and col == 1 << u and u not in found:
+                    found[u] = frozenset((w,))
+        else:
+            basis = gf2_basis(columns)
+            for u in unprocessed:
+                mask = gf2_express(basis, 1 << u)
+                if mask is not None:
+                    found[u] = frozenset(
+                        w for c, w in enumerate(correctors) if (mask >> c) & 1
+                    )
+        if not found:
+            return None
+        passes.append(found)
+        unprocessed = [v for v in unprocessed if v not in found]
+        correctors = sorted(
+            set(correctors) | {v for v in found if v not in graph.input_set}
+        )
+    return passes
+
+
+class TestPeelingMatchesFullBasis:
+    """Found flows against full-basis peeling at the benchmark's grid sizes."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        # Plain grids, grids with gFlow-keeping edges, and grids broken
+        # mid-way and late, of n = 80-144.  Then the random stream that
+        # sample_graphs_with_gflow filters, unfiltered, so that the finder
+        # under test does not choose its own inputs.
+        grids = [g for seed in (1, 2, 3) for g in flow_scan_graphs(seed)]
+        rng = np.random.default_rng(21)
+        return grids, [random_open_graph(rng, n_max=10, equal_io=True) for _ in range(1000)]
+
+    def test_graphs_cover_the_cases(self, graphs):
+        grids, small = graphs
+        assert min(g.n for g in grids) == 80 and max(g.n for g in grids) == 144
+        assert 40 <= sum(reference_full_basis_peeling(g, False) is not None for g in grids) <= 56
+        gflow = [reference_full_basis_peeling(g, False) is not None for g in small]
+        causal = [reference_full_basis_peeling(g, True) is not None for g in small]
+        assert sum(gflow) >= 100
+        assert sum(a and not b for a, b in zip(gflow, causal)) >= 15
+
+    @pytest.mark.parametrize("singleton", [False, True], ids=["gflow", "causal"])
+    def test_same_json_and_order(self, graphs, singleton):
+        find = find_causal_flow if singleton else find_gflow
+        for g in [*graphs[0], *graphs[1]]:
+            found = find(g)
+            passes = reference_full_basis_peeling(g, singleton)
+            if passes is None:
+                assert found is None, g
+                continue
+            corrections = {v: s for p in passes for v, s in p.items()}
+            layers = [*reversed(passes), g.output_set]
+            expected = GFlow(corrections=corrections, layers=layers)
+            assert found.to_json() == expected.to_json(), g
+            assert list(found.corrections) == list(corrections), g
 
 
 class TestVerifyGflow:
