@@ -19,7 +19,8 @@ So the parser reads its budget defaults from the numpy-free
 :mod:`.errors`.
 
 Exit codes: 0 success, 1 domain negative (e.g. no gFlow exists), 2
-usage or parse error, 3 budget exceeded or out of memory.  Every JSON
+usage or parse error, 3 budget exceeded or out of memory.  A reader
+that closes stdout early does not change the exit code.  Every JSON
 report carries a ``schema_version`` field.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -81,12 +83,20 @@ def _run(args) -> int:
             raise ValueError(f"gflow is invalid: {violations[:3]}")
     result = args.handler(args, *inputs)
     result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
-    if isinstance(result, str):
-        sys.stdout.write(result + "\n")
-    else:
-        payload = {"schema_version": SCHEMA_VERSION, **result}
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    try:
+        if isinstance(result, str):
+            sys.stdout.write(result + "\n")
+        else:
+            payload = {"schema_version": SCHEMA_VERSION, **result}
+            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head``), which is no error of the
+        # command.  With stdout on devnull the flush at exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

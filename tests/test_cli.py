@@ -539,6 +539,28 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "budget exceeded: memory ran out within --budget-dense 28\n"
 
+    @pytest.mark.parametrize(
+        "graph, code", [(path_graph(3), 0), (bottleneck_graph(), 1)], ids=["ok", "domain"]
+    )
+    def test_a_closed_stdout_keeps_the_exit_code(self, tmp_path, graph, code):
+        # The reader closes its end before the child writes, as `| head -c 10`
+        # does before a long payload ends: the command's own exit code, and
+        # nothing on stderr (no usage error, no "Exception ignored").
+        (tmp_path / "g.json").write_text(graph.to_json())
+        src = str(Path(mbqcflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mbqcflow.cli", "flow", "find", "--graph", "g.json"],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
+
     def test_vertex_cap_exit_code(self, capsys, tmp_path):
         from mbqcflow.graph import VERTEX_CAP
 

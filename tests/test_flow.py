@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import re
@@ -650,6 +651,19 @@ class TestFlowWires:
         with pytest.raises(FlowConsistencyError, match="disjoint"):
             flow_wires(bottleneck_graph(), fake)
 
+    def test_successor_cycle_raises(self):
+        # Unverified causal-shaped gFlows: the walk checks what verify_gflow would.
+        g = {0: {1}, 1: {0}}
+        gflow = GFlow(corrections=g, layers=[{0}, {1}, {2}])
+        with pytest.raises(FlowConsistencyError, match="^flow successor cycle through 0$"):
+            flow_wires(path_graph(3), gflow)
+
+    def test_wires_that_meet_raise(self):
+        graph = OpenGraph(n=4, edges=[(0, 2), (1, 2), (1, 3)], inputs=(0, 1), outputs=(2, 3))
+        gflow = GFlow(corrections={0: {2}, 1: {2}}, layers=[{0, 1}, {2, 3}])
+        with pytest.raises(FlowConsistencyError, match="^flow wires are not vertex-disjoint$"):
+            flow_wires(graph, gflow)
+
     def test_gflow_route_uses_max_flow(self):
         g = fig3b_graph()
         gflow = find_gflow(g)
@@ -754,6 +768,175 @@ class TestMaxFlowWires:
             report = flow_wires(g, gflow)
             assert report.wires == ((0, 5), (1, 4), (2, 3))
             assert flow_entanglement_bound(g, gflow, report).bound == 5
+
+
+def _wires_from_flow(graph: OpenGraph, gflow: GFlow) -> list[list[int]]:
+    wires = []
+    seen: set[int] = set()
+    for start in graph.inputs:
+        wire = [start]
+        current = start
+        while current not in graph.output_set:
+            (current,) = gflow.corrections[current]
+            if current in wire:
+                raise FlowConsistencyError(f"flow successor cycle through {current}")
+            wire.append(current)
+        if seen & set(wire):
+            raise FlowConsistencyError("flow wires are not vertex-disjoint")
+        seen.update(wire)
+        wires.append(wire)
+    return wires
+
+
+def _wires_from_max_flow(graph: OpenGraph) -> list[list[int]]:
+    """Vertex-disjoint input/output paths by unit-capacity BFS augmentation.
+
+    The network splits vertex v into v_in = 2v and v_out = 2v + 1 joined
+    by a unit arc, with a unit arc u_out -> v_in for each edge in each
+    direction and v_out -> sink for each output.  Arc a and its residual
+    reverse are the pair (a, a ^ 1).  Each input, in ``graph.inputs``
+    order, starts one breadth-first search for a shortest augmenting path
+    from its own v_in, which stands in for the unit source arc (Edmonds
+    and Karp, JACM 19, 1972).  An input that finds no path never finds
+    one later, so the number of augmented inputs is the maximum flow.
+    """
+    sink = 2 * graph.n
+    head: list[int] = []
+    residual: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(sink + 1)]
+
+    def add_arc(tail: int, to: int) -> None:
+        arcs[tail].append(len(head))
+        arcs[to].append(len(head) + 1)
+        head.extend((to, tail))
+        residual.extend((1, 0))
+
+    for v in range(graph.n):
+        add_arc(2 * v, 2 * v + 1)
+    for v in graph.outputs:
+        add_arc(2 * v + 1, sink)
+    # Reversed canonical edges list every v_out's neighbours in descending order.
+    for u, v in reversed(graph.edges):
+        add_arc(2 * u + 1, 2 * v)
+        add_arc(2 * v + 1, 2 * u)
+    value = 0
+    for start in graph.inputs:
+        via = {2 * start: -1}
+        queue = [2 * start]
+        for node in queue:
+            for a in arcs[node]:
+                if residual[a] and head[a] not in via:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if sink in via:
+                break
+        if sink not in via:
+            continue
+        value += 1
+        node = sink
+        while via[node] >= 0:
+            a = via[node]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+            node = head[a ^ 1]
+    if value < len(graph.inputs):
+        raise FlowConsistencyError(
+            f"only {value} vertex-disjoint paths exist for {len(graph.inputs)} inputs"
+        )
+    wires = []
+    for start in graph.inputs:
+        wire = [start]
+        while True:
+            # The one forward arc out of v_out that carries flow.
+            target = next(
+                head[a] for a in arcs[2 * wire[-1] + 1] if a % 2 == 0 and not residual[a]
+            )
+            if target == sink:
+                break
+            wire.append(target // 2)
+        wires.append(wire)
+    return wires
+
+
+def reference_wires(graph: OpenGraph, gflow: GFlow):
+    """``flow_wires`` with one walk per kind of wire, as it was before the successor map.
+
+    Returns the wires and the uncovered non-outputs, or the type of the
+    exception raised.  ``_wires_from_flow`` and ``_wires_from_max_flow``
+    are kept verbatim from that version.
+    """
+    try:
+        wires = _wires_from_flow(graph, gflow) if gflow.is_flow else _wires_from_max_flow(graph)
+    except Exception as exc:
+        return type(exc)
+    covered = {v for wire in wires for v in wire}
+    uncovered = frozenset(
+        v for v in range(graph.n) if v not in covered and v not in graph.output_set
+    )
+    return tuple(tuple(w) for w in wires), uncovered
+
+
+def successor_walk_wires(graph: OpenGraph, gflow: GFlow):
+    """``flow_wires`` in the shape of :func:`reference_wires`."""
+    try:
+        report = flow_wires(graph, gflow)
+    except Exception as exc:
+        return type(exc)
+    return report.wires, report.uncovered_non_outputs
+
+
+def unverified_causal_gflow(rng: np.random.Generator, graph: OpenGraph) -> GFlow:
+    """Singleton correcting sets drawn at random, for most non-outputs.
+
+    They need not be a flow, or even follow an edge, so the wire walk
+    meets cycles, wires that meet and vertices with no correcting set.
+    """
+    measured = [v for v in range(graph.n) if v not in graph.output_set and rng.random() < 0.9]
+    corrections = {v: {int(rng.integers(graph.n))} for v in measured}
+    return GFlow(corrections=corrections, layers=[measured, graph.outputs])
+
+
+class TestWiresMatchPerKindWalks:
+    """The successor-map walk gives the wires, uncovered sets and errors of the per-kind walks."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # (kind, graph, gFlow): found causal flows and gFlows, unverified
+        # singleton correcting sets, and the max-flow route taken by
+        # NOT_A_CAUSAL_FLOW; then the found gFlows of the benchmark's
+        # flow-scan pools, whose kind is prefixed "scan".
+        rng = np.random.default_rng(22)
+        cases = []
+        for _ in range(1200):
+            graph = random_open_graph(rng, n_min=1, n_max=9)
+            for gflow in (find_causal_flow(graph), find_gflow(graph)):
+                if gflow is not None:
+                    cases.append(("found", graph, gflow))
+            cases.append(("unverified", graph, unverified_causal_gflow(rng, graph)))
+            cases.append(("max-flow", graph, NOT_A_CAUSAL_FLOW))
+            cases.append(("max-flow", random_terminal_graph(rng, n_max=8), NOT_A_CAUSAL_FLOW))
+        for seed in (1, 2, 3):
+            for graph in flow_scan_graphs(seed):
+                gflow = find_gflow(graph)
+                if gflow is not None:
+                    cases.append(("scan", graph, gflow))
+                cases.append(("scan max-flow", graph, NOT_A_CAUSAL_FLOW))
+        return [(kind, g, f, reference_wires(g, f)) for kind, g, f in cases]
+
+    def test_cases_cover_both_walks_and_every_error(self, cases):
+        count = collections.Counter(
+            (kind, f.is_flow, e if isinstance(e, type) else "wires") for kind, _, f, e in cases
+        )
+        assert count["found", True, "wires"] >= 500 and count["found", False, "wires"] >= 90
+        assert count["unverified", True, FlowConsistencyError] >= 200
+        assert count["unverified", True, KeyError] >= 100
+        assert count["max-flow", False, "wires"] >= 1000
+        assert count["max-flow", False, FlowConsistencyError] >= 500
+        assert count["scan", True, "wires"] >= 20 and count["scan", False, "wires"] >= 20
+
+    def test_same_wires_uncovered_sets_and_errors(self, cases):
+        for _, graph, gflow, expected in cases:
+            assert successor_walk_wires(graph, gflow) == expected, (graph, gflow)
 
 
 class TestGflowImpliesCapacity:

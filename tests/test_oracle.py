@@ -626,6 +626,14 @@ class TestSchmidtRank:
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
         assert schmidt_rank_log2(state, 2, {0}) == 0
+        assert schmidt_rank_log2(np.zeros(4, dtype=complex), 2, {0}) == 0
+
+    def test_rank_three_is_not_a_power_of_two(self):
+        # (|00,00> + |01,01> + |10,10>)/sqrt(3) across qubits {0, 1} | {2, 3}.
+        state = np.zeros(16, dtype=complex)
+        state[[0b0000, 0b0101, 0b1010]] = 1 / np.sqrt(3)
+        with pytest.raises(ValueError, match="^Schmidt rank 3 is not a power of two$"):
+            schmidt_rank_log2(state, 4, {0, 1})
 
     def test_bell_state(self):
         state = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -163,6 +163,8 @@ class TestRotatedStabilizer:
         g = path_graph(3)
         with pytest.raises(ValueError, match="stabilizer"):
             rotated_stabilizer(g, 0, 0.3)
+        with pytest.raises(ValueError, match="^vertex 5 out of range$"):
+            rotated_stabilizer(g, 5, 0.1)
 
 
 class TestInitialize:
@@ -455,6 +457,20 @@ class TestFinalizeAndExtract:
             DeterminismError, match=r"^extracted map deviates from unitarity by 7\.50e-01$"
         ):
             extract_unitary(broken)
+
+    def test_extract_needs_equally_many_inputs_and_outputs(self):
+        from mbqcflow import extract_unitary
+        from mbqcflow.pauli import PauliTable
+
+        # One input's X and Z images on two output qubits.
+        table = PauliTable.stack(2, {
+            ("X", 0): LogicalOperator(2, {(1, 0): 1.0}),
+            ("Z", 0): LogicalOperator(2, {(0, 1): 1.0}),
+        })
+        with pytest.raises(
+            ValueError, match="^unitary extraction needs equally many inputs and outputs$"
+        ):
+            extract_unitary(table)
 
     def test_extract_refuses_a_unitary_beyond_the_dense_limit(self):
         from mbqcflow import BudgetExceededError, extract_unitary
