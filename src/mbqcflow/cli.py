@@ -283,6 +283,20 @@ def _command(
     return parser
 
 
+def _budget(text: str) -> int:
+    """The value of a ``--budget-*`` option: an integer, 0 or more.
+
+    argparse turns the error into a usage error (exit 2) naming the option.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbqcflow",
@@ -327,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         check_gflow=False,
     )
     sim.add_argument("--report-terms", action="store_true")
-    sim.add_argument("--budget-terms", type=int, default=DEFAULT_TERM_BUDGET)
-    sim.add_argument("--budget-dense", type=int, default=DEFAULT_DENSE_LIMIT)
+    sim.add_argument("--budget-terms", type=_budget, default=DEFAULT_TERM_BUDGET)
+    sim.add_argument("--budget-dense", type=_budget, default=DEFAULT_DENSE_LIMIT)
 
     oracle_p = top.add_parser("oracle", help="dense statevector ground truth")
     oracle_sub = oracle_p.add_subparsers(dest="subcommand", required=True)
@@ -338,19 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
         oracle_sub, "determinism", "compare all branches", _oracle_determinism, pattern_files
     )
     det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--budget-branches", type=int, default=DEFAULT_BRANCH_BUDGET)
+    det.add_argument("--budget-branches", type=_budget, default=DEFAULT_BRANCH_BUDGET)
     uni = _command(
         oracle_sub, "unitary", "assemble the implemented unitary", _oracle_unitary, pattern_files
     )
     for cmd in (run, det, uni):
-        cmd.add_argument("--budget-dense", type=int, default=DEFAULT_DENSE_LIMIT)
+        cmd.add_argument("--budget-dense", type=_budget, default=DEFAULT_DENSE_LIMIT)
 
     bounds_p = _command(
         top, "bounds", "entanglement measures and flow bound", _bounds, flow_files,
         gflow_optional=True,
     )
-    bounds_p.add_argument("--budget-estruc", type=int, default=DEFAULT_ORDERING_BUDGET)
-    bounds_p.add_argument("--budget-width", type=int, default=DEFAULT_TREE_BUDGET)
+    bounds_p.add_argument("--budget-estruc", type=_budget, default=DEFAULT_ORDERING_BUDGET)
+    bounds_p.add_argument("--budget-width", type=_budget, default=DEFAULT_TREE_BUDGET)
 
     fixtures_p = top.add_parser("fixtures", help="the named example library")
     fixtures_sub = fixtures_p.add_subparsers(dest="subcommand", required=True)

@@ -23,18 +23,27 @@ words add in row order, starting from zero, so every coefficient is the
 one a term-by-term loop computes, bit for bit.  Equal rows are found by
 sorting a 64-bit hash of each row and comparing neighbours in full; if
 two different rows share a hash, a lexicographic sort of the rows
-decides instead.
+decides instead.  The hash is XOR-linear: the hash of the product of
+two words is the XOR of their hashes.  So a table keeps the hash of
+each row, keyed by its sum, once it has needed it, and a correction
+hashes only its own words.
 
 Cost of :meth:`PauliTable.correct`, which treats one measured vertex for
 every sum of a table at once: with T rows of which F have Z on the vertex
 and a correction of C words, one mask test over T rows when F = 0; about
 20 numpy calls on F rows when C = 1 and no sum has two rows (no merge is
 possible); otherwise about 60 numpy calls on T - F + C F rows, among them
-one sort of as many hashes.
+one sort of as many hashes.  Only when two of those hashes are equal do
+the rows also go through the grouping step (one argsort and the row
+comparisons, about 35 more calls).  Over the sim-terms benchmark pools
+of seeds 1-3, 890 of the 927 corrections that multiply found no two
+hashes equal, on tables of up to 13,687 rows; the other 37 held 1,145
+rows in all.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Hashable, Mapping
 from typing import Iterator
 
@@ -73,23 +82,60 @@ def _unpack_words(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
+#: Table entries read at a time when hashing rows: each temporary of a
+#: block stays near 64 KiB, below glibc's default mmap threshold.
+_HASH_BLOCK = 1 << 13
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_table(columns: int) -> np.ndarray:
+    """Lookup table of :func:`_row_hash` on rows of ``columns`` words.
+
+    Bit q of a row has the key ``splitmix64(q + 1)``, which is never 0.
+    Entry ``256 p + b`` is the XOR of the keys of the bits set in byte
+    value b at byte p of a row.
+    """
+    keys = np.arange(1, 64 * columns + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys ^= keys >> 30
+    keys *= 0xBF58476D1CE4E5B9
+    keys ^= keys >> 27
+    keys *= 0x94D049BB133111EB
+    keys ^= keys >> 31
+    keys = keys.reshape(-1, 8)
+    values = np.arange(256)
+    table = np.zeros((len(keys), 256), dtype=np.uint64)
+    for bit in range(8):
+        table[:, (values >> bit) & 1 == 1] ^= keys[:, bit : bit + 1]
+    return table.reshape(-1)
+
+
 def _row_hash(rows: np.ndarray) -> np.ndarray:
-    """64-bit hash of every row: a salted splitmix64 finalizer per word, summed."""
-    v = rows + np.arange(rows.shape[1], dtype=np.uint64) * 0x9E3779B97F4A7C15
-    v ^= v >> 30
-    v *= 0xBF58476D1CE4E5B9
-    v ^= v >> 27
-    v *= 0x94D049BB133111EB
-    v ^= v >> 31
-    return v.sum(axis=1, dtype=np.uint64)
+    """64-bit hash of every row: the XOR of the keys of its set bits.
+
+    The hash is XOR-linear: the hash of ``a ^ b`` is the hash of ``a``
+    XOR the hash of ``b``.  A zero word adds nothing, so the hash of a
+    row without its last words is that of the row with those words 0.
+    """
+    table = _hash_table(rows.shape[1])
+    # A byte that is zero in every row adds nothing, so only the others are read.
+    either = np.bitwise_or.reduce(rows, axis=0, initial=np.uint64(0), keepdims=True)
+    places = either.view(np.uint8)[0].nonzero()[0]
+    step = max(1, _HASH_BLOCK // max(1, len(places)))
+    hashes = np.empty(len(rows), dtype=np.uint64)
+    for start in range(0, len(rows), step):
+        block = np.ascontiguousarray(rows[start : start + step]).view(np.uint8)
+        hashes[start : start + step] = np.bitwise_xor.reduce(
+            table[block[:, places] + places * 256], axis=1
+        )
+    return hashes
 
 
-def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group(rows: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run of every row and first row of every run, runs in order of first appearance.
 
-    Equal rows share a run, and ``first`` is increasing.
+    ``hashes`` holds the :func:`_row_hash` of every row.  Equal rows share
+    a run, and ``first`` is increasing.
     """
-    hashes = _row_hash(rows)
     order = np.argsort(hashes)
     hashes = hashes[order]
     # Equal rows have equal hashes; check the rows of every such pair.
@@ -111,7 +157,7 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _merge_rows(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows merged in order of first appearance, coefficients added in row order."""
-    run, first = _group(rows)
+    run, first = _group(rows, _row_hash(rows))
     sums = np.zeros(len(first), dtype=complex)
     np.add.at(sums, run, coeffs)
     return rows[first], sums
@@ -146,6 +192,8 @@ class PauliTable:
     can merge.  The rows of each sum keep their order through every
     correction, and :meth:`operators` reads the sums back.  The table
     owns the arrays it is given: a correction may change them in place.
+    From its first correction that multiplies, it also keeps the hash of
+    every row with its owner, and carries it through later corrections.
     """
 
     def __init__(
@@ -175,8 +223,14 @@ class PauliTable:
             np.repeat(np.arange(len(ops)), [op.num_terms for op in ops]),
         )
 
-    def _set_rows(self, rows: np.ndarray, coeffs: np.ndarray, owner: np.ndarray) -> None:
-        self.rows, self.coeffs, self.owner = rows, coeffs, owner
+    def _set_rows(
+        self,
+        rows: np.ndarray,
+        coeffs: np.ndarray,
+        owner: np.ndarray,
+        hashes: np.ndarray | None = None,
+    ) -> None:
+        self.rows, self.coeffs, self.owner, self._hashes = rows, coeffs, owner, hashes
         self.counts = np.bincount(owner, minlength=len(self.labels))
         np.maximum(self.peaks, self.counts, out=self.peaks)
         self.single = bool(self.counts.max(initial=0) <= 1)
@@ -210,9 +264,14 @@ class PauliTable:
         columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
         shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)
         places = np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)
-        bits = ((self.rows[:, columns] >> shifts) & 1) << places
+        # The (rows x 2 count) bits are shifted in place and dropped before
+        # the merge, so that no second copy of them is alive.
+        rows = self.rows[:, columns]
+        rows >>= shifts
+        rows &= np.uint64(1)
+        rows <<= places
         starts = list(range(0, count, 64))
-        rows = np.add.reduceat(bits, starts + [count + s for s in starts], axis=1)
+        rows = np.add.reduceat(rows, starts + [count + s for s in starts], axis=1)
         coeffs, owner = self.coeffs.copy(), self.owner.copy()
         if not self.single:
             keys, coeffs = _merge_rows(
@@ -246,10 +305,14 @@ class PauliTable:
 
         The other rows are kept in place.  The products are summed and
         pruned, then added into the kept rows of their sum or appended
-        after them, and the table is pruned again.  Returns whether any
-        row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
-        before the products are built when the kept rows plus the
-        products would exceed ``budget``.
+        after them, and the table is pruned again.  When no two of the
+        kept rows and products have equal hashes, nothing can merge: the
+        pruned products are appended in order, with no grouping step.  A
+        product's hash is its hit row's hash XOR its correction word's
+        hash, so no product is hashed.  Returns whether any row had Z on
+        ``qubit``.  Raises :class:`BudgetExceededError` before the
+        products are built when the kept rows plus the products would
+        exceed ``budget``.
         """
         rows, coeffs = self.rows, self.coeffs
         hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
@@ -268,6 +331,7 @@ class PauliTable:
             new_coeffs = signed[np.add.reduce(odd, axis=1) & 1] * coeffs[hit]
             rows[hit] = flipped ^ correction._rows[0]
             coeffs[hit] = new_coeffs
+            self._hashes = None
             dead = np.abs(new_coeffs) <= PRUNE_TOLERANCE
             if dead.any():
                 stay = np.ones(len(rows), dtype=bool)
@@ -279,24 +343,43 @@ class PauliTable:
         )
         kept = np.ones(len(rows), dtype=bool)
         kept[hit] = False
-        kept_rows = rows[kept]
+        kept_rows, kept_coeffs = rows[kept], coeffs[kept]
         k = len(kept_rows)
         keys = np.concatenate([self.owner[kept]] + [self.owner[hit]] * terms)
-        table = np.concatenate((kept_rows, new_rows))
-        # The kept rows are distinct and come first, so run r < k is kept row r.
-        run, first = _group(np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1))
-        sums = np.zeros(len(first), dtype=complex)
-        np.add.at(sums, run[k:], new_coeffs)
-        # Products are pruned before they are added in, then the whole table.
-        live = np.abs(sums) > PRUNE_TOLERANCE
-        kept_coeffs = coeffs[kept]
-        np.add(kept_coeffs, sums[:k], out=kept_coeffs, where=live[:k])
+        if self._hashes is None:
+            # Each row's hash with its owner as one more word, kept from now on.
+            keyed = np.concatenate((rows, self.owner[:, None].astype(np.uint64)), axis=1)
+            self._hashes = _row_hash(keyed)
+        carried = self._hashes
+        hashes = np.concatenate(
+            (carried[kept], (_row_hash(correction._rows)[:, None] ^ carried[hit]).reshape(-1))
+        )
+        ordered = np.sort(hashes)
+        if (ordered[1:] == ordered[:-1]).any():
+            table = np.concatenate((kept_rows, new_rows))
+            # The kept rows are distinct and come first, so run r < k is kept row r.
+            run, first = _group(
+                np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1), hashes
+            )
+            sums = np.zeros(len(first), dtype=complex)
+            np.add.at(sums, run[k:], new_coeffs)
+            # Products are pruned before they are added in, then the whole table.
+            live = np.abs(sums) > PRUNE_TOLERANCE
+            np.add(kept_coeffs, sums[:k], out=kept_coeffs, where=live[:k])
+            fresh = live[k:].nonzero()[0] + k
+            picks, new_rows, new_coeffs = first[fresh], table[first[fresh]], sums[fresh]
+        else:
+            # All keys differ, so nothing merges.  Each sum still starts
+            # from zero, which turns a -0.0 part into 0.0.
+            picks = (np.abs(new_coeffs) > PRUNE_TOLERANCE).nonzero()[0]
+            new_rows, new_coeffs = new_rows[picks], new_coeffs[picks] + 0.0
+            picks += k
         stay = np.abs(kept_coeffs) > PRUNE_TOLERANCE
-        fresh = live[k:].nonzero()[0] + k
         self._set_rows(
-            np.concatenate((kept_rows[stay], table[first[fresh]])),
-            np.concatenate((kept_coeffs[stay], sums[fresh])),
-            np.concatenate((keys[:k][stay], keys[first[fresh]])),
+            np.concatenate((kept_rows[stay], new_rows)),
+            np.concatenate((kept_coeffs[stay], new_coeffs)),
+            np.concatenate((keys[:k][stay], keys[picks])),
+            np.concatenate((hashes[:k][stay], hashes[picks])),
         )
         return True
 

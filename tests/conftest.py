@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from mbqcflow import (
     find_gflow,
     rotated_stabilizer,
 )
+from mbqcflow import pauli
 from mbqcflow.gf2 import gf2_rank
 from mbqcflow.pauli import PauliTable
 
@@ -71,14 +73,50 @@ def sample_graphs_with_gflow(count: int, seed: int, n_max: int = 10, max_tries: 
     raise AssertionError(f"only found {len(found)} gflow-bearing graphs")
 
 
-def flow_scan_graphs(seed: int) -> list[OpenGraph]:
-    """The graphs of the benchmark's flow-scan pool for ``seed``."""
+def bench_pool(name: str, seed: int) -> list:
+    """The instances of the benchmark's ``name`` pool for ``seed``."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return [inst.graph for inst in workloads.build_pool("flow-scan", seed)]
+    return workloads.build_pool(name, seed)
+
+
+def flow_scan_graphs(seed: int) -> list[OpenGraph]:
+    """The graphs of the benchmark's flow-scan pool for ``seed``."""
+    return [inst.graph for inst in bench_pool("flow-scan", seed)]
+
+
+def count_product_merges(monkeypatch) -> collections.Counter:
+    """Count the product corrections of ``PauliTable.correct`` by whether rows merged.
+
+    A correction multiplies, rather than replacing each hit row in place,
+    when its stabilizer has two words or a sum of the table has two rows.
+    It merged when its grouping step found two equal rows.  The counter
+    maps True and False to those counts for every call made while the
+    patch holds.
+    """
+    counts: collections.Counter = collections.Counter()
+    merged: list[bool] = []
+    group, correct = pauli._group, PauliTable.correct
+
+    def spied_group(rows, hashes):
+        run, first = group(rows, hashes)
+        merged.append(len(first) < len(rows))
+        return run, first
+
+    def spied_correct(self, qubit, correction, *budget):
+        product = correction.num_terms > 1 or not self.single
+        merged.clear()
+        hit = correct(self, qubit, correction, *budget)
+        if hit and product:
+            counts[any(merged)] += 1
+        return hit
+
+    monkeypatch.setattr(pauli, "_group", spied_group)
+    monkeypatch.setattr(PauliTable, "correct", spied_correct)
+    return counts
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -756,6 +756,36 @@ class TestCommands:
         assert code == 0
         assert payload["c_f"] is None
 
+    @pytest.mark.parametrize(
+        "words, option",
+        [
+            (("simulate",), "--budget-terms"),
+            (("simulate",), "--budget-dense"),
+            (("oracle", "run"), "--budget-dense"),
+            (("oracle", "determinism"), "--budget-dense"),
+            (("oracle", "determinism"), "--budget-branches"),
+            (("oracle", "unitary"), "--budget-dense"),
+            (("bounds",), "--budget-estruc"),
+            (("bounds",), "--budget-width"),
+        ],
+    )
+    def test_negative_budget_is_usage_error(self, capsys, path5_files, words, option):
+        g, f, p = path5_files
+        files = ["--graph", g]
+        if words != ("bounds",):
+            files += ["--gflow", f, "--pattern", p]
+        if words == ("oracle", "run"):
+            files += ["--branch", "0000"]
+        assert run_command([*words, *files, option, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"mbqcflow {' '.join(words)}: error: argument {option}: must be 0 or more, got -1"
+        )
+        # Zero is a budget: it may be exceeded (exit 3) or give nulls, but it parses.
+        assert run_command([*words, *files, option, "0"]) in (0, 3)
+        assert "error: argument" not in capsys.readouterr().err
+
     def test_bounds_budget_gives_nulls(self, capsys, tmp_path):
         from mbqcflow.fixtures import cluster_graph
 

@@ -8,8 +8,8 @@ line, and, for commands whose stdout holds no float (everything but
 fixture catalogue (path 2-6, cluster 2x3 and 3x3, bottleneck, fig3b,
 fig4) with the gFlow ``flow find`` returns, and one seeded random-angle
 and one pi/2-angle pattern each; the rows that must fail read malformed
-JSON, an invalid gFlow, an out-of-range ``--vertex`` or a too-small
-``--budget-*`` value.
+JSON, an invalid gFlow, an out-of-range ``--vertex``, or a too-small or
+negative ``--budget-*`` value.
 
 The numeric outputs are checked elsewhere (``tests/test_corpus.py`` and
 the oracle comparisons), so a change that keeps every exit code, message
@@ -126,6 +126,18 @@ def write_inputs(directory: Path) -> list[list[str]]:
         ["bounds", "--graph", "cluster3x3.json", "--budget-estruc", "1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-width", "1"],
         ["simulate", "--graph", "path4.json"],
+        # A negative budget is a usage error; zero is a budget.
+        ["simulate", *big, "--budget-terms", "-5"],
+        ["simulate", *big, "--budget-terms", "0"],
+        ["simulate", *big, "--budget-dense", "-1"],
+        ["oracle", "run", *big, "--branch", "000000", "--budget-dense", "-1"],
+        ["oracle", "determinism", *big, "--budget-dense", "-1"],
+        ["oracle", "determinism", *big, "--budget-branches", "-1"],
+        ["oracle", "determinism", *big, "--budget-branches", "0"],
+        ["oracle", "unitary", *big, "--budget-dense", "-1"],
+        ["bounds", "--graph", "cluster3x3.json", "--budget-estruc", "-1"],
+        ["bounds", "--graph", "cluster3x3.json", "--budget-width", "-1"],
+        ["bounds", "--graph", "cluster3x3.json", "--budget-width", "0"],
     ]
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)

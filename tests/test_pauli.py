@@ -1,10 +1,15 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow.pauli import LogicalOperator, PauliTable
+from mbqcflow import pauli, simulate_pattern
+from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
+from mbqcflow.pauli import _SIGNS, PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
 
+from conftest import bench_pool, count_product_merges
 from pauli_reference import corrected_terms, product_terms, prune
 
 I2 = np.eye(2, dtype=complex)
@@ -211,3 +216,240 @@ class TestPauliTable:
         table = PauliTable.stack(3, {("X", 0): LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
         with pytest.raises(ValueError, match="^only an empty table may take an empty register$"):
             table.project([])
+
+
+# -- The correction kernel that hashed every row on every call ---------------
+#
+# ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
+# ``ReferenceTable.correct`` are kept verbatim from the version before tables
+# carried their row hashes; ``ReferenceTable`` holds only the state those
+# methods read and write.
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """64-bit hash of every row: a salted splitmix64 finalizer per word, summed."""
+    v = rows + np.arange(rows.shape[1], dtype=np.uint64) * 0x9E3779B97F4A7C15
+    v ^= v >> 30
+    v *= 0xBF58476D1CE4E5B9
+    v ^= v >> 27
+    v *= 0x94D049BB133111EB
+    v ^= v >> 31
+    return v.sum(axis=1, dtype=np.uint64)
+
+
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run of every row and first row of every run, runs in order of first appearance.
+
+    Equal rows share a run, and ``first`` is increasing.
+    """
+    hashes = _row_hash(rows)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    # Equal rows have equal hashes; check the rows of every such pair.
+    pairs = (hashes[1:] == hashes[:-1]).nonzero()[0]
+    equal = (rows[order[pairs]] == rows[order[pairs + 1]]).all(axis=1)
+    start = np.ones(len(rows), dtype=bool)
+    start[pairs[equal] + 1] = False
+    if not equal.all():
+        # Two different rows share a hash: order by the rows themselves.
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    run = np.cumsum(start) - 1
+    first_equal = np.empty(len(rows), dtype=np.intp)
+    first_equal[order] = np.minimum.reduceat(order, start.nonzero()[0])[run]
+    leads = first_equal == np.arange(len(rows))
+    return (np.cumsum(leads) - 1)[first_equal], leads.nonzero()[0]
+
+
+class ReferenceTable:
+    """A copy of a :class:`PauliTable`'s state, corrected by the old kernel."""
+
+    def __init__(self, table: PauliTable):
+        self.words, self.labels, self.single = table.words, table.labels, table.single
+        for name in ("rows", "coeffs", "owner", "counts", "peaks"):
+            setattr(self, name, getattr(table, name).copy())
+
+    def _set_rows(self, rows: np.ndarray, coeffs: np.ndarray, owner: np.ndarray) -> None:
+        self.rows, self.coeffs, self.owner = rows, coeffs, owner
+        self.counts = np.bincount(owner, minlength=len(self.labels))
+        np.maximum(self.peaks, self.counts, out=self.peaks)
+        self.single = bool(self.counts.max(initial=0) <= 1)
+
+    def correct(
+        self, qubit: int, correction: LogicalOperator, budget: int = DEFAULT_TERM_BUDGET
+    ) -> bool:
+        """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
+
+        The other rows are kept in place.  The products are summed and
+        pruned, then added into the kept rows of their sum or appended
+        after them, and the table is pruned again.  Returns whether any
+        row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
+        before the products are built when the kept rows plus the
+        products would exceed ``budget``.
+        """
+        rows, coeffs = self.rows, self.coeffs
+        hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
+        if not len(hit):
+            return False
+        terms = correction.num_terms
+        size = len(rows) + (terms - 1) * len(hit)
+        if size > budget:
+            raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
+        if terms == 1 and self.single:
+            # No sum has two rows and one word maps rows one to one, so
+            # nothing merges: each hit row is replaced where it stands.
+            flipped = rows[hit]
+            odd = np.bitwise_count(flipped[:, : self.words] & correction._rows[0, self.words :])
+            signed = correction._coeffs[0] * _SIGNS
+            new_coeffs = signed[np.add.reduce(odd, axis=1) & 1] * coeffs[hit]
+            rows[hit] = flipped ^ correction._rows[0]
+            coeffs[hit] = new_coeffs
+            dead = np.abs(new_coeffs) <= PRUNE_TOLERANCE
+            if dead.any():
+                stay = np.ones(len(rows), dtype=bool)
+                stay[hit[dead]] = False
+                self._set_rows(rows[stay], coeffs[stay], self.owner[stay])
+            return True
+        new_rows, new_coeffs = _product_rows(
+            correction._rows, correction._coeffs, rows[hit], coeffs[hit]
+        )
+        kept = np.ones(len(rows), dtype=bool)
+        kept[hit] = False
+        kept_rows = rows[kept]
+        k = len(kept_rows)
+        keys = np.concatenate([self.owner[kept]] + [self.owner[hit]] * terms)
+        table = np.concatenate((kept_rows, new_rows))
+        # The kept rows are distinct and come first, so run r < k is kept row r.
+        run, first = _group(np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1))
+        sums = np.zeros(len(first), dtype=complex)
+        np.add.at(sums, run[k:], new_coeffs)
+        # Products are pruned before they are added in, then the whole table.
+        live = np.abs(sums) > PRUNE_TOLERANCE
+        kept_coeffs = coeffs[kept]
+        np.add(kept_coeffs, sums[:k], out=kept_coeffs, where=live[:k])
+        stay = np.abs(kept_coeffs) > PRUNE_TOLERANCE
+        fresh = live[k:].nonzero()[0] + k
+        self._set_rows(
+            np.concatenate((kept_rows[stay], table[first[fresh]])),
+            np.concatenate((kept_coeffs[stay], sums[fresh])),
+            np.concatenate((keys[:k][stay], keys[first[fresh]])),
+        )
+        return True
+
+
+def outcome(correct, *args):
+    """What ``correct(*args)`` returned, or the type and message of what it raised."""
+    try:
+        return correct(*args)
+    except BudgetExceededError as exc:
+        return BudgetExceededError, str(exc)
+
+
+def assert_same_state(table, reference):
+    for name in ("rows", "coeffs", "owner", "counts", "peaks"):
+        got, want = (getattr(t, name) for t in (table, reference))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def checked_correct(correct, raised):
+    """``correct``, also run by the old kernel on a copy of the table; both must agree.
+
+    After every call the two tables must hold the same rows,
+    coefficients, owners, counts and peaks, byte for byte, and the two
+    calls must return the same value or raise the same budget error,
+    which is then raised again and counted in ``raised``.
+    """
+
+    def checked(self, qubit, correction, budget=DEFAULT_TERM_BUDGET):
+        reference = ReferenceTable(self)
+        want = outcome(reference.correct, qubit, correction, budget)
+        got = outcome(correct, self, qubit, correction, budget)
+        assert got == want
+        assert_same_state(self, reference)
+        if isinstance(got, tuple):
+            raised.append(got[1])
+            raise BudgetExceededError(got[1])
+        return got
+
+    return checked
+
+
+def merging_terms(rng, bits, count):
+    """``count`` random words over the few qubits ``bits``, so that words repeat.
+
+    Coefficients are units or 1e-7, so that sums cancel exactly and
+    products of two small ones fall under the prune tolerance.
+    """
+    coeffs = (1.0, -1.0, 1j, -1j, 1e-7)
+
+    def mask():
+        return sum(1 << int(b) for b in bits if rng.random() < 0.5)
+
+    return {(mask(), mask()): coeffs[rng.integers(len(coeffs))] for _ in range(count)}
+
+
+class TestCorrectMatchesTheOldKernel:
+    """Carried hashes change no table: every correction against the old kernel."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        raised = []
+        monkeypatch.setattr(PauliTable, "correct", checked_correct(PauliTable.correct, raised))
+        return raised, count_product_merges(monkeypatch)
+
+    @pytest.mark.parametrize("name,budget", [("sim-terms", 40), ("sim-clifford", 8)])
+    def test_bench_pools_call_by_call(self, checked, name, budget):
+        raised, merges = checked
+        for seed in (1, 2, 3):
+            for inst in bench_pool(name, seed):
+                simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+        if name == "sim-terms":
+            # Tables of up to 13,687 rows, most products merging nothing.
+            assert merges[True] >= 30 and merges[False] >= 800
+        else:
+            # Every sim-clifford correction replaces its rows in place.
+            assert not merges
+        # A term budget stops some seed-1 simulations, at the same call.
+        for inst in bench_pool(name, 1):
+            with contextlib.suppress(BudgetExceededError):
+                simulate_pattern(inst.graph, inst.gflow, inst.pattern, term_budget=budget)
+        assert raised
+
+    @pytest.mark.parametrize(
+        "n,bits",
+        [(3, (0, 1, 2)), (70, (0, 1, 62, 63, 64, 65, 69)), (140, TestAgainstDictReference.BITS)],
+        ids=["one-word", "two-words", "three-words"],
+    )
+    def test_random_tables_built_to_merge(self, rng, checked, n, bits):
+        raised, merges = checked
+        for _ in range(60):
+            # Three qubits per table, so that products meet kept rows and each other.
+            few = rng.choice(bits, size=3, replace=False)
+            sums = {
+                label: LogicalOperator(n, merging_terms(rng, few, int(rng.integers(0, 10))))
+                for label in range(int(rng.integers(1, 5)))
+            }
+            table = PauliTable.stack(n, sums)
+            for _ in range(6):
+                correction = LogicalOperator(n, merging_terms(rng, few, int(rng.integers(1, 4))))
+                budget = len(table.rows) + int(rng.integers(0, 40))
+                with contextlib.suppress(BudgetExceededError):
+                    table.correct(int(rng.choice(few)), correction, budget)
+        assert merges[True] >= 50 and merges[False] >= 50 and len(raised) >= 20
+
+
+def test_row_hash_is_xor_linear(rng):
+    # Carried hashes rest on this: a product's hash is the XOR of its
+    # factors' hashes, and a row padded with zero words hashes alike.
+    for columns in (1, 2, 3, 7):
+        a, b = (rng.integers(0, 2**63, size=(40, columns), dtype=np.uint64) for _ in range(2))
+        assert np.array_equal(pauli._row_hash(a ^ b), pauli._row_hash(a) ^ pauli._row_hash(b))
+        padded = np.concatenate((a, np.zeros((40, 2), dtype=np.uint64)), axis=1)
+        assert np.array_equal(pauli._row_hash(padded), pauli._row_hash(a))
+    # Each bit has its own nonzero key, so no two one-bit rows collide.
+    bits = np.zeros((3 * 64, 3), dtype=np.uint64)
+    for q in range(3 * 64):
+        bits[q, q // 64] = np.uint64(1 << (q % 64))
+    assert len(set(pauli._row_hash(bits).tolist()) - {0}) == 3 * 64

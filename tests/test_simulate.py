@@ -27,10 +27,11 @@ from mbqcflow.fixtures import (
     path_graph,
 )
 from mbqcflow.oracle import build_open_graph_state
-from mbqcflow.pauli import LogicalOperator
+from mbqcflow.pauli import LogicalOperator, PauliTable
 
 from conftest import (
     completion_generators,
+    count_product_merges,
     max_deviation_up_to_phase,
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
@@ -266,9 +267,11 @@ class TestPropagation:
         assert abs(lx.get((0b01, 0b10), 0) - np.cos(theta)) < 1e-12
         assert abs(lx.get((0b11, 0b10), 0) - 1j * np.sin(theta)) < 1e-12
 
-    def test_round_matches_split_multiply_add_reference(self, rng):
+    def test_round_matches_split_multiply_add_reference(self, rng, monkeypatch):
         # Random and Clifford angles, so both the merging step and the
-        # in-place one-word step run; widest > 1 gives correcting products.
+        # in-place one-word step run; widest > 1 gives correcting products,
+        # and some product corrections merge rows while others do not.
+        merges = count_product_merges(monkeypatch)
         widest = touched = untouched = 0
         for index, (graph, gflow) in enumerate(sample_graphs_with_gflow(60, seed=47, n_max=7)):
             widest = max(widest, *(len(c) for c in gflow.corrections.values()))
@@ -276,6 +279,7 @@ class TestPropagation:
             counts = assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng, clifford))
             touched, untouched = touched + counts[0], untouched + counts[1]
         assert touched and untouched and widest > 1
+        assert merges[True] and merges[False]
 
     def test_round_matches_reference_across_word_boundaries(self, rng):
         # Seeded gFlow graphs relabelled into 140 qubits, measured vertices
@@ -292,13 +296,31 @@ class TestPropagation:
 
     def test_round_matches_reference_when_hashes_collide(self, rng, monkeypatch):
         # A constant row hash makes every merge fall back to sorting the rows.
+        # The tables carry their hashes, so the constant must reach them
+        # too: the lexicographic sort has to run.
         monkeypatch.setattr(
             "mbqcflow.pauli._row_hash", lambda rows: np.zeros(len(rows), dtype=np.uint64)
         )
+        lexsorts, fell_back = [0], []
+        lexsort, correct = np.lexsort, PauliTable.correct
+
+        def spied_lexsort(keys):
+            lexsorts[0] += 1
+            return lexsort(keys)
+
+        def spied_correct(self, *args):
+            before = lexsorts[0]
+            hit = correct(self, *args)
+            fell_back.append(lexsorts[0] > before)
+            return hit
+
+        monkeypatch.setattr(np, "lexsort", spied_lexsort)
+        monkeypatch.setattr(PauliTable, "correct", spied_correct)
         graphs = sample_graphs_with_gflow(15, seed=49, n_max=7)
         graphs.append((cluster_graph(2, 5), cluster_row_flow(2, 5)))
         for graph, gflow in graphs:
             assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng))
+        assert sum(fell_back) >= 10
 
     def test_rounds_must_be_ordered(self):
         g, fl = path_graph(3), path_flow(3)
