@@ -10,11 +10,17 @@ Each state is built once, and every path measures a batch of registers:
 ``run_branch`` runs one branch as a batch of one, ``check_determinism``
 extends every surviving outcome prefix by both outcomes at each step, so
 that branches share the contractions of their common prefix, and
-``oracle_unitary`` runs every basis input down the all-+1 branch as one
-batch.  All three take the same measurement step.  A correction, X on
-g(v) and Z on Odd(g(v)) (``flow.correction_masks``), acts on the held
-qubits as raw bitmasks (global phase dropped), keeping this module
-independent of the symbolic Pauli machinery it validates.
+``oracle_unitary`` runs the all-+1 branch on the open graph state with
+its input legs left open: the state built with |+> on every qubit holds
+one row per assignment of the input bits, over a register of the n - k
+non-input qubits.  A measured input then only scales each row by its
+bra's entry at the row's bit, so the unitary costs one build and one
+contraction per measured non-input qubit, each on 2^n amplitudes, where
+one run per basis input would hold 2^k times as many.  All three take
+the same measurement step.  A correction, X on g(v) and Z on Odd(g(v))
+(``flow.correction_masks``), acts on the held qubits as raw bitmasks
+(global phase dropped), keeping this module independent of the symbolic
+Pauli machinery it validates.
 """
 
 from __future__ import annotations
@@ -31,9 +37,6 @@ from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
 
 _ZERO_PROBABILITY = 1e-12
-
-#: Most amplitudes one batch of ``oracle_unitary`` holds (16 MiB).
-_BATCH_AMPLITUDES = 2**20
 
 #: Largest fidelity loss and unitarity deviation the checks accept, and the
 #: share of the largest entry below which :func:`normalize_phase` skips one.
@@ -95,10 +98,16 @@ def build_open_graph_state(
         for pos, vertex in enumerate(graph.inputs):
             key |= ((idx >> vertex) & 1) << pos
         amp = input_state[..., key] * 2.0 ** (-(graph.n - k) / 2)
-    odd = np.zeros(dim, dtype=bool)
-    for u, v in graph.edges:
-        odd ^= ((idx >> u) & (idx >> v) & 1).astype(bool)
-    amp[..., odd] *= -1
+    # The CZ sign is the parity of the edges inside the mask.  Each vertex
+    # u adds its bit times the number of its lower neighbours in the mask,
+    # so the masks whose top bit is u add it to the masks below 2^u.  The
+    # uint8 count wraps modulo 256, which keeps its parity.
+    edges = np.zeros(dim, dtype=np.uint8)
+    for u, neighbours in enumerate(graph.adjacency_masks):
+        half = 1 << u
+        lower = np.bitwise_count(idx[:half] & (neighbours & (half - 1)))
+        np.add(edges[:half], lower, out=edges[half : 2 * half])
+    amp[..., (edges & 1).astype(bool)] *= -1
     return amp
 
 
@@ -128,6 +137,7 @@ def _prepare(
     pattern: MeasurementPattern,
     input_state: np.ndarray | None,
     dense_limit: int,
+    register: Iterable[int],
 ) -> tuple[np.ndarray, list[_Step], np.ndarray]:
     """The checks every path runs, the built batch and the measurement plan.
 
@@ -135,9 +145,12 @@ def _prepare(
     that the pattern fits the gflow and, before building anything
     exponential, that the state fits the dense limit.  Returns the built
     state as a batch of one row per input (one row for a 1-D or absent
-    ``input_state``), one step per vertex of ``gflow.measurement_order``,
-    and the index array that reorders the register the last step leaves
-    so that output k sits at bit k.
+    ``input_state``), the measurement plan of a register that holds
+    ``register``'s vertices from bit 0 up, and the index array that
+    reorders the register the last step leaves so that output k sits at
+    bit k.  The plan has one step per vertex of
+    ``gflow.measurement_order`` in the register; an output outside it
+    adds no bit to the index.
     """
     order = gflow.measurement_order
     if sorted(order) != list(graph.measured):
@@ -147,19 +160,22 @@ def _prepare(
         )
     check_pattern(gflow, pattern)
     state = build_open_graph_state(graph, input_state, dense_limit).reshape(-1, 1 << graph.n)
-    held = list(range(graph.n))  # held[k] is the vertex at bit k
+    held = list(register)  # held[k] is the vertex at bit k
     steps = []
     for v in order:
+        if v not in held:
+            continue
         pos = held.index(v)
         del held[pos]
         x_mask, z_mask = correction_masks(graph, gflow, v)
         correction = (_on_held(x_mask, held), _on_held(z_mask, held))
         bras = tuple(b.conj() for b in measurement_basis(pattern.planes[v], pattern.angles[v]))
         steps.append(_Step(v, pos, bras, correction))
-    out = np.arange(1 << len(held))
+    out = np.arange(1 << len(graph.outputs))
     source = np.zeros_like(out)
     for k, q in enumerate(graph.outputs):
-        source |= ((out >> k) & 1) << held.index(q)
+        if q in held:
+            source |= ((out >> k) & 1) << held.index(q)
     return state, steps, source
 
 
@@ -217,7 +233,9 @@ def run_branch(
     reference that the determinism batch and the unitary batch are tested
     against.
     """
-    state, steps, source = _prepare(graph, gflow, pattern, input_state, dense_limit)
+    state, steps, source = _prepare(
+        graph, gflow, pattern, input_state, dense_limit, range(graph.n)
+    )
     missing = set(gflow.measurement_order) - set(branch_bits)
     if missing:
         raise ValueError(f"branch bits missing for vertices {sorted(missing)}")
@@ -317,7 +335,9 @@ def check_determinism(
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    state, steps, source = _prepare(graph, gflow, pattern, input_state, dense_limit)
+    state, steps, source = _prepare(
+        graph, gflow, pattern, input_state, dense_limit, range(graph.n)
+    )
     bit = {v: 1 << pos for pos, v in enumerate(measured)}
     # Per surviving prefix: outcome mask, probability, worst step deviation.
     masks = np.zeros(1, dtype=np.int64)
@@ -356,29 +376,53 @@ def oracle_unitary(
     the unnormalized output columns, which preserves their relative
     phases; the result is normalized, checked for unitarity, and brought
     to a canonical global phase (first significant entry real positive).
-    The inputs run as one batch, split so that no batch holds more than
-    ``_BATCH_AMPLITUDES`` amplitudes.
+
+    The basis inputs are the rows of one batch, cut from one state built
+    with |+> on every qubit: row x holds the 2^(n-k) amplitudes whose
+    input bits read x, over a register of the non-input qubits.  Each
+    measured non-input qubit is contracted once for all rows, so the batch
+    never holds more than the 2^n amplitudes of the built state.  A
+    measured input v scales row x by its bra's entry at bit x_v, with
+    step probability the entry's squared modulus, and an input that is an
+    output keeps its row's bit.  The k-qubit unitary holds 4^k amplitudes,
+    as many as a 2k-qubit state, so k with 2k above ``dense_limit`` raises
+    :class:`BudgetExceededError` after the register is checked and before
+    the rows are laid out.
     """
     k = len(graph.inputs)
     if k != len(graph.outputs):
         raise ValueError("unitary extraction needs equally many inputs and outputs")
-    dim = 1 << k
-    blocks = []  # no dim x dim allocation before the dense limit is checked
-    batch = max(1, _BATCH_AMPLITUDES >> graph.n)
-    for start in range(0, dim, batch):
-        inputs = np.arange(start, min(start + batch, dim))
-        basis = np.zeros((inputs.size, dim), dtype=complex)
-        basis[np.arange(inputs.size), inputs] = 1.0
-        state, steps, source = _prepare(graph, gflow, pattern, basis, dense_limit)
-        weight = np.ones(inputs.size)
-        for step in steps:
-            state, prob = _measure(state, step, 0)
-            weight *= prob
-        zero = inputs[weight == 0.0]
-        if zero.size:
-            raise DeterminismError(f"branch 0 has zero probability on input {zero[0]}")
-        blocks.append((state[:, source] * np.sqrt(weight)[:, None]).T)
-    columns = np.hstack(blocks)
+    register = [v for v in range(graph.n) if v not in graph.input_set]
+    built, steps, source = _prepare(graph, gflow, pattern, None, dense_limit, register)
+    if 2 * k > dense_limit:
+        raise BudgetExceededError(
+            f"{2 * k} qubits exceed --budget-dense {dense_limit} "
+            f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
+        )
+    # Row x holds the amplitudes whose input bits read x (input p at bit p
+    # of x), scaled so that each row, a basis input's state, has norm 1.
+    axes = [graph.n - 1 - v for v in (*reversed(graph.inputs), *reversed(register))]
+    state = built[0].reshape((2,) * graph.n).transpose(axes).reshape(1 << k, -1)
+    state *= 2.0 ** (k / 2)
+    amp = np.ones(1 << k, dtype=complex)
+    for step in steps:
+        state, prob = _measure(state, step, 0)
+        amp *= np.sqrt(prob)
+    x = np.arange(1 << k)
+    columns = state[:, source].T
+    for pos, v in enumerate(graph.inputs):
+        bit = (x >> pos) & 1
+        if v in graph.output_set:
+            # An input that is an output keeps its row's bit.
+            columns[((x[:, None] >> graph.outputs.index(v)) & 1) != bit] = 0.0
+        else:
+            entry = measurement_basis(pattern.planes[v], pattern.angles[v])[0].conj()
+            entry[np.abs(entry) ** 2 < _ZERO_PROBABILITY] = 0.0
+            amp *= entry[bit]
+    zero = np.flatnonzero(amp == 0.0)
+    if zero.size:
+        raise DeterminismError(f"branch 0 has zero probability on input {zero[0]}")
+    columns = columns * amp
     scale = np.linalg.norm(columns[:, 0])
     if scale < _ZERO_PROBABILITY:
         raise DeterminismError("assembled map is singular")

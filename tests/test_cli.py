@@ -494,24 +494,26 @@ class TestExitCodes:
 
     def test_simulate_dense_limit_exit_code(self, tmp_path):
         # Twelve isolated vertices, each an input and an output: a 12-qubit
-        # unitary holds as many amplitudes as a 24-qubit state.
+        # unitary holds as many amplitudes as a 24-qubit state, in simulate
+        # and in oracle unitary alike.
         graph = mbqcflow.OpenGraph(n=12, edges=[], inputs=range(12), outputs=range(12))
         (tmp_path / "g.json").write_text(graph.to_json())
         (tmp_path / "f.json").write_text(mbqcflow.find_gflow(graph).to_json())
         (tmp_path / "p.json").write_text(json.dumps({"angles": {}}))
         src = str(Path(mbqcflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mbqcflow.cli", "simulate", "--graph", "g.json",
-             "--gflow", "f.json", "--pattern", "p.json"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            "budget exceeded: 24 qubits exceed --budget-dense 14 "
-            "(a 12-qubit unitary holds 4^12 amplitudes)\n"
-        )
+        for command in (["simulate"], ["oracle", "unitary"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mbqcflow.cli", *command, "--graph", "g.json",
+                 "--gflow", "f.json", "--pattern", "p.json"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 3
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                "budget exceeded: 24 qubits exceed --budget-dense 14 "
+                "(a 12-qubit unitary holds 4^12 amplitudes)\n"
+            )
 
     def test_out_of_memory_exit_code(self, tmp_path):
         # --budget-dense 28 lets the oracle try a 2^28-amplitude state; the

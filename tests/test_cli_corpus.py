@@ -2,9 +2,10 @@
 
 Each row of ``tests/cli_corpus.json`` is one argv run through
 ``mbqcflow.cli.run_command`` in process, from a directory that holds the
-input files below.  A row records the exit code and the first stderr
-line, and, for commands whose stdout holds no float (everything but
-``simulate`` and ``oracle``), the sha256 of stdout.  The inputs are the
+input files below.  A row records the exit code and the last stderr
+line, which for an argparse usage error names the option rather than
+repeating the usage text, and, for commands whose stdout holds no float
+(everything but ``simulate`` and ``oracle``), the sha256 of stdout.  The inputs are the
 fixture catalogue (path 2-6, cluster 2x3 and 3x3, bottleneck, fig3b,
 fig4) with the gFlow ``flow find`` returns, and one seeded random-angle
 and one pi/2-angle pattern each; the rows that must fail read malformed
@@ -146,12 +147,12 @@ def write_inputs(directory: Path) -> list[list[str]]:
 
 
 def run_row(argv: list[str]) -> dict:
-    """Exit code, first stderr line and (when float-free) the stdout digest of one run."""
+    """Exit code, last stderr line and (when float-free) the stdout digest of one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
     lines = err.getvalue().splitlines()
-    row = {"argv": argv, "exit": code, "stderr": lines[0] if lines else None}
+    row = {"argv": argv, "exit": code, "stderr": lines[-1] if lines else None}
     if argv[0] not in FLOAT_COMMANDS:
         row["stdout_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return row

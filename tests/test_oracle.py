@@ -19,10 +19,10 @@ from mbqcflow import (
     verify_gflow,
 )
 from mbqcflow import oracle as oracle_mod
-from mbqcflow.oracle import apply_word_masks, measurement_basis, normalize_phase
+from mbqcflow.oracle import apply_word_masks, canonical_unitary, measurement_basis, normalize_phase
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
-from conftest import max_deviation_up_to_phase, sample_graphs_with_gflow
+from conftest import max_deviation_up_to_phase, random_open_graph, sample_graphs_with_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -96,6 +96,20 @@ class TestGraphStateConstruction:
         with pytest.raises(BudgetExceededError, match=r"^4 qubits exceed --budget-dense 3$"):
             build_open_graph_state(g, dense_limit=3)
 
+    def test_matches_the_per_edge_sign_loop(self):
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            graph = random_open_graph(rng, n_min=1, n_max=11)
+            k = len(graph.inputs)
+            for psi in (
+                None,
+                rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k),
+                rng.normal(size=(3, 1 << k)) + 1j * rng.normal(size=(3, 1 << k)),
+            ):
+                assert np.array_equal(
+                    build_open_graph_state(graph, psi), state_by_edges(graph, psi)
+                )
+
     @pytest.mark.parametrize(
         "psi,message",
         [
@@ -108,6 +122,27 @@ class TestGraphStateConstruction:
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0,), outputs=(1,))
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_open_graph_state(g, psi)
+
+
+def state_by_edges(graph, input_state=None):
+    """The open graph state with the CZ sign taken one edge at a time."""
+    k = len(graph.inputs)
+    dim = 1 << graph.n
+    idx = np.arange(dim)
+    if input_state is None:
+        amp = np.full(dim, 2.0 ** (-graph.n / 2), dtype=complex)
+    else:
+        input_state = np.asarray(input_state, dtype=complex)
+        input_state = input_state / np.linalg.norm(input_state, axis=-1, keepdims=True)
+        key = np.zeros(dim, dtype=np.int64)
+        for pos, vertex in enumerate(graph.inputs):
+            key |= ((idx >> vertex) & 1) << pos
+        amp = input_state[..., key] * 2.0 ** (-(graph.n - k) / 2)
+    odd = np.zeros(dim, dtype=bool)
+    for u, v in graph.edges:
+        odd ^= ((idx >> u) & (idx >> v) & 1).astype(bool)
+    amp[..., odd] *= -1
+    return amp
 
 
 class TestMeasurementBasis:
@@ -262,6 +297,75 @@ DIFFERENTIAL_CASES = REFERENCE_CASES + [
 ]
 
 
+def _unitary_cases():
+    """Graphs whose unitary rows are laid out in more ways than the catalogue's.
+
+    Inputs that are also outputs and so are never measured, measured
+    inputs in the XZ and YZ planes, and k = 0.  XZ and YZ at angle 0
+    measure X and Y, as XY at angles 0 and pi/2 do, so on an XY gFlow the
+    map stays unitary; at a random angle it need not.  Two cases sit at
+    the zero-probability rule: near XZ angle pi/2 the second input's bra
+    reads 1e-7 on bit 1, a step probability of 1e-14, first on input 2,
+    and a |+> qubit measured near XY angle pi has step probability
+    1.5e-12 on every input, which is not 0.
+    """
+    rng = np.random.default_rng(24)
+    cases = []
+    sampled = [
+        (graph, gflow)
+        for graph, gflow in sample_graphs_with_gflow(40, seed=24, n_max=10)
+        if graph.n > 2 * len(graph.inputs)  # some vertex is neither input nor output
+    ][:6]
+    for i, (graph, gflow) in enumerate(sampled):
+        # An input that is an output is in no correcting set and is never
+        # measured, so any edges to it keep the gFlow valid.
+        w = graph.n
+        edges = [*graph.edges, *((v, w) for v in range(w) if rng.random() < 0.5)]
+        grown = OpenGraph(w + 1, edges, inputs=(*graph.inputs, w), outputs=(w, *graph.outputs))
+        layers = [*gflow.layers[:-1], gflow.layers[-1] | {w}]
+        angles = {v: float(rng.uniform(0, 2 * np.pi)) for v in graph.measured}
+        cases.append(pytest.param(
+            grown, GFlow(gflow.corrections, layers), MeasurementPattern(angles), id=f"io-overlap{i}",
+        ))
+    for i, (graph, gflow) in enumerate(sampled[:2]):
+        v = graph.inputs[-1]
+        for plane in (Plane.XZ, Plane.YZ):
+            for angle, label in ((0.0, "zero"), (float(rng.uniform(0, 2 * np.pi)), "random")):
+                angles = {u: float(rng.uniform(0, 2 * np.pi)) for u in graph.measured}
+                angles[v] = angle
+                cases.append(pytest.param(
+                    graph, GFlow(gflow.corrections, gflow.layers, {v: plane}),
+                    MeasurementPattern(angles, {v: plane}), id=f"{plane.value.lower()}-input-{label}{i}",
+                ))
+    pair = OpenGraph(n=4, edges=[(0, 2), (1, 3), (2, 3)], inputs=(0, 1), outputs=(2, 3))
+    cases.append(pytest.param(
+        pair, GFlow({0: {2}, 1: {3}}, [{0, 1}, {2, 3}], {1: Plane.XZ}),
+        MeasurementPattern({0: 0.8, 1: np.pi / 2 - 2e-7}, {1: Plane.XZ}), id="xz-input-vanishes",
+    ))
+    isolated = OpenGraph(n=2, edges=[], inputs=(0,), outputs=(0,))
+    cases.append(pytest.param(
+        isolated, GFlow({1: {1}}, [{1}, {0}]),
+        MeasurementPattern({1: np.pi - 2 * np.sqrt(1.5e-12)}), id="near-zero-xy",
+    ))
+    triangle = OpenGraph(n=3, edges=[(0, 1), (0, 2), (1, 2)], inputs=(0, 1, 2), outputs=(2, 0, 1))
+    cases.append(pytest.param(
+        triangle, GFlow({}, [{0, 1, 2}]), MeasurementPattern({}), id="all-inputs-are-outputs",
+    ))
+    closed = OpenGraph(n=3, edges=[(0, 1), (1, 2)])
+    cases.append(pytest.param(
+        closed, GFlow({0: {1}, 1: {2}, 2: {2}}, [{0}, {1}, {2}, set()], {2: Plane.YZ}),
+        MeasurementPattern({0: 0.3, 1: 4.1, 2: 2.2}, {2: Plane.YZ}), id="k0",
+    ))
+    cases.append(pytest.param(
+        OpenGraph(n=1, edges=[]), GFlow({0: {0}}, [{0}, set()]),
+        MeasurementPattern({0: np.pi}), id="k0-zero",
+    ))
+    return cases
+
+
+UNITARY_CASES = _unitary_cases()
+
+
 def determinism_from_branches(graph, gflow, pattern, seed):
     """The determinism report rebuilt from run_branch over all 2^m branches."""
     measured = sorted(gflow.measurement_order)
@@ -288,7 +392,10 @@ def determinism_from_branches(graph, gflow, pattern, seed):
 
 
 def unitary_from_columns(graph, gflow, pattern):
-    """The all-+1 branch run by run_branch on each basis input, one column each."""
+    """The all-+1 branch run by run_branch on each basis input, one column each.
+
+    The columns are checked for unitarity as ``oracle_unitary`` checks them.
+    """
     k = len(graph.inputs)
     if k != len(graph.outputs):
         raise ValueError("unitary extraction needs equally many inputs and outputs")
@@ -299,7 +406,7 @@ def unitary_from_columns(graph, gflow, pattern):
         if record.output_state is None:
             raise DeterminismError(f"branch 0 has zero probability on input {b}")
         columns[:, b] = record.output_state * np.sqrt(record.probability)
-    return normalize_phase(columns / np.linalg.norm(columns[:, 0]))
+    return canonical_unitary(columns / np.linalg.norm(columns[:, 0]), "assembled")
 
 
 class TestRunBranchAgainstReference:
@@ -329,19 +436,36 @@ class TestRunBranchAgainstReference:
             for field in ("worst_fidelity", "max_probability_deviation", "total_probability"):
                 assert abs(getattr(report, field) - getattr(expected, field)) < 1e-12
 
-    @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES)
-    def test_batched_unitary_matches_column_runs(self, graph, gflow, pattern, monkeypatch):
+    @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES + UNITARY_CASES)
+    def test_batched_unitary_matches_column_runs(self, graph, gflow, pattern):
         try:
             expected = unitary_from_columns(graph, gflow, pattern)
         except (ValueError, DeterminismError) as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 oracle_unitary(graph, gflow, pattern)
             return
         assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - expected)) < 1e-12
-        # Batches of one input and of two give the same columns.
-        for columns in (1, 2):
-            monkeypatch.setattr(oracle_mod, "_BATCH_AMPLITUDES", columns << graph.n)
-            assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - expected)) < 1e-12
+
+    def test_unitary_cases_cover_the_row_layout(self):
+        cases = {c.id: c.values for c in UNITARY_CASES}
+        outcomes = {}
+        for name, (graph, gflow, pattern) in cases.items():
+            if name.startswith("io-overlap"):
+                assert verify_gflow(graph, gflow) == []
+                assert graph.input_set & graph.output_set
+                assert graph.input_set - graph.output_set
+            try:
+                unitary_from_columns(graph, gflow, pattern)
+                outcomes[name] = "unitary"
+            except DeterminismError as exc:
+                outcomes[name] = str(exc)
+        assert {outcomes[f"{p}-input-zero{i}"] for p in ("xz", "yz") for i in (0, 1)} == {"unitary"}
+        assert any(outcomes[f"{p}-input-random{i}"] != "unitary" for p in ("xz", "yz") for i in (0, 1))
+        assert outcomes["xz-input-vanishes"] == "branch 0 has zero probability on input 2"
+        assert outcomes["all-inputs-are-outputs"] == outcomes["k0"] == "unitary"
+        assert outcomes["near-zero-xy"] == "unitary"
+        assert outcomes["k0-zero"] == "branch 0 has zero probability on input 0"
+        assert len(cases["k0"][0].inputs) == 0
 
     def test_differential_cases_include_failures(self):
         cases = {c.id: c.values for c in DIFFERENTIAL_CASES}
@@ -596,6 +720,50 @@ class TestOracleUnitary:
         gf = GFlow({i: {i + 20} for i in range(20)}, [set(range(20)), set(range(20, 40))])
         with pytest.raises(BudgetExceededError, match="^40 qubits exceed --budget-dense 14$"):
             oracle_unitary(g, gf, MeasurementPattern(dict.fromkeys(range(20), 0.1)))
+
+    @pytest.mark.parametrize(
+        "graph,gflow,pattern",
+        [c for c in UNITARY_CASES if c.id.startswith("io-overlap")] + [
+            pytest.param(
+                path_graph(5), path_flow(5), MeasurementPattern(dict.fromkeys(range(4), 0.4)),
+                id="path-5",
+            ),
+            pytest.param(
+                cluster_graph(2, 4), cluster_row_flow(2, 4),
+                MeasurementPattern({v: 0.4 + v for v in cluster_graph(2, 4).measured}),
+                id="cluster-2x4",
+            ),
+        ],
+    )
+    def test_one_contraction_per_measured_non_input(self, graph, gflow, pattern, monkeypatch):
+        # All basis inputs share one batch, cut from the one built state.
+        sizes = []
+        measure = oracle_mod._measure
+
+        def counting(state, step, outcome):
+            sizes.append(state.size)
+            return measure(state, step, outcome)
+
+        monkeypatch.setattr(oracle_mod, "_measure", counting)
+        oracle_unitary(graph, gflow, pattern)
+        assert len(sizes) == len(set(graph.measured) - graph.input_set)
+        assert sizes[0] == 1 << graph.n
+        assert max(sizes) <= 1 << graph.n
+
+    def test_unitary_counts_as_twice_its_qubits(self):
+        # A k-qubit unitary holds 4^k amplitudes, as many as a 2k-qubit state.
+        g = OpenGraph(n=12, edges=[(i, i + 1) for i in range(11)], inputs=range(12), outputs=range(12))
+        gf, pattern = GFlow({}, [set(range(12))]), MeasurementPattern({})
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^24 qubits exceed --budget-dense 14 \(a 12-qubit unitary holds 4\^12 amplitudes\)$",
+        ):
+            oracle_unitary(g, gf, pattern)
+        g = OpenGraph(n=4, edges=[(0, 1), (1, 2), (2, 3)], inputs=range(4), outputs=range(4))
+        gf = GFlow({}, [set(range(4))])
+        with pytest.raises(BudgetExceededError, match=r"^8 qubits exceed --budget-dense 7 "):
+            oracle_unitary(g, gf, pattern, dense_limit=7)
+        assert oracle_unitary(g, gf, pattern, dense_limit=8).shape == (16, 16)
 
     def test_non_deterministic_pattern_raises(self):
         from mbqcflow import DeterminismError
