@@ -13,9 +13,10 @@ of stabilizer circuits" (PRA 70, 052328, 2004) and of Stim (Gidney,
 Quantum 5, 497, 2021).  A :class:`PauliTable` stacks labelled sums into
 one such table, with the label's index as one more key per row.  A
 :class:`LogicalOperator` is one sum: it multiplies, adds and prunes, and
-every other operation goes through a table, which holds the one
-correction step (:meth:`PauliTable.correct`) and the one dense kernel
-(:meth:`PauliTable.to_matrices`).
+every other operation goes through a table, which holds the correction
+steps (:meth:`PauliTable.correct` for one qubit and
+:meth:`PauliTable.correct_round` for a round of them) and the one dense
+kernel (:meth:`PauliTable.to_matrices`).
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
@@ -28,17 +29,23 @@ two words is the XOR of their hashes.  So a table keeps the hash of
 each row, keyed by its sum, once it has needed it, and a correction
 hashes only its own words.
 
-Cost of :meth:`PauliTable.correct`, which treats one measured vertex for
-every sum of a table at once: with T rows of which F have Z on the vertex
-and a correction of C words, one mask test over T rows when F = 0; about
-20 numpy calls on F rows when C = 1 and no sum has two rows (no merge is
-possible); otherwise about 60 numpy calls on T - F + C F rows, among them
-one sort of as many hashes.  Only when two of those hashes are equal do
-the rows also go through the grouping step (one argsort and the row
-comparisons, about 35 more calls).  Over the sim-terms benchmark pools
-of seeds 1-3, 890 of the 927 corrections that multiply found no two
-hashes equal, on tables of up to 13,687 rows; the other 37 held 1,145
-rows in all.
+Cost of a correction, which treats measured vertices for every sum of a
+table at once.  When no sum has two rows and every correction of a round
+of m vertices is one word, no merge is possible, and
+:meth:`PauliTable.correct_round` corrects the whole round in one kernel
+call: one mask test over T rows x m vertices when no row is hit,
+otherwise about 30 numpy calls on arrays of T m entries and two more per
+vertex.  On the sim-clifford benchmark pool of seed 1 that is 10.8 calls
+per instance, where one call per vertex would be 47.1.  Any other round
+costs one :meth:`PauliTable.correct` call per vertex: with T rows of
+which F have Z on the vertex and a correction of C words, one mask test
+over T rows when F = 0; otherwise about 60 numpy calls on T - F + C F
+rows, among them one sort of as many hashes.  Only when two of those
+hashes are equal do the rows also go through the grouping step (one
+argsort and the row comparisons, about 35 more calls).  Over the
+sim-terms benchmark pools of seeds 1-3, 890 of the 927 corrections that
+multiply found no two hashes equal, on tables of up to 13,687 rows; the
+other 37 held 1,145 rows in all.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 PRUNE_TOLERANCE = 1e-12
 
 #: Sign of a product, indexed by the parity of the anticommuting pairs.
-_SIGNS = np.array([1.0, -1.0])
+_SIGNS = np.array([1.0, -1.0], dtype=complex)
 
 
 def _word_count(n: int) -> int:
@@ -303,17 +310,21 @@ class PauliTable:
     ) -> bool:
         """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
 
-        The other rows are kept in place.  The products are summed and
-        pruned, then added into the kept rows of their sum or appended
-        after them, and the table is pruned again.  When no two of the
-        kept rows and products have equal hashes, nothing can merge: the
-        pruned products are appended in order, with no grouping step.  A
-        product's hash is its hit row's hash XOR its correction word's
-        hash, so no product is hashed.  Returns whether any row had Z on
-        ``qubit``.  Raises :class:`BudgetExceededError` before the
-        products are built when the kept rows plus the products would
-        exceed ``budget``.
+        The other rows are kept in place.  A one-word correction of a table
+        in which no sum has two rows goes to the one-word kernel of
+        :meth:`correct_round`, as a round of one qubit.  Otherwise the
+        products are summed and pruned, then added into the kept rows of
+        their sum or appended after them, and the table is pruned again.
+        When no two of the kept rows and products have equal hashes,
+        nothing can merge: the pruned products are appended in order, with
+        no grouping step.  A product's hash is its hit row's hash XOR its
+        correction word's hash, so no product is hashed.  Returns whether
+        any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
+        before the products are built when the kept rows plus the products
+        would exceed ``budget``.
         """
+        if correction.num_terms == 1 and self.single:
+            return self._one_word_round([qubit], [correction], budget)
         rows, coeffs = self.rows, self.coeffs
         hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
         if not len(hit):
@@ -322,22 +333,6 @@ class PauliTable:
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
             raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
-        if terms == 1 and self.single:
-            # No sum has two rows and one word maps rows one to one, so
-            # nothing merges: each hit row is replaced where it stands.
-            flipped = rows[hit]
-            odd = np.bitwise_count(flipped[:, : self.words] & correction._rows[0, self.words :])
-            signed = correction._coeffs[0] * _SIGNS
-            new_coeffs = signed[np.add.reduce(odd, axis=1) & 1] * coeffs[hit]
-            rows[hit] = flipped ^ correction._rows[0]
-            coeffs[hit] = new_coeffs
-            self._hashes = None
-            dead = np.abs(new_coeffs) <= PRUNE_TOLERANCE
-            if dead.any():
-                stay = np.ones(len(rows), dtype=bool)
-                stay[hit[dead]] = False
-                self._set_rows(rows[stay], coeffs[stay], self.owner[stay])
-            return True
         new_rows, new_coeffs = _product_rows(
             correction._rows, correction._coeffs, rows[hit], coeffs[hit]
         )
@@ -383,18 +378,106 @@ class PauliTable:
         )
         return True
 
+    def correct_round(
+        self,
+        qubits: list[int],
+        corrections: list[LogicalOperator],
+        budget: int = DEFAULT_TERM_BUDGET,
+    ) -> None:
+        """:meth:`correct` for each of ``qubits`` in turn, in one step when it can.
+
+        ``corrections[j]`` is the correction of ``qubits[j]``.
+
+        When no sum has two rows and every correction is one word, the
+        whole round is one kernel call; it leaves the table as the calls
+        vertex by vertex would, byte for byte.  No correction may then
+        have Z on another qubit of the round, which a valid gFlow's
+        strict layers guarantee for the qubits of one layer; the kernel
+        raises ``ValueError`` otherwise.  Any other round is corrected
+        qubit by qubit.
+        """
+        if self.single and all(correction.num_terms == 1 for correction in corrections):
+            self._one_word_round(qubits, corrections, budget)
+            return
+        for qubit, correction in zip(qubits, corrections):
+            self.correct(qubit, correction, budget)
+
+    def _one_word_round(
+        self, qubits: list[int], corrections: list[LogicalOperator], budget: int
+    ) -> bool:
+        """The one-word kernel: correct for every qubit of a round, in order.
+
+        No sum has two rows and each correction is one word, so every row
+        maps to one row where it stands and nothing merges.  No correction
+        has Z on another qubit of the round, so the rows with Z on each
+        qubit are read once, before any step, and a row's bits become the
+        XOR of the corrections that hit it.  The sign of step j is the
+        parity of the row's X bits, as the earlier steps left them, against
+        correction j's Z bits.  The coefficients are multiplied step by
+        step, as ``signed[parity] * coeff``, as one qubit at a time would
+        multiply them.  A row whose coefficient falls to the prune
+        tolerance after any of its steps is dropped at the end.  Returns
+        whether any row was hit.
+        """
+        words, rows, coeffs = self.words, self.rows, self.coeffs
+        count, m = len(rows), len(qubits)
+        columns = [words + (q >> 6) for q in qubits]
+        bits = np.array([1 << (q & 63) for q in qubits], dtype=np.uint64)
+        # Whether each row, then each correction, has Z on each qubit of the round.
+        table = np.concatenate([rows] + [c._rows for c in corrections])
+        marks = (table[:, columns] & bits) != 0
+        hits = marks[:count]
+        if not np.count_nonzero(hits):
+            return False
+        if count > budget:
+            raise BudgetExceededError(f"{count} terms exceed --budget-terms {budget}")
+        # A correction may have Z on its own qubit, but on no other of the round.
+        crossed = marks[count:]
+        crossed.flat[:: m + 1] = False
+        if np.count_nonzero(crossed):
+            raise ValueError("a correction has Z on another qubit of its round")
+        word_rows = table[count:]
+        # Each row before each step and after the last: the row, then the
+        # words of the steps that hit it, XORed up in step order.
+        states = np.empty((count, m + 1, 2 * words), dtype=np.uint64)
+        states[:, 0] = rows
+        np.multiply(word_rows, hits[:, :, None], out=states[:, 1:])
+        np.bitwise_xor.accumulate(states, axis=1, out=states)
+        x_z = states[:, :m, :words] & word_rows[:, words:]
+        odd = np.bitwise_count(np.bitwise_xor.reduce(x_z, axis=2)) & 1
+        signed = np.concatenate([c._coeffs for c in corrections])[:, None] * _SIGNS
+        factors = np.where(odd, signed[:, 1], signed[:, 0]).T
+        rows[:] = states[:, m]
+        hits = hits.T
+        products = np.empty((m, count), dtype=complex)
+        product = coeffs
+        for step in range(m):
+            product = products[step] = np.where(hits[step], factors[step] * product, product)
+        coeffs[:] = product
+        self._hashes = None
+        magnitudes = np.abs(products)
+        if magnitudes.min() <= PRUNE_TOLERANCE:
+            dead = ((magnitudes <= PRUNE_TOLERANCE) & hits).any(axis=0)
+            if np.count_nonzero(dead):
+                self._set_rows(rows[~dead], coeffs[~dead], self.owner[~dead])
+        return True
+
 
 class LogicalOperator:
     """Complex-weighted sum of phase-free Pauli words on a fixed register.
 
     Built from a ``{(x_bits, z_bits): coefficient}`` mapping; held as word
-    rows and coefficients (see the module docstring).
+    rows and coefficients (see the module docstring).  A word with a bit
+    outside the ``n`` qubits, or a negative mask, raises ``ValueError``.
     """
 
     __slots__ = ("n", "_rows", "_coeffs")
 
     def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
         terms = terms or {}
+        for x, z in terms:
+            if x < 0 or z < 0 or (x | z) >> n:
+                raise ValueError(f"word {(x, z)} has bits outside the {n}-qubit register")
         self.n = n
         self._rows = pack_rows(n, [x for x, _ in terms], [z for _, z in terms])
         self._coeffs = np.array(list(terms.values()), dtype=complex).reshape(-1)

@@ -9,11 +9,14 @@ stabilizer product; output extraction then strips the measured X factors,
 leaving operators on the outputs that encode the implemented unitary.
 
 All logicals live in one :class:`~mbqcflow.pauli.PauliTable` of
-bit-packed rows, so each measured vertex costs one
-:meth:`~mbqcflow.pauli.PauliTable.correct` call for all of them: a mask
-test when no row is hit, otherwise a product, a merge and a prune on
-arrays (see :mod:`mbqcflow.pauli` for the cost).  The rows of that table
-are capped by a term budget, and the dense unitary by the dense limit.
+bit-packed rows, so each measurement round is one
+:meth:`~mbqcflow.pauli.PauliTable.correct_round` call for all of them.
+While every logical is one word and so is every correction of the round,
+as in a Clifford pattern, that is one kernel call for the whole round.
+Otherwise each vertex of the round costs a mask test when no row is hit,
+and a product, a merge and a prune on arrays when some row is (see
+:mod:`mbqcflow.pauli` for the cost).  The rows of that table are capped
+by a term budget, and the dense unitary by the dense limit.
 
 Cost accounting: the table records the most terms each logical has
 had (:attr:`~mbqcflow.pauli.PauliTable.peaks`), to be compared against
@@ -155,7 +158,11 @@ def propagate_round(state: SimulationState) -> SimulationState:
     For each vertex of the round (ascending) every row of the logicals'
     table that anticommutes with the measured X is multiplied by that
     vertex's correcting stabilizer product, and the rows merge and prune:
-    one :meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals.
+    one :meth:`~mbqcflow.pauli.PauliTable.correct_round` call for all
+    logicals.  When every logical and every correction of the round is one
+    word, that is one kernel call for the round, not one per vertex: the
+    strict layers of a valid gFlow keep each correction's Z off the other
+    vertices of its round.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
     table past ``state.term_budget`` rows, and ``ValueError`` when every
@@ -163,8 +170,10 @@ def propagate_round(state: SimulationState) -> SimulationState:
     """
     if state.round_cursor >= len(state.rounds):
         raise ValueError(f"all {len(state.rounds)} rounds are already propagated")
-    for mu in sorted(state.rounds[state.round_cursor]):
-        state.logicals.correct(mu, state.stabilizers[mu], state.term_budget)
+    vertices = sorted(state.rounds[state.round_cursor])
+    state.logicals.correct_round(
+        vertices, [state.stabilizers[mu] for mu in vertices], state.term_budget
+    )
     state.round_cursor += 1
     return state
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mbqcflow import pauli, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
-from mbqcflow.pauli import _SIGNS, PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
+from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
 
 from conftest import bench_pool, count_product_merges
 from pauli_reference import corrected_terms, product_terms, prune
@@ -141,6 +142,27 @@ class TestLogicalOperator:
     def test_word_matrix_identity(self):
         assert np.allclose(LogicalOperator(2, {(0, 0): 1}).to_matrix(), np.eye(4))
 
+    def test_words_outside_the_register_are_rejected(self):
+        # A stray bit on qubit 2 of a 2-qubit register made to_matrix fail
+        # with IndexError, and in a stack it landed in the next label's
+        # block: label b read 2 I instead of I.  A negative mask raised
+        # OverflowError.
+        for word in [(0b100, 0), (0, 0b100), (0, -1), (-2, 0)]:
+            message = rf"^word \({word[0]}, {word[1]}\) has bits outside the 2-qubit register$"
+            with pytest.raises(ValueError, match=message):
+                LogicalOperator(2, {(0b01, 0): 1.0, word: 1.0})
+        message = r"^word \(0, 1\) has bits outside the 0-qubit register$"
+        with pytest.raises(ValueError, match=message):
+            LogicalOperator(0, {(0, 1): 1.0})
+        # The largest words of each register are kept, across word boundaries.
+        for n in (2, 64, 70):
+            top = (1 << n) - 1
+            assert list(LogicalOperator(n, {(top, top): 1.0}).terms()) == [((top, top), 1.0)]
+        stacked = PauliTable.stack(
+            2, {"a": LogicalOperator(2, {(0b11, 0): 1.0}), "b": LogicalOperator(2, {(0, 0): 1.0})}
+        )
+        assert np.array_equal(stacked.to_matrices()[1], np.eye(4))
+
 
 def random_terms(rng, bits, count):
     """``count`` random words over the qubits ``bits``, random coefficients."""
@@ -220,10 +242,13 @@ class TestPauliTable:
 
 # -- The correction kernel that hashed every row on every call ---------------
 #
-# ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
+# ``_SIGNS``, ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
 # ``ReferenceTable.correct`` are kept verbatim from the version before tables
-# carried their row hashes; ``ReferenceTable`` holds only the state those
-# methods read and write.
+# carried their row hashes and one-word rounds were corrected in one step;
+# ``ReferenceTable`` holds only the state those methods read and write.
+
+#: Sign of a product, indexed by the parity of the anticommuting pairs.
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _row_hash(rows: np.ndarray) -> np.ndarray:
@@ -376,6 +401,37 @@ def checked_correct(correct, raised):
     return checked
 
 
+def reference_correct_round(reference, qubits, corrections, budget):
+    """The old kernel's :meth:`ReferenceTable.correct` for each qubit of a round in turn."""
+    for qubit, correction in zip(qubits, corrections):
+        reference.correct(qubit, correction, budget)
+
+
+def checked_correct_round(correct_round, raised, rounds):
+    """``correct_round``, also run vertex by vertex by the old kernel on a copy; both must agree.
+
+    After every round the two tables must hold the same rows,
+    coefficients, owners, counts and peaks, byte for byte, and both must
+    raise the same budget error or none, which is then raised again and
+    counted in ``raised``.  ``rounds`` counts the rounds of more than one
+    qubit that found the table one-word, so that they took the round kernel.
+    """
+
+    def checked(self, qubits, corrections, budget=DEFAULT_TERM_BUDGET):
+        if len(qubits) > 1 and self.single and all(c.num_terms == 1 for c in corrections):
+            rounds.append(len(qubits))
+        reference = ReferenceTable(self)
+        want = outcome(reference_correct_round, reference, qubits, corrections, budget)
+        got = outcome(correct_round, self, qubits, corrections, budget)
+        assert got == want
+        assert_same_state(self, reference)
+        if isinstance(got, tuple):
+            raised.append(got[1])
+            raise BudgetExceededError(got[1])
+
+    return checked
+
+
 def merging_terms(rng, bits, count):
     """``count`` random words over the few qubits ``bits``, so that words repeat.
 
@@ -395,13 +451,19 @@ class TestCorrectMatchesTheOldKernel:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        raised = []
+        raised, rounds = [], []
         monkeypatch.setattr(PauliTable, "correct", checked_correct(PauliTable.correct, raised))
-        return raised, count_product_merges(monkeypatch)
+        monkeypatch.setattr(
+            PauliTable,
+            "correct_round",
+            checked_correct_round(PauliTable.correct_round, raised, rounds),
+        )
+        return raised, count_product_merges(monkeypatch), rounds
 
     @pytest.mark.parametrize("name,budget", [("sim-terms", 40), ("sim-clifford", 8)])
     def test_bench_pools_call_by_call(self, checked, name, budget):
-        raised, merges = checked
+        # Every correct call, and every round, against the old kernel.
+        raised, merges, rounds = checked
         for seed in (1, 2, 3):
             for inst in bench_pool(name, seed):
                 simulate_pattern(inst.graph, inst.gflow, inst.pattern)
@@ -409,8 +471,10 @@ class TestCorrectMatchesTheOldKernel:
             # Tables of up to 13,687 rows, most products merging nothing.
             assert merges[True] >= 30 and merges[False] >= 800
         else:
-            # Every sim-clifford correction replaces its rows in place.
+            # Every sim-clifford round replaces its rows in place, in one
+            # kernel call: rounds of 3 to 6 qubits.
             assert not merges
+            assert len(rounds) >= 300 and max(rounds) >= 6
         # A term budget stops some seed-1 simulations, at the same call.
         for inst in bench_pool(name, 1):
             with contextlib.suppress(BudgetExceededError):
@@ -423,7 +487,7 @@ class TestCorrectMatchesTheOldKernel:
         ids=["one-word", "two-words", "three-words"],
     )
     def test_random_tables_built_to_merge(self, rng, checked, n, bits):
-        raised, merges = checked
+        raised, merges, _ = checked
         for _ in range(60):
             # Three qubits per table, so that products meet kept rows and each other.
             few = rng.choice(bits, size=3, replace=False)
@@ -438,6 +502,100 @@ class TestCorrectMatchesTheOldKernel:
                 with contextlib.suppress(BudgetExceededError):
                     table.correct(int(rng.choice(few)), correction, budget)
         assert merges[True] >= 50 and merges[False] >= 50 and len(raised) >= 20
+
+
+def random_one_word_round(rng, n, bits, m):
+    """``m`` qubits of ``bits`` and a one-word correction for each.
+
+    A correction has X anywhere on ``bits``, Z on its own qubit most of the
+    time and anywhere off the round, and a unit, small, large or generic
+    coefficient, so that a product can fall under the prune tolerance and
+    a later step of the round could lift it back above.
+    """
+    qubits = sorted(int(q) for q in rng.choice(bits, size=min(m, len(bits)), replace=False))
+    others = [b for b in bits if b not in qubits]
+    scales = (1.0, -1.0, 1j, -1j, 1e-7, 1e5)
+    corrections = []
+    for qubit in qubits:
+        x = sum(1 << int(b) for b in bits if rng.random() < 0.5)
+        z = sum(1 << int(b) for b in others if rng.random() < 0.5)
+        z |= (1 << qubit) if rng.random() < 0.8 else 0
+        coeff = complex(*rng.normal(size=2))
+        if rng.random() < 0.6:
+            coeff = scales[rng.integers(len(scales))]
+        corrections.append(LogicalOperator(n, {(x, z): coeff}))
+    return qubits, corrections
+
+
+def round_hits(table, qubits, corrections):
+    """Rows a round hits at several qubits, and hit pairs whose two sign conventions differ.
+
+    The sign of a step reads the row's X against the correction's Z; read
+    the other way round, Z against X, it differs on the counted pairs.
+    """
+    words = [next(c.terms())[0] for c in corrections]
+    counts = collections.Counter()
+    for op in table.operators().values():
+        for (x, z), _ in op.terms():
+            hits = [j for j, qubit in enumerate(qubits) if z >> qubit & 1]
+            counts["several"] += len(hits) > 1
+            counts["signs differ"] += sum(
+                ((x & words[j][1]).bit_count() ^ (z & words[j][0]).bit_count()) & 1 for j in hits
+            )
+    return counts
+
+
+class TestRoundKernel:
+    """One-word rounds in one kernel call, against the old kernel vertex by vertex."""
+
+    @pytest.mark.parametrize(
+        "n,bits",
+        [(3, (0, 1, 2)), (70, (0, 1, 62, 63, 64, 65, 69)), (140, TestAgainstDictReference.BITS)],
+        ids=["one-word", "two-words", "three-words"],
+    )
+    def test_random_rounds_match_vertex_by_vertex(self, rng, n, bits):
+        seen = collections.Counter()
+        for _ in range(150):
+            sums = {}
+            for label in range(int(rng.integers(1, 7))):
+                # At most one row per sum, so that the table is one-word.
+                terms = merging_terms(rng, bits, 1) if rng.random() < 0.85 else {}
+                if rng.random() < 0.4:
+                    terms = {key: complex(*rng.normal(size=2)) for key in terms}
+                sums[label] = LogicalOperator(n, terms)
+            table = PauliTable.stack(n, sums)
+            for _ in range(4):
+                qubits, corrections = random_one_word_round(rng, n, bits, int(rng.integers(1, 6)))
+                budget = DEFAULT_TERM_BUDGET
+                if rng.random() < 0.2:
+                    budget = len(table.rows) - int(rng.integers(1, 3))
+                seen.update(round_hits(table, qubits, corrections))
+                count = len(table.rows)
+                reference = ReferenceTable(table)
+                want = outcome(reference_correct_round, reference, qubits, corrections, budget)
+                got = outcome(table.correct_round, qubits, corrections, budget)
+                assert got == want
+                assert_same_state(table, reference)
+                seen["raised"] += isinstance(got, tuple)
+                seen["pruned"] += len(table.rows) < count
+        assert seen["several"] >= 100 and seen["signs differ"] >= 200
+        assert seen["raised"] >= 30 and seen["pruned"] >= 5
+
+    def test_a_correction_with_z_on_another_qubit_of_its_round_is_refused(self):
+        # The row has Z on qubit 0 only.  Qubit 0's correction puts Z on
+        # qubit 1, so qubit 1 would hit the row only after qubit 0's step,
+        # and hits read once at the start of the round would miss it.
+        table = PauliTable.stack(3, {"a": LogicalOperator(3, {(0b000, 0b001): 1.0})})
+        rows, coeffs = table.rows.copy(), table.coeffs.copy()
+        corrections = [
+            LogicalOperator(3, {(0b100, 0b011): 1.0}),
+            LogicalOperator(3, {(0b000, 0b010): 1.0}),
+        ]
+        message = "^a correction has Z on another qubit of its round$"
+        with pytest.raises(ValueError, match=message):
+            table.correct_round([0, 1], corrections)
+        assert table.rows.tobytes() == rows.tobytes()
+        assert table.coeffs.tobytes() == coeffs.tobytes()
 
 
 def test_row_hash_is_xor_linear(rng):

@@ -281,9 +281,20 @@ class TestPropagation:
         assert touched and untouched and widest > 1
         assert merges[True] and merges[False]
 
-    def test_round_matches_reference_across_word_boundaries(self, rng):
+    def test_round_matches_reference_across_word_boundaries(self, rng, monkeypatch):
         # Seeded gFlow graphs relabelled into 140 qubits, measured vertices
         # on bits 62-65 and 126-129, so masks span three 64-bit words.
+        # Random angles multiply Pauli sums; Clifford angles keep one word
+        # per logical, so whole rounds take the one-word kernel, which
+        # reads the Z columns of those bits.
+        kernel, rounds = PauliTable._one_word_round, []
+
+        def spied_kernel(self, qubits, corrections, budget):
+            hit = kernel(self, qubits, corrections, budget)
+            rounds.append((len(qubits), hit))
+            return hit
+
+        monkeypatch.setattr(PauliTable, "_one_word_round", spied_kernel)
         slots = [63, 64, 127, 128, 62, 65, 126, 129]
         spare = [v for v in range(140) if v not in slots]
         for graph, gflow in sample_graphs_with_gflow(12, seed=48, n_max=8):
@@ -292,7 +303,9 @@ class TestPropagation:
                 rng.choice(spare, size=len(graph.outputs), replace=False)
             )
             big, big_flow = relabel(graph, gflow, dict(zip(order, map(int, targets))), 140)
-            assert_rounds_match_reference(big, big_flow, random_pattern(big, rng))
+            for clifford in (False, True):
+                assert_rounds_match_reference(big, big_flow, random_pattern(big, rng, clifford))
+        assert sum(m > 1 and hit for m, hit in rounds) >= 5
 
     def test_round_matches_reference_when_hashes_collide(self, rng, monkeypatch):
         # A constant row hash makes every merge fall back to sorting the rows.
