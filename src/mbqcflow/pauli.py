@@ -466,9 +466,10 @@ class PauliTable:
 class LogicalOperator:
     """Complex-weighted sum of phase-free Pauli words on a fixed register.
 
-    Built from a ``{(x_bits, z_bits): coefficient}`` mapping; held as word
-    rows and coefficients (see the module docstring).  A word with a bit
-    outside the ``n`` qubits, or a negative mask, raises ``ValueError``.
+    Built from a ``{(x_bits, z_bits): coefficient}`` mapping and pruned, as
+    every operation is; held as word rows and coefficients (see the module
+    docstring).  A word with a bit outside the ``n`` qubits, or a negative
+    mask, raises ``ValueError``.
     """
 
     __slots__ = ("n", "_rows", "_coeffs")
@@ -481,6 +482,7 @@ class LogicalOperator:
         self.n = n
         self._rows = pack_rows(n, [x for x, _ in terms], [z for _, z in terms])
         self._coeffs = np.array(list(terms.values()), dtype=complex).reshape(-1)
+        self.prune()
 
     @classmethod
     def from_rows(cls, n: int, rows: np.ndarray, coeffs: np.ndarray) -> LogicalOperator:

@@ -211,13 +211,18 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
 
     The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs.
     The logicals are images ``U P U^dag`` of the input Paulis, so the
-    product of ``(1 + Lz_i)/2`` is the image of |0..0><0..0|; its
-    principal eigenvector seeds the columns, which the X images then
-    generate: the columns with bit i set are ``Lx_i`` times those below
-    ``2**i``.  The X and Z images are the even and the odd sums of
-    ``logicals``, made dense in one scatter.  A transfer map that is not
-    rank-one/unitary within ``TOLERANCE`` means the pattern does not
-    implement a unitary and raises :class:`DeterminismError`.
+    product P of the ``(1 + Lz_i)/2`` is the image |u0><u0| of
+    |0..0><0..0|, and ``P e_j = conj(u0_j) u0``.  The first column u0 is
+    ``P e_j`` normalised, for the first j whose squared norm is at least
+    ``2**-k / 2`` (the squared norms sum to 1, so one is at least ``2**-k``);
+    P is applied as k matrix-vector products and never formed.  The X
+    images generate the other columns: those with bit i set are ``Lx_i``
+    times those below ``2**i``.  Then every Z image is checked against
+    the columns, ``Lz_i U = U Z_i``.  The X and Z images are the even and
+    the odd sums of ``logicals``, made dense in one scatter.  A transfer
+    map that fails the column search, the Z check or unitarity within
+    ``TOLERANCE`` means the pattern does not implement a unitary and
+    raises :class:`DeterminismError`.
 
     A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
     so k with 2k above ``dense_limit`` raises
@@ -234,21 +239,26 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     dim = 1 << k
     mats = logicals.to_matrices()
     lx, lz = mats[0::2], mats[1::2]
-    projector = np.eye(dim, dtype=complex)
-    for mat in lz:
-        projector = projector @ (np.eye(dim) + mat) / 2.0
-    eigvals, eigvecs = np.linalg.eigh((projector + projector.conj().T) / 2.0)
-    if max(abs(eigvals[-1] - 1.0), np.abs(eigvals[:-1]).max(initial=0.0)) > TOLERANCE:
-        raise DeterminismError(
-            "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
-        )
+    not_rank_one = "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
+    for j in range(dim):
+        column = np.zeros(dim, dtype=complex)
+        column[j] = 1.0
+        for mat in lz:
+            column = (column + mat @ column) / 2.0
+        norm2 = np.vdot(column, column).real
+        if norm2 >= 0.5 / dim:
+            break
+    else:
+        raise DeterminismError(not_rank_one)
     unitary = np.empty((dim, dim), dtype=complex)
-    unitary[:, 0] = eigvecs[:, -1]
+    unitary[:, 0] = column / np.sqrt(norm2)
     for i in range(k):
         half = 1 << i
-        # A stack of matrix-vector products rounds as a column-by-column
-        # loop does; one matrix product would round differently.
-        unitary[:, half : 2 * half] = np.matmul(lx[i], unitary[:, :half].T[:, :, None])[..., 0].T
+        unitary[:, half : 2 * half] = lx[i] @ unitary[:, :half]
+    signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
+    for mat, sign in zip(lz, signs):
+        if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
+            raise DeterminismError(not_rank_one)
     return canonical_unitary(unitary, "extracted")
 
 

@@ -139,6 +139,15 @@ class TestLogicalOperator:
         assert table.counts.tolist() == [0]
         assert table.peaks.tolist() == [1]
 
+    def test_constructor_prunes_as_every_operation_does(self):
+        # The constructor kept a coefficient at or below the tolerance, and
+        # a table stacked from it counted that row until a correction hit it.
+        op = LogicalOperator(1, {(0, 0): 1e-13, (1, 0): 1.0, (0, 1): PRUNE_TOLERANCE})
+        assert op.num_terms == 1
+        assert list(op.terms()) == [((1, 0), 1.0)]
+        table = PauliTable.stack(1, {0: op})
+        assert table.counts.tolist() == table.peaks.tolist() == [1]
+
     def test_word_matrix_identity(self):
         assert np.allclose(LogicalOperator(2, {(0, 0): 1}).to_matrix(), np.eye(4))
 

@@ -1,11 +1,16 @@
+import collections
+
 import numpy as np
 import pytest
 
 from mbqcflow import (
+    BudgetExceededError,
+    DeterminismError,
     GFlow,
     MeasurementPattern,
     OpenGraph,
     check_determinism,
+    extract_unitary,
     finalize_outputs,
     find_causal_flow,
     forward_cone,
@@ -26,10 +31,12 @@ from mbqcflow.fixtures import (
     path_flow,
     path_graph,
 )
-from mbqcflow.oracle import build_open_graph_state
+from mbqcflow.errors import DEFAULT_DENSE_LIMIT
+from mbqcflow.oracle import TOLERANCE, build_open_graph_state, canonical_unitary
 from mbqcflow.pauli import LogicalOperator, PauliTable
 
 from conftest import (
+    bench_pool,
     completion_generators,
     count_product_merges,
     max_deviation_up_to_phase,
@@ -39,6 +46,82 @@ from conftest import (
 from pauli_reference import reference_round, reference_start
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def reference_extract_unitary(
+    logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
+) -> np.ndarray:
+    """Factor the unitary out of the finalized logicals (see :func:`finalize_outputs`).
+
+    The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs.
+    The logicals are images ``U P U^dag`` of the input Paulis, so the
+    product of ``(1 + Lz_i)/2`` is the image of |0..0><0..0|; its
+    principal eigenvector seeds the columns, which the X images then
+    generate: the columns with bit i set are ``Lx_i`` times those below
+    ``2**i``.  The X and Z images are the even and the odd sums of
+    ``logicals``, made dense in one scatter.  A transfer map that is not
+    rank-one/unitary within ``TOLERANCE`` means the pattern does not
+    implement a unitary and raises :class:`DeterminismError`.
+
+    A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
+    so k with 2k above ``dense_limit`` raises
+    :class:`BudgetExceededError` before anything dense is built.
+    """
+    k = len(logicals.labels) // 2
+    if k != logicals.n:
+        raise ValueError("unitary extraction needs equally many inputs and outputs")
+    if 2 * k > dense_limit:
+        raise BudgetExceededError(
+            f"{2 * k} qubits exceed --budget-dense {dense_limit} "
+            f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
+        )
+    dim = 1 << k
+    mats = logicals.to_matrices()
+    lx, lz = mats[0::2], mats[1::2]
+    projector = np.eye(dim, dtype=complex)
+    for mat in lz:
+        projector = projector @ (np.eye(dim) + mat) / 2.0
+    eigvals, eigvecs = np.linalg.eigh((projector + projector.conj().T) / 2.0)
+    if max(abs(eigvals[-1] - 1.0), np.abs(eigvals[:-1]).max(initial=0.0)) > TOLERANCE:
+        raise DeterminismError(
+            "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
+        )
+    unitary = np.empty((dim, dim), dtype=complex)
+    unitary[:, 0] = eigvecs[:, -1]
+    for i in range(k):
+        half = 1 << i
+        # A stack of matrix-vector products rounds as a column-by-column
+        # loop does; one matrix product would round differently.
+        unitary[:, half : 2 * half] = np.matmul(lx[i], unitary[:, :half].T[:, :, None])[..., 0].T
+    return canonical_unitary(unitary, "extracted")
+
+
+def finalized_tables(name, seed):
+    """The finalized logicals of every instance of a bench pool, in pool order."""
+    return [
+        finalize_outputs(
+            propagate_all(initialize_simulation(inst.graph, inst.gflow, inst.pattern))
+        )
+        for inst in bench_pool(name, seed)
+    ]
+
+
+def perturbed(table, rng):
+    """A seeded corruption of ``table`` and its kind.
+
+    One row's coefficient is scaled, one row is dropped, or two rows swap
+    their words (each keeps its coefficient and its sum).
+    """
+    rows, coeffs, owner = table.rows.copy(), table.coeffs.copy(), table.owner.copy()
+    a, b = rng.integers(len(rows), size=2)
+    kind = ("scale", "drop", "swap")[rng.integers(3)]
+    if kind == "scale":
+        coeffs[a] *= (-1, 1j, 0.5, 1.5)[rng.integers(4)]
+    elif kind == "drop":
+        rows, coeffs, owner = (np.delete(array, a, axis=0) for array in (rows, coeffs, owner))
+    else:
+        rows[[a, b]] = rows[[b, a]]
+    return kind, PauliTable(table.n, table.labels, rows, coeffs, owner)
 
 
 def rotation_diagonal(graph, pattern):
@@ -493,6 +576,54 @@ class TestFinalizeAndExtract:
         ):
             extract_unitary(broken)
 
+    def test_identity_z_images_raise_determinism_error(self):
+        # Every (1 + Lz_i)/2 is the identity, so the first column is e_0
+        # and Lz_i u0 = u0 holds; only Lz_i U = U Z_i on the other
+        # columns rejects the table, as the eigenvalues of P did.
+        table = PauliTable.stack(2, {
+            ("X", 0): LogicalOperator(2, {(0b01, 0): 1.0}),
+            ("Z", 0): LogicalOperator(2, {(0, 0): 1.0}),
+            ("X", 1): LogicalOperator(2, {(0b10, 0): 1.0}),
+            ("Z", 1): LogicalOperator(2, {(0, 0): 1.0}),
+        })
+        with pytest.raises(DeterminismError, match="rank-one"):
+            extract_unitary(table)
+
+    def test_minus_identity_z_image_raises_without_dividing_by_zero(self):
+        # (1 - I)/2 = 0 projects every e_j to the zero vector.
+        table = PauliTable.stack(1, {
+            ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
+            ("Z", 0): LogicalOperator(1, {(0, 0): -1.0}),
+        })
+        with np.errstate(all="raise"), pytest.raises(DeterminismError, match="rank-one"):
+            extract_unitary(table)
+
+    def test_no_inputs_give_the_one_by_one_unitary(self):
+        assert np.array_equal(extract_unitary(PauliTable.stack(0, {})), [[1.0]])
+
+    def test_first_column_skips_a_projection_too_small_to_normalise(self):
+        # U = [[c, s], [s, -c]] with c = 1e-6: P e_0 = c u0 is a difference
+        # of numbers near 1, and normalising it would scale its rounding
+        # error by 1/c; P e_1 = s u0 keeps full precision.
+        c = 1e-6
+        s = np.sqrt(1 - c * c)
+        table = PauliTable.stack(1, {
+            ("X", 0): LogicalOperator(1, {(0, 1): 2 * c * s, (1, 0): s * s - c * c}),
+            ("Z", 0): LogicalOperator(1, {(0, 1): c * c - s * s, (1, 0): 2 * c * s}),
+        })
+        expected = np.array([[c, s], [s, -c]])
+        assert max_deviation_up_to_phase(extract_unitary(table), expected) < 1e-12
+
+    def test_first_column_from_a_later_basis_vector(self):
+        # Seed-1 sim-clifford, cluster 6x10: P e_0 ... P e_7 fall below
+        # 2^-6 / 2, so the column search stops at e_8.
+        table = finalized_tables("sim-clifford", 1)[12]
+        unitary = extract_unitary(table)
+        assert unitary.shape == (64, 64)
+        weights = np.abs(unitary[:, 0]) ** 2
+        assert (weights[:8] < 0.5 / 64).all() and weights[8] >= 0.5 / 64
+        assert np.abs(unitary - reference_extract_unitary(table)).max() <= 1e-12
+
     def test_extract_needs_equally_many_inputs_and_outputs(self):
         from mbqcflow import extract_unitary
         from mbqcflow.pauli import PauliTable
@@ -543,6 +674,56 @@ class TestFinalizeAndExtract:
         sym = simulate_pattern(g, fl, pat).unitary
         orc = oracle_unitary(g, fl, pat)
         assert max_deviation_up_to_phase(sym, orc) < 1e-9
+
+
+#: The perturbed tables of the seed-1 pools that only the Z check rejects.
+#: Each swaps the words of two X images or of two Z images of a Clifford
+#: table: the product of the (1 + Lz_i)/2 stays rank one, but the unitary
+#: that the X images build maps Z_i to another input's Z image.
+STRICTER = [("sim-clifford", index, "swap") for index in (0, 2, 5, 5, 7, 8, 14, 15, 17, 17)]
+
+
+def extraction(extract, table):
+    """The unitary ``extract`` gives for ``table``, or None when it raises DeterminismError."""
+    try:
+        return extract(table)
+    except DeterminismError:
+        return None
+
+
+class TestExtractAgainstTheEigenvectorReference:
+    """The projected column against the principal eigenvector of the projector."""
+
+    @pytest.mark.parametrize("name", ["sim-terms", "sim-clifford"])
+    def test_bench_pools(self, name):
+        for seed in (1, 2, 3):
+            for table in finalized_tables(name, seed):
+                reference = reference_extract_unitary(table)
+                assert np.abs(extract_unitary(table) - reference).max() <= 1e-12
+
+    def test_perturbed_tables(self):
+        # The Z check is stronger than the eigenvalues of P: a table whose
+        # Z images are no unitary's, given its X images, may now raise.
+        rng = np.random.default_rng(0)
+        outcomes, stricter = collections.Counter(), []
+        for name in ("sim-terms", "sim-clifford"):
+            for index, table in enumerate(finalized_tables(name, 1)):
+                for _ in range(4):
+                    kind, broken = perturbed(table, rng)
+                    old = extraction(reference_extract_unitary, broken)
+                    new = extraction(extract_unitary, broken)
+                    outcomes[old is not None, new is not None] += 1
+                    if new is not None:
+                        assert old is not None and np.abs(new - old).max() <= 1e-12
+                    elif old is not None:
+                        stricter.append((name, index, kind))
+                        lz = broken.to_matrices()[1::2]
+                        signs = 1 - 2 * ((np.arange(len(old)) >> np.arange(len(lz))[:, None]) & 1)
+                        assert max(
+                            np.abs(mat @ old - old * sign).max() for mat, sign in zip(lz, signs)
+                        ) > 0.1
+        assert outcomes[True, True] >= 10 and outcomes[False, False] >= 100
+        assert stricter == STRICTER
 
 
 class TestAgainstOracle:
