@@ -19,6 +19,12 @@ complete: a None result means no flow of that kind exists.
 Every gFlow condition and signal dependency reads two sets per measured
 vertex i: g(i), which receives X, and Odd(g(i)), which receives Z (Browne
 et al., NJP 9, 250, 2007); ``correction_masks`` gives both as bitmasks.
+The hot paths stay in bitmasks: peeling and ``correction_dependencies``
+walk set bits with ``mask & -mask``, and ``verify_gflow`` lists vertices
+only for a rule that is broken.  The finder's passes already have the
+shape ``GFlow.__init__`` checks, so it builds its result unchecked.  The
+max-flow behind ``flow_wires`` keeps its flow per vertex rather than in
+an arc list.
 """
 
 from __future__ import annotations
@@ -51,11 +57,19 @@ class GFlow(JsonText):
     ``layers`` lists the measurement rounds in time order followed by one
     final layer holding the (unmeasured) outputs.  ``corrections`` and
     ``planes`` give each measured vertex, a vertex of the rounds, its
-    correcting set and measurement plane.  The constructor raises
-    ValueError when a vertex is in two layers or the correcting sets are
-    not for exactly the measured vertices; the rules that need the graph
-    are :func:`verify_gflow`'s.  Vertex labels are coerced with
+    correcting set and measurement plane.  The constructor checks outside
+    input: it raises ValueError when a vertex is in two layers, the
+    correcting sets are not for exactly the measured vertices, or a
+    measurement round is empty (rounds count from 0; only the final,
+    output layer may be empty).  The rules that need the graph are
+    :func:`verify_gflow`'s.  Vertex labels are coerced with
     :func:`operator.index`, as in :class:`OpenGraph`.
+
+    The finder builds its result with ``_unchecked``, which skips the
+    coercion and the checks.  That is safe because its labels are bit
+    positions and labels of an :class:`OpenGraph`, which are Python ints,
+    and its peeling passes are non-empty and disjoint, give one correcting
+    set to each vertex they hold, and together hold the measured vertices.
     """
 
     corrections: dict[int, frozenset[int]]
@@ -86,6 +100,20 @@ class GFlow(JsonText):
             raise ValueError(
                 f"correcting sets and measurement rounds differ on vertices {sorted(differ)}"
             )
+        empty = [k for k, layer in enumerate(layers[:-1]) if not layer]
+        if empty:
+            raise ValueError(f"measurement round {empty[0]} is empty")
+
+    @classmethod
+    def _unchecked(
+        cls, corrections: dict[int, frozenset[int]], layers: tuple[frozenset[int], ...]
+    ) -> GFlow:
+        """An all-XY gFlow from parts that already meet every check of ``__init__``."""
+        gflow = object.__new__(cls)
+        object.__setattr__(gflow, "corrections", corrections)
+        object.__setattr__(gflow, "layers", layers)
+        object.__setattr__(gflow, "planes", dict.fromkeys(corrections, Plane.XY))
+        return gflow
 
     @cached_property
     def layer_of(self) -> dict[int, int]:
@@ -181,7 +209,12 @@ def _peel(graph: OpenGraph, singleton: bool):
             for u in sorted(basis):
                 mask = gf2_express(basis, 1 << u)
                 if mask is not None:
-                    found[u] = frozenset(correctors[c] for c in _mask_to_set(mask))
+                    members = []
+                    while mask:
+                        low = mask & -mask
+                        members.append(correctors[low.bit_length() - 1])
+                        mask ^= low
+                    found[u] = frozenset(members)
         if not found:
             return None
         passes.append(found)
@@ -198,9 +231,7 @@ def _find(graph: OpenGraph, singleton: bool) -> GFlow | None:
     corrections: dict[int, frozenset[int]] = {}
     for p in passes:
         corrections.update(p)
-    layers = [frozenset(p) for p in reversed(passes)]
-    layers.append(graph.output_set)
-    return GFlow(corrections=corrections, layers=layers)
+    return GFlow._unchecked(corrections, (*map(frozenset, reversed(passes)), graph.output_set))
 
 
 def find_gflow(graph: OpenGraph) -> GFlow | None:
@@ -259,14 +290,16 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     for i in sorted(gflow.corrections):
         x_mask, z_mask = correction_masks(graph, gflow, i)
         early = not_later[layer_of[i]] & ~(1 << i)
-        for j in sorted(_mask_to_set(x_mask & early)):
-            violations.append(Violation(i, "g1", f"corrector {j} not after {i}"))
+        if x_mask & early:
+            for j in sorted(_mask_to_set(x_mask & early)):
+                violations.append(Violation(i, "g1", f"corrector {j} not after {i}"))
         # Strict form: everything the correction touches must come
         # strictly later.  Merely banning strictly-earlier vertices
         # would admit same-round corrections that overwrite each
         # other and break determinism.
-        for j in sorted(_mask_to_set(z_mask & early)):
-            violations.append(Violation(i, "g2", f"correction touches non-later vertex {j}"))
+        if z_mask & early:
+            for j in sorted(_mask_to_set(z_mask & early)):
+                violations.append(Violation(i, "g2", f"correction touches non-later vertex {j}"))
         needs, rule, detail = _PLANE_RULES[gflow.planes[i]]
         if ((x_mask >> i) & 1, (z_mask >> i) & 1) != needs:
             violations.append(Violation(i, rule, detail))
@@ -324,10 +357,15 @@ def correction_dependencies(graph: OpenGraph, gflow: GFlow) -> CorrectionReport:
     z_parity: dict[int, list[int]] = {v: [] for v in range(graph.n)}
     for i in sorted(gflow.corrections):
         x_mask, z_mask = correction_masks(graph, gflow, i)
-        for j in _mask_to_set(x_mask):
-            x_parity[j].append(i)
-        for j in _mask_to_set(z_mask & ~(1 << i)):
-            z_parity[j].append(i)
+        z_mask &= ~(1 << i)
+        while x_mask:
+            low = x_mask & -x_mask
+            x_parity[low.bit_length() - 1].append(i)
+            x_mask ^= low
+        while z_mask:
+            low = z_mask & -z_mask
+            z_parity[low.bit_length() - 1].append(i)
+            z_mask ^= low
     total = sum(len(s) for s in x_parity.values()) + sum(
         len(s) for s in z_parity.values()
     )
@@ -360,7 +398,7 @@ def flow_wires(graph: OpenGraph, gflow: GFlow) -> WireReport:
     to the first output.  A causal flow gives its successors directly,
     its singleton correcting sets (for equally many inputs and outputs
     these wires cover every vertex); it skips the max-flow because that
-    took 0.58 ms per call against 0.08 ms on the seed-1 flow-scan pool's
+    took 0.25 ms per call against 0.07 ms on the seed-1 flow-scan pool's
     causal gFlows (2 CPUs, Python 3.11).  Any other gFlow gets them from a
     unit-vertex-capacity max-flow.  Fewer than ``len(inputs)`` disjoint paths, a successor
     cycle or two wires that meet mean an upstream invariant was violated
@@ -401,60 +439,90 @@ def _max_flow_successors(graph: OpenGraph) -> dict[int, int]:
 
     The network splits vertex v into v_in = 2v and v_out = 2v + 1 joined
     by a unit arc, with a unit arc u_out -> v_in for each edge in each
-    direction and v_out -> sink for each output.  Arc a and its residual
-    reverse are the pair (a, a ^ 1).  Each input, in ``graph.inputs``
-    order, starts one breadth-first search for a shortest augmenting path
-    from its own v_in, which stands in for the unit source arc (Edmonds
-    and Karp, JACM 19, 1972).  An input that finds no path never finds
-    one later, so the number of augmented inputs is the maximum flow.
-    Each saturated edge arc u_out -> v_in makes v the successor of u.
+    direction and v_out -> sink for each output.  Each input, in
+    ``graph.inputs`` order, starts one breadth-first search for a
+    shortest augmenting path from its own v_in, which stands in for the
+    unit source arc (Edmonds and Karp, JACM 19, 1972).  An input that
+    finds no path never finds one later, so the number of augmented
+    inputs is the maximum flow.
+
+    No arc list is built.  At most one unit passes through a vertex, so
+    the flow is held per vertex: ``used[v]`` says whether v's split arc
+    carries it, ``succ[v]`` and ``pred[v]`` name the neighbours it goes
+    to and comes from (-1 for none), and ``to_sink[v]`` says whether the
+    sink arc of an output is still free.  The residual arcs of v_in are
+    then its split arc while unused and the reverse of pred[v]'s arc;
+    those of v_out are the reverse split arc while used, the sink arc
+    while free, and the arcs to every neighbour but succ[v], in
+    descending label order.  The search stops at the first v_out whose
+    sink arc is free and otherwise tries the arcs in that order, so each
+    augmenting path is the one a search over the split network's arc
+    lists would find.  ``succ`` is the successor map.
     """
-    sink = 2 * graph.n
-    head: list[int] = []
-    residual: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(sink + 1)]
-
-    def add_arc(tail: int, to: int) -> None:
-        arcs[tail].append(len(head))
-        arcs[to].append(len(head) + 1)
-        head.extend((to, tail))
-        residual.extend((1, 0))
-
-    for v in range(graph.n):
-        add_arc(2 * v, 2 * v + 1)
-    for v in graph.outputs:
-        add_arc(2 * v + 1, sink)
-    first_edge_arc = len(head)
-    # Reversed canonical edges list every v_out's neighbours in descending order.
+    n = graph.n
+    sink = 2 * n
+    # v_in of every neighbour; reversed canonical edges list them in descending order.
+    arcs_out: list[list[int]] = [[] for _ in range(n)]
     for u, v in reversed(graph.edges):
-        add_arc(2 * u + 1, 2 * v)
-        add_arc(2 * v + 1, 2 * u)
+        arcs_out[u].append(2 * v)
+        arcs_out[v].append(2 * u)
+    used = [False] * n
+    succ = [-1] * n
+    pred = [-1] * n
+    to_sink = [False] * n
+    for v in graph.outputs:
+        to_sink[v] = True
     value = 0
     for start in graph.inputs:
-        via = {2 * start: -1}
-        queue = [2 * start]
+        source = 2 * start
+        via = [-1] * (sink + 1)  # the node each node was reached from; -1: not reached
+        via[source] = source
+        queue = [source]
         for node in queue:
-            for a in arcs[node]:
-                if residual[a] and head[a] not in via:
-                    via[head[a]] = a
-                    queue.append(head[a])
-            if sink in via:
-                break
-        if sink not in via:
+            v = node >> 1
+            if node & 1:
+                if to_sink[v]:
+                    via[sink] = node
+                    break
+                if used[v] and via[node - 1] < 0:
+                    via[node - 1] = node
+                    queue.append(node - 1)
+                skip = 2 * succ[v]
+                for step in arcs_out[v]:
+                    if via[step] < 0 and step != skip:
+                        via[step] = node
+                        queue.append(step)
+            else:
+                if not used[v] and via[node + 1] < 0:
+                    via[node + 1] = node
+                    queue.append(node + 1)
+                step = 2 * pred[v] + 1
+                if step > 0 and via[step] < 0:
+                    via[step] = node
+                    queue.append(step)
+        else:
             continue
         value += 1
         node = sink
-        while via[node] >= 0:
-            a = via[node]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
-            node = head[a ^ 1]
+        while node != source:
+            prev = via[node]
+            u, v = prev >> 1, node >> 1
+            if node == sink:
+                to_sink[u] = False
+            elif u == v:
+                used[u] = not prev & 1
+            elif prev & 1:
+                succ[u], pred[v] = v, u
+            else:
+                # The reverse of v_out -> u_in takes back v's unit into u.
+                # The walk runs from the sink, so a later arc of this path
+                # may already have sent v's unit elsewhere.
+                pred[u] = -1
+                if succ[v] == u:
+                    succ[v] = -1
+            node = prev
     if value < len(graph.inputs):
         raise FlowConsistencyError(
             f"only {value} vertex-disjoint paths exist for {len(graph.inputs)} inputs"
         )
-    return {
-        head[a + 1] // 2: head[a] // 2
-        for a in range(first_edge_arc, len(head), 2)
-        if not residual[a]
-    }
+    return {v: w for v, w in enumerate(succ) if w >= 0}

@@ -676,6 +676,19 @@ class TestCommands:
         assert payload["depth"] == 4
         assert payload["wires"]["wires"] == [[0, 1, 2, 3, 4]]
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_empty_measurement_round_is_usage_error(self, tmp_path, capsys, command):
+        # Round 1 measures nothing: the gFlow is otherwise valid, and would
+        # report depth 3 for two rounds.
+        (tmp_path / "g.json").write_text(path_graph(3).to_json())
+        (tmp_path / "f.json").write_text(
+            json.dumps({"g": {"0": [1], "1": [2]}, "layers": [[0], [], [1], [2]]})
+        )
+        files = ["--graph", str(tmp_path / "g.json"), "--gflow", str(tmp_path / "f.json")]
+        assert run_command(["flow", command, *files]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: measurement round 1 is empty\n")
+
     def test_cone(self, capsys, path5_files):
         g, f, _ = path5_files
         code, payload = run_json(

@@ -14,7 +14,10 @@ negative ``--budget-*`` value.
 
 The numeric outputs are checked elsewhere (``tests/test_corpus.py`` and
 the oracle comparisons), so a change that keeps every exit code, message
-and float-free output leaves this table as it is.  Regenerate it with
+and float-free output leaves this table as it is.  The one numeric check
+here needs no table: for every graph, gFlow and pattern on which both
+``simulate`` and ``oracle unitary`` exit 0, their printed unitaries agree
+within 1e-9.  Regenerate it with
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` after an intended
 change, and say in the change which rows moved.
 """
@@ -26,8 +29,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from mbqcflow.cli import run_command
 from mbqcflow.fixtures import CATALOG
@@ -146,8 +153,8 @@ def write_inputs(directory: Path) -> list[list[str]]:
     return argvs
 
 
-def run_row(argv: list[str]) -> dict:
-    """Exit code, last stderr line and (when float-free) the stdout digest of one run."""
+def run_row(argv: list[str]) -> tuple[dict, str]:
+    """Exit code, last stderr line and (when float-free) the stdout digest of one run; its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(argv)
@@ -155,33 +162,56 @@ def run_row(argv: list[str]) -> dict:
     row = {"argv": argv, "exit": code, "stderr": lines[-1] if lines else None}
     if argv[0] not in FLOAT_COMMANDS:
         row["stdout_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return row
+    return row, out.getvalue()
 
 
-def corpus_rows(directory: Path) -> list[dict]:
-    return [run_row(argv) for argv in write_inputs(directory)]
+def corpus_rows(directory: Path) -> list[tuple[dict, str]]:
+    """Every corpus row with its stdout, run from ``directory``."""
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        return [run_row(argv) for argv in write_inputs(directory)]
+    finally:
+        os.chdir(here)
 
 
-def test_cli_corpus_keeps_its_table(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> list[tuple[dict, str]]:
+    return corpus_rows(tmp_path_factory.mktemp("cli-corpus"))
+
+
+def test_cli_corpus_keeps_its_table(corpus):
     expected = json.loads(TABLE.read_text(encoding="utf-8"))
-    rows = corpus_rows(tmp_path)
+    rows = [row for row, _ in corpus]
     assert [row["argv"] for row in rows] == [row["argv"] for row in expected]
     for row, want in zip(rows, expected):
         assert row == want, " ".join(row["argv"])
 
 
+def test_simulate_prints_the_oracle_unitary(corpus):
+    # Rows are matched by their graph, gFlow and pattern files, so the
+    # --report-terms and budget variants of simulate are compared too.
+    printed: dict[str, dict[tuple, list[np.ndarray]]] = {"simulate": {}, "oracle": {}}
+    for row, out in corpus:
+        argv = row["argv"]
+        if row["exit"] == 0 and (argv[0] == "simulate" or argv[:2] == ["oracle", "unitary"]):
+            files = tuple(argv[argv.index(option) + 1] for option in ("--graph", "--gflow", "--pattern"))
+            unitary = np.array(json.loads(out)["unitary"], dtype=float)
+            printed[argv[0]].setdefault(files, []).append(unitary[..., 0] + 1j * unitary[..., 1])
+    both = printed["simulate"].keys() & printed["oracle"].keys()
+    assert len(both) == 18
+    for files in sorted(both):
+        (reference,) = printed["oracle"][files]
+        for unitary in printed["simulate"][files]:
+            assert unitary.shape == reference.shape, files
+            assert np.abs(unitary - reference).max() <= 1e-9, files
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        here = os.getcwd()
-        os.chdir(scratch)
-        try:
-            table = corpus_rows(Path(scratch))
-        finally:
-            os.chdir(here)
+        table = [row for row, _ in corpus_rows(Path(scratch))]
     rows = ",\n".join(json.dumps(row) for row in table)
     TABLE.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
     print(f"{len(table)} rows written to {TABLE}")

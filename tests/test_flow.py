@@ -20,7 +20,7 @@ from mbqcflow import (
     odd_neighborhood,
     verify_gflow,
 )
-from mbqcflow.flow import correction_masks
+from mbqcflow.flow import _find, _max_flow_successors, correction_masks
 from mbqcflow.gf2 import gf2_basis, gf2_express
 from mbqcflow.fixtures import (
     bottleneck_graph,
@@ -35,6 +35,7 @@ from mbqcflow.fixtures import (
     path_graph,
 )
 
+import flow_reference
 from conftest import flow_scan_graphs, random_open_graph, sample_graphs_with_gflow
 
 
@@ -465,11 +466,13 @@ class TestVerifyGflow:
             ({0: {1}, 2: {1}}, [{0}, {2}, {1}], "final layer must hold exactly the outputs"),
             ({0: {1}, 1: {0, 2}}, [{0}, {1}, {2}], "correcting set of 1 contains input vertices"),
             ({0: {1}, 1: {5}}, [{0}, {1}, {2}], "correcting set of 1 contains out-of-range vertex 5"),
+            ({0: {1}, 1: {2}}, [{0}, set(), {1}, {2}], "measurement round 1 is empty"),
         ],
     )
     def test_structural_errors_raise(self, corrections, layers, message):
-        # The first and third rows break the shape GFlow's constructor
-        # enforces; the others need the graph, and verify_gflow raises.
+        # The first, third and last rows break the shape GFlow's
+        # constructor enforces; the others need the graph, and
+        # verify_gflow raises.  Only the final, output layer may be empty.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_gflow(path_graph(3), GFlow(corrections, layers))
 
@@ -893,7 +896,8 @@ def unverified_causal_gflow(rng: np.random.Generator, graph: OpenGraph) -> GFlow
     """
     measured = [v for v in range(graph.n) if v not in graph.output_set and rng.random() < 0.9]
     corrections = {v: {int(rng.integers(graph.n))} for v in measured}
-    return GFlow(corrections=corrections, layers=[measured, graph.outputs])
+    layers = [measured, graph.outputs] if measured else [graph.outputs]
+    return GFlow(corrections=corrections, layers=layers)
 
 
 class TestWiresMatchPerKindWalks:
@@ -937,6 +941,106 @@ class TestWiresMatchPerKindWalks:
     def test_same_wires_uncovered_sets_and_errors(self, cases):
         for _, graph, gflow, expected in cases:
             assert successor_walk_wires(graph, gflow) == expected, (graph, gflow)
+
+
+def moved_and_widened(rng: np.random.Generator, graph: OpenGraph, gflow: GFlow) -> list[GFlow]:
+    """``gflow`` broken in two ways, where the graph allows them.
+
+    One moves a measured corrector j of some g(i) into a round no later
+    than i's (rule g1); the other adds to some g(i) a non-input vertex
+    that is neither i nor a neighbour of i.  A round left empty by the
+    move is dropped, so the constructor accepts both.
+    """
+    broken = []
+    moves = [(i, j) for i in sorted(gflow.corrections) for j in sorted(gflow.corrections[i])
+             if j in gflow.corrections]
+    if moves:
+        i, j = moves[int(rng.integers(len(moves)))]
+        target = int(rng.integers(gflow.layer_of[i] + 1))
+        layers = [set(layer) - {j} for layer in gflow.layers]
+        layers[target].add(j)
+        broken.append(GFlow(gflow.corrections, [*filter(None, layers[:-1]), layers[-1]]))
+    widen = [(i, w) for i in sorted(gflow.corrections) for w in range(graph.n)
+             if w != i and w not in graph.input_set and w not in gflow.corrections[i]
+             and not graph.adjacency_masks[i] >> w & 1]
+    if widen:
+        i, w = widen[int(rng.integers(len(widen)))]
+        corrections = {**gflow.corrections, i: gflow.corrections[i] | {w}}
+        broken.append(GFlow(corrections, gflow.layers))
+    return broken
+
+
+class TestFlowLayerMatchesReference:
+    """Peeling, verification, parities and the max-flow against their earlier versions.
+
+    ``tests/flow_reference.py`` keeps those versions verbatim; the inputs
+    are the benchmark's flow-scan pools of seeds 1-3, 300 small graphs
+    with a gFlow, those graphs' gFlows broken by ``moved_and_widened``,
+    and 400 graphs with independently drawn inputs and outputs.
+    """
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        scan = [g for seed in (1, 2, 3) for g in flow_scan_graphs(seed)]
+        return scan + [g for g, _ in sample_graphs_with_gflow(300, seed=11)]
+
+    @pytest.fixture(scope="class")
+    def gflows(self, graphs):
+        rng = np.random.default_rng(27)
+        found = [(g, f) for g in graphs for f in (find_gflow(g), find_causal_flow(g)) if f]
+        broken = [(g, b) for g, f in found for b in moved_and_widened(rng, g, f)]
+        return found, broken
+
+    def test_cases_cover_every_route(self, graphs, gflows):
+        found, broken = gflows
+        assert sum(not f.is_flow for _, f in found) >= 120
+        assert sum(f.is_flow for _, f in found) >= 400
+        rules = collections.Counter(v.rule for g, f in broken for v in verify_gflow(g, f))
+        assert rules["g1"] >= 250 and rules["g2"] >= 500
+
+    @pytest.mark.parametrize("singleton", [False, True], ids=["gflow", "causal"])
+    def test_found_flows_are_identical(self, graphs, singleton):
+        for g in graphs:
+            found, expected = _find(g, singleton), flow_reference._find(g, singleton)
+            if expected is None:
+                assert found is None, g
+                continue
+            assert found == expected and found.to_json() == expected.to_json(), g
+            assert list(found.corrections) == list(expected.corrections), g
+            # The unchecked constructor yields only what __init__ accepts.
+            assert GFlow(found.corrections, found.layers) == found, g
+
+    def test_verify_and_parities_are_identical(self, gflows):
+        found, broken = gflows
+        for g, f in found + broken:
+            assert verify_gflow(g, f) == flow_reference.verify_gflow(g, f), (g, f)
+            assert correction_dependencies(g, f) == flow_reference.correction_dependencies(g, f)
+
+    def test_max_flow_successors_are_identical(self, graphs):
+        rng = np.random.default_rng(28)
+        terminal = [random_terminal_graph(rng, n_max=9) for _ in range(400)]
+        # Input 5 first takes 5-4-8.  Input 2's augmenting path enters it
+        # at 8, walks it backwards through 4 (the reverse split arc of a
+        # used vertex) to 5, and leaves 5 for 1-9-7.  Random graphs this
+        # small rarely need that arc.
+        terminal.append(OpenGraph(
+            11,
+            [(0, 5), (0, 6), (0, 8), (1, 5), (1, 9), (1, 10), (2, 6), (2, 8),
+             (3, 5), (3, 8), (3, 10), (4, 5), (4, 8), (6, 8), (7, 8), (7, 9)],
+            inputs=(5, 2),
+            outputs=(7, 8),
+        ))
+        failures = 0
+        for g in graphs + terminal:
+            try:
+                expected = flow_reference._max_flow_successors(g)
+            except FlowConsistencyError as exc:
+                failures += 1
+                with pytest.raises(FlowConsistencyError, match=f"^{re.escape(str(exc))}$"):
+                    _max_flow_successors(g)
+            else:
+                assert _max_flow_successors(g) == expected, g
+        assert failures >= 100
 
 
 class TestGflowImpliesCapacity:
