@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_ORDERING_BUDGET, DEFAULT_TREE_BUDGET, BudgetExceededError
+from .errors import DEFAULT_ORDERING_BUDGET, DEFAULT_TREE_BUDGET, _over_budget
 from .flow import GFlow, WireReport, flow_wires
 from .graph import OpenGraph
 
@@ -53,9 +53,7 @@ def structural_entanglement_exact(
     a subset DP: best(S) = max(rank(S), min over v of best(S - v)).
     """
     if graph.n > max_vertices:
-        raise BudgetExceededError(
-            f"{graph.n} vertices exceed --budget-estruc {max_vertices}"
-        )
+        raise _over_budget(graph.n, "vertices", "estruc", max_vertices)
     return int(_ordering_table(_cut_rank_table(graph))[-1])
 
 
@@ -71,9 +69,7 @@ def entanglement_width_exact(
     the answer.
     """
     if graph.n > max_vertices:
-        raise BudgetExceededError(
-            f"{graph.n} vertices exceed --budget-width {max_vertices}"
-        )
+        raise _over_budget(graph.n, "vertices", "width", max_vertices)
     n = graph.n
     cost = _cut_rank_table(graph)  # singletons keep their rank
     masks, starts = _popcount_layers(n)

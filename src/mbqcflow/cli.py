@@ -36,14 +36,8 @@ from . import fixtures as fixtures_mod
 from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT, DEFAULT_ORDERING_BUDGET
 from .errors import DEFAULT_TERM_BUDGET, DEFAULT_TREE_BUDGET
 from .errors import BudgetExceededError, DeterminismError, FlowConsistencyError
-from .flow import (
-    GFlow,
-    correction_dependencies,
-    find_causal_flow,
-    find_gflow,
-    flow_wires,
-    verify_gflow,
-)
+from .flow import GFlow, _check_gflow_valid, correction_dependencies, find_causal_flow
+from .flow import find_gflow, flow_wires, verify_gflow
 from .cones import forward_cone
 from .graph import OpenGraph, parse_json
 from .pattern import MeasurementPattern
@@ -78,9 +72,7 @@ def _run(args) -> int:
         absent = name == "gflow" and args.gflow_optional and not path
         inputs.append(None if absent else _load(path, _FILE_KINDS[name]))
     if args.check_gflow and inputs[1] is not None:
-        violations = verify_gflow(inputs[0], inputs[1])
-        if violations:
-            raise ValueError(f"gflow is invalid: {violations[:3]}")
+        _check_gflow_valid(inputs[0], inputs[1])
     result = args.handler(args, *inputs)
     result, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     try:

@@ -29,8 +29,7 @@ def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozens
 
     Equals ``g(vertex) | (Odd(g(vertex)) - {vertex})``; empty for outputs.
     """
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range")
+    graph._check_vertex(vertex)
     if vertex not in gflow.corrections:
         return frozenset()
     return _mask_to_set(_successor_mask(graph, gflow, vertex))
@@ -39,28 +38,28 @@ def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozens
 def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
     """Forward-cone bitmask of every vertex, from one pass in reverse measurement order.
 
-    Raises ValueError when a correction reaches a vertex that is not
-    measured later.
+    Raises ValueError when a measured vertex is not one of the graph's,
+    or a correction reaches a vertex that is not measured later.
     """
     cones = [0 if v in gflow.corrections else 1 << v for v in range(graph.n)]  # 0: not yet known
     for v in reversed(gflow.measurement_order):
-        if 0 <= v < graph.n:
-            cone = 1 << v
-            pending = _successor_mask(graph, gflow, v) & ~cone
-            while pending:
-                w = (pending & -pending).bit_length() - 1
-                if not cones[w]:
-                    raise ValueError(f"correction of {v} reaches {w}, which is not measured later")
-                cone |= cones[w]
-                pending &= ~cone
-            cones[v] = cone
+        if not 0 <= v < graph.n:  # compared here, in the hot loop, before the call that raises
+            graph._check_vertex(v)
+        cone = 1 << v
+        pending = _successor_mask(graph, gflow, v) & ~cone
+        while pending:
+            w = (pending & -pending).bit_length() - 1
+            if not cones[w]:
+                raise ValueError(f"correction of {v} reaches {w}, which is not measured later")
+            cone |= cones[w]
+            pending &= ~cone
+        cones[v] = cone
     return cones
 
 
 def forward_cone(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Transitive closure of :func:`influence_successors` from ``vertex``."""
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range")
+    graph._check_vertex(vertex)
     return _mask_to_set(cone_masks(graph, gflow)[vertex])
 
 

@@ -1,7 +1,7 @@
 """Exceptions and budget defaults shared across the package.
 
 The CLI parser reads the defaults for every command, and this module
-loads no numpy.
+loads no numpy.  :func:`_over_budget` formats every ``--budget-*`` error.
 """
 
 #: Largest register a dense state is allowed to hold (``--budget-dense``).
@@ -36,6 +36,12 @@ DEFAULT_TREE_BUDGET = 16
 
 class BudgetExceededError(RuntimeError):
     """A brute-force search would exceed its configured budget."""
+
+
+def _over_budget(amount, unit: str, knob: str, limit: int, note: str = "") -> BudgetExceededError:
+    """The error naming the knob, its limit and the value over it; the caller compares."""
+    note = f" ({note})" if note else ""
+    return BudgetExceededError(f"{amount} {unit} exceed --budget-{knob} {limit}{note}")
 
 
 class DeterminismError(RuntimeError):

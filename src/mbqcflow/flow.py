@@ -59,11 +59,11 @@ class GFlow(JsonText):
     ``planes`` give each measured vertex, a vertex of the rounds, its
     correcting set and measurement plane.  The constructor checks outside
     input: it raises ValueError when a vertex is in two layers, the
-    correcting sets are not for exactly the measured vertices, or a
+    correcting sets are not for exactly the measured vertices, a
     measurement round is empty (rounds count from 0; only the final,
-    output layer may be empty).  The rules that need the graph are
-    :func:`verify_gflow`'s.  Vertex labels are coerced with
-    :func:`operator.index`, as in :class:`OpenGraph`.
+    output layer may be empty), or ``planes`` names an unmeasured vertex.
+    The rules that need the graph are :func:`verify_gflow`'s.  Vertex
+    labels are coerced with :func:`operator.index`, as in :class:`OpenGraph`.
 
     The finder builds its result with ``_unchecked``, which skips the
     coercion and the checks.  That is safe because its labels are bit
@@ -103,6 +103,9 @@ class GFlow(JsonText):
         empty = [k for k, layer in enumerate(layers[:-1]) if not layer]
         if empty:
             raise ValueError(f"measurement round {empty[0]} is empty")
+        extra = given.keys() - corr.keys()
+        if extra:
+            raise ValueError(f"gflow gives planes to unmeasured vertices {sorted(extra)}")
 
     @classmethod
     def _unchecked(
@@ -304,6 +307,13 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
         if ((x_mask >> i) & 1, (z_mask >> i) & 1) != needs:
             violations.append(Violation(i, rule, detail))
     return violations
+
+
+def _check_gflow_valid(graph: OpenGraph, gflow: GFlow) -> None:
+    """ValueError naming the first three violations unless ``gflow`` is valid on ``graph``."""
+    violations = verify_gflow(graph, gflow)
+    if violations:
+        raise ValueError(f"gflow is invalid: {violations[:3]}")
 
 
 def check_pattern(gflow: GFlow, pattern: MeasurementPattern) -> None:

@@ -118,9 +118,13 @@ class OpenGraph(JsonText):
         """Vertices outside the output set, ascending."""
         return tuple(v for v in range(self.n) if v not in self.output_set)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def _check_vertex(self, v: int) -> None:
+        """Raise ValueError unless ``v`` is a vertex, one of ``0..n-1``."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        self._check_vertex(v)
         return _mask_to_set(self.adjacency_masks[v])
 
     # -- serialization ---------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT
-from .errors import BudgetExceededError, DeterminismError
+from .errors import DeterminismError, _over_budget
 from .flow import GFlow, check_pattern, correction_masks
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
@@ -72,15 +72,12 @@ def build_open_graph_state(
 ) -> np.ndarray:
     """CZ along every edge applied to the input state padded with |+> qubits.
 
-    ``input_state`` lives on the input qubits in input order (qubit k of
-    the small register is the k-th input vertex); None means |+...+>.
-    A 2-D ``input_state`` holds one input per row and gives one state per
-    row.  Each input is normalised.
+    ``input_state`` is one vector on the input qubits in input order
+    (qubit k of the small register is the k-th input vertex), and is
+    normalised; None means |+...+>.
     """
     if graph.n > dense_limit:
-        raise BudgetExceededError(
-            f"{graph.n} qubits exceed --budget-dense {dense_limit}"
-        )
+        raise _over_budget(graph.n, "qubits", "dense", dense_limit)
     k = len(graph.inputs)
     dim = 1 << graph.n
     idx = np.arange(dim)
@@ -88,16 +85,16 @@ def build_open_graph_state(
         amp = np.full(dim, 2.0 ** (-graph.n / 2), dtype=complex)
     else:
         input_state = np.asarray(input_state, dtype=complex)
-        if input_state.ndim not in (1, 2) or input_state.shape[-1] != 1 << k:
+        if input_state.shape != (1 << k,):
             raise ValueError("input state dimension does not match the input count")
-        norm = np.linalg.norm(input_state, axis=-1, keepdims=True)
-        if np.any(norm < _ZERO_PROBABILITY):
+        norm = np.linalg.norm(input_state, axis=-1)
+        if norm < _ZERO_PROBABILITY:
             raise ValueError("input state has zero norm")
         input_state = input_state / norm
         key = np.zeros(dim, dtype=np.int64)
         for pos, vertex in enumerate(graph.inputs):
             key |= ((idx >> vertex) & 1) << pos
-        amp = input_state[..., key] * 2.0 ** (-(graph.n - k) / 2)
+        amp = input_state[key] * 2.0 ** (-(graph.n - k) / 2)
     # The CZ sign is the parity of the edges inside the mask.  Each vertex
     # u adds its bit times the number of its lower neighbours in the mask,
     # so the masks whose top bit is u add it to the masks below 2^u.  The
@@ -107,7 +104,7 @@ def build_open_graph_state(
         half = 1 << u
         lower = np.bitwise_count(idx[:half] & (neighbours & (half - 1)))
         np.add(edges[:half], lower, out=edges[half : 2 * half])
-    amp[..., (edges & 1).astype(bool)] *= -1
+    amp[(edges & 1).astype(bool)] *= -1
     return amp
 
 
@@ -139,14 +136,13 @@ def _prepare(
     dense_limit: int,
     register: Iterable[int],
 ) -> tuple[np.ndarray, list[_Step], np.ndarray]:
-    """The checks every path runs, the built batch and the measurement plan.
+    """The checks every path runs, the built state and the measurement plan.
 
     Checks that the gflow layers measure exactly the non-output vertices,
     that the pattern fits the gflow and, before building anything
     exponential, that the state fits the dense limit.  Returns the built
-    state as a batch of one row per input (one row for a 1-D or absent
-    ``input_state``), the measurement plan of a register that holds
-    ``register``'s vertices from bit 0 up, and the index array that
+    state as a batch of one row, the measurement plan of a register that
+    holds ``register``'s vertices from bit 0 up, and the index array that
     reorders the register the last step leaves so that output k sits at
     bit k.  The plan has one step per vertex of
     ``gflow.measurement_order`` in the register; an output outside it
@@ -159,7 +155,7 @@ def _prepare(
             f"vertices are {list(graph.measured)}"
         )
     check_pattern(gflow, pattern)
-    state = build_open_graph_state(graph, input_state, dense_limit).reshape(-1, 1 << graph.n)
+    state = build_open_graph_state(graph, input_state, dense_limit)[None]
     held = list(register)  # held[k] is the vertex at bit k
     steps = []
     for v in order:
@@ -266,6 +262,15 @@ def normalize_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _check_unitary(k: int, outputs: int, dense_limit: int | None = None) -> None:
+    """Equal registers; given ``dense_limit``, a k-qubit unitary (4^k amplitudes) as 2k qubits."""
+    if k != outputs:
+        raise ValueError("unitary extraction needs equally many inputs and outputs")
+    if dense_limit is not None and 2 * k > dense_limit:
+        note = f"a {k}-qubit unitary holds 4^{k} amplitudes"
+        raise _over_budget(2 * k, "qubits", "dense", dense_limit, note)
+
+
 def canonical_unitary(matrix: np.ndarray, name: str) -> np.ndarray:
     """``matrix`` in canonical phase, or DeterminismError if the ``name`` map is not unitary."""
     deviation = np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))))
@@ -328,9 +333,7 @@ def check_determinism(
     """
     measured = sorted(gflow.measurement_order)
     if 2 ** len(measured) > branch_budget:
-        raise BudgetExceededError(
-            f"2^{len(measured)} branches exceed --budget-branches {branch_budget}"
-        )
+        raise _over_budget(f"2^{len(measured)}", "branches", "branches", branch_budget)
     rng = np.random.default_rng(seed)
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.
@@ -384,21 +387,15 @@ def oracle_unitary(
     never holds more than the 2^n amplitudes of the built state.  A
     measured input v scales row x by its bra's entry at bit x_v, with
     step probability the entry's squared modulus, and an input that is an
-    output keeps its row's bit.  The k-qubit unitary holds 4^k amplitudes,
-    as many as a 2k-qubit state, so k with 2k above ``dense_limit`` raises
-    :class:`BudgetExceededError` after the register is checked and before
-    the rows are laid out.
+    output keeps its row's bit.  :func:`_check_unitary` checks the
+    registers before anything else, and the unitary's size after the
+    dense state and before the rows are laid out.
     """
     k = len(graph.inputs)
-    if k != len(graph.outputs):
-        raise ValueError("unitary extraction needs equally many inputs and outputs")
+    _check_unitary(k, len(graph.outputs))
     register = [v for v in range(graph.n) if v not in graph.input_set]
     built, steps, source = _prepare(graph, gflow, pattern, None, dense_limit, register)
-    if 2 * k > dense_limit:
-        raise BudgetExceededError(
-            f"{2 * k} qubits exceed --budget-dense {dense_limit} "
-            f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
-        )
+    _check_unitary(k, k, dense_limit)
     # Row x holds the amplitudes whose input bits read x (input p at bit p
     # of x), scaled so that each row, a basis input's state, has norm 1.
     axes = [graph.n - 1 - v for v in (*reversed(graph.inputs), *reversed(register))]
@@ -438,15 +435,9 @@ def schmidt_rank_log2(state: np.ndarray, n: int, side: Iterable[int]) -> int:
     """
     side_list = sorted(set(side))
     other = [q for q in range(n) if q not in side_list]
-    idx = np.arange(1 << n)
-    a_key = np.zeros(1 << n, dtype=np.int64)
-    for pos, q in enumerate(side_list):
-        a_key |= ((idx >> q) & 1) << pos
-    b_key = np.zeros(1 << n, dtype=np.int64)
-    for pos, q in enumerate(other):
-        b_key |= ((idx >> q) & 1) << pos
-    mat = np.zeros((1 << len(side_list), 1 << len(other)), dtype=complex)
-    mat[a_key, b_key] = state
+    # Row bit p is side_list[p] and column bit p is other[p], as in oracle_unitary.
+    axes = [n - 1 - q for q in (*reversed(side_list), *reversed(other))]
+    mat = state.reshape((2,) * n).transpose(axes).reshape(1 << len(side_list), -1)
     singular = np.linalg.svd(mat, compute_uv=False)
     top = singular[0] if singular.size else 0.0
     if top == 0.0:

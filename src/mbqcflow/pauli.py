@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DEFAULT_TERM_BUDGET, BudgetExceededError
+from .errors import DEFAULT_TERM_BUDGET, _over_budget
 
 #: Coefficients no larger than this are dropped when pruning sums.
 PRUNE_TOLERANCE = 1e-12
@@ -332,7 +332,7 @@ class PauliTable:
         terms = correction.num_terms
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
-            raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
+            raise _over_budget(size, "terms", "terms", budget)
         new_rows, new_coeffs = _product_rows(
             correction._rows, correction._coeffs, rows[hit], coeffs[hit]
         )
@@ -430,7 +430,7 @@ class PauliTable:
         if not np.count_nonzero(hits):
             return False
         if count > budget:
-            raise BudgetExceededError(f"{count} terms exceed --budget-terms {budget}")
+            raise _over_budget(count, "terms", "terms", budget)
         # A correction may have Z on its own qubit, but on no other of the round.
         crossed = marks[count:]
         crossed.flat[:: m + 1] = False

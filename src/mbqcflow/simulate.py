@@ -32,11 +32,11 @@ from functools import reduce
 import numpy as np
 
 from .cones import cone_masks
-from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, BudgetExceededError
+from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET
 from .errors import DeterminismError, SimulationInvariantError
-from .flow import GFlow, check_analysis_preconditions, check_pattern, verify_gflow
+from .flow import GFlow, _check_gflow_valid, check_analysis_preconditions, check_pattern
 from .graph import OpenGraph
-from .oracle import TOLERANCE, canonical_unitary, complex_pairs
+from .oracle import TOLERANCE, _check_unitary, canonical_unitary, complex_pairs
 from .pattern import MeasurementPattern, Plane
 from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
 
@@ -47,8 +47,7 @@ def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOp
     ``exp(i a/2 Z) (X (x) Z_neighbours) exp(-i a/2 Z)``, expanded into at
     most two Pauli words.  Only non-input vertices carry a stabilizer.
     """
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range")
+    graph._check_vertex(vertex)
     if vertex in graph.input_set:
         raise ValueError(f"input vertex {vertex} carries no stabilizer")
     return _rotated_x_words(graph, [vertex], [angle])[0]
@@ -115,11 +114,10 @@ def initialize_simulation(
     commutes with the rotation and stays a bare Z.  Each rotated
     stabilizer is built once, however many correcting sets hold it.  No
     correcting set is empty: the XY rule of a valid gFlow needs i in Odd(g(i)).
+    An invalid gFlow raises the ValueError of :func:`~mbqcflow.flow._check_gflow_valid`.
     """
     check_analysis_preconditions(graph)
-    violations = verify_gflow(graph, gflow)
-    if violations:
-        raise ValueError(f"gflow is invalid: {violations[:3]}")
+    _check_gflow_valid(graph, gflow)
     if any(plane is not Plane.XY for plane in gflow.planes.values()):
         raise ValueError("symbolic simulation supports XY-plane patterns only")
     check_pattern(gflow, pattern)
@@ -224,18 +222,11 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     ``TOLERANCE`` means the pattern does not implement a unitary and
     raises :class:`DeterminismError`.
 
-    A k-qubit operator holds 4^k amplitudes, as many as a 2k-qubit state,
-    so k with 2k above ``dense_limit`` raises
-    :class:`BudgetExceededError` before anything dense is built.
+    Before anything dense is built, :func:`~mbqcflow.oracle._check_unitary`
+    checks the registers and counts the k-qubit unitary as 2k qubits.
     """
     k = len(logicals.labels) // 2
-    if k != logicals.n:
-        raise ValueError("unitary extraction needs equally many inputs and outputs")
-    if 2 * k > dense_limit:
-        raise BudgetExceededError(
-            f"{2 * k} qubits exceed --budget-dense {dense_limit} "
-            f"(a {k}-qubit unitary holds 4^{k} amplitudes)"
-        )
+    _check_unitary(k, logicals.n, dense_limit)
     dim = 1 << k
     mats = logicals.to_matrices()
     lx, lz = mats[0::2], mats[1::2]
@@ -296,14 +287,16 @@ def simulate_pattern(
     ``2**|forward cone|``; the unitary is extracted when the input and
     output registers have equal size.  ``term_budget`` caps the rows of
     the stacked logicals and ``dense_limit`` the unitary (see
-    :func:`propagate_round` and :func:`extract_unitary`).
+    :func:`propagate_round` and :func:`extract_unitary`); a unitary over
+    ``dense_limit`` is refused before the first round.
     """
     state = initialize_simulation(graph, gflow, pattern, term_budget)
+    square = len(graph.inputs) == len(graph.outputs)
+    if square:
+        _check_unitary(len(graph.inputs), len(graph.outputs), dense_limit)
     propagate_all(state)
     logicals = finalize_outputs(state)
-    unitary = None
-    if len(graph.inputs) == len(graph.outputs):
-        unitary = extract_unitary(logicals, dense_limit)
+    unitary = extract_unitary(logicals, dense_limit) if square else None
     cones = cone_masks(graph, gflow)
     cone_sizes = {i: cones[i].bit_count() for i in graph.inputs}
     high_water = state.high_water

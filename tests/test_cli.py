@@ -119,6 +119,19 @@ class TestExitCodes:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: pattern gives angles to unmeasured vertices [2]\n"
 
+    def test_plane_on_an_unmeasured_vertex_is_usage_error(self, tmp_path, capsys):
+        # As a pattern's angles do, a gFlow's planes name measured vertices only.
+        g, f = tmp_path / "g.json", tmp_path / "f.json"
+        g.write_text(path_graph(3).to_json())
+        f.write_text(
+            '{"g": {"0": [1], "1": [2]}, "layers": [[0], [1], [2]], '
+            '"planes": {"0": "XY", "1": "XY", "2": "XZ", "7": "YZ"}}'
+        )
+        code = run_command(["flow", "verify", "--graph", str(g), "--gflow", str(f)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: gflow gives planes to unmeasured vertices [2, 7]\n"
+
     @pytest.mark.parametrize(
         "graph,gflow,pattern,message",
         [
@@ -361,18 +374,20 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
 
     def test_simulate_verifies_the_gflow_once(self, monkeypatch, capsys, path5_files):
+        # The runner's gate and the library's are one function in flow.py,
+        # so patching verify_gflow there counts both.
         import mbqcflow.cli as cli_mod
-        import mbqcflow.simulate as simulate_mod
+        import mbqcflow.flow as flow_mod
 
         calls = []
-        verify = simulate_mod.verify_gflow
+        verify = flow_mod.verify_gflow
 
         def counted(graph, gflow):
             calls.append(gflow)
             return verify(graph, gflow)
 
         monkeypatch.setattr(cli_mod, "verify_gflow", counted)
-        monkeypatch.setattr(simulate_mod, "verify_gflow", counted)
+        monkeypatch.setattr(flow_mod, "verify_gflow", counted)
         g, f, p = path5_files
         assert run_command(["simulate", "--graph", g, "--gflow", f, "--pattern", p]) == 0
         assert len(calls) == 1
@@ -602,6 +617,72 @@ class TestExitCodes:
     def test_graph_gen_checks_the_size_is_positive(self, capsys, argv, message):
         assert run_command(["graph", "gen", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestSharedRules:
+    """Each budget and gate rule has one definition, so every caller words it alike."""
+
+    def test_unitary_budget_message_is_the_same_from_every_producer(self):
+        n = 12
+        graph = mbqcflow.OpenGraph(
+            n, [(i, i + 1) for i in range(n - 1)], inputs=range(n), outputs=range(n)
+        )
+        gflow, pattern = mbqcflow.GFlow({}, [range(n)]), mbqcflow.MeasurementPattern({})
+        state = mbqcflow.propagate_all(mbqcflow.initialize_simulation(graph, gflow, pattern))
+        logicals = mbqcflow.finalize_outputs(state)
+        messages = []
+        for produce in (
+            lambda: mbqcflow.simulate_pattern(graph, gflow, pattern),
+            lambda: mbqcflow.extract_unitary(logicals),
+            lambda: mbqcflow.oracle_unitary(graph, gflow, pattern),
+        ):
+            with pytest.raises(mbqcflow.BudgetExceededError) as info:
+                produce()
+            messages.append(str(info.value))
+        assert messages == [
+            "24 qubits exceed --budget-dense 14 (a 12-qubit unitary holds 4^12 amplitudes)"
+        ] * 3
+
+    def test_invalid_gflow_line_is_the_same_from_both_gates(self, tmp_path, monkeypatch, capsys):
+        # The runner skips its gFlow check for simulate, whose library call
+        # makes it; oracle unitary is checked by the runner.
+        monkeypatch.chdir(tmp_path)
+        Path("g.json").write_text(path_graph(3).to_json())
+        Path("f.json").write_text('{"g": {"0": [1], "1": [2]}, "layers": [[1], [0], [2]]}')
+        Path("p.json").write_text('{"angles": {"0": 0.3, "1": 0.5}}')
+        files = ["--graph", "g.json", "--gflow", "f.json", "--pattern", "p.json"]
+        errors = []
+        for command in (["simulate"], ["oracle", "unitary"]):
+            assert run_command([*command, *files]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: gflow is invalid: [Violation(vertex=0, rule='g1'")
+
+    def test_simulate_refuses_a_unitary_over_budget_before_propagating(self, tmp_path, capsys):
+        # Random angles on the 8x7 cluster once ran every round, for
+        # seconds, to stop on --budget-terms; its 16 qubits are over
+        # --budget-dense from the start.
+        import math
+        import random
+
+        argv = ["graph", "gen", "cluster", "--rows", "8", "--cols", "7", "--with-gflow"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        rng = random.Random(3)
+        pattern = {"angles": {v: rng.uniform(0, 2 * math.pi) for v in payload["gflow"]["g"]}}
+        for name, data in (("g", payload["graph"]), ("f", payload["gflow"]), ("p", pattern)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        argv = ["simulate", "--graph", str(tmp_path / "g.json"), "--gflow", str(tmp_path / "f.json"),
+                "--pattern", str(tmp_path / "p.json")]
+        assert run_command(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: 16 qubits exceed --budget-dense 14 "
+            "(a 8-qubit unitary holds 4^8 amplitudes)\n"
+        )
 
 
 class TestCommands:

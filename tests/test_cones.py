@@ -190,13 +190,17 @@ class TestConePass:
         with pytest.raises(ValueError, match=r"rounds differ on vertices \[0\]$"):
             GFlow(corrections={0: {1}, 1: {2}}, layers=[{1}, {2}])
 
-    @pytest.mark.parametrize("stray", [-3, 3])
-    def test_out_of_range_corrected_vertex_is_never_reached(self, stray):
-        # No correction reaches the stray key, so, as in the closure, it
-        # is ignored; a list index would wrap -3 onto vertex 0.
+    @pytest.mark.parametrize("stray", [-3, 3, 99])
+    def test_out_of_range_measured_vertex_raises(self, stray):
+        # No correction reaches the stray vertex, but the pass names it
+        # rather than skip it; a list index would wrap -3 onto vertex 0.
         g = path_graph(3)
-        gf = GFlow(corrections={0: {1}, 1: {2}, stray: {2}}, layers=[{0}, {1}, {stray}, {2}])
-        assert [forward_cone(g, gf, v) for v in range(3)] == [{0, 1, 2}, {1, 2}, {2}]
+        gf = GFlow(corrections={0: {1}, 1: {2}, stray: {2}}, layers=[{0}, {stray}, {1}, {2}])
+        for v in range(3):
+            with pytest.raises(ValueError, match=f"^vertex {stray} out of range$"):
+                forward_cone(g, gf, v)
+        with pytest.raises(ValueError, match=f"^vertex {stray} out of range$"):
+            cone_masks(g, gf)
 
     @pytest.mark.parametrize("vertex", [-1, 4])
     @pytest.mark.parametrize(

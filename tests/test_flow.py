@@ -477,10 +477,12 @@ class TestVerifyGflow:
             verify_gflow(path_graph(3), GFlow(corrections, layers))
 
     def test_planes_are_defined_exactly_on_the_corrected_vertices(self):
-        # Extra keys are dropped and missing ones become XY, so verify_gflow
+        # Missing keys become XY and extra keys are refused, so verify_gflow
         # needs no check of the planes' domain.
-        gf = GFlow({0: {1}, 1: {2}}, [{0}, {1}, {2}], planes={0: Plane.YZ, 2: Plane.XZ})
+        gf = GFlow({0: {1}, 1: {2}}, [{0}, {1}, {2}], planes={0: Plane.YZ})
         assert gf.planes == {0: Plane.YZ, 1: Plane.XY}
+        with pytest.raises(ValueError, match=r"^gflow gives planes to unmeasured vertices \[2, 7]$"):
+            GFlow({0: {1}, 1: {2}}, [{0}, {1}, {2}], planes={0: "XY", 2: "XZ", 7: "YZ"})
 
 
 class TestRoundsAndDependencies:

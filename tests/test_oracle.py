@@ -101,11 +101,7 @@ class TestGraphStateConstruction:
         for _ in range(40):
             graph = random_open_graph(rng, n_min=1, n_max=11)
             k = len(graph.inputs)
-            for psi in (
-                None,
-                rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k),
-                rng.normal(size=(3, 1 << k)) + 1j * rng.normal(size=(3, 1 << k)),
-            ):
+            for psi in (None, rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)):
                 assert np.array_equal(
                     build_open_graph_state(graph, psi), state_by_edges(graph, psi)
                 )
@@ -115,8 +111,10 @@ class TestGraphStateConstruction:
         [
             (np.zeros(2), "input state has zero norm"),
             (np.ones(4), "input state dimension does not match the input count"),
+            # One input at a time: a batch of inputs is refused, not measured in part.
+            (np.ones((3, 2)), "input state dimension does not match the input count"),
         ],
-        ids=["zero", "wrong-length"],
+        ids=["zero", "wrong-length", "batch"],
     )
     def test_bad_input_state_rejected(self, psi, message):
         g = OpenGraph(n=2, edges=[(0, 1)], inputs=(0,), outputs=(1,))

@@ -843,6 +843,25 @@ class TestCostAccounting:
             simulate_pattern(g, fl, pattern, term_budget=5)
         assert set(simulate_pattern(g, fl, pattern, term_budget=6).high_water.values()) == {1}
 
+    def test_unitary_over_budget_is_refused_before_the_first_round(self, monkeypatch):
+        # The 8x7 cluster's 8-qubit unitary counts as 16 qubits, so no round
+        # runs; at random angles its logicals would reach millions of terms.
+        import mbqcflow.simulate as simulate_mod
+
+        def refuse(state):
+            raise AssertionError("a round ran before the unitary's size was checked")
+
+        monkeypatch.setattr(simulate_mod, "propagate_round", refuse)
+        g, fl = cluster_graph(8, 7), cluster_row_flow(8, 7)
+        pattern = random_pattern(g, np.random.default_rng(3))
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^16 qubits exceed --budget-dense 14 \(a 8-qubit unitary holds 4\^8 amplitudes",
+        ):
+            simulate_pattern(g, fl, pattern)
+        with pytest.raises(AssertionError, match="^a round ran"):
+            simulate_pattern(g, fl, pattern, dense_limit=16)
+
     def test_cone_bound_can_fail_outside_fixture_families(self):
         # Known sharp edge: an input whose neighbours lie outside its
         # forward cone can overshoot 2**|cone| through their correction
