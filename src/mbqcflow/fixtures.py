@@ -11,6 +11,7 @@ flow exists.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ from .flow import GFlow, find_causal_flow
 from .graph import OpenGraph, check_vertex_count
 
 
-def path_graph(n: int) -> OpenGraph:
+def path_graph(n: int = 5) -> OpenGraph:
     """Chain 0-1-...-(n-1) with the first vertex as input, last as output."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
@@ -38,7 +39,7 @@ def path_flow(n: int) -> GFlow:
     return flow
 
 
-def cluster_graph(rows: int, cols: int) -> OpenGraph:
+def cluster_graph(rows: int = 2, cols: int = 3) -> OpenGraph:
     """rows x cols grid; first column inputs, last column outputs."""
     if rows < 1 or cols < 1:
         raise ValueError("cluster needs positive dimensions")
@@ -134,48 +135,32 @@ def fig4_depth_one_gflow() -> GFlow:
 
 @dataclass(frozen=True)
 class FixtureSpec:
-    """Catalog entry: how to build a named example graph, and its hand-made gFlow if any."""
+    """Catalog entry: a named example graph's builder, and its hand-made gFlow if any.
+
+    The builder's signature is the entry's interface: its parameter names
+    are the ``graph gen`` options the fixture takes, and its defaults are
+    what ``graph gen`` builds without them.
+    """
 
     name: str
     description: str
-    parameters: tuple[str, ...]
     build: Callable[..., OpenGraph]
     gflow: Callable[[], GFlow] | None = None
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.build).parameters)
 
 
 CATALOG: dict[str, FixtureSpec] = {
     spec.name: spec
     for spec in (
+        FixtureSpec("path", "chain with input at one end, output at the other", path_graph),
+        FixtureSpec("cluster", "2D grid, first column inputs, last column outputs", cluster_graph),
+        FixtureSpec("bottleneck", "two inputs through one cut vertex; no gFlow", bottleneck_graph),
         FixtureSpec(
-            name="path",
-            description="chain with input at one end, output at the other",
-            parameters=("n",),
-            build=lambda n=5: path_graph(int(n)),
+            "fig3b", "six vertices with gFlow but no causal flow", fig3b_graph, fig3b_gflow
         ),
-        FixtureSpec(
-            name="cluster",
-            description="2D grid, first column inputs, last column outputs",
-            parameters=("rows", "cols"),
-            build=lambda rows=2, cols=3: cluster_graph(int(rows), int(cols)),
-        ),
-        FixtureSpec(
-            name="bottleneck",
-            description="two inputs through one cut vertex; no gFlow",
-            parameters=(),
-            build=lambda: bottleneck_graph(),
-        ),
-        FixtureSpec(
-            name="fig3b",
-            description="six vertices with gFlow but no causal flow",
-            parameters=(),
-            build=lambda: fig3b_graph(),
-            gflow=fig3b_gflow,
-        ),
-        FixtureSpec(
-            name="fig4",
-            description="eight-vertex zigzag with a depth/corrections tradeoff",
-            parameters=(),
-            build=lambda: fig4_graph(),
-        ),
+        FixtureSpec("fig4", "eight-vertex zigzag with a depth/corrections tradeoff", fig4_graph),
     )
 }

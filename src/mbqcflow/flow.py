@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import FlowConsistencyError
 from .gf2 import gf2_basis, gf2_express
-from .graph import JsonText, OpenGraph, _mask_to_set, _set_to_mask
+from .graph import JsonText, OpenGraph, _check_vertices, _mask_to_set, _set_to_mask
 from .graph import json_distinct_ints, json_list, json_object, json_vertex
 from .pattern import MeasurementPattern, Plane
 
@@ -252,11 +252,14 @@ def find_causal_flow(graph: OpenGraph) -> GFlow | None:
 
 
 def correction_masks(graph: OpenGraph, gflow: GFlow, vertex: int) -> tuple[int, int]:
-    """Bitmasks of g(vertex) and Odd(g(vertex)); ValueError if g(vertex) leaves 0..n-1."""
+    """Bitmasks of g(vertex) and Odd(g(vertex)); ValueError if g(vertex) leaves 0..n-1.
+
+    The range test stays inline on this hot path; ``_check_vertices`` only raises.
+    """
     x_mask = z_mask = 0
     for j in gflow.corrections[vertex]:
         if not 0 <= j < graph.n:
-            raise ValueError(f"correcting set of {vertex} contains out-of-range vertex {j}")
+            _check_vertices(graph, gflow.corrections[vertex], f"correcting set of {vertex}")
         x_mask |= 1 << j
         z_mask ^= graph.adjacency_masks[j]
     return x_mask, z_mask
@@ -270,16 +273,13 @@ _PLANE_RULES = {
 }
 
 
-def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
-    """Check every gFlow condition; an empty list means the gFlow is valid.
+def _check_gflow_shape(graph: OpenGraph, gflow: GFlow) -> None:
+    """ValueError unless ``gflow``'s layers and correcting sets have the shape ``graph`` needs.
 
-    Structural malformations (layers that do not partition the vertex set
-    or end in a layer other than the outputs, correcting sets reaching
-    inputs or leaving the vertex range) raise ValueError; per-vertex rule
-    violations are returned as a list.
+    The layers partition the vertex set and end in exactly the outputs, so
+    the rounds measure the non-outputs, and no correcting set holds an input.
     """
-    layer_of = gflow.layer_of
-    if set(layer_of) != set(range(graph.n)):
+    if set(gflow.layer_of) != set(range(graph.n)):
         raise ValueError("layers must partition the vertex set")
     if gflow.layers and gflow.layers[-1] != graph.output_set:
         raise ValueError("final layer must hold exactly the outputs")
@@ -287,6 +287,17 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
         if corr & graph.input_set:
             raise ValueError(f"correcting set of {i} contains input vertices")
 
+
+def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
+    """Check every gFlow condition; an empty list means the gFlow is valid.
+
+    Structural malformations raise ValueError: a layer shape that
+    :func:`_check_gflow_shape` refuses, or a correcting set leaving the
+    vertex range (:func:`correction_masks`).  Per-vertex rule violations
+    are returned as a list.
+    """
+    _check_gflow_shape(graph, gflow)
+    layer_of = gflow.layer_of
     # not_later[k]: the vertices of layers 0..k.
     not_later = list(accumulate(map(_set_to_mask, gflow.layers), operator.or_))
     violations: list[Violation] = []

@@ -51,7 +51,8 @@ class OpenGraph(JsonText):
         is coerced with :func:`operator.index`, so numpy integers become
         Python ints and bitmasks over them do not wrap.
     edges : iterable of (int, int)
-        Unordered vertex pairs; no self-loops or duplicates.
+        Unordered vertex pairs; no self-loops or duplicates.  An edge of
+        any other length raises ValueError.
     inputs : iterable of int
         Ordered input vertices (the order fixes the input qubit register).
     outputs : iterable of int
@@ -70,7 +71,11 @@ class OpenGraph(JsonText):
         inputs: Iterable[int] = (),
         outputs: Iterable[int] = (),
     ) -> None:
-        canonical = sorted(tuple(sorted(map(operator.index, e))) for e in edges)
+        pairs = [list(map(operator.index, e)) for e in edges]
+        for e in pairs:
+            if len(e) != 2:
+                raise ValueError(f"edge {e} is not a pair")
+        canonical = sorted(tuple(sorted(e)) for e in pairs)
         object.__setattr__(self, "n", operator.index(n))
         object.__setattr__(self, "edges", tuple(canonical))
         object.__setattr__(self, "inputs", tuple(map(operator.index, inputs)))
@@ -147,9 +152,6 @@ class OpenGraph(JsonText):
             outputs = json_ints(data.get("outputs", []), "outputs")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed open graph JSON: {exc}") from exc
-        for e in edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {e} is not a pair")
         return cls(n=n, edges=edges, inputs=inputs, outputs=outputs)
 
     def to_dot(self, gflow=None) -> str:

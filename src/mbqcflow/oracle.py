@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT
 from .errors import DeterminismError, _over_budget
-from .flow import GFlow, check_pattern, correction_masks
+from .flow import GFlow, _check_gflow_shape, check_pattern, correction_masks
 from .graph import OpenGraph
 from .pattern import MeasurementPattern, Plane
 
@@ -138,27 +138,23 @@ def _prepare(
 ) -> tuple[np.ndarray, list[_Step], np.ndarray]:
     """The checks every path runs, the built state and the measurement plan.
 
-    Checks that the gflow layers measure exactly the non-output vertices,
-    that the pattern fits the gflow and, before building anything
-    exponential, that the state fits the dense limit.  Returns the built
-    state as a batch of one row, the measurement plan of a register that
-    holds ``register``'s vertices from bit 0 up, and the index array that
-    reorders the register the last step leaves so that output k sits at
-    bit k.  The plan has one step per vertex of
+    Checks the gflow's layer shape with ``flow._check_gflow_shape``, as
+    :func:`~.flow.verify_gflow` does, so the rounds measure exactly the
+    non-output vertices; then that the pattern fits the gflow and, before
+    building anything exponential, that the state fits the dense limit.
+    Returns the built state as a batch of one row, the measurement plan of
+    a register that holds ``register``'s vertices from bit 0 up, and the
+    index array that reorders the register the last step leaves so that
+    output k sits at bit k.  The plan has one step per vertex of
     ``gflow.measurement_order`` in the register; an output outside it
     adds no bit to the index.
     """
-    order = gflow.measurement_order
-    if sorted(order) != list(graph.measured):
-        raise ValueError(
-            f"gflow layers measure {sorted(order)} but the non-output "
-            f"vertices are {list(graph.measured)}"
-        )
+    _check_gflow_shape(graph, gflow)
     check_pattern(gflow, pattern)
     state = build_open_graph_state(graph, input_state, dense_limit)[None]
     held = list(register)  # held[k] is the vertex at bit k
     steps = []
-    for v in order:
+    for v in gflow.measurement_order:
         if v not in held:
             continue
         pos = held.index(v)

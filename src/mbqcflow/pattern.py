@@ -19,13 +19,17 @@ class Plane(str, Enum):
 
 @dataclass(frozen=True)
 class MeasurementPattern(JsonText):
-    """Measurement angle (radians) and plane for every measured vertex."""
+    """Measurement angle (radians) and plane for every measured vertex.
+
+    Planes are coerced with ``Plane(p)`` as in :class:`~.flow.GFlow`, so an
+    unknown plane raises ValueError; a vertex without a plane is measured in XY.
+    """
 
     angles: dict[int, float]
     planes: dict[int, Plane] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        planes = dict(self.planes)
+        planes = {v: Plane(p) for v, p in self.planes.items()}
         for v in self.angles:
             planes.setdefault(v, Plane.XY)
         if set(planes) != set(self.angles):

@@ -11,6 +11,7 @@ import pytest
 
 import mbqcflow
 from mbqcflow.cli import build_parser, run_command
+from mbqcflow.errors import DeterminismError, FlowConsistencyError
 from mbqcflow.fixtures import (
     CATALOG,
     bottleneck_graph,
@@ -66,6 +67,30 @@ class TestExitCodes:
             "gflow": None,
             "reason": "no gflow",
         }
+
+    @pytest.mark.parametrize("error", [DeterminismError, FlowConsistencyError])
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            ("flow report", "mbqcflow.cli.flow_wires"),
+            ("oracle unitary", "mbqcflow.oracle.oracle_unitary"),
+        ],
+    )
+    def test_a_failed_consistency_check_is_domain_error(
+        self, capsys, monkeypatch, path5_files, command, target, error
+    ):
+        def fail(*args, **kwargs):
+            raise error("the check failed")
+
+        monkeypatch.setattr(target, fail)
+        g, f, p = path5_files
+        argv = [*command.split(), "--graph", g, "--gflow", f]
+        if command == "oracle unitary":
+            argv += ["--pattern", p]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the check failed\n"
 
     def test_unknown_flag_is_usage_error(self, capsys, path5_files):
         g, _, _ = path5_files

@@ -31,6 +31,17 @@ class TestCatalog:
     def test_names(self):
         assert set(CATALOG) == {"path", "cluster", "bottleneck", "fig3b", "fig4"}
 
+    def test_parameters_are_the_builder_signature(self):
+        assert {name: spec.parameters for name, spec in CATALOG.items()} == {
+            "path": ("n",),
+            "cluster": ("rows", "cols"),
+            "bottleneck": (),
+            "fig3b": (),
+            "fig4": (),
+        }
+        assert CATALOG["path"].build() == path_graph(5)
+        assert CATALOG["cluster"].build() == cluster_graph(2, 3)
+
     @pytest.mark.parametrize("name,graph", list(catalog_instances()))
     def test_graph_json_round_trip_is_identical(self, name, graph):
         text = graph.to_json()

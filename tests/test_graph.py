@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,12 @@ class TestConstruction:
             OpenGraph(n=2, edges=[(0, 2)])
         with pytest.raises(ValueError, match="out of range"):
             OpenGraph(n=2, edges=[], inputs=(5,))
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), ()])
+    def test_rejects_an_edge_that_is_not_a_pair(self, edge):
+        # The JSON reader's text: a list, as the edge was given.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'edge {list(edge)} is not a pair')}$"):
+            OpenGraph(3, [(0, 1), edge])
 
     def test_edges_canonicalized(self):
         g = OpenGraph(n=3, edges=[(2, 1), (1, 0)])

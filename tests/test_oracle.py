@@ -539,10 +539,23 @@ class TestRunBranch:
             "check_determinism": lambda: check_determinism(g, gf, pat),
             "oracle_unitary": lambda: oracle_unitary(g, gf, pat),
         }
-        with pytest.raises(
-            ValueError,
-            match=r"gflow layers measure \[0\] but the non-output vertices are \[0, 1\]",
-        ):
+        with pytest.raises(ValueError, match="^layers must partition the vertex set$"):
+            calls[entry]()
+
+    @pytest.mark.parametrize(
+        "entry", ["verify_gflow", "run_branch", "check_determinism", "oracle_unitary"]
+    )
+    def test_every_entry_point_gives_one_layer_shape_message(self, entry):
+        # Measured vertex 2 sits in the output layer of path 4.
+        g, gf = path_graph(4), GFlow({0: {1}, 1: {2}}, [[0], [1], [2, 3]])
+        pat = MeasurementPattern(angles={0: 0.3, 1: 0.7})
+        calls = {
+            "verify_gflow": lambda: verify_gflow(g, gf),
+            "run_branch": lambda: run_branch(g, gf, pat, {0: 0, 1: 0}),
+            "check_determinism": lambda: check_determinism(g, gf, pat),
+            "oracle_unitary": lambda: oracle_unitary(g, gf, pat),
+        }
+        with pytest.raises(ValueError, match="^final layer must hold exactly the outputs$"):
             calls[entry]()
 
     @pytest.mark.parametrize("entry", ["run_branch", "check_determinism", "oracle_unitary"])
@@ -690,6 +703,15 @@ class TestOracleUnitary:
         u = oracle_unitary(g, fl, MeasurementPattern(angles={0: alpha, 1: beta}))
         j = lambda t: H @ np.diag([1, np.exp(-1j * t)])
         assert max_deviation_up_to_phase(u, j(beta) @ j(alpha)) < 1e-9
+
+    def test_string_planes_are_coerced(self):
+        g, fl = path_graph(3), path_flow(3)
+        by_name = MeasurementPattern(angles={0: 0.1, 1: 0.2}, planes={0: "XY", 1: "XY"})
+        by_enum = MeasurementPattern(angles={0: 0.1, 1: 0.2}, planes={0: Plane.XY, 1: Plane.XY})
+        assert by_name == by_enum
+        assert np.array_equal(oracle_unitary(g, fl, by_name), oracle_unitary(g, fl, by_enum))
+        with pytest.raises(ValueError, match="'QQ' is not a valid Plane"):
+            MeasurementPattern(angles={0: 0.1}, planes={0: "QQ"})
 
     def test_identity_pattern(self):
         g = OpenGraph(n=2, edges=[], inputs=(0, 1), outputs=(0, 1))
