@@ -19,17 +19,25 @@ Every DP runs as numpy kernels over all 2^n vertex masks at once:
   gives structural entanglement with f the cut rank, and the best order
   of up to ``WIRE_ORDER_EXHAUSTIVE_LIMIT`` wires with f the number of
   edges that leave a set of wires;
-- the width DP builds each layer's splits (S, T) as an array, T holding
+- the width DP reads each layer's splits (S, T) from an array, T holding
   the lowest vertex of S, and takes ``min max(cost[T], cost[S^T])``
   along it: 3^n/2 pairs in all.
 
-Each call builds its own tables; nothing derived from a graph is kept
-between calls.
+The popcount layers and the split arrays depend on n alone, so they are
+kept between calls, as ``pauli._hash_table`` is: each is one read-only
+table, for the largest n asked for so far, that a smaller n slices.
+Building them took about half of a width call at n = 10.  They hold 61
+KB at n = 10, and 43 MB at the width budget of 16 vertices (the layers
+alone hold 4 MB at the ordering budget of 20).  Above the width budget
+the splits are built per call and not kept.  The cut ranks, and
+everything else derived from a graph, are computed per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -70,36 +78,94 @@ def entanglement_width_exact(
     """
     if graph.n > max_vertices:
         raise _over_budget(graph.n, "vertices", "width", max_vertices)
-    n = graph.n
     cost = _cut_rank_table(graph)  # singletons keep their rank
-    masks, starts = _popcount_layers(n)
-    one = masks.dtype.type(1)
-    for size in range(2, n + 1):
-        sets = masks[starts[size] : starts[size + 1]]
-        members = np.nonzero((sets[:, None] >> np.arange(n, dtype=masks.dtype)) & one)[1]
-        bits = one << members.reshape(-1, size).astype(masks.dtype)
-        # Column j of halves is the lowest member plus the members that
-        # the bits of j pick from the rest (a bit deposit of j); the last
-        # column, S itself, is dropped.
-        halves = bits[:, :1]
-        for i in range(1, size):
-            halves = np.concatenate((halves, halves | bits[:, i : i + 1]), axis=1)
-        halves = halves[:, :-1]
-        split = np.maximum(cost[halves], cost[sets[:, None] ^ halves]).min(axis=1)
+    for sets, halves in _split_layers(graph.n):
+        # take casts the compact masks to intp indices a few times faster than [] does.
+        split = np.maximum(cost.take(halves), cost.take(sets[:, None] ^ halves)).min(axis=1)
         cost[sets] = np.maximum(cost[sets], split)
     return int(cost[-1])
 
 
-def _popcount_layers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 2^n masks sorted by popcount, and the index where each popcount starts.
+#: The popcount layers of the masks, and the width DP's halves of each,
+#: for the largest vertex count asked for so far (see _popcount_layers
+#: and _split_layers).  They are arrays of masks: nothing of a graph.
+_LAYERS: tuple[np.ndarray, ...] = ()
+_HALVES: tuple[np.ndarray, ...] = ()
 
-    Masks take the smallest unsigned dtype that holds n bits.
+#: Halves gathered at a time by the width DP: the intp index array that
+#: ``take`` makes of a block stays near 64 KiB.
+_GATHER_BLOCK = 1 << 13
+
+
+def _popcount_layers(n: int) -> list[np.ndarray]:
+    """The masks below 2^n by popcount: layer s holds those of s bits, in increasing order.
+
+    The arrays are read-only.  Only the table of the largest n asked for
+    is built and kept: the masks below 2^n of popcount s are the first
+    C(n, s) of its layer s, so a smaller n slices it.  The masks take the
+    smallest unsigned dtype that holds the bits of that largest n.
     """
-    masks = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    counts = np.bitwise_count(masks)
-    starts = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(counts, minlength=n + 1), out=starts[1:])
-    return masks[np.argsort(counts, kind="stable")], starts
+    global _LAYERS
+    layers = _LAYERS
+    if len(layers) <= n:
+        masks = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+        counts = np.bitwise_count(masks)
+        order = np.argsort(counts, kind="stable")
+        layers = tuple(np.split(masks[order], np.cumsum(np.bincount(counts))[:-1]))
+        for layer in layers:
+            layer.flags.writeable = False
+        _LAYERS = layers
+    return [layer[: math.comb(n, size)] for size, layer in enumerate(layers[: n + 1])]
+
+
+def _split_layers(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks ``(sets, halves)`` of each popcount layer from 2 to n, for the width DP.
+
+    Row i of ``halves`` lists the subsets T of ``sets[i]`` that hold its
+    lowest vertex, all but ``sets[i]`` itself.  A block holds about
+    ``_GATHER_BLOCK`` halves, so the index arrays the gathers make stay
+    small.  As with the popcount layers, the halves of the largest n asked
+    for are kept, read-only, and a smaller n reads the first rows of each
+    layer.  Above ``DEFAULT_TREE_BUDGET`` each layer is built when it is
+    reached and not kept, so the memory kept stays that of the default
+    budget.
+    """
+    global _HALVES
+    layers = _popcount_layers(n)[2:]
+    if n > DEFAULT_TREE_BUDGET:
+        kept = (_halves(sets, n) for sets in layers)
+    else:
+        kept = _HALVES
+        if len(kept) < len(layers):
+            kept = tuple(_halves(sets, n) for sets in layers)
+            for halves in kept:
+                halves.flags.writeable = False
+            _HALVES = kept
+    for sets, halves in zip(layers, kept):
+        step = max(1, _GATHER_BLOCK // halves.shape[1])
+        for start in range(0, len(sets), step):
+            end = min(start + step, len(sets))
+            yield sets[start:end], halves[start:end]
+
+
+def _halves(sets: np.ndarray, n: int) -> np.ndarray:
+    """The halves of one popcount layer's sets (see :func:`_split_layers`).
+
+    Column j is the lowest member plus the members that the bits of j
+    pick from the rest (a bit deposit of j), filled by doubling; the last
+    column, S itself, is dropped.  The masks take the smallest unsigned
+    dtype that holds n bits.
+    """
+    dtype = np.min_scalar_type((1 << n) - 1)
+    size = int(np.bitwise_count(sets[0]))
+    members = np.nonzero((sets[:, None] >> np.arange(n, dtype=sets.dtype)) & sets.dtype.type(1))[1]
+    bits = dtype.type(1) << members.reshape(-1, size).astype(dtype)
+    halves = np.empty((len(sets), 1 << (size - 1)), dtype=dtype)
+    halves[:, 0] = bits[:, 0]
+    for i in range(1, size):
+        width = 1 << (i - 1)
+        np.bitwise_or(halves[:, :width], bits[:, i : i + 1], out=halves[:, width : 2 * width])
+    return halves[:, :-1]
 
 
 def _cut_rank_table(graph: OpenGraph) -> np.ndarray:
@@ -138,13 +204,11 @@ def _ordering_table(values: np.ndarray) -> np.ndarray:
     ``S ^ (1 << v)`` over all v, in S or not, takes the min over the
     members alone.
     """
-    n = len(values).bit_length() - 1
-    masks, starts = _popcount_layers(n)
+    layers = _popcount_layers(len(values).bit_length() - 1)
     best = np.full_like(values, np.iinfo(values.dtype).max)
     best[0] = values[0]
-    flips = masks.dtype.type(1) << np.arange(n, dtype=masks.dtype)
-    for size in range(1, n + 1):
-        sets = masks[starts[size] : starts[size + 1]]
+    flips = layers[0].dtype.type(1) << np.arange(len(layers) - 1, dtype=layers[0].dtype)
+    for sets in layers[1:]:
         best[sets] = np.maximum(values[sets], best[sets[:, None] ^ flips].min(axis=1))
     return best
 
@@ -173,12 +237,15 @@ class FlowEntanglementBound:
 
 def _crossing_pairs(graph: OpenGraph, wires: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Wire indices (a, b), a < b, of every edge between two wires: shape (m, 2)."""
-    wire_of = {v: idx for idx, wire in enumerate(wires) for v in wire}
-    pairs = [
-        sorted((wire_of[u], wire_of[v]))
-        for u, v in graph.edges
-        if u in wire_of and v in wire_of and wire_of[u] != wire_of[v]
-    ]
+    wire_of = [-1] * graph.n  # -1: on no wire
+    for idx, wire in enumerate(wires):
+        for v in wire:
+            wire_of[v] = idx
+    pairs = []
+    for u, v in graph.edges:
+        a, b = wire_of[u], wire_of[v]
+        if a != b and a >= 0 and b >= 0:
+            pairs.append((min(a, b), max(a, b)))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 

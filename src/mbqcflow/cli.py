@@ -94,12 +94,18 @@ def _run(args) -> int:
 
 # -- graph ----------------------------------------------------------------
 
+#: The size options of ``graph gen``: the parameters of every fixture
+#: builder, in catalog order.
+_GEN_SIZES = tuple(
+    dict.fromkeys(name for spec in fixtures_mod.CATALOG.values() for name in spec.parameters)
+)
+
 
 def _graph_gen(args):
     spec = fixtures_mod.CATALOG.get(args.fixture)
     if spec is None:
         raise ValueError(f"unknown fixture {args.fixture!r}")
-    params = {k: getattr(args, k) for k in ("n", "rows", "cols") if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in _GEN_SIZES if getattr(args, k) is not None}
     unknown = set(params) - set(spec.parameters)
     if unknown:
         raise ValueError(f"fixture {spec.name} does not take {sorted(unknown)}")
@@ -303,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph_sub = graph_p.add_subparsers(dest="subcommand", required=True)
     gen = _command(graph_sub, "gen", "emit a named fixture graph", _graph_gen)
     gen.add_argument("fixture")
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
+    for name in _GEN_SIZES:
+        gen.add_argument(f"--{name}", type=int)
     gen.add_argument("--with-gflow", action="store_true")
     gen.add_argument("--gflow-variant", default="default", choices=["default", "wide"])
     _command(graph_sub, "show", "echo a graph in canonical form", _graph_show, ("graph",))

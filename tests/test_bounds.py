@@ -1,4 +1,7 @@
+import gc
 import itertools
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +198,76 @@ class TestKernelsAgainstReferences:
                 identity,
                 prefix_crossing(crossing_matrix(k, pairs), identity),
             )
+
+
+def drop_held_tables(monkeypatch):
+    """Start from empty n-only tables; the held ones come back after the test."""
+    monkeypatch.setattr(bounds, "_LAYERS", ())
+    monkeypatch.setattr(bounds, "_HALVES", ())
+
+
+class TestHeldTables:
+    """The popcount layers and the width DP's halves are kept between calls."""
+
+    SIZES = (11, 4, 8, 2, 10, 6, 11, 9)
+
+    def graphs(self, seed: int):
+        rng = np.random.default_rng(seed)
+        for n in self.SIZES:
+            p = float(rng.uniform(0.2, 0.8))
+            yield OpenGraph(
+                n=n, edges=[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+
+    def measures(self, graph):
+        return entanglement_width_exact(graph), structural_entanglement_exact(graph)
+
+    def test_sizes_out_of_order_match_references(self, monkeypatch):
+        drop_held_tables(monkeypatch)
+        for graph in self.graphs(seed=21):
+            held = self.measures(graph)
+            assert held == (reference_width(graph), reference_structural(graph))
+            drop_held_tables(monkeypatch)
+            assert self.measures(graph) == held
+            # The next, possibly smaller, size reads this size's tables.
+
+    def test_one_table_for_the_largest_size(self, monkeypatch):
+        drop_held_tables(monkeypatch)
+        for graph in self.graphs(seed=22):
+            self.measures(graph)
+        largest = max(self.SIZES)
+        assert len(bounds._LAYERS) == largest + 1
+        assert len(bounds._HALVES) == largest - 1
+        for size, layer in enumerate(bounds._LAYERS):
+            assert len(layer) == math.comb(largest, size)
+
+    def test_above_the_tree_budget_nothing_more_is_kept(self, monkeypatch):
+        drop_held_tables(monkeypatch)
+        monkeypatch.setattr(bounds, "DEFAULT_TREE_BUDGET", 6)
+        for graph in self.graphs(seed=23):
+            assert entanglement_width_exact(graph, max_vertices=11) == reference_width(graph)
+            assert len(bounds._HALVES) <= 6 - 1
+
+    def test_held_arrays_are_read_only(self, monkeypatch):
+        drop_held_tables(monkeypatch)
+        entanglement_width_exact(path_graph(7))
+        for array in bounds._LAYERS + bounds._HALVES:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        sets, halves = next(bounds._split_layers(7))
+        with pytest.raises(ValueError, match="read-only"):
+            halves[0] = 0
+
+    def test_no_graph_is_kept(self):
+        graph = cluster_graph(3, 3)
+        kept = weakref.ref(graph)
+        self.measures(graph)
+        flow_entanglement_bound(graph, cluster_row_flow(3, 3))
+        del graph
+        gc.collect()
+        assert kept() is None
+        for array in bounds._LAYERS + bounds._HALVES:
+            assert array.dtype.kind == "u"
 
 
 def gflow_graph(rng, n: int):
