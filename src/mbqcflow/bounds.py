@@ -202,14 +202,18 @@ def _ordering_table(values: np.ndarray) -> np.ndarray:
     ``values`` holds f for every mask.  While a popcount layer is filled,
     the next layer still holds the dtype's maximum, so one gather of
     ``S ^ (1 << v)`` over all v, in S or not, takes the min over the
-    members alone.
+    members alone.  It is gathered in blocks of ``_GATHER_BLOCK`` entries.
     """
     layers = _popcount_layers(len(values).bit_length() - 1)
     best = np.full_like(values, np.iinfo(values.dtype).max)
     best[0] = values[0]
     flips = layers[0].dtype.type(1) << np.arange(len(layers) - 1, dtype=layers[0].dtype)
-    for sets in layers[1:]:
-        best[sets] = np.maximum(values[sets], best[sets[:, None] ^ flips].min(axis=1))
+    step = _GATHER_BLOCK // len(layers)
+    for layer in layers[1:]:
+        for start in range(0, len(layer), step):
+            sets = layer[start : start + step]
+            below = best.take(sets[:, None] ^ flips).min(axis=1)
+            best[sets] = np.maximum(values.take(sets), below)
     return best
 
 

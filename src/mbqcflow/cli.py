@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = _command(oracle_sub, "run", "run one branch", _oracle_run, pattern_files)
     run.add_argument("--branch", required=True, help="bitstring over sorted measured vertices")
     det = _command(
-        oracle_sub, "determinism", "compare all branches", _oracle_determinism, pattern_files
+        oracle_sub, "determinism", "check stepwise determinism", _oracle_determinism, pattern_files
     )
     det.add_argument("--seed", type=int, default=0)
     det.add_argument("--budget-branches", type=_budget, default=DEFAULT_BRANCH_BUDGET)

@@ -7,12 +7,12 @@ loads no numpy.  :func:`_over_budget` formats every ``--budget-*`` error.
 #: Largest register a dense state is allowed to hold (``--budget-dense``).
 DEFAULT_DENSE_LIMIT = 14
 
-#: Cap on the number of branches enumerated by the determinism check.  On
-#: a 2-CPU Xeon VM (Python 3.11, numpy 2.4, median of 5) the check took
-#: 0.03 s over 2^12 branches (cluster 2x7), 0.04 s over 2^13 (path 14) and
-#: 0.04 s over 2^14 (14 YZ vertices, no outputs), well inside a 1 s target.
-#: At most 14 vertices are measured within the dense limit, so at the
-#: defaults the dense limit binds first.
+#: Cap on the 2^m branches the determinism check covers.  The check walks
+#: one row, so this bounds no work: on a 2-CPU Xeon VM (Python 3.11, numpy
+#: 2.4, median of 5) it took 1.5 ms at 2^12 (cluster 2x7), 1.5 ms at 2^13
+#: (path 14) and 1.4 ms at 2^14 (14 YZ vertices, no outputs).  At most 14
+#: vertices are measured within the dense limit, so at the defaults the
+#: dense limit binds first.
 DEFAULT_BRANCH_BUDGET = 2**14
 
 #: Most rows the table of logicals may reach (``--budget-terms``), from a

@@ -6,25 +6,28 @@ the qubits in gflow order.  Measuring a qubit contracts it against the
 conjugated closed-form basis vector of its outcome, so the register
 halves at every step and what is left at the end is the output register;
 the gflow correction of a -1 outcome acts on the qubits still held.
-Each state is built once, and every path measures a batch of registers:
-``run_branch`` runs one branch as a batch of one, ``check_determinism``
-extends every surviving outcome prefix by both outcomes at each step, so
-that branches share the contractions of their common prefix, and
-``oracle_unitary`` runs the all-+1 branch on the open graph state with
-its input legs left open: the state built with |+> on every qubit holds
-one row per assignment of the input bits, over a register of the n - k
-non-input qubits.  A measured input then only scales each row by its
-bra's entry at the row's bit, so the unitary costs one build and one
-contraction per measured non-input qubit, each on 2^n amplitudes, where
-one run per basis input would hold 2^k times as many.  All three take
-the same measurement step.  A correction, X on g(v) and Z on Odd(g(v))
-(``flow.correction_masks``), acts on the held qubits as raw bitmasks
-(global phase dropped), keeping this module independent of the symbolic
-Pauli machinery it validates.
+Each state is built once.  ``run_branch`` runs one branch as a batch of
+one row.  ``check_determinism`` walks the gflow order once, on one row:
+each step contracts it against both outcomes' bras in one product,
+checks that the corrected -1 state equals the +1 state, and goes on with
+one of them.  Stepwise determinism makes that one walk as good as
+comparing all 2^m branches.  ``oracle_unitary`` runs the all-+1 branch on
+the open graph state with its input legs left open: the state built with
+|+> on every qubit holds one row per assignment of the input bits, over a
+register of the n - k non-input qubits.  A measured input then only
+scales each row by its bra's entry at the row's bit, so the unitary costs
+one build and one contraction per measured non-input qubit, each on 2^n
+amplitudes, where one run per basis input would hold 2^k times as many.
+``run_branch`` and ``oracle_unitary`` take the same measurement step.  A
+correction, X on g(v) and Z on Odd(g(v)) (``flow.correction_masks``),
+acts on the held qubits as raw bitmasks (global phase dropped), keeping
+this module independent of the symbolic Pauli machinery it validates.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -43,8 +46,8 @@ _ZERO_PROBABILITY = 1e-12
 TOLERANCE = 1e-9
 
 
-def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (+1, -1) eigenbasis of the plane's angle-theta observable.
+def measurement_basis(plane: Plane, angle: float) -> np.ndarray:
+    """Orthonormal eigenbasis of the plane's angle-theta observable: rows (plus, minus).
 
     The observable is ``cos(theta) A + sin(theta) B`` with (A, B) = (X, Y),
     (X, Z) and (Y, Z) for XY, XZ and YZ.  XY has plus = (1, e^{i theta})/sqrt2
@@ -54,15 +57,13 @@ def measurement_basis(plane: Plane, angle: float) -> tuple[np.ndarray, np.ndarra
     p = 1 (XZ) or i (YZ): plus = (c, p s) and minus = (s, -p c).
     """
     if plane is Plane.XY:
-        phase = np.exp(1j * angle)
-        return (
-            np.array([1.0, phase]) / np.sqrt(2),
-            np.array([1.0, -phase]) / np.sqrt(2),
-        )
-    half = np.pi / 4 - angle / 2
-    c, s = np.cos(half), np.sin(half)
+        r = 1 / math.sqrt(2)
+        phase = cmath.exp(1j * angle) * r
+        return np.array([[r, phase], [r, -phase]], dtype=complex)
+    half = math.pi / 4 - angle / 2
+    c, s = math.cos(half), math.sin(half)
     p = 1.0 if plane is Plane.XZ else 1j
-    return np.array([c, p * s], dtype=complex), np.array([s, -p * c], dtype=complex)
+    return np.array([[c, p * s], [s, -p * c]], dtype=complex)
 
 
 def build_open_graph_state(
@@ -122,8 +123,8 @@ class _Step(NamedTuple):
     vertex: int
     #: Bit of ``vertex`` in the register it is measured from.
     pos: int
-    #: Conjugated basis vectors of the +1 and the -1 outcome.
-    bras: tuple[np.ndarray, np.ndarray]
+    #: Conjugated basis vectors as rows: the +1 outcome's, then the -1 outcome's.
+    bras: np.ndarray
     #: X/Z masks of the -1 correction on the bits left after the step.
     correction: tuple[int, int]
 
@@ -161,7 +162,7 @@ def _prepare(
         del held[pos]
         x_mask, z_mask = correction_masks(graph, gflow, v)
         correction = (_on_held(x_mask, held), _on_held(z_mask, held))
-        bras = tuple(b.conj() for b in measurement_basis(pattern.planes[v], pattern.angles[v]))
+        bras = measurement_basis(pattern.planes[v], pattern.angles[v]).conj()
         steps.append(_Step(v, pos, bras, correction))
     out = np.arange(1 << len(graph.outputs))
     source = np.zeros_like(out)
@@ -222,7 +223,7 @@ def run_branch(
     qubits, is applied.  The surviving outputs are returned in output
     order.  Zero-probability branches are reported with probability 0 and
     no state rather than as an error.  This is the single-branch
-    reference that the determinism batch and the unitary batch are tested
+    reference that the determinism walk and the unitary batch are tested
     against.
     """
     state, steps, source = _prepare(
@@ -283,7 +284,7 @@ def complex_pairs(values: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class DeterminismReport:
-    """Outcome of the exhaustive branch comparison."""
+    """Outcome of the stepwise determinism check."""
 
     ok: bool
     worst_fidelity: float
@@ -309,57 +310,52 @@ def check_determinism(
     branch_budget: int = DEFAULT_BRANCH_BUDGET,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DeterminismReport:
-    """Compare every branch's output against branch 0 on a random input.
+    """Check stepwise determinism along ``gflow.measurement_order`` on a random input.
 
-    True when each nonzero-probability branch reproduces the output of
-    the first such branch (branch 0 unless it has probability 0) up to
-    global phase with fidelity within ``TOLERANCE`` of 1.  The worst
-    single-measurement deviation from probability 1/2 over those
-    branches is reported alongside.
-
-    In branch ``mask`` the measured vertex at position ``pos`` in
-    ascending order has outcome bit ``pos`` of ``mask``, and branches are
-    compared in mask order.  From one built state, each step of
-    ``gflow.measurement_order`` measures every surviving outcome prefix
-    with both outcomes and drops the prefixes of probability 0.  The
-    register halves as the rows at most double, so the batch never holds
-    more than 2^n amplitudes: one build and 2m batched contractions for m
-    measured vertices, giving each branch the values :func:`run_branch`
-    gives it.
+    A gFlow makes a pattern stepwise deterministic (Browne, Kashefi,
+    Mhalla and Perdrix, NJP 9, 250, 2007): after each measurement the
+    corrected -1 state equals the +1 state up to global phase, so all 2^m
+    branches (``branch_count``) end in the same output.  One walk checks
+    this on one row, which halves at every step: it contracts the row
+    against both bras at once, records |p - 1/2| of each outcome that
+    occurs and, when both occur, the fidelity of the corrected -1 state
+    with the +1 state, then goes on with the normalised +1 state or the
+    only outcome that occurs.  True when every step's fidelity is within
+    ``TOLERANCE`` of 1: ``worst_fidelity`` is per step, not over final
+    outputs, and ``total_probability`` is the product over the steps of
+    (p+) + (p-).  The per-step test is the stronger one: a wrong correction
+    that a later measurement turns into a global phase fails it, though
+    every branch ends in the same output.
     """
-    measured = sorted(gflow.measurement_order)
-    if 2 ** len(measured) > branch_budget:
-        raise _over_budget(f"2^{len(measured)}", "branches", "branches", branch_budget)
+    m = len(gflow.measurement_order)
+    if 2**m > branch_budget:
+        raise _over_budget(f"2^{m}", "branches", "branches", branch_budget)
     rng = np.random.default_rng(seed)
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    state, steps, source = _prepare(
-        graph, gflow, pattern, input_state, dense_limit, range(graph.n)
-    )
-    bit = {v: 1 << pos for pos, v in enumerate(measured)}
-    # Per surviving prefix: outcome mask, probability, worst step deviation.
-    masks = np.zeros(1, dtype=np.int64)
-    probability = np.ones(1)
-    deviation = np.zeros(1)
+    (state,), steps, _ = _prepare(graph, gflow, pattern, input_state, dense_limit, range(graph.n))
+    worst, deviation, total = 1.0, 0.0, 1.0
     for step in steps:
-        plus, plus_prob = _measure(state, step, 0)
-        minus, minus_prob = _measure(state, step, 1)
-        prob = np.concatenate([plus_prob, minus_prob])
-        live = prob > 0.0
-        state = np.concatenate([plus, minus])[live]
-        masks = np.concatenate([masks, masks | bit[step.vertex]])[live]
-        probability = (np.tile(probability, 2) * prob)[live]
-        deviation = np.maximum(np.tile(deviation, 2), np.abs(prob - 0.5))[live]
-    order = np.argsort(masks)
-    outputs = state[order][:, source]
-    fidelity = np.abs(outputs[1:] @ outputs[0].conj()) ** 2
+        # One (2, 2) @ (2, half) product: a batch of (2, 2) @ (2, 2^pos) costs several times more.
+        split = state.reshape(-1, 2, 1 << step.pos).transpose(1, 0, 2).reshape(2, -1)
+        plus, minus = step.bras @ split
+        probs = [float(np.vdot(row, row).real) for row in (plus, minus)]
+        p_plus, p_minus = (p if p >= _ZERO_PROBABILITY else 0.0 for p in probs)
+        if p_minus:
+            minus = apply_word_masks(minus, *step.correction)
+        if p_plus and p_minus:
+            worst = min(worst, float(abs(np.vdot(plus, minus))) ** 2 / (p_plus * p_minus))
+        deviation = max(deviation, *(abs(p - 0.5) for p in (p_plus, p_minus) if p))
+        total *= p_plus + p_minus
+        kept, p = (plus, p_plus) if p_plus else (minus, p_minus)
+        state = kept * (1 / math.sqrt(p))
     return DeterminismReport(
-        ok=not np.any(fidelity < 1.0 - TOLERANCE),
-        worst_fidelity=float(fidelity.min(initial=1.0)),
-        max_probability_deviation=float(deviation.max(initial=0.0)),
-        total_probability=sum(probability[order].tolist()),
-        branch_count=2 ** len(measured),
+        ok=worst >= 1.0 - TOLERANCE,
+        worst_fidelity=worst,
+        max_probability_deviation=deviation,
+        total_probability=total,
+        branch_count=2**m,
     )
 
 

@@ -46,19 +46,20 @@ def structural_entanglement_by_permutations(graph: OpenGraph) -> int:
     return best or 0
 
 
+def reference_ordering_table(values) -> list[int]:
+    """best(S) = max(f(S), min over v in S of best(S - v)), one mask at a time."""
+    n = len(values).bit_length() - 1
+    best = [int(values[0])]
+    for mask in range(1, len(values)):
+        below = min(best[mask & ~(1 << v)] for v in range(n) if (mask >> v) & 1)
+        best.append(max(int(values[mask]), below))
+    return best
+
+
 def reference_structural(graph: OpenGraph) -> int:
     """Subset DP over the masks one at a time, each cut rank from scratch."""
-    if graph.n == 0:
-        return 0
-    full = (1 << graph.n) - 1
-    best = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        rank = mask_cut_rank(graph, mask)
-        prev = min(
-            best[mask & ~(1 << v)] for v in range(graph.n) if (mask >> v) & 1
-        )
-        best[mask] = max(rank, prev)
-    return best[full]
+    ranks = [mask_cut_rank(graph, mask) for mask in range(1 << graph.n)]
+    return reference_ordering_table(ranks)[-1]
 
 
 def reference_width(graph: OpenGraph) -> int:
@@ -156,6 +157,14 @@ class TestKernelsAgainstReferences:
             assert table.tolist() == [
                 mask_cut_rank(graph, mask) for mask in range(1 << graph.n)
             ]
+
+    def test_ordering_table_matches_the_mask_dp(self):
+        # At n = 14 a popcount layer is gathered in several blocks.
+        for graph in seeded_graphs(15, seed=14, n_max=14):
+            table = bounds._cut_rank_table(graph)
+            assert bounds._ordering_table(table).tolist() == reference_ordering_table(table)
+        values = np.random.default_rng(14).integers(0, 40, size=1 << 14)
+        assert bounds._ordering_table(values).tolist() == reference_ordering_table(values)
 
     def test_exact_measures_match_references(self):
         for graph in seeded_graphs(320, seed=5, n_max=9):

@@ -19,10 +19,12 @@ from mbqcflow import (
     verify_gflow,
 )
 from mbqcflow import oracle as oracle_mod
+from mbqcflow.errors import DEFAULT_DENSE_LIMIT
 from mbqcflow.oracle import apply_word_masks, canonical_unitary, measurement_basis, normalize_phase
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
-from conftest import max_deviation_up_to_phase, random_open_graph, sample_graphs_with_gflow
+import oracle_reference
+from conftest import bench_pool, max_deviation_up_to_phase, random_open_graph, sample_graphs_with_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -166,6 +168,22 @@ class TestMeasurementBasis:
         assert max_deviation_up_to_phase(expected_plus, plus) < 1e-12
         expected_minus = np.array([1, -np.exp(1j * theta)]) / np.sqrt(2)
         assert max_deviation_up_to_phase(expected_minus, minus) < 1e-12
+
+    @pytest.mark.parametrize("plane", list(Plane))
+    def test_rows_match_the_numpy_closed_form(self, plane):
+        # The basis is built from Python scalars; numpy arrays gave the same rows.
+        for angle in np.linspace(-2 * np.pi, 2 * np.pi, 73):
+            if plane is Plane.XY:
+                phase = np.exp(1j * angle)
+                expected = np.array([[1.0, phase], [1.0, -phase]]) / np.sqrt(2)
+            else:
+                half = np.pi / 4 - angle / 2
+                c, s = np.cos(half), np.sin(half)
+                p = 1.0 if plane is Plane.XZ else 1j
+                expected = np.array([[c, p * s], [s, -p * c]])
+            basis = measurement_basis(plane, angle)
+            assert basis.shape == (2, 2) and basis.dtype == complex
+            assert np.max(np.abs(basis - expected)) <= 1e-15, angle
 
 
 class TestMeasurementBasisEigenvalues:
@@ -431,7 +449,12 @@ class TestRunBranchAgainstReference:
             report = check_determinism(graph, gflow, pattern, seed=seed)
             expected = determinism_from_branches(graph, gflow, pattern, seed)
             assert (report.ok, report.branch_count) == (expected.ok, expected.branch_count)
-            for field in ("worst_fidelity", "max_probability_deviation", "total_probability"):
+            # The walk's worst fidelity is per step, the branches' over final
+            # outputs: both read 1 where the pattern is deterministic.
+            fields = ["max_probability_deviation", "total_probability"]
+            if report.ok:
+                fields.append("worst_fidelity")
+            for field in fields:
                 assert abs(getattr(report, field) - getattr(expected, field)) < 1e-12
 
     @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES + UNITARY_CASES)
@@ -484,6 +507,63 @@ class TestRunBranchAgainstReference:
                 assert [state is None for _, state in branches].count(True) == 1
             else:
                 assert verify_gflow(graph, gflow) == []
+
+
+def _corrupted_gflows():
+    """Seeded gFlows with one non-input toggled in one correcting set, at random angles."""
+    rng = np.random.default_rng(31)
+    sources = [(inst.graph, inst.gflow) for inst in bench_pool("exact-small", 1)]
+    sources += sample_graphs_with_gflow(40, seed=31, n_max=8)
+    cases = []
+    for graph, gflow in sources:
+        if not gflow.corrections:
+            continue
+        v = int(rng.choice(sorted(gflow.corrections)))
+        w = int(rng.choice(sorted(set(range(graph.n)) - graph.input_set)))
+        corrections = {**gflow.corrections, v: gflow.corrections[v] ^ {w}}
+        angles = {u: float(rng.uniform(0, 2 * np.pi)) for u in graph.measured}
+        cases.append((
+            graph, GFlow(corrections, gflow.layers, gflow.planes), MeasurementPattern(angles, gflow.planes),
+        ))
+    return cases
+
+
+class TestWalkAgainstBatch:
+    """The walk gives the verdict of the branch batch it replaced (``tests/oracle_reference.py``)."""
+
+    @staticmethod
+    def same_verdict(graph, gflow, pattern, seed=0):
+        walk = check_determinism(graph, gflow, pattern, seed=seed)
+        batch = oracle_reference.check_determinism(graph, gflow, pattern, seed=seed)
+        assert (walk.ok, walk.branch_count) == (batch.ok, batch.branch_count)
+        if walk.ok:
+            for field in ("max_probability_deviation", "total_probability"):
+                assert abs(getattr(walk, field) - getattr(batch, field)) < 1e-12
+        return walk.ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_exact_small_pools(self, seed):
+        for inst in bench_pool("exact-small", seed):
+            assert self.same_verdict(inst.graph, inst.gflow, inst.pattern)
+
+    @pytest.mark.parametrize("graph,gflow,pattern", DIFFERENTIAL_CASES)
+    def test_oracle_cases(self, graph, gflow, pattern):
+        for seed in (0, 5):
+            self.same_verdict(graph, gflow, pattern, seed)
+
+    def test_seeded_corrupted_gflows(self):
+        verdicts = [self.same_verdict(*case, seed=3) for case in _corrupted_gflows()]
+        assert verdicts.count(False) > len(verdicts) // 2
+
+    def test_walk_is_stricter_than_final_outputs(self):
+        # g(0) is empty, so after a -1 outcome at 0 the state keeps Z on 1, and
+        # the walk rejects step 0.  YZ at pi/2 measures Z, which turns that Z
+        # into a sign, so every branch still ends in the same output.
+        graph = OpenGraph(n=3, edges=[(0, 1), (1, 2)], inputs=(0,), outputs=(2,))
+        gflow = GFlow({0: set(), 1: {1, 2}}, [{0}, {1}, {2}], {1: Plane.YZ})
+        pattern = MeasurementPattern({0: np.pi / 2, 1: np.pi / 2}, {1: Plane.YZ})
+        assert oracle_reference.check_determinism(graph, gflow, pattern).ok
+        assert not check_determinism(graph, gflow, pattern).ok
 
 
 class TestRunBranch:
@@ -655,21 +735,41 @@ class TestCheckDeterminism:
         [(path_graph(5), path_flow(5)), (cluster_graph(2, 4), cluster_row_flow(2, 4))],
         ids=["path-5", "cluster-2x4"],
     )
-    def test_one_batched_contraction_per_step_and_outcome(self, graph, gflow, monkeypatch):
-        # Each step measures every surviving prefix with both outcomes, one
-        # call per outcome, and the batch never outgrows the built state.
-        sizes = []
-        measure = oracle_mod._measure
+    def test_one_contraction_per_step_on_a_halving_row(self, graph, gflow, monkeypatch):
+        # The walk holds one row and contracts it once per step against both
+        # bras; it never measures a batch of branches.
+        shapes = []
 
-        def counting(state, step, outcome):
-            sizes.append(state.size)
-            return measure(state, step, outcome)
+        class CountingBras(np.ndarray):
+            def __matmul__(self, other):
+                shapes.append(other.shape)
+                return np.asarray(self) @ other
 
-        monkeypatch.setattr(oracle_mod, "_measure", counting)
+        prepare = oracle_mod._prepare
+
+        def counting(*args):
+            state, steps, source = prepare(*args)
+            return state, [s._replace(bras=s.bras.view(CountingBras)) for s in steps], source
+
+        monkeypatch.setattr(oracle_mod, "_prepare", counting)
+        monkeypatch.setattr(oracle_mod, "_measure", None)
         pat = MeasurementPattern(angles={v: 0.4 + v for v in graph.measured})
         assert check_determinism(graph, gflow, pat, seed=1).ok
-        assert len(sizes) == 2 * len(graph.measured)
-        assert max(sizes) <= 1 << graph.n
+        assert shapes == [(2, 1 << (graph.n - 1 - t)) for t in range(len(graph.measured))]
+
+    def test_dense_limit_cluster(self):
+        # cluster 2x7 holds the most qubits the default dense limit allows.
+        graph, gflow = cluster_graph(2, 7), cluster_row_flow(2, 7)
+        assert (graph.n, len(graph.measured)) == (DEFAULT_DENSE_LIMIT, 12)
+        rng = np.random.default_rng(14)
+        pattern = MeasurementPattern({v: float(rng.uniform(0, 2 * np.pi)) for v in graph.measured})
+        report = check_determinism(graph, gflow, pattern, seed=1)
+        assert report.ok and report.branch_count == 1 << 12
+        assert abs(report.total_probability - 1.0) < 1e-9
+        # g(0) = {2} is not oddly connected to 0, so it cannot undo step 0.
+        corrupted = GFlow({**gflow.corrections, 0: {2}}, gflow.layers)
+        assert [v.vertex for v in verify_gflow(graph, corrupted)] == [0]
+        assert not check_determinism(graph, corrupted, pattern, seed=1).ok
 
     def test_measured_vertex_without_a_correcting_set_is_rejected(self):
         # Every step of the oracle has a correction, because a gFlow that
