@@ -2,26 +2,30 @@
 
 Everything here works on explicit complex amplitude vectors: open graph
 states are built by applying CZ along every edge, and a branch measures
-the qubits in gflow order.  Measuring a qubit contracts it against the
-conjugated closed-form basis vector of its outcome, so the register
-halves at every step and what is left at the end is the output register;
-the gflow correction of a -1 outcome acts on the qubits still held.
-Each state is built once.  ``run_branch`` runs one branch as a batch of
-one row.  ``check_determinism`` walks the gflow order once, on one row:
-each step contracts it against both outcomes' bras in one product,
-checks that the corrected -1 state equals the +1 state, and goes on with
-one of them.  Stepwise determinism makes that one walk as good as
-comparing all 2^m branches.  ``oracle_unitary`` runs the all-+1 branch on
-the open graph state with its input legs left open: the state built with
-|+> on every qubit holds one row per assignment of the input bits, over a
-register of the n - k non-input qubits.  A measured input then only
-scales each row by its bra's entry at the row's bit, so the unitary costs
-one build and one contraction per measured non-input qubit, each on 2^n
-amplitudes, where one run per basis input would hold 2^k times as many.
-``run_branch`` and ``oracle_unitary`` take the same measurement step.  A
-correction, X on g(v) and Z on Odd(g(v)) (``flow.correction_masks``),
-acts on the held qubits as raw bitmasks (global phase dropped), keeping
-this module independent of the symbolic Pauli machinery it validates.
+the qubits in gflow order.  Each state is built once and laid out once:
+from bit 0 up the register holds the outputs in output order, then the
+measured qubits in reverse gflow order, so every measurement contracts
+the top bit of what is left against the conjugated closed-form basis
+vector of its outcome.  The register halves at every step and what is
+left at the end is the output register, output k at bit k; the gflow
+correction of a -1 outcome acts on the bits below the one measured.
+``run_branch`` runs one branch as a batch of one row.
+``check_determinism`` walks the gflow order once, on one row: each step
+contracts it against both outcomes' bras in one product, checks that the
+corrected -1 state equals the +1 state, and goes on with one of them.
+Stepwise determinism makes that one walk as good as comparing all 2^m
+branches.  ``oracle_unitary`` runs the all-+1 branch on the open graph
+state with its input legs left open: laid out with the inputs on the top
+bits, the state built with |+> on every qubit holds one row per
+assignment of the input bits, over a register of the n - k non-input
+qubits.  A measured input then only scales each row by its bra's entry
+at the row's bit, so the unitary costs one build and one contraction per
+measured non-input qubit, each on 2^n amplitudes, where one run per basis
+input would hold 2^k times as many.  ``run_branch`` and
+``oracle_unitary`` take the same measurement step.  A correction, X on
+g(v) and Z on Odd(g(v)) (``flow.correction_masks``), acts on the bits
+left as raw bitmasks (global phase dropped), keeping this module
+independent of the symbolic Pauli machinery it validates.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,12 +125,17 @@ class _Step(NamedTuple):
     """One measurement, fixed before any amplitude is touched."""
 
     vertex: int
-    #: Bit of ``vertex`` in the register it is measured from.
-    pos: int
     #: Conjugated basis vectors as rows: the +1 outcome's, then the -1 outcome's.
     bras: np.ndarray
-    #: X/Z masks of the -1 correction on the bits left after the step.
+    #: X/Z masks of the -1 correction on the bits below the measured one.
     correction: tuple[int, int]
+
+
+def _lay_out(state: np.ndarray, layout: Sequence[int], top: int) -> np.ndarray:
+    """``state`` with bit p holding qubit ``layout[p]``, as 2^top rows of its top bits."""
+    n = len(layout)
+    axes = [n - 1 - q for q in reversed(layout)]
+    return state.reshape((2,) * n).transpose(axes).reshape(1 << top, -1)
 
 
 def _prepare(
@@ -135,65 +144,55 @@ def _prepare(
     pattern: MeasurementPattern,
     input_state: np.ndarray | None,
     dense_limit: int,
-    register: Iterable[int],
-) -> tuple[np.ndarray, list[_Step], np.ndarray]:
+    rows: Sequence[int] = (),
+) -> tuple[np.ndarray, list[_Step]]:
     """The checks every path runs, the built state and the measurement plan.
 
     Checks the gflow's layer shape with ``flow._check_gflow_shape``, as
     :func:`~.flow.verify_gflow` does, so the rounds measure exactly the
     non-output vertices; then that the pattern fits the gflow and, before
     building anything exponential, that the state fits the dense limit.
-    Returns the built state as a batch of one row, the measurement plan of
-    a register that holds ``register``'s vertices from bit 0 up, and the
-    index array that reorders the register the last step leaves so that
-    output k sits at bit k.  The plan has one step per vertex of
-    ``gflow.measurement_order`` in the register; an output outside it
-    adds no bit to the index.
+    Returns the built state, laid out once, and one step per vertex of
+    ``gflow.measurement_order`` outside ``rows``.  From bit 0 up the
+    register holds the outputs outside ``rows`` in output order, then the
+    steps' vertices in reverse order, then ``rows``, whose bits index the
+    batch rows.  So each step measures the top bit of what is left of a
+    row, and the last step leaves output k at bit k.
     """
     _check_gflow_shape(graph, gflow)
     check_pattern(gflow, pattern)
-    state = build_open_graph_state(graph, input_state, dense_limit)[None]
-    held = list(register)  # held[k] is the vertex at bit k
-    steps = []
-    for v in gflow.measurement_order:
-        if v not in held:
-            continue
-        pos = held.index(v)
-        del held[pos]
-        x_mask, z_mask = correction_masks(graph, gflow, v)
-        correction = (_on_held(x_mask, held), _on_held(z_mask, held))
-        bras = measurement_basis(pattern.planes[v], pattern.angles[v]).conj()
-        steps.append(_Step(v, pos, bras, correction))
-    out = np.arange(1 << len(graph.outputs))
-    source = np.zeros_like(out)
-    for k, q in enumerate(graph.outputs):
-        if q in held:
-            source |= ((out >> k) & 1) << held.index(q)
-    return state, steps, source
+    order = [v for v in gflow.measurement_order if v not in rows]
+    layout = [q for q in graph.outputs if q not in rows] + order[::-1] + list(rows)
+    state = _lay_out(build_open_graph_state(graph, input_state, dense_limit), layout, len(rows))
+    # bit[q] is vertex q's register bit; each correction keeps the bits below its step's.
+    bit = np.zeros(graph.n, dtype=np.int64)
+    bit[layout] = 1 << np.arange(graph.n)
+    masks = np.array([correction_masks(graph, gflow, v) for v in order], dtype=np.int64)
+    relabelled = (((masks.reshape(-1, 2, 1) >> np.arange(graph.n)) & 1) * bit).sum(axis=-1)
+    corrections = (relabelled & (bit[order] - 1)[:, None]).tolist()
+    steps = [
+        _Step(v, measurement_basis(pattern.planes[v], pattern.angles[v]).conj(), tuple(c))
+        for v, c in zip(order, corrections)
+    ]
+    return state, steps
 
 
 def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``step.vertex`` of every row of ``state`` with the given outcome.
+    """Measure ``step.vertex``, the top bit of every row of ``state``, with the given outcome.
 
-    Contracts the vertex against its outcome's basis vector, which drops
-    its bit, normalises each row and, after a -1 outcome, applies the
-    gflow correction.  Returns the new batch and the step probability of
-    each row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its
-    row is left unnormalised.
+    Contracts the top bit against its outcome's basis vector, which drops
+    it, normalises each row and, after a -1 outcome, applies the gflow
+    correction.  Returns the new batch and the step probability of each
+    row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its row
+    is left unnormalised.
     """
-    rows = len(state)
-    state = (step.bras[outcome] @ state.reshape(rows, -1, 2, 1 << step.pos)).reshape(rows, -1)
+    state = step.bras[outcome] @ state.reshape(len(state), 2, -1)
     prob = np.linalg.norm(state, axis=-1) ** 2
     prob[prob < _ZERO_PROBABILITY] = 0.0
     state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
     if outcome == 1 and prob.any():
         state = apply_word_masks(state, *step.correction)
     return state, prob
-
-
-def _on_held(mask: int, held: list[int]) -> int:
-    """``mask`` restricted to the held vertices, re-indexed to their bits."""
-    return sum(1 << k for k, q in enumerate(held) if (mask >> q) & 1)
 
 
 @dataclass(frozen=True)
@@ -226,9 +225,7 @@ def run_branch(
     reference that the determinism walk and the unitary batch are tested
     against.
     """
-    state, steps, source = _prepare(
-        graph, gflow, pattern, input_state, dense_limit, range(graph.n)
-    )
+    state, steps = _prepare(graph, gflow, pattern, input_state, dense_limit)
     missing = set(gflow.measurement_order) - set(branch_bits)
     if missing:
         raise ValueError(f"branch bits missing for vertices {sorted(missing)}")
@@ -245,7 +242,7 @@ def run_branch(
         outcomes=outcomes,
         step_probabilities=tuple(step_probs),
         probability=float(np.prod(step_probs)),
-        output_state=state[0, source] if all(step_probs) else None,
+        output_state=state[0] if all(step_probs) else None,
     )
 
 
@@ -334,12 +331,10 @@ def check_determinism(
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    (state,), steps, _ = _prepare(graph, gflow, pattern, input_state, dense_limit, range(graph.n))
+    (state,), steps = _prepare(graph, gflow, pattern, input_state, dense_limit)
     worst, deviation, total = 1.0, 0.0, 1.0
     for step in steps:
-        # One (2, 2) @ (2, half) product: a batch of (2, 2) @ (2, 2^pos) costs several times more.
-        split = state.reshape(-1, 2, 1 << step.pos).transpose(1, 0, 2).reshape(2, -1)
-        plus, minus = step.bras @ split
+        plus, minus = step.bras @ state.reshape(2, -1)
         probs = [float(np.vdot(row, row).real) for row in (plus, minus)]
         p_plus, p_minus = (p if p >= _ZERO_PROBABILITY else 0.0 for p in probs)
         if p_minus:
@@ -381,24 +376,27 @@ def oracle_unitary(
     step probability the entry's squared modulus, and an input that is an
     output keeps its row's bit.  :func:`_check_unitary` checks the
     registers before anything else, and the unitary's size after the
-    dense state and before the rows are laid out.
+    dense state and before the first contraction.
     """
     k = len(graph.inputs)
     _check_unitary(k, len(graph.outputs))
-    register = [v for v in range(graph.n) if v not in graph.input_set]
-    built, steps, source = _prepare(graph, gflow, pattern, None, dense_limit, register)
+    state, steps = _prepare(graph, gflow, pattern, None, dense_limit, graph.inputs)
     _check_unitary(k, k, dense_limit)
-    # Row x holds the amplitudes whose input bits read x (input p at bit p
-    # of x), scaled so that each row, a basis input's state, has norm 1.
-    axes = [graph.n - 1 - v for v in (*reversed(graph.inputs), *reversed(register))]
-    state = built[0].reshape((2,) * graph.n).transpose(axes).reshape(1 << k, -1)
+    # Scaled so that each row, a basis input's state, has norm 1.
     state *= 2.0 ** (k / 2)
     amp = np.ones(1 << k, dtype=complex)
     for step in steps:
         state, prob = _measure(state, step, 0)
         amp *= np.sqrt(prob)
     x = np.arange(1 << k)
-    columns = state[:, source].T
+    columns = state.T
+    if graph.input_set & graph.output_set:
+        # The register left holds the other outputs, in output order.
+        kept = [b for b, q in enumerate(graph.outputs) if q not in graph.input_set]
+        source = np.zeros_like(x)
+        for pos, b in enumerate(kept):
+            source |= ((x >> b) & 1) << pos
+        columns = columns[source]
     for pos, v in enumerate(graph.inputs):
         bit = (x >> pos) & 1
         if v in graph.output_set:
@@ -427,9 +425,7 @@ def schmidt_rank_log2(state: np.ndarray, n: int, side: Iterable[int]) -> int:
     """
     side_list = sorted(set(side))
     other = [q for q in range(n) if q not in side_list]
-    # Row bit p is side_list[p] and column bit p is other[p], as in oracle_unitary.
-    axes = [n - 1 - q for q in (*reversed(side_list), *reversed(other))]
-    mat = state.reshape((2,) * n).transpose(axes).reshape(1 << len(side_list), -1)
+    mat = _lay_out(state, other + side_list, len(side_list))
     singular = np.linalg.svd(mat, compute_uv=False)
     top = singular[0] if singular.size else 0.0
     if top == 0.0:

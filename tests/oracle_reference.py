@@ -1,23 +1,114 @@
-"""The determinism check as it was before it became a walk along the gFlow order.
+"""The oracle as it was before its register was laid out once.
 
 ``check_determinism`` measured every surviving outcome prefix with both
 outcomes at each step and compared all 2^m outputs against the first
 surviving branch.  It is kept verbatim, so the differential tests in
 ``tests/test_oracle.py`` can require the walk to give the same verdict,
-branch count and probabilities.  The helpers it calls, ``_prepare`` and
-``_measure``, are imported from the library; ``run_branch`` and
-``oracle_unitary`` still use them.
+branch count and probabilities.  So are the helpers it calls: ``_prepare``
+kept the built state in vertex order and gave each step the bit of its
+vertex in the register left (``_Step.pos``), ``_measure`` contracted that
+bit wherever it sat, and ``_on_held`` re-indexed each correction to the
+bits still held.  The library now lays the register out once, so the two
+sides compare independent layouts.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, NamedTuple
+
 import numpy as np
 
 from mbqcflow.errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT, _over_budget
-from mbqcflow.flow import GFlow
+from mbqcflow.flow import GFlow, _check_gflow_shape, check_pattern, correction_masks
 from mbqcflow.graph import OpenGraph
-from mbqcflow.oracle import TOLERANCE, DeterminismReport, _measure, _prepare
+from mbqcflow.oracle import (
+    _ZERO_PROBABILITY,
+    TOLERANCE,
+    DeterminismReport,
+    apply_word_masks,
+    build_open_graph_state,
+    measurement_basis,
+)
 from mbqcflow.pattern import MeasurementPattern
+
+
+class _Step(NamedTuple):
+    """One measurement, fixed before any amplitude is touched."""
+
+    vertex: int
+    #: Bit of ``vertex`` in the register it is measured from.
+    pos: int
+    #: Conjugated basis vectors as rows: the +1 outcome's, then the -1 outcome's.
+    bras: np.ndarray
+    #: X/Z masks of the -1 correction on the bits left after the step.
+    correction: tuple[int, int]
+
+
+def _prepare(
+    graph: OpenGraph,
+    gflow: GFlow,
+    pattern: MeasurementPattern,
+    input_state: np.ndarray | None,
+    dense_limit: int,
+    register: Iterable[int],
+) -> tuple[np.ndarray, list[_Step], np.ndarray]:
+    """The checks every path runs, the built state and the measurement plan.
+
+    Checks the gflow's layer shape with ``flow._check_gflow_shape``, as
+    :func:`~.flow.verify_gflow` does, so the rounds measure exactly the
+    non-output vertices; then that the pattern fits the gflow and, before
+    building anything exponential, that the state fits the dense limit.
+    Returns the built state as a batch of one row, the measurement plan of
+    a register that holds ``register``'s vertices from bit 0 up, and the
+    index array that reorders the register the last step leaves so that
+    output k sits at bit k.  The plan has one step per vertex of
+    ``gflow.measurement_order`` in the register; an output outside it
+    adds no bit to the index.
+    """
+    _check_gflow_shape(graph, gflow)
+    check_pattern(gflow, pattern)
+    state = build_open_graph_state(graph, input_state, dense_limit)[None]
+    held = list(register)  # held[k] is the vertex at bit k
+    steps = []
+    for v in gflow.measurement_order:
+        if v not in held:
+            continue
+        pos = held.index(v)
+        del held[pos]
+        x_mask, z_mask = correction_masks(graph, gflow, v)
+        correction = (_on_held(x_mask, held), _on_held(z_mask, held))
+        bras = measurement_basis(pattern.planes[v], pattern.angles[v]).conj()
+        steps.append(_Step(v, pos, bras, correction))
+    out = np.arange(1 << len(graph.outputs))
+    source = np.zeros_like(out)
+    for k, q in enumerate(graph.outputs):
+        if q in held:
+            source |= ((out >> k) & 1) << held.index(q)
+    return state, steps, source
+
+
+def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``step.vertex`` of every row of ``state`` with the given outcome.
+
+    Contracts the vertex against its outcome's basis vector, which drops
+    its bit, normalises each row and, after a -1 outcome, applies the
+    gflow correction.  Returns the new batch and the step probability of
+    each row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its
+    row is left unnormalised.
+    """
+    rows = len(state)
+    state = (step.bras[outcome] @ state.reshape(rows, -1, 2, 1 << step.pos)).reshape(rows, -1)
+    prob = np.linalg.norm(state, axis=-1) ** 2
+    prob[prob < _ZERO_PROBABILITY] = 0.0
+    state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
+    if outcome == 1 and prob.any():
+        state = apply_word_masks(state, *step.correction)
+    return state, prob
+
+
+def _on_held(mask: int, held: list[int]) -> int:
+    """``mask`` restricted to the held vertices, re-indexed to their bits."""
+    return sum(1 << k for k, q in enumerate(held) if (mask >> q) & 1)
 
 
 def check_determinism(

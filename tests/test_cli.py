@@ -581,6 +581,36 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == "budget exceeded: memory ran out within --budget-dense 28\n"
 
+    def test_exact_bounds_at_the_width_budget_fit_the_bench_address_space(self, tmp_path, capsys):
+        # The width DP keeps its split tables for the largest vertex count it
+        # has run, up to --budget-width 16, where they hold 43 MB.  The kept
+        # table must fit the bench's address-space limit (2 GiB, one BLAS
+        # thread), so bounds runs in a child under that limit on the
+        # 16-vertex 4x4 cluster.
+        resource = pytest.importorskip("resource")
+        argv = ["graph", "gen", "cluster", "--rows", "4", "--cols", "4", "--with-gflow"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        for name in ("graph", "gflow"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload[name]))
+        limit = 2 << 30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(mbqcflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbqcflow.cli", "bounds", "--graph", "graph.json",
+             "--gflow", "gflow.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bounds = json.loads(proc.stdout)
+        assert (bounds["chi_wd_exact"], bounds["e_struc_exact"]) == (3, 4)
+
     @pytest.mark.parametrize(
         "graph, code", [(path_graph(3), 0), (bottleneck_graph(), 1)], ids=["ok", "domain"]
     )
