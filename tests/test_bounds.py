@@ -28,6 +28,7 @@ from mbqcflow.fixtures import (
 
 from conftest import (
     flow_scan_graphs,
+    local_complement,
     random_open_graph,
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
@@ -158,6 +159,15 @@ class TestKernelsAgainstReferences:
                 mask_cut_rank(graph, mask) for mask in range(1 << graph.n)
             ]
 
+    def test_cut_rank_table_across_blocks(self):
+        # At n = 15 the 2^14 masks without the top vertex are eliminated
+        # in two blocks of bounds._GATHER_BLOCK.
+        (graph,) = (g for g in seeded_graphs(16, seed=15, n_max=15) if g.n == 15)
+        assert (1 << (graph.n - 1)) // bounds._GATHER_BLOCK == 2
+        table = bounds._cut_rank_table(graph)
+        assert table.dtype == np.int8
+        assert table.tolist() == [mask_cut_rank(graph, mask) for mask in range(1 << graph.n)]
+
     def test_ordering_table_matches_the_mask_dp(self):
         # At n = 14 a popcount layer is gathered in several blocks.
         for graph in seeded_graphs(15, seed=14, n_max=14):
@@ -207,6 +217,29 @@ class TestKernelsAgainstReferences:
                 identity,
                 prefix_crossing(crossing_matrix(k, pairs), identity),
             )
+
+
+class TestLocalComplementation:
+    """Local complementation keeps every cut rank, so both exact measures too.
+
+    No oracle is needed, so the check reaches n = 16, past the cut-rank
+    table's first block boundary (n = 15).  The table is compared after
+    complementing at every vertex.  The measures read nothing of a graph
+    but its table, so they are compared at one seeded vertex per graph:
+    at every vertex the width alone would add about 5 s.
+    """
+
+    def test_tables_and_measures_are_kept(self):
+        rng = np.random.default_rng(23)
+        for n in [8 + i % 7 for i in range(40)] + [15, 16]:
+            graph = random_open_graph(rng, n_min=n, n_max=n, with_io=False)
+            table = bounds._cut_rank_table(graph).tolist()
+            for v in range(graph.n):
+                complemented = local_complement(graph, v)
+                assert bounds._cut_rank_table(complemented).tolist() == table, (graph.n, v)
+            complemented = local_complement(graph, int(rng.integers(graph.n)))
+            for measure in (structural_entanglement_exact, entanglement_width_exact):
+                assert measure(complemented) == measure(graph), (graph.n, measure.__name__)
 
 
 def drop_held_tables(monkeypatch):

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import mbqcflow
+from mbqcflow import flow
 from mbqcflow.cli import build_parser, run_command
 from mbqcflow.errors import DeterminismError, FlowConsistencyError
 from mbqcflow.fixtures import (
@@ -20,6 +23,8 @@ from mbqcflow.fixtures import (
     path_flow,
     path_graph,
 )
+
+from conftest import count_product_merges
 
 SHOW_BAD_GRAPH = ["graph", "show", "--graph", "bad.json"]
 VERIFY_BAD_GFLOW = ["flow", "verify", "--graph", "g.json", "--gflow", "bad.json"]
@@ -612,20 +617,27 @@ class TestExitCodes:
         assert (bounds["chi_wd_exact"], bounds["e_struc_exact"]) == (3, 4)
 
     @pytest.mark.parametrize(
-        "graph, code", [(path_graph(3), 0), (bottleneck_graph(), 1)], ids=["ok", "domain"]
+        "argv, code",
+        [
+            (["flow", "find", "--graph", "path3.json"], 0),
+            (["flow", "find", "--graph", "bottleneck.json"], 1),
+            (["graph", "gen", "cluster", "--rows", "6", "--cols", "30", "--with-gflow"], 0),
+        ],
+        ids=["ok", "domain", "generated"],
     )
-    def test_a_closed_stdout_keeps_the_exit_code(self, tmp_path, graph, code):
+    def test_a_closed_stdout_keeps_the_exit_code(self, tmp_path, argv, code):
         # The reader closes its end before the child writes, as `| head -c 10`
         # does before a long payload ends: the command's own exit code, and
         # nothing on stderr (no usage error, no "Exception ignored").
-        (tmp_path / "g.json").write_text(graph.to_json())
+        (tmp_path / "path3.json").write_text(path_graph(3).to_json())
+        (tmp_path / "bottleneck.json").write_text(bottleneck_graph().to_json())
         src = str(Path(mbqcflow.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "mbqcflow.cli", "flow", "find", "--graph", "g.json"],
+                [sys.executable, "-m", "mbqcflow.cli", *argv],
                 cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
                 timeout=60,
             )
@@ -719,9 +731,6 @@ class TestSharedRules:
         # Random angles on the 8x7 cluster once ran every round, for
         # seconds, to stop on --budget-terms; its 16 qubits are over
         # --budget-dense from the start.
-        import math
-        import random
-
         argv = ["graph", "gen", "cluster", "--rows", "8", "--cols", "7", "--with-gflow"]
         code, payload = run_json(capsys, argv)
         assert code == 0
@@ -870,6 +879,109 @@ class TestCommands:
         assert sim["unitary"] == [[[1.0, 0.0]]]
         code, orc = run_json(capsys, ["oracle", "unitary", *files])
         assert (code, orc["unitary"]) == (0, sim["unitary"])
+
+    def test_the_6x30_cluster_at_the_bench_grid_size(self, capsys, tmp_path, monkeypatch):
+        """The wide gFlow of the 6x30 cluster, and two one-edge changes to it.
+
+        The wide gFlow verifies, and one edge (74, 76), two columns along
+        row 2, leaves no gFlow.  The wide gFlow is causal, so flow report
+        takes its wires from the correcting sets.  With one more edge
+        (74, 135), the gFlow that flow find returns corrects one vertex
+        with two, and flow report takes the wires from the max-flow.  Both
+        reports give 6 vertex-disjoint wires along edges, one from each
+        input to an output.
+        """
+        monkeypatch.chdir(tmp_path)
+        argv = ["graph", "gen", "cluster", "--rows", "6", "--cols", "30", "--with-gflow",
+                "--gflow-variant", "wide"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        graph = payload["graph"]
+        files = {
+            "c630-graph.json": graph,
+            "c630-gflow.json": payload["gflow"],
+            "c630-broken.json": {**graph, "edges": [*graph["edges"], [74, 76]]},
+            "c630-long.json": {**graph, "edges": [*graph["edges"], [74, 135]]},
+        }
+        for name, data in files.items():
+            Path(name).write_text(json.dumps(data))
+        code, verified = run_json(
+            capsys, ["flow", "verify", "--graph", "c630-graph.json", "--gflow", "c630-gflow.json"]
+        )
+        assert (code, verified["valid"]) == (0, True)
+        code, broken = run_json(capsys, ["flow", "find", "--graph", "c630-broken.json"])
+        assert (code, broken["gflow"]) == (1, None)
+        code, found = run_json(capsys, ["flow", "find", "--graph", "c630-long.json"])
+        assert code == 0
+        assert max(map(len, found["gflow"]["g"].values())) == 2
+        Path("c630-long-gflow.json").write_text(json.dumps(found["gflow"]))
+
+        max_flows, max_flow_successors = [], flow._max_flow_successors
+
+        def spied_max_flow(graph):
+            max_flows.append(graph)
+            return max_flow_successors(graph)
+
+        monkeypatch.setattr(flow, "_max_flow_successors", spied_max_flow)
+        for g, f, max_flow_calls in (
+            ("c630-graph.json", "c630-gflow.json", 0),
+            ("c630-long.json", "c630-long-gflow.json", 1),
+        ):
+            max_flows.clear()
+            code, report = run_json(capsys, ["flow", "report", "--graph", g, "--gflow", f])
+            assert code == 0
+            assert len(max_flows) == max_flow_calls, g
+            data = files[g]
+            wires = report["wires"]["wires"]
+            on_wires = [v for wire in wires for v in wire]
+            edges = {frozenset(edge) for edge in data["edges"]}
+            assert len(wires) == 6 and len(on_wires) == len(set(on_wires)), g
+            assert sorted(wire[0] for wire in wires) == sorted(data["inputs"]), g
+            assert {wire[-1] for wire in wires} <= set(data["outputs"]), g
+            assert all(frozenset(e) in edges for wire in wires for e in zip(wire, wire[1:])), g
+
+    @pytest.mark.parametrize(
+        "rows, cols, seed, clifford",
+        [(2, 5, 7, False), (2, 5, 11, True), (3, 4, 2, True)],
+        ids=["2x5-random", "2x5-clifford", "3x4-clifford"],
+    )
+    def test_seeded_cluster_patterns_match_the_oracle(
+        self, capsys, tmp_path, monkeypatch, rows, cols, seed, clifford
+    ):
+        """simulate prints oracle unitary's unitary, entry by entry, within 1e-9.
+
+        Random angles on the 2x5 cluster make simulate multiply Pauli sums
+        in its corrections.  Multiples of pi/2 keep every logical one Pauli
+        word, so each round is one call of the one-word kernel.  In both
+        Clifford unitaries row 0 of the first column is 0, so simulate
+        projects e_0 to nothing and takes that column from e_1.
+        """
+        monkeypatch.chdir(tmp_path)
+        argv = ["graph", "gen", "cluster", "--rows", str(rows), "--cols", str(cols), "--with-gflow"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        rng = random.Random(seed)
+        measured = sorted(payload["gflow"]["g"], key=int)
+        if clifford:
+            angles = {v: rng.randrange(4) * math.pi / 2 for v in measured}
+        else:
+            angles = {v: rng.uniform(0, 2 * math.pi) for v in measured}
+        for name, data in (("g", payload["graph"]), ("f", payload["gflow"]), ("p", {"angles": angles})):
+            Path(f"{name}.json").write_text(json.dumps(data))
+        files = ["--graph", "g.json", "--gflow", "f.json", "--pattern", "p.json"]
+        merges = count_product_merges(monkeypatch)
+        code, sim = run_json(capsys, ["simulate", *files, *(["--report-terms"] if clifford else [])])
+        assert code == 0
+        code, orc = run_json(capsys, ["oracle", "unitary", *files])
+        assert code == 0
+        u, v = (np.array(out["unitary"]) @ [1, 1j] for out in (sim, orc))
+        assert u.shape == v.shape == (1 << rows, 1 << rows)
+        assert np.abs(u - v).max() <= 1e-9
+        if clifford:
+            assert set(sim["term_counts"].values()) == {1}
+            assert abs(u[0, 0]) < 1e-12
+        else:
+            assert sum(merges.values()) > 0
 
     def test_oracle_run_branch(self, capsys, path5_files):
         g, f, p = path5_files

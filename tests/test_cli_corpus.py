@@ -147,6 +147,15 @@ def write_inputs(directory: Path) -> list[list[str]]:
         ["bounds", "--graph", "cluster3x3.json", "--budget-width", "-1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-width", "0"],
     ]
+    # A gFlow of path3 with no correcting set for the measured vertex 1
+    # cannot be loaded, so even graph dot, which checks no gFlow rule,
+    # exits 2.  Without options, graph gen builds its builder's defaults.
+    files["path3-short.json"] = {"g": {"0": [1]}, "layers": [[0], [1], [2]]}
+    argvs += [
+        ["graph", "dot", "--graph", "path3.json", "--gflow", "path3-short.json"],
+        ["graph", "gen", "path"],
+        ["graph", "gen", "cluster"],
+    ]
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)
         (directory / name).write_text(text, encoding="utf-8")
@@ -186,6 +195,15 @@ def test_cli_corpus_keeps_its_table(corpus):
     assert [row["argv"] for row in rows] == [row["argv"] for row in expected]
     for row, want in zip(rows, expected):
         assert row == want, " ".join(row["argv"])
+
+
+def test_graph_gen_without_options_builds_the_builder_defaults(corpus):
+    # path's builder makes 5 vertices and cluster's 2x3, so 6.
+    printed = {tuple(row["argv"]): out for row, out in corpus}
+    for fixture, options, n in (("path", ("--n", "5"), 5), ("cluster", ("--rows", "2", "--cols", "3"), 6)):
+        default = printed["graph", "gen", fixture]
+        assert json.loads(default)["graph"]["n"] == n
+        assert default == printed[("graph", "gen", fixture, *options)]
 
 
 def test_simulate_prints_the_oracle_unitary(corpus):

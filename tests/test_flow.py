@@ -36,7 +36,7 @@ from mbqcflow.fixtures import (
 )
 
 import flow_reference
-from conftest import flow_scan_graphs, random_open_graph, sample_graphs_with_gflow
+from conftest import flow_scan_graphs, random_open_graph, relabel, sample_graphs_with_gflow
 
 
 def exhaustive_gflow_exists(graph: OpenGraph) -> bool:
@@ -227,6 +227,33 @@ class TestFindGflow:
                     best = depth
             assert best is not None
             assert found_depth <= best
+
+
+class TestRelabelling:
+    """Both finders commute with relabelling the vertices.
+
+    Each maximally delayed layer is the set of vertices that the layers
+    after it can correct (Mhalla and Perdrix, ICALP 2008), so the layers
+    found on pi(G) are pi of those found on G.  The correcting sets may
+    differ, because the smallest solution mask depends on the labels.
+    """
+
+    @pytest.mark.parametrize("finder", [find_gflow, find_causal_flow])
+    def test_layers_on_flow_scan_pools(self, finder):
+        rng = np.random.default_rng(31)
+        found = missing = 0
+        for seed in (1, 2, 3):
+            for graph in flow_scan_graphs(seed):
+                mapping = dict(enumerate(map(int, rng.permutation(graph.n))))
+                relabelled, expected = relabel(graph, finder(graph), mapping, graph.n)
+                got = finder(relabelled)
+                assert (got is None) == (expected is None)
+                if got is None:
+                    missing += 1
+                else:
+                    assert got.layers == expected.layers
+                    found += 1
+        assert (found, missing) == (47, 49)
 
 
 def reference_peeling(graph: OpenGraph, singleton: bool) -> str | None:

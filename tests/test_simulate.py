@@ -40,6 +40,7 @@ from conftest import (
     completion_generators,
     count_product_merges,
     max_deviation_up_to_phase,
+    relabel,
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
 )
@@ -159,28 +160,6 @@ def random_pattern(graph, rng, clifford=False):
     return MeasurementPattern(
         angles={v: float(rng.uniform(0, 2 * np.pi)) for v in graph.measured}
     )
-
-
-def relabel(graph, gflow, mapping, n):
-    """``graph`` and ``gflow`` on ``n`` qubits, vertex v renamed ``mapping[v]``.
-
-    The vertices no one is mapped to are isolated extra outputs.
-    """
-    extra = sorted(set(range(n)) - set(mapping.values()))
-    big = OpenGraph(
-        n=n,
-        edges=[(mapping[u], mapping[v]) for u, v in graph.edges],
-        inputs=[mapping[v] for v in graph.inputs],
-        outputs=[mapping[v] for v in graph.outputs] + extra,
-    )
-    layers = [[mapping[v] for v in layer] for layer in gflow.layers]
-    layers[-1] += extra
-    big_flow = GFlow(
-        corrections={mapping[v]: [mapping[u] for u in s] for v, s in gflow.corrections.items()},
-        layers=layers,
-        planes={mapping[v]: p for v, p in gflow.planes.items()},
-    )
-    return big, big_flow
 
 
 def assert_rounds_match_reference(graph, gflow, pattern):
