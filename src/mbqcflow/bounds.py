@@ -129,26 +129,23 @@ def _split_layers(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     ``_GATHER_BLOCK`` halves, so the index arrays the gathers make stay
     small.  As with the popcount layers, the halves of the largest n asked
     for are kept, read-only, and a smaller n reads the first rows of each
-    layer.  Above ``DEFAULT_TREE_BUDGET`` each layer is built when it is
-    reached and not kept, so the memory kept stays that of the default
-    budget.
+    layer.  Above ``DEFAULT_TREE_BUDGET`` the halves of each block are
+    built when it is reached and not kept, so the memory kept stays that
+    of the default budget and no call holds more than one block's halves.
     """
     global _HALVES
     layers = _popcount_layers(n)[2:]
-    if n > DEFAULT_TREE_BUDGET:
-        kept = (_halves(sets, n) for sets in layers)
-    else:
-        kept = _HALVES
-        if len(kept) < len(layers):
-            kept = tuple(_halves(sets, n) for sets in layers)
-            for halves in kept:
-                halves.flags.writeable = False
-            _HALVES = kept
-    for sets, halves in zip(layers, kept):
-        step = max(1, _GATHER_BLOCK // halves.shape[1])
+    kept, built = _HALVES, n > DEFAULT_TREE_BUDGET
+    if not built and len(kept) < len(layers):
+        kept = tuple(_halves(sets, n) for sets in layers)
+        for halves in kept:
+            halves.flags.writeable = False
+        _HALVES = kept
+    for size, sets in enumerate(layers, 2):
+        step = max(1, _GATHER_BLOCK // ((1 << (size - 1)) - 1))
         for start in range(0, len(sets), step):
-            end = min(start + step, len(sets))
-            yield sets[start:end], halves[start:end]
+            block = sets[start : start + step]
+            yield block, _halves(block, n) if built else kept[size - 2][start : start + len(block)]
 
 
 def _halves(sets: np.ndarray, n: int) -> np.ndarray:

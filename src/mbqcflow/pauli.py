@@ -29,23 +29,25 @@ two words is the XOR of their hashes.  So a table keeps the hash of
 each row, keyed by its sum, once it has needed it, and a correction
 hashes only its own words.
 
-Cost of a correction, which treats measured vertices for every sum of a
-table at once.  When no sum has two rows and every correction of a round
-of m vertices is one word, no merge is possible, and
+Rows move as whole elements, by ``take`` along axis 0, and elementwise
+work runs per word over lines of length T, never along the short 2W axis,
+where numpy takes its slow general path.  Cost of a correction, which
+treats measured vertices for every sum of a table at once.  When no sum
+has two rows and every correction of a round of m vertices is one word,
 :meth:`PauliTable.correct_round` corrects the whole round in one kernel
 call: one mask test over T rows x m vertices when no row is hit,
 otherwise about 30 numpy calls on arrays of T m entries and two more per
-vertex.  On the sim-clifford benchmark pool of seed 1 that is 10.8 calls
-per instance, where one call per vertex would be 47.1.  Any other round
-costs one :meth:`PauliTable.correct` call per vertex: with T rows of
-which F have Z on the vertex and a correction of C words, one mask test
-over T rows when F = 0; otherwise about 60 numpy calls on T - F + C F
-rows, among them one sort of as many hashes.  Only when two of those
-hashes are equal do the rows also go through the grouping step (one
-argsort and the row comparisons, about 35 more calls).  Over the
-sim-terms benchmark pools of seeds 1-3, 890 of the 927 corrections that
-multiply found no two hashes equal, on tables of up to 13,687 rows; the
-other 37 held 1,145 rows in all.
+vertex (10.8 calls per sim-clifford instance of seed 1, against 47.1 for
+one per vertex).  Any other round costs one :meth:`PauliTable.correct`
+call per vertex: with T rows of which F have Z on the vertex and a
+correction of C words, one mask test over T rows when F = 0; otherwise
+about 75 numpy calls on T - F + C F rows, and 4 per nonzero byte of the
+correction, among them one sort of as many hashes.  Only if two are equal
+do the rows go through the grouping step (one argsort and the row
+comparisons, about 35 more calls).  A sim-terms instance of seed 1 makes
+15.45 such calls, 4.55 on tables of over 1,000 rows.  Over the sim-terms
+pools of seeds 1-3, 890 of the 927 that multiply found no two hashes
+equal, on tables of up to 13,687 rows; the other 37 held 1,145 rows.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ def _unpack_words(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
-#: Table entries read at a time when hashing rows: each temporary of a
-#: block stays near 64 KiB, below glibc's default mmap threshold.
+#: Words of rows hashed at a time: each temporary of a block stays near
+#: 64 KiB, below glibc's default mmap threshold.
 _HASH_BLOCK = 1 << 13
 
 
@@ -124,16 +126,14 @@ def _row_hash(rows: np.ndarray) -> np.ndarray:
     row without its last words is that of the row with those words 0.
     """
     table = _hash_table(rows.shape[1])
-    # A byte that is zero in every row adds nothing, so only the others are read.
-    either = np.bitwise_or.reduce(rows, axis=0, initial=np.uint64(0), keepdims=True)
-    places = either.view(np.uint8)[0].nonzero()[0]
-    step = max(1, _HASH_BLOCK // max(1, len(places)))
-    hashes = np.empty(len(rows), dtype=np.uint64)
+    hashes, step = np.zeros(len(rows), dtype=np.uint64), _HASH_BLOCK // rows.shape[1]
     for start in range(0, len(rows), step):
-        block = np.ascontiguousarray(rows[start : start + step]).view(np.uint8)
-        hashes[start : start + step] = np.bitwise_xor.reduce(
-            table[block[:, places] + places * 256], axis=1
-        )
+        block, out = np.ascontiguousarray(rows[start : start + step]), hashes[start : start + step]
+        # A byte that is zero in every row adds nothing, so only the others are read.
+        either = np.bitwise_or.reduce(np.ascontiguousarray(block.T), axis=1, initial=np.uint64(0))
+        block = block.view(np.uint8)
+        for place in either.view(np.uint8).nonzero()[0].tolist():
+            out ^= table[place << 8 :].take(block[:, place])
     return hashes
 
 
@@ -144,16 +144,17 @@ def _group(rows: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a run, and ``first`` is increasing.
     """
     order = np.argsort(hashes)
-    hashes = hashes[order]
+    hashes = hashes.take(order)
     # Equal rows have equal hashes; check the rows of every such pair.
     pairs = (hashes[1:] == hashes[:-1]).nonzero()[0]
-    equal = (rows[order[pairs]] == rows[order[pairs + 1]]).all(axis=1)
+    left, right = rows.take(order[pairs], axis=0), rows.take(order[pairs + 1], axis=0)
+    equal = np.logical_and.reduce([a == b for a, b in zip(left.T, right.T)])
     start = np.ones(len(rows), dtype=bool)
     start[pairs[equal] + 1] = False
     if not equal.all():
         # Two different rows share a hash: order by the rows themselves.
         order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
+        ordered = rows.take(order, axis=0)
         start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     run = np.cumsum(start) - 1
     first_equal = np.empty(len(rows), dtype=np.intp)
@@ -167,7 +168,7 @@ def _merge_rows(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nd
     run, first = _group(rows, _row_hash(rows))
     sums = np.zeros(len(first), dtype=complex)
     np.add.at(sums, run, coeffs)
-    return rows[first], sums
+    return rows.take(first, axis=0), sums
 
 
 def _product_rows(
@@ -182,10 +183,14 @@ def _product_rows(
     word's X part.
     """
     words = left_rows.shape[1] // 2
-    rows = left_rows[:, None] ^ right_rows[None]
-    odd = np.bitwise_count(left_rows[:, None, words:] & right_rows[None, :, :words])
+    # Each left row repeated once per right row, then XORed with all of them.
+    rows = left_rows.repeat(len(right_rows), axis=0).reshape((len(left_rows),) + right_rows.shape)
+    rows ^= right_rows
+    # One (left x right) line per word; the parity of a XOR is that of the popcounts.
+    pairs = zip(left_rows.T[words:], right_rows.T)
+    odd = functools.reduce(np.bitwise_xor, (z[:, None] & x for z, x in pairs))
     coeffs = left_coeffs[:, None] * right_coeffs[None]
-    np.negative(coeffs, out=coeffs, where=(np.add.reduce(odd, axis=2) & 1).astype(bool))
+    np.negative(coeffs, out=coeffs, where=(np.bitwise_count(odd) & 1).astype(bool))
     return rows.reshape(-1, 2 * words), coeffs.reshape(-1)
 
 
@@ -199,8 +204,11 @@ class PauliTable:
     can merge.  The rows of each sum keep their order through every
     correction, and :meth:`operators` reads the sums back.  The table
     owns the arrays it is given: a correction may change them in place.
-    From its first correction that multiplies, it also keeps the hash of
-    every row with its owner, and carries it through later corrections.
+    Every coefficient it holds is above :data:`PRUNE_TOLERANCE`: its sums
+    are pruned, as every operator is, and so is whatever a correction or a
+    projection makes.  From its first correction that multiplies, it also
+    keeps the hash of every row with its owner, and carries it through
+    later corrections.
     """
 
     def __init__(
@@ -236,9 +244,10 @@ class PauliTable:
         coeffs: np.ndarray,
         owner: np.ndarray,
         hashes: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
     ) -> None:
         self.rows, self.coeffs, self.owner, self._hashes = rows, coeffs, owner, hashes
-        self.counts = np.bincount(owner, minlength=len(self.labels))
+        self.counts = np.bincount(owner, minlength=len(self.labels)) if counts is None else counts
         np.maximum(self.peaks, self.counts, out=self.peaks)
         self.single = bool(self.counts.max(initial=0) <= 1)
 
@@ -254,8 +263,8 @@ class PauliTable:
 
     def z_support(self) -> int:
         """Mask of the qubits on which some row has Z."""
-        either = np.bitwise_or.reduce(self.rows[:, self.words :], axis=0, initial=np.uint64(0))
-        return _unpack_words(either)
+        z_lines = np.ascontiguousarray(self.rows.T[self.words :])
+        return _unpack_words(np.bitwise_or.reduce(z_lines, axis=1, initial=np.uint64(0)))
 
     def project(self, qubits: list[int]) -> PauliTable:
         """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
@@ -267,25 +276,24 @@ class PauliTable:
         count = len(qubits)
         if not count and len(self.rows):
             raise ValueError("only an empty table may take an empty register")
-        # Qubit p takes bit p % 64 of word p // 64 of each new mask.
+        # Qubit p takes bit p % 64 of word p // 64 of each new mask: its bits are one line
+        # along the rows, shifted in place and ORed into its word, and dropped before the merge.
         columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
-        shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)
-        places = np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)
-        # The (rows x 2 count) bits are shifted in place and dropped before
-        # the merge, so that no second copy of them is alive.
-        rows = self.rows[:, columns]
-        rows >>= shifts
-        rows &= np.uint64(1)
-        rows <<= places
-        starts = list(range(0, count, 64))
-        rows = np.add.reduceat(rows, starts + [count + s for s in starts], axis=1)
-        coeffs, owner = self.coeffs.copy(), self.owner.copy()
+        shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
+        places = np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)[:, None]
+        lines = self.rows.T.take(columns, axis=0)
+        lines >>= shifts
+        lines &= np.uint64(1)
+        lines <<= places
+        halves, starts = (lines[:count], lines[count:]), range(0, count, 64)
+        packed = [np.bitwise_or.reduce(half[s : s + 64], axis=0) for half in halves for s in starts]
+        keys = np.stack(packed + [self.owner.astype(np.uint64)], axis=1)
+        del lines, halves, packed
+        rows, coeffs, owner = keys[:, :-1], self.coeffs.copy(), self.owner.copy()
         if not self.single:
-            keys, coeffs = _merge_rows(
-                np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1), coeffs
-            )
-            live = np.abs(coeffs) > PRUNE_TOLERANCE
-            keys, coeffs = keys[live], coeffs[live]
+            keys, coeffs = _merge_rows(keys, coeffs)
+            live = (np.abs(coeffs) > PRUNE_TOLERANCE).nonzero()[0]
+            keys, coeffs = keys.take(live, axis=0), coeffs.take(live)
             rows, owner = keys[:, :-1], keys[:, -1].astype(np.intp)
         return PauliTable(count, self.labels, rows, coeffs, owner)
 
@@ -314,7 +322,7 @@ class PauliTable:
         in which no sum has two rows goes to the one-word kernel of
         :meth:`correct_round`, as a round of one qubit.  Otherwise the
         products are summed and pruned, then added into the kept rows of
-        their sum or appended after them, and the table is pruned again.
+        their sum, which are pruned again, or appended after them.
         When no two of the kept rows and products have equal hashes,
         nothing can merge: the pruned products are appended in order, with
         no grouping step.  A product's hash is its hit row's hash XOR its
@@ -325,8 +333,9 @@ class PauliTable:
         """
         if correction.num_terms == 1 and self.single:
             return self._one_word_round([qubit], [correction], budget)
-        rows, coeffs = self.rows, self.coeffs
-        hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
+        rows, coeffs, owner = self.rows, self.coeffs, self.owner
+        hits = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))) != 0
+        hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
         if not len(hit):
             return False
         terms = correction.num_terms
@@ -334,24 +343,21 @@ class PauliTable:
         if size > budget:
             raise _over_budget(size, "terms", "terms", budget)
         new_rows, new_coeffs = _product_rows(
-            correction._rows, correction._coeffs, rows[hit], coeffs[hit]
+            correction._rows, correction._coeffs, rows.take(hit, axis=0), coeffs.take(hit)
         )
-        kept = np.ones(len(rows), dtype=bool)
-        kept[hit] = False
-        kept_rows, kept_coeffs = rows[kept], coeffs[kept]
-        k = len(kept_rows)
-        keys = np.concatenate([self.owner[kept]] + [self.owner[hit]] * terms)
+        k, new_owner = len(kept), np.concatenate([owner.take(hit)] * terms)
         if self._hashes is None:
             # Each row's hash with its owner as one more word, kept from now on.
-            keyed = np.concatenate((rows, self.owner[:, None].astype(np.uint64)), axis=1)
+            keyed = np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1)
             self._hashes = _row_hash(keyed)
         carried = self._hashes
-        hashes = np.concatenate(
-            (carried[kept], (_row_hash(correction._rows)[:, None] ^ carried[hit]).reshape(-1))
-        )
+        new_hashes = (_row_hash(correction._rows)[:, None] ^ carried.take(hit)).reshape(-1)
+        hashes = np.concatenate((carried.take(kept), new_hashes))
+        counts = self.counts - np.bincount(new_owner[: len(hit)], minlength=len(self.labels))
         ordered = np.sort(hashes)
         if (ordered[1:] == ordered[:-1]).any():
-            table = np.concatenate((kept_rows, new_rows))
+            keys = np.concatenate((owner.take(kept), new_owner))
+            table = np.concatenate((rows.take(kept, axis=0), new_rows))
             # The kept rows are distinct and come first, so run r < k is kept row r.
             run, first = _group(
                 np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1), hashes
@@ -360,22 +366,29 @@ class PauliTable:
             np.add.at(sums, run[k:], new_coeffs)
             # Products are pruned before they are added in, then the whole table.
             live = np.abs(sums) > PRUNE_TOLERANCE
-            np.add(kept_coeffs, sums[:k], out=kept_coeffs, where=live[:k])
-            fresh = live[k:].nonzero()[0] + k
-            picks, new_rows, new_coeffs = first[fresh], table[first[fresh]], sums[fresh]
+            coeffs = coeffs.take(kept)
+            np.add(coeffs, sums[:k], out=coeffs, where=live[:k])
+            stay = np.abs(coeffs) > PRUNE_TOLERANCE
+            kept = stay.nonzero()[0]
+            counts -= np.bincount(keys[:k][~stay], minlength=len(self.labels))
+            # Row r takes its run's sum, so that one index picks from every array.
+            picks = first[live[k:].nonzero()[0] + k]
+            rows, owner, carried = table, keys, hashes
+            new_rows, new_coeffs, new_owner, new_hashes = table, sums[run], keys, hashes
         else:
-            # All keys differ, so nothing merges.  Each sum still starts
-            # from zero, which turns a -0.0 part into 0.0.
+            # All keys differ, so nothing merges, and the kept rows need no pruning
+            # (see the class).  Each sum starts from zero, turning a -0.0 part into 0.0.
             picks = (np.abs(new_coeffs) > PRUNE_TOLERANCE).nonzero()[0]
-            new_rows, new_coeffs = new_rows[picks], new_coeffs[picks] + 0.0
-            picks += k
-        stay = np.abs(kept_coeffs) > PRUNE_TOLERANCE
-        self._set_rows(
-            np.concatenate((kept_rows[stay], new_rows)),
-            np.concatenate((kept_coeffs[stay], new_coeffs)),
-            np.concatenate((keys[:k][stay], keys[picks])),
-            np.concatenate((hashes[:k][stay], hashes[picks])),
-        )
+            new_coeffs += 0.0
+        olds, news = (rows, coeffs, owner, carried), (new_rows, new_coeffs, new_owner, new_hashes)
+        joined = [np.empty((len(kept) + len(picks),) + old.shape[1:], old.dtype) for old in olds]
+        for old, new, out in zip(olds, news, joined):
+            # Each entry is copied once; the indices are in range, and "clip"
+            # lets take write into out without a buffer.
+            old.take(kept, axis=0, out=out[: len(kept)], mode="clip")
+            new.take(picks, axis=0, out=out[len(kept) :], mode="clip")
+        new_counts = np.bincount(new_owner.take(picks), minlength=len(self.labels))
+        self._set_rows(*joined, counts + new_counts)
         return True
 
     def correct_round(

@@ -50,6 +50,26 @@ def corrected_terms(terms: Terms, qubit: int, correction: Terms) -> Terms | None
     return prune(merged)
 
 
+def project_terms(sums: dict[Hashable, Terms], qubits: list[int]) -> dict[Hashable, Terms]:
+    """Each sum on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
+
+    Bits on other qubits are dropped.  Words made equal add in order of
+    first appearance, each sum starting from zero, and every sum is pruned.
+    """
+
+    def project(mask: int) -> int:
+        return sum((mask >> q & 1) << p for p, q in enumerate(qubits))
+
+    projected = {}
+    for label, terms in sums.items():
+        merged: Terms = {}
+        for (x, z), c in terms.items():
+            key = (project(x), project(z))
+            merged[key] = merged.get(key, 0.0) + c
+        projected[label] = prune(merged)
+    return projected
+
+
 def rotated_x_word(adjacency: int, vertex: int, angle: float) -> Terms:
     """``cos(a) X_v Z_N(v) - i sin(a) X_v Z_v Z_N(v)``, pruned."""
     bit = 1 << vertex

@@ -11,7 +11,7 @@ from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
 
 from conftest import bench_pool, count_product_merges
-from pauli_reference import corrected_terms, product_terms, prune
+from pauli_reference import corrected_terms, product_terms, project_terms, prune
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -247,6 +247,49 @@ class TestPauliTable:
         table = PauliTable.stack(3, {("X", 0): LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
         with pytest.raises(ValueError, match="^only an empty table may take an empty register$"):
             table.project([])
+
+    @pytest.mark.parametrize(
+        "n,count", [(3, 3), (70, 3), (70, 70), (140, 3), (140, 70), (140, 100)]
+    )
+    def test_project_matches_the_dict_reference(self, rng, n, count):
+        # Above 64 projected qubits the packed words cross a word boundary:
+        # one kept qubit lands below bit 64 and one above it.
+        seen = collections.Counter()
+        for _ in range(80):
+            qubits = [int(q) for q in rng.choice(n, size=count, replace=False)]
+            places = rng.choice(count, size=2, replace=False).tolist()
+            if count > 64:
+                places = [int(rng.integers(0, 64)), int(rng.integers(64, count))]
+            dropped = sorted(set(range(n)) - set(qubits))
+            bits = [qubits[p] for p in places] + [
+                int(q) for q in rng.choice(dropped, size=min(2, len(dropped)), replace=False)
+            ]
+            # Few qubits, so that projected words repeat and units cancel;
+            # sometimes one word per sum, so that nothing can merge.
+            single = rng.random() < 0.2
+            sums = {
+                label: prune(merging_terms(rng, bits, 1 if single else int(rng.integers(0, 10))))
+                for label in range(int(rng.integers(1, 5)))
+            }
+            table = PauliTable.stack(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
+            want = project_terms(sums, qubits)
+            got = table.project(qubits)
+            assert got.n == count and got.labels == list(sums)
+            ops = got.operators()
+            for label, terms in want.items():
+                rows = list(ops[label].terms())
+                assert [key for key, _ in rows] == list(terms)
+                assert all(abs(c - terms[key]) <= 1e-15 for key, c in rows)
+            # Unit weights never cancel, so they count the distinct projected words.
+            ones = {label: dict.fromkeys(terms, 1.0) for label, terms in sums.items()}
+            words = project_terms(ones, qubits)
+            seen["merged"] += sum(map(len, sums.values())) - sum(map(len, words.values()))
+            seen["cancelled"] += sum(map(len, words.values())) - sum(map(len, want.values()))
+            seen["crossed"] += any(x >> 64 or z >> 64 for t in want.values() for x, z in t)
+        if n > count:
+            assert seen["merged"] >= 80 and seen["cancelled"] >= 8
+        if count > 64:
+            assert seen["crossed"] >= 40
 
 
 # -- The correction kernel that hashed every row on every call ---------------

@@ -761,6 +761,48 @@ class TestAgainstOracle:
         assert max_deviation_up_to_phase(via_quoted, orc) < 1e-9
 
 
+class TestRelabelling:
+    """Renaming the vertices, with the input and output order kept, changes no output.
+
+    The sim-clifford pools reach the two-word rows of n = 65-72, where no
+    oracle runs.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["sim-terms", "sim-clifford"])
+    def test_bench_pools(self, monkeypatch, name, seed):
+        import mbqcflow.simulate as simulate_mod
+
+        finalized = []
+        finalize = simulate_mod.finalize_outputs
+
+        def spied_finalize(state):
+            finalized.append(finalize(state))
+            return finalized[-1]
+
+        monkeypatch.setattr(simulate_mod, "finalize_outputs", spied_finalize)
+        rng = np.random.default_rng(seed)
+        for inst in bench_pool(name, seed):
+            mapping = dict(enumerate(rng.permutation(inst.graph.n).tolist()))
+            graph, gflow = relabel(inst.graph, inst.gflow, mapping, inst.graph.n)
+            pattern = MeasurementPattern(
+                angles={mapping[v]: a for v, a in inst.pattern.angles.items()},
+                planes={mapping[v]: p for v, p in inst.pattern.planes.items()},
+            )
+            want = simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+            got = simulate_pattern(graph, gflow, pattern)
+            # high_water is not compared: a round corrects its vertices in
+            # label order, so the peaks between two corrections may differ.
+            assert got.cone_sizes == {mapping[i]: c for i, c in want.cone_sizes.items()}
+            assert np.max(np.abs(got.unitary - want.unitary)) <= 1e-12
+            want_ops, got_ops = (table.operators() for table in finalized[-2:])
+            assert list(got_ops) == [(kind, mapping[i]) for kind, i in want_ops]
+            for (kind, i), op in want_ops.items():
+                terms, relabelled = dict(op.terms()), dict(got_ops[kind, mapping[i]].terms())
+                assert relabelled.keys() == terms.keys()
+                assert all(abs(relabelled[key] - c) <= 1e-12 for key, c in terms.items())
+
+
 class TestCostAccounting:
     def test_clifford_angles_never_split(self, rng):
         g, fl = cluster_graph(2, 3), cluster_row_flow(2, 3)
