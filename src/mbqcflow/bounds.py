@@ -214,7 +214,7 @@ def _ordering_table(values: np.ndarray) -> np.ndarray:
     for layer in layers[1:]:
         for start in range(0, len(layer), step):
             sets = layer[start : start + step]
-            below = best.take(sets[:, None] ^ flips).min(axis=1)
+            below = best.take(flips[:, None] ^ sets).min(axis=0)
             best[sets] = np.maximum(values.take(sets), below)
     return best
 

@@ -22,12 +22,13 @@ Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
 words add in row order, starting from zero, so every coefficient is the
 one a term-by-term loop computes, bit for bit.  Equal rows are found by
-sorting a 64-bit hash of each row and comparing neighbours in full; if
-two different rows share a hash, a lexicographic sort of the rows
-decides instead.  The hash is XOR-linear: the hash of the product of
-two words is the XOR of their hashes.  So a table keeps the hash of
-each row, keyed by its sum, once it has needed it, and a correction
-hashes only its own words.
+one lexicographic sort of the rows and a comparison of sorted
+neighbours, word by word: grouping is exact and has one path.  A 64-bit
+hash of each row only screens a correction: if all of its rows' hashes
+differ, no rows are equal, and the grouping is skipped.  The hash is
+XOR-linear: the hash of the product of two words is the XOR of their
+hashes.  So a table keeps the hash of each row, keyed by its sum, once
+it has needed it, and a correction hashes only its own words.
 
 Rows move as whole elements, by ``take`` along axis 0, and elementwise
 work runs per word over lines of length T, never along the short 2W axis,
@@ -43,11 +44,12 @@ call per vertex: with T rows of which F have Z on the vertex and a
 correction of C words, one mask test over T rows when F = 0; otherwise
 about 75 numpy calls on T - F + C F rows, and 4 per nonzero byte of the
 correction, among them one sort of as many hashes.  Only if two are equal
-do the rows go through the grouping step (one argsort and the row
-comparisons, about 35 more calls).  A sim-terms instance of seed 1 makes
-15.45 such calls, 4.55 on tables of over 1,000 rows.  Over the sim-terms
-pools of seeds 1-3, 890 of the 927 that multiply found no two hashes
-equal, on tables of up to 13,687 rows; the other 37 held 1,145 rows.
+do the rows go through the grouping step (one lexicographic sort and
+about 25 more calls).  A sim-terms instance of seed 1 makes 15.45 such
+calls, 4.55 on tables of over 1,000 rows.  Over the sim-terms pools of
+seeds 1-3, 890 of the 927 that multiply found no two hashes equal, on
+tables of up to 13,687 rows; the other 37, of at most 93 rows, all
+merged.
 """
 
 from __future__ import annotations
@@ -137,25 +139,20 @@ def _row_hash(rows: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _group(rows: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run of every row and first row of every run, runs in order of first appearance.
 
-    ``hashes`` holds the :func:`_row_hash` of every row.  Equal rows share
-    a run, and ``first`` is increasing.
+    One lexicographic sort orders the rows, and sorted neighbours are
+    compared one word at a time, so equal rows, and only they, share a
+    run.  ``first`` is increasing.
     """
-    order = np.argsort(hashes)
-    hashes = hashes.take(order)
-    # Equal rows have equal hashes; check the rows of every such pair.
-    pairs = (hashes[1:] == hashes[:-1]).nonzero()[0]
-    left, right = rows.take(order[pairs], axis=0), rows.take(order[pairs + 1], axis=0)
-    equal = np.logical_and.reduce([a == b for a, b in zip(left.T, right.T)])
-    start = np.ones(len(rows), dtype=bool)
-    start[pairs[equal] + 1] = False
-    if not equal.all():
-        # Two different rows share a hash: order by the rows themselves.
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows.take(order, axis=0)
-        start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    lines = np.ascontiguousarray(rows.T)
+    order = np.lexsort(lines[::-1])
+    start = np.zeros(len(rows), dtype=bool)
+    start[:1] = True
+    for line in lines:
+        line = line.take(order)
+        start[1:] |= line[1:] != line[:-1]
     run = np.cumsum(start) - 1
     first_equal = np.empty(len(rows), dtype=np.intp)
     first_equal[order] = np.minimum.reduceat(order, start.nonzero()[0])[run]
@@ -165,7 +162,7 @@ def _group(rows: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _merge_rows(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows merged in order of first appearance, coefficients added in row order."""
-    run, first = _group(rows, _row_hash(rows))
+    run, first = _group(rows)
     sums = np.zeros(len(first), dtype=complex)
     np.add.at(sums, run, coeffs)
     return rows.take(first, axis=0), sums
@@ -254,7 +251,7 @@ class PauliTable:
     def operators(self) -> dict[Hashable, LogicalOperator]:
         """Every label's sum as a new operator, its rows in table order."""
         order = np.argsort(self.owner, kind="stable")
-        rows, coeffs = self.rows[order], self.coeffs[order]
+        rows, coeffs = self.rows.take(order, axis=0), self.coeffs.take(order)
         ends = np.cumsum(self.counts).tolist()
         return {
             label: LogicalOperator.from_rows(self.n, rows[start:end], coeffs[start:end])
@@ -323,10 +320,12 @@ class PauliTable:
         :meth:`correct_round`, as a round of one qubit.  Otherwise the
         products are summed and pruned, then added into the kept rows of
         their sum, which are pruned again, or appended after them.
-        When no two of the kept rows and products have equal hashes,
-        nothing can merge: the pruned products are appended in order, with
-        no grouping step.  A product's hash is its hit row's hash XOR its
-        correction word's hash, so no product is hashed.  Returns whether
+        The hashes only screen: when no two of the kept rows and products
+        have equal hashes, nothing can merge, and the pruned products are
+        appended in order with no grouping step.  Otherwise the rows are
+        grouped exactly; if that finds no equal rows, the result is the
+        same, byte for byte.  A product's hash is its hit row's hash XOR
+        its correction word's hash, so no product is hashed.  Returns whether
         any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
         before the products are built when the kept rows plus the products
         would exceed ``budget``.
@@ -359,9 +358,7 @@ class PauliTable:
             keys = np.concatenate((owner.take(kept), new_owner))
             table = np.concatenate((rows.take(kept, axis=0), new_rows))
             # The kept rows are distinct and come first, so run r < k is kept row r.
-            run, first = _group(
-                np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1), hashes
-            )
+            run, first = _group(np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1))
             sums = np.zeros(len(first), dtype=complex)
             np.add.at(sums, run[k:], new_coeffs)
             # Products are pruned before they are added in, then the whole table.
@@ -438,7 +435,7 @@ class PauliTable:
         bits = np.array([1 << (q & 63) for q in qubits], dtype=np.uint64)
         # Whether each row, then each correction, has Z on each qubit of the round.
         table = np.concatenate([rows] + [c._rows for c in corrections])
-        marks = (table[:, columns] & bits) != 0
+        marks = (table.take(columns, axis=1) & bits) != 0
         hits = marks[:count]
         if not np.count_nonzero(hits):
             return False

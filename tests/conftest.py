@@ -144,8 +144,8 @@ def count_product_merges(monkeypatch) -> collections.Counter:
     merged: list[bool] = []
     group, correct = pauli._group, PauliTable.correct
 
-    def spied_group(rows, hashes):
-        run, first = group(rows, hashes)
+    def spied_group(rows):
+        run, first = group(rows)
         merged.append(len(first) < len(rows))
         return run, first
 

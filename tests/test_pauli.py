@@ -663,3 +663,30 @@ def test_row_hash_is_xor_linear(rng):
     for q in range(3 * 64):
         bits[q, q // 64] = np.uint64(1 << (q % 64))
     assert len(set(pauli._row_hash(bits).tolist()) - {0}) == 3 * 64
+
+
+def reference_group(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """Run of every row and first row of every run, from a dict in insertion order."""
+    runs: dict[bytes, int] = {}
+    run = [runs.setdefault(row.tobytes(), len(runs)) for row in rows]
+    first = [run.index(r) for r in range(len(runs))]
+    return run, first
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_group_matches_a_first_appearance_dict(rng, words):
+    # Keyed rows: 2W words and an owner column.  Each row of the pool has
+    # variants that differ from it only in the owner, or only above bit 63,
+    # and the rows drawn from the pool repeat many times.
+    columns = 2 * words + 1
+    base = rng.integers(0, 2**64, size=(6, columns), dtype=np.uint64)
+    base[:, -1] %= np.uint64(3)
+    owned, high = base.copy(), base.copy()
+    owned[:, -1] += np.uint64(1)
+    high[:, 1:-1] ^= np.uint64(1 << 63)
+    pool = np.concatenate((base, owned, high))
+    for count in (0, 1, 2, 40, 400):
+        rows = pool.take(rng.integers(0, len(pool), size=count), axis=0)
+        run, first = pauli._group(rows)
+        want_run, want_first = reference_group(rows)
+        assert run.tolist() == want_run and first.tolist() == want_first

@@ -370,9 +370,9 @@ class TestPropagation:
         assert sum(m > 1 and hit for m, hit in rounds) >= 5
 
     def test_round_matches_reference_when_hashes_collide(self, rng, monkeypatch):
-        # A constant row hash makes every merge fall back to sorting the rows.
-        # The tables carry their hashes, so the constant must reach them
-        # too: the lexicographic sort has to run.
+        # A constant row hash lets every correction that multiplies pass the
+        # screen, so each is grouped exactly, by the lexicographic sort.  The
+        # tables carry their hashes, so the constant must reach them too.
         monkeypatch.setattr(
             "mbqcflow.pauli._row_hash", lambda rows: np.zeros(len(rows), dtype=np.uint64)
         )
@@ -396,6 +396,41 @@ class TestPropagation:
         for graph, gflow in graphs:
             assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng))
         assert sum(fell_back) >= 10
+
+    def test_a_constant_hash_changes_no_bench_output(self, monkeypatch):
+        # The hash only screens: grouping a correction that merges nothing
+        # leaves what skipping the grouping leaves.  The sim-terms pool of
+        # seed 1 reaches tables of 13,687 rows; sim-clifford instance 14
+        # has 72 qubits, two words per mask.
+        import mbqcflow.simulate as simulate_mod
+
+        pool = bench_pool("sim-terms", 1) + bench_pool("sim-clifford", 1)[14:15]
+        tables, finalize = [], simulate_mod.finalize_outputs
+
+        def spied_finalize(state):
+            table = finalize(state)
+            tables.append(table)
+            return table
+
+        def outputs():
+            tables.clear()
+            results = [simulate_pattern(i.graph, i.gflow, i.pattern) for i in pool]
+            return [
+                (
+                    None if result.unitary is None else result.unitary.tobytes(),
+                    result.high_water,
+                    [getattr(table, name).tobytes() for name in ("rows", "coeffs", "owner")],
+                )
+                for result, table in zip(results, tables, strict=True)
+            ]
+
+        monkeypatch.setattr(simulate_mod, "finalize_outputs", spied_finalize)
+        hashed = outputs()
+        monkeypatch.setattr(
+            "mbqcflow.pauli._row_hash", lambda rows: np.zeros(len(rows), dtype=np.uint64)
+        )
+        assert outputs() == hashed
+        assert pool[-1].graph.n > 64
 
     def test_rounds_must_be_ordered(self):
         g, fl = path_graph(3), path_flow(3)
