@@ -108,6 +108,7 @@ def write_inputs(directory: Path) -> list[list[str]]:
     path4 = ["--graph", "path4.json", "--gflow", "path4-gflow.json"]
     invalid = ["--graph", "path4.json", "--gflow", "path4-invalid.json"]
     big = ["--graph", "cluster3x3.json", "--gflow", "cluster3x3-gflow.json", "--pattern", "cluster3x3-random.json"]
+    clifford = big[:-1] + ["cluster3x3-clifford.json"]
     argvs += [
         ["graph", "show", "--graph", "bad.json"],
         ["graph", "show", "--graph", "missing-n.json"],
@@ -126,6 +127,9 @@ def write_inputs(directory: Path) -> list[list[str]]:
         ["cone", *path4, "--vertex", "-1"],
         ["oracle", "run", *path4, "--pattern", "path4-random.json", "--branch", "01"],
         ["simulate", *big, "--budget-terms", "1"],
+        # One word per logical: six rows, so both budgets stop the first round.
+        ["simulate", *clifford, "--budget-terms", "1"],
+        ["simulate", *clifford, "--budget-terms", "5"],
         ["simulate", *big, "--budget-dense", "1"],
         ["oracle", "run", *big, "--branch", "000000", "--budget-dense", "1"],
         ["oracle", "determinism", *big, "--budget-dense", "1"],
