@@ -13,10 +13,11 @@ of stabilizer circuits" (PRA 70, 052328, 2004) and of Stim (Gidney,
 Quantum 5, 497, 2021).  A :class:`PauliTable` stacks labelled sums into
 one such table, with the label's index as one more key per row.  A
 :class:`LogicalOperator` is one sum: it multiplies, adds and prunes, and
-every other operation goes through a table, which holds the correction
-steps (:meth:`PauliTable.correct` for one qubit and
-:meth:`PauliTable.correct_round` for a round of them) and the one dense
-kernel (:meth:`PauliTable.to_matrices`).
+every other operation goes through a table, which holds the one
+correction step (:meth:`PauliTable.correct`) and the one dense kernel
+(:meth:`PauliTable.to_matrices`).  A Clifford pattern's logicals never
+come here before they are finalized: :mod:`mbqcflow.simulate` keeps each
+as one word of Python ints and packs them with :func:`pack_rows` once.
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
@@ -32,24 +33,17 @@ it has needed it, and a correction hashes only its own words.
 
 Rows move as whole elements, by ``take`` along axis 0, and elementwise
 work runs per word over lines of length T, never along the short 2W axis,
-where numpy takes its slow general path.  Cost of a correction, which
-treats measured vertices for every sum of a table at once.  When no sum
-has two rows and every correction of a round of m vertices is one word,
-:meth:`PauliTable.correct_round` corrects the whole round in one kernel
-call: one mask test over T rows x m vertices when no row is hit,
-otherwise about 30 numpy calls on arrays of T m entries and two more per
-vertex (10.8 calls per sim-clifford instance of seed 1, against 47.1 for
-one per vertex).  Any other round costs one :meth:`PauliTable.correct`
-call per vertex: with T rows of which F have Z on the vertex and a
-correction of C words, one mask test over T rows when F = 0; otherwise
-about 75 numpy calls on T - F + C F rows, and 4 per nonzero byte of the
-correction, among them one sort of as many hashes.  Only if two are equal
-do the rows go through the grouping step (one lexicographic sort and
-about 25 more calls).  A sim-terms instance of seed 1 makes 15.45 such
-calls, 4.55 on tables of over 1,000 rows.  Over the sim-terms pools of
-seeds 1-3, 890 of the 927 that multiply found no two hashes equal, on
-tables of up to 13,687 rows; the other 37, of at most 93 rows, all
-merged.
+where numpy takes its slow general path.  A correction treats one
+measured vertex for every sum of a table at once.  With T rows of which F
+have Z on the vertex and a correction of C words, it costs one mask test
+over T rows when F = 0; otherwise about 75 numpy calls on T - F + C F
+rows, and 4 per nonzero byte of the correction, among them one sort of
+as many hashes.  Only if two are equal do the rows go through the
+grouping step (one lexicographic sort and about 25 more calls).  A
+sim-terms instance of seed 1 makes 15.45 such calls, 4.55 on tables of
+over 1,000 rows.  Over the sim-terms pools of seeds 1-3, 890 of the 927
+that multiply found no two hashes equal, on tables of up to 13,687 rows;
+the other 37, of at most 93 rows, all merged.
 """
 
 from __future__ import annotations
@@ -64,9 +58,6 @@ from .errors import DEFAULT_TERM_BUDGET, _over_budget
 
 #: Coefficients no larger than this are dropped when pruning sums.
 PRUNE_TOLERANCE = 1e-12
-
-#: Sign of a product, indexed by the parity of the anticommuting pairs.
-_SIGNS = np.array([1.0, -1.0], dtype=complex)
 
 
 def _word_count(n: int) -> int:
@@ -196,14 +187,12 @@ class PauliTable:
 
     Row t holds the word ``rows[t]`` of the sum labelled
     ``labels[owner[t]]``, with coefficient ``coeffs[t]``; ``counts[s]``
-    is the number of rows of sum s, ``peaks[s]`` the most it has had,
-    and ``single`` says that no sum has two rows, so that no two rows
-    can merge.  The rows of each sum keep their order through every
-    correction, and :meth:`operators` reads the sums back.  The table
-    owns the arrays it is given: a correction may change them in place.
-    Every coefficient it holds is above :data:`PRUNE_TOLERANCE`: its sums
-    are pruned, as every operator is, and so is whatever a correction or a
-    projection makes.  From its first correction that multiplies, it also
+    is the number of rows of sum s and ``peaks[s]`` the most it has had.
+    The rows of each sum keep their order through every correction, and
+    :meth:`operators` reads the sums back.  The table owns the arrays it
+    is given.  Every coefficient it holds is above :data:`PRUNE_TOLERANCE`:
+    its sums are pruned, as every operator is, and so is whatever a
+    correction or a projection makes.  From its first correction that multiplies, it also
     keeps the hash of every row with its owner, and carries it through
     later corrections.
     """
@@ -246,7 +235,6 @@ class PauliTable:
         self.rows, self.coeffs, self.owner, self._hashes = rows, coeffs, owner, hashes
         self.counts = np.bincount(owner, minlength=len(self.labels)) if counts is None else counts
         np.maximum(self.peaks, self.counts, out=self.peaks)
-        self.single = bool(self.counts.max(initial=0) <= 1)
 
     def operators(self) -> dict[Hashable, LogicalOperator]:
         """Every label's sum as a new operator, its rows in table order."""
@@ -287,7 +275,8 @@ class PauliTable:
         keys = np.stack(packed + [self.owner.astype(np.uint64)], axis=1)
         del lines, halves, packed
         rows, coeffs, owner = keys[:, :-1], self.coeffs.copy(), self.owner.copy()
-        if not self.single:
+        if self.counts.max(initial=0) > 1:
+            # With one row per sum no two keys are equal.
             keys, coeffs = _merge_rows(keys, coeffs)
             live = (np.abs(coeffs) > PRUNE_TOLERANCE).nonzero()[0]
             keys, coeffs = keys.take(live, axis=0), coeffs.take(live)
@@ -315,23 +304,19 @@ class PauliTable:
     ) -> bool:
         """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
 
-        The other rows are kept in place.  A one-word correction of a table
-        in which no sum has two rows goes to the one-word kernel of
-        :meth:`correct_round`, as a round of one qubit.  Otherwise the
-        products are summed and pruned, then added into the kept rows of
-        their sum, which are pruned again, or appended after them.
-        The hashes only screen: when no two of the kept rows and products
-        have equal hashes, nothing can merge, and the pruned products are
-        appended in order with no grouping step.  Otherwise the rows are
-        grouped exactly; if that finds no equal rows, the result is the
-        same, byte for byte.  A product's hash is its hit row's hash XOR
-        its correction word's hash, so no product is hashed.  Returns whether
-        any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
-        before the products are built when the kept rows plus the products
-        would exceed ``budget``.
+        The other rows are kept in place.  The products are summed and
+        pruned, then added into the kept rows of their sum, which are
+        pruned again, or appended after them.  The hashes only screen:
+        when no two of the kept rows and products have equal hashes,
+        nothing can merge, and the pruned products are appended in order
+        with no grouping step.  Otherwise the rows are grouped exactly; if
+        that finds no equal rows, the result is the same, byte for byte.
+        A product's hash is its hit row's hash XOR its correction word's
+        hash, so no product is hashed.  Returns whether any row had Z on
+        ``qubit``.  Raises :class:`BudgetExceededError` before the products
+        are built when the kept rows plus the products would exceed
+        ``budget``.
         """
-        if correction.num_terms == 1 and self.single:
-            return self._one_word_round([qubit], [correction], budget)
         rows, coeffs, owner = self.rows, self.coeffs, self.owner
         hits = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))) != 0
         hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
@@ -386,90 +371,6 @@ class PauliTable:
             new.take(picks, axis=0, out=out[len(kept) :], mode="clip")
         new_counts = np.bincount(new_owner.take(picks), minlength=len(self.labels))
         self._set_rows(*joined, counts + new_counts)
-        return True
-
-    def correct_round(
-        self,
-        qubits: list[int],
-        corrections: list[LogicalOperator],
-        budget: int = DEFAULT_TERM_BUDGET,
-    ) -> None:
-        """:meth:`correct` for each of ``qubits`` in turn, in one step when it can.
-
-        ``corrections[j]`` is the correction of ``qubits[j]``.
-
-        When no sum has two rows and every correction is one word, the
-        whole round is one kernel call; it leaves the table as the calls
-        vertex by vertex would, byte for byte.  No correction may then
-        have Z on another qubit of the round, which a valid gFlow's
-        strict layers guarantee for the qubits of one layer; the kernel
-        raises ``ValueError`` otherwise.  Any other round is corrected
-        qubit by qubit.
-        """
-        if self.single and all(correction.num_terms == 1 for correction in corrections):
-            self._one_word_round(qubits, corrections, budget)
-            return
-        for qubit, correction in zip(qubits, corrections):
-            self.correct(qubit, correction, budget)
-
-    def _one_word_round(
-        self, qubits: list[int], corrections: list[LogicalOperator], budget: int
-    ) -> bool:
-        """The one-word kernel: correct for every qubit of a round, in order.
-
-        No sum has two rows and each correction is one word, so every row
-        maps to one row where it stands and nothing merges.  No correction
-        has Z on another qubit of the round, so the rows with Z on each
-        qubit are read once, before any step, and a row's bits become the
-        XOR of the corrections that hit it.  The sign of step j is the
-        parity of the row's X bits, as the earlier steps left them, against
-        correction j's Z bits.  The coefficients are multiplied step by
-        step, as ``signed[parity] * coeff``, as one qubit at a time would
-        multiply them.  A row whose coefficient falls to the prune
-        tolerance after any of its steps is dropped at the end.  Returns
-        whether any row was hit.
-        """
-        words, rows, coeffs = self.words, self.rows, self.coeffs
-        count, m = len(rows), len(qubits)
-        columns = [words + (q >> 6) for q in qubits]
-        bits = np.array([1 << (q & 63) for q in qubits], dtype=np.uint64)
-        # Whether each row, then each correction, has Z on each qubit of the round.
-        table = np.concatenate([rows] + [c._rows for c in corrections])
-        marks = (table.take(columns, axis=1) & bits) != 0
-        hits = marks[:count]
-        if not np.count_nonzero(hits):
-            return False
-        if count > budget:
-            raise _over_budget(count, "terms", "terms", budget)
-        # A correction may have Z on its own qubit, but on no other of the round.
-        crossed = marks[count:]
-        crossed.flat[:: m + 1] = False
-        if np.count_nonzero(crossed):
-            raise ValueError("a correction has Z on another qubit of its round")
-        word_rows = table[count:]
-        # Each row before each step and after the last: the row, then the
-        # words of the steps that hit it, XORed up in step order.
-        states = np.empty((count, m + 1, 2 * words), dtype=np.uint64)
-        states[:, 0] = rows
-        np.multiply(word_rows, hits[:, :, None], out=states[:, 1:])
-        np.bitwise_xor.accumulate(states, axis=1, out=states)
-        x_z = states[:, :m, :words] & word_rows[:, words:]
-        odd = np.bitwise_count(np.bitwise_xor.reduce(x_z, axis=2)) & 1
-        signed = np.concatenate([c._coeffs for c in corrections])[:, None] * _SIGNS
-        factors = np.where(odd, signed[:, 1], signed[:, 0]).T
-        rows[:] = states[:, m]
-        hits = hits.T
-        products = np.empty((m, count), dtype=complex)
-        product = coeffs
-        for step in range(m):
-            product = products[step] = np.where(hits[step], factors[step] * product, product)
-        coeffs[:] = product
-        self._hashes = None
-        magnitudes = np.abs(products)
-        if magnitudes.min() <= PRUNE_TOLERANCE:
-            dead = ((magnitudes <= PRUNE_TOLERANCE) & hits).any(axis=0)
-            if np.count_nonzero(dead):
-                self._set_rows(rows[~dead], coeffs[~dead], self.owner[~dead])
         return True
 
 

@@ -17,11 +17,15 @@ from mbqcflow import (
     SimulationState,
     find_causal_flow,
     find_gflow,
+    initialize_simulation,
+    propagate_round,
     rotated_stabilizer,
 )
 from mbqcflow import pauli
 from mbqcflow.gf2 import gf2_rank
 from mbqcflow.pauli import PauliTable
+
+from pauli_reference import reference_round, reference_start
 
 
 def random_open_graph(
@@ -134,9 +138,9 @@ def local_complement(graph: OpenGraph, v: int) -> OpenGraph:
 def count_product_merges(monkeypatch) -> collections.Counter:
     """Count the product corrections of ``PauliTable.correct`` by whether rows merged.
 
-    A correction multiplies, rather than replacing each hit row in place,
-    when its stabilizer has two words or a sum of the table has two rows.
-    It merged when its grouping step found two equal rows.  The counter
+    A correction can merge rows only when its stabilizer has two words or
+    a sum of the table has two rows; only those are counted.  It merged
+    when its grouping step found two equal rows.  The counter
     maps True and False to those counts for every call made while the
     patch holds.
     """
@@ -150,7 +154,7 @@ def count_product_merges(monkeypatch) -> collections.Counter:
         return run, first
 
     def spied_correct(self, qubit, correction, *budget):
-        product = correction.num_terms > 1 or not self.single
+        product = correction.num_terms > 1 or self.counts.max(initial=0) > 1
         merged.clear()
         hit = correct(self, qubit, correction, *budget)
         if hit and product:
@@ -160,6 +164,41 @@ def count_product_merges(monkeypatch) -> collections.Counter:
     monkeypatch.setattr(pauli, "_group", spied_group)
     monkeypatch.setattr(PauliTable, "correct", spied_correct)
     return counts
+
+
+def assert_rounds_match_reference(graph, gflow, pattern):
+    """Every round equals the dict reference: keys in order, coefficients, marks.
+
+    Returns how many logicals the rounds changed and how many they left alone.
+    """
+    def assert_same(op, terms):
+        got = list(op.terms())
+        assert [key for key, _ in got] == list(terms)
+        for (_, coeff), expected in zip(got, terms.values()):
+            assert abs(coeff - expected) <= 1e-15
+
+    touched = untouched = 0
+    state = initialize_simulation(graph, gflow, pattern)
+    stabilizers, logicals = reference_start(graph, gflow, pattern)
+    for mu, terms in stabilizers.items():
+        assert_same(state.stabilizers[mu], terms)
+    initial = state.logicals.operators()
+    for label, terms in logicals.items():
+        assert_same(initial[label], terms)
+    high_water = {label: len(terms) for label, terms in logicals.items()}
+    for r in range(len(state.rounds)):
+        logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
+        propagate_round(state)
+        for label, op in state.logicals.operators().items():
+            want = logicals_after[label]
+            if want is logicals[label]:
+                untouched += 1
+            else:
+                touched += 1
+            assert_same(op, want)
+        assert state.high_water == high_water
+        logicals = logicals_after
+    return touched, untouched
 
 
 def max_deviation_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -380,8 +380,15 @@ class TestStructuralEntanglement:
 
 class TestEntanglementWidth:
     def test_path_is_one(self):
-        for n in (2, 4, 6):
+        for n in range(2, 17):
             assert entanglement_width_exact(path_graph(n)) == 1
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_square_grid_is_its_side_minus_one(self, d):
+        # A d x d grid has rank-width d - 1 (Jelinek, DAM 158, 2010), and the
+        # width of a graph state is the rank-width of its graph (Van den
+        # Nest et al., PRA 75, 012337, 2007).
+        assert entanglement_width_exact(cluster_graph(d, d)) == d - 1
 
     def test_edgeless_is_zero(self):
         assert entanglement_width_exact(OpenGraph(n=4, edges=[])) == 0

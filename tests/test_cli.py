@@ -952,7 +952,7 @@ class TestCommands:
 
         Random angles on the 2x5 cluster make simulate multiply Pauli sums
         in its corrections.  Multiples of pi/2 keep every logical one Pauli
-        word, so each round is one call of the one-word kernel.  In both
+        word, so the pattern takes the word path.  In both
         Clifford unitaries row 0 of the first column is 0, so simulate
         projects e_0 to nothing and takes that column from e_1.
         """

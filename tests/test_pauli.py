@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcflow import pauli, simulate_pattern
+from mbqcflow import initialize_simulation, pauli, propagate_round, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
+from mbqcflow.simulate import _correct_words, _word_table
 
-from conftest import bench_pool, count_product_merges
+from conftest import assert_rounds_match_reference, bench_pool, count_product_merges
 from pauli_reference import corrected_terms, product_terms, project_terms, prune
 
 I2 = np.eye(2, dtype=complex)
@@ -294,13 +295,12 @@ class TestPauliTable:
 
 # -- The correction kernel that hashed every row on every call ---------------
 #
-# ``_SIGNS``, ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
+# ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
 # ``ReferenceTable.correct`` are kept verbatim from the version before tables
-# carried their row hashes and one-word rounds were corrected in one step;
-# ``ReferenceTable`` holds only the state those methods read and write.
-
-#: Sign of a product, indexed by the parity of the anticommuting pairs.
-_SIGNS = np.array([1.0, -1.0])
+# carried their row hashes, less the in-place branch of ``correct`` for a
+# one-word correction of a table with one row per sum, which
+# ``PauliTable.correct`` no longer has; ``ReferenceTable`` holds only the
+# state those methods read and write.
 
 
 def _row_hash(rows: np.ndarray) -> np.ndarray:
@@ -343,7 +343,7 @@ class ReferenceTable:
     """A copy of a :class:`PauliTable`'s state, corrected by the old kernel."""
 
     def __init__(self, table: PauliTable):
-        self.words, self.labels, self.single = table.words, table.labels, table.single
+        self.words, self.labels = table.words, table.labels
         for name in ("rows", "coeffs", "owner", "counts", "peaks"):
             setattr(self, name, getattr(table, name).copy())
 
@@ -351,7 +351,6 @@ class ReferenceTable:
         self.rows, self.coeffs, self.owner = rows, coeffs, owner
         self.counts = np.bincount(owner, minlength=len(self.labels))
         np.maximum(self.peaks, self.counts, out=self.peaks)
-        self.single = bool(self.counts.max(initial=0) <= 1)
 
     def correct(
         self, qubit: int, correction: LogicalOperator, budget: int = DEFAULT_TERM_BUDGET
@@ -373,21 +372,6 @@ class ReferenceTable:
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
             raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
-        if terms == 1 and self.single:
-            # No sum has two rows and one word maps rows one to one, so
-            # nothing merges: each hit row is replaced where it stands.
-            flipped = rows[hit]
-            odd = np.bitwise_count(flipped[:, : self.words] & correction._rows[0, self.words :])
-            signed = correction._coeffs[0] * _SIGNS
-            new_coeffs = signed[np.add.reduce(odd, axis=1) & 1] * coeffs[hit]
-            rows[hit] = flipped ^ correction._rows[0]
-            coeffs[hit] = new_coeffs
-            dead = np.abs(new_coeffs) <= PRUNE_TOLERANCE
-            if dead.any():
-                stay = np.ones(len(rows), dtype=bool)
-                stay[hit[dead]] = False
-                self._set_rows(rows[stay], coeffs[stay], self.owner[stay])
-            return True
         new_rows, new_coeffs = _product_rows(
             correction._rows, correction._coeffs, rows[hit], coeffs[hit]
         )
@@ -459,31 +443,6 @@ def reference_correct_round(reference, qubits, corrections, budget):
         reference.correct(qubit, correction, budget)
 
 
-def checked_correct_round(correct_round, raised, rounds):
-    """``correct_round``, also run vertex by vertex by the old kernel on a copy; both must agree.
-
-    After every round the two tables must hold the same rows,
-    coefficients, owners, counts and peaks, byte for byte, and both must
-    raise the same budget error or none, which is then raised again and
-    counted in ``raised``.  ``rounds`` counts the rounds of more than one
-    qubit that found the table one-word, so that they took the round kernel.
-    """
-
-    def checked(self, qubits, corrections, budget=DEFAULT_TERM_BUDGET):
-        if len(qubits) > 1 and self.single and all(c.num_terms == 1 for c in corrections):
-            rounds.append(len(qubits))
-        reference = ReferenceTable(self)
-        want = outcome(reference_correct_round, reference, qubits, corrections, budget)
-        got = outcome(correct_round, self, qubits, corrections, budget)
-        assert got == want
-        assert_same_state(self, reference)
-        if isinstance(got, tuple):
-            raised.append(got[1])
-            raise BudgetExceededError(got[1])
-
-    return checked
-
-
 def merging_terms(rng, bits, count):
     """``count`` random words over the few qubits ``bits``, so that words repeat.
 
@@ -503,35 +462,51 @@ class TestCorrectMatchesTheOldKernel:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        raised, rounds = [], []
+        raised = []
         monkeypatch.setattr(PauliTable, "correct", checked_correct(PauliTable.correct, raised))
-        monkeypatch.setattr(
-            PauliTable,
-            "correct_round",
-            checked_correct_round(PauliTable.correct_round, raised, rounds),
-        )
-        return raised, count_product_merges(monkeypatch), rounds
+        return raised, count_product_merges(monkeypatch)
 
-    @pytest.mark.parametrize("name,budget", [("sim-terms", 40), ("sim-clifford", 8)])
+    @pytest.mark.parametrize("name,budget", [("sim-terms", 40)])
     def test_bench_pools_call_by_call(self, checked, name, budget):
-        # Every correct call, and every round, against the old kernel.
-        raised, merges, rounds = checked
+        # Every correct call against the old kernel.
+        raised, merges = checked
         for seed in (1, 2, 3):
             for inst in bench_pool(name, seed):
                 simulate_pattern(inst.graph, inst.gflow, inst.pattern)
-        if name == "sim-terms":
-            # Tables of up to 13,687 rows, most products merging nothing.
-            assert merges[True] >= 30 and merges[False] >= 800
-        else:
-            # Every sim-clifford round replaces its rows in place, in one
-            # kernel call: rounds of 3 to 6 qubits.
-            assert not merges
-            assert len(rounds) >= 300 and max(rounds) >= 6
+        # Tables of up to 13,687 rows, most products merging nothing.
+        assert merges[True] >= 30 and merges[False] >= 800
         # A term budget stops some seed-1 simulations, at the same call.
         for inst in bench_pool(name, 1):
             with contextlib.suppress(BudgetExceededError):
                 simulate_pattern(inst.graph, inst.gflow, inst.pattern, term_budget=budget)
         assert raised
+
+    def test_clifford_pools_take_the_word_path(self):
+        # Every sim-clifford instance keeps one word per logical: each round
+        # matches the dict reference, and a term budget of 8 stops the same
+        # instances at the same round, with the same message, as the old
+        # kernel does vertex by vertex.
+        stopped = collections.Counter()
+        for seed in (1, 2, 3):
+            for inst in bench_pool("sim-clifford", seed):
+                graph, gflow, pattern = inst.graph, inst.gflow, inst.pattern
+                assert_rounds_match_reference(graph, gflow, pattern)
+                state = initialize_simulation(graph, gflow, pattern, term_budget=8)
+                assert state.words is not None
+                reference, stabilizers = ReferenceTable(state.logicals), state.stabilizers
+                for r, layer in enumerate(state.rounds):
+                    vertices = sorted(layer)
+                    corrections = [stabilizers[mu] for mu in vertices]
+                    want = outcome(reference_correct_round, reference, vertices, corrections, 8)
+                    got = outcome(propagate_round, state)
+                    if want is not None:
+                        assert got == want
+                        stopped[r] += 1
+                        break
+                    assert got is state
+        # The budget stops the 24 of the 54 instances that have more than 4
+        # inputs, at their first round, which hits an input's Z logical.
+        assert stopped == {0: 24}
 
     @pytest.mark.parametrize(
         "n,bits",
@@ -539,7 +514,7 @@ class TestCorrectMatchesTheOldKernel:
         ids=["one-word", "two-words", "three-words"],
     )
     def test_random_tables_built_to_merge(self, rng, checked, n, bits):
-        raised, merges, _ = checked
+        raised, merges = checked
         for _ in range(60):
             # Three qubits per table, so that products meet kept rows and each other.
             few = rng.choice(bits, size=3, replace=False)
@@ -556,49 +531,46 @@ class TestCorrectMatchesTheOldKernel:
         assert merges[True] >= 50 and merges[False] >= 50 and len(raised) >= 20
 
 
-def random_one_word_round(rng, n, bits, m):
-    """``m`` qubits of ``bits`` and a one-word correction for each.
+#: The coefficient i^p of a word (x, z, p), indexed by p.
+UNITS = (1.0, 1j, -1.0, -1j)
+
+
+def random_word_round(rng, bits, m):
+    """``m`` qubits of ``bits`` and a word ``(x, z, p)`` correcting each.
 
     A correction has X anywhere on ``bits``, Z on its own qubit most of the
-    time and anywhere off the round, and a unit, small, large or generic
-    coefficient, so that a product can fall under the prune tolerance and
-    a later step of the round could lift it back above.
+    time and anywhere else on ``bits``, and any unit coefficient.
     """
     qubits = sorted(int(q) for q in rng.choice(bits, size=min(m, len(bits)), replace=False))
-    others = [b for b in bits if b not in qubits]
-    scales = (1.0, -1.0, 1j, -1j, 1e-7, 1e5)
     corrections = []
     for qubit in qubits:
         x = sum(1 << int(b) for b in bits if rng.random() < 0.5)
-        z = sum(1 << int(b) for b in others if rng.random() < 0.5)
+        z = sum(1 << int(b) for b in bits if b != qubit and rng.random() < 0.5)
         z |= (1 << qubit) if rng.random() < 0.8 else 0
-        coeff = complex(*rng.normal(size=2))
-        if rng.random() < 0.6:
-            coeff = scales[rng.integers(len(scales))]
-        corrections.append(LogicalOperator(n, {(x, z): coeff}))
+        corrections.append((x, z, int(rng.integers(4))))
     return qubits, corrections
 
 
-def round_hits(table, qubits, corrections):
-    """Rows a round hits at several qubits, and hit pairs whose two sign conventions differ.
+def round_hits(words, qubits, corrections):
+    """Words a round hits at several qubits, and hit pairs whose two sign conventions differ.
 
-    The sign of a step reads the row's X against the correction's Z; read
-    the other way round, Z against X, it differs on the counted pairs.
+    The sign of a step reads the correction's Z against the word's X; read
+    the other way round, X against Z, it differs on the counted pairs.
+    Both count the words as the round finds them.
     """
-    words = [next(c.terms())[0] for c in corrections]
     counts = collections.Counter()
-    for op in table.operators().values():
-        for (x, z), _ in op.terms():
-            hits = [j for j, qubit in enumerate(qubits) if z >> qubit & 1]
-            counts["several"] += len(hits) > 1
-            counts["signs differ"] += sum(
-                ((x & words[j][1]).bit_count() ^ (z & words[j][0]).bit_count()) & 1 for j in hits
-            )
+    for x, z, _ in words.values():
+        hits = [j for j, qubit in enumerate(qubits) if z >> qubit & 1]
+        counts["several"] += len(hits) > 1
+        counts["signs differ"] += sum(
+            ((x & corrections[j][1]).bit_count() ^ (z & corrections[j][0]).bit_count()) & 1
+            for j in hits
+        )
     return counts
 
 
-class TestRoundKernel:
-    """One-word rounds in one kernel call, against the old kernel vertex by vertex."""
+class TestWordCorrection:
+    """The word path's correction against the old kernel, vertex by vertex."""
 
     @pytest.mark.parametrize(
         "n,bits",
@@ -608,46 +580,31 @@ class TestRoundKernel:
     def test_random_rounds_match_vertex_by_vertex(self, rng, n, bits):
         seen = collections.Counter()
         for _ in range(150):
-            sums = {}
+            words = {}
             for label in range(int(rng.integers(1, 7))):
-                # At most one row per sum, so that the table is one-word.
-                terms = merging_terms(rng, bits, 1) if rng.random() < 0.85 else {}
-                if rng.random() < 0.4:
-                    terms = {key: complex(*rng.normal(size=2)) for key in terms}
-                sums[label] = LogicalOperator(n, terms)
-            table = PauliTable.stack(n, sums)
+                ((x, z),) = merging_terms(rng, bits, 1)
+                words[label] = (x, z, int(rng.integers(4)))
+            reference = ReferenceTable(_word_table(n, words))
             for _ in range(4):
-                qubits, corrections = random_one_word_round(rng, n, bits, int(rng.integers(1, 6)))
+                qubits, corrections = random_word_round(rng, bits, int(rng.integers(1, 6)))
                 budget = DEFAULT_TERM_BUDGET
                 if rng.random() < 0.2:
-                    budget = len(table.rows) - int(rng.integers(1, 3))
-                seen.update(round_hits(table, qubits, corrections))
-                count = len(table.rows)
-                reference = ReferenceTable(table)
-                want = outcome(reference_correct_round, reference, qubits, corrections, budget)
-                got = outcome(table.correct_round, qubits, corrections, budget)
-                assert got == want
-                assert_same_state(table, reference)
-                seen["raised"] += isinstance(got, tuple)
-                seen["pruned"] += len(table.rows) < count
-        assert seen["several"] >= 100 and seen["signs differ"] >= 200
-        assert seen["raised"] >= 30 and seen["pruned"] >= 5
-
-    def test_a_correction_with_z_on_another_qubit_of_its_round_is_refused(self):
-        # The row has Z on qubit 0 only.  Qubit 0's correction puts Z on
-        # qubit 1, so qubit 1 would hit the row only after qubit 0's step,
-        # and hits read once at the start of the round would miss it.
-        table = PauliTable.stack(3, {"a": LogicalOperator(3, {(0b000, 0b001): 1.0})})
-        rows, coeffs = table.rows.copy(), table.coeffs.copy()
-        corrections = [
-            LogicalOperator(3, {(0b100, 0b011): 1.0}),
-            LogicalOperator(3, {(0b000, 0b010): 1.0}),
-        ]
-        message = "^a correction has Z on another qubit of its round$"
-        with pytest.raises(ValueError, match=message):
-            table.correct_round([0, 1], corrections)
-        assert table.rows.tobytes() == rows.tobytes()
-        assert table.coeffs.tobytes() == coeffs.tobytes()
+                    budget = len(words) - int(rng.integers(1, 3))
+                seen.update(round_hits(words, qubits, corrections))
+                for qubit, (x, z, p) in zip(qubits, corrections):
+                    correction = LogicalOperator(n, {(x, z): UNITS[p]})
+                    want = outcome(reference.correct, qubit, correction, budget)
+                    got = outcome(_correct_words, words, qubit, (x, z, p), budget)
+                    assert isinstance(got, tuple) == isinstance(want, tuple)
+                    if isinstance(got, tuple):
+                        assert got == want
+                        seen["raised"] += 1
+                        break
+                    arrays = (reference.rows, reference.coeffs, reference.owner)
+                    want_ops = PauliTable(n, reference.labels, *arrays).operators()
+                    for label, op in _word_table(n, words).operators().items():
+                        assert dict(op.terms()) == dict(want_ops[label].terms())
+        assert seen["several"] >= 100 and seen["signs differ"] >= 200 and seen["raised"] >= 30
 
 
 def test_row_hash_is_xor_linear(rng):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from mbqcflow.oracle import TOLERANCE, build_open_graph_state, canonical_unitary
 from mbqcflow.pauli import LogicalOperator, PauliTable
 
 from conftest import (
+    assert_rounds_match_reference,
     bench_pool,
     completion_generators,
     count_product_merges,
@@ -44,7 +46,7 @@ from conftest import (
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
 )
-from pauli_reference import reference_round, reference_start
+from pauli_reference import project_terms, reference_round, reference_start
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -162,39 +164,17 @@ def random_pattern(graph, rng, clifford=False):
     )
 
 
-def assert_rounds_match_reference(graph, gflow, pattern):
-    """Every round equals the dict reference: keys in order, coefficients, marks.
+def mixed(inst):
+    """A bench instance with one angle moved 0.3 off its multiple of pi/2.
 
-    Returns how many logicals the rounds changed and how many they left alone.
+    The angle is that of the first measured vertex that a correcting set
+    or an input's X logical rotates, so its rotated word has two words.
     """
-    def assert_same(op, terms):
-        got = list(op.terms())
-        assert [key for key, _ in got] == list(terms)
-        for (_, coeff), expected in zip(got, terms.values()):
-            assert abs(coeff - expected) <= 1e-15
-
-    touched = untouched = 0
-    state = initialize_simulation(graph, gflow, pattern)
-    stabilizers, logicals = reference_start(graph, gflow, pattern)
-    for mu, terms in stabilizers.items():
-        assert_same(state.stabilizers[mu], terms)
-    initial = state.logicals.operators()
-    for label, terms in logicals.items():
-        assert_same(initial[label], terms)
-    high_water = {label: len(terms) for label, terms in logicals.items()}
-    for r in range(len(state.rounds)):
-        logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
-        propagate_round(state)
-        for label, op in state.logicals.operators().items():
-            want = logicals_after[label]
-            if want is logicals[label]:
-                untouched += 1
-            else:
-                touched += 1
-            assert_same(op, want)
-        assert state.high_water == high_water
-        logicals = logicals_after
-    return touched, untouched
+    rotated = set().union(*inst.gflow.corrections.values()) | set(inst.graph.inputs)
+    vertex = min(v for v in inst.graph.measured if v in rotated)
+    angles = dict(inst.pattern.angles)
+    angles[vertex] += 0.3
+    return dataclasses.replace(inst, pattern=MeasurementPattern(angles=angles))
 
 
 class TestRotatedStabilizer:
@@ -330,9 +310,10 @@ class TestPropagation:
         assert abs(lx.get((0b11, 0b10), 0) - 1j * np.sin(theta)) < 1e-12
 
     def test_round_matches_split_multiply_add_reference(self, rng, monkeypatch):
-        # Random and Clifford angles, so both the merging step and the
-        # in-place one-word step run; widest > 1 gives correcting products,
-        # and some product corrections merge rows while others do not.
+        # Random and Clifford angles, so both the table path, with its
+        # merging step, and the word path run; widest > 1 gives correcting
+        # products, and some product corrections merge rows while others
+        # do not.
         merges = count_product_merges(monkeypatch)
         widest = touched = untouched = 0
         for index, (graph, gflow) in enumerate(sample_graphs_with_gflow(60, seed=47, n_max=7)):
@@ -343,22 +324,15 @@ class TestPropagation:
         assert touched and untouched and widest > 1
         assert merges[True] and merges[False]
 
-    def test_round_matches_reference_across_word_boundaries(self, rng, monkeypatch):
+    def test_round_matches_reference_across_word_boundaries(self, rng):
         # Seeded gFlow graphs relabelled into 140 qubits, measured vertices
         # on bits 62-65 and 126-129, so masks span three 64-bit words.
-        # Random angles multiply Pauli sums; Clifford angles keep one word
-        # per logical, so whole rounds take the one-word kernel, which
-        # reads the Z columns of those bits.
-        kernel, rounds = PauliTable._one_word_round, []
-
-        def spied_kernel(self, qubits, corrections, budget):
-            hit = kernel(self, qubits, corrections, budget)
-            rounds.append((len(qubits), hit))
-            return hit
-
-        monkeypatch.setattr(PauliTable, "_one_word_round", spied_kernel)
+        # Random angles multiply Pauli sums on the table path; Clifford
+        # angles keep one word per logical and take the word path, whose
+        # words are packed into three-word rows whenever they are read.
         slots = [63, 64, 127, 128, 62, 65, 126, 129]
         spare = [v for v in range(140) if v not in slots]
+        touched = collections.Counter()
         for graph, gflow in sample_graphs_with_gflow(12, seed=48, n_max=8):
             order = list(graph.measured) + list(graph.outputs)
             targets = slots[: len(graph.measured)] + list(
@@ -366,8 +340,32 @@ class TestPropagation:
             )
             big, big_flow = relabel(graph, gflow, dict(zip(order, map(int, targets))), 140)
             for clifford in (False, True):
-                assert_rounds_match_reference(big, big_flow, random_pattern(big, rng, clifford))
-        assert sum(m > 1 and hit for m, hit in rounds) >= 5
+                pattern = random_pattern(big, rng, clifford)
+                state = initialize_simulation(big, big_flow, pattern)
+                assert (state.words is not None) == clifford
+                touched[clifford] += assert_rounds_match_reference(big, big_flow, pattern)[0]
+        # Rounds changed logicals on both paths (44 and 36 times).
+        assert touched[False] >= 30 and touched[True] >= 30
+
+    def test_one_angle_off_the_right_angles_takes_the_table_path(self):
+        # Every sim-clifford instance of seed 1 with one rotated word of two
+        # words: each round, the high water and the unitary equal the dict
+        # reference's.
+        for inst in map(mixed, bench_pool("sim-clifford", 1)):
+            graph, gflow, pattern = inst.graph, inst.gflow, inst.pattern
+            assert initialize_simulation(graph, gflow, pattern).words is None
+            assert_rounds_match_reference(graph, gflow, pattern)
+            stabilizers, logicals = reference_start(graph, gflow, pattern)
+            high_water = {label: len(terms) for label, terms in logicals.items()}
+            for layer in gflow.layers[:-1]:
+                logicals = reference_round(logicals, stabilizers, layer, high_water)
+            k = len(graph.outputs)
+            finalized = project_terms(logicals, list(graph.outputs))
+            ops = {label: LogicalOperator(k, terms) for label, terms in finalized.items()}
+            want = extract_unitary(PauliTable.stack(k, ops))
+            result = simulate_pattern(graph, gflow, pattern)
+            assert result.high_water == high_water and max(high_water.values()) > 1
+            assert np.abs(result.unitary - want).max() <= 1e-12
 
     def test_round_matches_reference_when_hashes_collide(self, rng, monkeypatch):
         # A constant row hash lets every correction that multiplies pass the
@@ -401,10 +399,11 @@ class TestPropagation:
         # The hash only screens: grouping a correction that merges nothing
         # leaves what skipping the grouping leaves.  The sim-terms pool of
         # seed 1 reaches tables of 13,687 rows; sim-clifford instance 14
-        # has 72 qubits, two words per mask.
+        # has 72 qubits, two words per mask, and with one angle off the
+        # right angles it takes the table path.
         import mbqcflow.simulate as simulate_mod
 
-        pool = bench_pool("sim-terms", 1) + bench_pool("sim-clifford", 1)[14:15]
+        pool = bench_pool("sim-terms", 1) + [mixed(bench_pool("sim-clifford", 1)[14])]
         tables, finalize = [], simulate_mod.finalize_outputs
 
         def spied_finalize(state):
@@ -557,10 +556,17 @@ class TestFinalizeAndExtract:
         state = propagate_all(
             initialize_simulation(g, fl, MeasurementPattern(angles={0: 0.1, 1: 0.2}))
         )
-        # Corrupt a logical with a Z on a measured vertex.
+        # Corrupt a logical with a Z on a measured vertex (the pattern takes
+        # the table path).
         ops = state.logicals.operators()
         ops[("Z", 0)] = LogicalOperator(3, {(0, 0b001): 1.0})
-        state.logicals = PauliTable.stack(3, ops)
+        state.table = PauliTable.stack(3, ops)
+        with pytest.raises(SimulationInvariantError, match="residual"):
+            finalize_outputs(state)
+        # The same on the word path, which packs its words before the check.
+        pattern = MeasurementPattern(angles={0: np.pi / 2, 1: np.pi})
+        state = propagate_all(initialize_simulation(g, fl, pattern))
+        state.words[("Z", 0)] = (0, 0b001, 0)
         with pytest.raises(SimulationInvariantError, match="residual"):
             finalize_outputs(state)
 
@@ -891,8 +897,8 @@ class TestCostAccounting:
     def test_term_budget_holds_when_every_logical_has_one_term(self):
         from mbqcflow import BudgetExceededError
 
-        # Right angles keep one term per logical, so every correction takes
-        # the one-word path; the table holds 6 rows throughout.
+        # Right angles keep one term per logical, so the pattern takes the
+        # word path, with 6 words throughout.
         g, fl = cluster_graph(3, 4), cluster_row_flow(3, 4)
         pattern = MeasurementPattern(angles=dict.fromkeys(g.measured, np.pi / 2))
         with pytest.raises(BudgetExceededError, match="^6 terms exceed --budget-terms 5$"):
