@@ -33,8 +33,8 @@ import sys
 from typing import Sequence
 
 from . import fixtures as fixtures_mod
-from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT, DEFAULT_ORDERING_BUDGET
-from .errors import DEFAULT_TERM_BUDGET, DEFAULT_TREE_BUDGET
+from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_ORDERING_BUDGET, DEFAULT_TERM_BUDGET
+from .errors import DEFAULT_TREE_BUDGET
 from .errors import BudgetExceededError, DeterminismError, FlowConsistencyError
 from .flow import GFlow, _check_gflow_valid, correction_dependencies, find_causal_flow
 from .flow import find_gflow, flow_wires, verify_gflow
@@ -211,10 +211,7 @@ def _oracle_run(args, graph, gflow, pattern):
 def _oracle_determinism(args, graph, gflow, pattern):
     from .oracle import check_determinism
 
-    report = check_determinism(
-        graph, gflow, pattern, seed=args.seed, branch_budget=args.budget_branches,
-        dense_limit=args.budget_dense,
-    )
+    report = check_determinism(graph, gflow, pattern, dense_limit=args.budget_dense)
     return report.to_json_dict(), EXIT_OK if report.ok else EXIT_DOMAIN
 
 
@@ -348,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     det = _command(
         oracle_sub, "determinism", "check stepwise determinism", _oracle_determinism, pattern_files
     )
-    det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--budget-branches", type=_budget, default=DEFAULT_BRANCH_BUDGET)
     uni = _command(
         oracle_sub, "unitary", "assemble the implemented unitary", _oracle_unitary, pattern_files
     )

@@ -7,12 +7,7 @@ loads no numpy.  :func:`_over_budget` formats every ``--budget-*`` error.
 #: Largest register a dense state is allowed to hold (``--budget-dense``).
 DEFAULT_DENSE_LIMIT = 14
 
-#: Cap on the 2^m branches the determinism check covers.  The check walks
-#: one row, so this bounds no work: on a 2-CPU Xeon VM (Python 3.11, numpy
-#: 2.4, one BLAS thread, median of 21, three runs) it took 1.3-2.0 ms at
-#: 2^12 (cluster 2x7), 1.3-1.9 ms at 2^13 (path 14) and 1.1-1.2 ms at 2^14
-#: (14 isolated YZ vertices, no outputs).  At most 14 vertices are measured
-#: within the dense limit, so at the defaults the dense limit binds first.
+#: Caps nothing; kept only because the benchmark's exact-small workload reads it.
 DEFAULT_BRANCH_BUDGET = 2**14
 
 #: Most rows the table of logicals may reach (``--budget-terms``), from a

@@ -304,7 +304,7 @@ def check_determinism(
     gflow: GFlow,
     pattern: MeasurementPattern,
     seed: int = 0,
-    branch_budget: int = DEFAULT_BRANCH_BUDGET,
+    branch_budget: int = DEFAULT_BRANCH_BUDGET,  # ignored; the benchmark still passes it
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> DeterminismReport:
     """Check stepwise determinism along ``gflow.measurement_order`` on a random input.
@@ -323,10 +323,11 @@ def check_determinism(
     (p+) + (p-).  The per-step test is the stronger one: a wrong correction
     that a later measurement turns into a global phase fails it, though
     every branch ends in the same output.
+
+    The walk holds one row of at most 2^n amplitudes, so ``dense_limit``
+    bounds its work and ``branch_budget`` is accepted and ignored.
     """
     m = len(gflow.measurement_order)
-    if 2**m > branch_budget:
-        raise _over_budget(f"2^{m}", "branches", "branches", branch_budget)
     rng = np.random.default_rng(seed)
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.

@@ -451,22 +451,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
-    def test_budget_exit_code(self, capsys, path5_files):
-        g, f, p = path5_files
-        code = run_command(
-            [
-                "oracle",
-                "determinism",
-                "--graph", g,
-                "--gflow", f,
-                "--pattern", p,
-                "--budget-branches", "2",
-            ]
-        )
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "budget exceeded: 2^4 branches exceed --budget-branches 2\n"
-        )
+    def test_dense_budget_alone_bounds_determinism(self, tmp_path, capsys):
+        # The walk holds one row, so 2^15 branches need no budget of their own.
+        code, payload = run_json(capsys, ["graph", "gen", "path", "--n", "16", "--with-gflow"])
+        assert code == 0
+        rng = random.Random(16)
+        pattern = {"angles": {v: rng.uniform(0, 2 * math.pi) for v in payload["gflow"]["g"]}}
+        for name, data in (("g", payload["graph"]), ("f", payload["gflow"]), ("p", pattern)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        argv = ["oracle", "determinism", "--graph", str(tmp_path / "g.json"),
+                "--gflow", str(tmp_path / "f.json"), "--pattern", str(tmp_path / "p.json")]
+        code, report = run_json(capsys, [*argv, "--budget-dense", "16"])
+        assert code == 0
+        assert report["deterministic"] is True
+        assert report["branch_count"] == 2**15
 
     def test_dense_budget_names_its_flag(self, capsys, path5_files):
         g, f, p = path5_files
@@ -1026,7 +1024,6 @@ class TestCommands:
             (("simulate",), "--budget-dense"),
             (("oracle", "run"), "--budget-dense"),
             (("oracle", "determinism"), "--budget-dense"),
-            (("oracle", "determinism"), "--budget-branches"),
             (("oracle", "unitary"), "--budget-dense"),
             (("bounds",), "--budget-estruc"),
             (("bounds",), "--budget-width"),
@@ -1082,6 +1079,30 @@ def subcommand_words(parser, words=()):
 def test_every_subcommand_has_help(capsys, words):
     assert run_command([*words, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: mbqcflow {' '.join(words)} [-h]")
+
+
+def budget_defaults(parser) -> dict[str, set]:
+    """Every ``--budget-*`` flag declared under ``parser``, with its defaults."""
+    found: dict[str, set] = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                for flag, defaults in budget_defaults(sub).items():
+                    found.setdefault(flag, set()).update(defaults)
+        for flag in action.option_strings:
+            if flag.startswith("--budget-"):
+                found.setdefault(flag, set()).add(action.default)
+    return found
+
+
+def test_readme_budgets_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Budgets", 1)[1]
+    rows = re.findall(r"^\| `(--budget-[a-z-]+)` \| ([^|]*)\|", section, flags=re.MULTILINE)
+    assert len(rows) == len(dict(rows))
+    # The leading integer of each default cell, such as 4194304 in "4194304 (2^22) rows".
+    table = {flag: {int(re.match(r"\d+", cell).group())} for flag, cell in rows}
+    assert table == budget_defaults(build_parser())
 
 
 class TestOutputsAlwaysParse:

@@ -133,7 +133,6 @@ def write_inputs(directory: Path) -> list[list[str]]:
         ["simulate", *big, "--budget-dense", "1"],
         ["oracle", "run", *big, "--branch", "000000", "--budget-dense", "1"],
         ["oracle", "determinism", *big, "--budget-dense", "1"],
-        ["oracle", "determinism", *big, "--budget-branches", "1"],
         ["oracle", "unitary", *big, "--budget-dense", "1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-estruc", "1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-width", "1"],
@@ -144,8 +143,6 @@ def write_inputs(directory: Path) -> list[list[str]]:
         ["simulate", *big, "--budget-dense", "-1"],
         ["oracle", "run", *big, "--branch", "000000", "--budget-dense", "-1"],
         ["oracle", "determinism", *big, "--budget-dense", "-1"],
-        ["oracle", "determinism", *big, "--budget-branches", "-1"],
-        ["oracle", "determinism", *big, "--budget-branches", "0"],
         ["oracle", "unitary", *big, "--budget-dense", "-1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-estruc", "-1"],
         ["bounds", "--graph", "cluster3x3.json", "--budget-width", "-1"],

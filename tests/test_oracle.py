@@ -13,9 +13,11 @@ from mbqcflow import (
     Plane,
     build_open_graph_state,
     check_determinism,
+    entanglement_width_exact,
     oracle_unitary,
     run_branch,
     schmidt_rank_log2,
+    structural_entanglement_exact,
     verify_gflow,
 )
 from mbqcflow import oracle as oracle_mod
@@ -24,7 +26,8 @@ from mbqcflow.oracle import apply_word_masks, canonical_unitary, measurement_bas
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
 import oracle_reference
-from conftest import bench_pool, max_deviation_up_to_phase, random_open_graph, sample_graphs_with_gflow
+from conftest import bench_pool, max_deviation_up_to_phase, random_open_graph, relabel
+from conftest import sample_graphs_with_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -574,6 +577,49 @@ class TestWalkAgainstBatch:
         assert not check_determinism(graph, gflow, pattern).ok
 
 
+def relabelled(graph, gflow, pattern, rng, keep_rounds=False):
+    """The instance under a seeded renaming of its vertices that keeps the input and output order.
+
+    With ``keep_rounds`` each round keeps its order of measurement too.
+    """
+    mapping = dict(enumerate(rng.permutation(graph.n).tolist()))
+    if keep_rounds:
+        for layer in gflow.layers[:-1]:
+            mapping.update(zip(sorted(layer), sorted(mapping[v] for v in layer)))
+    graph, gflow = relabel(graph, gflow, mapping, graph.n)
+    pattern = MeasurementPattern(
+        angles={mapping[v]: a for v, a in pattern.angles.items()},
+        planes={mapping[v]: p for v, p in pattern.planes.items()},
+    )
+    return graph, gflow, pattern
+
+
+class TestRelabelling:
+    """Renaming the vertices, with the input and output order kept, changes no exact result."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_small_pools(self, seed):
+        rng = np.random.default_rng(seed)
+        for inst in bench_pool("exact-small", seed):
+            graph, gflow, pattern = relabelled(inst.graph, inst.gflow, inst.pattern, rng)
+            want = oracle_unitary(inst.graph, inst.gflow, inst.pattern)
+            assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - want)) <= 1e-12
+            want = check_determinism(inst.graph, inst.gflow, inst.pattern)
+            got = check_determinism(graph, gflow, pattern)
+            assert (got.ok, got.branch_count) == (want.ok, want.branch_count)
+            for exact in (entanglement_width_exact, structural_entanglement_exact):
+                assert exact(graph) == exact(inst.graph)
+
+    def test_corrupted_gflows(self):
+        # A round is measured in label order.  A corrupted correction can
+        # reach a vertex of its own round, and then the verdict depends on
+        # that order, so the renaming keeps it.
+        rng = np.random.default_rng(37)
+        for case in _corrupted_gflows():
+            relabelled_case = relabelled(*case, rng, keep_rounds=True)
+            assert check_determinism(*relabelled_case).ok == check_determinism(*case).ok
+
+
 class TestRunBranch:
     def test_path2_positive_branch_is_hadamard_rotation(self, rng):
         g, fl = path_graph(2), path_flow(2)
@@ -668,7 +714,7 @@ class TestRunBranch:
         monkeypatch.setattr(oracle_mod, "build_open_graph_state", refuse)
         calls = {
             "run_branch": lambda g, f, p: run_branch(g, f, p, dict.fromkeys(f.measurement_order, 0)),
-            "check_determinism": lambda g, f, p: check_determinism(g, f, p, branch_budget=2**27),
+            "check_determinism": check_determinism,
             "oracle_unitary": oracle_unitary,
         }
         g, fl = path_graph(28), path_flow(28)
@@ -804,11 +850,10 @@ class TestCheckDeterminism:
         assert report.ok
         assert report.branch_count == 1
 
-    def test_budget(self):
+    def test_branch_budget_is_accepted_and_ignored(self):
         g, fl = path_graph(5), path_flow(5)
         pat = MeasurementPattern(angles={v: 0.1 for v in range(4)})
-        with pytest.raises(BudgetExceededError, match=r"^2\^4 branches exceed --budget-branches 8$"):
-            check_determinism(g, fl, pat, branch_budget=8)
+        assert check_determinism(g, fl, pat, branch_budget=1) == check_determinism(g, fl, pat)
 
 
 class TestOracleUnitary:
