@@ -26,8 +26,8 @@ Every DP runs as numpy kernels over all 2^n vertex masks:
   along it: 3^n/2 pairs in all.
 
 The popcount layers and the split arrays depend on n alone, so they are
-kept between calls, as ``pauli._hash_table`` is: each is one read-only
-table, for the largest n asked for so far, that a smaller n slices.
+kept between calls, the only module-level tables that are.  Each is one
+read-only table, for the largest n asked for so far, that a smaller n slices.
 Building them took about half of a width call at n = 10.  They hold 61
 KB at n = 10, and 43 MB at the width budget of 16 vertices (the layers
 alone hold 4 MB at the ordering budget of 20).  Above the width budget

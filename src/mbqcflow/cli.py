@@ -391,6 +391,10 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # One BLAS thread unless the caller set a count: on the small matrices of
+    # one call, a thread pool costs more than it saves.  Numpy is not loaded yet.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     sys.exit(run_command(sys.argv[1:]))
 
 

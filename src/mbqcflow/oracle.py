@@ -324,6 +324,12 @@ def check_determinism(
     that a later measurement turns into a global phase fails it, though
     every branch ends in the same output.
 
+    The walk measures each round in label order.  On a gFlow whose
+    correction reaches a vertex of its own round, which breaks the g1/g2
+    rules of ``verify_gflow``, the verdict can depend on that order:
+    seeded relabellings within the rounds changed 2-6 of 60 corrupted
+    verdicts.  The CLI refuses such a gFlow before the oracle runs.
+
     The walk holds one row of at most 2^n amplitudes, so ``dense_limit``
     bounds its work and ``branch_budget`` is accepted and ignored.
     """

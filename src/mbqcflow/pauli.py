@@ -26,7 +26,8 @@ one a term-by-term loop computes, bit for bit.  Equal rows are found by
 one lexicographic sort of the rows and a comparison of sorted
 neighbours, word by word: grouping is exact and has one path.  A 64-bit
 hash of each row only screens a correction: if all of its rows' hashes
-differ, no rows are equal, and the grouping is skipped.  The hash is
+differ, no rows are equal, and the grouping is skipped.  The hash XORs
+the row's words, each mixed by two rounds of xorshifts, so it is
 XOR-linear: the hash of the product of two words is the XOR of their
 hashes.  So a table keeps the hash of each row, keyed by its sum, once
 it has needed it, and a correction hashes only its own words.
@@ -36,14 +37,14 @@ work runs per word over lines of length T, never along the short 2W axis,
 where numpy takes its slow general path.  A correction treats one
 measured vertex for every sum of a table at once.  With T rows of which F
 have Z on the vertex and a correction of C words, it costs one mask test
-over T rows when F = 0; otherwise about 75 numpy calls on T - F + C F
-rows, and 4 per nonzero byte of the correction, among them one sort of
-as many hashes.  Only if two are equal do the rows go through the
-grouping step (one lexicographic sort and about 25 more calls).  A
-sim-terms instance of seed 1 makes 15.45 such calls, 4.55 on tables of
-over 1,000 rows.  Over the sim-terms pools of seeds 1-3, 890 of the 927
-that multiply found no two hashes equal, on tables of up to 13,687 rows;
-the other 37, of at most 93 rows, all merged.
+over T rows when F = 0; otherwise about 80 numpy calls on T - F + C F
+rows or on the C words, among them one sort of as many hashes.  Only if
+two are equal do the rows go through the grouping step (one
+lexicographic sort and about 25 more calls).  A sim-terms instance of
+seed 1 makes 15.45 such calls, 4.55 on tables of over 1,000 rows.  Over
+the sim-terms pools of seeds 1-3, 890 of the 927 that multiply found no
+two hashes equal, on tables of up to 13,687 rows; the other 37, of at
+most 93 rows, all merged.
 """
 
 from __future__ import annotations
@@ -84,50 +85,34 @@ def _unpack_words(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
-#: Words of rows hashed at a time: each temporary of a block stays near
-#: 64 KiB, below glibc's default mmap threshold.
-_HASH_BLOCK = 1 << 13
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_table(columns: int) -> np.ndarray:
-    """Lookup table of :func:`_row_hash` on rows of ``columns`` words.
-
-    Bit q of a row has the key ``splitmix64(q + 1)``, which is never 0.
-    Entry ``256 p + b`` is the XOR of the keys of the bits set in byte
-    value b at byte p of a row.
-    """
-    keys = np.arange(1, 64 * columns + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    keys ^= keys >> 30
-    keys *= 0xBF58476D1CE4E5B9
-    keys ^= keys >> 27
-    keys *= 0x94D049BB133111EB
-    keys ^= keys >> 31
-    keys = keys.reshape(-1, 8)
-    values = np.arange(256)
-    table = np.zeros((len(keys), 256), dtype=np.uint64)
-    for bit in range(8):
-        table[:, (values >> bit) & 1 == 1] ^= keys[:, bit : bit + 1]
-    return table.reshape(-1)
+#: Word j of a row is mixed by two rounds of the xorshift ``v ^= v << a;
+#: v ^= v >> b; v ^= v << c`` (Marsaglia, "Xorshift RNGs", J. Stat. Softw.
+#: 8(14), 2003), with the shifts ``_SHIFTS[round, step, j % 63]``.  With the
+#: steps and offsets below, found by a seeded search, two rows of up to 32
+#: words that differ in one to four bits never hash alike.  It holds 3 KiB.
+_SHIFTS = np.array(
+    [
+        [1 + (offset + step * j) % 63 for j in range(63)]
+        for step, offset in zip([5, 59, 59, 1, 62, 17], [52, 24, 56, 0, 39, 18])
+    ],
+    dtype=np.uint64,
+).reshape(2, 3, 63, 1)
 
 
 def _row_hash(rows: np.ndarray) -> np.ndarray:
-    """64-bit hash of every row: the XOR of the keys of its set bits.
+    """64-bit hash of every row: the XOR of its words, each mixed by its own xorshifts.
 
-    The hash is XOR-linear: the hash of ``a ^ b`` is the hash of ``a``
-    XOR the hash of ``b``.  A zero word adds nothing, so the hash of a
-    row without its last words is that of the row with those words 0.
+    Each mix is an invertible GF(2)-linear map, so the hash is XOR-linear:
+    the hash of ``a ^ b`` is the hash of ``a`` XOR the hash of ``b``.  A
+    zero word adds nothing, so the hash of a row without its last words
+    is that of the row with those words 0.
     """
-    table = _hash_table(rows.shape[1])
-    hashes, step = np.zeros(len(rows), dtype=np.uint64), _HASH_BLOCK // rows.shape[1]
-    for start in range(0, len(rows), step):
-        block, out = np.ascontiguousarray(rows[start : start + step]), hashes[start : start + step]
-        # A byte that is zero in every row adds nothing, so only the others are read.
-        either = np.bitwise_or.reduce(np.ascontiguousarray(block.T), axis=1, initial=np.uint64(0))
-        block = block.view(np.uint8)
-        for place in either.view(np.uint8).nonzero()[0].tolist():
-            out ^= table[place << 8 :].take(block[:, place])
-    return hashes
+    lines = rows.T.copy()
+    for left, right, last in _SHIFTS.take(np.arange(rows.shape[1]), axis=2, mode="wrap"):
+        lines ^= lines << left
+        lines ^= lines >> right
+        lines ^= lines << last
+    return np.bitwise_xor.reduce(lines, axis=0)
 
 
 def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

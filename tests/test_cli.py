@@ -1213,3 +1213,31 @@ print(loaded, file=sys.stderr)
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stderr == f"{[False] * 8 + [True]}\n"
+
+
+@pytest.mark.parametrize(
+    "preset, want", [({}, ["1", "1", "1"]), ({"OMP_NUM_THREADS": "2"}, ["1", "2", "1"])]
+)
+def test_cli_runs_one_blas_thread_unless_one_is_set(preset, want):
+    # A BLAS thread pool costs more than it saves on one call's small
+    # matrices, so main() sets one thread before any handler loads numpy,
+    # and keeps a count the caller set.
+    names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    script = """
+import os, sys
+from mbqcflow import cli
+sys.argv = ["mbqcflow", "fixtures", "list"]
+try:
+    cli.main()
+except SystemExit as exc:
+    assert exc.code == 0
+print([os.environ.get(name) for name in NAMES], file=sys.stderr)
+"""
+    src = str(Path(mbqcflow.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env.update(preset, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script.replace("NAMES", repr(names))],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stderr == f"{want}\n"

@@ -26,8 +26,8 @@ from mbqcflow.oracle import apply_word_masks, canonical_unitary, measurement_bas
 from mbqcflow.fixtures import cluster_graph, cluster_row_flow, path_flow, path_graph
 
 import oracle_reference
-from conftest import bench_pool, max_deviation_up_to_phase, random_open_graph, relabel
-from conftest import sample_graphs_with_gflow
+from conftest import bench_pool, local_complement, max_deviation_up_to_phase, random_open_graph
+from conftest import relabel, sample_graphs_with_gflow
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -991,6 +991,24 @@ class TestSchmidtRank:
     def test_bell_state(self):
         state = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         assert schmidt_rank_log2(state, 2, {0}) == 1
+
+    def test_local_complementation_keeps_every_cut(self):
+        # Local complementation maps a graph state by a local Clifford (Van
+        # den Nest, Dehaene and De Moor, PRA 69, 022316, 2004), so no Schmidt
+        # rank of the built state changes.  Each cut is one side without the
+        # last vertex; each graph is complemented at a seeded vertex with
+        # two neighbours or more, so its edges change.
+        rng = np.random.default_rng(38)
+        for n in [6 + i % 5 for i in range(10)]:
+            graph = random_open_graph(rng, n_min=n, n_max=n, with_io=False)
+            v = int(rng.choice([u for u in range(n) if len(graph.neighbors(u)) > 1]))
+            complemented = local_complement(graph, v)
+            assert complemented.edges != graph.edges
+            sides = [[q for q in range(n) if mask >> q & 1] for mask in range(1, 1 << (n - 1))]
+            states = [build_open_graph_state(g) for g in (graph, complemented)]
+            ranks = [[schmidt_rank_log2(state, n, side) for side in sides] for state in states]
+            assert ranks[0] == ranks[1], (n, v)
+            assert max(ranks[0]) > 1
 
     def test_normalize_phase(self):
         vec = np.array([0.0, -1j, 1.0])

@@ -615,11 +615,20 @@ def test_row_hash_is_xor_linear(rng):
         assert np.array_equal(pauli._row_hash(a ^ b), pauli._row_hash(a) ^ pauli._row_hash(b))
         padded = np.concatenate((a, np.zeros((40, 2), dtype=np.uint64)), axis=1)
         assert np.array_equal(pauli._row_hash(padded), pauli._row_hash(a))
-    # Each bit has its own nonzero key, so no two one-bit rows collide.
-    bits = np.zeros((3 * 64, 3), dtype=np.uint64)
-    for q in range(3 * 64):
+    # Each bit has its own nonzero key, so no two one-bit rows collide.  By
+    # linearity, rows that differ in a set of bits hash alike exactly when
+    # the XOR of those bits' hashes is 0; for sets of two to four bits, no
+    # XOR of two bit hashes is 0, equals a third bit's hash, or equals the
+    # XOR of another two.
+    bits = np.zeros((7 * 64, 7), dtype=np.uint64)
+    for q in range(7 * 64):
         bits[q, q // 64] = np.uint64(1 << (q % 64))
-    assert len(set(pauli._row_hash(bits).tolist()) - {0}) == 3 * 64
+    single = pauli._row_hash(bits)
+    assert len(set(single.tolist()) - {0}) == 7 * 64
+    first, second = np.triu_indices(len(single), 1)
+    pairs = np.sort(single[first] ^ single[second])
+    assert pairs[0] != 0 and not np.isin(pairs, single).any()
+    assert not (pairs[1:] == pairs[:-1]).any()
 
 
 def reference_group(rows: np.ndarray) -> tuple[list[int], list[int]]:

@@ -431,6 +431,34 @@ class TestPropagation:
         assert outputs() == hashed
         assert pool[-1].graph.n > 64
 
+    def test_the_screen_groups_only_corrections_that_merge(self, monkeypatch):
+        # A correction reaches the grouping step only when two of its row
+        # hashes are equal.  On the sim-terms pools of seeds 1-2 each of the
+        # 23 that reach it finds two equal rows: no hash collision sends a
+        # correction there without cause.
+        import mbqcflow.pauli as pauli_mod
+
+        merged, within, group, correct = [], [False], pauli_mod._group, PauliTable.correct
+
+        def spied_group(rows):
+            run, first = group(rows)
+            if within[0]:
+                merged.append(len(first) < len(rows))
+            return run, first
+
+        def spied_correct(self, *args):
+            within[0] = True
+            try:
+                return correct(self, *args)
+            finally:
+                within[0] = False
+
+        monkeypatch.setattr(pauli_mod, "_group", spied_group)
+        monkeypatch.setattr(PauliTable, "correct", spied_correct)
+        for inst in bench_pool("sim-terms", 1) + bench_pool("sim-terms", 2):
+            simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+        assert len(merged) >= 20 and all(merged)
+
     def test_rounds_must_be_ordered(self):
         g, fl = path_graph(3), path_flow(3)
         state = initialize_simulation(
