@@ -259,7 +259,7 @@ def correction_masks(graph: OpenGraph, gflow: GFlow, vertex: int) -> tuple[int, 
     x_mask = z_mask = 0
     for j in gflow.corrections[vertex]:
         if not 0 <= j < graph.n:
-            _check_vertices(graph, gflow.corrections[vertex], f"correcting set of {vertex}")
+            _check_vertices(graph.n, gflow.corrections[vertex], f"correcting set of {vertex}")
         x_mask |= 1 << j
         z_mask ^= graph.adjacency_masks[j]
     return x_mask, z_mask

@@ -281,10 +281,10 @@ def _set_to_mask(vertices: Iterable[int]) -> int:
     return mask
 
 
-def _check_vertices(graph: OpenGraph, vertices: Iterable[int], name: str) -> frozenset[int]:
+def _check_vertices(n: int, vertices: Iterable[int], name: str) -> frozenset[int]:
     vs = frozenset(vertices)
     for v in vs:
-        if not 0 <= v < graph.n:
+        if not 0 <= v < n:
             raise ValueError(f"{name} contains out-of-range vertex {v}")
     return vs
 
@@ -294,7 +294,7 @@ def odd_neighborhood(graph: OpenGraph, vertices: Iterable[int]) -> frozenset[int
 
     Linear over symmetric difference: Odd(K1 xor K2) = Odd(K1) xor Odd(K2).
     """
-    vs = _check_vertices(graph, vertices, "vertex set")
+    vs = _check_vertices(graph.n, vertices, "vertex set")
     acc = 0
     for v in vs:
         acc ^= graph.adjacency_masks[v]
@@ -303,7 +303,7 @@ def odd_neighborhood(graph: OpenGraph, vertices: Iterable[int]) -> frozenset[int
 
 def cut_edges(graph: OpenGraph, side: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in ``side``."""
-    vs = _check_vertices(graph, side, "cut side")
+    vs = _check_vertices(graph.n, side, "cut side")
     return sum(1 for u, v in graph.edges if (u in vs) != (v in vs))
 
 
@@ -315,7 +315,7 @@ def cut_rank(graph: OpenGraph, side: Iterable[int]) -> int:
     smaller side.
     """
     side = map(operator.index, side)  # a numpy label would wrap the mask
-    return mask_cut_rank(graph, _set_to_mask(_check_vertices(graph, side, "cut side")))
+    return mask_cut_rank(graph, _set_to_mask(_check_vertices(graph.n, side, "cut side")))
 
 
 def mask_cut_rank(graph: OpenGraph, side_mask: int) -> int:

@@ -2,26 +2,26 @@
 
 Everything here works on explicit complex amplitude vectors: open graph
 states are built by applying CZ along every edge, and a branch measures
-the qubits in gflow order.  Each state is built once and laid out once:
-from bit 0 up the register holds the outputs in output order, then the
-measured qubits in reverse gflow order, so every measurement contracts
-the top bit of what is left against the conjugated closed-form basis
-vector of its outcome.  The register halves at every step and what is
-left at the end is the output register, output k at bit k; the gflow
-correction of a -1 outcome acts on the bits below the one measured.
-``run_branch`` runs one branch as a batch of one row.
-``check_determinism`` walks the gflow order once, on one row: each step
-contracts it against both outcomes' bras in one product, checks that the
+the qubits in gflow order.  Each state is built once, as one vector, and
+laid out once: from bit 0 up the register holds the outputs in output
+order, then the measured qubits in reverse gflow order, so every
+measurement contracts the top half of the vector against the conjugated
+closed-form basis vector of its outcome.  The register halves at every
+step and what is left at the end is the output register, output k at bit
+k; the gflow correction of a -1 outcome acts on the bits below the one
+measured.  ``run_branch`` runs one branch on that vector.
+``check_determinism`` walks the gflow order once: each step contracts
+the vector against both outcomes' bras in one product, checks that the
 corrected -1 state equals the +1 state, and goes on with one of them.
 Stepwise determinism makes that one walk as good as comparing all 2^m
 branches.  ``oracle_unitary`` runs the all-+1 branch on the open graph
-state with its input legs left open: laid out with the inputs on the top
-bits, the state built with |+> on every qubit holds one row per
-assignment of the input bits, over a register of the n - k non-input
-qubits.  A measured input then only scales each row by its bra's entry
-at the row's bit, so the unitary costs one build and one contraction per
-measured non-input qubit, each on 2^n amplitudes, where one run per basis
-input would hold 2^k times as many.  ``run_branch`` and
+state with its input legs left open: the state built with |+> on every
+qubit, with the k inputs on the low bits, holds every basis input's run
+at once, and what is left after the last step holds the unitary's
+columns.  A measured input then only scales each column by its bra's
+entry at the column's bit, so the unitary costs one build and one
+contraction per measured non-input qubit, each on 2^n amplitudes, where
+one run per basis input would hold 2^k times as many.  ``run_branch`` and
 ``oracle_unitary`` take the same measurement step.  A correction, X on
 g(v) and Z on Odd(g(v)) (``flow.correction_masks``), acts on the bits
 left as raw bitmasks (global phase dropped), keeping this module
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DEFAULT_BRANCH_BUDGET, DEFAULT_DENSE_LIMIT
 from .errors import DeterminismError, _over_budget
 from .flow import GFlow, _check_gflow_shape, check_pattern, correction_masks
-from .graph import OpenGraph
+from .graph import OpenGraph, _check_vertices
 from .pattern import MeasurementPattern, Plane
 
 _ZERO_PROBABILITY = 1e-12
@@ -131,11 +131,10 @@ class _Step(NamedTuple):
     correction: tuple[int, int]
 
 
-def _lay_out(state: np.ndarray, layout: Sequence[int], top: int) -> np.ndarray:
-    """``state`` with bit p holding qubit ``layout[p]``, as 2^top rows of its top bits."""
+def _lay_out(state: np.ndarray, layout: Sequence[int]) -> np.ndarray:
+    """``state`` as an n-axis tensor whose last axis holds qubit ``layout[0]``, bit 0."""
     n = len(layout)
-    axes = [n - 1 - q for q in reversed(layout)]
-    return state.reshape((2,) * n).transpose(axes).reshape(1 << top, -1)
+    return state.reshape((2,) * n).transpose([n - 1 - q for q in reversed(layout)])
 
 
 def _prepare(
@@ -144,7 +143,7 @@ def _prepare(
     pattern: MeasurementPattern,
     input_state: np.ndarray | None,
     dense_limit: int,
-    rows: Sequence[int] = (),
+    keep_inputs: bool = False,
 ) -> tuple[np.ndarray, list[_Step]]:
     """The checks every path runs, the built state and the measurement plan.
 
@@ -152,18 +151,19 @@ def _prepare(
     :func:`~.flow.verify_gflow` does, so the rounds measure exactly the
     non-output vertices; then that the pattern fits the gflow and, before
     building anything exponential, that the state fits the dense limit.
-    Returns the built state, laid out once, and one step per vertex of
-    ``gflow.measurement_order`` outside ``rows``.  From bit 0 up the
-    register holds the outputs outside ``rows`` in output order, then the
-    steps' vertices in reverse order, then ``rows``, whose bits index the
-    batch rows.  So each step measures the top bit of what is left of a
-    row, and the last step leaves output k at bit k.
+    Returns the built state as one vector, laid out once, and one step per
+    vertex of ``gflow.measurement_order``, inputs left out under
+    ``keep_inputs``.  From bit 0 up the register holds the inputs in input
+    order under ``keep_inputs``, then the other outputs in output order,
+    then the steps' vertices in reverse order.  So each step measures the
+    top bit of what is left, and the last step leaves the kept bits.
     """
     _check_gflow_shape(graph, gflow)
     check_pattern(gflow, pattern)
-    order = [v for v in gflow.measurement_order if v not in rows]
-    layout = [q for q in graph.outputs if q not in rows] + order[::-1] + list(rows)
-    state = _lay_out(build_open_graph_state(graph, input_state, dense_limit), layout, len(rows))
+    kept = list(graph.inputs) if keep_inputs else []
+    order = [v for v in gflow.measurement_order if v not in kept]
+    layout = kept + [q for q in graph.outputs if q not in kept] + order[::-1]
+    state = _lay_out(build_open_graph_state(graph, input_state, dense_limit), layout).reshape(-1)
     # bit[q] is vertex q's register bit; each correction keeps the bits below its step's.
     bit = np.zeros(graph.n, dtype=np.int64)
     bit[layout] = 1 << np.arange(graph.n)
@@ -177,20 +177,20 @@ def _prepare(
     return state, steps
 
 
-def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``step.vertex``, the top bit of every row of ``state``, with the given outcome.
+def _measure(state: np.ndarray, step: _Step, outcome: int) -> tuple[np.ndarray, float]:
+    """Measure ``step.vertex``, the top bit of ``state``, with the given outcome.
 
     Contracts the top bit against its outcome's basis vector, which drops
-    it, normalises each row and, after a -1 outcome, applies the gflow
-    correction.  Returns the new batch and the step probability of each
-    row.  A probability below ``_ZERO_PROBABILITY`` reads 0, and its row
-    is left unnormalised.
+    it, normalises what is left and, after a -1 outcome, applies the gflow
+    correction.  Returns the new state and the step probability.  A
+    probability below ``_ZERO_PROBABILITY`` reads 0 and zeroes the state.
     """
-    state = step.bras[outcome] @ state.reshape(len(state), 2, -1)
-    prob = np.linalg.norm(state, axis=-1) ** 2
-    prob[prob < _ZERO_PROBABILITY] = 0.0
-    state /= np.sqrt(np.where(prob == 0.0, 1.0, prob))[:, None]
-    if outcome == 1 and prob.any():
+    state = step.bras[outcome] @ state.reshape(2, -1)
+    prob = float(np.vdot(state, state).real)
+    if prob < _ZERO_PROBABILITY:
+        return state * 0.0, 0.0
+    state *= 1 / math.sqrt(prob)
+    if outcome == 1:
         state = apply_word_masks(state, *step.correction)
     return state, prob
 
@@ -221,28 +221,35 @@ def run_branch(
     outcome the gflow correction, restricted to the still-unmeasured
     qubits, is applied.  The surviving outputs are returned in output
     order.  Zero-probability branches are reported with probability 0 and
-    no state rather than as an error.  This is the single-branch
-    reference that the determinism walk and the unitary batch are tested
-    against.
+    no state rather than as an error.  ``branch_bits`` holds 0 or 1 for
+    every measured vertex and for no other vertex.  This is the
+    single-branch reference that the determinism walk and the unitary are
+    tested against.
     """
     state, steps = _prepare(graph, gflow, pattern, input_state, dense_limit)
-    missing = set(gflow.measurement_order) - set(branch_bits)
+    measured = set(gflow.measurement_order)
+    missing = measured - set(branch_bits)
     if missing:
         raise ValueError(f"branch bits missing for vertices {sorted(missing)}")
+    for v, bit in branch_bits.items():
+        if v not in measured:
+            raise ValueError(f"branch bit {bit!r} given for vertex {v}, which is not measured")
+        if bit not in (0, 1):
+            raise ValueError(f"branch bit for vertex {v} is {bit!r}, not 0 or 1")
     step_probs: list[float] = []
     outcomes: dict[int, int] = {}
     for step in steps:
-        outcome = int(branch_bits[step.vertex]) & 1
+        outcome = int(branch_bits[step.vertex])
         state, prob = _measure(state, step, outcome)
         outcomes[step.vertex] = outcome
-        step_probs.append(float(prob[0]))
-        if prob[0] == 0.0:
+        step_probs.append(prob)
+        if prob == 0.0:
             break
     return BranchRecord(
         outcomes=outcomes,
         step_probabilities=tuple(step_probs),
         probability=float(np.prod(step_probs)),
-        output_state=state[0] if all(step_probs) else None,
+        output_state=state if all(step_probs) else None,
     )
 
 
@@ -313,7 +320,7 @@ def check_determinism(
     Mhalla and Perdrix, NJP 9, 250, 2007): after each measurement the
     corrected -1 state equals the +1 state up to global phase, so all 2^m
     branches (``branch_count``) end in the same output.  One walk checks
-    this on one row, which halves at every step: it contracts the row
+    this on one vector, which halves at every step: it contracts it
     against both bras at once, records |p - 1/2| of each outcome that
     occurs and, when both occur, the fidelity of the corrected -1 state
     with the +1 state, then goes on with the normalised +1 state or the
@@ -330,7 +337,7 @@ def check_determinism(
     seeded relabellings within the rounds changed 2-6 of 60 corrupted
     verdicts.  The CLI refuses such a gFlow before the oracle runs.
 
-    The walk holds one row of at most 2^n amplitudes, so ``dense_limit``
+    The walk holds one vector of at most 2^n amplitudes, so ``dense_limit``
     bounds its work and ``branch_budget`` is accepted and ignored.
     """
     m = len(gflow.measurement_order)
@@ -338,7 +345,7 @@ def check_determinism(
     k = len(graph.inputs)
     # Left unnormalised: build_open_graph_state normalises every input.
     input_state = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-    (state,), steps = _prepare(graph, gflow, pattern, input_state, dense_limit)
+    state, steps = _prepare(graph, gflow, pattern, input_state, dense_limit)
     worst, deviation, total = 1.0, 0.0, 1.0
     for step in steps:
         plus, minus = step.bras @ state.reshape(2, -1)
@@ -374,53 +381,47 @@ def oracle_unitary(
     phases; the result is normalized, checked for unitarity, and brought
     to a canonical global phase (first significant entry real positive).
 
-    The basis inputs are the rows of one batch, cut from one state built
-    with |+> on every qubit: row x holds the 2^(n-k) amplitudes whose
-    input bits read x, over a register of the non-input qubits.  Each
-    measured non-input qubit is contracted once for all rows, so the batch
-    never holds more than the 2^n amplitudes of the built state.  A
-    measured input v scales row x by its bra's entry at bit x_v, with
-    step probability the entry's squared modulus, and an input that is an
-    output keeps its row's bit.  :func:`_check_unitary` checks the
-    registers before anything else, and the unitary's size after the
-    dense state and before the first contraction.
+    All basis inputs share one vector, the state built with |+> on every
+    qubit and laid out with the inputs on the low bits: its amplitudes
+    whose input bits read x hold input x's run.  Each measured non-input
+    qubit is contracted once for all inputs, and one scalar normalises the
+    whole vector, which keeps the columns' relative weights.  A measured
+    input v scales column x by its bra's entry at bit x_v, and an input
+    that is an output keeps its column's bit.  Input x has zero
+    probability when its final column's weight is below
+    ``_ZERO_PROBABILITY`` of the largest column's.  :func:`_check_unitary`
+    checks the registers before anything else, and the unitary's size
+    after the dense state and before the first contraction.
     """
     k = len(graph.inputs)
     _check_unitary(k, len(graph.outputs))
-    state, steps = _prepare(graph, gflow, pattern, None, dense_limit, graph.inputs)
+    state, steps = _prepare(graph, gflow, pattern, None, dense_limit, keep_inputs=True)
     _check_unitary(k, k, dense_limit)
-    # Scaled so that each row, a basis input's state, has norm 1.
-    state *= 2.0 ** (k / 2)
-    amp = np.ones(1 << k, dtype=complex)
     for step in steps:
-        state, prob = _measure(state, step, 0)
-        amp *= np.sqrt(prob)
+        state, _ = _measure(state, step, 0)
     x = np.arange(1 << k)
-    columns = state.T
+    # Row r, column x: the other outputs read r, in output order.
+    columns = state.reshape(-1, 1 << k)
+    weight = np.linalg.norm(columns, axis=0) ** 2
     if graph.input_set & graph.output_set:
-        # The register left holds the other outputs, in output order.
         kept = [b for b, q in enumerate(graph.outputs) if q not in graph.input_set]
         source = np.zeros_like(x)
         for pos, b in enumerate(kept):
             source |= ((x >> b) & 1) << pos
         columns = columns[source]
+    amp = np.ones(1 << k, dtype=complex)
     for pos, v in enumerate(graph.inputs):
         bit = (x >> pos) & 1
         if v in graph.output_set:
-            # An input that is an output keeps its row's bit.
+            # An input that is an output keeps its column's bit.
             columns[((x[:, None] >> graph.outputs.index(v)) & 1) != bit] = 0.0
         else:
-            entry = measurement_basis(pattern.planes[v], pattern.angles[v])[0].conj()
-            entry[np.abs(entry) ** 2 < _ZERO_PROBABILITY] = 0.0
-            amp *= entry[bit]
-    zero = np.flatnonzero(amp == 0.0)
+            amp *= measurement_basis(pattern.planes[v], pattern.angles[v])[0].conj()[bit]
+    weight *= np.abs(amp) ** 2
+    zero = np.flatnonzero(weight <= _ZERO_PROBABILITY * weight.max())
     if zero.size:
         raise DeterminismError(f"branch 0 has zero probability on input {zero[0]}")
-    columns = columns * amp
-    scale = np.linalg.norm(columns[:, 0])
-    if scale < _ZERO_PROBABILITY:
-        raise DeterminismError("assembled map is singular")
-    return canonical_unitary(columns / scale, "assembled")
+    return canonical_unitary(columns * (amp / math.sqrt(weight[0])), "assembled")
 
 
 def schmidt_rank_log2(state: np.ndarray, n: int, side: Iterable[int]) -> int:
@@ -428,11 +429,14 @@ def schmidt_rank_log2(state: np.ndarray, n: int, side: Iterable[int]) -> int:
 
     The rank is determined from the singular values with a scale-relative
     threshold; for stabilizer states the spectrum is flat, so the result
-    is exact and the log2 is an integer.
+    is exact and the log2 is an integer.  ValueError if ``state`` does not
+    hold 2^n amplitudes or ``side`` leaves 0..n-1.
     """
-    side_list = sorted(set(side))
+    if np.shape(state) != (1 << n,):
+        raise ValueError(f"state of shape {np.shape(state)} is not one vector of 2^{n} amplitudes")
+    side_list = sorted(_check_vertices(n, side, "cut side"))
     other = [q for q in range(n) if q not in side_list]
-    mat = _lay_out(state, other + side_list, len(side_list))
+    mat = _lay_out(state, other + side_list).reshape(1 << len(side_list), -1)
     singular = np.linalg.svd(mat, compute_uv=False)
     top = singular[0] if singular.size else 0.0
     if top == 0.0:

@@ -17,6 +17,7 @@ from mbqcflow import (
     oracle_unitary,
     run_branch,
     schmidt_rank_log2,
+    simulate_pattern,
     structural_entanglement_exact,
     verify_gflow,
 )
@@ -317,7 +318,7 @@ DIFFERENTIAL_CASES = REFERENCE_CASES + [
 
 
 def _unitary_cases():
-    """Graphs whose unitary rows are laid out in more ways than the catalogue's.
+    """Graphs whose unitary columns are laid out in more ways than the catalogue's.
 
     Inputs that are also outputs and so are never measured, measured
     inputs in the XZ and YZ planes, and k = 0.  XZ and YZ at angle 0
@@ -326,7 +327,8 @@ def _unitary_cases():
     the zero-probability rule: near XZ angle pi/2 the second input's bra
     reads 1e-7 on bit 1, a step probability of 1e-14, first on input 2,
     and a |+> qubit measured near XY angle pi has step probability
-    1.5e-12 on every input, which is not 0.
+    1.5e-12 on every input, which is not 0.  Cluster 7x2 has k = 7 at
+    n = 14, the most inputs the default dense limit allows on a cluster.
     """
     rng = np.random.default_rng(24)
     cases = []
@@ -378,6 +380,11 @@ def _unitary_cases():
     cases.append(pytest.param(
         OpenGraph(n=1, edges=[]), GFlow({0: {0}}, [{0}, set()]),
         MeasurementPattern({0: np.pi}), id="k0-zero",
+    ))
+    cluster = cluster_graph(7, 2)
+    angles = {v: float(rng.uniform(0, 2 * np.pi)) for v in cluster.measured}
+    cases.append(pytest.param(
+        cluster, cluster_row_flow(7, 2), MeasurementPattern(angles), id="cluster-7x2",
     ))
     return cases
 
@@ -661,6 +668,22 @@ class TestRunBranch:
         with pytest.raises(ValueError, match="branch bits"):
             run_branch(g, fl, pat, {0: 0})
 
+    @pytest.mark.parametrize(
+        "bits,message",
+        [
+            ({0: 2, 1: 0}, "^branch bit for vertex 0 is 2, not 0 or 1$"),
+            ({0: 0, 1: -1}, "^branch bit for vertex 1 is -1, not 0 or 1$"),
+            ({0: 0, 1: "1"}, "^branch bit for vertex 1 is '1', not 0 or 1$"),
+            ({0: 0, 1: 1, 2: 0}, "^branch bit 0 given for vertex 2, which is not measured$"),
+        ],
+        ids=["two", "minus-one", "string", "unmeasured"],
+    )
+    def test_bad_bits_rejected(self, bits, message):
+        g, fl = path_graph(3), path_flow(3)
+        pat = MeasurementPattern(angles={0: 0.1, 1: 0.2})
+        with pytest.raises(ValueError, match=message):
+            run_branch(g, fl, pat, bits)
+
     @pytest.mark.parametrize("entry", ["run_branch", "check_determinism", "oracle_unitary"])
     def test_layers_missing_a_measured_vertex_are_named(self, entry):
         # Vertex 1 is measured but sits in no layer of the gflow.
@@ -791,37 +814,39 @@ class TestCheckDeterminism:
     )
     @pytest.mark.parametrize("entry", ["walk", "branch", "unitary"])
     def test_one_contraction_per_step_on_a_halving_row(self, graph, gflow, entry, monkeypatch):
-        # Every step contracts the top bit of what is left of each row: shape
-        # (rows, 2, half), half halving from one step to the next.  The walk
-        # holds one row and contracts it once per step against both bras; it
-        # never measures a batch of branches.
+        # Every path holds one vector and every step contracts its top half:
+        # the bras meet the vector as (2, half), half halving from one step
+        # to the next.  The walk contracts against both bras at once and
+        # never measures a batch of branches; the unitary keeps the inputs
+        # on the low bits, so it contracts only the measured non-inputs.
         shapes = []
 
         class CountingBras(np.ndarray):
             def __matmul__(self, other):
+                assert other.flags.c_contiguous
                 shapes.append(other.shape)
                 return np.asarray(self) @ other
 
         prepare = oracle_mod._prepare
 
-        def counting(*args):
-            state, steps = prepare(*args)
+        def counting(*args, **kwargs):
+            state, steps = prepare(*args, **kwargs)
+            assert state.shape == (1 << graph.n,)
             return state, [s._replace(bras=s.bras.view(CountingBras)) for s in steps]
 
         monkeypatch.setattr(oracle_mod, "_prepare", counting)
         pat = MeasurementPattern(angles={v: 0.4 + v for v in graph.measured})
-        m, k = len(graph.measured), len(graph.inputs)
+        steps = len(graph.measured)
         if entry == "walk":
             monkeypatch.setattr(oracle_mod, "_measure", None)
             assert check_determinism(graph, gflow, pat, seed=1).ok
-            assert shapes == [(2, 1 << (graph.n - 1 - t)) for t in range(m)]
         elif entry == "branch":
             run_branch(graph, gflow, pat, full_branch_bits(gflow, 1))
-            assert shapes == [(1, 2, 1 << (graph.n - 1 - t)) for t in range(m)]
         else:
             oracle_unitary(graph, gflow, pat)
             steps = len(set(graph.measured) - graph.input_set)
-            assert shapes == [(1 << k, 2, 1 << (graph.n - k - 1 - t)) for t in range(steps)]
+        assert steps > 0
+        assert shapes == [(2, 1 << (graph.n - 1 - t)) for t in range(steps)]
 
     def test_dense_limit_cluster(self):
         # cluster 2x7 holds the most qubits the default dense limit allows.
@@ -921,7 +946,7 @@ class TestOracleUnitary:
         ],
     )
     def test_one_contraction_per_measured_non_input(self, graph, gflow, pattern, monkeypatch):
-        # All basis inputs share one batch, cut from the one built state.
+        # All basis inputs share one vector, the one built state.
         sizes = []
         measure = oracle_mod._measure
 
@@ -934,6 +959,14 @@ class TestOracleUnitary:
         assert len(sizes) == len(set(graph.measured) - graph.input_set)
         assert sizes[0] == 1 << graph.n
         assert max(sizes) <= 1 << graph.n
+
+    def test_cluster_7x2_matches_the_symbolic_simulation(self):
+        # k = 7 at n = 14: every measured vertex is an input, so the unitary
+        # is the built state's columns; the simulation does not use the oracle.
+        graph, gflow, pattern = {c.id: c.values for c in UNITARY_CASES}["cluster-7x2"]
+        assert (graph.n, len(graph.inputs)) == (DEFAULT_DENSE_LIMIT, 7)
+        want = simulate_pattern(graph, gflow, pattern).unitary
+        assert np.max(np.abs(oracle_unitary(graph, gflow, pattern) - want)) < 1e-12
 
     def test_unitary_counts_as_twice_its_qubits(self):
         # A k-qubit unitary holds 4^k amplitudes, as many as a 2k-qubit state.
@@ -987,6 +1020,21 @@ class TestSchmidtRank:
         state[[0b0000, 0b0101, 0b1010]] = 1 / np.sqrt(3)
         with pytest.raises(ValueError, match="^Schmidt rank 3 is not a power of two$"):
             schmidt_rank_log2(state, 4, {0, 1})
+
+    @pytest.mark.parametrize(
+        "size,side,message",
+        [
+            (8, [5], "^cut side contains out-of-range vertex 5$"),
+            (8, [-1], "^cut side contains out-of-range vertex -1$"),
+            (16, [0], r"^state of shape \(16,\) is not one vector of 2\^3 amplitudes$"),
+        ],
+        ids=["above-n", "negative", "wrong-length"],
+    )
+    def test_cut_is_checked(self, size, side, message):
+        state = np.zeros(size, dtype=complex)
+        state[0] = 1.0
+        with pytest.raises(ValueError, match=message):
+            schmidt_rank_log2(state, 3, side)
 
     def test_bell_state(self):
         state = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
