@@ -29,7 +29,7 @@ def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozens
 
     Equals ``g(vertex) | (Odd(g(vertex)) - {vertex})``; empty for outputs.
     """
-    graph._check_vertex(vertex)
+    vertex = graph._check_vertex(vertex)
     if vertex not in gflow.corrections:
         return frozenset()
     return _mask_to_set(_successor_mask(graph, gflow, vertex))
@@ -59,7 +59,7 @@ def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
 
 def forward_cone(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
     """Transitive closure of :func:`influence_successors` from ``vertex``."""
-    graph._check_vertex(vertex)
+    vertex = graph._check_vertex(vertex)
     return _mask_to_set(cone_masks(graph, gflow)[vertex])
 
 

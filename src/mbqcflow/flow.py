@@ -423,7 +423,8 @@ def flow_wires(graph: OpenGraph, gflow: GFlow) -> WireReport:
     causal gFlows (2 CPUs, Python 3.11).  Any other gFlow gets them from a
     unit-vertex-capacity max-flow.  Fewer than ``len(inputs)`` disjoint paths, a successor
     cycle or two wires that meet mean an upstream invariant was violated
-    and raise :class:`FlowConsistencyError`.  Non-output vertices on no
+    and raise :class:`FlowConsistencyError`, as does a causal chain that
+    stops short of an output.  Non-output vertices on no
     wire are reported for the entanglement-bound surplus term.
 
     The max-flow wires are canonical: one shortest augmenting path per
@@ -443,7 +444,11 @@ def flow_wires(graph: OpenGraph, gflow: GFlow) -> WireReport:
     for start in graph.inputs:
         wire = [start]
         while wire[-1] not in graph.output_set:
-            current = successor[wire[-1]]
+            current = successor.get(wire[-1])
+            if current is None:
+                raise FlowConsistencyError(
+                    f"flow wire from {start} stops at {wire[-1]}, which is not an output"
+                )
             if current in wire:
                 raise FlowConsistencyError(f"flow successor cycle through {current}")
             wire.append(current)

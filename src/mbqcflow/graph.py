@@ -123,14 +123,15 @@ class OpenGraph(JsonText):
         """Vertices outside the output set, ascending."""
         return tuple(v for v in range(self.n) if v not in self.output_set)
 
-    def _check_vertex(self, v: int) -> None:
-        """Raise ValueError unless ``v`` is a vertex, one of ``0..n-1``."""
+    def _check_vertex(self, v: int) -> int:
+        """``v`` as an int (:func:`operator.index`); ValueError unless it is one of ``0..n-1``."""
+        v = operator.index(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
+        return v
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return _mask_to_set(self.adjacency_masks[v])
+        return _mask_to_set(self.adjacency_masks[self._check_vertex(v)])
 
     # -- serialization ---------------------------------------------------
 

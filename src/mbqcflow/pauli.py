@@ -15,9 +15,10 @@ one such table, with the label's index as one more key per row.  A
 :class:`LogicalOperator` is one sum: it multiplies, adds and prunes, and
 every other operation goes through a table, which holds the one
 correction step (:meth:`PauliTable.correct`) and the one dense kernel
-(:meth:`PauliTable.to_matrices`).  A Clifford pattern's logicals never
-come here before they are finalized: :mod:`mbqcflow.simulate` keeps each
-as one word of Python ints and packs them with :func:`pack_rows` once.
+(:meth:`PauliTable.to_matrices`).  :meth:`PauliTable.pack` is the one
+packer of :mod:`mbqcflow.simulate`'s Python-int words ``(x, z,
+coefficient)``: the general path packs its rotated words once, and a
+Clifford pattern's words only when they are read or finalized.
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
@@ -50,7 +51,7 @@ most 93 rows, all merged.
 from __future__ import annotations
 
 import functools
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Mapping, Sequence
 from typing import Iterator
 
 import numpy as np
@@ -208,6 +209,19 @@ class PauliTable:
             np.concatenate([op._coeffs for op in ops] + [np.zeros(0, complex)]),
             np.repeat(np.arange(len(ops)), [op.num_terms for op in ops]),
         )
+
+    @classmethod
+    def pack(
+        cls, n: int, sums: Mapping[Hashable, Sequence[tuple[int, int, complex]]]
+    ) -> PauliTable:
+        """One table of labelled sums of words ``(x, z, coefficient)``, labels and rows in order.
+
+        The masks are Python ints.  The words are packed as given, so the sums must be pruned.
+        """
+        terms = [term for words in sums.values() for term in words]
+        xs, zs, coeffs = zip(*terms) if terms else ((), (), ())
+        owner = np.repeat(np.arange(len(sums)), list(map(len, sums.values())))
+        return cls(n, list(sums), pack_rows(n, xs, zs), np.array(coeffs, dtype=complex), owner)
 
     def _set_rows(
         self,

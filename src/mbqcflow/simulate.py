@@ -8,18 +8,20 @@ the terms that anticommute with a measured X by that vertex's correcting
 stabilizer product; output extraction then strips the measured X factors,
 leaving operators on the outputs that encode the implemented unitary.
 
-:func:`initialize_simulation` picks one of two paths.  When every
+:func:`initialize_simulation` picks one of two paths.  Both start from
+the live words ``(x, z, coefficient)`` of Python ints that
+:func:`_rotated_words` derives for each rotated stabilizer, and pack
+words only through :meth:`~mbqcflow.pauli.PauliTable.pack`.  When every
 rotated word that a correcting set or an input's X logical uses is one
-Pauli word with coefficient 1, i, -1 or -i, as when every angle is a
-multiple of pi/2, every logical and correcting product stays one word
-``i^p X^x Z^z`` (Gottesman, quant-ph/9807006).  On this word path each
-is a triple ``(x, z, p)`` of Python ints.  Every other pattern takes the
-table path: all logicals live in one :class:`~mbqcflow.pauli.PauliTable`
-of bit-packed rows, and each vertex of a round is one
-:meth:`~mbqcflow.pauli.PauliTable.correct` call for all of them (see
-:mod:`mbqcflow.pauli` for its cost).  Both paths finalize through such a
-table.  A term budget caps its rows (on the word path, the logicals),
-and the dense limit caps the unitary.
+word with coefficient 1, i, -1 or -i, as when every angle is a multiple
+of pi/2, every logical and correcting product stays one word ``i^p X^x
+Z^z`` (Gottesman, quant-ph/9807006), a triple ``(x, z, p)`` of Python
+ints.  Every other pattern takes the table path: its words are packed
+once, all logicals live in one :class:`~mbqcflow.pauli.PauliTable`, and
+each vertex of a round is one :meth:`~mbqcflow.pauli.PauliTable.correct`
+call for all of them (see :mod:`mbqcflow.pauli` for its cost).  Both
+paths finalize through such a table.  A term budget caps its rows (on
+the word path, the logicals), and the dense limit caps the unitary.
 
 Cost accounting: the table records the most terms each logical has
 had (:attr:`~mbqcflow.pauli.PauliTable.peaks`; 1 on the word path), to
@@ -28,8 +30,9 @@ be compared against ``2**|forward cone|``.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -42,19 +45,22 @@ from .flow import GFlow, _check_gflow_valid, check_analysis_preconditions, check
 from .graph import OpenGraph
 from .oracle import TOLERANCE, _check_unitary, canonical_unitary, complex_pairs
 from .pattern import MeasurementPattern, Plane
-from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
+from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable
 
 
 def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:
     """Graph stabilizer of ``vertex`` conjugated by its measurement rotation.
 
-    ``exp(i a/2 Z) (X (x) Z_neighbours) exp(-i a/2 Z)``, expanded into at
-    most two Pauli words.  Only non-input vertices carry a stabilizer.
+    ``exp(i a/2 Z) (X (x) Z_neighbours) exp(-i a/2 Z)``, expanded into at most two
+    Pauli words.  Only non-input vertices carry one, and ``a`` must be finite.
     """
-    graph._check_vertex(vertex)
+    vertex = graph._check_vertex(vertex)
     if vertex in graph.input_set:
         raise ValueError(f"input vertex {vertex} carries no stabilizer")
-    return _rotated_x_words(graph, [vertex], _rotation_coefficients([angle]))[0]
+    if not math.isfinite(angle):
+        raise ValueError(f"angle for vertex {vertex} is not finite")
+    (words,) = _rotated_words(graph, [vertex], [angle])
+    return PauliTable.pack(graph.n, {vertex: words}).operators()[vertex]
 
 
 #: A Pauli word ``i^p X^x Z^z`` as ``(x, z, p)``, with p in 0..3.
@@ -64,65 +70,30 @@ Word = tuple[int, int, int]
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def _rotation_coefficients(angles: list[float]) -> np.ndarray:
-    """Row j: ``cos(a)`` and ``-i sin(a)`` for ``a = angles[j]``, the weights of the two words."""
-    angles = np.array(angles, dtype=float)
-    return np.stack((np.cos(angles) + 0j, -1j * np.sin(angles)), axis=1)
+def _rotated_words(
+    graph: OpenGraph, vertices: list[int], angles: list[float]
+) -> list[tuple[tuple[int, int, complex], ...]]:
+    """Each v's rotated ``X_v (x) Z_neighbours`` as its live words ``(x, z, coefficient)``.
 
-
-def _rotated_x_words(
-    graph: OpenGraph, vertices: list[int], coeffs: np.ndarray
-) -> list[LogicalOperator]:
-    """``X_v (x) Z_neighbours`` conjugated by the rotation of v, for every v at once.
-
-    Each is ``cos(a) X_v Z_N(v) - i sin(a) X_v Z_v Z_N(v)``, pruned, with
-    the weights ``coeffs`` of :func:`_rotation_coefficients`.
+    It is ``cos(a) X_v Z_N(v) - i sin(a) X_v Z_v Z_N(v)`` for ``v = vertices[j]`` and
+    ``a = angles[j]``, without a word whose coefficient is at most ``PRUNE_TOLERANCE``.
     """
-    x_bits = [1 << v for v in vertices]
-    neighbours = [graph.adjacency_masks[v] for v in vertices]
-    rows = np.stack(
-        (
-            pack_rows(graph.n, x_bits, neighbours),
-            pack_rows(graph.n, x_bits, [nb | x for nb, x in zip(neighbours, x_bits)]),
-        ),
-        axis=1,
-    )
-    ops = []
-    for i, (cos_live, sin_live) in enumerate((np.abs(coeffs) > PRUNE_TOLERANCE).tolist()):
-        # The live words are a slice: both, the cos word or the sin word.
-        words_live = slice(0 if cos_live else 1, 2 if sin_live else 1)
-        ops.append(LogicalOperator.from_rows(graph.n, rows[i, words_live], coeffs[i, words_live]))
-    return ops
-
-
-def _unit_words(graph: OpenGraph, vertices: list[int], coeffs: np.ndarray) -> list[Word] | None:
-    """The operators of :func:`_rotated_x_words` as words, or None.
-
-    None as soon as one operator has two live words, or its live word has a
-    coefficient other than exactly 1, i, -1 or -i.
-    """
-    words = []
-    for v, (cos, sin) in zip(vertices, coeffs.tolist()):
-        on_sin = abs(cos) <= PRUNE_TOLERANCE
-        coeff = sin if on_sin else cos
-        if not (on_sin or abs(sin) <= PRUNE_TOLERANCE) or coeff not in _UNITS:
-            return None
-        # The sin word X_v Z_v Z_N(v) has Z on v too.
-        words.append((1 << v, graph.adjacency_masks[v] | on_sin << v, _UNITS.index(coeff)))
-    return words
+    angles, neighbours, live = np.array(angles, dtype=float), graph.adjacency_masks, []
+    for v, cos, sin in zip(vertices, np.cos(angles).tolist(), np.sin(angles).tolist()):
+        x, z = 1 << v, neighbours[v]  # the sin word has Z on v too
+        if abs(sin) <= PRUNE_TOLERANCE:
+            live.append(((x, z, cos + 0j),))
+        elif abs(cos) <= PRUNE_TOLERANCE:
+            live.append(((x, z | x, complex(0.0, -sin)),))
+        else:
+            live.append(((x, z, cos + 0j), (x, z | x, complex(0.0, -sin))))
+    return live
 
 
 def _word_product(left: Word, right: Word) -> Word:
     """``left * right``; the sign moves the left word's Z past the right word's X."""
     (x1, z1, p1), (x2, z2, p2) = left, right
     return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) & 3
-
-
-def _word_table(n: int, words: Mapping[Hashable, Word]) -> PauliTable:
-    """One table of the labelled words, one row each, in label order."""
-    xs, zs, ps = ([word[k] for word in words.values()] for k in range(3))
-    coeffs = np.array([_UNITS[p] for p in ps], dtype=complex)
-    return PauliTable(n, list(words), pack_rows(n, xs, zs), coeffs, np.arange(len(ps)))
 
 
 def _correct_words(words: dict[Hashable, Word], vertex: int, correction: Word, budget: int) -> None:
@@ -168,14 +139,18 @@ class SimulationState:
     @property
     def logicals(self) -> PauliTable:
         """The logicals as a table; on the word path, packed from the words when read."""
-        return self.table if self.words is None else _word_table(self.graph.n, self.words)
+        if self.words is None:
+            return self.table
+        words = {label: ((x, z, _UNITS[p]),) for label, (x, z, p) in self.words.items()}
+        return PauliTable.pack(self.graph.n, words)
 
     @property
     def stabilizers(self) -> dict[int, LogicalOperator]:
         """Each corrected vertex's correcting product; on the word path, packed when read."""
         if self.words is None:
             return self.products
-        return _word_table(self.graph.n, self.products).operators()
+        words = {vertex: ((x, z, _UNITS[p]),) for vertex, (x, z, p) in self.products.items()}
+        return PauliTable.pack(self.graph.n, words).operators()
 
     @property
     def high_water(self) -> dict[tuple[str, int], int]:
@@ -200,10 +175,10 @@ def initialize_simulation(
     correcting set is empty: the XY rule of a valid gFlow needs i in Odd(g(i)).
     An invalid gFlow raises the ValueError of :func:`~mbqcflow.flow._check_gflow_valid`.
 
-    The pattern takes the word path (see the module docstring) when every
-    rotated word is one word with coefficient 1, i, -1 or -i, and the
-    table path otherwise.  The rotated coefficients are computed once, by
-    the same cos and sin on either path.
+    Both paths start from :func:`_rotated_words`, and each Z logical is the
+    word ``(0, 1 << i, 1)``.  The pattern takes the word path (see the
+    module docstring) when every such sum is one word with a unit
+    coefficient; otherwise the sums are packed once into a table.
     """
     check_analysis_preconditions(graph)
     _check_gflow_valid(graph, gflow)
@@ -215,24 +190,22 @@ def initialize_simulation(
     inputs = list(graph.inputs)
     # Unmeasured vertices, outputs and inputs alike, are never rotated (angle 0).
     vertices = corrector_vertices + inputs
-    coeffs = _rotation_coefficients([pattern.angles.get(v, 0.0) for v in vertices])
-    words = _unit_words(graph, vertices, coeffs)
-    on_words = words is not None
-    z_bits = [1 << i for i in inputs]
-    if on_words:
-        product, z_words = _word_product, [(0, z, 0) for z in z_bits]
-    else:
-        words, product = _rotated_x_words(graph, vertices, coeffs), operator.mul
-        z_rows, one = pack_rows(graph.n, [0] * len(inputs), z_bits), np.ones(1, dtype=complex)
-        z_words = [LogicalOperator.from_rows(graph.n, row[None], one) for row in z_rows]
-    rotated = dict(zip(corrector_vertices, words))
+    live = _rotated_words(graph, vertices, [pattern.angles.get(v, 0.0) for v in vertices])
+    live += [((0, 1 << i, 1 + 0j),) for i in inputs]
+    try:  # two live words fail the unpacking, and a coefficient that is no unit the index
+        sums, on_words = [(x, z, _UNITS.index(c)) for ((x, z, c),) in live], True
+    except ValueError:
+        sums = list(PauliTable.pack(graph.n, dict(enumerate(live))).operators().values())
+        on_words = False
+    product = _word_product if on_words else operator.mul
+    rotated = dict(zip(corrector_vertices, sums))
     products = {
         i: reduce(product, [rotated[j] for j in sorted(gflow.corrections[i])])
         for i in sorted(gflow.corrections)
     }
     logicals = {}
-    for i, x_word, z_word in zip(inputs, words[len(corrector_vertices) :], z_words):
-        logicals[("X", i)], logicals[("Z", i)] = x_word, z_word
+    for i, x_sum, z_sum in zip(inputs, sums[len(corrector_vertices) :], sums[len(vertices) :]):
+        logicals[("X", i)], logicals[("Z", i)] = x_sum, z_sum
     table, words = (None, logicals) if on_words else (PauliTable.stack(graph.n, logicals), None)
     return SimulationState(graph, gflow, pattern, products, table, words, term_budget=term_budget)
 

@@ -1,5 +1,6 @@
 from collections import deque
 
+import numpy as np
 import pytest
 
 from mbqcflow import (
@@ -12,6 +13,7 @@ from mbqcflow import (
     influence_successors,
     max_forward_cone,
     odd_neighborhood,
+    rotated_stabilizer,
     simulate_pattern,
 )
 from mbqcflow import cones as cones_module
@@ -209,6 +211,22 @@ class TestConePass:
     def test_vertex_out_of_range_rejected(self, function, vertex):
         with pytest.raises(ValueError, match="out of range"):
             function(path_graph(4), path_flow(4), vertex)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["neighbors", "influence_successors", "forward_cone", "influence_region", "rotated_stabilizer"],
+    )
+    def test_numpy_vertex_is_coerced(self, entry):
+        # Vertex 70 sits past bit 63, where a numpy integer overflows a shift.
+        g, fl = path_graph(100), path_flow(100)
+        calls = {
+            "neighbors": g.neighbors,
+            "influence_successors": lambda v: influence_successors(g, fl, v),
+            "forward_cone": lambda v: forward_cone(g, fl, v),
+            "influence_region": lambda v: influence_region(g, fl, v),
+            "rotated_stabilizer": lambda v: dict(rotated_stabilizer(g, v, 0.3).terms()),
+        }
+        assert calls[entry](np.int64(70)) == calls[entry](70)
 
     def test_one_pass_per_call(self, monkeypatch):
         calls = []

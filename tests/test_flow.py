@@ -690,6 +690,14 @@ class TestFlowWires:
         with pytest.raises(FlowConsistencyError, match="^flow successor cycle through 0$"):
             flow_wires(path_graph(3), gflow)
 
+    @pytest.mark.parametrize("report", [flow_wires, flow_entanglement_bound])
+    def test_chain_that_stops_short_raises(self, report):
+        # Vertex 1 is neither an output nor corrected: the chain from 0 ends there.
+        gflow = GFlow(corrections={0: {1}}, layers=[[0], [1, 2]])
+        message = "^flow wire from 0 stops at 1, which is not an output$"
+        with pytest.raises(FlowConsistencyError, match=message):
+            report(path_graph(3), gflow)
+
     def test_wires_that_meet_raise(self):
         graph = OpenGraph(n=4, edges=[(0, 2), (1, 2), (1, 3)], inputs=(0, 1), outputs=(2, 3))
         gflow = GFlow(corrections={0: {2}, 1: {2}}, layers=[{0, 1}, {2, 3}])
@@ -969,6 +977,9 @@ class TestWiresMatchPerKindWalks:
 
     def test_same_wires_uncovered_sets_and_errors(self, cases):
         for _, graph, gflow, expected in cases:
+            # A chain that stops short of an output raised a bare KeyError
+            # in the per-kind walk; the successor walk names it.
+            expected = FlowConsistencyError if expected is KeyError else expected
             assert successor_walk_wires(graph, gflow) == expected, (graph, gflow)
 
 

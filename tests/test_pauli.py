@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbqcflow import initialize_simulation, pauli, propagate_round, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
-from mbqcflow.simulate import _correct_words, _word_table
+from mbqcflow.simulate import _correct_words
 
 from conftest import assert_rounds_match_reference, bench_pool, count_product_merges
 from pauli_reference import corrected_terms, product_terms, project_terms, prune
@@ -535,6 +535,11 @@ class TestCorrectMatchesTheOldKernel:
 UNITS = (1.0, 1j, -1.0, -1j)
 
 
+def word_table(n, words):
+    """The word path's one-word sums ``(x, z, p)`` as a table, one row each, in label order."""
+    return PauliTable.pack(n, {label: ((x, z, UNITS[p]),) for label, (x, z, p) in words.items()})
+
+
 def random_word_round(rng, bits, m):
     """``m`` qubits of ``bits`` and a word ``(x, z, p)`` correcting each.
 
@@ -584,7 +589,7 @@ class TestWordCorrection:
             for label in range(int(rng.integers(1, 7))):
                 ((x, z),) = merging_terms(rng, bits, 1)
                 words[label] = (x, z, int(rng.integers(4)))
-            reference = ReferenceTable(_word_table(n, words))
+            reference = ReferenceTable(word_table(n, words))
             for _ in range(4):
                 qubits, corrections = random_word_round(rng, bits, int(rng.integers(1, 6)))
                 budget = DEFAULT_TERM_BUDGET
@@ -602,7 +607,7 @@ class TestWordCorrection:
                         break
                     arrays = (reference.rows, reference.coeffs, reference.owner)
                     want_ops = PauliTable(n, reference.labels, *arrays).operators()
-                    for label, op in _word_table(n, words).operators().items():
+                    for label, op in word_table(n, words).operators().items():
                         assert dict(op.terms()) == dict(want_ops[label].terms())
         assert seen["several"] >= 100 and seen["signs differ"] >= 200 and seen["raised"] >= 30
 

@@ -48,6 +48,7 @@ from conftest import (
     sample_graphs_with_gflow,
 )
 from pauli_reference import project_terms, reference_round, reference_start
+from simulate_reference import reference_initial, reference_rotated_stabilizer
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -209,6 +210,72 @@ class TestRotatedStabilizer:
             rotated_stabilizer(g, 0, 0.3)
         with pytest.raises(ValueError, match="^vertex 5 out of range$"):
             rotated_stabilizer(g, 5, 0.1)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, angle):
+        # Both words of a NaN angle would be pruned into the zero operator.
+        with pytest.raises(ValueError, match="^angle for vertex 1 is not finite$"):
+            rotated_stabilizer(path_graph(3), 1, angle)
+
+
+#: Angles whose rotated words sit on the pruning rule's edges: one word
+#: with a unit coefficient, or a sin word of 1e-13 that is dropped.
+SPECIAL_ANGLES = (0.0, np.pi / 2, -np.pi / 2, np.pi, 3 * np.pi / 2, 1e-13)
+
+
+def angle_mixes(inst, rng):
+    """The instance's pattern, its angles drawn from ``SPECIAL_ANGLES``, and a mix with random ones."""
+    measured = list(inst.pattern.angles)
+    special = {v: float(rng.choice(SPECIAL_ANGLES)) for v in measured}
+    some = {v: float(rng.uniform(-7, 7)) if rng.random() < 0.3 else a for v, a in special.items()}
+    return [inst.pattern, MeasurementPattern(angles=special), MeasurementPattern(angles=some)]
+
+
+def operator_bytes(op):
+    return op.n, op._rows.shape, op._rows.tobytes(), op._coeffs.tobytes()
+
+
+def table_bytes(table):
+    arrays = (table.rows, table.coeffs, table.owner, table.peaks)
+    return (table.n, table.labels, table.rows.shape) + tuple(array.tobytes() for array in arrays)
+
+
+class TestAgainstTheRotatedWordReference:
+    """One builder and one packer against the four helpers they replaced (tests/simulate_reference.py)."""
+
+    def test_bench_pools_and_angle_mixes(self):
+        rng = np.random.default_rng(40)
+        paths = collections.Counter()
+        for name in ("sim-terms", "sim-clifford"):
+            for seed in (1, 2, 3):
+                for inst in bench_pool(name, seed):
+                    for pattern in angle_mixes(inst, rng):
+                        state = initialize_simulation(inst.graph, inst.gflow, pattern)
+                        on_words, products, logicals = reference_initial(
+                            inst.graph, inst.gflow, pattern
+                        )
+                        assert (state.words is None) is not on_words
+                        paths[on_words] += 1
+                        if on_words:
+                            assert state.products == products and state.words == logicals
+                            continue
+                        assert products.keys() == state.products.keys()
+                        for vertex, op in products.items():
+                            assert operator_bytes(state.products[vertex]) == operator_bytes(op)
+                        want = PauliTable.stack(inst.graph.n, logicals)
+                        assert table_bytes(state.table) == table_bytes(want)
+        assert paths[True] >= 100 and paths[False] >= 100
+
+    def test_rotated_stabilizer_on_finite_angles(self):
+        rng = np.random.default_rng(41)
+        angles = list(SPECIAL_ANGLES) + [-0.0, -1e-13, 2 * np.pi, 1e300, -5.5]
+        angles += rng.uniform(-10, 10, 20).tolist()
+        for graph in (path_graph(3), cluster_graph(3, 4), path_graph(70), path_graph(140)):
+            for vertex in sorted(set(range(graph.n)) - graph.input_set):
+                for angle in angles:
+                    want = reference_rotated_stabilizer(graph, vertex, angle)
+                    got = rotated_stabilizer(graph, vertex, angle)
+                    assert operator_bytes(got) == operator_bytes(want)
 
 
 class TestInitialize:
