@@ -266,23 +266,85 @@ def finalize_outputs(state: SimulationState) -> PauliTable:
     return logicals.project(list(state.graph.outputs))
 
 
+def _clifford_tableau(logicals: PauliTable) -> list[Word] | None:
+    """The 2k words ``(x, z, p)`` of the sums in label order if they are a tableau, else None.
+
+    They are when the table has one row per sum, 2k rows in all, whose
+    coefficients are each exactly 1, i, -1 or -i; every word is Hermitian
+    (``p + popcount(x & z)`` is even); sums 2i and 2i + 1 (``Lx_i`` and
+    ``Lz_i``) anticommute; and every other pair commutes (Aaronson and
+    Gottesman, PRA 70, 052328, 2004).  That is O(k^2) popcounts on Python ints.
+    """
+    k = len(logicals.labels) // 2
+    if len(logicals.rows) != 2 * k or (logicals.counts != 1).any():
+        return None
+    if not k:
+        return []  # projected onto no qubits, the rows have no words to read
+    order = np.argsort(logicals.owner)
+    try:
+        phases = [_UNITS.index(c) for c in logicals.coeffs.take(order).tolist()]
+    except ValueError:
+        return None
+    rows = logicals.rows.take(order, axis=0)
+    words = list(zip(rows[:, 0].tolist(), rows[:, logicals.words].tolist(), phases))
+    for a, (xa, za, pa) in enumerate(words):
+        if (pa + (xa & za).bit_count()) & 1:
+            return None
+        for b, (xb, zb, _) in enumerate(words[:a]):
+            # Only a = b + 1 with b even, that is a ^ b == 1, pairs Lx_i with Lz_i.
+            if ((xa & zb).bit_count() + (za & xb).bit_count()) & 1 != (a ^ b == 1):
+                return None
+    return words
+
+
+def _signed_permutations(words: list[Word], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row w: the index and sign vectors of ``words[w]``, ``(W v)[j] = sign[j] v[index[j]]``.
+
+    That is ``index[j] = j ^ x`` and ``sign[j] = i^p (-1)^popcount(z & index[j])``, the
+    convention of :meth:`~mbqcflow.pauli.PauliTable.to_matrices`.  The signs are built in
+    float, as there: the uint8 parity would wrap ``1 - 2`` to 255.
+    """
+    xs, zs, ps = np.array(words, dtype=np.intp).reshape(-1, 3).T
+    index = np.arange(dim) ^ xs[:, None]
+    parity = np.bitwise_count(index & zs[:, None]) & 1
+    return index, np.array(_UNITS)[ps, None] * (1.0 - 2.0 * parity)
+
+
+def _gather(word: tuple[np.ndarray, np.ndarray], block: np.ndarray) -> np.ndarray:
+    """``W block`` for the word ``(index, sign)`` and a vector or a matrix of columns."""
+    index, sign = word
+    return (sign * block.T[..., index]).T
+
+
 def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
     """Factor the unitary out of the finalized logicals (see :func:`finalize_outputs`).
 
-    The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs.
+    The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs,
+    the X image ``Lx_i`` and the Z image ``Lz_i`` of each input in turn.
     The logicals are images ``U P U^dag`` of the input Paulis, so the
     product P of the ``(1 + Lz_i)/2`` is the image |u0><u0| of
     |0..0><0..0|, and ``P e_j = conj(u0_j) u0``.  The first column u0 is
     ``P e_j`` normalised, for the first j whose squared norm is at least
     ``2**-k / 2`` (the squared norms sum to 1, so one is at least ``2**-k``);
-    P is applied as k matrix-vector products and never formed.  The X
+    P is applied as k operator-vector products and never formed.  The X
     images generate the other columns: those with bit i set are ``Lx_i``
-    times those below ``2**i``.  Then every Z image is checked against
-    the columns, ``Lz_i U = U Z_i``.  The X and Z images are the even and
-    the odd sums of ``logicals``, made dense in one scatter.  A transfer
-    map that fails the column search, the Z check or unitarity within
-    ``TOLERANCE`` means the pattern does not implement a unitary and
-    raises :class:`DeterminismError`.
+    times those below ``2**i``.  A transfer map that fails the column
+    search, the Z check below or unitarity within ``TOLERANCE`` means the
+    pattern does not implement a unitary and raises :class:`DeterminismError`.
+
+    The images act in one of two forms.  When :func:`_clifford_tableau`
+    certifies the table, as it does for every table of a Clifford pattern,
+    each image is one signed word and acts as a signed permutation, a
+    gather (:func:`_signed_permutations`).  Its relations make the 2k words
+    a symplectic basis, so they are independent, and the ``Lz_i``, which
+    commute and square to I, stabilize exactly one state, u0.  Each column
+    is ``U e_x = Lx^x u0``, so the relations give ``Lz_i U e_x = (-1)^{x_i}
+    U e_x`` exactly, and a check of ``Lz_i U = U Z_i`` could only pass; it
+    is skipped.  Every other table, with a sum of several words, a
+    coefficient that is not exactly a unit, or words that break a relation,
+    is made dense in one scatter (:meth:`~mbqcflow.pauli.PauliTable.to_matrices`),
+    and after the columns every Z image is checked against them, ``Lz_i U
+    = U Z_i``.
 
     Before anything dense is built, :func:`~mbqcflow.oracle._check_unitary`
     checks the registers and counts the k-qubit unitary as 2k qubits.
@@ -290,14 +352,18 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     k = len(logicals.labels) // 2
     _check_unitary(k, logicals.n, dense_limit)
     dim = 1 << k
-    mats = logicals.to_matrices()
-    lx, lz = mats[0::2], mats[1::2]
+    words = _clifford_tableau(logicals)
+    if words is None:
+        images, apply = logicals.to_matrices(), np.matmul
+    else:
+        images, apply = list(zip(*_signed_permutations(words, dim))), _gather
+    lx, lz = images[0::2], images[1::2]
     not_rank_one = "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
     for j in range(dim):
         column = np.zeros(dim, dtype=complex)
         column[j] = 1.0
-        for mat in lz:
-            column = (column + mat @ column) / 2.0
+        for image in lz:
+            column = (column + apply(image, column)) / 2.0
         norm2 = np.vdot(column, column).real
         if norm2 >= 0.5 / dim:
             break
@@ -307,11 +373,12 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     unitary[:, 0] = column / np.sqrt(norm2)
     for i in range(k):
         half = 1 << i
-        unitary[:, half : 2 * half] = lx[i] @ unitary[:, :half]
-    signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
-    for mat, sign in zip(lz, signs):
-        if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
-            raise DeterminismError(not_rank_one)
+        unitary[:, half : 2 * half] = apply(lx[i], unitary[:, :half])
+    if words is None:
+        signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
+        for mat, sign in zip(lz, signs):
+            if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
+                raise DeterminismError(not_rank_one)
     return canonical_unitary(unitary, "extracted")
 
 

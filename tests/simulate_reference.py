@@ -1,10 +1,13 @@
-"""The simulation's rotated-word helpers as they were before one builder replaced them.
+"""Simulation code as it was before a faster or shorter version replaced it.
 
 ``_rotation_coefficients``, ``_rotated_x_words``, ``_unit_words`` and
 ``_word_table`` are kept verbatim, with the part of
 ``initialize_simulation`` and ``rotated_stabilizer`` that called them, so
 the differential tests in ``tests/test_simulate.py`` can require the
 library to take the same path and build the same words, byte for byte.
+``reference_dense_extract_unitary`` is ``extract_unitary`` as it was
+before Clifford tableaux skipped the dense matrices; every table is dense
+there, and every Z image is checked.
 The helpers they call are unchanged and are imported from the library.
 """
 
@@ -16,7 +19,9 @@ from functools import reduce
 
 import numpy as np
 
+from mbqcflow.errors import DEFAULT_DENSE_LIMIT, DeterminismError
 from mbqcflow.graph import OpenGraph
+from mbqcflow.oracle import TOLERANCE, _check_unitary, canonical_unitary
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
 from mbqcflow.simulate import Word, _word_product
 
@@ -113,3 +118,54 @@ def reference_initial(graph, gflow, pattern):
     for i, x_word, z_word in zip(inputs, words[len(corrector_vertices) :], z_words):
         logicals[("X", i)], logicals[("Z", i)] = x_word, z_word
     return on_words, products, logicals
+
+
+def reference_dense_extract_unitary(
+    logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
+) -> np.ndarray:
+    """Factor the unitary out of the finalized logicals (see :func:`finalize_outputs`).
+
+    The k inputs give ``2 k`` labelled sums on the ``logicals.n`` outputs.
+    The logicals are images ``U P U^dag`` of the input Paulis, so the
+    product P of the ``(1 + Lz_i)/2`` is the image |u0><u0| of
+    |0..0><0..0|, and ``P e_j = conj(u0_j) u0``.  The first column u0 is
+    ``P e_j`` normalised, for the first j whose squared norm is at least
+    ``2**-k / 2`` (the squared norms sum to 1, so one is at least ``2**-k``);
+    P is applied as k matrix-vector products and never formed.  The X
+    images generate the other columns: those with bit i set are ``Lx_i``
+    times those below ``2**i``.  Then every Z image is checked against
+    the columns, ``Lz_i U = U Z_i``.  The X and Z images are the even and
+    the odd sums of ``logicals``, made dense in one scatter.  A transfer
+    map that fails the column search, the Z check or unitarity within
+    ``TOLERANCE`` means the pattern does not implement a unitary and
+    raises :class:`DeterminismError`.
+
+    Before anything dense is built, :func:`~mbqcflow.oracle._check_unitary`
+    checks the registers and counts the k-qubit unitary as 2k qubits.
+    """
+    k = len(logicals.labels) // 2
+    _check_unitary(k, logicals.n, dense_limit)
+    dim = 1 << k
+    mats = logicals.to_matrices()
+    lx, lz = mats[0::2], mats[1::2]
+    not_rank_one = "transfer of |0><0| is not a rank-one projector; pattern is not unitary"
+    for j in range(dim):
+        column = np.zeros(dim, dtype=complex)
+        column[j] = 1.0
+        for mat in lz:
+            column = (column + mat @ column) / 2.0
+        norm2 = np.vdot(column, column).real
+        if norm2 >= 0.5 / dim:
+            break
+    else:
+        raise DeterminismError(not_rank_one)
+    unitary = np.empty((dim, dim), dtype=complex)
+    unitary[:, 0] = column / np.sqrt(norm2)
+    for i in range(k):
+        half = 1 << i
+        unitary[:, half : 2 * half] = lx[i] @ unitary[:, :half]
+    signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
+    for mat, sign in zip(lz, signs):
+        if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
+            raise DeterminismError(not_rank_one)
+    return canonical_unitary(unitary, "extracted")

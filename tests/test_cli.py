@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import math
 import os
@@ -20,6 +21,8 @@ from mbqcflow.fixtures import (
     bottleneck_graph,
     cluster_graph,
     cluster_row_flow,
+    fig4_depth_one_gflow,
+    fig4_graph,
     path_flow,
     path_graph,
 )
@@ -1065,17 +1068,17 @@ class TestCommands:
         assert {f["name"] for f in payload["fixtures"]} == set(CATALOG)
 
 
-def subcommand_words(parser, words=()):
-    """The words naming each leaf subcommand under ``parser``."""
+def leaf_parsers(parser, words=()):
+    """The words naming each leaf subcommand under ``parser``, with its parser."""
     groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not groups:
-        yield words
+        yield words, parser
         return
     for name, sub in groups[0].choices.items():
-        yield from subcommand_words(sub, words + (name,))
+        yield from leaf_parsers(sub, words + (name,))
 
 
-@pytest.mark.parametrize("words", list(subcommand_words(build_parser())), ids=" ".join)
+@pytest.mark.parametrize("words", [w for w, _ in leaf_parsers(build_parser())], ids=" ".join)
 def test_every_subcommand_has_help(capsys, words):
     assert run_command([*words, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: mbqcflow {' '.join(words)} [-h]")
@@ -1165,6 +1168,92 @@ class TestOutputsAlwaysParse:
                 assert code in (0, 1, 3), argv
                 payload = json.loads(out)
                 assert payload["schema_version"] == 1
+
+
+#: Values a mutation puts in place of a JSON value, or adds.  2**40 is over
+#: the vertex cap; no value makes a graph larger than one more vertex.
+JUNK = [None, True, False, -1, 0, 1, 2.5, float("nan"), 2**40, "", "1", "XY", [], {}, [[0, 1]]]
+
+
+def json_containers(data):
+    """Every object and array in ``data``, ``data`` first."""
+    if isinstance(data, (dict, list)):
+        yield data
+        for value in data.values() if isinstance(data, dict) else data:
+            yield from json_containers(value)
+
+
+def mutate(data, rng):
+    """A copy of ``data`` with one seeded change to one of its objects or arrays.
+
+    A value is removed, replaced by one of ``JUNK``, or, if it is an
+    integer, moved by one; or one junk value is added, under a new key.
+    """
+    data = json.loads(json.dumps(data))
+    node = rng.choice(list(json_containers(data)))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = rng.randrange(4) if keys else 0
+    if action == 0:
+        if isinstance(node, dict):
+            node[rng.choice(["0", "7", "-1", "x", "n", "planes", "extra"])] = rng.choice(JUNK)
+        else:
+            node.append(rng.choice(JUNK))
+        return data
+    key = rng.choice(keys)
+    if action == 1:
+        del node[key]
+    elif action == 3 and type(node[key]) is int:
+        node[key] += rng.choice([-1, 1])
+    else:
+        node[key] = rng.choice(JUNK)
+    return data
+
+
+def test_malformed_input_never_escapes_as_a_traceback(capsys, tmp_path):
+    # Seeded mutations of the graph, gFlow and pattern JSON of three fixtures
+    # through every command that reads files: each call returns an exit code
+    # of the CLI, and no exception leaves run_command.
+    commands = [
+        (words, parser.get_default("files"))
+        for words, parser in leaf_parsers(build_parser())
+        if parser.get_default("files")
+    ]
+    assert len(commands) == 11
+    cases = [
+        (path_graph(4), path_flow(4), 0.3),
+        (cluster_graph(2, 3), cluster_row_flow(2, 3), math.pi / 2),
+        (fig4_graph(), fig4_depth_one_gflow(), 0.7),
+    ]
+    rng, codes = random.Random(41), collections.Counter()
+    for graph, gflow, angle in cases:
+        base = {
+            "graph": graph.to_json_dict(),
+            "gflow": gflow.to_json_dict(),
+            "pattern": {"angles": {str(v): angle * (v + 1) for v in gflow.corrections}},
+        }
+        extra = {
+            ("cone",): ["--vertex", str(graph.inputs[0])],
+            ("oracle", "run"): ["--branch", "0" * len(gflow.corrections)],
+        }
+        for round_ in range(15):
+            texts = {name: json.dumps(data) for name, data in base.items()}
+            target = ("graph", "gflow", "pattern")[round_ % 3]
+            texts[target] = json.dumps(mutate(base[target], rng))
+            for name, text in texts.items():
+                (tmp_path / f"{name}.json").write_text(text)
+            for words, files in commands:
+                argv = [*words, *extra.get(words, [])]
+                for name in files:
+                    argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+                try:
+                    code = run_command(argv)
+                except Exception as exc:  # the failure names the mutated input
+                    pytest.fail(f"{' '.join(words)} on {target} {texts[target]} raised {exc!r}")
+                capsys.readouterr()
+                assert code in (0, 1, 2, 3), (words, texts[target])
+                codes[code] += 1
+    assert sum(codes.values()) == 3 * 15 * 11
+    assert codes[0] and codes[2]
 
 
 def test_cli_import_does_not_load_networkx():

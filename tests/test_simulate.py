@@ -36,6 +36,7 @@ from mbqcflow.fixtures import (
 from mbqcflow.errors import DEFAULT_DENSE_LIMIT
 from mbqcflow.oracle import TOLERANCE, build_open_graph_state, canonical_unitary
 from mbqcflow.pauli import LogicalOperator, PauliTable
+from mbqcflow.simulate import _UNITS, _clifford_tableau, _gather, _signed_permutations
 
 from conftest import (
     assert_rounds_match_reference,
@@ -48,7 +49,11 @@ from conftest import (
     sample_graphs_with_gflow,
 )
 from pauli_reference import project_terms, reference_round, reference_start
-from simulate_reference import reference_initial, reference_rotated_stabilizer
+from simulate_reference import (
+    reference_dense_extract_unitary,
+    reference_initial,
+    reference_rotated_stabilizer,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -877,6 +882,103 @@ class TestExtractAgainstTheEigenvectorReference:
                         ) > 0.1
         assert outcomes[True, True] >= 10 and outcomes[False, False] >= 100
         assert stricter == STRICTER
+
+
+def outcome(extract, table):
+    """The unitary ``extract`` gives for ``table``, or the message of its DeterminismError."""
+    try:
+        return extract(table)
+    except DeterminismError as exc:
+        return str(exc)
+
+
+def mutated(table, rng):
+    """``table`` with one X bit or one Z bit flipped, or one coefficient times -1 or i."""
+    rows, coeffs = table.rows.copy(), table.coeffs.copy()
+    row, qubit = rng.integers(len(rows)), rng.integers(table.n)
+    kind = rng.integers(4)
+    if kind < 2:
+        rows[row, kind * table.words] ^= np.uint64(1 << qubit)
+    else:
+        coeffs[row] *= (-1, 1j)[kind - 2]
+    return PauliTable(table.n, table.labels, rows, coeffs, table.owner.copy())
+
+
+def is_tableau(mats):
+    """Whether the dense images are Hermitian, ``Lx_i`` and ``Lz_i`` anticommute, others commute."""
+    if any(np.abs(mat - mat.conj().T).max() > 1e-12 for mat in mats):
+        return False
+    for a in range(len(mats)):
+        for b in range(a):
+            sign = -1 if a ^ b == 1 else 1
+            if np.abs(mats[a] @ mats[b] - sign * mats[b] @ mats[a]).max() > 1e-12:
+                return False
+    return True
+
+
+class TestCliffordTableau:
+    """The certified route against the dense one it replaces for Clifford tables."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_bench_pools_against_the_dense_reference(self, seed):
+        for table in finalized_tables("sim-clifford", seed):
+            assert _clifford_tableau(table) is not None
+            reference = reference_dense_extract_unitary(table)
+            assert np.abs(extract_unitary(table) - reference).max() <= 1e-12
+        for table in finalized_tables("sim-terms", seed):
+            assert _clifford_tableau(table) is None
+            assert np.array_equal(extract_unitary(table), reference_dense_extract_unitary(table))
+
+    def test_mutants_have_the_dense_outcome(self):
+        rng = np.random.default_rng(41)
+        certified, kinds = collections.Counter(), collections.Counter()
+        for table in finalized_tables("sim-clifford", 1):
+            for _ in range(6):
+                broken = mutated(table, rng)
+                old = outcome(reference_dense_extract_unitary, broken)
+                new = outcome(extract_unitary, broken)
+                assert type(old) is type(new)
+                if isinstance(old, str):
+                    assert new == old
+                else:
+                    assert np.abs(new - old).max() <= 1e-12
+                holds = is_tableau(broken.to_matrices())
+                assert (_clifford_tableau(broken) is not None) == holds
+                certified[holds] += 1
+                kinds[isinstance(old, str)] += 1
+        # Both verdicts and both outcomes occur.
+        assert min(certified.values()) >= 10 and min(kinds.values()) >= 10
+
+    def test_refuses_what_is_no_tableau(self):
+        one = LogicalOperator(1, {(1, 0): 1.0})
+        z, y = LogicalOperator(1, {(0, 1): 1.0}), LogicalOperator(1, {(1, 1): 1j})
+        assert _clifford_tableau(PauliTable.stack(1, {"X": one, "Z": z})) == [(1, 0, 0), (0, 1, 0)]
+        assert _clifford_tableau(PauliTable.stack(1, {"X": y, "Z": z})) == [(1, 1, 1), (0, 1, 0)]
+        for x_image, z_image in [
+            (one, one),  # commute
+            (LogicalOperator(1, {(1, 1): 1.0}), z),  # XZ = -iY is not Hermitian
+            (LogicalOperator(1, {(1, 0): 0.5}), z),  # not a unit
+            (LogicalOperator(1, {(1, 0): 1.0, (0, 1): 1.0}), z),  # two words
+            (LogicalOperator(1), z),  # no word
+        ]:
+            assert _clifford_tableau(PauliTable.stack(1, {"X": x_image, "Z": z_image})) is None
+
+    def test_words_act_as_their_matrices(self):
+        # The signs are built in float: a uint8 parity would wrap 1 - 2 to 255.
+        rng = np.random.default_rng(7)
+        for k in range(5):
+            dim = 1 << k
+            words = [(*rng.integers(dim, size=2).tolist(), int(rng.integers(4))) for _ in range(8)]
+            sums = {w: ((x, z, _UNITS[p]),) for w, (x, z, p) in enumerate(words)}
+            index, sign = _signed_permutations(words, dim)
+            vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            for mat, word in zip(PauliTable.pack(k, sums).to_matrices(), zip(index, sign)):
+                gathered = np.zeros((dim, dim), dtype=complex)
+                gathered[np.arange(dim), word[0]] = word[1]
+                assert np.array_equal(gathered, mat)
+                assert np.abs(_gather(word, vector) - mat @ vector).max() <= 1e-12
+                assert np.abs(_gather(word, block) - mat @ block).max() <= 1e-12
 
 
 class TestAgainstOracle:
