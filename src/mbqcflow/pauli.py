@@ -1,24 +1,23 @@
-"""Complex-weighted sums of phase-free Pauli words, stored as arrays.
+"""Complex-weighted sums of phase-free Pauli words: one sum in Python ints, many in arrays.
 
 A word ``X^x Z^z`` is the pair of qubit bitmasks ``(x, z)``: qubit q
 carries X iff bit q of ``x`` is set, Z iff bit q of ``z`` is set, and
 ``X Z`` (that is, ``-i Y``) iff both.  Every phase lives in the complex
 coefficient of a word, so equal words merge by adding coefficients.
 
-A sum of T words on n qubits is one ``(T, 2W)`` uint64 array of rows
-``[x words | z words]``, with W = ceil(n / 64) and qubit q in bit q % 64
-of word q // 64, and one ``(T,)`` complex128 array of coefficients.  This
-is the bit-packed layout of Aaronson and Gottesman, "Improved simulation
-of stabilizer circuits" (PRA 70, 052328, 2004) and of Stim (Gidney,
-Quantum 5, 497, 2021).  A :class:`PauliTable` stacks labelled sums into
-one such table, with the label's index as one more key per row.  A
-:class:`LogicalOperator` is one sum: it multiplies, adds and prunes, and
-every other operation goes through a table, which holds the one
-correction step (:meth:`PauliTable.correct`) and the one dense kernel
-(:meth:`PauliTable.to_matrices`).  :meth:`PauliTable.pack` is the one
-packer of :mod:`mbqcflow.simulate`'s Python-int words ``(x, z,
-coefficient)``: the general path packs its rotated words once, and a
-Clifford pattern's words only when they are read or finalized.
+One sum is a tuple of terms ``(x, z, coefficient)``, Python ints and a
+Python complex; :func:`_sum_product` multiplies two, and a
+:class:`LogicalOperator` holds one.  Labelled sums are arrays, in a
+:class:`PauliTable`: T words on n qubits are a ``(T, 2W)`` uint64 array
+of rows ``[x words | z words]``, with W = ceil(n / 64) and qubit q in bit
+q % 64 of word q // 64, a ``(T,)`` complex128 array of coefficients and
+the label's index as one more key per row.  This is the bit-packed layout
+of Aaronson and Gottesman, "Improved simulation of stabilizer circuits"
+(PRA 70, 052328, 2004) and of Stim (Gidney, Quantum 5, 497, 2021).  A
+table holds the one correction step (:meth:`PauliTable.correct`) and the
+one dense kernel (:meth:`PauliTable.to_matrices`);
+:meth:`PauliTable.pack` packs terms and :meth:`PauliTable.operators`
+reads them back.
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
@@ -61,6 +60,9 @@ from .errors import DEFAULT_TERM_BUDGET, _over_budget
 #: Coefficients no larger than this are dropped when pruning sums.
 PRUNE_TOLERANCE = 1e-12
 
+#: A term ``coefficient X^x Z^z`` of one sum as ``(x, z, coefficient)``.
+Term = tuple[int, int, complex]
+
 
 def _word_count(n: int) -> int:
     """Words W per mask on ``n`` qubits (at least one)."""
@@ -81,9 +83,35 @@ def pack_rows(n: int, xs: list[int], zs: list[int]) -> np.ndarray:
     return np.concatenate((_pack_words(xs, words), _pack_words(zs, words)), axis=1)
 
 
-def _unpack_words(row: np.ndarray) -> int:
-    """The Python int whose 64-bit words, lowest first, are ``row``."""
-    return int.from_bytes(row.astype("<u8").tobytes(), "little")
+def _unpack_masks(block: np.ndarray) -> list[int]:
+    """The Python-int bitmask of each ``(T, W)`` uint64 row of ``block``, lowest word first."""
+    if block.shape[1] == 1:
+        return block[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in block.astype("<u8")]
+
+
+def _merged(terms: Sequence[Term]) -> dict[tuple[int, int], complex]:
+    """Equal words merged in order of first appearance, each coefficient summed from 0j."""
+    sums: dict[tuple[int, int], complex] = {}
+    for x, z, coeff in terms:
+        sums[x, z] = sums.get((x, z), 0j) + coeff
+    return sums
+
+
+def _sum_product(left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...]:
+    """``left * right``, left outer, merged and pruned; the sign moves left Z past right X.
+
+    Words merge only when both factors have several terms: with a one-term
+    factor the products are distinct already and keep their signed zeros.
+    """
+    terms = [
+        (x1 ^ x2, z1 ^ z2, -(c1 * c2) if (z1 & x2).bit_count() & 1 else c1 * c2)
+        for x1, z1, c1 in left
+        for x2, z2, c2 in right
+    ]
+    if len(left) > 1 and len(right) > 1:
+        terms = [(x, z, coeff) for (x, z), coeff in _merged(terms).items()]
+    return tuple(term for term in terms if abs(term[2]) > PRUNE_TOLERANCE)
 
 
 #: Word j of a row is mixed by two rounds of the xorshift ``v ^= v << a;
@@ -198,23 +226,8 @@ class PauliTable:
         self._set_rows(rows, coeffs, owner)
 
     @classmethod
-    def stack(cls, n: int, sums: Mapping[Hashable, LogicalOperator]) -> PauliTable:
-        """One table of copies of ``sums``, labels and rows in their order."""
-        ops = list(sums.values())
-        words = _word_count(n)
-        return cls(
-            n,
-            list(sums),
-            np.concatenate([op._rows for op in ops] + [np.zeros((0, 2 * words), np.uint64)]),
-            np.concatenate([op._coeffs for op in ops] + [np.zeros(0, complex)]),
-            np.repeat(np.arange(len(ops)), [op.num_terms for op in ops]),
-        )
-
-    @classmethod
-    def pack(
-        cls, n: int, sums: Mapping[Hashable, Sequence[tuple[int, int, complex]]]
-    ) -> PauliTable:
-        """One table of labelled sums of words ``(x, z, coefficient)``, labels and rows in order.
+    def pack(cls, n: int, sums: Mapping[Hashable, Sequence[Term]]) -> PauliTable:
+        """One table of labelled sums of terms ``(x, z, coefficient)``, labels and rows in order.
 
         The masks are Python ints.  The words are packed as given, so the sums must be pruned.
         """
@@ -236,19 +249,17 @@ class PauliTable:
         np.maximum(self.peaks, self.counts, out=self.peaks)
 
     def operators(self) -> dict[Hashable, LogicalOperator]:
-        """Every label's sum as a new operator, its rows in table order."""
-        order = np.argsort(self.owner, kind="stable")
-        rows, coeffs = self.rows.take(order, axis=0), self.coeffs.take(order)
-        ends = np.cumsum(self.counts).tolist()
-        return {
-            label: LogicalOperator.from_rows(self.n, rows[start:end], coeffs[start:end])
-            for label, start, end in zip(self.labels, [0] + ends[:-1], ends)
-        }
+        """Every label's sum as a new operator, its terms in table order."""
+        w, sums = self.words, [{} for _ in self.labels]
+        words = zip(_unpack_masks(self.rows[:, :w]), _unpack_masks(self.rows[:, w:]))
+        for owner, word, coeff in zip(self.owner.tolist(), words, self.coeffs.tolist()):
+            sums[owner][word] = coeff
+        return {label: LogicalOperator(self.n, terms) for label, terms in zip(self.labels, sums)}
 
     def z_support(self) -> int:
         """Mask of the qubits on which some row has Z."""
         z_lines = np.ascontiguousarray(self.rows.T[self.words :])
-        return _unpack_words(np.bitwise_or.reduce(z_lines, axis=1, initial=np.uint64(0)))
+        return _unpack_masks(np.bitwise_or.reduce(z_lines, axis=1, initial=np.uint64(0))[None])[0]
 
     def project(self, qubits: list[int]) -> PauliTable:
         """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
@@ -299,9 +310,9 @@ class PauliTable:
         return mats.reshape(-1, dim, dim)
 
     def correct(
-        self, qubit: int, correction: LogicalOperator, budget: int = DEFAULT_TERM_BUDGET
+        self, qubit: int, factor: tuple[np.ndarray, np.ndarray], budget: int = DEFAULT_TERM_BUDGET
     ) -> bool:
-        """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
+        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum's rows and coeffs.
 
         The other rows are kept in place.  The products are summed and
         pruned, then added into the kept rows of their sum, which are
@@ -310,7 +321,7 @@ class PauliTable:
         nothing can merge, and the pruned products are appended in order
         with no grouping step.  Otherwise the rows are grouped exactly; if
         that finds no equal rows, the result is the same, byte for byte.
-        A product's hash is its hit row's hash XOR its correction word's
+        A product's hash is its hit row's hash XOR its factor word's
         hash, so no product is hashed.  Returns whether any row had Z on
         ``qubit``.  Raises :class:`BudgetExceededError` before the products
         are built when the kept rows plus the products would exceed
@@ -321,12 +332,13 @@ class PauliTable:
         hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
         if not len(hit):
             return False
-        terms = correction.num_terms
+        factor_rows, factor_coeffs = factor
+        terms = len(factor_coeffs)
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
             raise _over_budget(size, "terms", "terms", budget)
         new_rows, new_coeffs = _product_rows(
-            correction._rows, correction._coeffs, rows.take(hit, axis=0), coeffs.take(hit)
+            factor_rows, factor_coeffs, rows.take(hit, axis=0), coeffs.take(hit)
         )
         k, new_owner = len(kept), np.concatenate([owner.take(hit)] * terms)
         if self._hashes is None:
@@ -334,7 +346,7 @@ class PauliTable:
             keyed = np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1)
             self._hashes = _row_hash(keyed)
         carried = self._hashes
-        new_hashes = (_row_hash(correction._rows)[:, None] ^ carried.take(hit)).reshape(-1)
+        new_hashes = (_row_hash(factor_rows)[:, None] ^ carried.take(hit)).reshape(-1)
         hashes = np.concatenate((carried.take(kept), new_hashes))
         counts = self.counts - np.bincount(new_owner[: len(hit)], minlength=len(self.labels))
         ordered = np.sort(hashes)
@@ -377,12 +389,12 @@ class LogicalOperator:
     """Complex-weighted sum of phase-free Pauli words on a fixed register.
 
     Built from a ``{(x_bits, z_bits): coefficient}`` mapping and pruned, as
-    every operation is; held as word rows and coefficients (see the module
-    docstring).  A word with a bit outside the ``n`` qubits, or a negative
-    mask, raises ``ValueError``.
+    every operation is; held as the tuple ``words`` of terms ``(x, z,
+    coefficient)`` (see the module docstring).  A word with a bit outside
+    the ``n`` qubits, or a negative mask, raises ``ValueError``.
     """
 
-    __slots__ = ("n", "_rows", "_coeffs")
+    __slots__ = ("n", "words")
 
     def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
         terms = terms or {}
@@ -390,52 +402,31 @@ class LogicalOperator:
             if x < 0 or z < 0 or (x | z) >> n:
                 raise ValueError(f"word {(x, z)} has bits outside the {n}-qubit register")
         self.n = n
-        self._rows = pack_rows(n, [x for x, _ in terms], [z for _, z in terms])
-        self._coeffs = np.array(list(terms.values()), dtype=complex).reshape(-1)
+        self.words = tuple((x, z, complex(coeff)) for (x, z), coeff in terms.items())
         self.prune()
 
-    @classmethod
-    def from_rows(cls, n: int, rows: np.ndarray, coeffs: np.ndarray) -> LogicalOperator:
-        """Wrap ``(T, 2W)`` word rows and their coefficients without copying."""
-        op = cls.__new__(cls)
-        op.n = n
-        op._rows = rows
-        op._coeffs = coeffs
-        return op
-
     def terms(self) -> Iterator[tuple[tuple[int, int], complex]]:
-        words = _word_count(self.n)
-        for row, coeff in zip(self._rows, self._coeffs.tolist()):
-            yield (_unpack_words(row[:words]), _unpack_words(row[words:])), coeff
+        return (((x, z), coeff) for x, z, coeff in self.words)
 
     @property
     def num_terms(self) -> int:
-        return len(self._coeffs)
+        return len(self.words)
 
     def __add__(self, other: LogicalOperator) -> LogicalOperator:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        rows, coeffs = _merge_rows(
-            np.concatenate((self._rows, other._rows)),
-            np.concatenate((self._coeffs, other._coeffs)),
-        )
-        return LogicalOperator.from_rows(self.n, rows, coeffs).prune()
+        return LogicalOperator(self.n, _merged(self.words + other.words))
 
     def __mul__(self, other: LogicalOperator) -> LogicalOperator:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        rows, coeffs = _product_rows(self._rows, self._coeffs, other._rows, other._coeffs)
-        if min(self.num_terms, other.num_terms) > 1:
-            # With a one-word factor the products are distinct already.
-            rows, coeffs = _merge_rows(rows, coeffs)
-        return LogicalOperator.from_rows(self.n, rows, coeffs).prune()
+        product = _sum_product(self.words, other.words)
+        return LogicalOperator(self.n, {(x, z): coeff for x, z, coeff in product})
 
     def prune(self) -> LogicalOperator:
-        keep = np.abs(self._coeffs) > PRUNE_TOLERANCE
-        self._rows = self._rows[keep]
-        self._coeffs = self._coeffs[keep]
+        self.words = tuple(term for term in self.words if abs(term[2]) > PRUNE_TOLERANCE)
         return self
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix, every entry summed over the terms in row order."""
-        return PauliTable.stack(self.n, {0: self}).to_matrices()[0]
+        return PauliTable.pack(self.n, {0: self.words}).to_matrices()[0]

@@ -16,10 +16,11 @@ rotated word that a correcting set or an input's X logical uses is one
 word with coefficient 1, i, -1 or -i, as when every angle is a multiple
 of pi/2, every logical and correcting product stays one word ``i^p X^x
 Z^z`` (Gottesman, quant-ph/9807006), a triple ``(x, z, p)`` of Python
-ints.  Every other pattern takes the table path: its words are packed
-once, all logicals live in one :class:`~mbqcflow.pauli.PauliTable`, and
-each vertex of a round is one :meth:`~mbqcflow.pauli.PauliTable.correct`
-call for all of them (see :mod:`mbqcflow.pauli` for its cost).  Both
+ints.  Every other pattern takes the table path: its correcting products
+are :func:`~mbqcflow.pauli._sum_product` folds, they and the logicals are
+packed once into two :class:`~mbqcflow.pauli.PauliTable` objects, and each
+vertex of a round is one :meth:`~mbqcflow.pauli.PauliTable.correct` call
+for all logicals (see :mod:`mbqcflow.pauli` for its cost).  Both
 paths finalize through such a table.  A term budget caps its rows (on
 the word path, the logicals), and the dense limit caps the unitary.
 
@@ -31,9 +32,8 @@ be compared against ``2**|forward cone|``.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -45,7 +45,7 @@ from .flow import GFlow, _check_gflow_valid, check_analysis_preconditions, check
 from .graph import OpenGraph
 from .oracle import TOLERANCE, _check_unitary, canonical_unitary, complex_pairs
 from .pattern import MeasurementPattern, Plane
-from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable
+from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Term, _sum_product
 
 
 def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:
@@ -60,7 +60,7 @@ def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOp
     if not math.isfinite(angle):
         raise ValueError(f"angle for vertex {vertex} is not finite")
     (words,) = _rotated_words(graph, [vertex], [angle])
-    return PauliTable.pack(graph.n, {vertex: words}).operators()[vertex]
+    return LogicalOperator(graph.n, {(x, z): c for x, z, c in words})
 
 
 #: A Pauli word ``i^p X^x Z^z`` as ``(x, z, p)``, with p in 0..3.
@@ -72,7 +72,7 @@ _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 def _rotated_words(
     graph: OpenGraph, vertices: list[int], angles: list[float]
-) -> list[tuple[tuple[int, int, complex], ...]]:
+) -> list[tuple[Term, ...]]:
     """Each v's rotated ``X_v (x) Z_neighbours`` as its live words ``(x, z, coefficient)``.
 
     It is ``cos(a) X_v Z_N(v) - i sin(a) X_v Z_v Z_N(v)`` for ``v = vertices[j]`` and
@@ -115,22 +115,29 @@ def _correct_words(words: dict[Hashable, Word], vertex: int, correction: Word, b
 class SimulationState:
     """Mutable carrier of the logicals through the rounds, on one of two paths.
 
-    On the table path ``table`` holds the logicals and ``products`` maps
-    each corrected vertex to its correcting product as an operator.  On
+    On the table path ``table`` holds the logicals and ``products`` the
+    correcting products, packed in vertex order, each one run of rows.  On
     the word path (see the module docstring) ``words`` maps each logical's
     label to its word, ``products`` holds words too, and ``table`` is None.
-    :attr:`logicals` and :attr:`stabilizers` give the current values on
-    either path.
+    :attr:`logicals` and :attr:`stabilizers` read the current values on
+    either path, the stabilizers as new operators.
     """
 
     graph: OpenGraph
     gflow: GFlow
     pattern: MeasurementPattern
-    products: dict[int, LogicalOperator] | dict[int, Word]
+    products: PauliTable | dict[int, Word]
     table: PauliTable | None = None
     words: dict[tuple[str, int], Word] | None = None
     round_cursor: int = 0
     term_budget: int = DEFAULT_TERM_BUDGET
+    _runs: dict[int, tuple] = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.words is None:
+            table, ends = self.products, np.cumsum(self.products.counts)[:-1]
+            runs = zip(np.split(table.rows, ends), np.split(table.coeffs, ends))
+            self._runs = dict(zip(table.labels, runs))
 
     @property
     def rounds(self) -> tuple[frozenset[int], ...]:
@@ -146,9 +153,9 @@ class SimulationState:
 
     @property
     def stabilizers(self) -> dict[int, LogicalOperator]:
-        """Each corrected vertex's correcting product; on the word path, packed when read."""
+        """Each corrected vertex's correcting product as a new operator, read from a table."""
         if self.words is None:
-            return self.products
+            return self.products.operators()
         words = {vertex: ((x, z, _UNITS[p]),) for vertex, (x, z, p) in self.products.items()}
         return PauliTable.pack(self.graph.n, words).operators()
 
@@ -178,7 +185,7 @@ def initialize_simulation(
     Both paths start from :func:`_rotated_words`, and each Z logical is the
     word ``(0, 1 << i, 1)``.  The pattern takes the word path (see the
     module docstring) when every such sum is one word with a unit
-    coefficient; otherwise the sums are packed once into a table.
+    coefficient; otherwise the logicals and the products are packed once.
     """
     check_analysis_preconditions(graph)
     _check_gflow_valid(graph, gflow)
@@ -193,11 +200,9 @@ def initialize_simulation(
     live = _rotated_words(graph, vertices, [pattern.angles.get(v, 0.0) for v in vertices])
     live += [((0, 1 << i, 1 + 0j),) for i in inputs]
     try:  # two live words fail the unpacking, and a coefficient that is no unit the index
-        sums, on_words = [(x, z, _UNITS.index(c)) for ((x, z, c),) in live], True
+        sums, product = [(x, z, _UNITS.index(c)) for ((x, z, c),) in live], _word_product
     except ValueError:
-        sums = list(PauliTable.pack(graph.n, dict(enumerate(live))).operators().values())
-        on_words = False
-    product = _word_product if on_words else operator.mul
+        sums, product = live, _sum_product
     rotated = dict(zip(corrector_vertices, sums))
     products = {
         i: reduce(product, [rotated[j] for j in sorted(gflow.corrections[i])])
@@ -206,7 +211,9 @@ def initialize_simulation(
     logicals = {}
     for i, x_sum, z_sum in zip(inputs, sums[len(corrector_vertices) :], sums[len(vertices) :]):
         logicals[("X", i)], logicals[("Z", i)] = x_sum, z_sum
-    table, words = (None, logicals) if on_words else (PauliTable.stack(graph.n, logicals), None)
+    on_words = product is _word_product
+    table, words = (None, logicals) if on_words else (PauliTable.pack(graph.n, logicals), None)
+    products = products if on_words else PauliTable.pack(graph.n, products)
     return SimulationState(graph, gflow, pattern, products, table, words, term_budget=term_budget)
 
 
@@ -217,8 +224,9 @@ def propagate_round(state: SimulationState) -> SimulationState:
     anticommutes with the measured X is multiplied by that vertex's
     correcting product.  On the table path that is one
     :meth:`~mbqcflow.pauli.PauliTable.correct` call per vertex for all
-    logicals, which merges and prunes the rows; on the word path each
-    logical with Z on the vertex takes the product in place.
+    logicals, with the product's packed rows, which merges and prunes the
+    rows; on the word path each logical with Z on the vertex takes the
+    product in place.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
     table past ``state.term_budget`` rows (on the word path, when it hits
@@ -229,7 +237,7 @@ def propagate_round(state: SimulationState) -> SimulationState:
         raise ValueError(f"all {len(state.rounds)} rounds are already propagated")
     for mu in sorted(state.rounds[state.round_cursor]):
         if state.words is None:
-            state.table.correct(mu, state.products[mu], state.term_budget)
+            state.table.correct(mu, state._runs[mu], state.term_budget)
         else:
             _correct_words(state.words, mu, state.products[mu], state.term_budget)
     state.round_cursor += 1

@@ -153,10 +153,10 @@ def count_product_merges(monkeypatch) -> collections.Counter:
         merged.append(len(first) < len(rows))
         return run, first
 
-    def spied_correct(self, qubit, correction, *budget):
-        product = correction.num_terms > 1 or self.counts.max(initial=0) > 1
+    def spied_correct(self, qubit, factor, *budget):
+        product = len(factor[1]) > 1 or self.counts.max(initial=0) > 1
         merged.clear()
-        hit = correct(self, qubit, correction, *budget)
+        hit = correct(self, qubit, factor, *budget)
         if hit and product:
             counts[any(merged)] += 1
         return hit
@@ -233,10 +233,22 @@ def completion_generators(state: SimulationState) -> list[LogicalOperator]:
             basis = candidate
             angle = state.pattern.angles.get(j, 0.0)
             completions.append(rotated_stabilizer(graph, j, angle))
-    table = PauliTable.stack(graph.n, dict(enumerate(completions)))
+    table = pack_operators(graph.n, dict(enumerate(completions)))
+    stabilizers = state.stabilizers
     for nu in (v for layer in state.rounds for v in sorted(layer)):
-        table.correct(nu, state.stabilizers[nu])
+        table.correct(nu, packed(stabilizers[nu]))
     return list(table.operators().values())
+
+
+def pack_operators(n: int, ops: dict) -> PauliTable:
+    """One table of the labelled operators' terms, labels and rows in their order."""
+    return PauliTable.pack(n, {label: op.words for label, op in ops.items()})
+
+
+def packed(op: LogicalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and coefficients of ``op``'s terms, as ``PauliTable.correct`` takes a factor."""
+    table = PauliTable.pack(op.n, {0: op.words})
+    return table.rows, table.coeffs
 
 
 @pytest.fixture

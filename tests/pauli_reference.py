@@ -1,9 +1,12 @@
 """Term-by-term reference for the Pauli-sum algebra, on Python dicts.
 
 A sum is a ``{(x, z): coefficient}`` dict of Python-int bitmasks, as the
-library held it before its sums became arrays.  Nothing here calls
-``mbqcflow.pauli``: the differential tests compare the array code against
-these loops, key order included.
+library held it before its sums became arrays.  Nothing here but
+:func:`array_sum_product` calls ``mbqcflow.pauli``: the differential tests
+compare the library against these loops, key order included.
+:func:`array_sum_product` is the array product that ``LogicalOperator``
+used before a single sum became Python-int terms, built from the array
+helpers the library keeps for its tables.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from typing import Hashable
 
 import numpy as np
+
+from mbqcflow.pauli import _merge_rows, _product_rows, pack_rows
 
 #: The library's pruning threshold, restated so the reference stands alone.
 PRUNE_TOLERANCE = 1e-12
@@ -113,3 +118,29 @@ def reference_round(
                 logicals[label] = out
             high_water[label] = max(high_water.get(label, 0), len(logicals[label]))
     return logicals
+
+
+def _read_rows(rows: np.ndarray) -> list[int]:
+    """The Python-int bitmask of each row of 64-bit words, lowest word first."""
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
+
+
+def array_sum_product(left, right) -> tuple[tuple[int, int, complex], ...]:
+    """``left * right`` on terms ``(x, z, coefficient)``, as ``LogicalOperator.__mul__`` was.
+
+    Both sums are packed into rows, multiplied by ``_product_rows``, merged
+    by ``_merge_rows`` when both have several terms, pruned and read back.
+    """
+    n = max(((x | z).bit_length() for x, z, _ in (*left, *right)), default=0)
+
+    def packed(terms):
+        xs, zs, coeffs = [t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms]
+        return pack_rows(n, xs, zs), np.array(coeffs, dtype=complex).reshape(-1)
+
+    rows, coeffs = _product_rows(*packed(left), *packed(right))
+    if min(len(left), len(right)) > 1:
+        rows, coeffs = _merge_rows(rows, coeffs)
+    keep = np.abs(coeffs) > PRUNE_TOLERANCE
+    rows, coeffs = rows[keep], coeffs[keep]
+    words = rows.shape[1] // 2
+    return tuple(zip(_read_rows(rows[:, :words]), _read_rows(rows[:, words:]), coeffs.tolist()))

@@ -8,7 +8,9 @@ library to take the same path and build the same words, byte for byte.
 ``reference_dense_extract_unitary`` is ``extract_unitary`` as it was
 before Clifford tableaux skipped the dense matrices; every table is dense
 there, and every Z image is checked.
-The helpers they call are unchanged and are imported from the library.
+The helpers they call are unchanged and are imported from the library,
+except ``LogicalOperator.from_rows``, which is gone: :func:`from_rows`
+stands in for it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from mbqcflow.simulate import Word, _word_product
 
 #: The coefficient ``i^p`` of a word, indexed by p.
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def from_rows(n: int, rows: np.ndarray, coeffs: np.ndarray) -> LogicalOperator:
+    """The operator of the ``(T, 2W)`` word rows and their coefficients, read through a table."""
+    return PauliTable(n, [0], rows, coeffs, np.zeros(len(rows), dtype=np.intp)).operators()[0]
 
 
 def _rotation_coefficients(angles: list[float]) -> np.ndarray:
@@ -56,7 +63,7 @@ def _rotated_x_words(
     for i, (cos_live, sin_live) in enumerate((np.abs(coeffs) > PRUNE_TOLERANCE).tolist()):
         # The live words are a slice: both, the cos word or the sin word.
         words_live = slice(0 if cos_live else 1, 2 if sin_live else 1)
-        ops.append(LogicalOperator.from_rows(graph.n, rows[i, words_live], coeffs[i, words_live]))
+        ops.append(from_rows(graph.n, rows[i, words_live], coeffs[i, words_live]))
     return ops
 
 
@@ -108,7 +115,7 @@ def reference_initial(graph, gflow, pattern):
     else:
         words, product = _rotated_x_words(graph, vertices, coeffs), operator.mul
         z_rows, one = pack_rows(graph.n, [0] * len(inputs), z_bits), np.ones(1, dtype=complex)
-        z_words = [LogicalOperator.from_rows(graph.n, row[None], one) for row in z_rows]
+        z_words = [from_rows(graph.n, row[None], one) for row in z_rows]
     rotated = dict(zip(corrector_vertices, words))
     products = {
         i: reduce(product, [rotated[j] for j in sorted(gflow.corrections[i])])

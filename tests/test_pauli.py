@@ -11,8 +11,20 @@ from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
 from mbqcflow.simulate import _correct_words
 
-from conftest import assert_rounds_match_reference, bench_pool, count_product_merges
-from pauli_reference import corrected_terms, product_terms, project_terms, prune
+from conftest import (
+    assert_rounds_match_reference,
+    bench_pool,
+    count_product_merges,
+    pack_operators,
+    packed,
+)
+from pauli_reference import (
+    array_sum_product,
+    corrected_terms,
+    product_terms,
+    project_terms,
+    prune,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -123,19 +135,19 @@ class TestLogicalOperator:
     def test_corrected_leaves_commuting_operator_alone(self):
         # Nothing has Z on qubit 0, so the correction neither builds nor moves a row.
         sums = {"a": {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0}, "b": {(0b11, 0b10): 2j}}
-        table = PauliTable.stack(2, {label: LogicalOperator(2, t) for label, t in sums.items()})
+        table = pack_operators(2, {label: LogicalOperator(2, t) for label, t in sums.items()})
         rows, coeffs, owner = table.rows, table.coeffs, table.owner
         before = rows.copy(), coeffs.copy(), owner.copy()
-        assert not table.correct(0, LogicalOperator(2, {(0b01, 0b10): 1.0}))
+        assert not table.correct(0, packed(LogicalOperator(2, {(0b01, 0b10): 1.0})))
         assert table.rows is rows and table.coeffs is coeffs and table.owner is owner
         for got, want in zip((rows, coeffs, owner), before):
             assert np.array_equal(got, want)
-        assert table.correct(1, LogicalOperator(2, {(0b01, 0b10): 1.0}))
+        assert table.correct(1, packed(LogicalOperator(2, {(0b01, 0b10): 1.0})))
 
     def test_one_word_correction_prunes_and_the_peak_stays(self):
         # 1e-7 times 1e-7 falls under the prune tolerance, so the row goes.
-        table = PauliTable.stack(1, {0: LogicalOperator(1, {(0, 1): 1e-7})})
-        assert table.correct(0, LogicalOperator(1, {(1, 0): 1e-7}))
+        table = pack_operators(1, {0: LogicalOperator(1, {(0, 1): 1e-7})})
+        assert table.correct(0, packed(LogicalOperator(1, {(1, 0): 1e-7})))
         assert len(table.rows) == 0
         assert table.counts.tolist() == [0]
         assert table.peaks.tolist() == [1]
@@ -146,7 +158,7 @@ class TestLogicalOperator:
         op = LogicalOperator(1, {(0, 0): 1e-13, (1, 0): 1.0, (0, 1): PRUNE_TOLERANCE})
         assert op.num_terms == 1
         assert list(op.terms()) == [((1, 0), 1.0)]
-        table = PauliTable.stack(1, {0: op})
+        table = pack_operators(1, {0: op})
         assert table.counts.tolist() == table.peaks.tolist() == [1]
 
     def test_word_matrix_identity(self):
@@ -168,7 +180,7 @@ class TestLogicalOperator:
         for n in (2, 64, 70):
             top = (1 << n) - 1
             assert list(LogicalOperator(n, {(top, top): 1.0}).terms()) == [((top, top), 1.0)]
-        stacked = PauliTable.stack(
+        stacked = pack_operators(
             2, {"a": LogicalOperator(2, {(0b11, 0): 1.0}), "b": LogicalOperator(2, {(0, 0): 1.0})}
         )
         assert np.array_equal(stacked.to_matrices()[1], np.eye(4))
@@ -187,6 +199,9 @@ class TestAgainstDictReference:
     BITS = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 139)
 
     def assert_same(self, op, terms):
+        assert list(op.terms()) == list(terms.items())
+
+    def assert_close(self, op, terms):
         got = list(op.terms())
         assert [key for key, _ in got] == list(terms)
         assert all(abs(c - terms[key]) <= 1e-15 for key, c in got)
@@ -207,17 +222,70 @@ class TestAgainstDictReference:
             qubit = int(rng.choice(self.BITS))
             terms = random_terms(rng, self.BITS, int(rng.integers(1, 40)))
             correction = random_terms(rng, self.BITS, int(rng.integers(1, 5)))
-            table = PauliTable.stack(140, {0: LogicalOperator(140, terms)})
+            table = pack_operators(140, {0: LogicalOperator(140, terms)})
             want = corrected_terms(terms, qubit, correction)
-            hit = table.correct(qubit, LogicalOperator(140, correction))
+            hit = table.correct(qubit, packed(LogicalOperator(140, correction)))
             assert hit == (want is not None)
-            self.assert_same(table.operators()[0], terms if want is None else want)
+            self.assert_close(table.operators()[0], terms if want is None else want)
 
     def test_products_cancel_to_nothing(self):
         # X0 (1 + Z0) times (1 - Z0): the cross terms cancel exactly.
         a = LogicalOperator(70, {(1, 0): 1.0, (1, 1): 1.0})
         b = LogicalOperator(70, {(0, 0): 1.0, (0, 1): -1.0})
         assert (a * b).num_terms == 0
+
+
+class TestAgainstTheArrayProduct:
+    """The product of Python-int terms against the array product it replaced."""
+
+    def test_random_sums(self, rng):
+        # Few qubits per pair, so that products merge; general complex
+        # coefficients, whose products numpy may round differently.  The
+        # words and their order are the same, and each coefficient is within
+        # 1e-15 of the reference relative to its weight, the sum of the
+        # moduli of the products that meet on its word: a few units in the
+        # last place of a sum of at most 36 products.
+        merged = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 141))
+            size = min(n, int(rng.integers(1, 6)))
+            bits = [int(q) for q in rng.choice(n, size=size, replace=False)]
+            a, b = (random_terms(rng, bits, int(rng.integers(1, 7))) for _ in range(2))
+            left, right = LogicalOperator(n, a), LogicalOperator(n, b)
+            got = (left * right).words
+            want = array_sum_product(left.words, right.words)
+            assert [term[:2] for term in got] == [term[:2] for term in want]
+            weight = collections.Counter()
+            for (x1, z1), c1 in a.items():
+                for (x2, z2), c2 in b.items():
+                    weight[x1 ^ x2, z1 ^ z2] += abs(c1 * c2)
+            assert all(abs(g[2] - w[2]) <= 1e-15 * weight[g[:2]] for g, w in zip(got, want))
+            assert list((left * right).terms()) == list(prune(product_terms(a, b)).items())
+            merged += len(got) < left.num_terms * right.num_terms
+        assert merged >= 300
+
+    def test_sim_terms_pools_are_byte_identical(self, monkeypatch):
+        # Products, finalized tables, high water and unitaries of seeds 1-5,
+        # with the correcting products folded by each product in turn.  All
+        # 100 instances take the table path; the sim-clifford pools take the
+        # word path and multiply no sums.
+        import mbqcflow.simulate as simulate_mod
+
+        def run(inst):
+            state = initialize_simulation(inst.graph, inst.gflow, inst.pattern)
+            products = repr({v: op.words for v, op in state.stabilizers.items()})
+            table = simulate_mod.finalize_outputs(simulate_mod.propagate_all(state))
+            arrays = (table.rows, table.coeffs, table.owner, table.peaks)
+            unitary = None
+            if len(inst.graph.inputs) == len(inst.graph.outputs):
+                unitary = simulate_mod.extract_unitary(table).tobytes()
+            return products, [a.tobytes() for a in arrays], state.high_water, unitary
+
+        pools = [inst for seed in range(1, 6) for inst in bench_pool("sim-terms", seed)]
+        got = [run(inst) for inst in pools]
+        monkeypatch.setattr(simulate_mod, "_sum_product", array_sum_product)
+        assert [run(inst) for inst in pools] == got
+        assert all(initialize_simulation(i.graph, i.gflow, i.pattern).words is None for i in pools)
 
 
 class TestPauliTable:
@@ -234,7 +302,7 @@ class TestPauliTable:
             ("X", 0): random_terms(rng, bits, 1),
             7: random_terms(rng, bits, 9),
         }
-        table = PauliTable.stack(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
+        table = pack_operators(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
         ops = table.operators()
         assert list(ops) == list(sums)
         assert ops["empty"].num_terms == 0
@@ -243,9 +311,9 @@ class TestPauliTable:
             assert list(ops[label].terms()) == list(terms.items())
 
     def test_only_an_empty_table_takes_an_empty_register(self, rng):
-        empty = PauliTable.stack(3, {("X", 0): LogicalOperator(3, {})}).project([])
+        empty = pack_operators(3, {("X", 0): LogicalOperator(3, {})}).project([])
         assert empty.n == 0 and len(empty.rows) == 0 and empty.counts.tolist() == [0]
-        table = PauliTable.stack(3, {("X", 0): LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
+        table = pack_operators(3, {("X", 0): LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
         with pytest.raises(ValueError, match="^only an empty table may take an empty register$"):
             table.project([])
 
@@ -272,7 +340,7 @@ class TestPauliTable:
                 label: prune(merging_terms(rng, bits, 1 if single else int(rng.integers(0, 10))))
                 for label in range(int(rng.integers(1, 5)))
             }
-            table = PauliTable.stack(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
+            table = pack_operators(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
             want = project_terms(sums, qubits)
             got = table.project(qubits)
             assert got.n == count and got.labels == list(sums)
@@ -353,9 +421,9 @@ class ReferenceTable:
         np.maximum(self.peaks, self.counts, out=self.peaks)
 
     def correct(
-        self, qubit: int, correction: LogicalOperator, budget: int = DEFAULT_TERM_BUDGET
+        self, qubit: int, factor: tuple[np.ndarray, np.ndarray], budget: int = DEFAULT_TERM_BUDGET
     ) -> bool:
-        """Multiply the rows with Z on ``qubit`` by ``correction``, merge and prune.
+        """Multiply the rows with Z on ``qubit`` by ``factor``, merge and prune.
 
         The other rows are kept in place.  The products are summed and
         pruned, then added into the kept rows of their sum or appended
@@ -368,12 +436,13 @@ class ReferenceTable:
         hit = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))).nonzero()[0]
         if not len(hit):
             return False
-        terms = correction.num_terms
+        factor_rows, factor_coeffs = factor
+        terms = len(factor_coeffs)
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
             raise BudgetExceededError(f"{size} terms exceed --budget-terms {budget}")
         new_rows, new_coeffs = _product_rows(
-            correction._rows, correction._coeffs, rows[hit], coeffs[hit]
+            factor_rows, factor_coeffs, rows[hit], coeffs[hit]
         )
         kept = np.ones(len(rows), dtype=bool)
         kept[hit] = False
@@ -423,10 +492,10 @@ def checked_correct(correct, raised):
     which is then raised again and counted in ``raised``.
     """
 
-    def checked(self, qubit, correction, budget=DEFAULT_TERM_BUDGET):
+    def checked(self, qubit, factor, budget=DEFAULT_TERM_BUDGET):
         reference = ReferenceTable(self)
-        want = outcome(reference.correct, qubit, correction, budget)
-        got = outcome(correct, self, qubit, correction, budget)
+        want = outcome(reference.correct, qubit, factor, budget)
+        got = outcome(correct, self, qubit, factor, budget)
         assert got == want
         assert_same_state(self, reference)
         if isinstance(got, tuple):
@@ -440,7 +509,7 @@ def checked_correct(correct, raised):
 def reference_correct_round(reference, qubits, corrections, budget):
     """The old kernel's :meth:`ReferenceTable.correct` for each qubit of a round in turn."""
     for qubit, correction in zip(qubits, corrections):
-        reference.correct(qubit, correction, budget)
+        reference.correct(qubit, packed(correction), budget)
 
 
 def merging_terms(rng, bits, count):
@@ -522,12 +591,12 @@ class TestCorrectMatchesTheOldKernel:
                 label: LogicalOperator(n, merging_terms(rng, few, int(rng.integers(0, 10))))
                 for label in range(int(rng.integers(1, 5)))
             }
-            table = PauliTable.stack(n, sums)
+            table = pack_operators(n, sums)
             for _ in range(6):
                 correction = LogicalOperator(n, merging_terms(rng, few, int(rng.integers(1, 4))))
                 budget = len(table.rows) + int(rng.integers(0, 40))
                 with contextlib.suppress(BudgetExceededError):
-                    table.correct(int(rng.choice(few)), correction, budget)
+                    table.correct(int(rng.choice(few)), packed(correction), budget)
         assert merges[True] >= 50 and merges[False] >= 50 and len(raised) >= 20
 
 
@@ -598,7 +667,7 @@ class TestWordCorrection:
                 seen.update(round_hits(words, qubits, corrections))
                 for qubit, (x, z, p) in zip(qubits, corrections):
                     correction = LogicalOperator(n, {(x, z): UNITS[p]})
-                    want = outcome(reference.correct, qubit, correction, budget)
+                    want = outcome(reference.correct, qubit, packed(correction), budget)
                     got = outcome(_correct_words, words, qubit, (x, z, p), budget)
                     assert isinstance(got, tuple) == isinstance(want, tuple)
                     if isinstance(got, tuple):

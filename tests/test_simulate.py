@@ -44,6 +44,7 @@ from conftest import (
     completion_generators,
     count_product_merges,
     max_deviation_up_to_phase,
+    pack_operators,
     relabel,
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
@@ -237,7 +238,7 @@ def angle_mixes(inst, rng):
 
 
 def operator_bytes(op):
-    return op.n, op._rows.shape, op._rows.tobytes(), op._coeffs.tobytes()
+    return op.n, repr(op.words)
 
 
 def table_bytes(table):
@@ -264,10 +265,11 @@ class TestAgainstTheRotatedWordReference:
                         if on_words:
                             assert state.products == products and state.words == logicals
                             continue
-                        assert products.keys() == state.products.keys()
+                        stabilizers = state.stabilizers
+                        assert products.keys() == stabilizers.keys()
                         for vertex, op in products.items():
-                            assert operator_bytes(state.products[vertex]) == operator_bytes(op)
-                        want = PauliTable.stack(inst.graph.n, logicals)
+                            assert operator_bytes(stabilizers[vertex]) == operator_bytes(op)
+                        want = pack_operators(inst.graph.n, logicals)
                         assert table_bytes(state.table) == table_bytes(want)
         assert paths[True] >= 100 and paths[False] >= 100
 
@@ -284,6 +286,31 @@ class TestAgainstTheRotatedWordReference:
 
 
 class TestInitialize:
+    @pytest.mark.parametrize("clifford", [False, True], ids=["table-path", "word-path"])
+    def test_editing_the_read_stabilizers_changes_nothing(self, clifford):
+        # The table path handed out its own products: replacing one in the
+        # returned dict replaced the product that propagation multiplies by.
+        g, fl = cluster_graph(2, 3), cluster_row_flow(2, 3)
+        angles = {v: np.pi / 2 * v if clifford else 0.3 + 0.1 * v for v in g.measured}
+        pattern = MeasurementPattern(angles=angles)
+        want = simulate_pattern(g, fl, pattern).unitary
+        state = initialize_simulation(g, fl, pattern)
+        assert (state.words is not None) == clifford
+        stabilizers = state.stabilizers
+        stabilizers[min(stabilizers)] = LogicalOperator(g.n, {(0, 0): 1.0})
+        assert np.array_equal(extract_unitary(finalize_outputs(propagate_all(state))), want)
+
+    def test_the_simulation_builds_no_logical_operator(self, monkeypatch):
+        # Operators are for readers and tests; every one is built by __init__.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulation built or multiplied a LogicalOperator")
+
+        for name in ("__init__", "__mul__"):
+            monkeypatch.setattr(LogicalOperator, name, refuse)
+        for name in ("sim-terms", "sim-clifford"):
+            for inst in bench_pool(name, 1):
+                simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+
     def test_path2_forms(self):
         g, fl = path_graph(2), path_flow(2)
         theta = 0.9
@@ -435,7 +462,7 @@ class TestPropagation:
             k = len(graph.outputs)
             finalized = project_terms(logicals, list(graph.outputs))
             ops = {label: LogicalOperator(k, terms) for label, terms in finalized.items()}
-            want = extract_unitary(PauliTable.stack(k, ops))
+            want = extract_unitary(pack_operators(k, ops))
             result = simulate_pattern(graph, gflow, pattern)
             assert result.high_water == high_water and max(high_water.values()) > 1
             assert np.abs(result.unitary - want).max() <= 1e-12
@@ -661,7 +688,7 @@ class TestFinalizeAndExtract:
         # the table path).
         ops = state.logicals.operators()
         ops[("Z", 0)] = LogicalOperator(3, {(0, 0b001): 1.0})
-        state.table = PauliTable.stack(3, ops)
+        state.table = pack_operators(3, ops)
         with pytest.raises(SimulationInvariantError, match="residual"):
             finalize_outputs(state)
         # The same on the word path, which packs its words before the check.
@@ -676,7 +703,7 @@ class TestFinalizeAndExtract:
         from mbqcflow.pauli import LogicalOperator, PauliTable
 
         # Lz mapped to a non-involution: (1 + Lz)/2 is no projector.
-        broken = PauliTable.stack(1, {
+        broken = pack_operators(1, {
             ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
             ("Z", 0): LogicalOperator(1, {(0, 1): 0.5}),
         })
@@ -688,7 +715,7 @@ class TestFinalizeAndExtract:
         from mbqcflow.pauli import PauliTable
 
         # Lz = Z fixes the first column |0>; Lx = X/2 halves the second.
-        broken = PauliTable.stack(1, {
+        broken = pack_operators(1, {
             ("X", 0): LogicalOperator(1, {(1, 0): 0.5}),
             ("Z", 0): LogicalOperator(1, {(0, 1): 1.0}),
         })
@@ -701,7 +728,7 @@ class TestFinalizeAndExtract:
         # Every (1 + Lz_i)/2 is the identity, so the first column is e_0
         # and Lz_i u0 = u0 holds; only Lz_i U = U Z_i on the other
         # columns rejects the table, as the eigenvalues of P did.
-        table = PauliTable.stack(2, {
+        table = pack_operators(2, {
             ("X", 0): LogicalOperator(2, {(0b01, 0): 1.0}),
             ("Z", 0): LogicalOperator(2, {(0, 0): 1.0}),
             ("X", 1): LogicalOperator(2, {(0b10, 0): 1.0}),
@@ -712,7 +739,7 @@ class TestFinalizeAndExtract:
 
     def test_minus_identity_z_image_raises_without_dividing_by_zero(self):
         # (1 - I)/2 = 0 projects every e_j to the zero vector.
-        table = PauliTable.stack(1, {
+        table = pack_operators(1, {
             ("X", 0): LogicalOperator(1, {(1, 0): 1.0}),
             ("Z", 0): LogicalOperator(1, {(0, 0): -1.0}),
         })
@@ -720,7 +747,7 @@ class TestFinalizeAndExtract:
             extract_unitary(table)
 
     def test_no_inputs_give_the_one_by_one_unitary(self):
-        assert np.array_equal(extract_unitary(PauliTable.stack(0, {})), [[1.0]])
+        assert np.array_equal(extract_unitary(pack_operators(0, {})), [[1.0]])
 
     def test_first_column_skips_a_projection_too_small_to_normalise(self):
         # U = [[c, s], [s, -c]] with c = 1e-6: P e_0 = c u0 is a difference
@@ -728,7 +755,7 @@ class TestFinalizeAndExtract:
         # error by 1/c; P e_1 = s u0 keeps full precision.
         c = 1e-6
         s = np.sqrt(1 - c * c)
-        table = PauliTable.stack(1, {
+        table = pack_operators(1, {
             ("X", 0): LogicalOperator(1, {(0, 1): 2 * c * s, (1, 0): s * s - c * c}),
             ("Z", 0): LogicalOperator(1, {(0, 1): c * c - s * s, (1, 0): 2 * c * s}),
         })
@@ -750,7 +777,7 @@ class TestFinalizeAndExtract:
         from mbqcflow.pauli import PauliTable
 
         # One input's X and Z images on two output qubits.
-        table = PauliTable.stack(2, {
+        table = pack_operators(2, {
             ("X", 0): LogicalOperator(2, {(1, 0): 1.0}),
             ("Z", 0): LogicalOperator(2, {(0, 1): 1.0}),
         })
@@ -952,8 +979,8 @@ class TestCliffordTableau:
     def test_refuses_what_is_no_tableau(self):
         one = LogicalOperator(1, {(1, 0): 1.0})
         z, y = LogicalOperator(1, {(0, 1): 1.0}), LogicalOperator(1, {(1, 1): 1j})
-        assert _clifford_tableau(PauliTable.stack(1, {"X": one, "Z": z})) == [(1, 0, 0), (0, 1, 0)]
-        assert _clifford_tableau(PauliTable.stack(1, {"X": y, "Z": z})) == [(1, 1, 1), (0, 1, 0)]
+        assert _clifford_tableau(pack_operators(1, {"X": one, "Z": z})) == [(1, 0, 0), (0, 1, 0)]
+        assert _clifford_tableau(pack_operators(1, {"X": y, "Z": z})) == [(1, 1, 1), (0, 1, 0)]
         for x_image, z_image in [
             (one, one),  # commute
             (LogicalOperator(1, {(1, 1): 1.0}), z),  # XZ = -iY is not Hermitian
@@ -961,7 +988,7 @@ class TestCliffordTableau:
             (LogicalOperator(1, {(1, 0): 1.0, (0, 1): 1.0}), z),  # two words
             (LogicalOperator(1), z),  # no word
         ]:
-            assert _clifford_tableau(PauliTable.stack(1, {"X": x_image, "Z": z_image})) is None
+            assert _clifford_tableau(pack_operators(1, {"X": x_image, "Z": z_image})) is None
 
     def test_words_act_as_their_matrices(self):
         # The signs are built in float: a uint8 parity would wrap 1 - 2 to 255.
