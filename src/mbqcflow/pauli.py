@@ -23,35 +23,43 @@ Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear.  Equal
 words add in row order, starting from zero, so every coefficient is the
 one a term-by-term loop computes, bit for bit.  Equal rows are found by
-one lexicographic sort of the rows and a comparison of sorted
-neighbours, word by word: grouping is exact and has one path.  A 64-bit
-hash of each row only screens a correction: if all of its rows' hashes
-differ, no rows are equal, and the grouping is skipped.  The hash XORs
-the row's words, each mixed by two rounds of xorshifts, so it is
-XOR-linear: the hash of the product of two words is the XOR of their
-hashes.  So a table keeps the hash of each row, keyed by its sum, once
-it has needed it, and a correction hashes only its own words.
+one exact grouping (:func:`_group`): each row is a key held as lines, one
+lexicographic sort orders the keys, and sorted neighbours are compared
+line by line.  It has one path for every key width.  A correction's keys
+are its rows' words and owner, 2W + 1 uint64 lines; a projection packs
+each row into the fewest lines of the narrowest unsigned dtype that hold
+its owner, X and Z bits: one uint16 line on every bench table, and numpy
+sorts such a line by radix.  A 64-bit hash of each row only screens a
+correction: if all of its rows' hashes differ, no rows are equal, and the
+grouping is skipped.  The hash XORs the row's words, each mixed by two
+rounds of xorshifts, so it is XOR-linear: the hash of the product of two
+words is the XOR of their hashes.  So a table keeps the hash of each row,
+keyed by its sum, once it has needed it, and a correction's factor is a
+:class:`Run`, which carries the hashes of its words from the table that
+made it (:meth:`PauliTable.runs`): a correction hashes nothing else.
 
 Rows move as whole elements, by ``take`` along axis 0, and elementwise
 work runs per word over lines of length T, never along the short 2W axis,
 where numpy takes its slow general path.  A correction treats one
 measured vertex for every sum of a table at once.  With T rows of which F
 have Z on the vertex and a correction of C words, it costs one mask test
-over T rows when F = 0; otherwise about 80 numpy calls on T - F + C F
+over T rows when F = 0; otherwise about 60 numpy calls on T - F + C F
 rows or on the C words, among them one sort of as many hashes.  Only if
 two are equal do the rows go through the grouping step (one
 lexicographic sort and about 25 more calls).  A sim-terms instance of
 seed 1 makes 15.45 such calls, 4.55 on tables of over 1,000 rows.  Over
 the sim-terms pools of seeds 1-3, 890 of the 927 that multiply found no
 two hashes equal, on tables of up to 13,687 rows; the other 37, of at
-most 93 rows, all merged.
+most 93 rows, all merged.  The largest seed-1 table, of 13,687 rows and
+6 labels, projects onto 3 outputs in about 0.4 ms, 75 us of it the sort
+of its 9-bit keys (2-CPU VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Hashable, Mapping, Sequence
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -144,33 +152,43 @@ def _row_hash(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(lines, axis=0)
 
 
-def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run of every row and first row of every run, runs in order of first appearance.
+def _group(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run of every key and first key of every run, runs in order of first appearance.
 
-    One lexicographic sort orders the rows, and sorted neighbours are
-    compared one word at a time, so equal rows, and only they, share a
-    run.  ``first`` is increasing.
+    Key t is column t of the ``(L, T)`` array ``lines``, of any unsigned
+    dtype.  One lexicographic sort orders the keys (numpy sorts by radix a
+    line of 16 bits or fewer), and sorted neighbours are compared one line
+    at a time, so equal keys, and only they, share a run.  ``first`` is
+    increasing.
     """
-    lines = np.ascontiguousarray(rows.T)
-    order = np.lexsort(lines[::-1])
-    start = np.zeros(len(rows), dtype=bool)
+    order = np.lexsort(lines)
+    start = np.zeros(lines.shape[1], dtype=bool)
     start[:1] = True
     for line in lines:
         line = line.take(order)
         start[1:] |= line[1:] != line[:-1]
-    run = np.cumsum(start) - 1
-    first_equal = np.empty(len(rows), dtype=np.intp)
-    first_equal[order] = np.minimum.reduceat(order, start.nonzero()[0])[run]
-    leads = first_equal == np.arange(len(rows))
-    return (np.cumsum(leads) - 1)[first_equal], leads.nonzero()[0]
+    bounds = start.nonzero()[0]
+    # Each sorted run's first row, and the runs ranked by it.
+    firsts = np.minimum.reduceat(order, bounds)
+    by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    run = np.empty_like(order)
+    run[order] = rank.repeat(np.diff(bounds, append=len(order)))
+    return run, firsts.take(by_first)
 
 
-def _merge_rows(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal rows merged in order of first appearance, coefficients added in row order."""
-    run, first = _group(rows)
-    sums = np.zeros(len(first), dtype=complex)
-    np.add.at(sums, run, coeffs)
-    return rows.take(first, axis=0), sums
+def _read_field(keys: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Bits ``start`` to ``start + size - 1`` (``size`` <= 64) of every key.
+
+    Key t is column t of the uint64 array ``keys``: its bit b is bit b % 64
+    of line b // 64, and line ``start // 64`` must exist.
+    """
+    line, shift = divmod(start, 64)
+    value = keys[line] >> shift
+    if shift + size > 64:
+        value |= keys[line + 1] << 64 - shift
+    return value & (1 << size) - 1
 
 
 def _product_rows(
@@ -194,6 +212,19 @@ def _product_rows(
     coeffs = left_coeffs[:, None] * right_coeffs[None]
     np.negative(coeffs, out=coeffs, where=(np.bitwise_count(odd) & 1).astype(bool))
     return rows.reshape(-1, 2 * words), coeffs.reshape(-1)
+
+
+class Run(NamedTuple):
+    """One sum of a table: its rows, their coefficients and their hashes, in table order.
+
+    :meth:`PauliTable.runs` makes runs and hashes their rows itself, so
+    ``hashes`` is ``_row_hash(rows)``; :meth:`PauliTable.correct` takes a
+    run as its factor and trusts no other hash.
+    """
+
+    rows: np.ndarray
+    coeffs: np.ndarray
+    hashes: np.ndarray
 
 
 class PauliTable:
@@ -256,6 +287,14 @@ class PauliTable:
             sums[owner][word] = coeff
         return {label: LogicalOperator(self.n, terms) for label, terms in zip(self.labels, sums)}
 
+    def runs(self) -> dict[Hashable, Run]:
+        """Every label's sum as a :class:`Run`, its rows in table order, hashed once here."""
+        order, ends = np.argsort(self.owner, kind="stable"), np.cumsum(self.counts).tolist()
+        parts = (self.rows, self.coeffs, _row_hash(self.rows))
+        rows, coeffs, hashes = (part.take(order, axis=0) for part in parts)
+        bounds = zip(self.labels, [0] + ends, ends)
+        return {label: Run(rows[a:b], coeffs[a:b], hashes[a:b]) for label, a, b in bounds}
+
     def z_support(self) -> int:
         """Mask of the qubits on which some row has Z."""
         z_lines = np.ascontiguousarray(self.rows.T[self.words :])
@@ -266,31 +305,50 @@ class PauliTable:
 
         Only an empty table may take an empty register.  Bits on other
         qubits are dropped; words made equal merge in row order, and the
-        sums are pruned.
+        sums are pruned.  Each row becomes one key: its owner from bit 0,
+        then its X bits, then its Z bits, in the fewest lines of the
+        narrowest unsigned dtype that hold them (one uint16 line on every
+        bench table).  The keys are grouped, and the rows and owners are
+        read back from the kept keys.
         """
         count = len(qubits)
         if not count and len(self.rows):
             raise ValueError("only an empty table may take an empty register")
-        # Qubit p takes bit p % 64 of word p // 64 of each new mask: its bits are one line
-        # along the rows, shifted in place and ORed into its word, and dropped before the merge.
+        owner_bits = (len(self.labels) - 1).bit_length()
+        bits = owner_bits + 2 * count
+        width = min(64, max(8, 1 << (bits - 1).bit_length()))
+        dtype = np.dtype(f"u{width // 8}")
+        # Key bit b is one line along the rows: a bit of the owner or of a row word,
+        # shifted down to bit 0 (a word's before it is narrowed to the key's dtype),
+        # then up to bit b % width of key line b // width.
         columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
-        shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
-        places = np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)[:, None]
-        lines = self.rows.T.take(columns, axis=0)
-        lines >>= shifts
-        lines &= np.uint64(1)
-        lines <<= places
-        halves, starts = (lines[:count], lines[count:]), range(0, count, 64)
-        packed = [np.bitwise_or.reduce(half[s : s + 64], axis=0) for half in halves for s in starts]
-        keys = np.stack(packed + [self.owner.astype(np.uint64)], axis=1)
-        del lines, halves, packed
-        rows, coeffs, owner = keys[:, :-1], self.coeffs.copy(), self.owner.copy()
+        picked = self.rows.T.take(columns, axis=0)
+        picked >>= np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
+        lines = np.empty((bits, len(self.rows)), dtype=dtype)
+        lines[:owner_bits] = self.owner
+        lines[:owner_bits] >>= np.arange(owner_bits, dtype=dtype)[:, None]
+        lines[owner_bits:] = picked
+        del picked
+        lines &= dtype.type(1)
+        lines <<= np.array([b % width for b in range(bits)], dtype=dtype)[:, None]
+        keys = np.empty((max(1, -(-bits // width)), len(self.rows)), dtype=dtype)
+        for key, b in zip(keys, range(0, bits or 1, width)):
+            np.bitwise_or.reduce(lines[b : b + width], axis=0, out=key)
+        coeffs = self.coeffs.copy()
         if self.counts.max(initial=0) > 1:
             # With one row per sum no two keys are equal.
-            keys, coeffs = _merge_rows(keys, coeffs)
+            run, first = _group(keys)
+            coeffs = np.zeros(len(first), dtype=complex)
+            np.add.at(coeffs, run, self.coeffs)
             live = (np.abs(coeffs) > PRUNE_TOLERANCE).nonzero()[0]
-            keys, coeffs = keys.take(live, axis=0), coeffs.take(live)
-            rows, owner = keys[:, :-1], keys[:, -1].astype(np.intp)
+            keys, coeffs = keys.take(first.take(live), axis=1), coeffs.take(live)
+        keys, words = keys.astype(np.uint64), _word_count(count)
+        rows = np.empty((len(coeffs), 2 * words), dtype=np.uint64)
+        for j in range(words):
+            size = min(64, count - 64 * j)
+            rows[:, j] = _read_field(keys, owner_bits + 64 * j, size)
+            rows[:, words + j] = _read_field(keys, owner_bits + count + 64 * j, size)
+        owner = _read_field(keys, 0, owner_bits).astype(np.intp)
         return PauliTable(count, self.labels, rows, coeffs, owner)
 
     def to_matrices(self) -> np.ndarray:
@@ -309,10 +367,8 @@ class PauliTable:
         np.add.at(mats, places.reshape(-1), (self.coeffs[:, None] * signs).reshape(-1))
         return mats.reshape(-1, dim, dim)
 
-    def correct(
-        self, qubit: int, factor: tuple[np.ndarray, np.ndarray], budget: int = DEFAULT_TERM_BUDGET
-    ) -> bool:
-        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum's rows and coeffs.
+    def correct(self, qubit: int, factor: Run, budget: int = DEFAULT_TERM_BUDGET) -> bool:
+        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum of a table.
 
         The other rows are kept in place.  The products are summed and
         pruned, then added into the kept rows of their sum, which are
@@ -322,7 +378,9 @@ class PauliTable:
         with no grouping step.  Otherwise the rows are grouped exactly; if
         that finds no equal rows, the result is the same, byte for byte.
         A product's hash is its hit row's hash XOR its factor word's
-        hash, so no product is hashed.  Returns whether any row had Z on
+        hash, which the run carries from :meth:`runs`, so neither a
+        product nor a factor word is hashed here, and no hash is taken
+        from anywhere but a run.  Returns whether any row had Z on
         ``qubit``.  Raises :class:`BudgetExceededError` before the products
         are built when the kept rows plus the products would exceed
         ``budget``.
@@ -332,7 +390,7 @@ class PauliTable:
         hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
         if not len(hit):
             return False
-        factor_rows, factor_coeffs = factor
+        factor_rows, factor_coeffs, factor_hashes = factor
         terms = len(factor_coeffs)
         size = len(rows) + (terms - 1) * len(hit)
         if size > budget:
@@ -346,7 +404,7 @@ class PauliTable:
             keyed = np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1)
             self._hashes = _row_hash(keyed)
         carried = self._hashes
-        new_hashes = (_row_hash(factor_rows)[:, None] ^ carried.take(hit)).reshape(-1)
+        new_hashes = (factor_hashes[:, None] ^ carried.take(hit)).reshape(-1)
         hashes = np.concatenate((carried.take(kept), new_hashes))
         counts = self.counts - np.bincount(new_owner[: len(hit)], minlength=len(self.labels))
         ordered = np.sort(hashes)
@@ -354,7 +412,7 @@ class PauliTable:
             keys = np.concatenate((owner.take(kept), new_owner))
             table = np.concatenate((rows.take(kept, axis=0), new_rows))
             # The kept rows are distinct and come first, so run r < k is kept row r.
-            run, first = _group(np.concatenate((table, keys[:, None].astype(np.uint64)), axis=1))
+            run, first = _group(np.concatenate((table.T, keys[None].astype(np.uint64))))
             sums = np.zeros(len(first), dtype=complex)
             np.add.at(sums, run[k:], new_coeffs)
             # Products are pruned before they are added in, then the whole table.

@@ -18,11 +18,13 @@ of pi/2, every logical and correcting product stays one word ``i^p X^x
 Z^z`` (Gottesman, quant-ph/9807006), a triple ``(x, z, p)`` of Python
 ints.  Every other pattern takes the table path: its correcting products
 are :func:`~mbqcflow.pauli._sum_product` folds, they and the logicals are
-packed once into two :class:`~mbqcflow.pauli.PauliTable` objects, and each
-vertex of a round is one :meth:`~mbqcflow.pauli.PauliTable.correct` call
-for all logicals (see :mod:`mbqcflow.pauli` for its cost).  Both
-paths finalize through such a table.  A term budget caps its rows (on
-the word path, the logicals), and the dense limit caps the unitary.
+packed once into two :class:`~mbqcflow.pauli.PauliTable` objects, the
+products' rows are hashed once, and each vertex of a round is one
+:meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals, with
+that vertex's product as a :class:`~mbqcflow.pauli.Run` (see
+:mod:`mbqcflow.pauli` for its cost).  Both paths finalize through such
+a table.  A term budget caps its rows (on the word path, the logicals),
+and the dense limit caps the unitary.
 
 Cost accounting: the table records the most terms each logical has
 had (:attr:`~mbqcflow.pauli.PauliTable.peaks`; 1 on the word path), to
@@ -43,9 +45,9 @@ from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, _over_budget
 from .errors import DeterminismError, SimulationInvariantError
 from .flow import GFlow, _check_gflow_valid, check_analysis_preconditions, check_pattern
 from .graph import OpenGraph
-from .oracle import TOLERANCE, _check_unitary, canonical_unitary, complex_pairs
+from .oracle import TOLERANCE, _check_unitary, canonical_unitary, complex_pairs, normalize_phase
 from .pattern import MeasurementPattern, Plane
-from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Term, _sum_product
+from .pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Run, Term, _sum_product
 
 
 def rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:
@@ -116,9 +118,13 @@ class SimulationState:
     """Mutable carrier of the logicals through the rounds, on one of two paths.
 
     On the table path ``table`` holds the logicals and ``products`` the
-    correcting products, packed in vertex order, each one run of rows.  On
-    the word path (see the module docstring) ``words`` maps each logical's
-    label to its word, ``products`` holds words too, and ``table`` is None.
+    correcting products, packed in vertex order.  Set-up reads each product
+    as a :class:`~mbqcflow.pauli.Run` of rows, coefficients and row hashes
+    (:meth:`~mbqcflow.pauli.PauliTable.runs`, which hashes the products
+    once), and every correction takes its run from there; the hashes live
+    only in this state.  On the word path (see the module docstring)
+    ``words`` maps each logical's label to its word, ``products`` holds
+    words too, and ``table`` is None.
     :attr:`logicals` and :attr:`stabilizers` read the current values on
     either path, the stabilizers as new operators.
     """
@@ -131,13 +137,11 @@ class SimulationState:
     words: dict[tuple[str, int], Word] | None = None
     round_cursor: int = 0
     term_budget: int = DEFAULT_TERM_BUDGET
-    _runs: dict[int, tuple] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _runs: dict[int, Run] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.words is None:
-            table, ends = self.products, np.cumsum(self.products.counts)[:-1]
-            runs = zip(np.split(table.rows, ends), np.split(table.coeffs, ends))
-            self._runs = dict(zip(table.labels, runs))
+            self._runs = self.products.runs()
 
     @property
     def rounds(self) -> tuple[frozenset[int], ...]:
@@ -224,9 +228,9 @@ def propagate_round(state: SimulationState) -> SimulationState:
     anticommutes with the measured X is multiplied by that vertex's
     correcting product.  On the table path that is one
     :meth:`~mbqcflow.pauli.PauliTable.correct` call per vertex for all
-    logicals, with the product's packed rows, which merges and prunes the
-    rows; on the word path each logical with Z on the vertex takes the
-    product in place.
+    logicals, with the product's run (its packed rows, coefficients and
+    row hashes), which merges and prunes the rows; on the word path each
+    logical with Z on the vertex takes the product in place.
 
     Raises :class:`BudgetExceededError` before a vertex would take the
     table past ``state.term_budget`` rows (on the word path, when it hits
@@ -337,8 +341,9 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     P is applied as k operator-vector products and never formed.  The X
     images generate the other columns: those with bit i set are ``Lx_i``
     times those below ``2**i``.  A transfer map that fails the column
-    search, the Z check below or unitarity within ``TOLERANCE`` means the
-    pattern does not implement a unitary and raises :class:`DeterminismError`.
+    search, the Z check below or unitarity within ``TOLERANCE`` (both on the
+    dense form only) means the pattern does not implement a unitary and
+    raises :class:`DeterminismError`.
 
     The images act in one of two forms.  When :func:`_clifford_tableau`
     certifies the table, as it does for every table of a Clifford pattern,
@@ -348,11 +353,13 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     commute and square to I, stabilize exactly one state, u0.  Each column
     is ``U e_x = Lx^x u0``, so the relations give ``Lz_i U e_x = (-1)^{x_i}
     U e_x`` exactly, and a check of ``Lz_i U = U Z_i`` could only pass; it
-    is skipped.  Every other table, with a sum of several words, a
-    coefficient that is not exactly a unit, or words that break a relation,
-    is made dense in one scatter (:meth:`~mbqcflow.pauli.PauliTable.to_matrices`),
-    and after the columns every Z image is checked against them, ``Lz_i U
-    = U Z_i``.
+    is skipped.  So is the unitarity check: the columns ``Lx^x u0`` are unit
+    vectors with distinct ``Lz`` eigenvalue patterns, hence orthonormal, and
+    the unitary only has its phase normalised.  Every other table, with a
+    sum of several words, a coefficient that is not exactly a unit, or
+    words that break a relation, is made dense in one scatter
+    (:meth:`~mbqcflow.pauli.PauliTable.to_matrices`), and after the columns
+    every Z image is checked against them, ``Lz_i U = U Z_i``.
 
     Before anything dense is built, :func:`~mbqcflow.oracle._check_unitary`
     checks the registers and counts the k-qubit unitary as 2k qubits.
@@ -382,11 +389,12 @@ def extract_unitary(logicals: PauliTable, dense_limit: int = DEFAULT_DENSE_LIMIT
     for i in range(k):
         half = 1 << i
         unitary[:, half : 2 * half] = apply(lx[i], unitary[:, :half])
-    if words is None:
-        signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
-        for mat, sign in zip(lz, signs):
-            if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
-                raise DeterminismError(not_rank_one)
+    if words is not None:
+        return normalize_phase(unitary)
+    signs = 1 - 2 * ((np.arange(dim) >> np.arange(k)[:, None]) & 1)
+    for mat, sign in zip(lz, signs):
+        if np.abs(mat @ unitary - unitary * sign).max() > TOLERANCE:
+            raise DeterminismError(not_rank_one)
     return canonical_unitary(unitary, "extracted")
 
 

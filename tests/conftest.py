@@ -23,7 +23,7 @@ from mbqcflow import (
 )
 from mbqcflow import pauli
 from mbqcflow.gf2 import gf2_rank
-from mbqcflow.pauli import PauliTable
+from mbqcflow.pauli import PauliTable, Run
 
 from pauli_reference import reference_round, reference_start
 
@@ -148,9 +148,9 @@ def count_product_merges(monkeypatch) -> collections.Counter:
     merged: list[bool] = []
     group, correct = pauli._group, PauliTable.correct
 
-    def spied_group(rows):
-        run, first = group(rows)
-        merged.append(len(first) < len(rows))
+    def spied_group(lines):
+        run, first = group(lines)
+        merged.append(len(first) < len(run))
         return run, first
 
     def spied_correct(self, qubit, factor, *budget):
@@ -245,10 +245,9 @@ def pack_operators(n: int, ops: dict) -> PauliTable:
     return PauliTable.pack(n, {label: op.words for label, op in ops.items()})
 
 
-def packed(op: LogicalOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and coefficients of ``op``'s terms, as ``PauliTable.correct`` takes a factor."""
-    table = PauliTable.pack(op.n, {0: op.words})
-    return table.rows, table.coeffs
+def packed(op: LogicalOperator) -> Run:
+    """``op``'s terms as the run of a one-sum table, as ``PauliTable.correct`` takes a factor."""
+    return PauliTable.pack(op.n, {0: op.words}).runs()[0]
 
 
 @pytest.fixture

@@ -2,11 +2,13 @@
 
 A sum is a ``{(x, z): coefficient}`` dict of Python-int bitmasks, as the
 library held it before its sums became arrays.  Nothing here but
-:func:`array_sum_product` calls ``mbqcflow.pauli``: the differential tests
-compare the library against these loops, key order included.
-:func:`array_sum_product` is the array product that ``LogicalOperator``
-used before a single sum became Python-int terms, built from the array
-helpers the library keeps for its tables.
+:func:`array_sum_product` and :func:`project` calls ``mbqcflow.pauli``:
+the differential tests compare the library against these loops, key
+order included.  :func:`array_sum_product` is the array product that
+``LogicalOperator`` used before a single sum became Python-int terms,
+built from the array helpers the library keeps for its tables.
+:func:`project` is ``PauliTable.project`` as it was before it packed
+each row into one narrow key.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Hashable
 
 import numpy as np
 
-from mbqcflow.pauli import _merge_rows, _product_rows, pack_rows
+from mbqcflow.pauli import PauliTable, _product_rows, pack_rows
 
 #: The library's pruning threshold, restated so the reference stands alone.
 PRUNE_TOLERANCE = 1e-12
@@ -144,3 +146,72 @@ def array_sum_product(left, right) -> tuple[tuple[int, int, complex], ...]:
     rows, coeffs = rows[keep], coeffs[keep]
     words = rows.shape[1] // 2
     return tuple(zip(_read_rows(rows[:, :words]), _read_rows(rows[:, words:]), coeffs.tolist()))
+
+
+# -- The projection that grouped full-width uint64 keys --------------------
+#
+# ``_group``, ``_merge_rows`` and ``project`` (a method of ``PauliTable``,
+# here a function of the table) are kept verbatim from the version before
+# ``PauliTable.project`` packed each row into one narrow key.
+
+
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run of every row and first row of every run, runs in order of first appearance.
+
+    One lexicographic sort orders the rows, and sorted neighbours are
+    compared one word at a time, so equal rows, and only they, share a
+    run.  ``first`` is increasing.
+    """
+    lines = np.ascontiguousarray(rows.T)
+    order = np.lexsort(lines[::-1])
+    start = np.zeros(len(rows), dtype=bool)
+    start[:1] = True
+    for line in lines:
+        line = line.take(order)
+        start[1:] |= line[1:] != line[:-1]
+    run = np.cumsum(start) - 1
+    first_equal = np.empty(len(rows), dtype=np.intp)
+    first_equal[order] = np.minimum.reduceat(order, start.nonzero()[0])[run]
+    leads = first_equal == np.arange(len(rows))
+    return (np.cumsum(leads) - 1)[first_equal], leads.nonzero()[0]
+
+
+def _merge_rows(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows merged in order of first appearance, coefficients added in row order."""
+    run, first = _group(rows)
+    sums = np.zeros(len(first), dtype=complex)
+    np.add.at(sums, run, coeffs)
+    return rows.take(first, axis=0), sums
+
+
+def project(self, qubits: list[int]) -> PauliTable:
+    """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
+
+    Only an empty table may take an empty register.  Bits on other
+    qubits are dropped; words made equal merge in row order, and the
+    sums are pruned.
+    """
+    count = len(qubits)
+    if not count and len(self.rows):
+        raise ValueError("only an empty table may take an empty register")
+    # Qubit p takes bit p % 64 of word p // 64 of each new mask: its bits are one line
+    # along the rows, shifted in place and ORed into its word, and dropped before the merge.
+    columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
+    shifts = np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
+    places = np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)[:, None]
+    lines = self.rows.T.take(columns, axis=0)
+    lines >>= shifts
+    lines &= np.uint64(1)
+    lines <<= places
+    halves, starts = (lines[:count], lines[count:]), range(0, count, 64)
+    packed = [np.bitwise_or.reduce(half[s : s + 64], axis=0) for half in halves for s in starts]
+    keys = np.stack(packed + [self.owner.astype(np.uint64)], axis=1)
+    del lines, halves, packed
+    rows, coeffs, owner = keys[:, :-1], self.coeffs.copy(), self.owner.copy()
+    if self.counts.max(initial=0) > 1:
+        # With one row per sum no two keys are equal.
+        keys, coeffs = _merge_rows(keys, coeffs)
+        live = (np.abs(coeffs) > PRUNE_TOLERANCE).nonzero()[0]
+        keys, coeffs = keys.take(live, axis=0), coeffs.take(live)
+        rows, owner = keys[:, :-1], keys[:, -1].astype(np.intp)
+    return PauliTable(count, self.labels, rows, coeffs, owner)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mbqcflow import initialize_simulation, pauli, propagate_round, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
-from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, _product_rows
+from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Run, _product_rows
 from mbqcflow.simulate import _correct_words
 
 from conftest import (
@@ -25,6 +25,7 @@ from pauli_reference import (
     project_terms,
     prune,
 )
+from pauli_reference import project as old_project
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -361,6 +362,78 @@ class TestPauliTable:
             assert seen["crossed"] >= 40
 
 
+class TestProjectMatchesTheOldProjection:
+    """The narrow-key projection against the full-width one it replaced, byte for byte."""
+
+    # (n, count, labels): keys of owner_bits + 2 count bits on both sides of
+    # 8, 16, 32, 64 and 128 bits, and label counts of 2^j and 2^j + 1.
+    CASES = [
+        (3, 3, 1), (8, 2, 4), (8, 3, 4), (8, 3, 5), (12, 5, 2), (12, 5, 3), (12, 5, 8),
+        (12, 5, 9), (12, 6, 16), (12, 6, 17), (40, 14, 16), (40, 14, 17), (70, 32, 1),
+        (70, 31, 4), (70, 31, 5), (140, 64, 1), (140, 64, 2), (140, 100, 8),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("n,count,labels", CASES)
+    def test_random_tables(self, rng, monkeypatch, n, count, labels):
+        # The keys come in the fewest lines of the narrowest dtype that holds them.
+        key_bits = (labels - 1).bit_length() + 2 * count
+        fewest = next(((w, 1) for w in (8, 16, 32, 64) if key_bits <= w), (64, -(-key_bits // 64)))
+        keys, group = [], pauli._group
+
+        def spied_group(lines):
+            keys.append((8 * lines.itemsize, len(lines)))
+            return group(lines)
+
+        monkeypatch.setattr(pauli, "_group", spied_group)
+        seen = collections.Counter()
+        for _ in range(30):
+            qubits = [int(q) for q in rng.choice(n, size=count, replace=False)]
+            places = rng.choice(count, size=2, replace=False).tolist()
+            if count > 64:
+                places = [int(rng.integers(0, 64)), int(rng.integers(64, count))]
+            dropped = sorted(set(range(n)) - set(qubits))
+            bits = [qubits[p] for p in places] + [
+                int(q) for q in rng.choice(dropped, size=min(2, len(dropped)), replace=False)
+            ]
+            # Sometimes one word per sum, where nothing is grouped.
+            single = rng.random() < 0.2
+            sizes = [1 if single else int(rng.integers(10)) for _ in range(labels)]
+            sums = {
+                label: LogicalOperator(n, merging_terms(rng, bits, size))
+                for label, size in enumerate(sizes)
+            }
+            table = pack_operators(n, sums)
+            if not single:
+                # A correction leaves the owners out of order.
+                correction = LogicalOperator(n, merging_terms(rng, bits, 2))
+                table.correct(bits[0], packed(correction))
+            keys.clear()
+            got, want = table.project(qubits), old_project(table, qubits)
+            assert (got.n, got.labels) == (want.n, want.labels)
+            assert_same_state(got, want)
+            assert keys == ([fewest] if table.counts.max(initial=0) > 1 else [])
+            seen["single"] += table.counts.max(initial=0) <= 1
+            seen["merged"] += len(want.rows) < len(table.rows)
+        assert seen["single"] >= 2 and (seen["merged"] >= 10 or n == count)
+
+    def test_the_empty_register(self, rng):
+        # Only an empty table takes it; its rows hold the W = 1 words of a
+        # packed empty table, where the old projection gave them no column.
+        for labels in (1, 2, 3):
+            table = pack_operators(3, {label: LogicalOperator(3) for label in range(labels)})
+            got, want = table.project([]), old_project(table, [])
+            assert (got.n, got.labels) == (0, want.labels)
+            assert (got.rows.shape, want.rows.shape) == ((0, 2), (0, 0))
+            for name in ("rows", "coeffs", "owner", "counts", "peaks"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            table = pack_operators(3, {0: LogicalOperator(3, random_terms(rng, (0, 1, 2), 1))})
+            message = "^only an empty table may take an empty register$"
+            for project in (PauliTable.project, old_project):
+                with pytest.raises(ValueError, match=message):
+                    project(table, [])
+
+
 # -- The correction kernel that hashed every row on every call ---------------
 #
 # ``_row_hash``, ``_group``, ``ReferenceTable._set_rows`` and
@@ -486,15 +559,19 @@ def assert_same_state(table, reference):
 def checked_correct(correct, raised):
     """``correct``, also run by the old kernel on a copy of the table; both must agree.
 
-    After every call the two tables must hold the same rows,
-    coefficients, owners, counts and peaks, byte for byte, and the two
-    calls must return the same value or raise the same budget error,
-    which is then raised again and counted in ``raised``.
+    The factor must be a run whose hashes are its rows' hashes; the old
+    kernel takes its rows and coefficients.  After every call the two
+    tables must hold the same rows, coefficients, owners, counts and
+    peaks, byte for byte, and the two calls must return the same value or
+    raise the same budget error, which is then raised again and counted
+    in ``raised``.
     """
 
     def checked(self, qubit, factor, budget=DEFAULT_TERM_BUDGET):
+        assert isinstance(factor, Run)
+        assert np.array_equal(factor.hashes, pauli._row_hash(factor.rows))
         reference = ReferenceTable(self)
-        want = outcome(reference.correct, qubit, factor, budget)
+        want = outcome(reference.correct, qubit, factor[:2], budget)
         got = outcome(correct, self, qubit, factor, budget)
         assert got == want
         assert_same_state(self, reference)
@@ -509,7 +586,7 @@ def checked_correct(correct, raised):
 def reference_correct_round(reference, qubits, corrections, budget):
     """The old kernel's :meth:`ReferenceTable.correct` for each qubit of a round in turn."""
     for qubit, correction in zip(qubits, corrections):
-        reference.correct(qubit, packed(correction), budget)
+        reference.correct(qubit, packed(correction)[:2], budget)
 
 
 def merging_terms(rng, bits, count):
@@ -667,7 +744,7 @@ class TestWordCorrection:
                 seen.update(round_hits(words, qubits, corrections))
                 for qubit, (x, z, p) in zip(qubits, corrections):
                     correction = LogicalOperator(n, {(x, z): UNITS[p]})
-                    want = outcome(reference.correct, qubit, packed(correction), budget)
+                    want = outcome(reference.correct, qubit, packed(correction)[:2], budget)
                     got = outcome(_correct_words, words, qubit, (x, z, p), budget)
                     assert isinstance(got, tuple) == isinstance(want, tuple)
                     if isinstance(got, tuple):
@@ -705,6 +782,47 @@ def test_row_hash_is_xor_linear(rng):
     assert not (pairs[1:] == pairs[:-1]).any()
 
 
+def test_a_simulation_hashes_its_products_once(monkeypatch):
+    # The correcting products are hashed once, when the state is set up, and
+    # the logicals on their first correction that multiplies; every other
+    # correction XORs the hashes it carries, however many multiply.
+    calls, row_hash = [], pauli._row_hash
+    multiplied, correct = [], PauliTable.correct
+
+    def spied_row_hash(rows):
+        calls.append(len(rows))
+        return row_hash(rows)
+
+    def spied_correct(self, *args):
+        hit = correct(self, *args)
+        multiplied.append(hit)
+        return hit
+
+    monkeypatch.setattr(pauli, "_row_hash", spied_row_hash)
+    monkeypatch.setattr(PauliTable, "correct", spied_correct)
+    per_simulation = collections.Counter()
+    for inst in bench_pool("sim-terms", 1):
+        calls.clear()
+        multiplied.clear()
+        simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+        assert len(calls) == 1 + any(multiplied)
+        per_simulation[len(calls)] += 1
+        per_simulation["multiplied"] += sum(multiplied)
+    # 20 simulations make about 15 corrections that multiply each.
+    assert per_simulation[2] == 20 and per_simulation["multiplied"] >= 200
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_product_runs_carry_their_rows_hashes(seed):
+    for inst in bench_pool("sim-terms", seed):
+        state = initialize_simulation(inst.graph, inst.gflow, inst.pattern)
+        assert list(state._runs) == sorted(inst.gflow.corrections)
+        for vertex, run in state._runs.items():
+            want = PauliTable.pack(inst.graph.n, {vertex: state.stabilizers[vertex].words})
+            assert np.array_equal(run.rows, want.rows) and np.array_equal(run.coeffs, want.coeffs)
+            assert np.array_equal(run.hashes, pauli._row_hash(run.rows))
+
+
 def reference_group(rows: np.ndarray) -> tuple[list[int], list[int]]:
     """Run of every row and first row of every run, from a dict in insertion order."""
     runs: dict[bytes, int] = {}
@@ -727,6 +845,6 @@ def test_group_matches_a_first_appearance_dict(rng, words):
     pool = np.concatenate((base, owned, high))
     for count in (0, 1, 2, 40, 400):
         rows = pool.take(rng.integers(0, len(pool), size=count), axis=0)
-        run, first = pauli._group(rows)
+        run, first = pauli._group(rows.T)
         want_run, want_first = reference_group(rows)
         assert run.tolist() == want_run and first.tolist() == want_first

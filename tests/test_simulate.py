@@ -540,10 +540,10 @@ class TestPropagation:
 
         merged, within, group, correct = [], [False], pauli_mod._group, PauliTable.correct
 
-        def spied_group(rows):
-            run, first = group(rows)
+        def spied_group(lines):
+            run, first = group(lines)
             if within[0]:
-                merged.append(len(first) < len(rows))
+                merged.append(len(first) < len(run))
             return run, first
 
         def spied_correct(self, *args):
@@ -955,6 +955,14 @@ class TestCliffordTableau:
         for table in finalized_tables("sim-terms", seed):
             assert _clifford_tableau(table) is None
             assert np.array_equal(extract_unitary(table), reference_dense_extract_unitary(table))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_certified_unitaries_are_unitary(self, seed):
+        # The certified route skips the unitarity check that its relations
+        # make redundant; every unitary it gives is unitary all the same.
+        for table in finalized_tables("sim-clifford", seed):
+            unitary = extract_unitary(table)
+            assert np.abs(unitary.conj().T @ unitary - np.eye(len(unitary))).max() <= 1e-12
 
     def test_mutants_have_the_dense_outcome(self):
         rng = np.random.default_rng(41)
