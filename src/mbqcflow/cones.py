@@ -15,13 +15,11 @@ not measured later, which no valid gFlow allows, so the pass raises.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 from .flow import GFlow, correction_masks
 from .graph import OpenGraph, _mask_to_set
-
-
-def _successor_mask(graph: OpenGraph, gflow: GFlow, vertex: int) -> int:
-    x_mask, z_mask = correction_masks(graph, gflow, vertex)
-    return x_mask | (z_mask & ~(1 << vertex))
 
 
 def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozenset[int]:
@@ -32,7 +30,8 @@ def influence_successors(graph: OpenGraph, gflow: GFlow, vertex: int) -> frozens
     vertex = graph._check_vertex(vertex)
     if vertex not in gflow.corrections:
         return frozenset()
-    return _mask_to_set(_successor_mask(graph, gflow, vertex))
+    x_mask, z_mask = correction_masks(graph, gflow, vertex)
+    return _mask_to_set(x_mask | (z_mask & ~(1 << vertex)))
 
 
 def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
@@ -41,12 +40,18 @@ def cone_masks(graph: OpenGraph, gflow: GFlow) -> list[int]:
     Raises ValueError when a measured vertex is not one of the graph's,
     or a correction reaches a vertex that is not measured later.
     """
+    return _cone_pass(graph, gflow, partial(correction_masks, graph, gflow))
+
+
+def _cone_pass(graph: OpenGraph, gflow: GFlow, masks: Callable[[int], tuple]) -> list[int]:
+    """:func:`cone_masks`, reading each measured vertex v's ``correction_masks`` as ``masks(v)``."""
     cones = [0 if v in gflow.corrections else 1 << v for v in range(graph.n)]  # 0: not yet known
     for v in reversed(gflow.measurement_order):
         if not 0 <= v < graph.n:  # compared here, in the hot loop, before the call that raises
             graph._check_vertex(v)
+        x_mask, z_mask = masks(v)
         cone = 1 << v
-        pending = _successor_mask(graph, gflow, v) & ~cone
+        pending = (x_mask | z_mask) & ~cone
         while pending:
             w = (pending & -pending).bit_length() - 1
             if not cones[w]:

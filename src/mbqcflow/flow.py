@@ -296,13 +296,18 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     vertex range (:func:`correction_masks`).  Per-vertex rule violations
     are returned as a list.
     """
+    return _violations(graph, gflow, {})
+
+
+def _violations(graph: OpenGraph, gflow: GFlow, masks: dict) -> list[Violation]:
+    """:func:`verify_gflow`, keeping each corrected vertex's ``correction_masks`` in ``masks``."""
     _check_gflow_shape(graph, gflow)
     layer_of = gflow.layer_of
     # not_later[k]: the vertices of layers 0..k.
     not_later = list(accumulate(map(_set_to_mask, gflow.layers), operator.or_))
     violations: list[Violation] = []
     for i in sorted(gflow.corrections):
-        x_mask, z_mask = correction_masks(graph, gflow, i)
+        x_mask, z_mask = masks[i] = correction_masks(graph, gflow, i)
         early = not_later[layer_of[i]] & ~(1 << i)
         if x_mask & early:
             for j in sorted(_mask_to_set(x_mask & early)):
@@ -320,11 +325,12 @@ def verify_gflow(graph: OpenGraph, gflow: GFlow) -> list[Violation]:
     return violations
 
 
-def _check_gflow_valid(graph: OpenGraph, gflow: GFlow) -> None:
-    """ValueError naming the first three violations unless ``gflow`` is valid on ``graph``."""
-    violations = verify_gflow(graph, gflow)
+def _check_gflow_valid(graph: OpenGraph, gflow: GFlow) -> dict[int, tuple[int, int]]:
+    """Every :func:`correction_masks` of a valid ``gflow``; else ValueError naming 3 violations."""
+    violations = _violations(graph, gflow, masks := {})
     if violations:
         raise ValueError(f"gflow is invalid: {violations[:3]}")
+    return masks
 
 
 def check_pattern(gflow: GFlow, pattern: MeasurementPattern) -> None:

@@ -16,15 +16,15 @@ rotated word that a correcting set or an input's X logical uses is one
 word with coefficient 1, i, -1 or -i, as when every angle is a multiple
 of pi/2, every logical and correcting product stays one word ``i^p X^x
 Z^z`` (Gottesman, quant-ph/9807006), a triple ``(x, z, p)`` of Python
-ints.  Every other pattern takes the table path: its correcting products
+ints; a round is one pass over the words, and only their output bits are
+packed.  Every other pattern takes the table path: its correcting products
 are :func:`~mbqcflow.pauli._sum_product` folds, they and the logicals are
 packed once into two :class:`~mbqcflow.pauli.PauliTable` objects, the
 products' rows are hashed once, and each vertex of a round is one
-:meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals, with
-that vertex's product as a :class:`~mbqcflow.pauli.Run` (see
-:mod:`mbqcflow.pauli` for its cost).  Both paths finalize through such
-a table.  A term budget caps its rows (on the word path, the logicals),
-and the dense limit caps the unitary.
+:meth:`~mbqcflow.pauli.PauliTable.correct` call for all logicals, with that
+vertex's product as a :class:`~mbqcflow.pauli.Run` (see :mod:`mbqcflow.pauli`
+for its cost).  Both paths finalize to such a table.  A term budget caps its
+rows (on the word path, the logicals), and the dense limit caps the unitary.
 
 Cost accounting: the table records the most terms each logical has
 had (:attr:`~mbqcflow.pauli.PauliTable.peaks`; 1 on the word path), to
@@ -40,7 +40,7 @@ from functools import reduce
 
 import numpy as np
 
-from .cones import cone_masks
+from .cones import _cone_pass
 from .errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET, _over_budget
 from .errors import DeterminismError, SimulationInvariantError
 from .flow import GFlow, _check_gflow_valid, check_analysis_preconditions, check_pattern
@@ -98,19 +98,21 @@ def _word_product(left: Word, right: Word) -> Word:
     return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) & 3
 
 
-def _correct_words(words: dict[Hashable, Word], vertex: int, correction: Word, budget: int) -> None:
-    """:meth:`~mbqcflow.pauli.PauliTable.correct` on one-word sums, in place.
+def _correct_round(words: dict[Hashable, Word], mask: int, products: dict, budget: int) -> None:
+    """:meth:`~mbqcflow.pauli.PauliTable.correct` on one-word sums, in place, for a round.
 
-    Each word with Z on ``vertex`` becomes ``correction`` times it.  Nothing
-    merges or prunes, so the table would keep one row per word: a hit raises
-    :class:`BudgetExceededError` when there are more words than ``budget``.
+    A word with Z on the vertices v1 < v2 < ... of ``mask`` becomes ``products[vk] ...
+    products[v1]`` times it (a gFlow's g2 rule keeps each product's Z off its round-mates).
+    With more words than ``budget``, the first hit raises BudgetExceededError, changing none.
     """
-    bit = 1 << vertex
-    hit = [label for label, (_, z, _) in words.items() if z & bit]
-    if hit and len(words) > budget:
-        raise _over_budget(len(words), "terms", "terms", budget)
-    for label in hit:
-        words[label] = _word_product(correction, words[label])
+    for label, word in words.items():
+        if (hits := word[1] & mask) and len(words) > budget:
+            raise _over_budget(len(words), "terms", "terms", budget)
+        while hits:
+            low = hits & -hits
+            word = _word_product(products[low.bit_length() - 1], word)
+            hits ^= low
+        words[label] = word
 
 
 @dataclass
@@ -126,7 +128,8 @@ class SimulationState:
     ``words`` maps each logical's label to its word, ``products`` holds
     words too, and ``table`` is None.
     :attr:`logicals` and :attr:`stabilizers` read the current values on
-    either path, the stabilizers as new operators.
+    either path, the stabilizers as new operators.  ``masks`` holds the gFlow check's
+    :func:`~mbqcflow.flow.correction_masks` for the cone pass, only in this state.
     """
 
     graph: OpenGraph
@@ -138,6 +141,7 @@ class SimulationState:
     round_cursor: int = 0
     term_budget: int = DEFAULT_TERM_BUDGET
     _runs: dict[int, Run] = field(init=False, repr=False, compare=False, default_factory=dict)
+    masks: dict[int, tuple] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.words is None:
@@ -192,7 +196,7 @@ def initialize_simulation(
     coefficient; otherwise the logicals and the products are packed once.
     """
     check_analysis_preconditions(graph)
-    _check_gflow_valid(graph, gflow)
+    masks = _check_gflow_valid(graph, gflow)
     if any(plane is not Plane.XY for plane in gflow.planes.values()):
         raise ValueError("symbolic simulation supports XY-plane patterns only")
     check_pattern(gflow, pattern)
@@ -218,7 +222,9 @@ def initialize_simulation(
     on_words = product is _word_product
     table, words = (None, logicals) if on_words else (PauliTable.pack(graph.n, logicals), None)
     products = products if on_words else PauliTable.pack(graph.n, products)
-    return SimulationState(graph, gflow, pattern, products, table, words, term_budget=term_budget)
+    state = SimulationState(graph, gflow, pattern, products, table, words, term_budget=term_budget)
+    state.masks = masks
+    return state
 
 
 def propagate_round(state: SimulationState) -> SimulationState:
@@ -229,21 +235,23 @@ def propagate_round(state: SimulationState) -> SimulationState:
     correcting product.  On the table path that is one
     :meth:`~mbqcflow.pauli.PauliTable.correct` call per vertex for all
     logicals, with the product's run (its packed rows, coefficients and
-    row hashes), which merges and prunes the rows; on the word path each
-    logical with Z on the vertex takes the product in place.
+    row hashes), which merges and prunes the rows; on the word path it is
+    one pass over the logicals for the whole round (:func:`_correct_round`).
 
-    Raises :class:`BudgetExceededError` before a vertex would take the
-    table past ``state.term_budget`` rows (on the word path, when it hits
-    a logical and there are more logicals than that), and ``ValueError``
-    when every round is already propagated.
+    Raises :class:`BudgetExceededError` before a vertex would take the table
+    past ``state.term_budget`` rows (on the word path, when the round hits a
+    logical and there are more logicals than that), and ``ValueError`` when
+    every round is already propagated.
     """
     if state.round_cursor >= len(state.rounds):
         raise ValueError(f"all {len(state.rounds)} rounds are already propagated")
-    for mu in sorted(state.rounds[state.round_cursor]):
-        if state.words is None:
+    vertices = state.rounds[state.round_cursor]
+    if state.words is None:
+        for mu in sorted(vertices):
             state.table.correct(mu, state._runs[mu], state.term_budget)
-        else:
-            _correct_words(state.words, mu, state.products[mu], state.term_budget)
+    else:
+        mask = sum(1 << mu for mu in vertices)
+        _correct_round(state.words, mask, state.products, state.term_budget)
     state.round_cursor += 1
     return state
 
@@ -260,22 +268,28 @@ def finalize_outputs(state: SimulationState) -> PauliTable:
     After full propagation every term is free of Z on measured vertices;
     multiplying residual X factors away (they are stabilizers of the
     post-measurement state) leaves operators supported on the outputs
-    only.  On the word path the words are packed into a table once, here.
-    The returned table (:meth:`~mbqcflow.pauli.PauliTable.project`)
-    has output ``graph.outputs[p]`` as qubit p and holds the sums
-    ``("X", i)`` and ``("Z", i)`` for each input i in turn; with no inputs
-    it is empty.  Residual Z support on a measured vertex violates the
-    gflow guarantee and raises :class:`SimulationInvariantError`.
+    only.  The table is :meth:`~mbqcflow.pauli.PauliTable.project`'s; the
+    word path packs its words' output bits, the same table byte for byte.
+    Output ``graph.outputs[p]`` is qubit p, and the sums are ``("X", i)``
+    and ``("Z", i)`` for each input i in turn; with no inputs it is empty.
+    Residual Z on a measured vertex raises :class:`SimulationInvariantError`.
     """
     if state.round_cursor != len(state.rounds):
         raise ValueError("all rounds must be propagated before finalizing")
-    measured = sum(1 << v for v in state.graph.measured)
-    logicals = state.logicals
-    if logicals.z_support() & measured:
+    measured, words = sum(1 << v for v in state.graph.measured), state.words
+    z_masks = [state.table.z_support()] if words is None else [w[1] for w in words.values()]
+    if any(z & measured for z in z_masks):
         raise SimulationInvariantError(
             "residual anticommutation with a measured X survived propagation"
         )
-    return logicals.project(list(state.graph.outputs))
+    if words is None:
+        return state.table.project(list(state.graph.outputs))
+    bits, sums = [(v, 1 << p) for p, v in enumerate(state.graph.outputs)], {}
+    for label, (x, z, p) in words.items():
+        x_out = sum([bit for v, bit in bits if x >> v & 1])
+        z_out = sum([bit for v, bit in bits if z >> v & 1])
+        sums[label] = ((x_out, z_out, _UNITS[p]),)
+    return PauliTable.pack(len(bits), sums)
 
 
 def _clifford_tableau(logicals: PauliTable) -> list[Word] | None:
@@ -442,7 +456,7 @@ def simulate_pattern(
     propagate_all(state)
     logicals = finalize_outputs(state)
     unitary = extract_unitary(logicals, dense_limit) if square else None
-    cones = cone_masks(graph, gflow)
+    cones = _cone_pass(graph, gflow, state.masks.__getitem__)
     cone_sizes = {i: cones[i].bit_count() for i in graph.inputs}
     high_water = state.high_water
     bound_ok = {

@@ -7,7 +7,11 @@ the differential tests in ``tests/test_simulate.py`` can require the
 library to take the same path and build the same words, byte for byte.
 ``reference_dense_extract_unitary`` is ``extract_unitary`` as it was
 before Clifford tableaux skipped the dense matrices; every table is dense
-there, and every Z image is checked.
+there, and every Z image is checked.  ``_correct_words`` is the word
+path's correction as it was before one pass treated a whole round: it
+takes one vertex at a time.  ``reference_finalize_outputs`` is
+``finalize_outputs`` as it was before the word path packed only its
+output bits: it packs the words on all n qubits and projects the table.
 The helpers they call are unchanged and are imported from the library,
 except ``LogicalOperator.from_rows``, which is gone: :func:`from_rows`
 stands in for it.
@@ -21,7 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from mbqcflow.errors import DEFAULT_DENSE_LIMIT, DeterminismError
+from mbqcflow.errors import DEFAULT_DENSE_LIMIT, DeterminismError, SimulationInvariantError
+from mbqcflow.errors import _over_budget
 from mbqcflow.graph import OpenGraph
 from mbqcflow.oracle import TOLERANCE, _check_unitary, canonical_unitary
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
@@ -89,6 +94,45 @@ def _word_table(n: int, words: Mapping[Hashable, Word]) -> PauliTable:
     xs, zs, ps = ([word[k] for word in words.values()] for k in range(3))
     coeffs = np.array([_UNITS[p] for p in ps], dtype=complex)
     return PauliTable(n, list(words), pack_rows(n, xs, zs), coeffs, np.arange(len(ps)))
+
+
+def _correct_words(words: dict[Hashable, Word], vertex: int, correction: Word, budget: int) -> None:
+    """:meth:`~mbqcflow.pauli.PauliTable.correct` on one-word sums, in place.
+
+    Each word with Z on ``vertex`` becomes ``correction`` times it.  Nothing
+    merges or prunes, so the table would keep one row per word: a hit raises
+    :class:`BudgetExceededError` when there are more words than ``budget``.
+    """
+    bit = 1 << vertex
+    hit = [label for label, (_, z, _) in words.items() if z & bit]
+    if hit and len(words) > budget:
+        raise _over_budget(len(words), "terms", "terms", budget)
+    for label in hit:
+        words[label] = _word_product(correction, words[label])
+
+
+def reference_finalize_outputs(state) -> PauliTable:
+    """The logicals stripped of measured X factors, as a table on the output register.
+
+    After full propagation every term is free of Z on measured vertices;
+    multiplying residual X factors away (they are stabilizers of the
+    post-measurement state) leaves operators supported on the outputs
+    only.  On the word path the words are packed into a table once, here.
+    The returned table (:meth:`~mbqcflow.pauli.PauliTable.project`)
+    has output ``graph.outputs[p]`` as qubit p and holds the sums
+    ``("X", i)`` and ``("Z", i)`` for each input i in turn; with no inputs
+    it is empty.  Residual Z support on a measured vertex violates the
+    gflow guarantee and raises :class:`SimulationInvariantError`.
+    """
+    if state.round_cursor != len(state.rounds):
+        raise ValueError("all rounds must be propagated before finalizing")
+    measured = sum(1 << v for v in state.graph.measured)
+    logicals = state.logicals
+    if logicals.z_support() & measured:
+        raise SimulationInvariantError(
+            "residual anticommutation with a measured X survived propagation"
+        )
+    return logicals.project(list(state.graph.outputs))
 
 
 def reference_rotated_stabilizer(graph: OpenGraph, vertex: int, angle: float) -> LogicalOperator:

@@ -407,20 +407,18 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
 
     def test_simulate_verifies_the_gflow_once(self, monkeypatch, capsys, path5_files):
-        # The runner's gate and the library's are one function in flow.py,
-        # so patching verify_gflow there counts both.
-        import mbqcflow.cli as cli_mod
+        # The runner's gate and the library's check through one function in
+        # flow.py, as verify_gflow does, so patching it there counts each.
         import mbqcflow.flow as flow_mod
 
         calls = []
-        verify = flow_mod.verify_gflow
+        violations = flow_mod._violations
 
-        def counted(graph, gflow):
+        def counted(graph, gflow, masks):
             calls.append(gflow)
-            return verify(graph, gflow)
+            return violations(graph, gflow, masks)
 
-        monkeypatch.setattr(cli_mod, "verify_gflow", counted)
-        monkeypatch.setattr(flow_mod, "verify_gflow", counted)
+        monkeypatch.setattr(flow_mod, "_violations", counted)
         g, f, p = path5_files
         assert run_command(["simulate", "--graph", g, "--gflow", f, "--pattern", p]) == 0
         assert len(calls) == 1

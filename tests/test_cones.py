@@ -231,13 +231,16 @@ class TestConePass:
     def test_one_pass_per_call(self, monkeypatch):
         calls = []
 
-        def counting(graph, gflow):
+        # Every cone pass, public or the simulation's, is one _cone_pass call.
+        cone_pass = cones_module._cone_pass
+
+        def counting(graph, gflow, masks):
             calls.append(graph.n)
-            return cone_masks(graph, gflow)
+            return cone_pass(graph, gflow, masks)
 
         g, fl = cluster_graph(3, 4), cluster_row_flow(3, 4)
-        monkeypatch.setattr(cones_module, "cone_masks", counting)
-        monkeypatch.setattr(simulate_module, "cone_masks", counting)
+        monkeypatch.setattr(cones_module, "_cone_pass", counting)
+        monkeypatch.setattr(simulate_module, "_cone_pass", counting)
         max_forward_cone(g, fl)
         assert calls == [12]
         calls.clear()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbqcflow import initialize_simulation, pauli, propagate_round, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Run, _product_rows
-from mbqcflow.simulate import _correct_words
+from mbqcflow.simulate import _correct_round
 
 from conftest import (
     assert_rounds_match_reference,
@@ -26,6 +26,7 @@ from pauli_reference import (
     prune,
 )
 from pauli_reference import project as old_project
+from simulate_reference import _correct_words
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -690,13 +691,15 @@ def random_word_round(rng, bits, m):
     """``m`` qubits of ``bits`` and a word ``(x, z, p)`` correcting each.
 
     A correction has X anywhere on ``bits``, Z on its own qubit most of the
-    time and anywhere else on ``bits``, and any unit coefficient.
+    time and anywhere on ``bits`` outside the round, and any unit
+    coefficient: as the g2 rule of a gFlow has it, no correction has Z on
+    another qubit of its round.
     """
     qubits = sorted(int(q) for q in rng.choice(bits, size=min(m, len(bits)), replace=False))
     corrections = []
     for qubit in qubits:
         x = sum(1 << int(b) for b in bits if rng.random() < 0.5)
-        z = sum(1 << int(b) for b in bits if b != qubit and rng.random() < 0.5)
+        z = sum(1 << int(b) for b in bits if b not in qubits and rng.random() < 0.5)
         z |= (1 << qubit) if rng.random() < 0.8 else 0
         corrections.append((x, z, int(rng.integers(4))))
     return qubits, corrections
@@ -721,7 +724,7 @@ def round_hits(words, qubits, corrections):
 
 
 class TestWordCorrection:
-    """The word path's correction against the old kernel, vertex by vertex."""
+    """The word path's round pass against the old kernels, a whole round at a time."""
 
     @pytest.mark.parametrize(
         "n,bits",
@@ -729,33 +732,44 @@ class TestWordCorrection:
         ids=["one-word", "two-words", "three-words"],
     )
     def test_random_rounds_match_vertex_by_vertex(self, rng, n, bits):
+        # The old word kernel and the old table kernel take the round's
+        # qubits one at a time; the pass takes them all at once.
+        def vertex_by_vertex(words, qubits, corrections, budget):
+            for qubit, correction in zip(qubits, corrections):
+                _correct_words(words, qubit, correction, budget)
+
         seen = collections.Counter()
         for _ in range(150):
             words = {}
             for label in range(int(rng.integers(1, 7))):
                 ((x, z),) = merging_terms(rng, bits, 1)
                 words[label] = (x, z, int(rng.integers(4)))
-            reference = ReferenceTable(word_table(n, words))
+            old_words, reference = dict(words), ReferenceTable(word_table(n, words))
             for _ in range(4):
                 qubits, corrections = random_word_round(rng, bits, int(rng.integers(1, 6)))
                 budget = DEFAULT_TERM_BUDGET
                 if rng.random() < 0.2:
                     budget = len(words) - int(rng.integers(1, 3))
                 seen.update(round_hits(words, qubits, corrections))
-                for qubit, (x, z, p) in zip(qubits, corrections):
-                    correction = LogicalOperator(n, {(x, z): UNITS[p]})
-                    want = outcome(reference.correct, qubit, packed(correction)[:2], budget)
-                    got = outcome(_correct_words, words, qubit, (x, z, p), budget)
-                    assert isinstance(got, tuple) == isinstance(want, tuple)
-                    if isinstance(got, tuple):
-                        assert got == want
-                        seen["raised"] += 1
-                        break
-                    arrays = (reference.rows, reference.coeffs, reference.owner)
-                    want_ops = PauliTable(n, reference.labels, *arrays).operators()
-                    for label, op in word_table(n, words).operators().items():
-                        assert dict(op.terms()) == dict(want_ops[label].terms())
+                seen["qubits", len(qubits)] += 1
+                operators = [LogicalOperator(n, {(x, z): UNITS[p]}) for x, z, p in corrections]
+                before = dict(words)
+                want = outcome(reference_correct_round, reference, qubits, operators, budget)
+                old = outcome(vertex_by_vertex, old_words, qubits, corrections, budget)
+                mask, products = sum(1 << q for q in qubits), dict(zip(qubits, corrections))
+                got = outcome(_correct_round, words, mask, products, budget)
+                assert got == old == want
+                assert words == old_words
+                if isinstance(got, tuple):
+                    assert words == before
+                    seen["raised"] += 1
+                    break
+                arrays = (reference.rows, reference.coeffs, reference.owner)
+                want_ops = PauliTable(n, reference.labels, *arrays).operators()
+                for label, op in word_table(n, words).operators().items():
+                    assert dict(op.terms()) == dict(want_ops[label].terms())
         assert seen["several"] >= 100 and seen["signs differ"] >= 200 and seen["raised"] >= 30
+        assert all(seen["qubits", m] for m in range(1, min(5, len(bits)) + 1))
 
 
 def test_row_hash_is_xor_linear(rng):

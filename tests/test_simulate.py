@@ -11,10 +11,12 @@ from mbqcflow import (
     GFlow,
     MeasurementPattern,
     OpenGraph,
+    SimulationInvariantError,
     check_determinism,
     extract_unitary,
     finalize_outputs,
     find_causal_flow,
+    find_gflow,
     forward_cone,
     influence_region,
     initialize_simulation,
@@ -52,6 +54,7 @@ from conftest import (
 from pauli_reference import project_terms, reference_round, reference_start
 from simulate_reference import (
     reference_dense_extract_unitary,
+    reference_finalize_outputs,
     reference_initial,
     reference_rotated_stabilizer,
 )
@@ -831,6 +834,70 @@ class TestFinalizeAndExtract:
 STRICTER = [("sim-clifford", index, "swap") for index in (0, 2, 5, 5, 7, 8, 14, 15, 17, 17)]
 
 
+def assert_same_table(got, want):
+    """Equal registers and labels, and rows, coefficients, owners, counts and peaks byte for byte."""
+    assert (got.n, got.labels) == (want.n, want.labels)
+    for name in ("rows", "coeffs", "owner", "counts", "peaks"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestFinalizeOnWords:
+    """The word path's finalize against the old route: pack on all n qubits, then project."""
+
+    @staticmethod
+    def finalized(graph, angles):
+        gflow = find_gflow(graph)
+        pattern = MeasurementPattern(angles={v: angles[v] for v in gflow.measurement_order})
+        state = propagate_all(initialize_simulation(graph, gflow, pattern))
+        assert state.words is not None
+        table = finalize_outputs(state)
+        assert_same_table(table, reference_finalize_outputs(state))
+        return table
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_clifford_pools(self, seed):
+        for inst in bench_pool("sim-clifford", seed):
+            state = propagate_all(initialize_simulation(inst.graph, inst.gflow, inst.pattern))
+            assert state.words is not None
+            assert_same_table(finalize_outputs(state), reference_finalize_outputs(state))
+
+    def test_no_inputs(self):
+        graph = OpenGraph(4, [(0, 1), (1, 2), (2, 3)], inputs=(), outputs=(3,))
+        table = self.finalized(graph, [np.pi / 2, np.pi, 0.0])
+        assert table.labels == [] and table.rows.shape == (0, 2)
+
+    def test_inputs_that_are_outputs(self):
+        # Input 3 is never measured; the outputs are not in vertex order.
+        graph = OpenGraph(4, [(0, 1), (1, 2), (2, 3)], inputs=(0, 3), outputs=(3, 2))
+        table = self.finalized(graph, [np.pi / 2, -np.pi / 2])
+        assert table.labels == [("X", 0), ("Z", 0), ("X", 3), ("Z", 3)]
+        assert table.rows.any()
+
+    def test_more_than_64_outputs(self):
+        # 69 outputs in reverse vertex order: each input's logicals reach
+        # output qubits 2 - i and 68 - i, in both words of the register.
+        edges = [(i, 3 + i) for i in range(3)] + [(i, 69 + i) for i in range(3)]
+        graph = OpenGraph(72, edges, inputs=range(3), outputs=range(71, 2, -1))
+        table = self.finalized(graph, [np.pi / 2, np.pi, 0.0])
+        assert table.n == 69 and table.rows.shape == (6, 4)
+        assert table.rows[:, [0, 2]].any() and table.rows[:, [1, 3]].any()
+
+    def test_residual_z_raises_on_both_routes(self):
+        graph = cluster_graph(2, 3)
+        gflow = cluster_row_flow(2, 3)
+        pattern = MeasurementPattern(angles={v: np.pi / 2 for v in gflow.measurement_order})
+        state = propagate_all(initialize_simulation(graph, gflow, pattern))
+        # Only the last logical carries Z on a measured vertex.
+        label = list(state.words)[-1]
+        x, z, p = state.words[label]
+        state.words[label] = (x, z | 1 << max(graph.measured), p)
+        for finalize in (finalize_outputs, reference_finalize_outputs):
+            with pytest.raises(SimulationInvariantError, match="^residual anticommutation"):
+                finalize(state)
+
+
 def extraction(extract, table):
     """The unitary ``extract`` gives for ``table``, or None when it raises DeterminismError."""
     try:
@@ -1115,6 +1182,30 @@ class TestRelabelling:
 
 
 class TestCostAccounting:
+    @pytest.mark.parametrize("name,on_words", [("sim-clifford", True), ("sim-terms", False)])
+    def test_a_simulation_computes_each_correcting_sets_masks_once(
+        self, monkeypatch, name, on_words
+    ):
+        # The gFlow check computes the masks and the cone pass reads them.
+        import mbqcflow.cones as cones_mod
+        import mbqcflow.flow as flow_mod
+
+        calls, masks = collections.Counter(), flow_mod.correction_masks
+
+        def counted(graph, gflow, vertex):
+            calls[vertex] += 1
+            return masks(graph, gflow, vertex)
+
+        for inst in bench_pool(name, 1):
+            state = initialize_simulation(inst.graph, inst.gflow, inst.pattern)
+            assert (state.words is not None) == on_words
+            with monkeypatch.context() as patch:
+                patch.setattr(flow_mod, "correction_masks", counted)
+                patch.setattr(cones_mod, "correction_masks", counted)
+                calls.clear()
+                simulate_pattern(inst.graph, inst.gflow, inst.pattern)
+            assert calls == collections.Counter(inst.gflow.measurement_order)
+
     def test_clifford_angles_never_split(self, rng):
         g, fl = cluster_graph(2, 3), cluster_row_flow(2, 3)
         clifford = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
