@@ -1,58 +1,53 @@
-"""Complex-weighted sums of phase-free Pauli words: one sum in Python ints, many in arrays.
+"""Pauli words and complex-weighted sums of them: one sum in Python ints, many in arrays.
 
 A word ``X^x Z^z`` is the pair of qubit bitmasks ``(x, z)``: qubit q
 carries X iff bit q of ``x`` is set, Z iff bit q of ``z`` is set, and
-``X Z`` (that is, ``-i Y``) iff both.  Every phase lives in the complex
-coefficient of a word, so equal words merge by adding coefficients.
+``X Z`` (that is, ``-i Y``) iff both.  One sum is a tuple of terms ``(x, z,
+coefficient)``, Python ints and a Python complex, every phase in the
+coefficient, so equal words merge by adding coefficients; :func:`_sum_product`
+multiplies two, and a :class:`LogicalOperator` holds one.  A sum of a
+Clifford pattern stays one word ``i^p X^x Z^z`` (Gottesman, quant-ph/9807006),
+the :data:`Word` ``(x, z, p)``, with its own kernels here: the product
+(:func:`_word_product`), a round of corrections (:func:`_correct_round`), the
+projection (:func:`_project_words`), the packer (:func:`_word_table`), the
+read-back (:meth:`PauliTable.as_words`) and the tableau certificate
+(:func:`_clifford_tableau`).  A word acts densely as a signed permutation,
+whose index and sign one kernel builds (:func:`_signed_permutations`):
+:meth:`PauliTable.to_matrices` scatters them and :func:`_gather` applies them.
 
-One sum is a tuple of terms ``(x, z, coefficient)``, Python ints and a
-Python complex; :func:`_sum_product` multiplies two, and a
-:class:`LogicalOperator` holds one.  Labelled sums are arrays, in a
-:class:`PauliTable`: T words on n qubits are a ``(T, 2W)`` uint64 array
-of rows ``[x words | z words]``, with W = ceil(n / 64) and qubit q in bit
-q % 64 of word q // 64, a ``(T,)`` complex128 array of coefficients and
-the label's index as one more key per row.  This is the bit-packed layout
-of Aaronson and Gottesman, "Improved simulation of stabilizer circuits"
-(PRA 70, 052328, 2004) and of Stim (Gidney, Quantum 5, 497, 2021).  A
-table holds the one correction step (:meth:`PauliTable.correct`) and the
-one dense kernel (:meth:`PauliTable.to_matrices`);
-:meth:`PauliTable.pack` packs terms and :meth:`PauliTable.operators`
-reads them back.
+Labelled sums are arrays, in a :class:`PauliTable`: T words on n qubits are
+a ``(T, 2W)`` uint64 array of rows ``[x words | z words]``, with W = ceil(n /
+64) and qubit q in bit q % 64 of word q // 64, a ``(T,)`` complex128 array of
+coefficients and the label's index as one more key per row.  This is the
+bit-packed layout of Aaronson and Gottesman, "Improved simulation of
+stabilizer circuits" (PRA 70, 052328, 2004) and of Stim (Gidney, Quantum 5,
+497, 2021).  A table holds the one correction step (:meth:`PauliTable.correct`);
+:meth:`PauliTable.pack` is the one packer and :meth:`PauliTable.operators`
+reads the sums back.
 
 Rows keep the order a dictionary keyed by word would give them: words
-already present first, new words in the order they first appear.  Equal
-words add in row order, starting from zero, so every coefficient is the
-one a term-by-term loop computes, bit for bit.  Equal rows are found by
-one exact grouping (:func:`_group`): each row is a key held as lines, one
-lexicographic sort orders the keys, and sorted neighbours are compared
-line by line.  It has one path for every key width.  A correction's keys
-are its rows' words and owner, 2W + 1 uint64 lines; a projection packs
-each row into the fewest lines of the narrowest unsigned dtype that hold
-its owner, X and Z bits: one uint16 line on every bench table, and numpy
-sorts such a line by radix.  A 64-bit hash of each row only screens a
+already present first, new words in the order they first appear, and equal
+words add in row order from zero, so every coefficient is the one a
+term-by-term loop computes, bit for bit.  Equal rows are found by one exact
+grouping (:func:`_group`, one lexicographic sort of keys held as lines).  An
+XOR-linear 64-bit hash of each row (:func:`_row_hash`) only screens a
 correction: if all of its rows' hashes differ, no rows are equal, and the
-grouping is skipped.  The hash XORs the row's words, each mixed by two
-rounds of xorshifts, so it is XOR-linear: the hash of the product of two
-words is the XOR of their hashes.  So a table keeps the hash of each row,
-keyed by its sum, once it has needed it, and a correction's factor is a
-:class:`Run`, which carries the hashes of its words from the table that
-made it (:meth:`PauliTable.runs`): a correction hashes nothing else.
+grouping is skipped.  A correction's factor is a :class:`Run`, which carries
+the hashes of its words from the table that made it (:meth:`PauliTable.runs`),
+so a correction hashes nothing else.  Rows move as whole elements, by
+``take`` along axis 0, and elementwise work runs per word over lines of
+length T, never along the short 2W axis, where numpy takes its slow path.
 
-Rows move as whole elements, by ``take`` along axis 0, and elementwise
-work runs per word over lines of length T, never along the short 2W axis,
-where numpy takes its slow general path.  A correction treats one
-measured vertex for every sum of a table at once.  With T rows of which F
-have Z on the vertex and a correction of C words, it costs one mask test
-over T rows when F = 0; otherwise about 60 numpy calls on T - F + C F
-rows or on the C words, among them one sort of as many hashes.  Only if
-two are equal do the rows go through the grouping step (one
-lexicographic sort and about 25 more calls).  A sim-terms instance of
-seed 1 makes 15.45 such calls, 4.55 on tables of over 1,000 rows.  Over
-the sim-terms pools of seeds 1-3, 890 of the 927 that multiply found no
-two hashes equal, on tables of up to 13,687 rows; the other 37, of at
-most 93 rows, all merged.  The largest seed-1 table, of 13,687 rows and
-6 labels, projects onto 3 outputs in about 0.4 ms, 75 us of it the sort
-of its 9-bit keys (2-CPU VM, numpy 2.4.6).
+A correction treats one measured vertex for every sum of a table at once.
+With T rows of which F have Z on the vertex and a correction of C words, it
+costs one mask test over T rows when F = 0; otherwise about 60 numpy calls
+on T - F + C F rows or on the C words, among them one sort of as many
+hashes, and only if two are equal the grouping (one sort and about 25 more
+calls).  Over the sim-terms pools of seeds 1-3, 890 of the 927 corrections
+that multiply found no two hashes equal, on tables of up to 13,687 rows; the
+other 37, of at most 93 rows, all merged.  The largest seed-1 table, of
+13,687 rows and 6 labels, projects onto 3 outputs in about 0.4 ms, 75 us of
+it the sort of its 9-bit keys (2-CPU VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -70,6 +65,12 @@ PRUNE_TOLERANCE = 1e-12
 
 #: A term ``coefficient X^x Z^z`` of one sum as ``(x, z, coefficient)``.
 Term = tuple[int, int, complex]
+
+#: A word ``i^p X^x Z^z`` as ``(x, z, p)``, with p in 0..3.
+Word = tuple[int, int, int]
+
+#: The coefficient ``i^p`` of a word, indexed by p.
+_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def _word_count(n: int) -> int:
@@ -120,6 +121,34 @@ def _sum_product(left: Sequence[Term], right: Sequence[Term]) -> tuple[Term, ...
     if len(left) > 1 and len(right) > 1:
         terms = [(x, z, coeff) for (x, z), coeff in _merged(terms).items()]
     return tuple(term for term in terms if abs(term[2]) > PRUNE_TOLERANCE)
+
+
+def _unit_words(sums: Sequence[Sequence[Term]]) -> list[Word]:
+    """Each sum as its one word ``(x, z, p)``; ValueError unless each is one unit-weight term."""
+    return [(x, z, _UNITS.index(coeff)) for ((x, z, coeff),) in sums]
+
+
+def _word_product(left: Word, right: Word) -> Word:
+    """``left * right``; the sign moves the left word's Z past the right word's X."""
+    (x1, z1, p1), (x2, z2, p2) = left, right
+    return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) & 3
+
+
+def _correct_round(words: dict[Hashable, Word], mask: int, products: dict, budget: int) -> None:
+    """:meth:`PauliTable.correct` on one-word sums, in place, for a round.
+
+    A word with Z on the vertices v1 < v2 < ... of ``mask`` becomes ``products[vk] ...
+    products[v1]`` times it (a gFlow's g2 rule keeps each product's Z off its round-mates).
+    With more words than ``budget``, the first hit raises BudgetExceededError, changing none.
+    """
+    for label, word in words.items():
+        if (hits := word[1] & mask) and len(words) > budget:
+            raise _over_budget(len(words), "terms", "terms", budget)
+        while hits:
+            low = hits & -hits
+            word = _word_product(products[low.bit_length() - 1], word)
+            hits ^= low
+        words[label] = word
 
 
 #: Word j of a row is mixed by two rounds of the xorshift ``v ^= v << a;
@@ -287,6 +316,18 @@ class PauliTable:
             sums[owner][word] = coeff
         return {label: LogicalOperator(self.n, terms) for label, terms in zip(self.labels, sums)}
 
+    def as_words(self) -> list[Word] | None:
+        """Each sum's word ``(x, z, p)`` in label order, or None unless it is one i^p row."""
+        if (self.counts != 1).any():
+            return None
+        order = np.argsort(self.owner)
+        try:
+            phases = [_UNITS.index(c) for c in self.coeffs.take(order).tolist()]
+        except ValueError:
+            return None
+        rows, w = self.rows.take(order, axis=0), self.words
+        return list(zip(_unpack_masks(rows[:, :w]), _unpack_masks(rows[:, w:]), phases))
+
     def runs(self) -> dict[Hashable, Run]:
         """Every label's sum as a :class:`Run`, its rows in table order, hashed once here."""
         order, ends = np.argsort(self.owner, kind="stable"), np.cumsum(self.counts).tolist()
@@ -354,15 +395,13 @@ class PauliTable:
     def to_matrices(self) -> np.ndarray:
         """Dense ``(len(labels), 2**n, 2**n)`` matrices of the sums, in one scatter.
 
-        Each entry sums its terms in row order.  The register must fit in
-        one word.
+        Row t puts ``coeffs[t]`` times its word's signed permutation
+        (:func:`_signed_permutations`) into its sum's matrix.  Each entry sums
+        its terms in row order.  The register must fit in one word.
         """
         dim = 1 << self.n
-        cols = np.arange(dim)
-        x = self.rows[:, :1].astype(np.intp)
-        z = self.rows[:, 1:2].astype(np.intp)
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
-        places = (self.owner[:, None] * dim + (cols ^ x)) * dim + cols
+        index, signs = _signed_permutations(*self.rows.T.astype(np.intp), dim)
+        places = (self.owner[:, None] * dim + np.arange(dim)) * dim + index
         mats = np.zeros(len(self.labels) * dim * dim, dtype=complex)
         np.add.at(mats, places.reshape(-1), (self.coeffs[:, None] * signs).reshape(-1))
         return mats.reshape(-1, dim, dim)
@@ -375,15 +414,13 @@ class PauliTable:
         pruned again, or appended after them.  The hashes only screen:
         when no two of the kept rows and products have equal hashes,
         nothing can merge, and the pruned products are appended in order
-        with no grouping step.  Otherwise the rows are grouped exactly; if
-        that finds no equal rows, the result is the same, byte for byte.
-        A product's hash is its hit row's hash XOR its factor word's
-        hash, which the run carries from :meth:`runs`, so neither a
-        product nor a factor word is hashed here, and no hash is taken
-        from anywhere but a run.  Returns whether any row had Z on
-        ``qubit``.  Raises :class:`BudgetExceededError` before the products
-        are built when the kept rows plus the products would exceed
-        ``budget``.
+        with no grouping step; otherwise the rows are grouped exactly, and if
+        that finds no equal rows the result is the same, byte for byte.  A
+        product's hash is its hit row's hash XOR its factor word's, which only
+        the run carries (:meth:`runs`): nothing else is hashed here.  Returns
+        whether any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
+        before the products are built when the kept rows plus the products
+        would exceed ``budget``.
         """
         rows, coeffs, owner = self.rows, self.coeffs, self.owner
         hits = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))) != 0
@@ -441,6 +478,67 @@ class PauliTable:
         new_counts = np.bincount(new_owner.take(picks), minlength=len(self.labels))
         self._set_rows(*joined, counts + new_counts)
         return True
+
+
+def _word_table(n: int, words: Mapping[Hashable, Word]) -> PauliTable:
+    """The sums ``label: (x, z, p)`` on ``n`` qubits, packed by :meth:`PauliTable.pack`."""
+    return PauliTable.pack(n, {label: ((x, z, _UNITS[p]),) for label, (x, z, p) in words.items()})
+
+
+def _project_words(words: Mapping[Hashable, Word], qubits: list[int]) -> PauliTable:
+    """:meth:`PauliTable.project` of one-word sums, the same table byte for byte.
+
+    One-word sums merge nothing, so only their bits on ``qubits`` are gathered and packed.
+    """
+    bits, projected = [(v, 1 << p) for p, v in enumerate(qubits)], {}
+    for label, (x, z, p) in words.items():
+        x_out = sum([bit for v, bit in bits if x >> v & 1])
+        z_out = sum([bit for v, bit in bits if z >> v & 1])
+        projected[label] = (x_out, z_out, p)
+    return _word_table(len(qubits), projected)
+
+
+def _clifford_tableau(table: PauliTable) -> list[Word] | None:
+    """The 2k words ``(x, z, p)`` of the sums in label order if they are a tableau, else None.
+
+    They are when :meth:`PauliTable.as_words` reads 2k words, each Hermitian (``p +
+    popcount(x & z)`` even), words 2i and 2i + 1 (``Lx_i`` and ``Lz_i``) anticommute,
+    and every other pair commutes (Aaronson and Gottesman, PRA 70, 052328, 2004):
+    O(k^2) popcounts on Python ints, on a register of any width.
+    """
+    words = table.as_words()
+    if words is None or len(words) % 2:
+        return None
+    for a, (xa, za, pa) in enumerate(words):
+        if (pa + (xa & za).bit_count()) & 1:
+            return None
+        for b, (xb, zb, _) in enumerate(words[:a]):
+            # Only a = b + 1 with b even, that is a ^ b == 1, pairs Lx_i with Lz_i.
+            if ((xa & zb).bit_count() + (za & xb).bit_count()) & 1 != (a ^ b == 1):
+                return None
+    return words
+
+
+def _signed_permutations(xs: np.ndarray, zs: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Row w: the index and sign of ``W = X^xs[w] Z^zs[w]``, ``(W v)[j] = sign[j] v[index[j]]``.
+
+    That is ``index[j] = j ^ x`` and ``sign[j] = (-1)^popcount(z & index[j])``.  The signs
+    are built in float: the uint8 parity would wrap ``1 - 2`` to 255.
+    """
+    index = np.arange(dim) ^ xs[:, None]
+    return index, 1.0 - 2.0 * (np.bitwise_count(index & zs[:, None]) & 1)
+
+
+def _word_actions(words: list[Word], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each word ``i^p X^x Z^z`` as its index and sign vectors, the phase ``i^p`` in the sign."""
+    xs, zs, ps = np.array(words, dtype=np.intp).reshape(-1, 3).T
+    index, signs = _signed_permutations(xs, zs, dim)
+    return list(zip(index, np.array(_UNITS)[ps, None] * signs))
+
+
+def _gather(word: tuple[np.ndarray, np.ndarray], block: np.ndarray) -> np.ndarray:
+    """``W block`` for the word ``(index, sign)`` and a vector or a matrix of columns."""
+    return (word[1] * block.T[..., word[0]]).T
 
 
 class LogicalOperator:

@@ -8,7 +8,9 @@ order included.  :func:`array_sum_product` is the array product that
 ``LogicalOperator`` used before a single sum became Python-int terms,
 built from the array helpers the library keeps for its tables.
 :func:`project` is ``PauliTable.project`` as it was before it packed
-each row into one narrow key.
+each row into one narrow key, and :func:`to_matrices` is
+``PauliTable.to_matrices`` as it was before it scattered the index and
+sign vectors of ``pauli._signed_permutations``.
 """
 
 from __future__ import annotations
@@ -215,3 +217,28 @@ def project(self, qubits: list[int]) -> PauliTable:
         keys, coeffs = keys.take(live, axis=0), coeffs.take(live)
         rows, owner = keys[:, :-1], keys[:, -1].astype(np.intp)
     return PauliTable(count, self.labels, rows, coeffs, owner)
+
+
+# -- The dense kernel that built its own signs ------------------------------
+#
+# ``to_matrices`` (a method of ``PauliTable``, here a function of the table)
+# is kept verbatim from the version before it scattered the index and sign
+# vectors that ``pauli._signed_permutations`` also gives the certified
+# unitary route.
+
+
+def to_matrices(self) -> np.ndarray:
+    """Dense ``(len(labels), 2**n, 2**n)`` matrices of the sums, in one scatter.
+
+    Each entry sums its terms in row order.  The register must fit in
+    one word.
+    """
+    dim = 1 << self.n
+    cols = np.arange(dim)
+    x = self.rows[:, :1].astype(np.intp)
+    z = self.rows[:, 1:2].astype(np.intp)
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+    places = (self.owner[:, None] * dim + (cols ^ x)) * dim + cols
+    mats = np.zeros(len(self.labels) * dim * dim, dtype=complex)
+    np.add.at(mats, places.reshape(-1), (self.coeffs[:, None] * signs).reshape(-1))
+    return mats.reshape(-1, dim, dim)

@@ -30,7 +30,7 @@ from mbqcflow.errors import _over_budget
 from mbqcflow.graph import OpenGraph
 from mbqcflow.oracle import TOLERANCE, _check_unitary, canonical_unitary
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, pack_rows
-from mbqcflow.simulate import Word, _word_product
+from mbqcflow.pauli import Word, _word_product
 
 #: The coefficient ``i^p`` of a word, indexed by p.
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbqcflow import initialize_simulation, pauli, propagate_round, simulate_pattern
 from mbqcflow.errors import DEFAULT_TERM_BUDGET, BudgetExceededError
 from mbqcflow.pauli import PRUNE_TOLERANCE, LogicalOperator, PauliTable, Run, _product_rows
-from mbqcflow.simulate import _correct_round
+from mbqcflow.pauli import _correct_round
 
 from conftest import (
     assert_rounds_match_reference,

@@ -38,7 +38,7 @@ from mbqcflow.fixtures import (
 from mbqcflow.errors import DEFAULT_DENSE_LIMIT
 from mbqcflow.oracle import TOLERANCE, build_open_graph_state, canonical_unitary
 from mbqcflow.pauli import LogicalOperator, PauliTable
-from mbqcflow.simulate import _UNITS, _clifford_tableau, _gather, _signed_permutations
+from mbqcflow.pauli import _UNITS, _clifford_tableau, _gather, _word_actions
 
 from conftest import (
     assert_rounds_match_reference,
@@ -52,6 +52,7 @@ from conftest import (
     sample_graphs_with_gflow,
 )
 from pauli_reference import project_terms, reference_round, reference_start
+from pauli_reference import to_matrices as old_to_matrices
 from simulate_reference import (
     reference_dense_extract_unitary,
     reference_finalize_outputs,
@@ -268,6 +269,7 @@ class TestAgainstTheRotatedWordReference:
                         if on_words:
                             assert state.products == products and state.words == logicals
                             continue
+                        assert state.products == {v: op.words for v, op in products.items()}
                         stabilizers = state.stabilizers
                         assert products.keys() == stabilizers.keys()
                         for vertex, op in products.items():
@@ -1072,15 +1074,106 @@ class TestCliffordTableau:
             dim = 1 << k
             words = [(*rng.integers(dim, size=2).tolist(), int(rng.integers(4))) for _ in range(8)]
             sums = {w: ((x, z, _UNITS[p]),) for w, (x, z, p) in enumerate(words)}
-            index, sign = _signed_permutations(words, dim)
+            actions = _word_actions(words, dim)
             vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-            for mat, word in zip(PauliTable.pack(k, sums).to_matrices(), zip(index, sign)):
+            for mat, word in zip(PauliTable.pack(k, sums).to_matrices(), actions):
                 gathered = np.zeros((dim, dim), dtype=complex)
                 gathered[np.arange(dim), word[0]] = word[1]
                 assert np.array_equal(gathered, mat)
                 assert np.abs(_gather(word, vector) - mat @ vector).max() <= 1e-12
                 assert np.abs(_gather(word, block) - mat @ block).max() <= 1e-12
+
+
+def random_tableau(rng, n, k):
+    """A valid tableau of k pairs on ``n`` qubits, one pivot the top qubit, the others spread.
+
+    ``Lz_i`` is ``Z`` on pivot ``q_i``, and ``Lx_i`` is ``+-X`` or ``+-Y`` on
+    ``q_i`` times ``Z`` on some qubits that are no pivot: each word is
+    Hermitian, and only ``Lx_i`` and ``Lz_i`` meet on a pivot.
+    """
+    pivots = rng.permutation([n - 1] + rng.choice(n - 1, size=k - 1, replace=False).tolist())
+    pivots = pivots.tolist()
+    others = [q for q in range(n) if q not in pivots]
+    words = []
+    for q in pivots:
+        z = sum(1 << int(v) for v in rng.choice(others, size=int(rng.integers(0, 4))))
+        y = int(rng.integers(2))  # Y = i X Z
+        words += [(1 << q, z | y << q, y + 2 * int(rng.integers(2))), (0, 1 << q, 0)]
+    return words
+
+
+class TestWideReadBack:
+    """The tableau read-back reads whole masks, on registers of any width."""
+
+    def test_one_pair_above_the_first_word(self):
+        table = PauliTable.pack(70, {"X": ((1 << 66, 0, 1 + 0j),), "Z": ((0, 1 << 66, 1 + 0j),)})
+        want = [(1 << 66, 0, 0), (0, 1 << 66, 0)]
+        assert table.as_words() == want and _clifford_tableau(table) == want
+
+    @pytest.mark.parametrize("n", [65, 70, 128, 129, 140])
+    def test_random_tableaux(self, rng, n):
+        high = 0
+        for k in (1, 2, 4, 7):
+            words = random_tableau(rng, n, k)
+            sums = {label: ((x, z, _UNITS[p]),) for label, (x, z, p) in enumerate(words)}
+            table = PauliTable.pack(n, sums)
+            assert table.as_words() == words and _clifford_tableau(table) == words
+            high += any((x | z) >> 64 for x, z, _ in words)
+            # The same sums with their rows in reverse label order read back alike.
+            order = np.arange(len(words))[::-1].copy()
+            rows, coeffs = table.rows.take(order, axis=0), table.coeffs.take(order)
+            assert PauliTable(n, table.labels, rows, coeffs, order).as_words() == words
+            # Lz_0 moved off its pivot commutes with Lx_0.
+            broken, pivot = dict(sums), words[1][1].bit_length() - 1
+            broken[1] = ((0, 1 << (pivot + 1) % n, 1 + 0j),)
+            assert _clifford_tableau(PauliTable.pack(n, broken)) is None
+        assert high
+
+    def test_what_is_no_unit_word_reads_as_none(self):
+        one = ((1 << 100, 0, 1 + 0j),)
+        for other in [((0, 1 << 100, 0.5 + 0j),), ((0, 1, 1 + 0j), (0, 2, 1 + 0j)), ()]:
+            assert PauliTable.pack(101, {"X": one, "Z": other}).as_words() is None
+        assert PauliTable.pack(101, {}).as_words() == []
+
+
+class TestDenseKernel:
+    """``to_matrices`` scatters the words' signed permutations; the old scatter is the reference."""
+
+    @staticmethod
+    def assert_same(table):
+        got, want = table.to_matrices(), old_to_matrices(table)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_finalized_tables_of_both_pools(self, seed):
+        for name in ("sim-clifford", "sim-terms"):
+            for table in finalized_tables(name, seed):
+                self.assert_same(table)
+
+    def test_rows_that_meet_on_one_entry(self, rng):
+        # Several rows per sum whose X parts repeat, so that np.add.at adds
+        # into entries that already hold a term, with coefficients that
+        # cancel, signed zeros among them.
+        coefficients = [1 + 0j, -1 + 0j, 1j, -0.0 + 0j, complex(0.0, -0.0), 0.25 - 2j]
+        accumulated = 0
+        for _ in range(150):
+            n, labels = int(rng.integers(0, 5)), int(rng.integers(1, 5))
+            x_parts = rng.integers(1 << n, size=2).tolist()
+            sums = {}
+            for label in range(labels):
+                terms = []
+                for _ in range(int(rng.integers(0, 7))):
+                    x, z = x_parts[rng.integers(2)], int(rng.integers(1 << n))
+                    coeff = coefficients[rng.integers(len(coefficients))]
+                    if rng.random() < 0.5:
+                        coeff = complex(*rng.normal(size=2))
+                    terms.append((x, z, coeff))
+                sums[label] = tuple(terms)
+                accumulated += len(terms) > len({x for x, _, _ in terms})
+            self.assert_same(PauliTable.pack(n, sums))
+        assert accumulated >= 100
 
 
 class TestAgainstOracle:
