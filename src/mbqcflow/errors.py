@@ -14,8 +14,8 @@ DEFAULT_BRANCH_BUDGET = 2**14
 #: 1 GiB target.  On a 2-CPU Xeon VM (Python 3.11, numpy 2.4), runs stopped
 #: by this budget peaked at 527 MB RSS with one 64-bit word per mask
 #: (cluster 3x14, about 125 bytes per row) and at 690-710 MB with two
-#: (cluster 3x22 and 5x14, about 170 bytes per row).  The sim-terms and
-#: sim-clifford benchmark pools of seeds 1-5 reach at most 13,687 rows.
+#: (cluster 3x22 and 5x14, about 170 bytes per row), while tables kept the
+#: measured X.  Stripped of it, the sim pools of seeds 1-5 reach 630 rows.
 DEFAULT_TERM_BUDGET = 2**22
 
 #: Default vertex limits of the two exact measures, set from a 1 s

@@ -27,27 +27,29 @@ reads the sums back.
 
 Rows keep the order a dictionary keyed by word would give them: words
 already present first, new words in the order they first appear, and equal
-words add in row order from zero, so every coefficient is the one a
-term-by-term loop computes, bit for bit.  Equal rows are found by one exact
-grouping (:func:`_group`, one lexicographic sort of keys held as lines).  An
-XOR-linear 64-bit hash of each row (:func:`_row_hash`) only screens a
-correction: if all of its rows' hashes differ, no rows are equal, and the
-grouping is skipped.  A correction's factor is a :class:`Run`, which carries
-the hashes of its words from the table that made it (:meth:`PauliTable.runs`),
-so a correction hashes nothing else.  Rows move as whole elements, by
-``take`` along axis 0, and elementwise work runs per word over lines of
-length T, never along the short 2W axis, where numpy takes its slow path.
+words add in row order, so every coefficient is the one a term-by-term loop
+computes, bit for bit.  Equal rows are found from an XOR-linear 64-bit hash
+of each row (:func:`_row_hash`), whose equal values are checked row by row,
+or by one exact grouping (:func:`_group`, one lexicographic sort of keys
+held as lines).  A correction's factor is a :class:`Run`, which carries its
+words' hashes from the table that made it (:meth:`PauliTable.runs`).  Rows
+move as whole elements, by ``take`` along axis 0, and elementwise work runs
+per word over lines of length T, never along the short 2W axis, where
+numpy takes its slow path.
 
-A correction treats one measured vertex for every sum of a table at once.
-With T rows of which F have Z on the vertex and a correction of C words, it
-costs one mask test over T rows when F = 0; otherwise about 60 numpy calls
-on T - F + C F rows or on the C words, among them one sort of as many
-hashes, and only if two are equal the grouping (one sort and about 25 more
-calls).  Over the sim-terms pools of seeds 1-3, 890 of the 927 corrections
-that multiply found no two hashes equal, on tables of up to 13,687 rows; the
-other 37, of at most 93 rows, all merged.  The largest seed-1 table, of
-13,687 rows and 6 labels, projects onto 3 outputs in about 0.4 ms, 75 us of
-it the sort of its 9-bit keys (2-CPU VM, numpy 2.4.6).
+A correction treats one measured vertex v for every sum of a table: it
+multiplies the rows with Z on v by v's correcting product, then strips X
+on v and merges the rows made equal.  v's product has Z on v, so its signs
+read X on v; after it, the gFlow rules (Browne, Kashefi, Mhalla and
+Perdrix, NJP 9, 250, 2007) keep every product off v, and X on v stabilizes
+the measured |+>.  So the rows end on the outputs, and the projection is a
+gather.  A correction costs one mask test when no row has X or Z on v, else
+about 45 numpy calls on the T - F + C F rows that F hit rows and C factor
+words make, one hash sort among them, and 35 more if pairs merge.  Over the
+sim-terms pools of seeds 1-3, 477 of 927 corrections merged only pairs that
+the strip made equal, 413 merged nothing, and 37 were grouped exactly; the
+largest table, 630 rows of 8 labels, projects onto 4 outputs in 29 us
+(2-CPU VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -207,19 +209,6 @@ def _group(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, firsts.take(by_first)
 
 
-def _read_field(keys: np.ndarray, start: int, size: int) -> np.ndarray:
-    """Bits ``start`` to ``start + size - 1`` (``size`` <= 64) of every key.
-
-    Key t is column t of the uint64 array ``keys``: its bit b is bit b % 64
-    of line b // 64, and line ``start // 64`` must exist.
-    """
-    line, shift = divmod(start, 64)
-    value = keys[line] >> shift
-    if shift + size > 64:
-        value |= keys[line + 1] << 64 - shift
-    return value & (1 << size) - 1
-
-
 def _product_rows(
     left_rows: np.ndarray,
     left_coeffs: np.ndarray,
@@ -266,9 +255,9 @@ class PauliTable:
     :meth:`operators` reads the sums back.  The table owns the arrays it
     is given.  Every coefficient it holds is above :data:`PRUNE_TOLERANCE`:
     its sums are pruned, as every operator is, and so is whatever a
-    correction or a projection makes.  From its first correction that multiplies, it also
-    keeps the hash of every row with its owner, and carries it through
-    later corrections.
+    correction or a projection makes.  From its first correction that
+    touches a row, it also keeps the hash of every row with its owner, and
+    each qubit's strip delta, and carries them through later corrections.
     """
 
     def __init__(
@@ -302,10 +291,9 @@ class PauliTable:
         coeffs: np.ndarray,
         owner: np.ndarray,
         hashes: np.ndarray | None = None,
-        counts: np.ndarray | None = None,
     ) -> None:
         self.rows, self.coeffs, self.owner, self._hashes = rows, coeffs, owner, hashes
-        self.counts = np.bincount(owner, minlength=len(self.labels)) if counts is None else counts
+        self.counts = np.bincount(owner, minlength=len(self.labels))
         np.maximum(self.peaks, self.counts, out=self.peaks)
 
     def operators(self) -> dict[Hashable, LogicalOperator]:
@@ -336,61 +324,35 @@ class PauliTable:
         bounds = zip(self.labels, [0] + ends, ends)
         return {label: Run(rows[a:b], coeffs[a:b], hashes[a:b]) for label, a, b in bounds}
 
-    def z_support(self) -> int:
-        """Mask of the qubits on which some row has Z."""
-        z_lines = np.ascontiguousarray(self.rows.T[self.words :])
-        return _unpack_masks(np.bitwise_or.reduce(z_lines, axis=1, initial=np.uint64(0))[None])[0]
+    def support(self) -> tuple[int, int]:
+        """Masks of the qubits on which some row has X, and on which some row has Z."""
+        lines = np.ascontiguousarray(self.rows.T)
+        masks = np.bitwise_or.reduce(lines, axis=1, initial=np.uint64(0))
+        return tuple(_unpack_masks(masks.reshape(2, -1)))
 
     def project(self, qubits: list[int]) -> PauliTable:
-        """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p.
+        """The sums on the register of ``qubits``, ``qubits[p]`` becoming qubit p, by one gather.
 
-        Only an empty table may take an empty register.  Bits on other
-        qubits are dropped; words made equal merge in row order, and the
-        sums are pruned.  Each row becomes one key: its owner from bit 0,
-        then its X bits, then its Z bits, in the fewest lines of the
-        narrowest unsigned dtype that hold them (one uint16 line on every
-        bench table).  The keys are grouped, and the rows and owners are
-        read back from the kept keys.
+        Only an empty table may take an empty register.  Bits on other qubits
+        are dropped and nothing merges, so no two rows of a sum may agree on
+        ``qubits``; none do once :meth:`correct` has stripped every other one.
         """
-        count = len(qubits)
+        count, words = len(qubits), _word_count(len(qubits))
         if not count and len(self.rows):
             raise ValueError("only an empty table may take an empty register")
-        owner_bits = (len(self.labels) - 1).bit_length()
-        bits = owner_bits + 2 * count
-        width = min(64, max(8, 1 << (bits - 1).bit_length()))
-        dtype = np.dtype(f"u{width // 8}")
-        # Key bit b is one line along the rows: a bit of the owner or of a row word,
-        # shifted down to bit 0 (a word's before it is narrowed to the key's dtype),
-        # then up to bit b % width of key line b // width.
+        # Qubit p takes bit p % 64 of word p // 64: its X and Z bits are each one
+        # line along the rows, shifted in place and ORed into their word.
         columns = [v >> 6 for v in qubits] + [self.words + (v >> 6) for v in qubits]
-        picked = self.rows.T.take(columns, axis=0)
-        picked >>= np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
-        lines = np.empty((bits, len(self.rows)), dtype=dtype)
-        lines[:owner_bits] = self.owner
-        lines[:owner_bits] >>= np.arange(owner_bits, dtype=dtype)[:, None]
-        lines[owner_bits:] = picked
-        del picked
-        lines &= dtype.type(1)
-        lines <<= np.array([b % width for b in range(bits)], dtype=dtype)[:, None]
-        keys = np.empty((max(1, -(-bits // width)), len(self.rows)), dtype=dtype)
-        for key, b in zip(keys, range(0, bits or 1, width)):
-            np.bitwise_or.reduce(lines[b : b + width], axis=0, out=key)
-        coeffs = self.coeffs.copy()
-        if self.counts.max(initial=0) > 1:
-            # With one row per sum no two keys are equal.
-            run, first = _group(keys)
-            coeffs = np.zeros(len(first), dtype=complex)
-            np.add.at(coeffs, run, self.coeffs)
-            live = (np.abs(coeffs) > PRUNE_TOLERANCE).nonzero()[0]
-            keys, coeffs = keys.take(first.take(live), axis=1), coeffs.take(live)
-        keys, words = keys.astype(np.uint64), _word_count(count)
-        rows = np.empty((len(coeffs), 2 * words), dtype=np.uint64)
-        for j in range(words):
-            size = min(64, count - 64 * j)
-            rows[:, j] = _read_field(keys, owner_bits + 64 * j, size)
-            rows[:, words + j] = _read_field(keys, owner_bits + count + 64 * j, size)
-        owner = _read_field(keys, 0, owner_bits).astype(np.intp)
-        return PauliTable(count, self.labels, rows, coeffs, owner)
+        lines = self.rows.T.take(columns, axis=0)
+        lines >>= np.array([v & 63 for v in qubits] * 2, dtype=np.uint64)[:, None]
+        lines &= np.uint64(1)
+        lines <<= np.array([p & 63 for p in range(count)] * 2, dtype=np.uint64)[:, None]
+        rows = np.empty((len(self.rows), 2 * words), dtype=np.uint64)
+        for j in range(2 * words):
+            low = j // words * count + 64 * (j % words)
+            high = min(low + 64, (j // words + 1) * count)
+            np.bitwise_or.reduce(lines[low:high], axis=0, out=rows[:, j])
+        return PauliTable(count, self.labels, rows, self.coeffs.copy(), self.owner.copy())
 
     def to_matrices(self) -> np.ndarray:
         """Dense ``(len(labels), 2**n, 2**n)`` matrices of the sums, in one scatter.
@@ -407,77 +369,109 @@ class PauliTable:
         return mats.reshape(-1, dim, dim)
 
     def correct(self, qubit: int, factor: Run, budget: int = DEFAULT_TERM_BUDGET) -> bool:
-        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum of a table.
+        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum of a table; strip X.
 
-        The other rows are kept in place.  The products are summed and
-        pruned, then added into the kept rows of their sum, which are
-        pruned again, or appended after them.  The hashes only screen:
-        when no two of the kept rows and products have equal hashes,
-        nothing can merge, and the pruned products are appended in order
-        with no grouping step; otherwise the rows are grouped exactly, and if
-        that finds no equal rows the result is the same, byte for byte.  A
-        product's hash is its hit row's hash XOR its factor word's, which only
-        the run carries (:meth:`runs`): nothing else is hashed here.  Returns
-        whether any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
-        before the products are built when the kept rows plus the products
-        would exceed ``budget``.
+        The products are summed and pruned, then added into the kept rows of
+        their sum, which are pruned again, or appended after them.  Then X on
+        ``qubit`` is cleared in every row, and each run of rows made equal
+        keeps its first row's place and coefficient, adds the others' in row
+        order and is pruned.  The hashes only screen (a row's is that of its
+        row with its owner, a product's its hit row's XOR its factor word's):
+        with no two stripped hashes equal nothing merges, runs of two rows
+        that differ in X on ``qubit`` merge as they are, and anything else is
+        grouped exactly, before and after the strip.  Returns whether any row
+        had Z on ``qubit``.  Raises :class:`BudgetExceededError` before the
+        products are built when the kept rows plus the products would exceed
+        ``budget``.
         """
-        rows, coeffs, owner = self.rows, self.coeffs, self.owner
-        hits = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))) != 0
-        hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
-        if not len(hit):
+        rows, coeffs, owner, x_col = self.rows, self.coeffs, self.owner, qubit >> 6
+        bit = np.uint64(1 << (qubit & 63))
+        x_line, hits = rows[:, x_col] & bit, rows[:, self.words + x_col] & bit
+        if not (x_line | hits).any():
             return False
-        factor_rows, factor_coeffs, factor_hashes = factor
-        terms = len(factor_coeffs)
-        size = len(rows) + (terms - 1) * len(hit)
-        if size > budget:
-            raise _over_budget(size, "terms", "terms", budget)
-        new_rows, new_coeffs = _product_rows(
-            factor_rows, factor_coeffs, rows.take(hit, axis=0), coeffs.take(hit)
-        )
-        k, new_owner = len(kept), np.concatenate([owner.take(hit)] * terms)
         if self._hashes is None:
-            # Each row's hash with its owner as one more word, kept from now on.
+            # Each row's hash with its owner as one more word, and that of each
+            # qubit's X alone, which the strip XORs in (see _row_hash).
+            alone = pack_rows(self.n, [1 << q for q in range(self.n)], [0] * self.n)
             keyed = np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1)
-            self._hashes = _row_hash(keyed)
-        carried = self._hashes
-        new_hashes = (factor_hashes[:, None] ^ carried.take(hit)).reshape(-1)
-        hashes = np.concatenate((carried.take(kept), new_hashes))
-        counts = self.counts - np.bincount(new_owner[: len(hit)], minlength=len(self.labels))
-        ordered = np.sort(hashes)
-        if (ordered[1:] == ordered[:-1]).any():
-            keys = np.concatenate((owner.take(kept), new_owner))
-            table = np.concatenate((rows.take(kept, axis=0), new_rows))
-            # The kept rows are distinct and come first, so run r < k is kept row r.
-            run, first = _group(np.concatenate((table.T, keys[None].astype(np.uint64))))
-            sums = np.zeros(len(first), dtype=complex)
-            np.add.at(sums, run[k:], new_coeffs)
-            # Products are pruned before they are added in, then the whole table.
-            live = np.abs(sums) > PRUNE_TOLERANCE
-            coeffs = coeffs.take(kept)
-            np.add(coeffs, sums[:k], out=coeffs, where=live[:k])
-            stay = np.abs(coeffs) > PRUNE_TOLERANCE
-            kept = stay.nonzero()[0]
-            counts -= np.bincount(keys[:k][~stay], minlength=len(self.labels))
-            # Row r takes its run's sum, so that one index picks from every array.
-            picks = first[live[k:].nonzero()[0] + k]
-            rows, owner, carried = table, keys, hashes
-            new_rows, new_coeffs, new_owner, new_hashes = table, sums[run], keys, hashes
-        else:
-            # All keys differ, so nothing merges, and the kept rows need no pruning
-            # (see the class).  Each sum starts from zero, turning a -0.0 part into 0.0.
-            picks = (np.abs(new_coeffs) > PRUNE_TOLERANCE).nonzero()[0]
+            hashed = _row_hash(np.concatenate((keyed, np.pad(alone, ((0, 0), (0, 1))))))
+            self._hashes, self._deltas = hashed[: len(rows)], hashed[len(rows) :]
+        hashes, hit = self._hashes, hits.nonzero()[0]
+        k = len(rows) - len(hit)
+        if len(hit):
+            terms = len(factor.coeffs)
+            if (size := len(rows) + (terms - 1) * len(hit)) > budget:
+                raise _over_budget(size, "terms", "terms", budget)
+            new_rows, new_coeffs = _product_rows(*factor[:2], rows.take(hit, 0), coeffs.take(hit))
+            # Each product sum starts from zero, turning a -0.0 part into 0.0.
             new_coeffs += 0.0
-        olds, news = (rows, coeffs, owner, carried), (new_rows, new_coeffs, new_owner, new_hashes)
-        joined = [np.empty((len(kept) + len(picks),) + old.shape[1:], old.dtype) for old in olds]
-        for old, new, out in zip(olds, news, joined):
-            # Each entry is copied once; the indices are in range, and "clip"
-            # lets take write into out without a buffer.
-            old.take(kept, axis=0, out=out[: len(kept)], mode="clip")
-            new.take(picks, axis=0, out=out[len(kept) :], mode="clip")
-        new_counts = np.bincount(new_owner.take(picks), minlength=len(self.labels))
-        self._set_rows(*joined, counts + new_counts)
-        return True
+            new_hashes = (factor.hashes[:, None] ^ hashes.take(hit)).reshape(-1)
+            news = (new_rows, new_coeffs, np.concatenate([owner.take(hit)] * terms), new_hashes)
+            kept = (hits == 0).nonzero()[0]
+            rows, coeffs, owner, hashes = (
+                np.concatenate((old.take(kept, axis=0), new))
+                for old, new in zip((rows, coeffs, owner, hashes), news)
+            )
+            x_line = rows[:, x_col] & bit
+        else:
+            rows, coeffs = rows.copy(), coeffs.copy()
+        stripped = hashes ^ (x_line != 0) * self._deltas[qubit]
+        order = stripped.argsort()
+        ordered = stripped.take(order)
+        equal = ordered[1:] == ordered[:-1]
+        live = np.abs(coeffs[k:]) > PRUNE_TOLERANCE
+        if equal.any() or not live.all():
+            pairs = equal.nonzero()[0]
+            one, other = order.take(pairs), order.take(pairs + 1)
+            differ = rows.take(one, axis=0) ^ rows.take(other, axis=0)
+            differ[:, x_col] ^= bit
+            if (
+                live.all()
+                and not (equal[1:] & equal[:-1]).any()
+                and not differ.any()
+                and (owner.take(one) == owner.take(other)).all()
+            ):
+                # Runs of two rows of one owner that differ in X on the qubit alone.
+                target, rest = np.minimum(one, other), np.maximum(one, other)
+            else:
+                if len(hit):
+                    rows, coeffs, owner, hashes = _merge_products(rows, coeffs, owner, hashes, k)
+                    x_line = rows[:, x_col] & bit
+                    stripped = hashes ^ (x_line != 0) * self._deltas[qubit]
+                rows[:, x_col] ^= x_line
+                run, first = _group(np.concatenate((rows.T, owner[None].astype(np.uint64))))
+                lead = first.take(run)
+                rest = (lead != np.arange(len(lead))).nonzero()[0]
+                target = lead.take(rest)
+            np.add.at(coeffs, target, coeffs.take(rest))
+            keep = np.ones(len(coeffs), dtype=bool)
+            keep[rest] = False
+            keep[target] = np.abs(coeffs.take(target)) > PRUNE_TOLERANCE
+            picks = keep.nonzero()[0]
+            rows, coeffs, owner, stripped = (
+                part.take(picks, axis=0) for part in (rows, coeffs, owner, stripped)
+            )
+        rows[:, x_col] &= ~bit
+        self._set_rows(rows, coeffs, owner, stripped)
+        return len(hit) > 0
+
+
+def _merge_products(rows, coeffs, owner, hashes, k):
+    """Kept rows ``[:k]``, then products, which add from zero and are pruned, then merged in.
+
+    A product sum is added into its kept row, pruned again, or appended in
+    order of first appearance; each array comes back picked alike.
+    """
+    run, first = _group(np.concatenate((rows.T, owner[None].astype(np.uint64))))
+    sums = np.zeros(len(first), dtype=complex)
+    np.add.at(sums, run[k:], coeffs[k:])
+    live = np.abs(sums) > PRUNE_TOLERANCE
+    # The kept rows are distinct and come first, so run r < k is kept row r.
+    sums[:k] = np.where(live[:k], coeffs[:k] + sums[:k], coeffs[:k])
+    live[:k] = np.abs(sums[:k]) > PRUNE_TOLERANCE
+    runs = live.nonzero()[0]
+    picks = first.take(runs)
+    return rows.take(picks, axis=0), sums.take(runs), owner.take(picks), hashes.take(picks)
 
 
 def _word_table(n: int, words: Mapping[Hashable, Word]) -> PauliTable:

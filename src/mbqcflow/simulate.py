@@ -5,8 +5,10 @@ per-qubit Z rotation turns every measurement into a Pauli X measurement.
 Each input contributes two logical operators (for its initial X and Z),
 expanded as complex-weighted sums of Pauli words.  Propagation multiplies
 the terms that anticommute with a measured X by that vertex's correcting
-stabilizer product; output extraction then strips the measured X factors,
-leaving operators on the outputs that encode the implemented unitary.
+stabilizer product; on the table path that vertex's X factors are then
+stripped (they stabilize its measured |+>, and no later product reads
+them).  Output extraction leaves operators on the outputs that encode the
+implemented unitary.
 
 This module is the pipeline: the rotated words, the rounds, finalize, the
 unitary and the cost accounting.  Every Pauli word, sum and table format,
@@ -24,9 +26,9 @@ that vertex's product as a :class:`~mbqcflow.pauli.Run`.  Both paths finalize
 to a table on the outputs.  A term budget caps its rows (on the word path,
 the logicals), and the dense limit caps the unitary.
 
-Cost accounting: the table records the most terms each logical has
-had (:attr:`~mbqcflow.pauli.PauliTable.peaks`; 1 on the word path), to
-be compared against ``2**|forward cone|``.
+Cost accounting: the table records the most terms each logical has had
+after each vertex (:attr:`~mbqcflow.pauli.PauliTable.peaks`; 1 on the word
+path), to be compared against ``2**|forward cone|``.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ def propagate_round(state: SimulationState) -> SimulationState:
     anticommutes with the measured X is multiplied by that vertex's
     correcting product: on the table path one
     :meth:`~mbqcflow.pauli.PauliTable.correct` call per vertex, with the
-    product's run; on the word path one :func:`~mbqcflow.pauli._correct_round`
-    pass over the logicals for the whole round.
+    product's run, which strips the vertex's X too; on the word path one
+    :func:`~mbqcflow.pauli._correct_round` pass for the whole round.
 
     Raises :class:`BudgetExceededError` before a vertex would take the table
     past ``state.term_budget`` rows (on the word path, when the round hits a
@@ -225,23 +227,26 @@ def propagate_all(state: SimulationState) -> SimulationState:
 def finalize_outputs(state: SimulationState) -> PauliTable:
     """The logicals stripped of measured X factors, as a table on the output register.
 
-    After full propagation every term is free of Z on measured vertices;
-    multiplying residual X factors away (they are stabilizers of the
-    post-measurement state) leaves operators supported on the outputs
-    only.  The table is :meth:`~mbqcflow.pauli.PauliTable.project`'s, or on the
-    word path :func:`~mbqcflow.pauli._project_words`', the same byte for byte.
+    After full propagation every term is free of Z on measured vertices,
+    and on the table path of X too; the word path drops its measured X
+    factors (stabilizers of the post-measurement state) here.  The table is
+    :meth:`~mbqcflow.pauli.PauliTable.project`'s gather, or on the word path
+    :func:`~mbqcflow.pauli._project_words`', the same byte for byte.
     Output ``graph.outputs[p]`` is qubit p, and the sums are ``("X", i)``
     and ``("Z", i)`` for each input i in turn; with no inputs it is empty.
-    Residual Z on a measured vertex raises :class:`SimulationInvariantError`.
+    Residual Z on a measured vertex, or X on the table path, raises
+    :class:`SimulationInvariantError`.
     """
     if state.round_cursor != len(state.rounds):
         raise ValueError("all rounds must be propagated before finalizing")
     measured, words = sum(1 << v for v in state.graph.measured), state.words
-    z_masks = [state.table.z_support()] if words is None else [z for _, z, _ in words.values()]
-    if any(z & measured for z in z_masks):
+    x_mask, z_mask = state.table.support() if words is None else (0, 0)
+    if z_mask & measured or any(z & measured for _, z, _ in (words or {}).values()):
         raise SimulationInvariantError(
             "residual anticommutation with a measured X survived propagation"
         )
+    if x_mask & measured:
+        raise SimulationInvariantError("residual X on a measured vertex survived its strip")
     outputs = list(state.graph.outputs)
     return state.table.project(outputs) if words is None else _project_words(words, outputs)
 

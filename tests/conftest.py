@@ -25,7 +25,7 @@ from mbqcflow import pauli
 from mbqcflow.gf2 import gf2_rank
 from mbqcflow.pauli import PauliTable, Run
 
-from pauli_reference import reference_round, reference_start
+from pauli_reference import StripReference, reference_round, reference_start
 
 
 def random_open_graph(
@@ -140,28 +140,29 @@ def count_product_merges(monkeypatch) -> collections.Counter:
 
     A correction can merge rows only when its stabilizer has two words or
     a sum of the table has two rows; only those are counted.  It merged
-    when its grouping step found two equal rows.  The counter
-    maps True and False to those counts for every call made while the
-    patch holds.
+    when two of its rows, kept or made, are equal (with their owner) once
+    X on its qubit is cleared; that is read from the table before the call,
+    on Python ints.  The counter maps True and False to those counts for
+    every call made while the patch holds.
     """
     counts: collections.Counter = collections.Counter()
-    merged: list[bool] = []
-    group, correct = pauli._group, PauliTable.correct
-
-    def spied_group(lines):
-        run, first = group(lines)
-        merged.append(len(first) < len(run))
-        return run, first
+    correct = PauliTable.correct
 
     def spied_correct(self, qubit, factor, *budget):
         product = len(factor[1]) > 1 or self.counts.max(initial=0) > 1
-        merged.clear()
+        bit, w = 1 << qubit, self.words
+        words = zip(pauli._unpack_masks(self.rows[:, :w]), pauli._unpack_masks(self.rows[:, w:]))
+        factor_x, factor_z = factor[0][:, :w], factor[0][:, w:]
+        factor_words = list(zip(pauli._unpack_masks(factor_x), pauli._unpack_masks(factor_z)))
+        made = []
+        for owner, (x, z) in zip(self.owner.tolist(), words):
+            pairs = [(x ^ fx, z ^ fz) for fx, fz in factor_words] if z & bit else [(x, z)]
+            made += [(owner, x & ~bit, z) for x, z in pairs]
         hit = correct(self, qubit, factor, *budget)
         if hit and product:
-            counts[any(merged)] += 1
+            counts[len(set(made)) < len(made)] += 1
         return hit
 
-    monkeypatch.setattr(pauli, "_group", spied_group)
     monkeypatch.setattr(PauliTable, "correct", spied_correct)
     return counts
 
@@ -186,8 +187,10 @@ def assert_rounds_match_reference(graph, gflow, pattern):
     for label, terms in logicals.items():
         assert_same(initial[label], terms)
     high_water = {label: len(terms) for label, terms in logicals.items()}
+    # The table path strips each vertex's X once it is corrected; the word path keeps it.
+    strip = state.words is None
     for r in range(len(state.rounds)):
-        logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water)
+        logicals_after = reference_round(logicals, stabilizers, state.rounds[r], high_water, strip)
         propagate_round(state)
         for label, op in state.logicals.operators().items():
             want = logicals_after[label]
@@ -218,7 +221,9 @@ def completion_generators(state: SimulationState) -> list[LogicalOperator]:
     correcting set inside the non-input vertices; the completion greedily
     adds single rotated stabilizers for independent directions and then
     walks the rounds multiplying by correcting products, so that every
-    completion commutes termwise with every measured X.
+    completion commutes termwise with every measured X.  The walk keeps X
+    on the measured vertices (``StripReference.correct``), so each
+    completion stays a stabilizer of the rotated state.
     """
     graph, gflow = state.graph, state.gflow
     non_inputs = [v for v in range(graph.n) if v not in graph.input_set]
@@ -233,11 +238,12 @@ def completion_generators(state: SimulationState) -> list[LogicalOperator]:
             basis = candidate
             angle = state.pattern.angles.get(j, 0.0)
             completions.append(rotated_stabilizer(graph, j, angle))
-    table = pack_operators(graph.n, dict(enumerate(completions)))
+    table = StripReference(pack_operators(graph.n, dict(enumerate(completions))))
     stabilizers = state.stabilizers
     for nu in (v for layer in state.rounds for v in sorted(layer)):
         table.correct(nu, packed(stabilizers[nu]))
-    return list(table.operators().values())
+    arrays = (table.rows, table.coeffs, table.owner)
+    return list(PauliTable(graph.n, table.labels, *arrays).operators().values())
 
 
 def pack_operators(n: int, ops: dict) -> PauliTable:

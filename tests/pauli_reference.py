@@ -10,7 +10,10 @@ built from the array helpers the library keeps for its tables.
 :func:`project` is ``PauliTable.project`` as it was before it packed
 each row into one narrow key, and :func:`to_matrices` is
 ``PauliTable.to_matrices`` as it was before it scattered the index and
-sign vectors of ``pauli._signed_permutations``.
+sign vectors of ``pauli._signed_permutations``.  :class:`StripReference`
+is ``PauliTable.correct`` as it was before each correction stripped its
+vertex's X, followed by the strip; :func:`strip_terms` is the strip on a
+dict, and ``reference_round`` takes it with ``strip=True``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Hashable
 
 import numpy as np
 
-from mbqcflow.pauli import PauliTable, _product_rows, pack_rows
+from mbqcflow.errors import DEFAULT_TERM_BUDGET, _over_budget
+from mbqcflow.pauli import PauliTable, Run, _product_rows, _row_hash, pack_rows
+from mbqcflow.pauli import _group as _group_lines
 
 #: The library's pruning threshold, restated so the reference stands alone.
 PRUNE_TOLERANCE = 1e-12
@@ -57,6 +62,22 @@ def corrected_terms(terms: Terms, qubit: int, correction: Terms) -> Terms | None
     for key, c in prune(product_terms(correction, flipped)).items():
         merged[key] = merged.get(key, 0.0) + c
     return prune(merged)
+
+
+def strip_terms(terms: Terms, qubit: int) -> Terms:
+    """``terms`` with X on ``qubit`` dropped, pruned; ``terms`` itself if none has it.
+
+    Words made equal merge in order of first appearance: each keeps its
+    first coefficient and adds the later ones in order.
+    """
+    bit = 1 << qubit
+    if not any(x & bit for x, _ in terms):
+        return terms
+    out: Terms = {}
+    for (x, z), c in terms.items():
+        key = (x & ~bit, z)
+        out[key] = out[key] + c if key in out else c
+    return prune(out)
 
 
 def project_terms(sums: dict[Hashable, Terms], qubits: list[int]) -> dict[Hashable, Terms]:
@@ -112,14 +133,21 @@ def reference_round(
     stabilizers: dict[int, Terms],
     vertices,
     high_water: dict[Hashable, int],
+    strip: bool = False,
 ) -> dict[Hashable, Terms]:
-    """One round, vertex by vertex in ascending order; updates ``high_water``."""
+    """One round, vertex by vertex in ascending order; updates ``high_water``.
+
+    With ``strip``, each vertex's X is dropped once it is corrected (:func:`strip_terms`),
+    and the high water is read after that.
+    """
     logicals = dict(logicals)
     for mu in sorted(vertices):
         for label, terms in logicals.items():
             out = corrected_terms(terms, mu, stabilizers[mu])
             if out is not None:
                 logicals[label] = out
+            if strip:
+                logicals[label] = strip_terms(logicals[label], mu)
             high_water[label] = max(high_water.get(label, 0), len(logicals[label]))
     return logicals
 
@@ -242,3 +270,140 @@ def to_matrices(self) -> np.ndarray:
     mats = np.zeros(len(self.labels) * dim * dim, dtype=complex)
     np.add.at(mats, places.reshape(-1), (self.coeffs[:, None] * signs).reshape(-1))
     return mats.reshape(-1, dim, dim)
+
+
+# -- The correction that kept X on corrected vertices ------------------------
+#
+# ``StripReference._set_rows`` and ``StripReference.correct`` are kept verbatim
+# from the version of ``PauliTable`` before each correction stripped its
+# vertex's X, but for the name ``_group_lines`` (this module's ``_group`` is
+# older); ``StripReference`` holds only the state they read and write, and
+# ``strip`` follows the old kernel as the library's correction now does.
+
+
+class StripReference:
+    """A copy of a :class:`PauliTable`'s rows, owners, counts and peaks; no carried hash."""
+
+    def __init__(self, table: PauliTable):
+        self.n, self.words, self.labels, self._hashes = table.n, table.words, table.labels, None
+        for name in ("rows", "coeffs", "owner", "counts", "peaks"):
+            setattr(self, name, getattr(table, name).copy())
+
+    def _set_rows(
+        self,
+        rows: np.ndarray,
+        coeffs: np.ndarray,
+        owner: np.ndarray,
+        hashes: np.ndarray | None = None,
+        counts: np.ndarray | None = None,
+    ) -> None:
+        self.rows, self.coeffs, self.owner, self._hashes = rows, coeffs, owner, hashes
+        self.counts = np.bincount(owner, minlength=len(self.labels)) if counts is None else counts
+        np.maximum(self.peaks, self.counts, out=self.peaks)
+
+    def correct(self, qubit: int, factor: Run, budget: int = DEFAULT_TERM_BUDGET) -> bool:
+        """Multiply the rows with Z on ``qubit`` by ``factor``, a pruned sum of a table.
+
+        The other rows are kept in place.  The products are summed and
+        pruned, then added into the kept rows of their sum, which are
+        pruned again, or appended after them.  The hashes only screen:
+        when no two of the kept rows and products have equal hashes,
+        nothing can merge, and the pruned products are appended in order
+        with no grouping step; otherwise the rows are grouped exactly, and if
+        that finds no equal rows the result is the same, byte for byte.  A
+        product's hash is its hit row's hash XOR its factor word's, which only
+        the run carries (:meth:`runs`): nothing else is hashed here.  Returns
+        whether any row had Z on ``qubit``.  Raises :class:`BudgetExceededError`
+        before the products are built when the kept rows plus the products
+        would exceed ``budget``.
+        """
+        rows, coeffs, owner = self.rows, self.coeffs, self.owner
+        hits = (rows[:, self.words + (qubit >> 6)] & np.uint64(1 << (qubit & 63))) != 0
+        hit, kept = hits.nonzero()[0], (~hits).nonzero()[0]
+        if not len(hit):
+            return False
+        factor_rows, factor_coeffs, factor_hashes = factor
+        terms = len(factor_coeffs)
+        size = len(rows) + (terms - 1) * len(hit)
+        if size > budget:
+            raise _over_budget(size, "terms", "terms", budget)
+        new_rows, new_coeffs = _product_rows(
+            factor_rows, factor_coeffs, rows.take(hit, axis=0), coeffs.take(hit)
+        )
+        k, new_owner = len(kept), np.concatenate([owner.take(hit)] * terms)
+        if self._hashes is None:
+            # Each row's hash with its owner as one more word, kept from now on.
+            keyed = np.concatenate((rows, owner[:, None].astype(np.uint64)), axis=1)
+            self._hashes = _row_hash(keyed)
+        carried = self._hashes
+        new_hashes = (factor_hashes[:, None] ^ carried.take(hit)).reshape(-1)
+        hashes = np.concatenate((carried.take(kept), new_hashes))
+        counts = self.counts - np.bincount(new_owner[: len(hit)], minlength=len(self.labels))
+        ordered = np.sort(hashes)
+        if (ordered[1:] == ordered[:-1]).any():
+            keys = np.concatenate((owner.take(kept), new_owner))
+            table = np.concatenate((rows.take(kept, axis=0), new_rows))
+            # The kept rows are distinct and come first, so run r < k is kept row r.
+            run, first = _group_lines(np.concatenate((table.T, keys[None].astype(np.uint64))))
+            sums = np.zeros(len(first), dtype=complex)
+            np.add.at(sums, run[k:], new_coeffs)
+            # Products are pruned before they are added in, then the whole table.
+            live = np.abs(sums) > PRUNE_TOLERANCE
+            coeffs = coeffs.take(kept)
+            np.add(coeffs, sums[:k], out=coeffs, where=live[:k])
+            stay = np.abs(coeffs) > PRUNE_TOLERANCE
+            kept = stay.nonzero()[0]
+            counts -= np.bincount(keys[:k][~stay], minlength=len(self.labels))
+            # Row r takes its run's sum, so that one index picks from every array.
+            picks = first[live[k:].nonzero()[0] + k]
+            rows, owner, carried = table, keys, hashes
+            new_rows, new_coeffs, new_owner, new_hashes = table, sums[run], keys, hashes
+        else:
+            # All keys differ, so nothing merges, and the kept rows need no pruning
+            # (see the class).  Each sum starts from zero, turning a -0.0 part into 0.0.
+            picks = (np.abs(new_coeffs) > PRUNE_TOLERANCE).nonzero()[0]
+            new_coeffs += 0.0
+        olds, news = (rows, coeffs, owner, carried), (new_rows, new_coeffs, new_owner, new_hashes)
+        joined = [np.empty((len(kept) + len(picks),) + old.shape[1:], old.dtype) for old in olds]
+        for old, new, out in zip(olds, news, joined):
+            # Each entry is copied once; the indices are in range, and "clip"
+            # lets take write into out without a buffer.
+            old.take(kept, axis=0, out=out[: len(kept)], mode="clip")
+            new.take(picks, axis=0, out=out[len(kept) :], mode="clip")
+        new_counts = np.bincount(new_owner.take(picks), minlength=len(self.labels))
+        self._set_rows(*joined, counts + new_counts)
+        return True
+
+    def strip(self, qubit: int) -> None:
+        """X on ``qubit`` cleared in every row, then rows made equal merged, on Python values.
+
+        Each run of equal rows (with their owner) takes its first row's place
+        and coefficient and adds the later ones in row order; merged sums
+        are pruned.
+        """
+        rows = self.rows.copy()
+        rows[:, qubit >> 6] &= ~np.uint64(1 << (qubit & 63))
+        merged: dict[tuple[int, bytes], list] = {}
+        for t, (owner, coeff) in enumerate(zip(self.owner.tolist(), self.coeffs.tolist())):
+            key = (owner, rows[t].tobytes())
+            if key in merged:
+                merged[key][1] += coeff
+            else:
+                merged[key] = [t, coeff]
+        picks = [t for t, coeff in merged.values() if abs(coeff) > PRUNE_TOLERANCE]
+        coeffs = [coeff for _, coeff in merged.values() if abs(coeff) > PRUNE_TOLERANCE]
+        picks = np.array(picks, dtype=np.intp)
+        self.rows, self.owner = rows.take(picks, axis=0), self.owner.take(picks)
+        self.coeffs = np.array(coeffs, dtype=complex).reshape(-1)
+        self.counts = np.bincount(self.owner, minlength=len(self.labels))
+        np.maximum(self.peaks, self.counts, out=self.peaks)
+
+    def correct_and_strip(
+        self, qubit: int, factor: Run, budget: int = DEFAULT_TERM_BUDGET
+    ) -> bool:
+        """:meth:`correct`, then :meth:`strip`, the high water read only after the strip."""
+        peaks = self.peaks.copy()
+        hit = self.correct(qubit, factor, budget)
+        self.peaks = peaks
+        self.strip(qubit)
+        return hit

@@ -14,7 +14,7 @@ takes one vertex at a time.  ``reference_finalize_outputs`` is
 output bits: it packs the words on all n qubits and projects the table.
 The helpers they call are unchanged and are imported from the library,
 except ``LogicalOperator.from_rows``, which is gone: :func:`from_rows`
-stands in for it.
+stands in for it; ``PauliTable.z_support()`` is now ``support()[1]``.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def reference_finalize_outputs(state) -> PauliTable:
         raise ValueError("all rounds must be propagated before finalizing")
     measured = sum(1 << v for v in state.graph.measured)
     logicals = state.logicals
-    if logicals.z_support() & measured:
+    if logicals.support()[1] & measured:
         raise SimulationInvariantError(
             "residual anticommutation with a measured X survived propagation"
         )

@@ -502,8 +502,10 @@ class TestExitCodes:
         assert payload["schema_version"] == 1
 
     def test_simulate_term_budget_exit_code(self, capsys, tmp_path):
-        # Cluster 3x14 with random angles ran out of memory with no budget.
-        graph, gflow = cluster_graph(3, 14), cluster_row_flow(3, 14)
+        # Cluster 3x14 with random angles ran out of memory with no budget
+        # while measured X was kept; with it stripped, its logicals peak at
+        # 63 rows.  The 14 logicals of cluster 7x6 reach 18,999 rows together.
+        graph, gflow = cluster_graph(7, 6), cluster_row_flow(7, 6)
         rng = np.random.default_rng(5)
         pattern = {"angles": {str(v): float(rng.uniform(0, 6.28)) for v in graph.measured}}
         files = {"g.json": graph.to_json(), "f.json": gflow.to_json(), "p.json": json.dumps(pattern)}

@@ -116,23 +116,23 @@ DIGESTS = {
     ),
     ("sim-terms", 1): (
         "71170739ecc5739f1e0c32fe61514d7c6d7455f974d884729ef5df88e0f40f75",
-        "085d6c52638ffa30bf60ea931d963ffcef9fd0d8086db3b69ad66d92672ef71e",
+        "deb919d598ee5869f42de45b1be279b3ffab2d30c54a2d90a237c73f14a88b2c",
     ),
     ("sim-terms", 2): (
         "6df3783653c06e488b84c668594af76e5294bc324ff6c490ec07f08e782376cc",
-        "57aa57a9612aca6006c3ef8d6db29ac3a5fccf3aa6ee0cd29d7d6a7b6b48a94c",
+        "ee5f6ef555b59143513cf504270cdb8ffe5c9b7e2d88c857b71ecc961aa8017a",
     ),
     ("sim-terms", 3): (
         "c99ddbca35d9ced538df3fa2f5fd00b585b4c876a2d8330483aea94470d020af",
-        "4cd9c3cf5756fed2e97c54ba37e753373d7abafbd5c8c8ebeefe4370092cf419",
+        "aab4c7b4a53747b61c9b0bc5c6564168d7dda48a49b6cf006e43b14b2833cee9",
     ),
     ("sim-terms", 4): (
         "4781bdef5537152050f8b9ec5a9ea7916151e8ea3eca2514a996f00e89518c12",
-        "14d4b7d5fc40553706437c2caca5a516e9671d7d40df95c9a8a76db64f9e8bca",
+        "f0bad311744aa52628872676e159ec0707e973fb65953b860b9ef922d87d5ecd",
     ),
     ("sim-terms", 5): (
         "1cf606276756e410bd24da7ca647dbf0878a89432d26cc7b7d57ea6b58b9fd95",
-        "d0d26332c9eafeb2cd5b8da1bb39d6ba30798c6c697912c9e6ade3c5283b79be",
+        "47ca41156481b07d43258de25d4e2c41c148c91daf3275327407431997f1a7e5",
     ),
 }
 

@@ -19,11 +19,13 @@ from conftest import (
     packed,
 )
 from pauli_reference import (
+    StripReference,
     array_sum_product,
     corrected_terms,
     product_terms,
     project_terms,
     prune,
+    strip_terms,
 )
 from pauli_reference import project as old_project
 from simulate_reference import _correct_words
@@ -135,16 +137,32 @@ class TestLogicalOperator:
             assert np.allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix())
 
     def test_corrected_leaves_commuting_operator_alone(self):
-        # Nothing has Z on qubit 0, so the correction neither builds nor moves a row.
+        # Nothing has X or Z on qubit 2, so the correction neither builds
+        # nor moves a row.
         sums = {"a": {(0b01, 0b00): 1.0, (0b00, 0b10): 1.0}, "b": {(0b11, 0b10): 2j}}
-        table = pack_operators(2, {label: LogicalOperator(2, t) for label, t in sums.items()})
+        table = pack_operators(3, {label: LogicalOperator(3, t) for label, t in sums.items()})
         rows, coeffs, owner = table.rows, table.coeffs, table.owner
         before = rows.copy(), coeffs.copy(), owner.copy()
-        assert not table.correct(0, packed(LogicalOperator(2, {(0b01, 0b10): 1.0})))
+        assert not table.correct(2, packed(LogicalOperator(3, {(0b001, 0b100): 1.0})))
         assert table.rows is rows and table.coeffs is coeffs and table.owner is owner
         for got, want in zip((rows, coeffs, owner), before):
             assert np.array_equal(got, want)
-        assert table.correct(1, packed(LogicalOperator(2, {(0b01, 0b10): 1.0})))
+        assert table.correct(1, packed(LogicalOperator(3, {(0b001, 0b010): 1.0})))
+
+    def test_x_alone_is_stripped_and_merges(self):
+        # Nothing has Z on qubit 0, but X on it is cleared all the same: in
+        # "a" X0 Z1 meets Z1 and the two add, first coefficient first; in
+        # "b" X0 alone becomes I, and X0 X1 cancels against X1.
+        sums = {
+            "a": {(0b01, 0b10): 0.5, (0b10, 0b00): 1.0, (0b00, 0b10): 0.25j},
+            "b": {(0b11, 0b00): 1.0, (0b01, 0b00): 3.0, (0b10, 0b00): -1.0},
+        }
+        table = pack_operators(2, {label: LogicalOperator(2, t) for label, t in sums.items()})
+        assert not table.correct(0, packed(LogicalOperator(2, {(0b10, 0b01): 1.0})))
+        ops = table.operators()
+        assert list(ops["a"].terms()) == [((0b00, 0b10), 0.5 + 0.25j), ((0b10, 0b00), 1.0)]
+        assert list(ops["b"].terms()) == [((0b00, 0b00), 3.0)]
+        assert table.counts.tolist() == [2, 1] and table.peaks.tolist() == [3, 3]
 
     def test_one_word_correction_prunes_and_the_peak_stays(self):
         # 1e-7 times 1e-7 falls under the prune tolerance, so the row goes.
@@ -228,7 +246,8 @@ class TestAgainstDictReference:
             want = corrected_terms(terms, qubit, correction)
             hit = table.correct(qubit, packed(LogicalOperator(140, correction)))
             assert hit == (want is not None)
-            self.assert_close(table.operators()[0], terms if want is None else want)
+            want = strip_terms(terms if want is None else want, qubit)
+            self.assert_close(table.operators()[0], want)
 
     def test_products_cancel_to_nothing(self):
         # X0 (1 + Z0) times (1 - Z0): the cross terms cancel exactly.
@@ -324,23 +343,19 @@ class TestPauliTable:
     )
     def test_project_matches_the_dict_reference(self, rng, n, count):
         # Above 64 projected qubits the packed words cross a word boundary:
-        # one kept qubit lands below bit 64 and one above it.
+        # one kept qubit lands below bit 64 and one above it.  A sum of
+        # several words has them on the kept qubits alone, as every sum has
+        # after the strip; a sum of one word may have bits elsewhere too,
+        # as a word-path logical has, and they are dropped.
         seen = collections.Counter()
         for _ in range(80):
             qubits = [int(q) for q in rng.choice(n, size=count, replace=False)]
-            places = rng.choice(count, size=2, replace=False).tolist()
-            if count > 64:
-                places = [int(rng.integers(0, 64)), int(rng.integers(64, count))]
-            dropped = sorted(set(range(n)) - set(qubits))
-            bits = [qubits[p] for p in places] + [
-                int(q) for q in rng.choice(dropped, size=min(2, len(dropped)), replace=False)
-            ]
-            # Few qubits, so that projected words repeat and units cancel;
-            # sometimes one word per sum, so that nothing can merge.
+            kept, bits = random_places(rng, n, qubits)
             single = rng.random() < 0.2
+            sizes = [1 if single else int(rng.integers(0, 10)) for _ in range(rng.integers(1, 5))]
             sums = {
-                label: prune(merging_terms(rng, bits, 1 if single else int(rng.integers(0, 10))))
-                for label in range(int(rng.integers(1, 5)))
+                label: prune(merging_terms(rng, bits if single else kept, size))
+                for label, size in enumerate(sizes)
             }
             table = pack_operators(n, {label: LogicalOperator(n, t) for label, t in sums.items()})
             want = project_terms(sums, qubits)
@@ -350,24 +365,34 @@ class TestPauliTable:
             for label, terms in want.items():
                 rows = list(ops[label].terms())
                 assert [key for key, _ in rows] == list(terms)
-                assert all(abs(c - terms[key]) <= 1e-15 for key, c in rows)
-            # Unit weights never cancel, so they count the distinct projected words.
-            ones = {label: dict.fromkeys(terms, 1.0) for label, terms in sums.items()}
-            words = project_terms(ones, qubits)
-            seen["merged"] += sum(map(len, sums.values())) - sum(map(len, words.values()))
-            seen["cancelled"] += sum(map(len, words.values())) - sum(map(len, want.values()))
+                assert all(c == terms[key] for key, c in rows)
+            outside = sum(1 << q for q in bits if q not in qubits)
+            seen["dropped"] += any((x | z) & outside for t in sums.values() for x, z in t)
             seen["crossed"] += any(x >> 64 or z >> 64 for t in want.values() for x, z in t)
         if n > count:
-            assert seen["merged"] >= 80 and seen["cancelled"] >= 8
+            assert seen["dropped"] >= 8
         if count > 64:
             assert seen["crossed"] >= 40
 
 
-class TestProjectMatchesTheOldProjection:
-    """The narrow-key projection against the full-width one it replaced, byte for byte."""
+def random_places(rng, n, qubits):
+    """Two of ``qubits`` (across bit 64 when there are more than 64) and those plus two others."""
+    count = len(qubits)
+    places = rng.choice(count, size=2, replace=False).tolist()
+    if count > 64:
+        places = [int(rng.integers(0, 64)), int(rng.integers(64, count))]
+    dropped = sorted(set(range(n)) - set(qubits))
+    kept = [qubits[p] for p in places]
+    others = rng.choice(dropped, size=min(2, len(dropped)), replace=False)
+    return kept, kept + [int(q) for q in others]
 
-    # (n, count, labels): keys of owner_bits + 2 count bits on both sides of
-    # 8, 16, 32, 64 and 128 bits, and label counts of 2^j and 2^j + 1.
+
+class TestProjectMatchesTheOldProjection:
+    """The gather against the merging projection it replaced, on tables it leaves distinct."""
+
+    # (n, count, labels): owner_bits + 2 count bits on both sides of 8, 16,
+    # 32, 64 and 128 bits, as the keys of the projection before this one
+    # had them, and label counts of 2^j and 2^j + 1.
     CASES = [
         (3, 3, 1), (8, 2, 4), (8, 3, 4), (8, 3, 5), (12, 5, 2), (12, 5, 3), (12, 5, 8),
         (12, 5, 9), (12, 6, 16), (12, 6, 17), (40, 14, 16), (40, 14, 17), (70, 32, 1),
@@ -376,46 +401,39 @@ class TestProjectMatchesTheOldProjection:
 
     @pytest.mark.parametrize("n,count,labels", CASES)
     def test_random_tables(self, rng, monkeypatch, n, count, labels):
-        # The keys come in the fewest lines of the narrowest dtype that holds them.
-        key_bits = (labels - 1).bit_length() + 2 * count
-        fewest = next(((w, 1) for w in (8, 16, 32, 64) if key_bits <= w), (64, -(-key_bits // 64)))
-        keys, group = [], pauli._group
-
-        def spied_group(lines):
-            keys.append((8 * lines.itemsize, len(lines)))
-            return group(lines)
-
-        monkeypatch.setattr(pauli, "_group", spied_group)
+        # Nothing is grouped.  The old projection summed each word of a sum
+        # of several rows from zero, which turns a -0.0 part into 0.0, so its
+        # coefficients are the gather's plus 0.0, bit for bit.
+        groups = []
         seen = collections.Counter()
         for _ in range(30):
             qubits = [int(q) for q in rng.choice(n, size=count, replace=False)]
-            places = rng.choice(count, size=2, replace=False).tolist()
-            if count > 64:
-                places = [int(rng.integers(0, 64)), int(rng.integers(64, count))]
-            dropped = sorted(set(range(n)) - set(qubits))
-            bits = [qubits[p] for p in places] + [
-                int(q) for q in rng.choice(dropped, size=min(2, len(dropped)), replace=False)
-            ]
-            # Sometimes one word per sum, where nothing is grouped.
+            kept, bits = random_places(rng, n, qubits)
+            # Sometimes one word per sum, which may have bits anywhere.
             single = rng.random() < 0.2
             sizes = [1 if single else int(rng.integers(10)) for _ in range(labels)]
             sums = {
-                label: LogicalOperator(n, merging_terms(rng, bits, size))
+                label: LogicalOperator(n, merging_terms(rng, bits if single else kept, size))
                 for label, size in enumerate(sizes)
             }
             table = pack_operators(n, sums)
             if not single:
                 # A correction leaves the owners out of order.
-                correction = LogicalOperator(n, merging_terms(rng, bits, 2))
-                table.correct(bits[0], packed(correction))
-            keys.clear()
-            got, want = table.project(qubits), old_project(table, qubits)
+                correction = LogicalOperator(n, merging_terms(rng, kept, 2))
+                table.correct(kept[0], packed(correction))
+            with monkeypatch.context() as patch:
+                patch.setattr(pauli, "_group", lambda lines: groups.append(lines))
+                got = table.project(qubits)
+            want = old_project(table, qubits)
             assert (got.n, got.labels) == (want.n, want.labels)
+            grouped = table.counts.max(initial=0) > 1
+            if grouped:
+                got.coeffs += 0.0
             assert_same_state(got, want)
-            assert keys == ([fewest] if table.counts.max(initial=0) > 1 else [])
-            seen["single"] += table.counts.max(initial=0) <= 1
-            seen["merged"] += len(want.rows) < len(table.rows)
-        assert seen["single"] >= 2 and (seen["merged"] >= 10 or n == count)
+            seen["single"] += not grouped
+            seen["negative zero"] += grouped and np.signbit(table.coeffs.view(float)).any()
+        assert groups == [] and seen["single"] >= 2
+        assert seen["negative zero"] >= 5 or n == count
 
     def test_the_empty_register(self, rng):
         # Only an empty table takes it; its rows hold the W = 1 words of a
@@ -558,10 +576,11 @@ def assert_same_state(table, reference):
 
 
 def checked_correct(correct, raised):
-    """``correct``, also run by the old kernel on a copy of the table; both must agree.
+    """``correct``, also run by the reference on a copy of the table; both must agree.
 
-    The factor must be a run whose hashes are its rows' hashes; the old
-    kernel takes its rows and coefficients.  After every call the two
+    The reference is the kernel as it was before it stripped X, followed
+    by the strip (``StripReference.correct_and_strip``).  The factor must be
+    a run whose hashes are its rows' hashes.  After every call the two
     tables must hold the same rows, coefficients, owners, counts and
     peaks, byte for byte, and the two calls must return the same value or
     raise the same budget error, which is then raised again and counted
@@ -571,8 +590,8 @@ def checked_correct(correct, raised):
     def checked(self, qubit, factor, budget=DEFAULT_TERM_BUDGET):
         assert isinstance(factor, Run)
         assert np.array_equal(factor.hashes, pauli._row_hash(factor.rows))
-        reference = ReferenceTable(self)
-        want = outcome(reference.correct, qubit, factor[:2], budget)
+        reference = StripReference(self)
+        want = outcome(reference.correct_and_strip, qubit, factor, budget)
         got = outcome(correct, self, qubit, factor, budget)
         assert got == want
         assert_same_state(self, reference)
@@ -605,7 +624,7 @@ def merging_terms(rng, bits, count):
 
 
 class TestCorrectMatchesTheOldKernel:
-    """Carried hashes change no table: every correction against the old kernel."""
+    """Every correction against the kernel before the strip, followed by the strip."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -620,8 +639,8 @@ class TestCorrectMatchesTheOldKernel:
         for seed in (1, 2, 3):
             for inst in bench_pool(name, seed):
                 simulate_pattern(inst.graph, inst.gflow, inst.pattern)
-        # Tables of up to 13,687 rows, most products merging nothing.
-        assert merges[True] >= 30 and merges[False] >= 800
+        # 514 of the 927 corrections merge rows, nearly all of them only by the strip.
+        assert merges[True] >= 500 and merges[False] >= 400
         # A term budget stops some seed-1 simulations, at the same call.
         for inst in bench_pool(name, 1):
             with contextlib.suppress(BudgetExceededError):
@@ -798,8 +817,10 @@ def test_row_hash_is_xor_linear(rng):
 
 def test_a_simulation_hashes_its_products_once(monkeypatch):
     # The correcting products are hashed once, when the state is set up, and
-    # the logicals on their first correction that multiplies; every other
-    # correction XORs the hashes it carries, however many multiply.
+    # the logicals, in the same call as each qubit's strip delta, on their
+    # first correction that touches them; every other correction XORs the
+    # hashes it carries, however many multiply.  In these pools every
+    # correction that strips also multiplies.
     calls, row_hash = [], pauli._row_hash
     multiplied, correct = [], PauliTable.correct
 

@@ -35,7 +35,7 @@ from mbqcflow.fixtures import (
     path_flow,
     path_graph,
 )
-from mbqcflow.errors import DEFAULT_DENSE_LIMIT
+from mbqcflow.errors import DEFAULT_DENSE_LIMIT, DEFAULT_TERM_BUDGET
 from mbqcflow.oracle import TOLERANCE, build_open_graph_state, canonical_unitary
 from mbqcflow.pauli import LogicalOperator, PauliTable
 from mbqcflow.pauli import _UNITS, _clifford_tableau, _gather, _word_actions
@@ -51,7 +51,8 @@ from conftest import (
     sample_graphs_with_flow,
     sample_graphs_with_gflow,
 )
-from pauli_reference import project_terms, reference_round, reference_start
+from pauli_reference import StripReference, project_terms, reference_round, reference_start
+from pauli_reference import project as old_project
 from pauli_reference import to_matrices as old_to_matrices
 from simulate_reference import (
     reference_dense_extract_unitary,
@@ -409,10 +410,11 @@ class TestPropagation:
         ops = state.logicals.operators()
         assert dict(ops[("Z", 0)].terms()) == {(0b10, 0): 1.0}
         # L_X: the cos term X0 Z1 commutes; the sin term X0 Y0-ish gains X1.
+        # Then X0, which stabilizes the measured |+>, is stripped from both.
         lx = dict(ops[("X", 0)].terms())
         assert len(lx) == 2
-        assert abs(lx.get((0b01, 0b10), 0) - np.cos(theta)) < 1e-12
-        assert abs(lx.get((0b11, 0b10), 0) - 1j * np.sin(theta)) < 1e-12
+        assert abs(lx.get((0b00, 0b10), 0) - np.cos(theta)) < 1e-12
+        assert abs(lx.get((0b10, 0b10), 0) - 1j * np.sin(theta)) < 1e-12
 
     def test_round_matches_split_multiply_add_reference(self, rng, monkeypatch):
         # Random and Clifford angles, so both the table path, with its
@@ -500,10 +502,32 @@ class TestPropagation:
             assert_rounds_match_reference(graph, gflow, random_pattern(graph, rng))
         assert sum(fell_back) >= 10
 
+    def test_round_matches_reference_when_only_owners_differ(self, monkeypatch):
+        # A row hash blind to the owner (the table's keyed rows are the ones
+        # of odd width) makes rows of two sums that the strip makes equal
+        # hash alike, in runs of two; only the owner check keeps them apart,
+        # and those corrections are grouped exactly.
+        import mbqcflow.pauli as pauli_mod
+
+        row_hash, group, grouped = pauli_mod._row_hash, pauli_mod._group, []
+
+        def spied_group(lines):
+            grouped.append(len(lines))
+            return group(lines)
+
+        def blind(rows):
+            return row_hash(rows[:, : rows.shape[1] // 2 * 2])
+
+        monkeypatch.setattr(pauli_mod, "_row_hash", blind)
+        monkeypatch.setattr(pauli_mod, "_group", spied_group)
+        for inst in bench_pool("sim-terms", 1):
+            assert_rounds_match_reference(inst.graph, inst.gflow, inst.pattern)
+        assert len(grouped) >= 100
+
     def test_a_constant_hash_changes_no_bench_output(self, monkeypatch):
         # The hash only screens: grouping a correction that merges nothing
         # leaves what skipping the grouping leaves.  The sim-terms pool of
-        # seed 1 reaches tables of 13,687 rows; sim-clifford instance 14
+        # seed 1 reaches tables of 630 rows; sim-clifford instance 14
         # has 72 qubits, two words per mask, and with one angle off the
         # right angles it takes the table path.
         import mbqcflow.simulate as simulate_mod
@@ -537,26 +561,26 @@ class TestPropagation:
         assert pool[-1].graph.n > 64
 
     def test_the_screen_groups_only_corrections_that_merge(self, monkeypatch):
-        # A correction reaches the grouping step only when two of its row
-        # hashes are equal.  On the sim-terms pools of seeds 1-2 each of the
-        # 23 that reach it finds two equal rows: no hash collision sends a
-        # correction there without cause.
+        # A correction reaches the exact grouping only when two of its row
+        # hashes are equal and the hash runs do not settle the merge alone.
+        # On the sim-terms pools of seeds 1-2 each of the 23 that reach it
+        # finds two equal rows: no hash collision sends a correction there
+        # without cause.
         import mbqcflow.pauli as pauli_mod
 
-        merged, within, group, correct = [], [False], pauli_mod._group, PauliTable.correct
+        merged, calls, group, correct = [], [], pauli_mod._group, PauliTable.correct
 
         def spied_group(lines):
             run, first = group(lines)
-            if within[0]:
-                merged.append(len(first) < len(run))
+            calls.append(len(first) < len(run))
             return run, first
 
         def spied_correct(self, *args):
-            within[0] = True
-            try:
-                return correct(self, *args)
-            finally:
-                within[0] = False
+            calls.clear()
+            hit = correct(self, *args)
+            if calls:
+                merged.append(any(calls))
+            return hit
 
         monkeypatch.setattr(pauli_mod, "_group", spied_group)
         monkeypatch.setattr(PauliTable, "correct", spied_correct)
@@ -1232,6 +1256,110 @@ class TestAgainstOracle:
         assert max_deviation_up_to_phase(via_quoted, orc) < 1e-9
 
 
+def unstripped_simulation(graph, gflow, pattern):
+    """Unitary and high water of the table path as it was before corrections stripped X.
+
+    Every vertex is corrected by the old kernel (``StripReference.correct``),
+    which keeps X on corrected vertices, and the old projection merges the
+    rows that X kept apart.
+    """
+    state = initialize_simulation(graph, gflow, pattern)
+    table = StripReference(state.table)
+    for layer in state.rounds:
+        for mu in sorted(layer):
+            table.correct(mu, state._runs[mu])
+    unitary = None
+    if len(graph.inputs) == len(graph.outputs):
+        unitary = extract_unitary(old_project(table, list(graph.outputs)))
+    return unitary, dict(zip(table.labels, table.peaks.tolist()))
+
+
+class TestStripPerVertex:
+    """Each vertex's X is stripped once it is corrected, against the simulation that kept it."""
+
+    def test_pools_and_random_graphs_against_the_unstripped_simulation(self):
+        # The sim-terms pools, the sim-clifford pools with one angle off the
+        # right angles (so that they take the table path, with two-word rows
+        # at n = 65-72), and 300 random gFlow graphs at uniform angles.
+        rng = np.random.default_rng(11)
+        cases = [i for seed in range(1, 6) for i in bench_pool("sim-terms", seed)]
+        cases += [mixed(i) for seed in range(1, 6) for i in bench_pool("sim-clifford", seed)]
+        cases = [(i.graph, i.gflow, i.pattern) for i in cases]
+        for graph, gflow in sample_graphs_with_gflow(300, seed=11):
+            cases.append((graph, gflow, random_pattern(graph, rng)))
+        deviation, seen = 0.0, collections.Counter()
+        for graph, gflow, pattern in cases:
+            result = simulate_pattern(graph, gflow, pattern)
+            assert initialize_simulation(graph, gflow, pattern).words is None
+            unitary, high_water = unstripped_simulation(graph, gflow, pattern)
+            if unitary is not None:
+                deviation = max(deviation, np.abs(result.unitary - unitary).max())
+            assert all(result.high_water[label] <= count for label, count in high_water.items())
+            seen["fell"] += result.high_water != high_water
+            for i, ok in result.bound_ok.items():
+                peak = max(high_water[("X", i)], high_water[("Z", i)])
+                was_ok = peak <= 2 ** result.cone_sizes[i]
+                assert ok or not was_ok
+                seen["turned true"] += ok and not was_ok
+        # The high water falls in 81 of the 490 cases, 75 of them sim-terms
+        # instances; no bound_ok turns, but none may turn False.
+        assert deviation <= 1e-12
+        assert seen["fell"] >= 80
+
+    def test_a_strip_before_the_correction_fails_against_the_oracle(self, monkeypatch):
+        # The mutant clears X on a vertex before the vertex's own product is
+        # applied, whose sign reads that X.  On each pattern the real strip
+        # matches the oracle and the mutant does not.
+        correct = PauliTable.correct
+
+        def early(self, qubit, factor, budget=DEFAULT_TERM_BUDGET):
+            stripped = StripReference(self)
+            stripped.strip(qubit)
+            self._set_rows(stripped.rows, stripped.coeffs, stripped.owner)
+            return correct(self, qubit, factor, budget)
+
+        rng = np.random.default_rng(7)
+        cases = [(cluster_graph(2, 3), cluster_row_flow(2, 3))]
+        cases += sample_graphs_with_gflow(10, seed=11)
+        for graph, gflow in cases:
+            assert graph.n <= 14
+            pattern = random_pattern(graph, rng)
+            oracle = oracle_unitary(graph, gflow, pattern)
+            result = simulate_pattern(graph, gflow, pattern)
+            assert max_deviation_up_to_phase(result.unitary, oracle) <= 1e-12
+            with monkeypatch.context() as patch:
+                patch.setattr(PauliTable, "correct", early)
+                try:
+                    mutant = simulate_pattern(graph, gflow, pattern).unitary
+                except DeterminismError:
+                    continue
+            assert max_deviation_up_to_phase(mutant, oracle) > 0.05
+
+    def test_a_long_cluster_fits_the_default_budget(self):
+        # Cluster 3x30 (n = 90, two words per mask) at seeded uniform angles:
+        # with measured X kept, cluster 3x14 already went past the default
+        # budget; with it stripped, each logical peaks at 4^3 - 1 rows.
+        graph, gflow = cluster_graph(3, 30), cluster_row_flow(3, 30)
+        pattern = random_pattern(graph, np.random.default_rng(5))
+        result = simulate_pattern(graph, gflow, pattern)
+        assert set(result.high_water.values()) == {63}
+        unitary = result.unitary
+        assert np.abs(unitary.conj().T @ unitary - np.eye(8)).max() <= 1e-12
+
+    def test_residual_x_on_a_measured_vertex_raises(self):
+        # On the table path every measured vertex is stripped, so X left on
+        # one breaks the invariant that lets the projection merge nothing.
+        g, fl = path_graph(3), path_flow(3)
+        state = propagate_all(
+            initialize_simulation(g, fl, MeasurementPattern(angles={0: 0.1, 1: 0.2}))
+        )
+        ops = state.logicals.operators()
+        ops[("X", 0)] = LogicalOperator(3, {(0b010, 0b100): 1.0, (0b000, 0b100): 0.5})
+        state.table = pack_operators(3, ops)
+        with pytest.raises(SimulationInvariantError, match="^residual X on a measured vertex"):
+            finalize_outputs(state)
+
+
 class TestRelabelling:
     """Renaming the vertices, with the input and output order kept, changes no output.
 
@@ -1342,7 +1470,7 @@ class TestCostAccounting:
     def test_term_budget_stops_growth(self, rng):
         from mbqcflow import BudgetExceededError
 
-        g, fl = cluster_graph(2, 6), cluster_row_flow(2, 6)
+        g, fl = cluster_graph(3, 6), cluster_row_flow(3, 6)
         pattern = random_pattern(g, rng)
         assert max(simulate_pattern(g, fl, pattern).high_water.values()) > 20
         with pytest.raises(BudgetExceededError, match=r"^\d+ terms exceed --budget-terms 20$"):
